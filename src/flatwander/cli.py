@@ -48,6 +48,7 @@ from .segments import (
     WanderingCertificate,
     certify_wandering,
     find_collision,
+    lift_chain,
     segment_new,
     verify_disjoint_iterates,
 )
@@ -70,6 +71,14 @@ def _emit(payload: dict, out_path: str | None = None) -> None:
         except OSError as exc:
             raise IoError(str(exc)) from exc
     print(text)
+
+
+def _float_or_none(x) -> float | None:
+    """None beyond double range, where the exact string alone carries x."""
+    try:
+        return x.to_float()
+    except OverflowError:
+        return None
 
 
 def _interval_json(iv) -> dict:
@@ -111,7 +120,7 @@ def _verdict_json(v) -> dict:
             },
             "checked_iterates": v.checked_iterates,
             "slack": None if v.slack is None else v.slack.to_expr(),
-            "slack_float": None if v.slack is None else v.slack.to_float(),
+            "slack_float": None if v.slack is None else _float_or_none(v.slack),
             "line": _line_json(v.line),
         }
     if isinstance(v, NotWanderable):
@@ -440,9 +449,7 @@ def _cmd_plot_orbit(args) -> int:
     tm = _build_map(args)
     seg = _segment_from_args(args)
     # raw-lift iteration plots any covering, integer multiplier or not
-    segs = [seg.lift.normalize()]
-    for _ in range(args.iterates):
-        segs.append(segs[-1].affine_image(tm.m, (tm.b.x, tm.b.y)).normalize())
+    segs = lift_chain(tm, seg.lift, args.iterates)
     witness = None
     if args.mark_witness:
         wx, wy = args.mark_witness.split(",")
@@ -483,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certificates for wandering flat geodesic segments",
     )
     ap.add_argument("--config", default=None, help="JSON file of argument defaults")
-    ap.add_argument("--json", action="store_true", help="JSON output (the default)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify-map", help="covering matrix, degree, multiplier class")

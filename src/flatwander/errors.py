@@ -83,6 +83,12 @@ class OddPeriodPairing(FlatwanderError):
     code = "odd-period-pairing"
 
 
+class InternalInconsistency(FlatwanderError):
+    """A certificate's own cross-check failed: a bug, never a verdict."""
+
+    code = "internal-inconsistency"
+
+
 class NearPole(FlatwanderError):
     code = "near-pole"
 

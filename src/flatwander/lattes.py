@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     BudgetExceeded,
     FitIllConditioned,
+    InternalInconsistency,
     NearPole,
     NotLattesCompatible,
     OddPeriodPairing,
@@ -24,22 +25,23 @@ from .errors import (
 )
 from .lattice import Lattice, TorusPoint, embed, half_lattice_q
 from .line_orbit import (
-    EventuallyPeriodic,
     TorusLine,
     classify_line,
-    line_image,
+    orbit_states,
     passes_through_q,
 )
-from .numbers import QuadraticNumber, qn
+from .numbers import QuadraticNumber
 from .segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
     NotWanderable,
     TorusSegment,
     WanderingCertificate,
+    certify_classified,
     certify_interval,
-    certify_wandering,
     find_collision,
+    first_overlap,
+    interval_chain,
     iterate_segment,
     segment_new,
     segments_intersect,
@@ -242,45 +244,6 @@ class NotFlexible:
     witness: CollisionCertificate | NoCollisionWithinBudget | None = None
 
 
-def _interval_image(
-    iv: tuple[QuadraticNumber, QuadraticNumber], a: int
-) -> tuple[QuadraticNumber, QuadraticNumber]:
-    lo, hi = iv[0] * a, iv[1] * a
-    return (hi, lo) if a < 0 else (lo, hi)
-
-
-def _intervals_disjoint(i1, i2) -> bool:
-    return (i2[0] - i1[1]).sign() > 0 or (i1[0] - i2[1]).sign() > 0
-
-
-def _theta_sweep(
-    model: LattesModel,
-    line: TorusLine,
-    interval: tuple[QuadraticNumber, QuadraticNumber],
-    horizon: int,
-) -> bool:
-    """Exact pairwise disjointness of the quotient images of iterates
-    0..horizon of the segment: plain pairs need distinct lines or disjoint
-    parameter intervals; rho pairs compare against the reflected interval."""
-    a = model.map.multiplier_int()
-    lines = [line]
-    ivs = [interval]
-    for _ in range(horizon):
-        lines.append(line_image(model.map, lines[-1]))
-        ivs.append(_interval_image(ivs[-1], a))
-    states = [ln.transverse() for ln in lines]
-    rho_states = [rho_transverse(model, st) for st in states]
-    for n in range(horizon + 1):
-        for m in range(n + 1, horizon + 1):
-            if states[n] == states[m] and not _intervals_disjoint(ivs[n], ivs[m]):
-                return False
-            if rho_states[m] == states[n]:
-                reflected = (-ivs[m][1], -ivs[m][0])
-                if not _intervals_disjoint(ivs[n], reflected):
-                    return False
-    return True
-
-
 def verify_sphere_disjoint_iterates(
     model: LattesModel, seg: TorusSegment, k: int
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -322,59 +285,35 @@ def certify_sphere_wandering(
             reason = "non-integer-multiplier"
         return NotFlexible(reason, witness)
 
-    torus_cert = certify_wandering(tm, seg, check_iterates)
+    verdict = classify_line(tm, seg.line)
+    torus_cert = certify_classified(tm, seg, verdict, check_iterates)
     if isinstance(torus_cert, NotWanderable):
         return torus_cert
     a = tm.multiplier_int()
 
     if torus_cert.mode == "whole-segment":
         # grid avoidance: an irrational transverse line misses the rational
-        # grid, and its images keep an irrational transverse coordinate
-        cur = seg.line
-        for _ in range(check_iterates + 1):
-            assert passes_through_q(cur, model.q_grid()) is None
-            cur = line_image(tm, cur)
-        # rho-collisions would force eventual periodicity; check the budget
-        lines = [seg.line]
-        for _ in range(check_iterates):
-            lines.append(line_image(tm, lines[-1]))
-        states = [ln.transverse() for ln in lines]
-        rho_states = [rho_transverse(model, st) for st in states]
-        for n in range(len(states)):
-            for m in range(len(states)):
-                assert rho_states[m] != states[n], "rho collision on a wandering line"
+        # grid, and its images keep an irrational transverse coordinate;
+        # rho-collisions would force eventual periodicity
+        states = orbit_states(tm, seg.line, check_iterates)
+        lines = (TorusLine(seg.line.slope, *st) for st in states)
+        if any(passes_through_q(ln, model.q_grid()) is not None for ln in lines):
+            raise InternalInconsistency("a wandering line met the grid")
+        if not {rho_transverse(model, st) for st in states}.isdisjoint(states):
+            raise InternalInconsistency("rho collision on a wandering line")
         ok, pair = verify_sphere_disjoint_iterates(model, seg, min(check_iterates, 6))
-        assert ok, f"sphere iterates {pair} intersect"
-        return WanderingCertificate(
-            mode="whole-segment",
-            level="sphere",
-            interval=(seg.t_lo, seg.t_hi),
-            preperiod=0,
-            period=0,
-            multiplier=0,
-            offset=qn(0),
-            fixed_point=qn(0),
-            checked_iterates=check_iterates,
-            slack=None,
-            line=seg.line,
-        )
+        if not ok:
+            raise InternalInconsistency(f"sphere iterates {pair} intersect")
+        return replace(torus_cert, level="sphere")
 
-    verdict = classify_line(tm, seg.line)
-    assert isinstance(verdict, EventuallyPeriodic)
     p = verdict.period
     pairing = rho_pairing(model, verdict.cycle)
+    self_paired = isinstance(pairing, SelfPaired)
     if isinstance(pairing, Paired):
-        lam_sphere = -(a ** pairing.half_period)
-        sphere_period = pairing.half_period
-        got = certify_interval(seg.t_lo, seg.t_hi, lam_sphere)
-    elif isinstance(pairing, SelfPaired):
-        lam_sphere = a**p
-        sphere_period = p
-        got = certify_interval(seg.t_lo, seg.t_hi, lam_sphere, both_sides=True)
+        sphere_period, lam_sphere = pairing.half_period, -(a**pairing.half_period)
     else:
-        lam_sphere = a**p
-        sphere_period = p
-        got = certify_interval(seg.t_lo, seg.t_hi, lam_sphere)
+        sphere_period, lam_sphere = p, a**p
+    got = certify_interval(seg.t_lo, seg.t_hi, lam_sphere, both_sides=self_paired)
     if got is None:
         return NotWanderable("no-positive-length-subsegment")
     u, v, slack = got
@@ -384,8 +323,10 @@ def certify_sphere_wandering(
     ratio_f = max(2.0, abs(float(v / u)))
     dominance = math.ceil(math.log(ratio_f) / math.log(abs(a))) + 2
     horizon = max(check_iterates, verdict.preperiod + p + dominance)
+    states = [verdict.state(n) for n in range(horizon + 1)]
+    rho_states = [rho_transverse(model, st) for st in states]
     for _ in range(80):
-        if _theta_sweep(model, seg.line, (u, v), horizon):
+        if first_overlap(states, interval_chain(u, v, a, horizon), rho_states) is None:
             break
         # shrink toward the outer endpoint; terminates once v/u < |a|
         if u.sign() > 0:
@@ -397,7 +338,7 @@ def certify_sphere_wandering(
     lo_abs, hi_abs = sorted([abs(u), abs(v)])
     if lam_sphere > 0:
         ratio = lam_sphere
-    elif isinstance(pairing, SelfPaired):
+    elif self_paired:
         ratio = -lam_sphere  # both-sided avoidance certifies at |lambda|
     else:
         ratio = lam_sphere * lam_sphere
@@ -406,19 +347,15 @@ def certify_sphere_wandering(
     ok, pair = verify_sphere_disjoint_iterates(
         model, segment_new(seg.line, u, v), check_iterates
     )
-    assert ok, f"sphere iterates {pair} intersect"
-    return WanderingCertificate(
-        mode="subsegment",
+    if not ok:
+        raise InternalInconsistency(f"sphere iterates {pair} intersect")
+    return replace(
+        torus_cert,
         level="sphere",
         interval=(u, v),
-        preperiod=verdict.preperiod,
         period=sphere_period,
         multiplier=lam_sphere,
-        offset=qn(0),
-        fixed_point=qn(0),
-        checked_iterates=check_iterates,
         slack=slack,
-        line=seg.line,
     )
 
 
@@ -473,28 +410,6 @@ def g_invariants(lat: Lattice, tol: float = 1e-12) -> tuple[complex, complex]:
     g2 = ((2 * math.pi) ** 4) / 12 * e4
     g3 = ((2 * math.pi) ** 6) / 216 * e6
     return g2, g3
-
-
-def g_invariants_direct(lat: Lattice, radius: float) -> tuple[complex, complex]:
-    """Plain truncated lattice sums; the independent low-accuracy oracle.
-
-    Truncation over a disk |w| <= radius, which every lattice rotation
-    preserves, so symmetry cancellations survive the cutoff."""
-    w = lat.omega_complex()
-    n_cap = int(radius / 1.0) + int(radius * abs(w.real) / w.imag) + 2
-    m_cap = int(radius / w.imag) + 2
-    g2 = 0j
-    g3 = 0j
-    for n in range(-n_cap, n_cap + 1):
-        for m in range(-m_cap, m_cap + 1):
-            if n == 0 and m == 0:
-                continue
-            v = n + m * w
-            if abs(v) > radius:
-                continue
-            g2 += v**-4
-            g3 += v**-6
-    return 60 * g2, 140 * g3
 
 
 class WeierstrassContext:
@@ -738,8 +653,3 @@ def verify_semiconjugacy(
             f"max residual {max_residual:.3e} exceeds tol {tol:.1e}"
         )
     return report
-
-
-def rho_embed(model: LattesModel, z: complex) -> complex:
-    """The involution on the complex plane: z -> 2*z0 - z."""
-    return 2 * embed(model.z0, model.lattice) - z

@@ -46,16 +46,6 @@ class Lattice:
                 best = min(best, abs(n + m * w))
         return best
 
-    def covering_radius_bound(self) -> float:
-        """Max distance from a point of the fundamental cell to its nearest
-        lattice point; the half-diagonal is a safe upper bound."""
-        w = self.omega_complex()
-        return max(abs((1 + w) / 2), abs((1 - w) / 2))
-
-
-def lattice_new(omega: ComplexPair) -> Lattice:
-    return Lattice(omega)
-
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -106,20 +96,3 @@ def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, .
 def embed(p: TorusPoint, lat: Lattice) -> complex:
     """Floating image x + y*omega of a torus point."""
     return lat.embed_coords(p.x.to_float(), p.y.to_float())
-
-
-def embed_pair(p: CoordPair, lat: Lattice) -> complex:
-    return lat.embed_coords(p[0].to_float(), p[1].to_float())
-
-
-def nearest_lattice_distance(z: complex, lat: Lattice) -> float:
-    """Distance from a complex number to the nearest lattice vector."""
-    w = lat.omega_complex()
-    y = z.imag / w.imag
-    x = z.real - y * w.real
-    best = float("inf")
-    for n in (-1, 0, 1):
-        for m in (-1, 0, 1):
-            cand = (round(x) + n) + (round(y) + m) * w
-            best = min(best, abs(z - cand))
-    return best

@@ -5,15 +5,18 @@ mod Z^2: the functional slope*x - y is constant on the line and decomposes
 uniquely as alpha + beta*slope when the transverse field does not contain the
 slope radicand.  Line equality and grid membership are then exact integer
 decisions.  Rational directions close up into Jordan curves and carry a
-one-dimensional invariant instead.
+one-dimensional invariant instead.  A transverse orbit is walked in one place,
+``_walk``; every consumer indexes its states instead of re-applying
+``line_image``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import FieldClash, IrrationalOffset, SlopeNotInvariant
+from .errors import FieldClash, InternalInconsistency, IrrationalOffset, SlopeNotInvariant
 from .lattice import CoordPair, TorusPoint, reduce_to_fundamental
 from .numbers import QuadraticNumber, qn
 from .torus_map import AffineTorusMap, apply_map
@@ -156,12 +159,26 @@ class JordanCurve:
     direction: RationalDirection
 
 
+TransverseState = tuple[QuadraticNumber, QuadraticNumber]
+
+
 @dataclass(frozen=True)
 class EventuallyPeriodic:
+    """The preperiod + period distinct transverse states in orbit order;
+    ``state(n)`` folds any later index back into the cycle."""
+
     preperiod: int
     period: int
-    cycle: tuple[tuple[QuadraticNumber, QuadraticNumber], ...]
-    states: tuple[tuple[QuadraticNumber, QuadraticNumber], ...]
+    states: tuple[TransverseState, ...]
+
+    @property
+    def cycle(self) -> tuple[TransverseState, ...]:
+        return self.states[self.preperiod :]
+
+    def state(self, n: int) -> TransverseState:
+        if n >= self.preperiod:
+            n = self.preperiod + (n - self.preperiod) % self.period
+        return self.states[n]
 
 
 @dataclass(frozen=True)
@@ -177,15 +194,24 @@ def _require_rational_b(tm: AffineTorusMap) -> None:
         raise IrrationalOffset("classification requires a rational translation part")
 
 
+def _walk(tm: AffineTorusMap, line: TorusLine) -> Iterator[TransverseState]:
+    """The transverse states of the orbit of ``line``, without end: the one
+    loop that applies ``line_image`` to them."""
+    while True:
+        yield line.transverse()
+        line = line_image(tm, line)
+
+
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     """Trichotomy for the orbit of a line under an integer-multiplier covering.
 
     Rational direction -> Jordan curve.  Irrational slope with rational
-    transverse pair -> eventually periodic, by exhaustive cycle detection on
-    the exact finite orbit (denominators never grow under x -> a*x + c with
-    integer a, rational c).  Irrational transverse component -> wandering: a
-    periodic state of that affine map is rational, and a*irr + rational stays
-    irrational, so the state can never repeat.
+    transverse pair -> eventually periodic, by cycle detection on the single
+    walk of the exact finite orbit (denominators never grow under
+    x -> a*x + c with integer a, rational c), which stops at the first repeat:
+    preperiod + period applications of ``line_image``.  Irrational transverse
+    component -> wandering: a periodic state of that affine map is rational,
+    and a*irr + rational stays irrational, so the state can never repeat.
     """
     if isinstance(line.slope, RationalDirection):
         return JordanCurve(line.slope)
@@ -198,7 +224,6 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    # exact cycle detection on rational transverse states
     lcm = 1
     for f in (
         line.alpha.as_fraction(),
@@ -208,24 +233,28 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     ):
         lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
     cap = lcm * lcm + 1
-    seen: dict[tuple, int] = {}
-    states: list[tuple[QuadraticNumber, QuadraticNumber]] = []
-    cur = line
-    for step in range(cap + 1):
-        state = (cur.alpha, cur.beta)
+    seen: dict[TransverseState, int] = {}  # insertion order is orbit order
+    for step, state in enumerate(_walk(tm, line)):
         if state in seen:
             n0 = seen[state]
-            period = step - n0
-            return EventuallyPeriodic(
-                preperiod=n0,
-                period=period,
-                cycle=tuple(states[n0:step]),
-                states=tuple(states),
-            )
+            return EventuallyPeriodic(preperiod=n0, period=step - n0, states=tuple(seen))
+        if step > cap:
+            raise InternalInconsistency("finite rational orbit exceeded its sanity cap")
         seen[state] = step
-        states.append(state)
-        cur = line_image(tm, cur)
-    raise AssertionError("finite rational orbit exceeded its sanity cap")
+
+
+def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
+    """Transverse states 0..n of the orbit of an irrational-slope line.
+
+    A rational transverse pair is classified and its states are indexed out
+    of the cycle; only a wandering line is walked, n steps."""
+    if not line.is_irrational:
+        raise ValueError("transverse orbits are defined for irrational-slope lines")
+    if line.alpha.is_rational and line.beta.is_rational:
+        verdict = classify_line(tm, line)
+        return [verdict.state(i) for i in range(n + 1)]
+    walk = _walk(tm, line)
+    return [next(walk) for _ in range(n + 1)]
 
 
 def passes_through_q(

@@ -100,14 +100,6 @@ class QuadraticNumber:
         raise AttributeError("QuadraticNumber is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> QuadraticNumber:
-        return cls(n)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> QuadraticNumber:
-        return cls(q.numerator, 0, q.denominator)
-
-    @classmethod
     def rational(cls, num: int, den: int = 1) -> QuadraticNumber:
         return cls(num, 0, den)
 
@@ -363,10 +355,6 @@ class ComplexPair(NamedTuple):
     @property
     def is_real(self) -> bool:
         return self.im.is_zero
-
-    @property
-    def is_rational_pair(self) -> bool:
-        return self.re.is_rational and self.im.is_rational
 
     def abs2(self) -> QuadraticNumber:
         return self.re * self.re + self.im * self.im

@@ -5,6 +5,8 @@ The certificate logic lives in the canonical line parameterization: with bases
 (beta, -alpha) the covering acts on the parameter as t -> a*t, so the return
 map of a period-p line is t -> a^p * t with fixed point 0 and a certified
 subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
+Transverse states are indexed out of ``line_orbit``'s single walk, and the
+exact disjointness sweep compares only iterates that share a state.
 Everything verdict-bearing is an exact predicate; floats appear only in
 bounding-box prefilters and reports.
 """
@@ -19,19 +21,22 @@ from .errors import (
     BudgetExceeded,
     DegenerateSegment,
     IncompatibleField,
+    InternalInconsistency,
     MixedRadicals,
     SlopeNotInvariant,
     UncertainAtTolerance,
 )
 from .lattice import Lattice, TorusPoint
 from .line_orbit import (
-    EventuallyPeriodic,
     IrrationalSlope,
     JordanCurve,
+    LineOrbitClass,
     TorusLine,
+    TransverseState,
     WanderingLine,
     classify_line,
     line_image,
+    orbit_states,
 )
 from .numbers import BiQuadratic, QuadraticNumber, qn
 from .torus_map import (
@@ -459,34 +464,48 @@ def certify_interval(
     return (u, v, slack)
 
 
-def _cross_check_cycle(
-    tm: AffineTorusMap,
-    line: TorusLine,
-    u: QuadraticNumber,
-    v: QuadraticNumber,
-    k: int,
-) -> None:
-    """Exact pairwise disjointness of iterates 0..k of the certified segment:
-    distinct transverse states are distinct parallel geodesics; same-state
-    pairs reduce to 1-D interval disjointness in the shared parameter."""
-    a = tm.multiplier_int()
-    states = []
-    cur_line, cur = line, (u, v)
-    intervals = []
-    for _ in range(k + 1):
-        states.append(cur_line.transverse())
-        intervals.append(cur)
-        cur_line = line_image(tm, cur_line)
-        lo, hi = cur[0] * a, cur[1] * a
-        cur = (hi, lo) if a < 0 else (lo, hi)
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            if states[i] != states[j]:
-                continue
-            lo_i, hi_i = intervals[i]
-            lo_j, hi_j = intervals[j]
-            disjoint = (lo_j - hi_i).sign() > 0 or (lo_i - hi_j).sign() > 0
-            assert disjoint, f"certified iterates {i}, {j} overlap"
+Interval = tuple[QuadraticNumber, QuadraticNumber]
+
+
+def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
+    """Parameter intervals of iterates 0..n of [u, v] under t -> a*t."""
+    chain, cur = [], (u, v)
+    for _ in range(n + 1):
+        chain.append(cur)
+        cur = (cur[1] * a, cur[0] * a) if a < 0 else (cur[0] * a, cur[1] * a)
+    return chain
+
+
+def _overlap(i1: Interval, i2: Interval) -> bool:
+    return (i2[0] - i1[1]).sign() <= 0 and (i1[0] - i2[1]).sign() <= 0
+
+
+def first_overlap(
+    states: list[TransverseState],
+    intervals: list[Interval],
+    rho_states: list[TransverseState] | None,
+) -> tuple[int, int] | None:
+    """Exact disjointness sweep over iterates with the given transverse states
+    and parameter intervals: the lexicographically first pair (n, m), n < m,
+    that meets, or None.
+
+    Distinct states are distinct parallel geodesics, so only iterates that
+    share a state are compared, by 1-D interval overlap.  With rho-states
+    (rho in canonical parameters is t -> -t) iterate m's reflection is also
+    compared against every iterate n on the line it is reflected onto."""
+    by_state: dict[TransverseState, list[int]] = {}
+    for i, st in enumerate(states):
+        by_state.setdefault(st, []).append(i)
+    hits = []
+    for m, (lo, hi) in enumerate(intervals):
+        hits += [(n, m) for n in by_state[states[m]] if n < m and _overlap(intervals[n], (lo, hi))]
+        if rho_states is not None:
+            hits += [
+                (n, m)
+                for n in by_state.get(rho_states[m], ())
+                if n < m and _overlap(intervals[n], (-hi, -lo))
+            ]
+    return min(hits, default=None)
 
 
 def certify_wandering(
@@ -497,23 +516,24 @@ def certify_wandering(
     Jordan curve -> not wanderable.  Wandering line -> whole segment (iterates
     live on pairwise-distinct parallel geodesics).  Eventually periodic line
     -> certified subsegment avoiding the return-map fixed point with the
-    expansion-disjointness ratio; cross-checked by exact pairwise tests.
+    expansion-disjointness ratio; cross-checked by the exact sweep.
     """
     if not tm.has_integer_multiplier:
         raise SlopeNotInvariant("wandering certificates require an integer multiplier")
-    verdict = classify_line(tm, seg.line)
+    return certify_classified(tm, seg, classify_line(tm, seg.line), check_iterates)
+
+
+def certify_classified(
+    tm: AffineTorusMap, seg: TorusSegment, verdict: LineOrbitClass, check_iterates: int
+) -> WanderingCertificate | NotWanderable:
+    """``certify_wandering`` for a line already classified as ``verdict``."""
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
-    a = tm.multiplier_int()
     if isinstance(verdict, WanderingLine):
         # transverse states never repeat; exact check over the budget
-        seen = set()
-        cur = seg.line
-        for _ in range(check_iterates + 1):
-            st = cur.transverse()
-            assert st not in seen
-            seen.add(st)
-            cur = line_image(tm, cur)
+        states = orbit_states(tm, seg.line, check_iterates)
+        if len(set(states)) != len(states):
+            raise InternalInconsistency("a wandering line repeated a transverse state")
         return WanderingCertificate(
             mode="whole-segment",
             level="torus",
@@ -527,17 +547,20 @@ def certify_wandering(
             slack=None,
             line=seg.line,
         )
-    assert isinstance(verdict, EventuallyPeriodic)
+    a = tm.multiplier_int()
     lam = a ** verdict.period
     got = certify_interval(seg.t_lo, seg.t_hi, lam)
     if got is None:
         return NotWanderable("no-positive-length-subsegment")
     u, v, slack = got
-    if lam < 0:
-        # one period maps the certified side across the fixed point: opposite
-        # signs make that single pair disjoint; check it explicitly
-        assert u.sign() * (u * lam).sign() == -1
-    _cross_check_cycle(tm, seg.line, u, v, check_iterates)
+    if lam < 0 and u.sign() * (u * lam).sign() != -1:
+        # one period must carry the certified side across the fixed point,
+        # which makes that single pair disjoint
+        raise InternalInconsistency("negative return multiplier kept the certified side")
+    states = [verdict.state(i) for i in range(check_iterates + 1)]
+    pair = first_overlap(states, interval_chain(u, v, a, check_iterates), None)
+    if pair is not None:
+        raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
     return WanderingCertificate(
         mode="subsegment",
         level="torus",
@@ -630,6 +653,16 @@ def _rho_affine(
     return rk, (sx, sy)
 
 
+def lift_chain(tm: AffineTorusMap, lift: LiftSegment, n: int) -> list[LiftSegment]:
+    """Lifts of iterates 0..n under the covering, each midpoint-normalized
+    into the fundamental cell; works for any multiplier."""
+    shift = (tm.b.x, tm.b.y)
+    chain = [lift.normalize()]
+    for _ in range(n):
+        chain.append(chain[-1].affine_image(tm.m, shift).normalize())
+    return chain
+
+
 def find_collision(
     tm: AffineTorusMap,
     seg: TorusSegment,
@@ -689,10 +722,7 @@ def find_collision(
         except (MixedRadicals, IncompatibleField):
             pass  # fall back to the geometric chain
 
-    b_shift = (tm.b.x, tm.b.y)
-    chain: list[LiftSegment] = [seg.lift.normalize()]
-    for _ in range(budget):
-        chain.append(chain[-1].affine_image(tm.m, b_shift).normalize())
+    chain = lift_chain(tm, seg.lift, budget)
     rotated: dict[tuple[int, int], LiftSegment] = {}
 
     def rot(n: int, k: int) -> LiftSegment:
@@ -730,12 +760,7 @@ def reverify_collision(
 ) -> bool:
     """Recompute the claimed intersection from scratch."""
     lat = tm.lattice
-    b_shift = (tm.b.x, tm.b.y)
-    cur = seg.lift.normalize()
-    lifts = [cur]
-    for _ in range(cert.m):
-        cur = cur.affine_image(tm.m, b_shift).normalize()
-        lifts.append(cur)
+    lifts = lift_chain(tm, seg.lift, cert.m)
     target = lifts[cert.n]
     if cert.k:
         assert group is not None

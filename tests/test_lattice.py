@@ -9,8 +9,6 @@ from flatwander.lattice import (
     TorusPoint,
     embed,
     half_lattice_q,
-    lattice_new,
-    nearest_lattice_distance,
     point,
     reduce_to_fundamental,
 )
@@ -22,16 +20,29 @@ SQUARE = Lattice(parse_complex("i"))
 HEX = Lattice(parse_complex("1/2+sqrt(3)/2i"))
 
 
+def nearest_lattice_distance(z: complex, lat: Lattice) -> float:
+    """Distance from a complex number to the nearest lattice vector."""
+    w = lat.omega_complex()
+    y = z.imag / w.imag
+    x = z.real - y * w.real
+    best = float("inf")
+    for n in (-1, 0, 1):
+        for m in (-1, 0, 1):
+            cand = (round(x) + n) + (round(y) + m) * w
+            best = min(best, abs(z - cand))
+    return best
+
+
 def test_lattice_new_examples():
-    lat = lattice_new(parse_complex("i"))
+    lat = Lattice(parse_complex("i"))
     assert lat.omega.re.is_zero and lat.omega.im == 1
-    lat = lattice_new(parse_complex("1/2+sqrt(3)/2i"))
+    lat = Lattice(parse_complex("1/2+sqrt(3)/2i"))
     assert lat.omega.re == Fraction(1, 2)
     assert lat.omega.im == Q(0, 1, 2, 3)
     with pytest.raises(LowerHalfPlane):
-        lattice_new(parse_complex("-i"))
+        Lattice(parse_complex("-i"))
     with pytest.raises(LowerHalfPlane):
-        lattice_new(parse_complex("2"))
+        Lattice(parse_complex("2"))
 
 
 def test_reduce_examples():

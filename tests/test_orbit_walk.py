@@ -1,0 +1,260 @@
+"""The transverse orbit is walked once and indexed everywhere else: state
+indexing, call counts of the walk, the bucketed disjointness sweep against
+the pairwise reference, and the typed cross-check under ``python -O``."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flatwander
+from flatwander import lattes, line_orbit, segments
+from flatwander.lattice import Lattice, point
+from flatwander.lattes import certify_sphere_wandering, lattes_model_new, rho_transverse
+from flatwander.line_orbit import (
+    EventuallyPeriodic,
+    IrrationalSlope,
+    TorusLine,
+    classify_line,
+    line_from_point,
+    line_image,
+    orbit_states,
+    slope_spec,
+)
+from flatwander.numbers import parse_complex, parse_number, qn
+from flatwander.segments import (
+    WanderingCertificate,
+    certify_wandering,
+    first_overlap,
+    interval_chain,
+    segment_new,
+)
+from flatwander.torus_map import torus_map_new
+
+ROOT = Path(__file__).resolve().parent.parent
+SQUARE = Lattice(parse_complex("i"))
+SQRT2 = IrrationalSlope(parse_number("sqrt(2)"))
+
+
+def _map(a, b="0"):
+    return torus_map_new(parse_complex(a), parse_complex(b), SQUARE)
+
+
+def _line(alpha, beta):
+    return TorusLine(SQRT2, qn(alpha).mod1(), qn(beta).mod1())
+
+
+def _walked(tm, line, n):
+    out = []
+    for _ in range(n + 1):
+        out.append(line.transverse())
+        line = line_image(tm, line)
+    return out
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of a line_orbit function through every flatwander
+    namespace that binds it."""
+    calls = []
+    orig = getattr(line_orbit, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in (line_orbit, segments, lattes, flatwander):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# one representation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a,b,alpha,beta",
+    [
+        ("2", "0", Fraction(1, 5), 0),
+        ("-2", "0", Fraction(1, 7), Fraction(1, 3)),
+        ("3", "0", Fraction(1, 12), Fraction(5, 18)),
+        ("2", "1/3+1/4i", Fraction(1, 12), Fraction(5, 6)),
+    ],
+)
+def test_state_indexes_the_walked_orbit(a, b, alpha, beta):
+    tm = _map(a, b)
+    line = _line(alpha, beta)
+    verdict = classify_line(tm, line)
+    assert isinstance(verdict, EventuallyPeriodic)
+    assert len(verdict.states) == verdict.preperiod + verdict.period
+    assert verdict.cycle == verdict.states[verdict.preperiod :]
+    n = 3 * (verdict.preperiod + verdict.period) + 5
+    walked = _walked(tm, line, n)
+    assert [verdict.state(i) for i in range(n + 1)] == walked
+    assert orbit_states(tm, line, n) == walked
+
+
+def test_orbit_states_walks_a_wandering_line(monkeypatch):
+    tm = _map("3")
+    line = _line(parse_number("sqrt(3)-1"), Fraction(1, 4))
+    expect = _walked(tm, line, 9)
+    calls = _count_calls(monkeypatch, "line_image")
+    assert orbit_states(tm, line, 9) == expect
+    assert len(calls) == 9
+    assert len(set(expect)) == 10
+
+
+def test_orbit_states_refuses_rational_directions():
+    line = line_from_point(slope_spec((1, 2)), (qn(Fraction(1, 5)), qn(0)))
+    with pytest.raises(ValueError):
+        orbit_states(_map("2"), line, 4)
+
+
+# ---------------------------------------------------------------------------
+# one walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check_iterates", [0, 3, 12, 40])
+@pytest.mark.parametrize(
+    "a,alpha,beta",
+    [
+        ("2", Fraction(1, 5), 0),
+        ("-2", Fraction(1, 3), 0),
+        ("3", Fraction(1, 101), Fraction(2, 7)),
+    ],
+)
+def test_certify_wandering_walks_a_periodic_orbit_once(
+    monkeypatch, a, alpha, beta, check_iterates
+):
+    tm = _map(a)
+    seg = segment_new(_line(alpha, beta), qn(0), qn(Fraction(1, 10)))
+    verdict = classify_line(tm, seg.line)
+    calls = _count_calls(monkeypatch, "line_image")
+    cert = certify_wandering(tm, seg, check_iterates)
+    assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
+    assert len(calls) == verdict.preperiod + verdict.period
+
+
+@pytest.mark.parametrize(
+    "a,alpha,beta,t0",
+    [
+        ("2", Fraction(1, 5), 0, 0),  # paired
+        ("-2", 0, 0, Fraction(1, 100)),  # self-paired
+        ("2", Fraction(1, 7), Fraction(1, 3), 0),  # unpaired
+        ("2", parse_number("sqrt(3)-1"), 0, 0),  # wandering
+    ],
+)
+def test_certify_sphere_wandering_classifies_once(monkeypatch, a, alpha, beta, t0):
+    model = lattes_model_new(SQUARE, _map(a), 2, point(0, 0))
+    seg = segment_new(_line(alpha, beta), qn(t0), qn(Fraction(1, 10)))
+    calls = _count_calls(monkeypatch, "classify_line")
+    assert isinstance(certify_sphere_wandering(model, seg), WanderingCertificate)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one sweep
+# ---------------------------------------------------------------------------
+
+
+def _meets(i1, i2) -> bool:
+    lo1, hi1 = (x.as_fraction() for x in i1)
+    lo2, hi2 = (x.as_fraction() for x in i2)
+    return lo2 <= hi1 and lo1 <= hi2
+
+
+def pairwise_first_overlap(states, intervals, rho_states):
+    """The O(k^2) reference: every pair n < m in order."""
+    for n in range(len(states)):
+        for m in range(n + 1, len(states)):
+            if states[n] == states[m] and _meets(intervals[n], intervals[m]):
+                return (n, m)
+            if rho_states is None or rho_states[m] != states[n]:
+                continue
+            if _meets(intervals[n], (-intervals[m][1], -intervals[m][0])):
+                return (n, m)
+    return None
+
+
+_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+
+
+@st.composite
+def _sweep_case(draw):
+    a = draw(st.sampled_from([2, -2, 3]))
+    q = draw(st.integers(1, 60))
+    alpha = Fraction(draw(st.integers(0, q - 1)), q)
+    beta = Fraction(draw(st.integers(0, q - 1)), q)
+    n = draw(st.integers(0, 24))
+    tm = _map(str(a))
+    states = orbit_states(tm, _line(alpha, beta), n)
+    if draw(st.booleans()):
+        u = draw(st.fractions(Fraction(1, 64), 1, max_denominator=64))
+        v = u * draw(st.fractions(Fraction(65, 64), abs(a) ** 2, max_denominator=64))
+        if draw(st.booleans()):
+            u, v = -v, -u
+        intervals = interval_chain(qn(u), qn(v), a, n)
+    else:
+        intervals = []
+        for _ in range(n + 1):
+            lo, hi = sorted((draw(_fraction), draw(_fraction)))
+            intervals.append((qn(lo), qn(hi)))
+    for _ in range(draw(st.integers(0, 2))):  # deliberate overlaps and touches
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+        lo, hi = intervals[i]
+        intervals[j] = draw(st.sampled_from([(lo, hi), (-hi, -lo), (hi, hi * 2 - lo)]))
+    rho_states = None
+    if draw(st.booleans()):
+        model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
+        rho_states = [rho_transverse(model, s) for s in states]
+    return states, intervals, rho_states
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_case())
+def test_bucketed_sweep_matches_pairwise_reference(case):
+    states, intervals, rho_states = case
+    assert first_overlap(states, intervals, rho_states) == pairwise_first_overlap(
+        states, intervals, rho_states
+    )
+
+
+_INJECT = """
+import sys
+from flatwander import segments
+from flatwander.cli import main
+
+assert not __debug__
+real = segments.interval_chain
+
+def overlapping(u, v, a, n):
+    chain = real(u, v, a, n)
+    chain[4] = chain[0]  # iterate 4 shares iterate 0's line on a period-4 cycle
+    return chain
+
+segments.interval_chain = overlapping
+sys.exit(main(["certify-segment", "--a", "2", "--omega", "i", "--slope", "sqrt(2)",
+               "--alpha", "1/5", "--beta", "0"]))
+"""
+
+
+def test_overlap_raises_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INJECT],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "internal-inconsistency",
+        "message": "certified iterates 0, 4 overlap",
+    }
