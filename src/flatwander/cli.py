@@ -298,9 +298,8 @@ def _cmd_find_collision(args) -> int:
 
 
 def _cmd_certify_sphere(args) -> int:
-    lat = Lattice(parse_complex(args.omega))
-    tm = torus_map_new(parse_complex(args.a), parse_complex(args.b), lat)
-    model = lattes_model_new(lat, tm, args.nu, _parse_point(args.z0))
+    tm = _build_map(args)
+    model = lattes_model_new(tm.lattice, tm, args.nu, _parse_point(args.z0))
     seg = _segment_from_args(args)
     got = certify_sphere_wandering(model, seg, check_iterates=args.check_iterates)
     _emit(_verdict_json(got), args.out)
@@ -310,9 +309,8 @@ def _cmd_certify_sphere(args) -> int:
 def _cmd_verify_semiconjugacy(args) -> int:
     if not 0.0 < args.tol < 1.0:
         raise UsageError("--tol must lie in (0, 1)")
-    lat = Lattice(parse_complex(args.omega))
-    tm = torus_map_new(parse_complex(args.a), parse_complex(args.b), lat)
-    model = lattes_model_new(lat, tm, 2, _parse_point(args.z0))
+    tm = _build_map(args)
+    model = lattes_model_new(tm.lattice, tm, 2, _parse_point(args.z0))
     report = verify_semiconjugacy(model, samples=args.samples, tol=args.tol)
     rows = report.pop("rows")
     if args.dump_csv:

@@ -37,14 +37,14 @@ from .segments import (
     NotWanderable,
     TorusSegment,
     WanderingCertificate,
+    certified_slack,
     certify_classified,
     certify_interval,
     find_collision,
     first_overlap,
     interval_chain,
-    iterate_segment,
     segment_new,
-    segments_intersect,
+    verify_disjoint_iterates,
 )
 from .torus_map import AffineTorusMap, apply_map, rotation_matrix
 
@@ -215,8 +215,8 @@ def rho_pairing(
     index = {cycle[j]: j for j in range(p)}
     img0 = rho_transverse(model, cycle[0])
     if img0 not in index:
-        for j in range(1, p):
-            assert rho_transverse(model, cycle[j]) not in index
+        if any(rho_transverse(model, st) in index for st in cycle[1:]):
+            raise InternalInconsistency("rho maps part of the cycle into it")
         return Unpaired(p)
     c = index[img0]
     for j in range(p):
@@ -249,17 +249,7 @@ def verify_sphere_disjoint_iterates(
 ) -> tuple[bool, tuple[int, int] | None]:
     """Brute-force oracle at the quotient level: Theta images of iterates
     0..k are pairwise disjoint iff the segments and their rho reflections are."""
-    segs = [seg]
-    for _ in range(k):
-        segs.append(iterate_segment(model.map, segs[-1]))
-    lat = model.lattice
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            if segments_intersect(lat, segs[i], segs[j]).hit:
-                return False, (i, j)
-            if segments_intersect(lat, segs[i], rho_segment(model, segs[j])).hit:
-                return False, (i, j)
-    return True, None
+    return verify_disjoint_iterates(model.map, seg, k, lambda s: rho_segment(model, s))
 
 
 def certify_sphere_wandering(
@@ -335,14 +325,7 @@ def certify_sphere_wandering(
             v = (u + v) / 2
     else:
         raise BudgetExceeded("sphere certificate shrink loop did not converge")
-    lo_abs, hi_abs = sorted([abs(u), abs(v)])
-    if lam_sphere > 0:
-        ratio = lam_sphere
-    elif self_paired:
-        ratio = -lam_sphere  # both-sided avoidance certifies at |lambda|
-    else:
-        ratio = lam_sphere * lam_sphere
-    slack = lo_abs * ratio / hi_abs
+    slack = certified_slack(u, v, lam_sphere, both_sides=self_paired)
 
     ok, pair = verify_sphere_disjoint_iterates(
         model, segment_new(seg.line, u, v), check_iterates

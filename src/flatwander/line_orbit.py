@@ -13,7 +13,6 @@ one-dimensional invariant instead.  A transverse orbit is walked in one place,
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import FieldClash, InternalInconsistency, IrrationalOffset, SlopeNotInvariant
@@ -194,12 +193,22 @@ def _require_rational_b(tm: AffineTorusMap) -> None:
         raise IrrationalOffset("classification requires a rational translation part")
 
 
-def _walk(tm: AffineTorusMap, line: TorusLine) -> Iterator[TransverseState]:
-    """The transverse states of the orbit of ``line``, without end: the one
-    loop that applies ``line_image`` to them."""
-    while True:
-        yield line.transverse()
-        line = line_image(tm, line)
+def _walk(
+    tm: AffineTorusMap, line: TorusLine, limit: int
+) -> tuple[tuple[TransverseState, ...], int | None]:
+    """The distinct transverse states of the orbit of ``line`` in orbit order,
+    up to the first repeat or ``limit`` states, and the index the repeat
+    returns to (None when the limit came first): the one loop that applies
+    ``line_image`` to transverse states."""
+    seen: dict[TransverseState, int] = {}  # insertion order is orbit order
+    for step in range(limit):
+        if step:
+            line = line_image(tm, line)
+        state = line.transverse()
+        if state in seen:
+            return tuple(seen), seen[state]
+        seen[state] = step
+    return tuple(seen), None
 
 
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
@@ -224,37 +233,27 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    lcm = 1
-    for f in (
-        line.alpha.as_fraction(),
-        line.beta.as_fraction(),
-        tm.b.x.as_fraction(),
-        tm.b.y.as_fraction(),
-    ):
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    cap = lcm * lcm + 1
-    seen: dict[TransverseState, int] = {}  # insertion order is orbit order
-    for step, state in enumerate(_walk(tm, line)):
-        if state in seen:
-            n0 = seen[state]
-            return EventuallyPeriodic(preperiod=n0, period=step - n0, states=tuple(seen))
-        if step > cap:
-            raise InternalInconsistency("finite rational orbit exceeded its sanity cap")
-        seen[state] = step
+    lcm = math.lcm(*(x.as_fraction().denominator for x in (*line.transverse(), tm.b.x, tm.b.y)))
+    # at most lcm^2 distinct states, so the walk repeats within the limit
+    states, n0 = _walk(tm, line, lcm * lcm + 1)
+    if n0 is None:
+        raise InternalInconsistency("finite rational orbit exceeded its sanity cap")
+    return EventuallyPeriodic(preperiod=n0, period=len(states) - n0, states=states)
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
     """Transverse states 0..n of the orbit of an irrational-slope line.
 
-    A rational transverse pair is classified and its states are indexed out
-    of the cycle; only a wandering line is walked, n steps."""
+    The orbit is walked at most n steps; once a state repeats, the rest is
+    indexed out of the cycle.  This needs no classification, so it holds for
+    any translation part, rational or not."""
     if not line.is_irrational:
         raise ValueError("transverse orbits are defined for irrational-slope lines")
-    if line.alpha.is_rational and line.beta.is_rational:
-        verdict = classify_line(tm, line)
-        return [verdict.state(i) for i in range(n + 1)]
-    walk = _walk(tm, line)
-    return [next(walk) for _ in range(n + 1)]
+    states, n0 = _walk(tm, line, n + 1)
+    if n0 is None:
+        return list(states)
+    orbit = EventuallyPeriodic(preperiod=n0, period=len(states) - n0, states=states)
+    return [orbit.state(i) for i in range(n + 1)]
 
 
 def passes_through_q(

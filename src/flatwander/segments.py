@@ -5,8 +5,9 @@ The certificate logic lives in the canonical line parameterization: with bases
 (beta, -alpha) the covering acts on the parameter as t -> a*t, so the return
 map of a period-p line is t -> a^p * t with fixed point 0 and a certified
 subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
-Transverse states are indexed out of ``line_orbit``'s single walk, and the
-exact disjointness sweep compares only iterates that share a state.
+Transverse states are indexed out of ``line_orbit``'s single walk, and one
+exact sweep, ``first_overlap``, compares only iterates that share a state; it
+decides both the certificates and the integer-multiplier collision search.
 Everything verdict-bearing is an exact predicate; floats appear only in
 bounding-box prefilters and reports.
 """
@@ -14,6 +15,7 @@ bounding-box prefilters and reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,17 +323,34 @@ def segment_new(
     return TorusSegment(line, t_lo, t_hi, lift)
 
 
-def iterate_segment(tm: AffineTorusMap, seg: TorusSegment, n: int = 1) -> TorusSegment:
+def iterate_segment(tm: AffineTorusMap, seg: TorusSegment) -> TorusSegment:
     """Image under the covering, staying in canonical parameters (t -> a*t)."""
-    cur = seg
-    for _ in range(n):
-        new_line = line_image(tm, cur.line)
-        a = tm.multiplier_int()
-        lo, hi = cur.t_lo * a, cur.t_hi * a
-        if a < 0:
-            lo, hi = hi, lo
-        cur = segment_new(new_line, lo, hi)
-    return cur
+    line = line_image(tm, seg.line)
+    a = tm.multiplier_int()
+    lo, hi = seg.t_lo * a, seg.t_hi * a
+    if a < 0:
+        lo, hi = hi, lo
+    return segment_new(line, lo, hi)
+
+
+Interval = tuple[QuadraticNumber, QuadraticNumber]
+
+
+def _overlap(i1: Interval, i2: Interval) -> bool:
+    return (i2[0] - i1[1]).sign() <= 0 and (i1[0] - i2[1]).sign() <= 0
+
+
+def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float, float]:
+    """The point mod 1 at the midpoint of two overlapping parameter intervals
+    on one irrational-slope line."""
+    mid = (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2
+    bx, by = line.base_point()
+    return reduce_mod1_float(
+        (
+            BiQuadratic._coerce(bx) + BiQuadratic._coerce(mid),
+            BiQuadratic._coerce(by) + BiQuadratic._coerce(mid) * BiQuadratic._coerce(line.slope.s),
+        )
+    )
 
 
 def segments_intersect(
@@ -348,33 +367,34 @@ def segments_intersect(
         and s2.line.is_irrational
         and s1.line.slope == s2.line.slope
     ):
-        if not s1.line.same_line(s2.line):
+        if not (s1.line.same_line(s2.line) and _overlap(s1.interval(), s2.interval())):
             return IntersectionResult(False)
-        lo = s1.t_lo if (s1.t_lo - s2.t_lo).sign() >= 0 else s2.t_lo
-        hi = s1.t_hi if (s1.t_hi - s2.t_hi).sign() <= 0 else s2.t_hi
-        if (hi - lo).sign() < 0:
-            return IntersectionResult(False)
-        mid = (lo + hi) / 2
-        bx, by = s1.line.base_point()
-        s = s1.line.slope.s
-        w = (
-            BiQuadratic._coerce(bx) + BiQuadratic._coerce(mid),
-            BiQuadratic._coerce(by) + BiQuadratic._coerce(mid) * BiQuadratic._coerce(s),
-        )
-        return IntersectionResult(True, reduce_mod1_float(w), True)
+        return IntersectionResult(True, _overlap_witness(s1.line, s1.interval(), s2.interval()))
     return lift_segments_intersect_torus(lat, s1.lift, s2.lift)
 
 
 def verify_disjoint_iterates(
-    tm: AffineTorusMap, seg: TorusSegment, k: int
+    tm: AffineTorusMap,
+    seg: TorusSegment,
+    k: int,
+    reflect: Callable[[TorusSegment], TorusSegment] | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Brute-force oracle: are the first k iterates pairwise disjoint?"""
+    """Brute-force oracle: are iterates 0..k pairwise disjoint?  With
+    ``reflect`` each pair (i, j) is also tested between iterate i and the
+    reflection of iterate j.  Returns the first failing (i, j) in order.
+
+    Independent of ``first_overlap``: it builds every iterate (and its
+    reflection) once with ``iterate_segment`` and decides every pair with
+    ``segments_intersect``."""
     segs = [seg]
     for _ in range(k):
         segs.append(iterate_segment(tm, segs[-1]))
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if segments_intersect(tm.lattice, segs[i], segs[j]).hit:
+    mirrors = [reflect(s) for s in segs] if reflect is not None else None
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if segments_intersect(tm.lattice, segs[i], segs[j]).hit or (
+                mirrors is not None and segments_intersect(tm.lattice, segs[i], mirrors[j]).hit
+            ):
                 return False, (i, j)
     return True, None
 
@@ -411,19 +431,12 @@ def certify_interval(
     both_sides: bool = False,
 ) -> tuple[QuadraticNumber, QuadraticNumber, QuadraticNumber] | None:
     """Largest-practical subinterval [u, v] of [t_lo, t_hi] with 0 outside and
-    max(|u|,|v|) < ratio * min(|u|,|v|), where the effective one-sided ratio is
-    lam for lam > 0, lam^2 for lam < 0, and |lam| when images on both sides of
-    the fixed point must be avoided.
+    max(|u|,|v|) < ratio * min(|u|,|v|), with ratio from ``_return_ratio``.
 
     The supremum is an open condition, so the inner endpoint backs off from it
     by a 1/1024 notch.  Returns (u, v, slack) with slack = ratio*min/max > 1.
     """
-    if lam in (-1, 0, 1):
-        raise ValueError("return multiplier must be expanding")
-    if lam > 0:
-        ratio = lam
-    else:
-        ratio = -lam if both_sides else lam * lam
+    ratio = _return_ratio(lam, both_sides)
 
     def one_side(lo: QuadraticNumber, hi: QuadraticNumber):
         # requires 0 <= lo < hi, returns candidate on the positive side
@@ -456,15 +469,30 @@ def certify_interval(
     if best is None:
         return None
     u, v = best
-    lo_abs, hi_abs = abs(u), abs(v)
-    if (hi_abs - lo_abs).sign() < 0:
-        lo_abs, hi_abs = hi_abs, lo_abs
-    slack = lo_abs * ratio / hi_abs
-    assert (slack - 1).sign() > 0
-    return (u, v, slack)
+    return (u, v, certified_slack(u, v, lam, both_sides))
 
 
-Interval = tuple[QuadraticNumber, QuadraticNumber]
+def _return_ratio(lam: int, both_sides: bool) -> int:
+    """The effective one-sided ratio of return multiplier lam: lam for
+    lam > 0, lam^2 for lam < 0, and |lam| when images on both sides of the
+    fixed point must be avoided."""
+    if lam in (-1, 0, 1):
+        raise ValueError("return multiplier must be expanding")
+    if lam > 0:
+        return lam
+    return -lam if both_sides else lam * lam
+
+
+def certified_slack(
+    u: QuadraticNumber, v: QuadraticNumber, lam: int, both_sides: bool = False
+) -> QuadraticNumber:
+    """ratio * min(|u|,|v|) / max(|u|,|v|) for a certified [u, v] under
+    return multiplier lam; a value not above 1 is a certifier bug."""
+    lo_abs, hi_abs = sorted((abs(u), abs(v)))
+    slack = lo_abs * _return_ratio(lam, both_sides) / hi_abs
+    if (slack - 1).sign() <= 0:
+        raise InternalInconsistency(f"certified slack {slack.to_expr()} is not above 1")
+    return slack
 
 
 def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
@@ -476,18 +504,14 @@ def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> li
     return chain
 
 
-def _overlap(i1: Interval, i2: Interval) -> bool:
-    return (i2[0] - i1[1]).sign() <= 0 and (i1[0] - i2[1]).sign() <= 0
-
-
 def first_overlap(
     states: list[TransverseState],
     intervals: list[Interval],
     rho_states: list[TransverseState] | None,
 ) -> tuple[int, int] | None:
     """Exact disjointness sweep over iterates with the given transverse states
-    and parameter intervals: the lexicographically first pair (n, m), n < m,
-    that meets, or None.
+    and parameter intervals: the first pair (n, m), n < m, that meets, ordered
+    by m and then by n, or None.  The sweep stops at the first m with a hit.
 
     Distinct states are distinct parallel geodesics, so only iterates that
     share a state are compared, by 1-D interval overlap.  With rho-states
@@ -496,16 +520,17 @@ def first_overlap(
     by_state: dict[TransverseState, list[int]] = {}
     for i, st in enumerate(states):
         by_state.setdefault(st, []).append(i)
-    hits = []
     for m, (lo, hi) in enumerate(intervals):
-        hits += [(n, m) for n in by_state[states[m]] if n < m and _overlap(intervals[n], (lo, hi))]
+        hits = [n for n in by_state[states[m]] if n < m and _overlap(intervals[n], (lo, hi))]
         if rho_states is not None:
             hits += [
-                (n, m)
+                n
                 for n in by_state.get(rho_states[m], ())
                 if n < m and _overlap(intervals[n], (-hi, -lo))
             ]
-    return min(hits, default=None)
+        if hits:
+            return (min(hits), m)
+    return None
 
 
 def certify_wandering(
@@ -615,20 +640,28 @@ class NoCollisionWithinBudget:
     group_order: int
 
 
+def _forcing_bound(tm: AffineTorusMap, nu: int | None) -> float:
+    """The length bound that forces a collision: by group order nu, else by
+    the angle of a non-real multiplier; no length forces one under an
+    integer multiplier (inf)."""
+    if nu is not None:
+        return collision_bound(tm.lattice, nu=nu)
+    mc = classify_multiplier(tm)
+    if isinstance(mc, NonRealMultiplier):
+        return collision_bound(tm.lattice, theta=mc.theta)
+    return math.inf
+
+
 def default_collision_budget(
     tm: AffineTorusMap, seg: TorusSegment, nu: int | None = None
 ) -> int:
     """ceil(log_|a|(bound / length)) + 2 iterations suffice to force a
     collision (the +2 covers an exact-power edge)."""
-    if nu is not None:
-        bound = collision_bound(tm.lattice, nu=nu)
-    else:
-        mc = classify_multiplier(tm)
-        if not isinstance(mc, NonRealMultiplier):
-            raise ValueError(
-                "no finite default budget for an integer multiplier; pass one explicitly"
-            )
-        bound = collision_bound(tm.lattice, theta=mc.theta)
+    bound = _forcing_bound(tm, nu)
+    if math.isinf(bound):
+        raise ValueError(
+            "no finite default budget for an integer multiplier; pass one explicitly"
+        )
     length = seg.euclidean_length(tm.lattice)
     if length <= 0:
         raise DegenerateSegment("zero-length segment")
@@ -673,7 +706,11 @@ def find_collision(
     an intersection of iterate m with the k-rotated iterate n.
 
     The minimal-m certificate is returned (ties broken by n, then k), which
-    keeps the returned m within the log-derived forcing bound.
+    keeps the returned m within the log-derived forcing bound.  Under an
+    integer multiplier an irrational slope is preserved, so iterates meet iff
+    they share a transverse state and their parameter intervals overlap:
+    ``first_overlap`` decides that, in the same order.  Everything else
+    searches the lift chain, as do transverse states with no common tower.
     """
     lat = tm.lattice
     nu = 1
@@ -687,40 +724,22 @@ def find_collision(
         budget = default_collision_budget(tm, seg, nu=nu if group else None)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if group is not None:
-        bound = collision_bound(lat, nu=nu)
-    else:
-        mc = classify_multiplier(tm)
-        bound = (
-            collision_bound(lat, theta=mc.theta)
-            if isinstance(mc, NonRealMultiplier)
-            else float("inf")
-        )
+    bound = _forcing_bound(tm, nu if group else None)
 
     if group is None and tm.has_integer_multiplier and seg.line.is_irrational:
-        # integer multipliers preserve the slope: every pair of iterates lies
-        # on parallel geodesics, decided exactly without geometry
         try:
-            segs = [seg]
-            for _ in range(budget):
-                segs.append(iterate_segment(tm, segs[-1]))
-            for m in range(1, budget + 1):
-                for n in range(m):
-                    res = segments_intersect(lat, segs[m], segs[n])
-                    if res.hit:
-                        assert res.witness is not None
-                        return CollisionCertificate(
-                            n=n,
-                            m=m,
-                            k=0,
-                            witness=res.witness,
-                            exact=res.exact,
-                            bound_used=bound,
-                            budget=budget,
-                        )
-            return NoCollisionWithinBudget(budget=budget, group_order=1)
-        except (MixedRadicals, IncompatibleField):
-            pass  # fall back to the geometric chain
+            states = orbit_states(tm, seg.line, budget)
+        except MixedRadicals:
+            pass  # the transverse states share no tower: search the lift chain
+        else:
+            intervals = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), budget)
+            pair = first_overlap(states, intervals, None)
+            if pair is None:
+                return NoCollisionWithinBudget(budget=budget, group_order=1)
+            n, m = pair
+            line = TorusLine(seg.line.slope, *states[m])
+            witness = _overlap_witness(line, intervals[m], intervals[n])
+            return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
     chain = lift_chain(tm, seg.lift, budget)
     rotated: dict[tuple[int, int], LiftSegment] = {}
@@ -739,16 +758,7 @@ def find_collision(
             for k in range(nu if group else 1):
                 res = lift_segments_intersect_torus(lat, chain[m], rot(n, k))
                 if res.hit:
-                    assert res.witness is not None
-                    return CollisionCertificate(
-                        n=n,
-                        m=m,
-                        k=k,
-                        witness=res.witness,
-                        exact=res.exact,
-                        bound_used=bound,
-                        budget=budget,
-                    )
+                    return CollisionCertificate(n, m, k, res.witness, res.exact, bound, budget)
     return NoCollisionWithinBudget(budget=budget, group_order=nu)
 
 
@@ -763,7 +773,8 @@ def reverify_collision(
     lifts = lift_chain(tm, seg.lift, cert.m)
     target = lifts[cert.n]
     if cert.k:
-        assert group is not None
+        if group is None:
+            raise ValueError("a rotated collision needs its group to re-verify")
         mat, shift = _rho_affine(lat, group[0], group[1], cert.k)
         target = target.affine_image(mat, shift).normalize()
     return lift_segments_intersect_torus(lat, lifts[cert.m], target).hit

@@ -1,0 +1,244 @@
+"""One iterate-pair sweep and one brute-force oracle: the integer collision
+search against recorded CLI output, both oracles against the pairwise loops
+they replaced, the oracle's reflection count, walks bounded by the budget,
+and the typed cross-checks under ``python -O``."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from flatwander import lattes, line_orbit
+from flatwander.cli import main
+from flatwander.lattice import Lattice, point
+from flatwander.lattes import lattes_model_new, rho_segment, verify_sphere_disjoint_iterates
+from flatwander.line_orbit import IrrationalSlope, TorusLine, line_image, orbit_states
+from flatwander.numbers import parse_complex, parse_number, qn
+from flatwander.segments import (
+    iterate_segment,
+    segment_new,
+    segments_intersect,
+    verify_disjoint_iterates,
+)
+from flatwander.torus_map import torus_map_new
+
+ROOT = Path(__file__).resolve().parent.parent
+# find-collision on integer multipliers, recorded from the pairwise search
+# that first_overlap replaced: a in {2, -2, 3, -3}, periodic and wandering
+# lines, rational and irrational translations, budgets 1 to 14, hits and
+# misses, plus the lift-chain fallback for transverse states with no tower
+GOLDEN = json.loads((ROOT / "tests" / "data" / "find_collision_golden.json").read_text())
+SQUARE = Lattice(parse_complex("i"))
+SQRT2 = IrrationalSlope(parse_number("sqrt(2)"))
+
+
+def _map(a, b="0"):
+    return torus_map_new(parse_complex(a), parse_complex(b), SQUARE)
+
+
+def _line(alpha, beta):
+    return TorusLine(SQRT2, qn(alpha).mod1(), qn(beta).mod1())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_find_collision_matches_golden(capsys, case):
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+# ---------------------------------------------------------------------------
+# the oracles against the pairwise loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def pairwise_disjoint_iterates(tm, seg, k):
+    segs = [seg]
+    for _ in range(k):
+        segs.append(iterate_segment(tm, segs[-1]))
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            if segments_intersect(tm.lattice, segs[i], segs[j]).hit:
+                return False, (i, j)
+    return True, None
+
+
+def pairwise_sphere_disjoint_iterates(model, seg, k):
+    segs = [seg]
+    for _ in range(k):
+        segs.append(iterate_segment(model.map, segs[-1]))
+    lat = model.lattice
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if segments_intersect(lat, segs[i], segs[j]).hit:
+                return False, (i, j)
+            if segments_intersect(lat, segs[i], rho_segment(model, segs[j])).hit:
+                return False, (i, j)
+    return True, None
+
+
+_ORACLE_CASES = [
+    (a, alpha, beta, t0, t1)
+    for a in ("2", "-2", "3")
+    for alpha, beta in (
+        (Fraction(1, 5), 0),  # rho pairs the cycle
+        (Fraction(1, 7), Fraction(1, 3)),  # unpaired
+        (Fraction(1, 4), Fraction(1, 2)),  # preperiodic
+        (parse_number("sqrt(3)-1"), 0),  # wandering
+    )
+    for t0, t1 in (
+        (Fraction(1, 50), Fraction(1, 20)),  # short: disjoint
+        (Fraction(1, 50), Fraction(1, 2)),  # long: a same-line pair meets
+        (Fraction(-1, 3), Fraction(1, 40)),  # straddles the fixed point
+    )
+]
+
+
+def _oracle_results():
+    out = []
+    for a, alpha, beta, t0, t1 in _ORACLE_CASES:
+        tm = _map(a)
+        model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
+        seg = segment_new(_line(alpha, beta), qn(t0), qn(t1))
+        out.append((tm, model, seg))
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 6])
+def test_oracles_match_pairwise_loops(k):
+    torus_fail = sphere_fail = sphere_only = 0
+    for tm, model, seg in _oracle_results():
+        got = verify_disjoint_iterates(tm, seg, k)
+        assert got == pairwise_disjoint_iterates(tm, seg, k)
+        got_sphere = verify_sphere_disjoint_iterates(model, seg, k)
+        assert got_sphere == pairwise_sphere_disjoint_iterates(model, seg, k)
+        torus_fail += not got[0]
+        sphere_fail += not got_sphere[0]
+        sphere_only += got[0] and not got_sphere[0]
+    if k == 6:  # enough iterates for plain and reflected-only failures
+        assert torus_fail and sphere_fail and sphere_only
+
+
+def test_oracle_failure_pairs_are_the_first_in_order():
+    tm = _map("2")
+    seg = segment_new(_line(Fraction(1, 4), Fraction(1, 2)), qn(Fraction(1, 50)), qn(1))
+    # states 1/4, 1/2, 0, 0, ...: iterates 2 and 3 share a line and overlap
+    assert verify_disjoint_iterates(tm, seg, 6) == (False, (2, 3))
+
+
+def test_sphere_oracle_reflects_each_iterate_once(monkeypatch):
+    calls = []
+
+    def counted(model, seg):
+        calls.append(seg)
+        return rho_segment(model, seg)
+
+    monkeypatch.setattr(lattes, "rho_segment", counted)
+    model = lattes_model_new(SQUARE, _map("2"), 2, point(0, 0))
+    seg = segment_new(_line(Fraction(1, 5), 0), qn(Fraction(1, 50)), qn(Fraction(1, 20)))
+    assert verify_sphere_disjoint_iterates(model, seg, 12) == (True, None)
+    assert len(calls) == 13
+
+
+# ---------------------------------------------------------------------------
+# transverse walks bounded by the request
+# ---------------------------------------------------------------------------
+
+
+def _walked(tm, line, n):
+    out = []
+    for _ in range(n + 1):
+        out.append(line.transverse())
+        line = line_image(tm, line)
+    return out
+
+
+@pytest.mark.parametrize(
+    "b,alpha",
+    [
+        ("sqrt(2)/5", Fraction(1, 5)),  # beta wanders
+        ("sqrt(2)/5i", parse_number("sqrt(2)/5")),  # alpha on an irrational fixed point
+        ("1/3+sqrt(3)/7i", Fraction(2, 7)),  # alpha wanders
+    ],
+)
+def test_orbit_states_under_an_irrational_translation(b, alpha):
+    tm = _map("2", b)
+    line = _line(alpha, 0)
+    assert orbit_states(tm, line, 9) == _walked(tm, line, 9)
+
+
+def test_orbit_states_walks_no_further_than_asked(monkeypatch):
+    tm = _map("2")
+    line = _line(Fraction(1, 1021), 0)  # period 340
+    calls = []
+    orig = line_orbit.line_image
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(line_orbit, "line_image", counted)
+    assert orbit_states(tm, line, 14) == _walked(tm, line, 14)
+    assert len(calls) == 14
+
+
+# ---------------------------------------------------------------------------
+# typed cross-checks under python -O
+# ---------------------------------------------------------------------------
+
+
+_TYPED = """
+import json
+from flatwander.errors import FlatwanderError
+from flatwander.lattice import Lattice, point
+from flatwander.lattes import lattes_model_new, rho_pairing
+from flatwander.line_orbit import IrrationalSlope, TorusLine
+from flatwander.numbers import parse_complex, parse_number, qn
+from flatwander.segments import (
+    CollisionCertificate, certified_slack, reverify_collision, segment_new,
+)
+from flatwander.torus_map import torus_map_new
+
+assert not __debug__
+lat = Lattice(parse_complex("i"))
+tm = torus_map_new(parse_complex("2"), parse_complex("0"), lat)
+model = lattes_model_new(lat, tm, 2, point(0, 0))
+seg = segment_new(TorusLine(IrrationalSlope(parse_number("sqrt(2)")), qn(0), qn(0)), qn(0), qn(1))
+checks = {
+    # [1, 4] under return multiplier 2 is not a certified interval
+    "slack": lambda: certified_slack(qn(1), qn(4), 2),
+    # rho sends 1/3 off the cycle but fixes 1/2 on it
+    "pairing": lambda: rho_pairing(model, ((qn(1) / 3, qn(0)), (qn(1) / 2, qn(0)))),
+    # a rotated collision without its group
+    "reverify": lambda: reverify_collision(
+        tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
+    ),
+}
+out = {}
+for name, check in checks.items():
+    try:
+        check()
+        out[name] = None
+    except (FlatwanderError, ValueError) as exc:
+        out[name] = [type(exc).__name__, str(exc)]
+print(json.dumps(out))
+"""
+
+
+def test_cross_checks_raise_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TYPED],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "slack": ["InternalInconsistency", "certified slack 1/2 is not above 1"],
+        "pairing": ["InternalInconsistency", "rho maps part of the cycle into it"],
+        "reverify": ["ValueError", "a rotated collision needs its group to re-verify"],
+    }

@@ -171,9 +171,9 @@ def _meets(i1, i2) -> bool:
 
 
 def pairwise_first_overlap(states, intervals, rho_states):
-    """The O(k^2) reference: every pair n < m in order."""
-    for n in range(len(states)):
-        for m in range(n + 1, len(states)):
+    """The O(k^2) reference: every pair n < m, ordered by m and then by n."""
+    for m in range(len(states)):
+        for n in range(m):
             if states[n] == states[m] and _meets(intervals[n], intervals[m]):
                 return (n, m)
             if rho_states is None or rho_states[m] != states[n]:
