@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import functools
 import json
 import sys
 
@@ -42,6 +43,7 @@ from .line_orbit import (
 from .numbers import parse_complex, parse_number, qn
 from .segments import (
     CollisionCertificate,
+    LiftSegment,
     NoCollisionWithinBudget,
     NotWanderable,
     TorusSegment,
@@ -364,17 +366,14 @@ def _segment_pieces(lift, samples: int = 257):
 
 def emit_orbit_svg(
     lat: Lattice,
-    segments_by_iterate: list,
+    lifts: list[LiftSegment],
     path: str,
     witness: tuple[float, float] | None = None,
 ) -> str:
     """One SVG: fundamental parallelogram, each iterate's segment as polylines
-    split at wrap-around, color-indexed, with a legend; deterministic bytes.
-
-    Accepts torus segments or raw lifted segments."""
-    if len(segments_by_iterate) > 10_000:
+    split at wrap-around, color-indexed, with a legend; deterministic bytes."""
+    if len(lifts) > 10_000:
         raise UsageError("too many segments to plot")
-    segments_by_iterate = [getattr(s, "lift", s) for s in segments_by_iterate]
     w = lat.omega_complex()
     scale = 420.0
     pad = 40.0
@@ -404,8 +403,8 @@ def emit_orbit_svg(
     parts.append(
         f'<polygon points="{cell}" fill="none" stroke="#333333" stroke-width="1.5"/>'
     )
-    total = len(segments_by_iterate)
-    for i, lift in enumerate(segments_by_iterate):
+    total = len(lifts)
+    for i, lift in enumerate(lifts):
         color = _color(i, total)
         for piece in _segment_pieces(lift):
             pts = " ".join(
@@ -447,13 +446,13 @@ def _cmd_plot_orbit(args) -> int:
     tm = _build_map(args)
     seg = _segment_from_args(args)
     # raw-lift iteration plots any covering, integer multiplier or not
-    segs = lift_chain(tm, seg.lift, args.iterates)
+    lifts = lift_chain(tm, seg, args.iterates)
     witness = None
     if args.mark_witness:
         wx, wy = args.mark_witness.split(",")
         witness = (float(parse_number(wx).to_float()), float(parse_number(wy).to_float()))
-    emit_orbit_svg(tm.lattice, segs, args.out or "orbit.svg", witness)
-    _emit({"written": args.out or "orbit.svg", "segments": len(segs)})
+    emit_orbit_svg(tm.lattice, lifts, args.out or "orbit.svg", witness)
+    _emit({"written": args.out or "orbit.svg", "segments": len(lifts)})
     return 0
 
 
@@ -482,7 +481,10 @@ def _add_segment_args(sp) -> None:
     sp.add_argument("--t1", default="1/10", help="parameter interval end")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process."""
     ap = argparse.ArgumentParser(
         prog="flatwander",
         description="Exact certificates for wandering flat geodesic segments",
@@ -539,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -559,10 +561,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(_apply_config(argv))
         return args.fn(args)
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})

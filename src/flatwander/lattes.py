@@ -370,7 +370,8 @@ def g_invariants(lat: Lattice, tol: float = 1e-12) -> tuple[complex, complex]:
         raise ValueError("tol below achievable double precision")
     tau = lat.omega_complex()
     x = abs(cmath.exp(2j * cmath.pi * tau))
-    assert x < 0.999
+    if x >= 0.999:
+        raise BudgetExceeded(f"q-series with |q| = {x:.6g} >= 0.999 converges too slowly")
     e4 = complex(1.0)
     e6 = complex(1.0)
     qpow = cmath.exp(2j * cmath.pi * tau)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     MixedRadicals,
     SlopeNotInvariant,
     UncertainAtTolerance,
+    UsageError,
 )
 from .lattice import Lattice, TorusPoint
 from .line_orbit import (
@@ -188,7 +190,6 @@ class IntersectionResult:
     hit: bool
     witness: tuple[float, float] | None = None
     exact: bool = True
-    translate: tuple[int, int] = (0, 0)
 
     def __bool__(self) -> bool:
         return self.hit
@@ -234,7 +235,7 @@ def lift_segments_intersect_torus(
             try:
                 w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
                 if w is not None:
-                    return IntersectionResult(True, reduce_mod1_float(w), True, (n, m))
+                    return IntersectionResult(True, reduce_mod1_float(w))
             except MixedRadicals:
                 # no common tower for this pair; trust floats only when they
                 # are decisive, else keep looking for a decisive hit elsewhere
@@ -243,9 +244,7 @@ def lift_segments_intersect_torus(
                     continue
                 fw = segments_meet_float(f1[0], f1[1], *shifted)
                 if fw is not None:
-                    return IntersectionResult(
-                        True, (fw[0] % 1.0, fw[1] % 1.0), False, (n, m)
-                    )
+                    return IntersectionResult(True, (fw[0] % 1.0, fw[1] % 1.0), False)
     if unresolved:
         raise UncertainAtTolerance(
             f"{unresolved} translate(s) within the float band with no common tower"
@@ -264,20 +263,32 @@ def reduce_mod1_float(p: Point) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
+    """The point at parameter t on the lift of ``line`` through its base
+    point: base + t * direction.  For an irrational slope this is the
+    canonical (beta, -alpha) + t*(1, slope); for a rational direction the
+    anchor is the base."""
+    (bx, by), (dx, dy) = line.base_point(), line.direction()
+    t = BiQuadratic.lift(t)
+    return (t * dx + bx, t * dy + by)
+
+
 @dataclass(frozen=True)
 class TorusSegment:
-    """Parameter interval [t_lo, t_hi] on a lift of a flat line.
-
-    For an irrational slope the parameterization is the canonical one:
-    point(t) = (beta, -alpha) + t*(1, slope) up to an integer translate chosen
-    so the segment midpoint lies in the fundamental cell.  For a rational
-    direction the anchor replaces the transverse base.
-    """
+    """A segment of a flat line, given by the line and the parameter interval
+    [t_lo, t_hi] of ``_point_at``; its lift into the plane is derived from
+    them on first use (``lift``)."""
 
     line: TorusLine
     t_lo: QuadraticNumber
     t_hi: QuadraticNumber
-    lift: LiftSegment
+
+    @cached_property
+    def lift(self) -> LiftSegment:
+        """The lifted segment, midpoint-normalized into the fundamental cell."""
+        return LiftSegment(
+            _point_at(self.line, self.t_lo), _point_at(self.line, self.t_hi)
+        ).normalize()
 
     def direction_complex(self, lat: Lattice) -> complex:
         dx, dy = self.line.direction()
@@ -303,34 +314,23 @@ def _check_param_field(t: QuadraticNumber, line: TorusLine) -> None:
 def segment_new(
     line: TorusLine, t_lo: QuadraticNumber, t_hi: QuadraticNumber
 ) -> TorusSegment:
-    """Build a segment; the lift is midpoint-normalized into the fundamental
-    cell."""
+    """Validate and build a segment: t_lo < t_hi, each parameter rational or
+    in the slope's field."""
     if (t_hi - t_lo).sign() <= 0:
         raise DegenerateSegment("need t_lo < t_hi")
     _check_param_field(t_lo, line)
     _check_param_field(t_hi, line)
-    bx, by = line.base_point()
-    dx, dy = line.direction()
-    p0 = (
-        BiQuadratic._coerce(bx) + BiQuadratic._coerce(t_lo) * BiQuadratic._coerce(dx),
-        BiQuadratic._coerce(by) + BiQuadratic._coerce(t_lo) * BiQuadratic._coerce(dy),
-    )
-    p1 = (
-        BiQuadratic._coerce(bx) + BiQuadratic._coerce(t_hi) * BiQuadratic._coerce(dx),
-        BiQuadratic._coerce(by) + BiQuadratic._coerce(t_hi) * BiQuadratic._coerce(dy),
-    )
-    lift = LiftSegment(p0, p1).normalize()
-    return TorusSegment(line, t_lo, t_hi, lift)
+    return TorusSegment(line, t_lo, t_hi)
 
 
 def iterate_segment(tm: AffineTorusMap, seg: TorusSegment) -> TorusSegment:
-    """Image under the covering, staying in canonical parameters (t -> a*t)."""
-    line = line_image(tm, seg.line)
+    """Image under an integer-multiplier covering.  An irrational slope keeps
+    its direction, so the parameter maps by t -> a*t; a rational direction d
+    maps to the primitive direction sign(a)*d, so it maps by t -> |a|*t."""
     a = tm.multiplier_int()
-    lo, hi = seg.t_lo * a, seg.t_hi * a
-    if a < 0:
-        lo, hi = hi, lo
-    return segment_new(line, lo, hi)
+    if not seg.line.is_irrational:
+        a = abs(a)
+    return segment_new(line_image(tm, seg.line), *interval_chain(seg.t_lo, seg.t_hi, a, 1)[1])
 
 
 Interval = tuple[QuadraticNumber, QuadraticNumber]
@@ -343,14 +343,7 @@ def _overlap(i1: Interval, i2: Interval) -> bool:
 def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float, float]:
     """The point mod 1 at the midpoint of two overlapping parameter intervals
     on one irrational-slope line."""
-    mid = (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2
-    bx, by = line.base_point()
-    return reduce_mod1_float(
-        (
-            BiQuadratic._coerce(bx) + BiQuadratic._coerce(mid),
-            BiQuadratic._coerce(by) + BiQuadratic._coerce(mid) * BiQuadratic._coerce(line.slope.s),
-        )
-    )
+    return reduce_mod1_float(_point_at(line, (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2))
 
 
 def segments_intersect(
@@ -552,6 +545,8 @@ def certify_classified(
     tm: AffineTorusMap, seg: TorusSegment, verdict: LineOrbitClass, check_iterates: int
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``."""
+    if check_iterates < 0:
+        raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
     if isinstance(verdict, WanderingLine):
@@ -686,11 +681,11 @@ def _rho_affine(
     return rk, (sx, sy)
 
 
-def lift_chain(tm: AffineTorusMap, lift: LiftSegment, n: int) -> list[LiftSegment]:
-    """Lifts of iterates 0..n under the covering, each midpoint-normalized
-    into the fundamental cell; works for any multiplier."""
+def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
+    """Lifts of iterates 0..n of the segment under the covering, each
+    midpoint-normalized into the fundamental cell; works for any multiplier."""
     shift = (tm.b.x, tm.b.y)
-    chain = [lift.normalize()]
+    chain = [seg.lift]
     for _ in range(n):
         chain.append(chain[-1].affine_image(tm.m, shift).normalize())
     return chain
@@ -741,7 +736,7 @@ def find_collision(
             witness = _overlap_witness(line, intervals[m], intervals[n])
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
-    chain = lift_chain(tm, seg.lift, budget)
+    chain = lift_chain(tm, seg, budget)
     rotated: dict[tuple[int, int], LiftSegment] = {}
 
     def rot(n: int, k: int) -> LiftSegment:
@@ -770,7 +765,7 @@ def reverify_collision(
 ) -> bool:
     """Recompute the claimed intersection from scratch."""
     lat = tm.lattice
-    lifts = lift_chain(tm, seg.lift, cert.m)
+    lifts = lift_chain(tm, seg, cert.m)
     target = lifts[cert.n]
     if cert.k:
         if group is None:

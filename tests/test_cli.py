@@ -279,3 +279,69 @@ def test_certify_segment_slack_beyond_double_range(capsys):
     assert data["verdict"] == "wandering" and data["period"] == 1060
     assert data["slack_float"] is None
     assert (parse_number(data["slack"]) - 2**1024).sign() > 0
+
+
+@pytest.mark.parametrize("command", ["certify-segment", "certify-sphere"])
+def test_negative_check_iterates_rejected(capsys, command):
+    code, data = _run(
+        capsys,
+        command,
+        "--a", "2", "--omega", "i", "--slope", "sqrt(2)",
+        "--alpha", "1/5", "--beta", "0", "--check-iterates=-3",
+        *(["--verify-oracle"] if command == "certify-segment" else []),
+    )
+    assert code == 2
+    assert data == {"error": "usage", "message": "check_iterates must be >= 0, got -3"}
+
+
+def test_negative_check_iterates_rejected_by_api():
+    from flatwander.errors import UsageError
+    from flatwander.lattice import Lattice
+    from flatwander.line_orbit import TorusLine, slope_spec
+    from flatwander.numbers import parse_complex, qn
+    from flatwander.segments import certify_wandering, segment_new
+    from flatwander.torus_map import torus_map_new
+
+    tm = torus_map_new(parse_complex("2"), parse_complex("0"), Lattice(parse_complex("i")))
+    line = TorusLine(slope_spec(parse_number("sqrt(2)")), parse_number("1/5"), qn(0))
+    with pytest.raises(UsageError):
+        certify_wandering(tm, segment_new(line, qn(0), parse_number("1/10")), check_iterates=-1)
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
+def test_slow_q_series_is_a_budget_error(optimize):
+    # Im(omega) = 1e-4 puts |q| = exp(-2*pi*1e-4) above the series cap
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "flatwander.cli",
+         "verify-semiconjugacy", "--a", "2", "--omega", "0.0001i"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["error"] == "budget-exceeded"
+    assert "|q| = 0.999372" in data["message"]
+
+
+_PARSER_ONCE = """
+from flatwander import cli
+assert cli.build_parser.cache_info().misses == 0  # not built at import
+for _ in range(3):
+    cli.main(["classify-map", "--a", "2", "--omega", "i"])
+info = cli.build_parser.cache_info()
+print(info.misses, info.hits)
+"""
+
+
+def test_parser_built_once_per_process():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSER_ONCE],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 2"
