@@ -554,8 +554,10 @@ def _apply_config(argv: list[str]) -> list[str]:
     extra: list[str] = []
     for key, value in sorted(cfg.items()):
         flag = f"--{key.replace('_', '-')}"
-        if flag not in rest:
-            extra.extend([flag, str(value)])
+        if flag in rest or value is False:
+            continue
+        # true switches a flag on; any other value is the option's argument
+        extra.extend([flag] if value is True else [flag, str(value)])
     return rest + extra
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NotLattesCompatible,
     OddPeriodPairing,
     ResidualExceedsTol,
+    UsageError,
 )
 from .lattice import Lattice, TorusPoint, embed, half_lattice_q
 from .line_orbit import (
@@ -30,7 +31,7 @@ from .line_orbit import (
     orbit_states,
     passes_through_q,
 )
-from .numbers import QuadraticNumber
+from .numbers import HALF, ComplexPair, QuadraticNumber
 from .segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -358,23 +359,43 @@ def _sigma(n: int, k: int) -> int:
     return total
 
 
+def _reduced_basis(lat: Lattice) -> tuple[complex, complex, complex]:
+    """(v1, v2, tau' = v2/v1) as floats, from the basis (1, omega)
+    Gauss-reduced exactly with its orientation kept: |v1| <= |v2| and
+    2|Re(v2 conj v1)| <= |v1|^2, so v1 is a shortest vector and tau' lies in
+    the fundamental domain.  A reduced basis is kept as it is (the swap is
+    strict, so hex, where |omega| = 1 only exactly, keeps omega)."""
+    v1, v2 = ComplexPair.make(1), lat.omega
+    while True:
+        if v2.abs2() < v1.abs2():
+            v1, v2 = v2, v1.neg()
+        n1 = v1.abs2()
+        dot = v2.re * v1.re + v2.im * v1.im
+        if abs(dot) * 2 <= n1:
+            break
+        k = (dot / n1 + HALF).floor()
+        v2 = ComplexPair(v2.re - v1.re * k, v2.im - v1.im * k)
+    tau = ComplexPair(dot / n1, (v2.im * v1.re - v2.re * v1.im) / n1)
+    return v1.to_complex(), v2.to_complex(), tau.to_complex()
+
+
 def g_invariants(lat: Lattice, tol: float = 1e-12) -> tuple[complex, complex]:
     """Eisenstein invariants g2 = 60*sum w^-4, g3 = 140*sum w^-6 over nonzero
-    lattice vectors, evaluated through the exponentially convergent divisor
-    q-series with a proven geometric tail bound below tol.
+    lattice vectors.  In its reduced basis the lattice is v1*(Z + tau'*Z), so
+    g2 = v1^-4 g2(tau') and g3 = v1^-6 g3(tau') by weight (DLMF §23), and the
+    divisor q-series at tau' converges, |q| <= 0.0044, with a proven
+    geometric tail bound below tol.
 
     (The raw lattice sum is the test oracle; its O(N^-2) tail cannot reach
     these tolerances in reasonable time.)
     """
     if tol < 1e-15:
         raise ValueError("tol below achievable double precision")
-    tau = lat.omega_complex()
-    x = abs(cmath.exp(2j * cmath.pi * tau))
-    if x >= 0.999:
-        raise BudgetExceeded(f"q-series with |q| = {x:.6g} >= 0.999 converges too slowly")
+    v1, _, tau = _reduced_basis(lat)
+    qpow = cmath.exp(2j * cmath.pi * tau)
+    x = abs(qpow)
     e4 = complex(1.0)
     e6 = complex(1.0)
-    qpow = cmath.exp(2j * cmath.pi * tau)
     qn_ = qpow
     n = 1
     while True:
@@ -389,22 +410,20 @@ def g_invariants(lat: Lattice, tol: float = 1e-12) -> tuple[complex, complex]:
                 break
         n += 1
         qn_ *= qpow
-        if n > 200_000:
-            raise BudgetExceeded("q-series did not reach the tolerance")
-    g2 = ((2 * math.pi) ** 4) / 12 * e4
-    g3 = ((2 * math.pi) ** 6) / 216 * e6
+    g2 = ((2 * math.pi) ** 4) / 12 * e4 * v1**-4
+    g3 = ((2 * math.pi) ** 6) / 216 * e6 * v1**-6
     return g2, g3
 
 
 class WeierstrassContext:
-    """Per-lattice data for evaluating wp and wp' by Laurent series plus
-    argument duplication."""
+    """The float geometry of one lattice (its reduced basis, computed once)
+    and the data for evaluating wp and wp' by Laurent series plus argument
+    duplication."""
 
-    def __init__(self, lat: Lattice, tol: float = 1e-12):
-        self.lat = lat
-        self.tol = tol
-        self.g2, self.g3 = g_invariants(lat, min(tol, 1e-13))
-        self.r_min = lat.min_vector_length()
+    def __init__(self, lat: Lattice):
+        self.v1, self.v2, self.tau = _reduced_basis(lat)
+        self.g2, self.g3 = g_invariants(lat, 1e-13)
+        self.r_min = abs(self.v1)
         # Laurent coefficients: wp(z) = z^-2 + sum b_k z^{2k};
         # b_1 = g2/20, b_2 = g3/28, then the differential-equation recursion
         b = [0j, self.g2 / 20, self.g3 / 28]
@@ -416,14 +435,16 @@ class WeierstrassContext:
         self.b = b
 
     def _reduce(self, z: complex) -> complex:
-        w = self.lat.omega_complex()
-        y = z.imag / w.imag
-        x = z.real - y * w.real
+        """z minus its nearest lattice point: in a reduced basis that point is
+        among the nine around the rounded coordinates of z."""
+        u = z / self.v1
+        y = u.imag / self.tau.imag
+        x = u.real - y * self.tau.real
         base_n, base_m = round(x), round(y)
         best = None
         for dn in (-1, 0, 1):
             for dm in (-1, 0, 1):
-                cand = z - ((base_n + dn) + (base_m + dm) * w)
+                cand = z - ((base_n + dn) * self.v1 + (base_m + dm) * self.v2)
                 if best is None or abs(cand) < abs(best):
                     best = cand
         return best
@@ -466,29 +487,22 @@ class WeierstrassContext:
             )
         return x, y
 
-    def wp(self, z: complex) -> complex:
-        return self.wp_pair(z)[0]
 
-    def wp_prime(self, z: complex) -> complex:
-        return self.wp_pair(z)[1]
+_WP_CACHE: dict[ComplexPair, WeierstrassContext] = {}
 
 
-_WP_CACHE: dict[tuple, WeierstrassContext] = {}
+def weierstrass_context(lat: Lattice) -> WeierstrassContext:
+    if lat.omega not in _WP_CACHE:
+        _WP_CACHE[lat.omega] = WeierstrassContext(lat)
+    return _WP_CACHE[lat.omega]
 
 
-def weierstrass_context(lat: Lattice, tol: float = 1e-12) -> WeierstrassContext:
-    key = (lat.omega.re, lat.omega.im, tol)
-    if key not in _WP_CACHE:
-        _WP_CACHE[key] = WeierstrassContext(lat, tol)
-    return _WP_CACHE[key]
+def wp(lat: Lattice, z: complex) -> complex:
+    return weierstrass_context(lat).wp_pair(z)[0]
 
 
-def wp(lat: Lattice, z: complex, tol: float = 1e-12) -> complex:
-    return weierstrass_context(lat, tol).wp(z)
-
-
-def wp_prime(lat: Lattice, z: complex, tol: float = 1e-12) -> complex:
-    return weierstrass_context(lat, tol).wp_prime(z)
+def wp_prime(lat: Lattice, z: complex) -> complex:
+    return weierstrass_context(lat).wp_pair(z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +575,8 @@ def verify_semiconjugacy(
 
     if model.nu != 2:
         raise ValueError("semiconjugacy verification targets the order-2 quotient")
+    if samples < 1:
+        raise UsageError(f"samples must be >= 1, got {samples}")
     lat = model.lattice
     ctx = weierstrass_context(lat)
     tm = model.map
@@ -568,8 +584,8 @@ def verify_semiconjugacy(
     bc = embed(tm.b, lat)
     degree = tm.degree
     pts = _sample_points(model, samples)
-    X = np.array([ctx.wp(z) for z in pts])
-    Y = np.array([ctx.wp(ac * z + bc) for z in pts])
+    X = np.array([ctx.wp_pair(z)[0] for z in pts])
+    Y = np.array([ctx.wp_pair(ac * z + bc)[0] for z in pts])
 
     analytic = None
     if tm.has_integer_multiplier and tm.multiplier_int() == 2 and tm.b.x.is_zero and tm.b.y.is_zero:
@@ -577,8 +593,8 @@ def verify_semiconjugacy(
         # validate the derived coefficients against wp itself before use
         grid = _sample_points(model, 40, seed=987654)
         for z in grid:
-            x = ctx.wp(z)
-            r = abs(_polyval(P, x) / _polyval(Q, x) - ctx.wp(2 * z))
+            x = ctx.wp_pair(z)[0]
+            r = abs(_polyval(P, x) / _polyval(Q, x) - ctx.wp_pair(2 * z)[0])
             if r > 1e-8:
                 raise ResidualExceedsTol(
                     f"duplication coefficients failed validation: residual {r:.3e}"

@@ -28,24 +28,6 @@ class Lattice:
     def omega_complex(self) -> complex:
         return self.omega.to_complex()
 
-    def abs_omega(self) -> float:
-        return abs(self.omega_complex())
-
-    def embed_coords(self, x: float, y: float) -> complex:
-        return x + y * self.omega_complex()
-
-    def min_vector_length(self) -> float:
-        """Length of a shortest nonzero lattice vector (searched exactly enough
-        for desk-scale omegas)."""
-        w = self.omega_complex()
-        best = abs(complex(1.0))
-        for n in range(-3, 4):
-            for m in range(-3, 4):
-                if n == 0 and m == 0:
-                    continue
-                best = min(best, abs(n + m * w))
-        return best
-
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -95,4 +77,4 @@ def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, .
 
 def embed(p: TorusPoint, lat: Lattice) -> complex:
     """Floating image x + y*omega of a torus point."""
-    return lat.embed_coords(p.x.to_float(), p.y.to_float())
+    return p.x.to_float() + p.y.to_float() * lat.omega_complex()

@@ -64,7 +64,8 @@ class TorusLine:
     """A flat line mod Z^2.
 
     slope: direction data.  For an irrational slope the pair (alpha, beta),
-    each reduced mod 1, is the full identity of the line; for a rational
+    each reduced mod 1, is the full identity of the line, provided neither
+    lies in the slope's field (``FieldClash`` otherwise); for a rational
     direction the anchor point plus the invariant k*x - m*y mod 1 is.
     """
 
@@ -72,6 +73,12 @@ class TorusLine:
     alpha: QuadraticNumber
     beta: QuadraticNumber
     anchor: TorusPoint | None = None
+
+    def __post_init__(self):
+        # rationals have d = 0, so only a shared radicand matches
+        d = self.slope.s.d if isinstance(self.slope, IrrationalSlope) else 0
+        if d and d in (self.alpha.d, self.beta.d):
+            raise FieldClash(f"transverse data in Q(sqrt({d})) collides with the slope radicand")
 
     @property
     def is_irrational(self) -> bool:
@@ -106,13 +113,6 @@ class TorusLine:
         return ("rat", self.slope.m, self.slope.k, hash(self.alpha))
 
 
-def _transverse_field_ok(value: QuadraticNumber, slope: IrrationalSlope) -> None:
-    if value.v != 0 and value.d == slope.s.d:
-        raise FieldClash(
-            f"transverse data in Q(sqrt({value.d})) collides with the slope radicand"
-        )
-
-
 def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
     """Line through ``base`` with the given slope.
 
@@ -122,8 +122,6 @@ def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
     """
     p1, p2 = base
     if isinstance(slope, IrrationalSlope):
-        _transverse_field_ok(p1, slope)
-        _transverse_field_ok(p2, slope)
         return TorusLine(slope, (-p2).mod1(), p1.mod1())
     inv = (p1 * slope.k - p2 * slope.m).mod1()
     return TorusLine(slope, inv, qn(0), anchor=reduce_to_fundamental(base))

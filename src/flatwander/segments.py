@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     BudgetExceeded,
     DegenerateSegment,
+    FieldClash,
     IncompatibleField,
     InternalInconsistency,
     MixedRadicals,
@@ -615,7 +616,7 @@ def collision_bound(lat: Lattice, theta: float | None = None, nu: int | None = N
         denom = abs(math.sin(theta))
         if denom < 1e-15:
             raise ValueError("theta must have a nonzero sine")
-    return 2.0 * (1.0 + lat.abs_omega()) / denom
+    return 2.0 * (1.0 + abs(lat.omega_complex())) / denom
 
 
 @dataclass(frozen=True)
@@ -684,6 +685,8 @@ def _rho_affine(
 def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
     """Lifts of iterates 0..n of the segment under the covering, each
     midpoint-normalized into the fundamental cell; works for any multiplier."""
+    if n < 0:
+        raise UsageError(f"iterate count must be >= 0, got {n}")
     shift = (tm.b.x, tm.b.y)
     chain = [seg.lift]
     for _ in range(n):
@@ -705,7 +708,8 @@ def find_collision(
     integer multiplier an irrational slope is preserved, so iterates meet iff
     they share a transverse state and their parameter intervals overlap:
     ``first_overlap`` decides that, in the same order.  Everything else
-    searches the lift chain, as do transverse states with no common tower.
+    searches the lift chain, as do transverse states with no common tower
+    and those that a translation in the slope's field takes into that field.
     """
     lat = tm.lattice
     nu = 1
@@ -724,8 +728,8 @@ def find_collision(
     if group is None and tm.has_integer_multiplier and seg.line.is_irrational:
         try:
             states = orbit_states(tm, seg.line, budget)
-        except MixedRadicals:
-            pass  # the transverse states share no tower: search the lift chain
+        except (MixedRadicals, FieldClash):
+            pass  # the states share no tower or meet the slope's field: lift chain
         else:
             intervals = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), budget)
             pair = first_overlap(states, intervals, None)

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -308,21 +309,67 @@ def test_negative_check_iterates_rejected_by_api():
         certify_wandering(tm, segment_new(line, qn(0), parse_number("1/10")), check_iterates=-1)
 
 
-@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "optimized"])
-def test_slow_q_series_is_a_budget_error(optimize):
-    # Im(omega) = 1e-4 puts |q| = exp(-2*pi*1e-4) above the series cap
-    proc = subprocess.run(
-        [sys.executable, *optimize, "-m", "flatwander.cli",
-         "verify-semiconjugacy", "--a", "2", "--omega", "0.0001i"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["plot-orbit", "--seg", "0.1,0.2,h,0.05", "--iterates=-2"],
+         "iterate count must be >= 0, got -2"),
+        (["verify-semiconjugacy", "--samples", "0"], "samples must be >= 1, got 0"),
+    ],
+    ids=["plot-iterates", "semiconj-samples"],
+)
+def test_bad_counts_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, data = _run(capsys, *argv[:1], "--a", "2", "--omega", "i", *argv[1:])
+    assert code == 2
+    assert data == {"error": "usage", "message": message}
+    assert not (tmp_path / "orbit.svg").exists()
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_booleans_switch_flags(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify_oracle": value, "check_iterates": 6}))
+    code, data = _run(
+        capsys,
+        "--config", str(cfg),
+        "certify-segment", "--a", "2", "--omega", "i",
+        "--slope", "sqrt(2)", "--alpha", "1/3", "--beta", "0",
     )
-    assert proc.returncode == 3, proc.stderr
-    data = json.loads(proc.stdout)
-    assert data["error"] == "budget-exceeded"
-    assert "|q| = 0.999372" in data["message"]
+    assert code == 0
+    assert data["checked_iterates"] == 6
+    assert data.get("oracle_pairwise_disjoint") is (True if value else None)
+
+
+def _semiconj(capsys, a, omega):
+    return _run(capsys, "verify-semiconjugacy", "--a", a, f"--omega={omega}")
+
+
+def test_semiconjugacy_verdict_is_basis_independent(capsys):
+    # 5+1/2i and 1/2i are two bases of one lattice
+    for omega in ("5+1/2i", "1/2i"):
+        code, data = _semiconj(capsys, "2", omega)
+        assert code == 0 and data["passed"], omega
+    (c1, d1), (c2, d2) = (_semiconj(capsys, "3", w) for w in ("5+1/2i", "1/2i"))
+    assert c1 == c2 and d1.get("error") == d2.get("error")
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.strip()]
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("flatwander ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, (argv, out)
+        assert isinstance(json.loads(out), dict)
 
 
 _PARSER_ONCE = """

@@ -1,8 +1,10 @@
 """One iterate-pair sweep and one brute-force oracle: the integer collision
 search against recorded CLI output, both oracles against the pairwise loops
 they replaced, the oracle's reflection count, walks bounded by the budget,
-and the typed cross-checks under ``python -O``."""
+transverse pairs in the slope's field against the lift search, and the typed
+cross-checks under ``python -O``."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -15,10 +17,15 @@ from flatwander import lattes, line_orbit
 from flatwander.cli import main
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_segment, verify_sphere_disjoint_iterates
+from flatwander.errors import FieldClash
 from flatwander.line_orbit import IrrationalSlope, TorusLine, line_image, orbit_states
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
+    CollisionCertificate,
+    find_collision,
     iterate_segment,
+    lift_chain,
+    lift_segments_intersect_torus,
     segment_new,
     segments_intersect,
     verify_disjoint_iterates,
@@ -159,8 +166,8 @@ def _walked(tm, line, n):
 @pytest.mark.parametrize(
     "b,alpha",
     [
-        ("sqrt(2)/5", Fraction(1, 5)),  # beta wanders
-        ("sqrt(2)/5i", parse_number("sqrt(2)/5")),  # alpha on an irrational fixed point
+        ("sqrt(3)/5", Fraction(1, 5)),  # beta wanders
+        ("sqrt(3)/5i", parse_number("sqrt(3)/5")),  # alpha on an irrational fixed point
         ("1/3+sqrt(3)/7i", Fraction(2, 7)),  # alpha wanders
     ],
 )
@@ -183,6 +190,86 @@ def test_orbit_states_walks_no_further_than_asked(monkeypatch):
     monkeypatch.setattr(line_orbit, "line_image", counted)
     assert orbit_states(tm, line, 14) == _walked(tm, line, 14)
     assert len(calls) == 14
+
+
+# ---------------------------------------------------------------------------
+# transverse pairs in the slope's field
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "slope,alpha,beta",
+    [
+        ("sqrt(2)", "sqrt(2)/3", "0"),
+        ("sqrt(2)", "1/5", "1/3+sqrt(2)"),
+        ("1+sqrt(2)", "sqrt(8)/7", "1/2"),
+    ],
+)
+def test_a_transverse_pair_in_the_slope_field_is_refused(slope, alpha, beta):
+    with pytest.raises(FieldClash):
+        TorusLine(IrrationalSlope(parse_number(slope)), parse_number(alpha), parse_number(beta))
+
+
+def test_a_translation_in_the_slope_field_is_refused_by_line_image():
+    with pytest.raises(FieldClash):
+        line_image(_map("2", "sqrt(2)/5"), _line(Fraction(1, 5), 0))
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_certify_segment_refuses_a_transverse_pair_in_the_slope_field(capsys):
+    # the same segment as alpha = 0, beta = 1/3, t in [-1/10, 1/10], whose
+    # iterates 0 and 2 meet: a wandering certificate for it would be false
+    line = ("--slope", "sqrt(2)", "--a", "2", "--omega", "i")
+    code, data = _cli(capsys, "certify-segment", *line, "--alpha", "sqrt(2)/3",
+                      "--beta", "0", "--t0=7/30", "--t1=13/30", "--verify-oracle")
+    assert code == 2 and data["error"] == "field-clash"
+    code, data = _cli(capsys, "find-collision", *line, "--alpha", "0", "--beta", "1/3",
+                      "--t0=-1/10", "--t1=1/10", "--budget", "4")
+    assert code == 0 and (data["n"], data["m"]) == (0, 2)
+
+
+def _lift_search(tm, seg, budget):
+    """The first meeting pair by m, then n, from the exact lift predicate."""
+    chain = lift_chain(tm, seg, budget)
+    for m in range(1, budget + 1):
+        for n in range(m):
+            if lift_segments_intersect_torus(tm.lattice, chain[m], chain[n]).hit:
+                return (n, m)
+    return None
+
+
+def test_find_collision_under_a_translation_in_the_slope_field(capsys):
+    code, data = _cli(capsys, "find-collision", "--a=-2", "--omega", "i", "--b", "sqrt(2)/5",
+                      "--slope", "sqrt(2)", "--alpha", "1/5", "--beta", "0",
+                      "--t0=-1/10", "--t1=1/10", "--budget", "6")
+    assert code == 0 and (data["n"], data["m"]) == (0, 4)
+    seg = segment_new(_line(Fraction(1, 5), 0), qn(Fraction(-1, 10)), qn(Fraction(1, 10)))
+    assert _lift_search(_map("-2", "sqrt(2)/5"), seg, 6) == (0, 4)
+
+
+def test_find_collision_matches_the_lift_search_in_the_slope_field():
+    # 144 translations sharing the slope radicand; the transverse sweep
+    # answered 12 of them wrongly before it fell back to the lift chain
+    hits = 0
+    for a, b, alpha, (lo, hi) in itertools.product(
+        ("2", "-2", "3", "-3"),
+        ("sqrt(2)/5", "sqrt(2)/5i", "1/3+sqrt(2)/7i", "sqrt(2)/3+1/4i"),
+        ("1/5", "2/7", "1/3"),
+        (("-1/10", "1/10"), ("0", "1/20"), ("1/7", "1/4")),
+    ):
+        tm = _map(a, b)
+        seg = segment_new(_line(Fraction(alpha), 0), parse_number(lo), parse_number(hi))
+        want = _lift_search(tm, seg, 4)
+        got = find_collision(tm, seg, budget=4)
+        assert (
+            (got.n, got.m) if isinstance(got, CollisionCertificate) else None
+        ) == want, (a, b, alpha, lo, hi)
+        hits += want is not None
+    assert hits == 12
 
 
 # ---------------------------------------------------------------------------
