@@ -11,6 +11,7 @@ import argparse
 import colorsys
 import functools
 import json
+import math
 import sys
 
 from .errors import (
@@ -65,7 +66,7 @@ _BUDGET_ERRORS = (BudgetExceeded, UncertainAtTolerance, FitIllConditioned, Resid
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))
+    text = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -140,7 +141,8 @@ def _verdict_json(v) -> dict:
             "k": v.k,
             "witness": [v.witness[0], v.witness[1]],
             "exact": v.exact,
-            "bound_used": v.bound_used,
+            # integer multipliers force no bound (inf), which strict JSON lacks
+            "bound_used": v.bound_used if math.isfinite(v.bound_used) else None,
             "budget": v.budget,
         }
     if isinstance(v, NoCollisionWithinBudget):

@@ -2,6 +2,10 @@
 certificates, numerical Weierstrass elliptic functions and semiconjugacy
 verification.
 
+wp and wp' have one evaluator: the csc^2 series at the lattice's reduced basis
+(v1, tau'), over numpy arrays.  numpy is imported by the first evaluation, not
+by importing this module or building a ``WeierstrassContext``.
+
 The quotient by the order-2 involution rho(z) = 2*z0 - z identifies a line
 with its point reflection; in canonical line parameters rho acts as t -> -t,
 so sphere-level disjointness stays a family of exact one-dimensional interval
@@ -348,17 +352,6 @@ def certify_sphere_wandering(
 # ---------------------------------------------------------------------------
 
 
-def _sigma(n: int, k: int) -> int:
-    total = 0
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-    return total
-
-
 def _reduced_basis(lat: Lattice) -> tuple[complex, complex, complex]:
     """(v1, v2, tau' = v2/v1) as floats, from the basis (1, omega)
     Gauss-reduced exactly with its orientation kept: |v1| <= |v2| and
@@ -379,112 +372,95 @@ def _reduced_basis(lat: Lattice) -> tuple[complex, complex, complex]:
     return v1.to_complex(), v2.to_complex(), tau.to_complex()
 
 
-def g_invariants(lat: Lattice, tol: float = 1e-12) -> tuple[complex, complex]:
+def _eisenstein(tau: complex) -> tuple[complex, complex, complex]:
+    """E2, E4, E6 at tau from the Lambert series sum n^k q^n / (1 - q^n).
+    In the fundamental domain |q| <= exp(-pi sqrt 3) < 0.0044, so the terms
+    past n = 12 add less than 1e-25 to each sum (at k = 5 the first is
+    13^5 * 0.0044^13 < 1e-25 and each next one is 100 times smaller)."""
+    q = cmath.exp(2j * cmath.pi * tau)
+    s1 = s3 = s5 = 0j
+    qn = 1
+    for n in range(1, 13):
+        qn *= q
+        lam = qn / (1 - qn)
+        s1 += n * lam
+        s3 += n**3 * lam
+        s5 += n**5 * lam
+    return 1 - 24 * s1, 1 + 240 * s3, 1 - 504 * s5
+
+
+def g_invariants(lat: Lattice) -> tuple[complex, complex]:
     """Eisenstein invariants g2 = 60*sum w^-4, g3 = 140*sum w^-6 over nonzero
-    lattice vectors.  In its reduced basis the lattice is v1*(Z + tau'*Z), so
-    g2 = v1^-4 g2(tau') and g3 = v1^-6 g3(tau') by weight (DLMF §23), and the
-    divisor q-series at tau' converges, |q| <= 0.0044, with a proven
-    geometric tail bound below tol.
+    lattice vectors, as held by the lattice's ``WeierstrassContext``.
 
     (The raw lattice sum is the test oracle; its O(N^-2) tail cannot reach
-    these tolerances in reasonable time.)
+    double precision in reasonable time.)
     """
-    if tol < 1e-15:
-        raise ValueError("tol below achievable double precision")
-    v1, _, tau = _reduced_basis(lat)
-    qpow = cmath.exp(2j * cmath.pi * tau)
-    x = abs(qpow)
-    e4 = complex(1.0)
-    e6 = complex(1.0)
-    qn_ = qpow
-    n = 1
-    while True:
-        e4 += 240 * _sigma(n, 3) * qn_
-        e6 -= 504 * _sigma(n, 5) * qn_
-        growth = x * (1 + 1 / n) ** 6
-        if n >= 8 and growth < 1:
-            # sigma_k(n) <= n^{k+1} <= n^6 for k <= 5, and
-            # sum_{j>n} j^6 x^j <= (n+1)^6 x^{n+1} / (1 - growth)
-            tail = ((n + 1) ** 6) * (x ** (n + 1)) / (1 - growth)
-            if tail * 1e6 < tol:
-                break
-        n += 1
-        qn_ *= qpow
-    g2 = ((2 * math.pi) ** 4) / 12 * e4 * v1**-4
-    g3 = ((2 * math.pi) ** 6) / 216 * e6 * v1**-6
-    return g2, g3
+    ctx = weierstrass_context(lat)
+    return ctx.g2, ctx.g3
 
 
 class WeierstrassContext:
-    """The float geometry of one lattice (its reduced basis, computed once)
-    and the data for evaluating wp and wp' by Laurent series plus argument
-    duplication."""
+    """wp and wp' of one lattice from its reduced basis (v1, v2), computed
+    once.  The lattice is v1*(Z + tau'*Z), so wp(z) = v1^-2 wp(z/v1; 1, tau')
+    and g2 = v1^-4 g2(tau'), g3 = v1^-6 g3(tau') by weight (DLMF §23)."""
 
     def __init__(self, lat: Lattice):
         self.v1, self.v2, self.tau = _reduced_basis(lat)
-        self.g2, self.g3 = g_invariants(lat, 1e-13)
         self.r_min = abs(self.v1)
-        # Laurent coefficients: wp(z) = z^-2 + sum b_k z^{2k};
-        # b_1 = g2/20, b_2 = g3/28, then the differential-equation recursion
-        b = [0j, self.g2 / 20, self.g3 / 28]
-        for k in range(3, 60):
-            acc = 0j
-            for i in range(1, k - 1):
-                acc += b[i] * b[k - 1 - i]
-            b.append(3 * acc / ((2 * k + 3) * (k - 2)))
-        self.b = b
+        self.e2, e4, e6 = _eisenstein(self.tau)
+        self.g2 = (2 * math.pi) ** 4 / 12 * e4 * self.v1**-4
+        self.g3 = (2 * math.pi) ** 6 / 216 * e6 * self.v1**-6
 
-    def _reduce(self, z: complex) -> complex:
-        """z minus its nearest lattice point: in a reduced basis that point is
-        among the nine around the rounded coordinates of z."""
+    def _reduce(self, z):
+        """z minus its nearest lattice point, for a complex number or an
+        array: in a reduced basis that point is among the nine around the
+        rounded coordinates of z."""
+        import numpy as np
+
+        z = np.asarray(z, dtype=complex)[..., None]
         u = z / self.v1
         y = u.imag / self.tau.imag
-        x = u.real - y * self.tau.real
-        base_n, base_m = round(x), round(y)
-        best = None
-        for dn in (-1, 0, 1):
-            for dm in (-1, 0, 1):
-                cand = z - ((base_n + dn) * self.v1 + (base_m + dm) * self.v2)
-                if best is None or abs(cand) < abs(best):
-                    best = cand
-        return best
+        n, m = np.round(u.real - y * self.tau.real), np.round(y)
+        dn, dm = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
+        cands = z - ((n + dn) * self.v1 + (m + dm) * self.v2)
+        best = np.abs(cands).argmin(-1)
+        return np.take_along_axis(cands, best[..., None], -1)[..., 0]
 
-    def _series_pair(self, u: complex) -> tuple[complex, complex]:
-        u2 = u * u
-        wp = 1 / u2
-        wpd = -2 / (u2 * u)
-        upow = u2
-        for k in range(1, len(self.b)):
-            wp += self.b[k] * upow
-            wpd += 2 * k * self.b[k] * upow / u
-            upow *= u2
-        return wp, wpd
+    def wp_pair(self, z):
+        """(wp(z), wp'(z)) for a complex number, or two arrays for an array.
 
-    @staticmethod
-    def _duplicate(x: complex, y: complex, g2: complex) -> tuple[complex, complex]:
-        w = 6 * x * x - g2 / 2  # wp''
-        x2 = -2 * x + (w / (2 * y)) ** 2
-        y2 = 0.5 * (-2 * y + w * (12 * x * y * y - w * w) / (2 * y**3))
-        return x2, y2
+        With u = z/v1 reduced to the cell of 0 (DLMF §23.8),
+            wp  = (pi/v1)^2 [sum_m csc^2(pi(u + m tau')) - E2(tau')/3],
+            wp' = -2 pi^3/v1^3 sum_m csc^2 cot,
+        where, for t = u + m tau', csc^2 = -4w/(1-w)^2 and
+        csc^2 cot = 4is w(w+1)/(1-w)^3 with w = exp(2 pi i s t), the sign s
+        taken so that |w| <= 1: nothing overflows however thin the lattice."""
+        import numpy as np
 
-    def wp_pair(self, z: complex) -> tuple[complex, complex]:
         zr = self._reduce(z)
-        if abs(zr) < 1e-6:
-            raise NearPole(f"z within 1e-6 of a lattice point: {z}")
-        halvings = 0
-        u = zr
-        while abs(u) > 0.5 * self.r_min:
-            u /= 2
-            halvings += 1
-        x, y = self._series_pair(u)
-        for _ in range(halvings):
-            x, y = self._duplicate(x, y, self.g2)
-        res = abs(y * y - (4 * x**3 - self.g2 * x - self.g3))
-        scale = max(1.0, abs(x) ** 3, abs(y) ** 2)
-        if res > 1e-6 * scale:
+        near = np.abs(zr) < 1e-6 * self.r_min
+        if near.any():
+            raise NearPole(f"z within 1e-6 r_min of a lattice point: {np.asarray(z)[near][0]}")
+        # rows |m| <= 12: u reduced to the cell of 0 has |Im u| <= Im tau', so
+        # a dropped row is below 4 exp(-2 pi * 12 * sqrt(3)/2) and all of them
+        # sum to less than 1e-27
+        m = np.arange(-12, 13)
+        t = (zr / self.v1)[..., None] + m * self.tau
+        s = np.where(t.imag < 0, -1, 1)
+        w = np.exp(2j * np.pi * s * t)
+        x = (np.pi / self.v1) ** 2 * ((-4 * w / (1 - w) ** 2).sum(-1) - self.e2 / 3)
+        y = -2 * (np.pi / self.v1) ** 3 * (4j * s * w * (w + 1) / (1 - w) ** 3).sum(-1)
+        res = np.abs(y * y - (4 * x**3 - self.g2 * x - self.g3))
+        scale = np.maximum(1.0, np.maximum(np.abs(x) ** 3, np.abs(y) ** 2))
+        bad = ~(res <= 1e-6 * scale)
+        if bad.any():
             raise ResidualExceedsTol(
-                f"differential-equation residual {res:.3e} at z={z}"
+                f"differential-equation residual {np.max(res):.3e} at "
+                f"z={np.asarray(z)[bad][0]}"
             )
+        if np.ndim(z) == 0:
+            return complex(x), complex(y)
         return x, y
 
 
@@ -519,17 +495,14 @@ def duplication_map_coefficients(g2: complex, g3: complex) -> tuple[list, list]:
     return P, Q
 
 
-def _polyval(coeffs, x):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _sample_points(model: LattesModel, count: int, seed: int = 20240801):
-    """Deterministic sample points in the fundamental cell, kept away from the
-    poles and half-lattice points of both z and its image."""
+    """Deterministic sample points in the fundamental cell, kept 0.08 r_min
+    away from the poles and half-lattice points of both z and its image.
+    Candidates come in one random order and are filtered a batch at a time,
+    so the points kept do not depend on the batch size."""
     import random as _random
+
+    import numpy as np
 
     rng = _random.Random(seed)
     lat = model.lattice
@@ -537,27 +510,22 @@ def _sample_points(model: LattesModel, count: int, seed: int = 20240801):
     ac = model.map.a.to_complex()
     bc = embed(model.map.b, lat)
     ctx = weierstrass_context(lat)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 100 * count:
-        attempts += 1
-        z = rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * w
-        ok = True
-        for probe in (z, ac * z + bc):
-            d = min(
-                abs(ctx._reduce(probe)),
-                abs(ctx._reduce(probe - 0.5)),
-                abs(ctx._reduce(probe - 0.5 * w)),
-                abs(ctx._reduce(probe - 0.5 - 0.5 * w)),
-            )
-            if d < 0.08:
-                ok = False
-                break
-        if ok:
-            out.append(z)
-    if len(out) < count:
+
+    def clear(p):
+        probes = (p, p - 0.5, p - 0.5 * w, p - 0.5 - 0.5 * w)
+        return np.minimum.reduce([np.abs(ctx._reduce(q)) for q in probes]) >= 0.08 * ctx.r_min
+
+    chunks, found, attempts = [], 0, 0
+    while found < count and attempts < 100 * count:
+        k = min(2 * (count - found), 100 * count - attempts)
+        attempts += k
+        z = np.array([rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * w for _ in range(k)])
+        z = z[clear(z) & clear(ac * z + bc)]
+        chunks.append(z)
+        found += len(z)
+    if found < count:
         raise BudgetExceeded("sampling failed to avoid the half-lattice")
-    return out
+    return np.concatenate(chunks)[:count]
 
 
 def verify_semiconjugacy(
@@ -584,26 +552,25 @@ def verify_semiconjugacy(
     bc = embed(tm.b, lat)
     degree = tm.degree
     pts = _sample_points(model, samples)
-    X = np.array([ctx.wp_pair(z)[0] for z in pts])
-    Y = np.array([ctx.wp_pair(ac * z + bc)[0] for z in pts])
+    X = ctx.wp_pair(pts)[0]
+    Y = ctx.wp_pair(ac * pts + bc)[0]
 
     analytic = None
     if tm.has_integer_multiplier and tm.multiplier_int() == 2 and tm.b.x.is_zero and tm.b.y.is_zero:
         P, Q = duplication_map_coefficients(ctx.g2, ctx.g3)
         # validate the derived coefficients against wp itself before use
         grid = _sample_points(model, 40, seed=987654)
-        for z in grid:
-            x = ctx.wp_pair(z)[0]
-            r = abs(_polyval(P, x) / _polyval(Q, x) - ctx.wp_pair(2 * z)[0])
-            if r > 1e-8:
-                raise ResidualExceedsTol(
-                    f"duplication coefficients failed validation: residual {r:.3e}"
-                )
+        x = ctx.wp_pair(grid)[0]
+        r = np.abs(np.polyval(P[::-1], x) / np.polyval(Q[::-1], x) - ctx.wp_pair(2 * grid)[0])
+        if not np.all(r <= 1e-8):
+            raise ResidualExceedsTol(
+                f"duplication coefficients failed validation: residual {np.max(r):.3e}"
+            )
         analytic = (P, Q)
 
     # least-squares rational fit: monic P of degree d over Q of degree d-1
     d = degree
-    keep = np.abs(X) < 50
+    keep = np.abs(X) < 50 * ctx.r_min**-2
     Xf, Yf = X[keep], Y[keep]
     if len(Xf) < 4 * d:
         raise FitIllConditioned("too few well-conditioned samples")
@@ -613,18 +580,18 @@ def verify_semiconjugacy(
     scale = np.maximum(1.0, np.abs(Xf) ** d)
     A = A / scale[:, None]
     rhs = rhs / scale
-    theta, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    # unit columns: the monomials differ in size by orders of magnitude, and
+    # unscaled, degree-9 fits on i and 1/2+i left residuals near 1e-6
+    norms = np.linalg.norm(A, axis=0)
+    theta, _, rank, _ = np.linalg.lstsq(A / norms, rhs, rcond=None)
+    theta = theta / norms
     if rank < 2 * d:
         raise FitIllConditioned(f"rank {rank} < {2 * d}")
     p_fit = list(theta[:d]) + [1.0 + 0j]
     q_fit = list(theta[d:])
 
     use_p, use_q = (analytic if analytic is not None else (p_fit, q_fit))
-    resid = np.abs(
-        np.array([_polyval(use_p, x) for x in X])
-        / np.array([_polyval(use_q, x) for x in X])
-        - Y
-    )
+    resid = np.abs(np.polyval(use_p[::-1], X) / np.polyval(use_q[::-1], X) - Y)
     max_residual = float(np.max(resid))
 
     coef_rel_error = None
@@ -643,10 +610,7 @@ def verify_semiconjugacy(
         "tolerance": tol,
         "passed": max_residual < tol,
         "coef_rel_error": coef_rel_error,
-        "rows": [
-            (z.real, z.imag, x.real, x.imag, float(r))
-            for z, x, r in zip(pts, X, resid)
-        ],
+        "rows": list(zip(*(a.tolist() for a in (pts.real, pts.imag, X.real, X.imag, resid)))),
     }
     if not report["passed"]:
         raise ResidualExceedsTol(

@@ -269,6 +269,28 @@ def test_certificate_json_matches_golden(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("name", ["cli_golden", "find_collision_golden", "plot_orbit_golden"])
+def test_golden_outputs_are_strict_json(name):
+    # NaN and Infinity are Python's extensions; strict parsers reject them
+    cases = json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())
+    for case in cases:
+        json.loads(case["stdout"], parse_constant=_no_constant)
+
+
+def test_integer_multiplier_collision_emits_a_null_bound(capsys):
+    code, data = _run(
+        capsys,
+        "find-collision", "--a=-2", "--omega", "i", "--b", "sqrt(2)/5", "--slope", "sqrt(2)",
+        "--alpha", "1/5", "--beta", "0", "--t0=-1/10", "--t1=1/10", "--budget", "6",
+    )
+    assert code == 0 and data["verdict"] == "collision"
+    assert data["bound_used"] is None
+
+
 def test_certify_segment_slack_beyond_double_range(capsys):
     code, data = _run(
         capsys,

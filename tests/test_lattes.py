@@ -236,16 +236,16 @@ def test_certify_sphere_not_flexible_nonreal():
 
 
 def test_g_invariants_symmetries():
-    g2, g3 = g_invariants(SQUARE, 1e-12)
+    g2, g3 = g_invariants(SQUARE)
     assert abs(g3) < 1e-10
     assert abs(g2.imag) < 1e-10 and g2.real > 0
-    h2, h3 = g_invariants(HEX, 1e-12)
+    h2, h3 = g_invariants(HEX)
     assert abs(h2) < 1e-10
 
 
 def test_g_invariants_match_direct_sum_oracle():
     for lat in (SQUARE, HEX, Lattice(parse_complex("2i")), Lattice(parse_complex("1/2+1i"))):
-        g2, g3 = g_invariants(lat, 1e-12)
+        g2, g3 = g_invariants(lat)
         o2, o3 = g_invariants_direct(lat, 60)
         # the direct sum has an O(N^-2) tail; agreement at its accuracy level
         assert abs(g2 - o2) < 2e-2 * max(1, abs(g2))
