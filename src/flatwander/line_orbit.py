@@ -7,7 +7,9 @@ slope radicand.  Line equality and grid membership are then exact integer
 decisions.  Rational directions close up into Jordan curves and carry a
 one-dimensional invariant instead.  A transverse orbit is walked in one place,
 ``_walk``; every consumer indexes its states instead of re-applying
-``line_image``.
+``line_image``.  Under an integer multiplier that walk serves rational
+directions too: their iterates are closed loops parallel to the seed, and the
+state is the anchor in the seed's loop frame (``RationalDirection.loop_coords``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,36 @@ class RationalDirection:
             raise ValueError("zero direction")
         if math.gcd(abs(self.m), abs(self.k)) != 1:
             raise ValueError("direction vector must be primitive")
+
+    def loop_coords(self, p: CoordPair) -> TransverseState:
+        """The point in the unimodular loop frame of this direction:
+        (k*x - m*y, u*x + v*y) mod 1 with u*m + v*k = 1.  The first coordinate
+        is the invariant of the closed loop through the point, the second its
+        place on that loop, where the direction advances it by 1."""
+        u, v = bezout(self.m, self.k)
+        x, y = p
+        return ((x * self.k - y * self.m).mod1(), (x * u + y * v).mod1())
+
+    def loop_point(self, inv: QuadraticNumber, c: QuadraticNumber) -> CoordPair:
+        """Inverse of ``loop_coords`` up to lattice translation: the point
+        (v*inv + m*c, -u*inv + k*c)."""
+        u, v = bezout(self.m, self.k)
+        return (inv * v + c * self.m, c * self.k - inv * u)
+
+
+def bezout(m: int, k: int) -> tuple[int, int]:
+    """(u, v) with u*m + v*k = 1 for a primitive direction (m, k), by the
+    extended Euclidean algorithm."""
+    r0, r1, u0, u1, v0, v1 = m, k, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    u, v = u0 * r0, v0 * r0  # r0 is the gcd up to sign, +-1 when primitive
+    if u * m + v * k != 1:
+        raise InternalInconsistency(f"no Bezout pair for the direction ({m}, {k})")
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -96,8 +128,14 @@ class TorusLine:
         """A point on a lift: (beta, -alpha) mod 1 for irrational slope."""
         if isinstance(self.slope, IrrationalSlope):
             return (self.beta, (-self.alpha).mod1())
-        assert self.anchor is not None
-        return self.anchor.coords()
+        return self.loop_anchor().coords()
+
+    def loop_anchor(self) -> TorusPoint:
+        """The anchor of a rational-direction line; a line built without one
+        (not through ``line_from_point``) is a construction bug."""
+        if self.anchor is None:
+            raise InternalInconsistency("a rational-direction line has no anchor")
+        return self.anchor
 
     def same_line(self, other: TorusLine) -> bool:
         if self.slope != other.slope:
@@ -138,8 +176,7 @@ def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
         p, q, r, s = tm.m
         m, k = line.slope.m, line.slope.k
         new_dir = (p * m + r * k, q * m + s * k)
-        assert line.anchor is not None
-        new_anchor = apply_map(tm, line.anchor)
+        new_anchor = apply_map(tm, line.loop_anchor())
         return line_from_point(slope_spec(new_dir), new_anchor.coords())
     if not tm.has_integer_multiplier:
         raise SlopeNotInvariant(
@@ -194,18 +231,41 @@ def _require_rational_b(tm: AffineTorusMap) -> None:
 def _walk(
     tm: AffineTorusMap, line: TorusLine, limit: int
 ) -> tuple[tuple[TransverseState, ...], int | None]:
-    """The distinct transverse states of the orbit of ``line`` in orbit order,
-    up to the first repeat or ``limit`` states, and the index the repeat
-    returns to (None when the limit came first): the one loop that applies
-    ``line_image`` to transverse states."""
+    """The distinct states of the orbit of ``line`` in orbit order, up to the
+    first repeat or ``limit`` states, and the index the repeat returns to
+    (None when the limit came first): the one loop over orbit states.
+
+    An irrational slope's state is its transverse pair, stepped by
+    ``line_image``.  An integer multiplier keeps a rational direction (m, k)
+    up to sign, so every iterate is a closed loop parallel to the seed; the
+    state is the iterate's anchor in the seed's loop frame (``loop_coords``),
+    where the covering steps it by (inv, c) -> a*(inv, c) + loop_coords(b)
+    mod 1.  The frame is the seed's, so the reversed direction of a negative
+    multiplier does not flip the invariant's sign, and the anchor fixes the
+    rest of the orbit, so a repeated state is a repeated iterate."""
+    if isinstance(line.slope, RationalDirection):
+        if not tm.has_integer_multiplier:
+            raise SlopeNotInvariant("a non-real multiplier turns a rational direction")
+        frame, a = line.slope, tm.multiplier_int()
+        shift = frame.loop_coords(tm.b.coords())
+        state = frame.loop_coords(line.base_point())
+
+        def step(st: TransverseState) -> TransverseState:
+            return ((st[0] * a + shift[0]).mod1(), (st[1] * a + shift[1]).mod1())
+
+    else:
+        slope, state = line.slope, line.transverse()
+
+        def step(st: TransverseState) -> TransverseState:
+            return line_image(tm, TorusLine(slope, *st)).transverse()
+
     seen: dict[TransverseState, int] = {}  # insertion order is orbit order
-    for step in range(limit):
-        if step:
-            line = line_image(tm, line)
-        state = line.transverse()
+    for i in range(limit):
+        if i:
+            state = step(state)
         if state in seen:
             return tuple(seen), seen[state]
-        seen[state] = step
+        seen[state] = i
     return tuple(seen), None
 
 
@@ -240,13 +300,13 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
-    """Transverse states 0..n of the orbit of an irrational-slope line.
+    """States 0..n of the orbit of a line, as ``_walk`` defines them: the
+    transverse pair of an irrational slope, the anchor in the seed's loop
+    frame for a rational direction under an integer multiplier.
 
     The orbit is walked at most n steps; once a state repeats, the rest is
     indexed out of the cycle.  This needs no classification, so it holds for
     any translation part, rational or not."""
-    if not line.is_irrational:
-        raise ValueError("transverse orbits are defined for irrational-slope lines")
     states, n0 = _walk(tm, line, n + 1)
     if n0 is None:
         return list(states)

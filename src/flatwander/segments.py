@@ -7,7 +7,11 @@ map of a period-p line is t -> a^p * t with fixed point 0 and a certified
 subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
 Transverse states are indexed out of ``line_orbit``'s single walk, and one
 exact sweep, ``first_overlap``, compares only iterates that share a state; it
-decides both the certificates and the integer-multiplier collision search.
+decides both the certificates and the integer-multiplier collision search, for
+both slope kinds: parameter intervals on an irrational-slope line, arcs of a
+closed loop for a rational direction.  The lift chain and its bounding-box
+translate search serve only non-real multipliers, group mode and the
+fallback for orbit states with no common tower or in the slope's field.
 Everything verdict-bearing is an exact predicate; floats appear only in
 bounding-box prefilters and reports.
 """
@@ -15,7 +19,7 @@ bounding-box prefilters and reports.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,6 +40,7 @@ from .line_orbit import (
     IrrationalSlope,
     JordanCurve,
     LineOrbitClass,
+    RationalDirection,
     TorusLine,
     TransverseState,
     WanderingLine,
@@ -341,6 +346,27 @@ def _overlap(i1: Interval, i2: Interval) -> bool:
     return (i2[0] - i1[1]).sign() <= 0 and (i1[0] - i2[1]).sign() <= 0
 
 
+def _on_arc(arc: Interval, c: QuadraticNumber) -> bool:
+    """Does the closed arc [lo, hi] of the loop R/Z contain c?"""
+    return ((c - arc[0]).mod1() - (arc[1] - arc[0])).sign() <= 0
+
+
+def _arcs_meet(a1: Interval, a2: Interval) -> bool:
+    """Two closed arcs of R/Z meet iff one starts on the other."""
+    return _on_arc(a1, a2[0]) or _on_arc(a2, a1[0])
+
+
+def _arc_witness(
+    direction: RationalDirection, inv: QuadraticNumber, earlier: Interval, later: Interval
+) -> tuple[float, float]:
+    """The point mod 1 on the loop with invariant ``inv`` where the later of
+    two meeting arcs starts, or, if that start lies off the earlier arc, where
+    the earlier one starts."""
+    c = later[0] if _on_arc(earlier, later[0]) else earlier[0]
+    x, y = direction.loop_point(inv, c)
+    return (x.mod1().to_float(), y.mod1().to_float())
+
+
 def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float, float]:
     """The point mod 1 at the midpoint of two overlapping parameter intervals
     on one irrational-slope line."""
@@ -499,28 +525,31 @@ def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> li
 
 
 def first_overlap(
-    states: list[TransverseState],
+    states: list[Hashable],
     intervals: list[Interval],
     rho_states: list[TransverseState] | None,
+    circular: bool = False,
 ) -> tuple[int, int] | None:
-    """Exact disjointness sweep over iterates with the given transverse states
-    and parameter intervals: the first pair (n, m), n < m, that meets, ordered
-    by m and then by n, or None.  The sweep stops at the first m with a hit.
+    """Exact disjointness sweep over iterates with the given states and
+    intervals: the first pair (n, m), n < m, that meets, ordered by m and then
+    by n, or None.  The sweep stops at the first m with a hit.
 
     Distinct states are distinct parallel geodesics, so only iterates that
-    share a state are compared, by 1-D interval overlap.  With rho-states
-    (rho in canonical parameters is t -> -t) iterate m's reflection is also
-    compared against every iterate n on the line it is reflected onto."""
-    by_state: dict[TransverseState, list[int]] = {}
+    share a state are compared: by 1-D interval overlap, or, with
+    ``circular``, as closed arcs of the loop R/Z.  With rho-states (rho in
+    canonical parameters is t -> -t) iterate m's reflection is also compared
+    against every iterate n on the line it is reflected onto."""
+    meet = _arcs_meet if circular else _overlap
+    by_state: dict[Hashable, list[int]] = {}
     for i, st in enumerate(states):
         by_state.setdefault(st, []).append(i)
     for m, (lo, hi) in enumerate(intervals):
-        hits = [n for n in by_state[states[m]] if n < m and _overlap(intervals[n], (lo, hi))]
+        hits = [n for n in by_state[states[m]] if n < m and meet(intervals[n], (lo, hi))]
         if rho_states is not None:
             hits += [
                 n
                 for n in by_state.get(rho_states[m], ())
-                if n < m and _overlap(intervals[n], (-hi, -lo))
+                if n < m and meet(intervals[n], (-hi, -lo))
             ]
         if hits:
             return (min(hits), m)
@@ -704,12 +733,14 @@ def find_collision(
     an intersection of iterate m with the k-rotated iterate n.
 
     The minimal-m certificate is returned (ties broken by n, then k), which
-    keeps the returned m within the log-derived forcing bound.  Under an
-    integer multiplier an irrational slope is preserved, so iterates meet iff
-    they share a transverse state and their parameter intervals overlap:
-    ``first_overlap`` decides that, in the same order.  Everything else
-    searches the lift chain, as do transverse states with no common tower
-    and those that a translation in the slope's field takes into that field.
+    keeps the returned m within the log-derived forcing bound.  An integer
+    multiplier keeps every slope, so iterates are parallel and ``first_overlap``
+    decides the search in the same order, for both slope kinds: on an
+    irrational slope iterates meet iff they share a transverse state and their
+    parameter intervals overlap; on a rational direction iff they lie on one
+    closed loop (share the loop invariant) and their arcs of it overlap.  The
+    lift chain serves non-real multipliers and group mode, and states with no
+    common tower or that a translation in the slope's field takes into it.
     """
     lat = tm.lattice
     nu = 1
@@ -725,19 +756,27 @@ def find_collision(
         raise ValueError("budget must be >= 1")
     bound = _forcing_bound(tm, nu if group else None)
 
-    if group is None and tm.has_integer_multiplier and seg.line.is_irrational:
+    if group is None and tm.has_integer_multiplier:
         try:
             states = orbit_states(tm, seg.line, budget)
         except (MixedRadicals, FieldClash):
             pass  # the states share no tower or meet the slope's field: lift chain
         else:
             intervals = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), budget)
-            pair = first_overlap(states, intervals, None)
+            if seg.line.is_irrational:
+                pair = first_overlap(states, intervals, None)
+            else:
+                # iterate n is the arc anchor + a^n * [t_lo, t_hi] of its loop
+                intervals = [(c + lo, c + hi) for (_, c), (lo, hi) in zip(states, intervals)]
+                pair = first_overlap([inv for inv, _ in states], intervals, None, circular=True)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)
             n, m = pair
-            line = TorusLine(seg.line.slope, *states[m])
-            witness = _overlap_witness(line, intervals[m], intervals[n])
+            if seg.line.is_irrational:
+                line = TorusLine(seg.line.slope, *states[m])
+                witness = _overlap_witness(line, intervals[m], intervals[n])
+            else:
+                witness = _arc_witness(seg.line.slope, states[m][0], intervals[n], intervals[m])
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
     chain = lift_chain(tm, seg, budget)

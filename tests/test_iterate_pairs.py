@@ -1,11 +1,13 @@
 """One iterate-pair sweep and one brute-force oracle: the integer collision
 search against recorded CLI output, both oracles against the pairwise loops
 they replaced, the oracle's reflection count, walks bounded by the budget,
-transverse pairs in the slope's field against the lift search, and the typed
-cross-checks under ``python -O``."""
+transverse pairs in the slope's field against the lift search, rational
+directions decided on their loops with no lifts, and the typed cross-checks
+under ``python -O``."""
 
 import itertools
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,19 +15,28 @@ from pathlib import Path
 
 import pytest
 
-from flatwander import lattes, line_orbit
+from flatwander import lattes, line_orbit, segments
 from flatwander.cli import main
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_segment, verify_sphere_disjoint_iterates
 from flatwander.errors import FieldClash
-from flatwander.line_orbit import IrrationalSlope, TorusLine, line_image, orbit_states
+from flatwander.line_orbit import (
+    IrrationalSlope,
+    TorusLine,
+    line_from_point,
+    line_image,
+    orbit_states,
+    slope_spec,
+)
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
+    NoCollisionWithinBudget,
     find_collision,
     iterate_segment,
     lift_chain,
     lift_segments_intersect_torus,
+    reverify_collision,
     segment_new,
     segments_intersect,
     verify_disjoint_iterates,
@@ -273,6 +284,94 @@ def test_find_collision_matches_the_lift_search_in_the_slope_field():
 
 
 # ---------------------------------------------------------------------------
+# rational directions: arcs of closed loops, no lattice translates
+# ---------------------------------------------------------------------------
+
+
+def _rational_segment(direction, x, y, length):
+    line = line_from_point(slope_spec(direction), (parse_number(x), parse_number(y)))
+    return segment_new(line, qn(0), qn(length))
+
+
+# (1/length, budget), cycled through the cases: short arcs get the longer walks
+_ARC_SIZES = ((3, 1), (7, 2), (20, 3), (50, 4), (200, 5), (10, 2), (30, 3))
+
+
+def test_find_collision_matches_the_lift_search_on_rational_directions():
+    # the rational anchor has periodic loop invariants; the sqrt(2) anchor
+    # has a rational invariant on horizontals only, and an irrational place
+    # on its loop
+    hits = 0
+    for i, (a, b, direction, (x, y)) in enumerate(itertools.product(
+        ("2", "-2", "3", "-3"),
+        ("0", "1/3", "1/2+1/5i", "sqrt(2)/5"),
+        ((1, 0), (0, 1), (2, 1), (3, -1), (1, 2)),
+        (("1/3", "1/2"), ("sqrt(2)/3", "1/4")),
+    )):
+        q, budget = _ARC_SIZES[i % len(_ARC_SIZES)]
+        tm = _map(a, b)
+        seg = _rational_segment(direction, x, y, Fraction(1, q))
+        want = _lift_search(tm, seg, budget)
+        got = find_collision(tm, seg, budget=budget)
+        case = (a, b, direction, x, y, q, budget)
+        assert ((got.n, got.m) if isinstance(got, CollisionCertificate) else None) == want, case
+        if want is not None:
+            hits += 1
+            assert reverify_collision(tm, seg, got), case
+    assert hits == 47
+
+
+def _refuse_lifts(monkeypatch):
+    def refuse(*args):
+        pytest.fail("an integer-multiplier search on a rational direction built a lift")
+
+    monkeypatch.setattr(segments, "lift_segments_intersect_torus", refuse)
+    monkeypatch.setattr(segments, "lift_chain", refuse)
+
+
+@pytest.mark.parametrize("budget", [12, 40])
+def test_a_rational_direction_misses_with_no_lifts(monkeypatch, budget):
+    # the lift search took about 50 s at budget 12: arcs 3^12/1000 long, on
+    # loops whose invariants -3^n * sqrt(2)/15 mod 1 never repeat
+    _refuse_lifts(monkeypatch)
+    seg = _rational_segment((2, 1), "sqrt(2)/3", "sqrt(2)/5", Fraction(1, 1000))
+    assert find_collision(_map("3"), seg, budget=budget) == NoCollisionWithinBudget(budget, 1)
+
+
+def test_a_rational_direction_hits_with_no_lifts(monkeypatch):
+    # a = -2 keeps the horizontal loop y = 0 and fixes 1/3 on it, reversing
+    # the loop, so iterate 1, the arc [1/3 - 2/7, 1/3], ends where iterate 0
+    # starts
+    tm = _map("-2")
+    seg = _rational_segment((1, 0), "1/3", "0", Fraction(1, 7))
+    _refuse_lifts(monkeypatch)
+    got = find_collision(tm, seg, budget=4)
+    monkeypatch.undo()
+    assert got == CollisionCertificate(0, 1, 0, (1 / 3, 0.0), True, math.inf, 4)
+    assert reverify_collision(tm, seg, got)
+
+
+def test_mixed_radicals_on_a_rational_direction_fall_back_to_the_lift_chain(
+    capsys, monkeypatch
+):
+    # the anchor in sqrt(2) and b in sqrt(3) share no field for the loop
+    # sweep, but the lift chain's two-radicand tower holds them
+    calls = []
+    orig = segments.lift_chain
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(segments, "lift_chain", counted)
+    code, data = _cli(capsys, "find-collision", "--a", "2", "--b", "sqrt(3)/5", "--omega", "i",
+                      "--seg", "sqrt(2)/3,1/5,h,1/10", "--budget", "3")
+    assert code == 0
+    assert data == {"verdict": "no-collision-within-budget", "budget": 3, "group_order": 1}
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # typed cross-checks under python -O
 # ---------------------------------------------------------------------------
 
@@ -282,7 +381,9 @@ import json
 from flatwander.errors import FlatwanderError
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_pairing
-from flatwander.line_orbit import IrrationalSlope, TorusLine
+from flatwander.line_orbit import (
+    IrrationalSlope, RationalDirection, TorusLine, bezout, line_image,
+)
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
@@ -303,6 +404,11 @@ checks = {
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
     ),
+    # a rational-direction line built without its anchor
+    "anchor": lambda: TorusLine(RationalDirection(1, 2), qn(0), qn(0)).base_point(),
+    "image": lambda: line_image(tm, TorusLine(RationalDirection(1, 2), qn(0), qn(0))),
+    # a direction that is not primitive has no Bezout pair
+    "bezout": lambda: bezout(2, 4),
 }
 out = {}
 for name, check in checks.items():
@@ -328,4 +434,7 @@ def test_cross_checks_raise_under_optimize():
         "slack": ["InternalInconsistency", "certified slack 1/2 is not above 1"],
         "pairing": ["InternalInconsistency", "rho maps part of the cycle into it"],
         "reverify": ["ValueError", "a rotated collision needs its group to re-verify"],
+        "anchor": ["InternalInconsistency", "a rational-direction line has no anchor"],
+        "image": ["InternalInconsistency", "a rational-direction line has no anchor"],
+        "bezout": ["InternalInconsistency", "no Bezout pair for the direction (2, 4)"],
     }

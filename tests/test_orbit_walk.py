@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import flatwander
 from flatwander import lattes, line_orbit, segments
+from flatwander.errors import SlopeNotInvariant
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import certify_sphere_wandering, lattes_model_new, rho_transverse
 from flatwander.line_orbit import (
@@ -34,7 +35,7 @@ from flatwander.segments import (
     interval_chain,
     segment_new,
 )
-from flatwander.torus_map import torus_map_new
+from flatwander.torus_map import iterate_map, torus_map_new
 
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = Lattice(parse_complex("i"))
@@ -110,10 +111,26 @@ def test_orbit_states_walks_a_wandering_line(monkeypatch):
     assert len(set(expect)) == 10
 
 
-def test_orbit_states_refuses_rational_directions():
+def test_orbit_states_refuses_a_rational_direction_under_a_non_real_multiplier():
     line = line_from_point(slope_spec((1, 2)), (qn(Fraction(1, 5)), qn(0)))
-    with pytest.raises(ValueError):
-        orbit_states(_map("2"), line, 4)
+    with pytest.raises(SlopeNotInvariant):
+        orbit_states(_map("1+1i"), line, 4)
+
+
+@pytest.mark.parametrize("a,b", [("2", "0"), ("-2", "1/3+1/7i"), ("-3", "sqrt(2)/5")])
+def test_orbit_states_of_a_rational_direction_stay_in_the_seed_frame(a, b):
+    # direction (1, 2): invariant 2x - y, arc coordinate x (u, v = 1, 0)
+    tm = _map(a, b)
+    anchor = point(Fraction(1, 5), parse_number("sqrt(2)/7"))
+    line = line_from_point(slope_spec((1, 2)), anchor.coords())
+    expect = []
+    for n in range(8):
+        x, y = iterate_map(tm, anchor, n).coords()
+        expect.append(((x * 2 - y).mod1(), x))
+    assert orbit_states(tm, line, 7) == expect
+    if a.startswith("-"):
+        # the iterate's own direction is reversed, and so is its invariant
+        assert line_image(tm, line).alpha == (-expect[1][0]).mod1() != expect[1][0]
 
 
 # ---------------------------------------------------------------------------
