@@ -16,7 +16,6 @@ import sys
 
 from .errors import (
     BudgetExceeded,
-    FitIllConditioned,
     FlatwanderError,
     IoError,
     ResidualExceedsTol,
@@ -62,7 +61,7 @@ from .torus_map import (
     torus_map_new,
 )
 
-_BUDGET_ERRORS = (BudgetExceeded, UncertainAtTolerance, FitIllConditioned, ResidualExceedsTol)
+_BUDGET_ERRORS = (BudgetExceeded, UncertainAtTolerance, ResidualExceedsTol)
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:

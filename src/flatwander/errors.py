@@ -93,10 +93,6 @@ class NearPole(FlatwanderError):
     code = "near-pole"
 
 
-class FitIllConditioned(FlatwanderError):
-    code = "fit-ill-conditioned"
-
-
 class ResidualExceedsTol(FlatwanderError):
     code = "residual-exceeds-tol"
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     BudgetExceeded,
-    FitIllConditioned,
     InternalInconsistency,
     NearPole,
     NotLattesCompatible,
@@ -28,7 +27,7 @@ from .errors import (
     ResidualExceedsTol,
     UsageError,
 )
-from .lattice import Lattice, TorusPoint, embed, half_lattice_q
+from .lattice import ORIGIN, Lattice, TorusPoint, embed, half_lattice_q, reduce_to_fundamental
 from .line_orbit import (
     TorusLine,
     classify_line,
@@ -51,7 +50,7 @@ from .segments import (
     segment_new,
     verify_disjoint_iterates,
 )
-from .torus_map import AffineTorusMap, apply_map, rotation_matrix
+from .torus_map import AffineTorusMap, apply_map, kernel, rotation_matrix
 
 _SIGNATURES = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
 
@@ -64,6 +63,8 @@ class LattesModel:
     z0: TorusPoint
     signature: tuple[int, ...]
     rotation: tuple[int, int, int, int]
+    # b' = A(z0) - z0 mod Z^2: in w = z - z0 the covering is w -> a*w + b'
+    shift: TorusPoint
 
     @property
     def flexible(self) -> bool:
@@ -90,23 +91,22 @@ def lattes_model_new(
     p, q, r, s = tm.m
     rp, rq, rr, rs = rot
     # multiplication operators commute; guards against matrix bookkeeping bugs
-    assert (
+    if not (
         p * rp + r * rq == rp * p + rr * q
         and p * rr + r * rs == rp * r + rr * s
         and q * rp + s * rq == rq * p + rs * q
         and q * rr + s * rs == rq * r + rs * s
-    )
+    ):
+        raise InternalInconsistency("the covering does not commute with the rotation")
     az0 = apply_map(tm, z0)
-    wx = az0.x - z0.x
-    wy = az0.y - z0.y
-    cx = wx * (1 - rp) - wy * rr
-    cy = wy * (1 - rs) - wx * rq
+    shift = reduce_to_fundamental((az0.x - z0.x, az0.y - z0.y))
+    cx = shift.x * (1 - rp) - shift.y * rr
+    cy = shift.y * (1 - rs) - shift.x * rq
     if not (cx.is_integer and cy.is_integer):
         raise NotLattesCompatible(
-            f"A(z0) - z0 = ({wx.to_expr()}, {wy.to_expr()}) is not "
-            f"(I - R)-annihilated mod Z^2"
+            f"A(z0) - z0 = {shift.to_expr()} is not (I - R)-annihilated mod Z^2"
         )
-    model = LattesModel(lat, tm, nu, z0, _SIGNATURES[nu], rot)
+    model = LattesModel(lat, tm, nu, z0, _SIGNATURES[nu], rot, shift)
     if nu == 2:
         grid = model.q_grid()
         keys = {g.key() for g in grid}
@@ -486,30 +486,19 @@ def wp_prime(lat: Lattice, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def duplication_map_coefficients(g2: complex, g3: complex) -> tuple[list, list]:
-    """Degree-4 rational map satisfying wp(2z) = P(wp(z))/Q(wp(z)), derived
-    from the tangent construction: wp(2z) = -2x + ((6x^2 - g2/2)/(2 wp'))^2.
-    P is monic; coefficients are listed from degree 0 upward."""
-    P = [g2 * g2 / 16, 2 * g3, g2 / 2, 0j, 1.0 + 0j]
-    Q = [-g3, -g2, 0j, 4.0 + 0j]
-    return P, Q
-
-
-def _sample_points(model: LattesModel, count: int, seed: int = 20240801):
-    """Deterministic sample points in the fundamental cell, kept 0.08 r_min
-    away from the poles and half-lattice points of both z and its image.
-    Candidates come in one random order and are filtered a batch at a time,
-    so the points kept do not depend on the batch size."""
+def _sample_points(model: LattesModel, shift: complex, count: int):
+    """Deterministic sample points w in the fundamental cell, kept 0.08 r_min
+    away from the poles and half-lattice points of both w and its image
+    a*w + shift.  Candidates come in one random order and are filtered a batch
+    at a time, so the points kept do not depend on the batch size."""
     import random as _random
 
     import numpy as np
 
-    rng = _random.Random(seed)
-    lat = model.lattice
-    w = lat.omega_complex()
+    rng = _random.Random(20240801)
+    w = model.lattice.omega_complex()
     ac = model.map.a.to_complex()
-    bc = embed(model.map.b, lat)
-    ctx = weierstrass_context(lat)
+    ctx = weierstrass_context(model.lattice)
 
     def clear(p):
         probes = (p, p - 0.5, p - 0.5 * w, p - 0.5 - 0.5 * w)
@@ -520,7 +509,7 @@ def _sample_points(model: LattesModel, count: int, seed: int = 20240801):
         k = min(2 * (count - found), 100 * count - attempts)
         attempts += k
         z = np.array([rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * w for _ in range(k)])
-        z = z[clear(z) & clear(ac * z + bc)]
+        z = z[clear(z) & clear(ac * z + shift)]
         chunks.append(z)
         found += len(z)
     if found < count:
@@ -528,16 +517,43 @@ def _sample_points(model: LattesModel, count: int, seed: int = 20240801):
     return np.concatenate(chunks)[:count]
 
 
-def verify_semiconjugacy(
-    model: LattesModel, samples: int = 500, tol: float = 1e-6
-) -> dict:
-    """Numerically verify that the covering descends through wp.
+def quotient_map(model: LattesModel):
+    """The Lattes map R with wp(a*w + b') = R(wp(w)), w = z - z0, as a
+    function on numpy arrays, in closed form on the kernel K = a^-1 L / L.
 
-    For a = 2, b = 0 the degree-4 duplication map is derived from g2, g3 and
-    validated on a grid before use.  In general the quotient map is
-    reconstructed by a least-squares rational fit of degree |a|^2 on wp-sample
-    pairs and checked on held-out samples.  Returns a report dict with the
-    max residual, the fitted degree, and the sample rows.
+    With S(x, p) = ((x + p)(2xp - g2/2) - g3)/(x - p)^2, which is
+    wp(w + P) + wp(w - P) for x = wp(w), p = wp(P) (DLMF §23.10),
+        R_a(x) = a^-2 [x + sum_{P in K, P != 0} (S(x, wp(P))/2 - wp(P))],
+    each P taken with weight 1/2 so that -P completes its pair, and
+    R(x) = S(R_a(x), wp(b'))/2 when b' is not 0: descent makes b' a
+    half-period, so wp(u + b') = wp(u - b').  deg R = |K| = |a|^2.
+    """
+    import numpy as np
+
+    lat, tm = model.lattice, model.map
+    ctx = weierstrass_context(lat)
+    w = lat.omega_complex()
+    probes = [(n1 + n2 * w) / tm.degree for n1, n2 in kernel(tm)[1:]]
+    if model.shift != ORIGIN:
+        probes.append(embed(model.shift, lat))
+    p, e = np.split(ctx.wp_pair(np.array(probes))[0], [tm.degree - 1])
+    a2 = tm.a.to_complex() ** 2
+
+    def pair_sum(x, p):
+        return ((x + p) * (2 * x * p - ctx.g2 / 2) - ctx.g3) / (x - p) ** 2
+
+    def R(x):
+        r = (x + (pair_sum(x[..., None], p) / 2 - p).sum(-1)) / a2
+        return pair_sum(r, e[0]) / 2 if len(e) else r
+
+    return R
+
+
+def verify_semiconjugacy(model: LattesModel, samples: int = 500, tol: float = 1e-6) -> dict:
+    """Numerically verify that the covering descends through wp: the residual
+    |R(wp(w)) - wp(a*w + b')| of the closed-form ``quotient_map`` at sample
+    points w = z - z0.  Returns a report dict with the max residual, the
+    degree of R and the sample rows (z = z0 + w, wp(w), residual).
     """
     import numpy as np
 
@@ -546,74 +562,26 @@ def verify_semiconjugacy(
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     lat = model.lattice
-    ctx = weierstrass_context(lat)
-    tm = model.map
-    ac = tm.a.to_complex()
-    bc = embed(tm.b, lat)
-    degree = tm.degree
-    pts = _sample_points(model, samples)
-    X = ctx.wp_pair(pts)[0]
-    Y = ctx.wp_pair(ac * pts + bc)[0]
-
-    analytic = None
-    if tm.has_integer_multiplier and tm.multiplier_int() == 2 and tm.b.x.is_zero and tm.b.y.is_zero:
-        P, Q = duplication_map_coefficients(ctx.g2, ctx.g3)
-        # validate the derived coefficients against wp itself before use
-        grid = _sample_points(model, 40, seed=987654)
-        x = ctx.wp_pair(grid)[0]
-        r = np.abs(np.polyval(P[::-1], x) / np.polyval(Q[::-1], x) - ctx.wp_pair(2 * grid)[0])
-        if not np.all(r <= 1e-8):
-            raise ResidualExceedsTol(
-                f"duplication coefficients failed validation: residual {np.max(r):.3e}"
-            )
-        analytic = (P, Q)
-
-    # least-squares rational fit: monic P of degree d over Q of degree d-1
-    d = degree
-    keep = np.abs(X) < 50 * ctx.r_min**-2
-    Xf, Yf = X[keep], Y[keep]
-    if len(Xf) < 4 * d:
-        raise FitIllConditioned("too few well-conditioned samples")
-    cols = [Xf**j for j in range(d)] + [-(Yf * Xf**j) for j in range(d)]
-    A = np.stack(cols, axis=1)
-    rhs = -(Xf**d)
-    scale = np.maximum(1.0, np.abs(Xf) ** d)
-    A = A / scale[:, None]
-    rhs = rhs / scale
-    # unit columns: the monomials differ in size by orders of magnitude, and
-    # unscaled, degree-9 fits on i and 1/2+i left residuals near 1e-6
-    norms = np.linalg.norm(A, axis=0)
-    theta, _, rank, _ = np.linalg.lstsq(A / norms, rhs, rcond=None)
-    theta = theta / norms
-    if rank < 2 * d:
-        raise FitIllConditioned(f"rank {rank} < {2 * d}")
-    p_fit = list(theta[:d]) + [1.0 + 0j]
-    q_fit = list(theta[d:])
-
-    use_p, use_q = (analytic if analytic is not None else (p_fit, q_fit))
-    resid = np.abs(np.polyval(use_p[::-1], X) / np.polyval(use_q[::-1], X) - Y)
+    ac = model.map.a.to_complex()
+    bc = embed(model.shift, lat)
+    pts = _sample_points(model, bc, samples)
+    with np.errstate(all="ignore"):
+        R = quotient_map(model)
+        images = weierstrass_context(lat).wp_pair(np.concatenate([pts, ac * pts + bc]))[0]
+        X, Y = np.split(images, 2)
+        resid = np.abs(R(X) - Y)
+    bad = ~np.isfinite(resid)
+    if bad.any():
+        raise ResidualExceedsTol(f"non-finite residual {resid[bad][0]} at w={pts[bad][0]}")
     max_residual = float(np.max(resid))
-
-    coef_rel_error = None
-    if analytic is not None:
-        P, Q = analytic
-        diffs = []
-        for cf, ct in zip(p_fit, P):
-            diffs.append(abs(cf - ct) / max(1.0, abs(ct)))
-        for cf, ct in zip(q_fit, Q):
-            diffs.append(abs(cf - ct) / max(1.0, abs(ct)))
-        coef_rel_error = float(max(diffs))
-
-    report = {
+    if not max_residual < tol:
+        raise ResidualExceedsTol(f"max residual {max_residual:.3e} exceeds tol {tol:.1e}")
+    z = pts + embed(model.z0, lat)
+    return {
         "max_residual": max_residual,
-        "fitted_degree": d,
+        "fitted_degree": model.map.degree,
         "tolerance": tol,
-        "passed": max_residual < tol,
-        "coef_rel_error": coef_rel_error,
-        "rows": list(zip(*(a.tolist() for a in (pts.real, pts.imag, X.real, X.imag, resid)))),
+        "passed": True,
+        "coef_rel_error": None,
+        "rows": list(zip(*(a.tolist() for a in (z.real, z.imag, X.real, X.imag, resid)))),
     }
-    if not report["passed"]:
-        raise ResidualExceedsTol(
-            f"max residual {max_residual:.3e} exceeds tol {tol:.1e}"
-        )
-    return report

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import (
     DegreeTooLow,
     IncompatibleField,
+    InternalInconsistency,
     MixedRadicals,
     NotACovering,
     WrongLatticeForGroup,
@@ -167,24 +168,30 @@ def rotation_matrix(lat: Lattice, nu: int) -> tuple[int, int, int, int]:
     return m
 
 
-def preimages(tm: AffineTorusMap, target: TorusPoint) -> list[TorusPoint]:
-    """All solutions of apply_map(P) = target, by exact enumeration of the
-    residue classes of Z^2 / M Z^2; there are exactly ``degree`` of them."""
+def kernel(tm: AffineTorusMap) -> list[tuple[int, int]]:
+    """The ``degree`` points (n1/det, n2/det) of the kernel M^{-1} Z^2 / Z^2 of
+    the covering, as numerator pairs (n1, n2) in [0, det)^2.  The columns
+    (s, -q) and (-r, p) of adj(M) = det * M^{-1} generate it, so it is built
+    coset by coset: a generator's multiples are added until one is in it."""
     p, q, r, s = tm.m
     det = tm.degree
-    cx = target.x - tm.b.x
-    cy = target.y - tm.b.y
-    seen: dict[tuple, TorusPoint] = {}
-    # d*Z^2 is contained in M Z^2, so shifts in [0, d)^2 cover every class
-    for t1 in range(det):
-        for t2 in range(det):
-            rx = cx + t1
-            ry = cy + t2
-            # M^{-1} = adj(M)/det with adj = [[s, -r], [-q, p]]
-            x = (rx * s - ry * r) / det
-            y = (ry * p - rx * q) / det
-            cand = reduce_to_fundamental((x, y))
-            seen.setdefault(cand.key(), cand)
-    out = list(seen.values())
-    assert len(out) == det
-    return out
+    out = {(0, 0): None}  # an ordered set
+    for gx, gy in ((s, -q), (-r, p)):
+        layer, k = list(out), 1
+        while (k * gx % det, k * gy % det) not in out:
+            out.update(dict.fromkeys(((x + k * gx) % det, (y + k * gy) % det) for x, y in layer))
+            k += 1
+    if len(out) != det:
+        raise InternalInconsistency(f"the kernel has {len(out)} points, not the degree {det}")
+    return list(out)
+
+
+def preimages(tm: AffineTorusMap, target: TorusPoint) -> list[TorusPoint]:
+    """All solutions of apply_map(P) = target: one exact solve, shifted by
+    each point of the kernel; there are exactly ``degree`` of them."""
+    p, q, r, s = tm.m
+    cx, cy = target.x - tm.b.x, target.y - tm.b.y
+    # M^{-1} = adj(M)/det with adj = [[s, -r], [-q, p]]
+    x, y = cx * s - cy * r, cy * p - cx * q
+    det = tm.degree
+    return [reduce_to_fundamental(((x + n1) / det, (y + n2) / det)) for n1, n2 in kernel(tm)]

@@ -376,6 +376,52 @@ def test_semiconjugacy_verdict_is_basis_independent(capsys):
     assert c1 == c2 and d1.get("error") == d2.get("error")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a half-period b: R(inf) is finite, so deg Q = deg P - 1 does not hold
+        ["--a", "2", "--b", "1/2", "--omega", "i"],
+        ["--a", "2", "--b", "1/2i", "--omega", "i"],
+        ["--a", "2", "--b", "1/2+1/2i", "--omega", "i"],
+        ["--a", "3", "--b", "1/2", "--omega", "1/2+i"],
+        # off-centre: the check runs in w = z - z0 with b' = A(z0) - z0
+        ["--a", "2", "--b", "3/4", "--omega", "i", "--z0", "1/4,0"],
+        ["--a", "2", "--b", "1/4", "--omega", "i", "--z0", "1/4,0"],
+        ["--a", "3", "--omega", "2i", "--samples", "420"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_semiconjugacy_closed_form(capsys, argv):
+    code, data = _run(capsys, "verify-semiconjugacy", *argv)
+    assert code == 0, data
+    assert data["max_residual"] < 1e-10
+    assert data["fitted_degree"] == int(argv[1]) ** 2
+    assert data["coef_rel_error"] is None
+
+
+_THIN = """
+import sys
+from flatwander.cli import main
+sys.exit(main(["verify-semiconjugacy", "--a", "2", "--omega", sys.argv[1]]))
+"""
+
+
+def test_semiconjugacy_refuses_thin_lattices_quietly():
+    # wp cancels near e2 = e3 on thin lattices: a typed refusal, no numpy warning
+    for omega in ("4i", "20i", "1/100i", "10000i"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _THIN, omega],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert (proc.returncode, proc.stderr) == (3, ""), omega
+        assert json.loads(proc.stdout)["error"] == "residual-exceeds-tol", omega
+        if omega == "10000i":
+            assert "non-finite residual nan" in json.loads(proc.stdout)["message"]
+
+
 def _readme_commands() -> list[list[str]]:
     text = (ROOT / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -388,7 +388,7 @@ from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
 )
-from flatwander.torus_map import torus_map_new
+from flatwander.torus_map import AffineTorusMap, kernel, torus_map_new
 
 assert not __debug__
 lat = Lattice(parse_complex("i"))
@@ -409,6 +409,12 @@ checks = {
     "image": lambda: line_image(tm, TorusLine(RationalDirection(1, 2), qn(0), qn(0))),
     # a direction that is not primitive has no Bezout pair
     "bezout": lambda: bezout(2, 4),
+    # a matrix that is not multiplication by a scalar, under the order-4 rotation
+    "commute": lambda: lattes_model_new(
+        lat, AffineTorusMap(tm.a, tm.b, (2, 1, 0, 2), 4, lat), 4, point(0, 0)
+    ),
+    # a degree that is not the determinant of the matrix
+    "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
 }
 out = {}
 for name, check in checks.items():
@@ -437,4 +443,6 @@ def test_cross_checks_raise_under_optimize():
         "anchor": ["InternalInconsistency", "a rational-direction line has no anchor"],
         "image": ["InternalInconsistency", "a rational-direction line has no anchor"],
         "bezout": ["InternalInconsistency", "no Bezout pair for the direction (2, 4)"],
+        "commute": ["InternalInconsistency", "the covering does not commute with the rotation"],
+        "kernel": ["InternalInconsistency", "the kernel has 9 points, not the degree 3"],
     }

@@ -12,6 +12,7 @@ from flatwander.torus_map import (
     apply_map,
     classify_multiplier,
     iterate_map,
+    kernel,
     preimages,
     torus_map_new,
 )
@@ -116,6 +117,15 @@ def test_covering_count(a_text):
         assert len(pre) == tm.degree
         for s in pre:
             assert apply_map(tm, s) == target
+
+
+@pytest.mark.parametrize("a_text", ["2", "3", "-2", "1+1i", "2+1i", "2i"])
+def test_kernel_is_the_preimage_of_zero(a_text):
+    tm = torus_map_new(parse_complex(a_text), ZERO_C, SQUARE)
+    det = tm.degree
+    got = {point(Fraction(n1, det), Fraction(n2, det)) for n1, n2 in kernel(tm)}
+    assert len(kernel(tm)) == det and kernel(tm)[0] == (0, 0)
+    assert got == set(preimages(tm, point(0, 0)))
 
 
 def test_real_non_integer_never_covers():
