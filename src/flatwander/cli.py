@@ -30,7 +30,6 @@ from .lattes import (
     verify_semiconjugacy,
 )
 from .line_orbit import (
-    EventuallyPeriodic,
     IrrationalSlope,
     JordanCurve,
     RationalDirection,
@@ -254,7 +253,6 @@ def _cmd_classify_line(args) -> int:
     elif isinstance(verdict, WanderingLine):
         payload = {"verdict": "wandering-line", "witness": verdict.witness}
     else:
-        assert isinstance(verdict, EventuallyPeriodic)
         payload = {
             "verdict": "eventually-periodic",
             "preperiod": verdict.preperiod,
@@ -294,7 +292,9 @@ def _cmd_find_collision(args) -> int:
     seg = _segment_from_args(args)
     group = None
     if args.nu is not None:
+        # the group obstruction is about the quotient, so the covering must descend
         group = (args.nu, _parse_point(args.z0))
+        lattes_model_new(tm.lattice, tm, *group)
     got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
     return 0

@@ -77,12 +77,6 @@ class WrongLatticeForGroup(FlatwanderError):
     code = "wrong-lattice-for-group"
 
 
-class OddPeriodPairing(FlatwanderError):
-    """Internal inconsistency: an involution paired a cycle of odd period."""
-
-    code = "odd-period-pairing"
-
-
 class InternalInconsistency(FlatwanderError):
     """A certificate's own cross-check failed: a bug, never a verdict."""
 

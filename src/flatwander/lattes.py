@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
     NearPole,
     NotLattesCompatible,
-    OddPeriodPairing,
     ResidualExceedsTol,
     UsageError,
 )
 from .lattice import ORIGIN, Lattice, TorusPoint, embed, half_lattice_q, reduce_to_fundamental
 from .line_orbit import (
+    EventuallyPeriodic,
     TorusLine,
     classify_line,
-    orbit_states,
     passes_through_q,
 )
 from .numbers import HALF, ComplexPair, QuadraticNumber
@@ -41,12 +40,8 @@ from .segments import (
     NotWanderable,
     TorusSegment,
     WanderingCertificate,
-    certified_slack,
     certify_classified,
-    certify_interval,
     find_collision,
-    first_overlap,
-    interval_chain,
     segment_new,
     verify_disjoint_iterates,
 )
@@ -227,11 +222,11 @@ def rho_pairing(
     for j in range(p):
         expect = cycle[(j + c) % p]
         if rho_transverse(model, cycle[j]) != expect:
-            raise OddPeriodPairing("rho image of the cycle is not an index shift")
+            raise InternalInconsistency("rho image of the cycle is not an index shift")
     if c == 0:
         return SelfPaired(p)
     if p % 2 == 1 or c != p // 2:
-        raise OddPeriodPairing(
+        raise InternalInconsistency(
             f"involution shift {c} on a cycle of period {p} contradicts rho^2 = id"
         )
     half = p // 2
@@ -263,11 +258,11 @@ def certify_sphere_wandering(
     """Decide whether the quotient image of the segment wanders.
 
     Non-flexible models refuse with a collision witness (group mode for
-    nu > 2, plain mode for a non-real multiplier).  Flexible models lift the
-    torus certificate: wandering lines avoid the grid and rho-collisions
-    outright; periodic lines are re-certified against the effective sphere
-    return multiplier (-a^{p/2} when rho pairs the cycle, |a|^p-type ratios
-    when lines are self-symmetric), then swept exactly to a dominance horizon.
+    nu > 2, plain mode for a non-real multiplier).  Flexible models run the
+    torus certifier with rho and the sphere's return map: -a^{p/2} when rho
+    pairs the cycle, a^p with both sides of the fixed point avoided when it
+    fixes every line of it, a^p otherwise.  The brute-force oracle then
+    replays the certified segment on the quotient.
     """
     tm = model.map
     if not model.flexible:
@@ -281,70 +276,24 @@ def certify_sphere_wandering(
         return NotFlexible(reason, witness)
 
     verdict = classify_line(tm, seg.line)
-    torus_cert = certify_classified(tm, seg, verdict, check_iterates)
-    if isinstance(torus_cert, NotWanderable):
-        return torus_cert
-    a = tm.multiplier_int()
-
-    if torus_cert.mode == "whole-segment":
-        # grid avoidance: an irrational transverse line misses the rational
-        # grid, and its images keep an irrational transverse coordinate;
-        # rho-collisions would force eventual periodicity
-        states = orbit_states(tm, seg.line, check_iterates)
-        lines = (TorusLine(seg.line.slope, *st) for st in states)
-        if any(passes_through_q(ln, model.q_grid()) is not None for ln in lines):
-            raise InternalInconsistency("a wandering line met the grid")
-        if not {rho_transverse(model, st) for st in states}.isdisjoint(states):
-            raise InternalInconsistency("rho collision on a wandering line")
-        ok, pair = verify_sphere_disjoint_iterates(model, seg, min(check_iterates, 6))
-        if not ok:
-            raise InternalInconsistency(f"sphere iterates {pair} intersect")
-        return replace(torus_cert, level="sphere")
-
-    p = verdict.period
-    pairing = rho_pairing(model, verdict.cycle)
-    self_paired = isinstance(pairing, SelfPaired)
-    if isinstance(pairing, Paired):
-        sphere_period, lam_sphere = pairing.half_period, -(a**pairing.half_period)
-    else:
-        sphere_period, lam_sphere = p, a**p
-    got = certify_interval(seg.t_lo, seg.t_hi, lam_sphere, both_sides=self_paired)
-    if got is None:
-        return NotWanderable("no-positive-length-subsegment")
-    u, v, slack = got
-
-    # exact sweep to the dominance horizon; beyond it every same-line pair is
-    # separated by the certified ratio or by pure growth
-    ratio_f = max(2.0, abs(float(v / u)))
-    dominance = math.ceil(math.log(ratio_f) / math.log(abs(a))) + 2
-    horizon = max(check_iterates, verdict.preperiod + p + dominance)
-    states = [verdict.state(n) for n in range(horizon + 1)]
-    rho_states = [rho_transverse(model, st) for st in states]
-    for _ in range(80):
-        if first_overlap(states, interval_chain(u, v, a, horizon), rho_states) is None:
-            break
-        # shrink toward the outer endpoint; terminates once v/u < |a|
-        if u.sign() > 0:
-            u = (u + v) / 2
+    returns = None
+    if isinstance(verdict, EventuallyPeriodic):
+        a, p = tm.multiplier_int(), verdict.period
+        pairing = rho_pairing(model, verdict.cycle)
+        if isinstance(pairing, Paired):
+            returns = (pairing.half_period, -(a**pairing.half_period), False)
         else:
-            v = (u + v) / 2
-    else:
-        raise BudgetExceeded("sphere certificate shrink loop did not converge")
-    slack = certified_slack(u, v, lam_sphere, both_sides=self_paired)
-
-    ok, pair = verify_sphere_disjoint_iterates(
-        model, segment_new(seg.line, u, v), check_iterates
+            returns = (p, a**p, isinstance(pairing, SelfPaired))
+    cert = certify_classified(
+        tm, seg, verdict, check_iterates, lambda st: rho_transverse(model, st), returns
     )
+    if isinstance(cert, NotWanderable):
+        return cert
+    k = min(check_iterates, 6) if cert.mode == "whole-segment" else check_iterates
+    ok, pair = verify_sphere_disjoint_iterates(model, segment_new(seg.line, *cert.interval), k)
     if not ok:
         raise InternalInconsistency(f"sphere iterates {pair} intersect")
-    return replace(
-        torus_cert,
-        level="sphere",
-        interval=(u, v),
-        period=sphere_period,
-        multiplier=lam_sphere,
-        slack=slack,
-    )
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LowerHalfPlane
+from .errors import InternalInconsistency, LowerHalfPlane
 from .numbers import HALF, ZERO, ComplexPair, QuadraticNumber, qn
 
 CoordPair = tuple[QuadraticNumber, QuadraticNumber]
@@ -71,7 +71,8 @@ def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, .
         raise ValueError("z0 must be rational")
     shifts = [(ZERO, ZERO), (HALF, ZERO), (ZERO, HALF), (HALF, HALF)]
     pts = {reduce_to_fundamental((z0.x + sx, z0.y + sy)) for sx, sy in shifts}
-    assert len(pts) == 4
+    if len(pts) != 4:
+        raise InternalInconsistency(f"{len(pts)} fixed points of rho, not 4")
     return tuple(sorted(pts, key=lambda p: (p.x.as_fraction(), p.y.as_fraction())))
 
 

@@ -5,7 +5,9 @@ The certificate logic lives in the canonical line parameterization: with bases
 (beta, -alpha) the covering acts on the parameter as t -> a*t, so the return
 map of a period-p line is t -> a^p * t with fixed point 0 and a certified
 subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
-Transverse states are indexed out of ``line_orbit``'s single walk, and one
+The sphere certificate is the same one seen through rho, which acts on the
+parameter as t -> -t and only adds reflected comparisons and the quotient's
+return multiplier.  Transverse states are indexed out of ``line_orbit``'s single walk, and one
 exact sweep, ``first_overlap``, compares only iterates that share a state; it
 decides both the certificates and the integer-multiplier collision search, for
 both slope kinds: parameter intervals on an irrational-slope line, arcs of a
@@ -259,9 +261,8 @@ def lift_segments_intersect_torus(
 
 
 def reduce_mod1_float(p: Point) -> tuple[float, float]:
-    x = p[0].to_float() - p[0].floor()
-    y = p[1].to_float() - p[1].floor()
-    return (x, y)
+    """The point mod 1, reduced exactly and then rounded to floats."""
+    return tuple((c - c.floor()).to_float() for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +450,13 @@ def certify_interval(
     t_hi: QuadraticNumber,
     lam: int,
     both_sides: bool = False,
-) -> tuple[QuadraticNumber, QuadraticNumber, QuadraticNumber] | None:
+) -> tuple[QuadraticNumber, QuadraticNumber, QuadraticNumber]:
     """Largest-practical subinterval [u, v] of [t_lo, t_hi] with 0 outside and
     max(|u|,|v|) < ratio * min(|u|,|v|), with ratio from ``_return_ratio``.
 
     The supremum is an open condition, so the inner endpoint backs off from it
     by a 1/1024 notch.  Returns (u, v, slack) with slack = ratio*min/max > 1.
+    For t_lo < t_hi one side of 0 always yields an interval.
     """
     ratio = _return_ratio(lam, both_sides)
 
@@ -475,20 +477,14 @@ def certify_interval(
         return (u, hi)
 
     pos = one_side(t_lo if t_lo.sign() > 0 else qn(0), t_hi)
-    neg_m = one_side(-t_hi if t_hi.sign() < 0 else qn(0), -t_lo)
-    neg = (-neg_m[1], -neg_m[0]) if neg_m else None
-
-    def length(c):
-        return c[1] - c[0]
-
-    best = None
-    if pos and neg:
-        best = pos if (length(pos) - length(neg)).sign() >= 0 else neg
-    else:
-        best = pos or neg
-    if best is None:
-        return None
-    u, v = best
+    neg = one_side(-t_hi if t_hi.sign() < 0 else qn(0), -t_lo)
+    sides = [c for c in (pos, neg and (-neg[1], -neg[0])) if c]
+    if not sides:
+        raise InternalInconsistency(
+            f"no certified subinterval of [{t_lo.to_expr()}, {t_hi.to_expr()}]"
+        )
+    # the longer side; the positive one on a tie
+    u, v = max(sides, key=lambda c: c[1] - c[0])
     return (u, v, certified_slack(u, v, lam, both_sides))
 
 
@@ -572,21 +568,40 @@ def certify_wandering(
 
 
 def certify_classified(
-    tm: AffineTorusMap, seg: TorusSegment, verdict: LineOrbitClass, check_iterates: int
+    tm: AffineTorusMap,
+    seg: TorusSegment,
+    verdict: LineOrbitClass,
+    check_iterates: int,
+    rho: Callable[[TransverseState], TransverseState] | None = None,
+    returns: tuple[int, int, bool] | None = None,
 ) -> WanderingCertificate | NotWanderable:
-    """``certify_wandering`` for a line already classified as ``verdict``."""
+    """``certify_wandering`` for a line already classified as ``verdict``.
+
+    With ``rho``, the order-2 involution on transverse states, the certificate
+    is for the quotient (level "sphere"), and ``returns`` gives the quotient's
+    return map (period, multiplier, both_sides); without it the return map is
+    the line's (p, a^p, False).  A wandering line must then also keep its
+    states apart from their reflections, and a periodic line is swept against
+    the reflections to the dominance horizon: past the preperiod a pair
+    repeats one period later scaled by a^p, and pairs further apart than
+    ``dominance`` steps are separated by growth, so the sweep covers them all.
+    """
     if check_iterates < 0:
         raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
+    level = "torus" if rho is None else "sphere"
     if isinstance(verdict, WanderingLine):
         # transverse states never repeat; exact check over the budget
         states = orbit_states(tm, seg.line, check_iterates)
         if len(set(states)) != len(states):
             raise InternalInconsistency("a wandering line repeated a transverse state")
+        # a state rho fixes is a line through the grid
+        if rho is not None and not {rho(st) for st in states}.isdisjoint(states):
+            raise InternalInconsistency("rho collision on a wandering line")
         return WanderingCertificate(
             mode="whole-segment",
-            level="torus",
+            level=level,
             interval=(seg.t_lo, seg.t_hi),
             preperiod=0,
             period=0,
@@ -598,25 +613,27 @@ def certify_classified(
             line=seg.line,
         )
     a = tm.multiplier_int()
-    lam = a ** verdict.period
-    got = certify_interval(seg.t_lo, seg.t_hi, lam)
-    if got is None:
-        return NotWanderable("no-positive-length-subsegment")
-    u, v, slack = got
+    period, lam, both_sides = returns or (verdict.period, a**verdict.period, False)
+    u, v, slack = certify_interval(seg.t_lo, seg.t_hi, lam, both_sides)
     if lam < 0 and u.sign() * (u * lam).sign() != -1:
         # one period must carry the certified side across the fixed point,
         # which makes that single pair disjoint
         raise InternalInconsistency("negative return multiplier kept the certified side")
-    states = [verdict.state(i) for i in range(check_iterates + 1)]
-    pair = first_overlap(states, interval_chain(u, v, a, check_iterates), None)
+    horizon = check_iterates
+    if rho is not None:
+        dominance = math.ceil(math.log(max(2.0, abs(float(v / u)))) / math.log(abs(a))) + 2
+        horizon = max(check_iterates, verdict.preperiod + verdict.period + dominance)
+    states = [verdict.state(i) for i in range(horizon + 1)]
+    rho_states = None if rho is None else [rho(st) for st in states]
+    pair = first_overlap(states, interval_chain(u, v, a, horizon), rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
     return WanderingCertificate(
         mode="subsegment",
-        level="torus",
+        level=level,
         interval=(u, v),
         preperiod=verdict.preperiod,
-        period=verdict.period,
+        period=period,
         multiplier=lam,
         offset=qn(0),
         fixed_point=qn(0),

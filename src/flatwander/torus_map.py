@@ -51,7 +51,8 @@ def solve_lattice_multiplier(lat: Lattice, a: ComplexPair) -> tuple[int, int, in
     w2 = lat.omega.mul(lat.omega)
     res_re = w2.re * q + w_re * (p - s) - r
     res_im = w2.im * q + w_im * (p - s)
-    assert res_re.is_zero and res_im.is_zero, "lattice relation violated"
+    if not (res_re.is_zero and res_im.is_zero):
+        raise InternalInconsistency("lattice relation violated")
     return p, q, r, s
 
 
@@ -93,9 +94,10 @@ def torus_map_new(a: ComplexPair, b: ComplexPair, lat: Lattice) -> AffineTorusMa
     if degree < 2:
         raise DegreeTooLow(f"degree {degree} < 2")
     # degree equals |a|^2 for a genuine multiplication matrix
-    assert a.abs2() == degree
-    if a.is_real:
-        assert q == 0 and r == 0 and p == s
+    if a.abs2() != degree:
+        raise InternalInconsistency(f"degree {degree} is not |a|^2 = {a.abs2().to_expr()}")
+    if a.is_real and not (q == 0 and r == 0 and p == s):
+        raise InternalInconsistency(f"a real multiplier has the matrix {(p, q, r, s)}")
     b_coords = to_lattice_coords(b, lat)
     return AffineTorusMap(a, reduce_to_fundamental(b_coords), (p, q, r, s), degree, lat)
 
@@ -115,11 +117,10 @@ MultiplierClass = IntegerDerivative | NonRealMultiplier
 
 
 def classify_multiplier(tm: AffineTorusMap) -> MultiplierClass:
-    """IntegerDerivative iff Im(a) is exactly zero; otherwise the angle of a
-    with its sine exact-sign-checked nonzero."""
+    """IntegerDerivative iff Im(a) is exactly zero; otherwise the angle of a,
+    whose sine is then exactly nonzero."""
     if tm.a.is_real:
         return IntegerDerivative(tm.multiplier_int())
-    assert tm.a.im.sign() != 0
     theta = math.atan2(tm.a.im.to_float(), tm.a.re.to_float())
     return NonRealMultiplier(tm.a, theta)
 
@@ -164,7 +165,8 @@ def rotation_matrix(lat: Lattice, nu: int) -> tuple[int, int, int, int]:
             f"lattice omega={lat.omega.to_expr()} has no order-{nu} rotation"
         ) from exc
     p, q, r, s = m
-    assert p * s - q * r == 1
+    if p * s - q * r != 1:
+        raise InternalInconsistency(f"the order-{nu} rotation has determinant {p * s - q * r}")
     return m
 
 

@@ -460,3 +460,33 @@ def test_parser_built_once_per_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 2"
+
+
+@pytest.mark.parametrize("z0, code", [("1/3,1/5", 2), ("0,0", 0)])
+def test_group_mode_requires_descent(capsys, z0, code):
+    # z -> 2z does not descend through the order-4 quotient about (1/3, 1/5):
+    # certify-sphere refuses that model, and so does the group-mode search
+    got, data = _run(
+        capsys,
+        "find-collision",
+        "--a", "2", "--omega", "i", "--nu", "4", "--z0", z0,
+        "--seg", "0,1/7,s:sqrt(2),1/18",
+    )
+    assert got == code
+    if code:
+        assert data["error"] == "not-lattes-compatible"
+    else:
+        assert data["verdict"] == "collision"
+
+
+def test_acceptance_passes_under_optimize():
+    # verdicts must not rest on assert statements
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

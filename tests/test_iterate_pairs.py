@@ -388,9 +388,33 @@ from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
 )
-from flatwander.torus_map import AffineTorusMap, kernel, torus_map_new
+from flatwander import lattice as lattice_mod, torus_map as torus_map_mod
+from flatwander.numbers import ComplexPair
+from flatwander.torus_map import (
+    AffineTorusMap, kernel, rotation_matrix, solve_lattice_multiplier, torus_map_new,
+)
 
 assert not __debug__
+
+
+def patched(module, name, value, call):
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        return call()
+    finally:
+        setattr(module, name, old)
+
+
+class Skewed(ComplexPair):
+    # a lattice generator whose square comes out one too large
+    __slots__ = ()
+
+    def mul(self, other):
+        re, im = ComplexPair.mul(self, other)
+        return ComplexPair(re + 1, im)
+
+
 lat = Lattice(parse_complex("i"))
 tm = torus_map_new(parse_complex("2"), parse_complex("0"), lat)
 model = lattes_model_new(lat, tm, 2, point(0, 0))
@@ -415,6 +439,34 @@ checks = {
     ),
     # a degree that is not the determinant of the matrix
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
+    # rho's image of the cycle is not an index shift of it
+    "shift": lambda: rho_pairing(
+        model, ((qn(1) / 3, qn(0)), (qn(2) / 3, qn(0)), (qn(1) / 2, qn(0)))
+    ),
+    # omega^2 computed inconsistently with a*omega
+    "relation": lambda: solve_lattice_multiplier(
+        Lattice(Skewed(*parse_complex("i"))), parse_complex("1+1i")
+    ),
+    # a matrix whose determinant is not |a|^2
+    "degree": lambda: patched(
+        torus_map_mod, "solve_lattice_multiplier", lambda lat, a: (2, 0, 0, 3),
+        lambda: torus_map_new(parse_complex("2"), parse_complex("0"), lat),
+    ),
+    # a real multiplier whose matrix is not scalar
+    "scalar": lambda: patched(
+        torus_map_mod, "solve_lattice_multiplier", lambda lat, a: (2, 1, 0, 2),
+        lambda: torus_map_new(parse_complex("2"), parse_complex("0"), lat),
+    ),
+    # a rotation that is not unimodular
+    "rotation": lambda: patched(
+        torus_map_mod, "solve_lattice_multiplier", lambda lat, a: (2, 0, 0, 1),
+        lambda: rotation_matrix(lat, 4),
+    ),
+    # a reduction that merges the four fixed points of rho
+    "grid": lambda: patched(
+        lattice_mod, "reduce_to_fundamental", lambda p: model.z0,
+        lambda: lattice_mod.half_lattice_q(lat),
+    ),
 }
 out = {}
 for name, check in checks.items():
@@ -445,4 +497,10 @@ def test_cross_checks_raise_under_optimize():
         "bezout": ["InternalInconsistency", "no Bezout pair for the direction (2, 4)"],
         "commute": ["InternalInconsistency", "the covering does not commute with the rotation"],
         "kernel": ["InternalInconsistency", "the kernel has 9 points, not the degree 3"],
+        "shift": ["InternalInconsistency", "rho image of the cycle is not an index shift"],
+        "relation": ["InternalInconsistency", "lattice relation violated"],
+        "degree": ["InternalInconsistency", "degree 6 is not |a|^2 = 4"],
+        "scalar": ["InternalInconsistency", "a real multiplier has the matrix (2, 1, 0, 2)"],
+        "rotation": ["InternalInconsistency", "the order-4 rotation has determinant 2"],
+        "grid": ["InternalInconsistency", "1 fixed points of rho, not 4"],
     }

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from flatwander.errors import NearPole, NotLattesCompatible, WrongLatticeForGroup
+from flatwander.errors import (
+    InternalInconsistency,
+    NearPole,
+    NotLattesCompatible,
+    WrongLatticeForGroup,
+)
 from flatwander.lattice import Lattice, embed, point
 from flatwander.lattes import (
     ClosedCurveImage,
@@ -20,6 +25,7 @@ from flatwander.lattes import (
     quotient_map,
     rho_pairing,
     rho_segment,
+    rho_transverse,
     theta_line_type,
     verify_semiconjugacy,
     verify_sphere_disjoint_iterates,
@@ -33,12 +39,14 @@ from flatwander.line_orbit import (
     TorusLine,
     classify_line,
     line_from_point,
+    passes_through_q,
     slope_spec,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
     WanderingCertificate,
+    certify_classified,
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
@@ -202,6 +210,48 @@ def test_certify_sphere_self_paired_negative_multiplier():
     sub = segment_new(seg.line, u, v)
     ok, pair = verify_sphere_disjoint_iterates(model, sub, 12)
     assert ok, f"iterates {pair} meet"
+
+
+@pytest.mark.parametrize(
+    "z0, b",
+    [
+        (ORIGIN, "0"),
+        (point(Fraction(1, 2), 0), "1/2"),
+        (point(Fraction(1, 4), Fraction(1, 3)), "-1/4-1/3i"),
+        (point(Fraction(5, 6), Fraction(7, 12)), "-5/6-7/12i"),
+    ],
+)
+def test_a_line_meets_the_grid_iff_rho_fixes_its_state(z0, b):
+    # so the rho check on a wandering line's states also keeps it off the grid
+    model = _model(b=b, z0=z0)
+    rng = random.Random(20)
+    states = [(qn(Fraction(i, 12)), qn(Fraction(j, 12))) for i in range(12) for j in range(12)]
+    for d in rng.choices(range(1, 31), k=200):
+        states.append((qn(Fraction(rng.randrange(d), d)), qn(Fraction(rng.randrange(d), d))))
+    on_grid = 0
+    for st in states:
+        hit = passes_through_q(TorusLine(SQRT2, *st), model.q_grid()) is not None
+        assert hit == (rho_transverse(model, st) == st), st
+        on_grid += hit
+    assert on_grid >= 4
+
+
+def test_a_wrong_sphere_return_map_is_caught_by_the_sweep():
+    model = _model(a="-2")
+    seg = segment_new(_line(0, 0), qn(Fraction(1, 100)), qn(Fraction(1, 2)))
+    verdict = classify_line(model.map, seg.line)
+    assert rho_pairing(model, verdict.cycle) == SelfPaired(1)
+
+    def rho(st):
+        return rho_transverse(model, st)
+
+    # a self-paired line must avoid both sides of the fixed point: ratio 2, not 4
+    with pytest.raises(InternalInconsistency, match="certified iterates 0, 1 overlap"):
+        certify_classified(model.map, seg, verdict, 12, rho, (1, -2, False))
+    got = certify_classified(model.map, seg, verdict, 12, rho, (1, -2, True))
+    assert got.level == "sphere" and got.multiplier == -2
+    torus = certify_classified(model.map, seg, verdict, 12)
+    assert torus.level == "torus" and torus.multiplier == -2
 
 
 def test_certify_sphere_not_flexible_group_witness():
