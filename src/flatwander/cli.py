@@ -1,7 +1,8 @@
 """Command-line front end: JSON verdicts, certificate archival and SVG plots.
 
 Exit codes: 0 definite verdict (including not-wanderable and
-no-collision-within-budget), 2 input errors, 3 budget or tolerance failures.
+no-collision-within-budget), 2 input errors, 3 budget or tolerance failures,
+4 internal inconsistency (a certificate's own cross-check failed: a bug).
 Identical inputs produce byte-identical JSON and SVG.
 """
 
@@ -17,6 +18,7 @@ import sys
 from .errors import (
     BudgetExceeded,
     FlatwanderError,
+    InternalInconsistency,
     IoError,
     ResidualExceedsTol,
     UncertainAtTolerance,
@@ -570,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})
         return 3
+    except InternalInconsistency as exc:
+        _emit({"error": exc.code, "message": str(exc)})
+        return 4
     except FlatwanderError as exc:
         _emit({"error": exc.code, "message": str(exc)})
         return 2

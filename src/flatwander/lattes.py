@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     BudgetExceeded,
@@ -262,7 +262,9 @@ def certify_sphere_wandering(
     torus certifier with rho and the sphere's return map: -a^{p/2} when rho
     pairs the cycle, a^p with both sides of the fixed point avoided when it
     fixes every line of it, a^p otherwise.  The brute-force oracle then
-    replays the certified segment on the quotient.
+    replays the certified segment on the quotient, to ``check_iterates``
+    iterates, or at most 6 for a whole segment; the certificate's
+    ``checked_iterates`` is the count it replayed.
     """
     tm = model.map
     if not model.flexible:
@@ -293,7 +295,7 @@ def certify_sphere_wandering(
     ok, pair = verify_sphere_disjoint_iterates(model, segment_new(seg.line, *cert.interval), k)
     if not ok:
         raise InternalInconsistency(f"sphere iterates {pair} intersect")
-    return cert
+    return replace(cert, checked_iterates=k)
 
 
 # ---------------------------------------------------------------------------

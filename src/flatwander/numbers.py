@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import total_ordering
@@ -62,6 +63,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 Scalar = Union["QuadraticNumber", int, Fraction]
 
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
 
 @total_ordering
 class QuadraticNumber:
@@ -100,6 +104,21 @@ class QuadraticNumber:
         raise AttributeError("QuadraticNumber is immutable")
 
     @classmethod
+    def _canon(cls, u: int, v: int, w: int, d: int) -> QuadraticNumber:
+        """Trusted constructor for results of arithmetic on canonical values:
+        ``d`` is square-free or 0 and ``w > 0``.  Reduces by gcd(u, v, w) and
+        drops ``d`` when ``v == 0``; nothing else."""
+        g = math.gcd(u, v, w)
+        if g > 1:
+            u, v, w = u // g, v // g, w // g
+        x = object.__new__(cls)
+        _set_u(x, u)
+        _set_v(x, v)
+        _set_w(x, w)
+        _set_d(x, d if v else 0)
+        return x
+
+    @classmethod
     def rational(cls, num: int, den: int = 1) -> QuadraticNumber:
         return cls(num, 0, den)
 
@@ -113,9 +132,9 @@ class QuadraticNumber:
         if isinstance(x, QuadraticNumber):
             return x
         if isinstance(x, int):
-            return QuadraticNumber(x)
+            return QuadraticNumber._canon(x, 0, 1, 0)
         if isinstance(x, Fraction):
-            return QuadraticNumber(x.numerator, 0, x.denominator)
+            return QuadraticNumber._canon(x.numerator, 0, x.denominator, 0)
         return NotImplemented  # type: ignore[return-value]
 
     @property
@@ -141,44 +160,55 @@ class QuadraticNumber:
         return self.u
 
     def _common_d(self, other: QuadraticNumber) -> int:
-        a = self.d if self.v != 0 else 0
-        b = other.d if other.v != 0 else 0
+        # canonical values carry d == 0 exactly when they are rational
+        a, b = self.d, other.d
         if a and b and a != b:
             raise MixedRadicals(f"sqrt({a}) and sqrt({b}) in one scalar")
         return a or b
 
     def __add__(self, other: Scalar) -> QuadraticNumber:
+        if isinstance(other, int):
+            return QuadraticNumber._canon(self.u + other * self.w, self.v, self.w, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self._common_d(o)
-        return QuadraticNumber(
+        return QuadraticNumber._canon(
             self.u * o.w + o.u * self.w,
             self.v * o.w + o.v * self.w,
             self.w * o.w,
-            d,
+            self._common_d(o),
         )
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> QuadraticNumber:
+        if isinstance(other, int):
+            return QuadraticNumber._canon(self.u - other * self.w, self.v, self.w, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return QuadraticNumber._canon(
+            self.u * o.w - o.u * self.w,
+            self.v * o.w - o.v * self.w,
+            self.w * o.w,
+            self._common_d(o),
+        )
 
     def __rsub__(self, other: Scalar) -> QuadraticNumber:
         return (-self) + other
 
     def __neg__(self) -> QuadraticNumber:
-        return QuadraticNumber(-self.u, -self.v, self.w, self.d)
+        return QuadraticNumber._canon(-self.u, -self.v, self.w, self.d)
 
     def __mul__(self, other: Scalar) -> QuadraticNumber:
+        if isinstance(other, int):
+            # _canon then divides out gcd(k*u, k*v, w) = gcd(k, w)
+            return QuadraticNumber._canon(self.u * other, self.v * other, self.w, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         d = self._common_d(o)
-        return QuadraticNumber(
+        return QuadraticNumber._canon(
             self.u * o.u + self.v * o.v * d,
             self.u * o.v + self.v * o.u,
             self.w * o.w,
@@ -252,36 +282,39 @@ class QuadraticNumber:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(Fraction(self.u, self.w))
-        return hash((self.u, self.v, self.w, self.d))
+        if self.v:
+            return hash((self.u, self.v, self.w, self.d))
+        # hash(Fraction(u, w)) without building it (the numeric hash rule)
+        u, w = self.u, self.w
+        if w == 1:
+            return hash(u)
+        try:
+            h = hash(hash(abs(u)) * pow(w, -1, _HASH_MODULUS))
+        except ValueError:  # w is a multiple of the modulus
+            h = _HASH_INF
+        h = h if u >= 0 else -h
+        return -2 if h == -1 else h
 
     def floor(self) -> int:
-        """Exact floor via integer square roots plus sign fix-up."""
-        u, v, w, d = self.u, self.v, self.w, self.d
+        """Exact floor from one integer square root: floor((u + y)/w) =
+        (u + floor(y)) // w for w > 0, and v^2*d is never a square for a
+        square-free d > 1, so floor(v*sqrt(d)) is isqrt(v^2*d) for v > 0
+        and -isqrt(v^2*d) - 1 for v < 0."""
+        u, v, w = self.u, self.v, self.w
         if v == 0:
             return u // w
-        t = v * v * d
-        r = math.isqrt(t)
-        if v > 0:
-            num = u + r
-        else:
-            num = u - r - (0 if r * r == t else 1)
-        n = num // w
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        r = math.isqrt(v * v * self.d)
+        return (u + r) // w if v > 0 else (u - r - 1) // w
 
     def mod1(self) -> QuadraticNumber:
         """x - floor(x), exactly in [0, 1)."""
         return self - self.floor()
 
     def to_float(self) -> float:
-        x = float(Fraction(self.u, self.w))
+        # int / int is correctly rounded, as float(Fraction(u, w)) is
+        x = self.u / self.w
         if self.v:
-            x += float(Fraction(self.v, self.w)) * math.sqrt(self.d)
+            x += self.v / self.w * math.sqrt(self.d)
         return _jittered(x)
 
     def __float__(self) -> float:
@@ -314,6 +347,11 @@ class QuadraticNumber:
     def __str__(self) -> str:
         return self.to_expr()
 
+
+# the slots' own setters, which the immutable __setattr__ does not guard
+_set_u, _set_v, _set_w, _set_d = (
+    getattr(QuadraticNumber, slot).__set__ for slot in QuadraticNumber.__slots__
+)
 
 ZERO = QuadraticNumber(0)
 ONE = QuadraticNumber(1)
@@ -430,6 +468,22 @@ class BiQuadratic:
         raise AttributeError("BiQuadratic is immutable")
 
     @classmethod
+    def _canon(cls, p: QuadraticNumber, q: QuadraticNumber, e: int) -> BiQuadratic:
+        """Trusted constructor for sums, products and integer multiples within
+        one tower over the square-free ``e``.  A result that may fold (q == 0,
+        or both parts rational) takes the full constructor, as does one whose
+        parts leave the tower."""
+        dp, dq = p.d, q.d
+        folds = q.v == 0 and (q.u == 0 or dp == 0)
+        if folds or (dp and dq and dp != dq) or (dp or dq) >= e:
+            return cls(p, q, e)
+        x = object.__new__(cls)
+        _set_p(x, p)
+        _set_q(x, q)
+        _set_e(x, e)
+        return x
+
+    @classmethod
     def lift(cls, x: Scalar) -> BiQuadratic:
         return cls(qn(x))
 
@@ -474,12 +528,12 @@ class BiQuadratic:
         e = self._common_e(o)
         sp, sq = self._parts(e)
         op, oq = o._parts(e)
-        return BiQuadratic(sp + op, sq + oq, e)
+        return BiQuadratic._canon(sp + op, sq + oq, e)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiQuadratic:
-        return BiQuadratic(-self.p, -self.q, self.e)
+        return BiQuadratic._canon(-self.p, -self.q, self.e)
 
     def __sub__(self, other: object) -> BiQuadratic:
         o = self._coerce(other)
@@ -491,13 +545,15 @@ class BiQuadratic:
         return (-self) + other
 
     def __mul__(self, other: object) -> BiQuadratic:
+        if isinstance(other, int):
+            return BiQuadratic._canon(self.p * other, self.q * other, self.e)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         e = self._common_e(o)
         sp, sq = self._parts(e)
         op, oq = o._parts(e)
-        return BiQuadratic(
+        return BiQuadratic._canon(
             sp * op + sq * oq * e,
             sp * oq + sq * op,
             e,
@@ -593,6 +649,9 @@ class BiQuadratic:
         if self.q.is_zero:
             return f"BiQuadratic({self.p.to_expr()!r})"
         return f"BiQuadratic({self.p.to_expr()!r} + ({self.q.to_expr()})*sqrt({self.e}))"
+
+
+_set_p, _set_q, _set_e = (getattr(BiQuadratic, slot).__set__ for slot in BiQuadratic.__slots__)
 
 
 # ---------------------------------------------------------------------------

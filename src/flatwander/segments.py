@@ -50,7 +50,7 @@ from .line_orbit import (
     line_image,
     orbit_states,
 )
-from .numbers import BiQuadratic, QuadraticNumber, qn
+from .numbers import HALF, BiQuadratic, QuadraticNumber, qn
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -151,8 +151,7 @@ class LiftSegment:
     p1: Point
 
     def midpoint(self) -> Point:
-        half = qn(Fraction(1, 2))
-        return ((self.p0[0] + self.p1[0]) * half, (self.p0[1] + self.p1[1]) * half)
+        return ((self.p0[0] + self.p1[0]) * HALF, (self.p0[1] + self.p1[1]) * HALF)
 
     def translate(self, n: int, m: int) -> LiftSegment:
         return LiftSegment(
@@ -175,22 +174,21 @@ class LiftSegment:
 
         return LiftSegment(f(self.p0), f(self.p1))
 
-    def box(self) -> tuple[float, float, float, float]:
-        xs = (self.p0[0].to_float(), self.p1[0].to_float())
-        ys = (self.p0[1].to_float(), self.p1[1].to_float())
-        return (min(xs), max(xs), min(ys), max(ys))
-
-    def euclidean_length(self, lat: Lattice) -> float:
-        w = lat.omega_complex()
-        dx = self.p1[0].to_float() - self.p0[0].to_float()
-        dy = self.p1[1].to_float() - self.p0[1].to_float()
-        return abs(dx + dy * w)
-
-    def float_endpoints(self):
+    @cached_property
+    def float_endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The endpoints as floats, converted once per segment."""
         return (
             (self.p0[0].to_float(), self.p0[1].to_float()),
             (self.p1[0].to_float(), self.p1[1].to_float()),
         )
+
+    def box(self) -> tuple[float, float, float, float]:
+        (x0, y0), (x1, y1) = self.float_endpoints
+        return (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+
+    def euclidean_length(self, lat: Lattice) -> float:
+        (x0, y0), (x1, y1) = self.float_endpoints
+        return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
 
 
 @dataclass(frozen=True)
@@ -222,8 +220,8 @@ def lift_segments_intersect_torus(
     count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
     if count > _TRANSLATE_CAP:
         raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
-    f1 = s1.float_endpoints()
-    f2 = s2.float_endpoints()
+    f1 = s1.float_endpoints
+    f2 = s2.float_endpoints
     unresolved = 0
     for n in range(n_lo, n_hi + 1):
         for m in range(m_lo, m_hi + 1):
@@ -728,15 +726,20 @@ def _rho_affine(
     return rk, (sx, sy)
 
 
+def _lift_step(tm: AffineTorusMap, lift: LiftSegment) -> LiftSegment:
+    """The lift of the next iterate: the covering's affine image of ``lift``,
+    midpoint-normalized into the fundamental cell."""
+    return lift.affine_image(tm.m, (tm.b.x, tm.b.y)).normalize()
+
+
 def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
     """Lifts of iterates 0..n of the segment under the covering, each
     midpoint-normalized into the fundamental cell; works for any multiplier."""
     if n < 0:
         raise UsageError(f"iterate count must be >= 0, got {n}")
-    shift = (tm.b.x, tm.b.y)
     chain = [seg.lift]
     for _ in range(n):
-        chain.append(chain[-1].affine_image(tm.m, shift).normalize())
+        chain.append(_lift_step(tm, chain[-1]))
     return chain
 
 
@@ -796,7 +799,9 @@ def find_collision(
                 witness = _arc_witness(seg.line.slope, states[m][0], intervals[n], intervals[m])
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
-    chain = lift_chain(tm, seg, budget)
+    # iterate m is built when the search reaches it, so a first hit at m
+    # costs m lift steps, not budget
+    chain = [seg.lift]
     rotated: dict[tuple[int, int], LiftSegment] = {}
 
     def rot(n: int, k: int) -> LiftSegment:
@@ -809,6 +814,7 @@ def find_collision(
         return rotated[key]
 
     for m in range(1, budget + 1):
+        chain.append(_lift_step(tm, chain[-1]))
         for n in range(m):
             for k in range(nu if group else 1):
                 res = lift_segments_intersect_torus(lat, chain[m], rot(n, k))

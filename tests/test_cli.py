@@ -490,3 +490,60 @@ def test_acceptance_passes_under_optimize():
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_THREE_RADICANDS = ("find-collision", "--a", "1+1i", "--omega", "i",
+                    "--seg", "sqrt(2)/3,1/5,s:sqrt(3),1/10")
+
+
+def test_three_radicands_are_refused(capsys):
+    # the anchor's sqrt(2), the slope's sqrt(3) and b's sqrt(5) would need a
+    # third radicand in one lift coordinate, which no scalar here holds
+    code, data = _run(capsys, *_THREE_RADICANDS, "--b", "sqrt(5)/7")
+    assert code == 2
+    assert data == {"error": "mixed-radicals", "message": "sqrt(2) and sqrt(5) in one scalar"}
+
+
+def test_two_radicands_collide_in_their_tower(capsys):
+    # the same segment under b = 0 stays in the tower Q(sqrt(2))(sqrt(3)); the
+    # witness floats pin the exact floor and float conversion of its lifts
+    code, data = _run(capsys, *_THREE_RADICANDS)
+    assert code == 0
+    assert data == {
+        "bound_used": 5.656854249492381,
+        "budget": 12,
+        "exact": True,
+        "k": 0,
+        "m": 5,
+        "n": 3,
+        "verdict": "collision",
+        "witness": [0.15703390635493814, 0.4087923633930519],
+    }
+
+
+@pytest.mark.parametrize(
+    "seg, check, replayed",
+    [
+        ("0,sqrt(3)-1,s:sqrt(2),1/10", None, 6),  # whole segment: at most 6
+        ("0,sqrt(3)-1,s:sqrt(2),1/10", "4", 4),
+        ("0,1/5,s:sqrt(2),1/10", None, 12),  # subsegment: every checked iterate
+    ],
+)
+def test_sphere_certificate_reports_the_iterates_its_oracle_replayed(
+    capsys, monkeypatch, seg, check, replayed
+):
+    from flatwander import lattes
+
+    seen = []
+    oracle = lattes.verify_sphere_disjoint_iterates
+
+    def spy(model, sub, k):
+        seen.append(k)
+        return oracle(model, sub, k)
+
+    monkeypatch.setattr(lattes, "verify_sphere_disjoint_iterates", spy)
+    argv = ["certify-sphere", "--a", "2", "--b", "0", "--omega", "i", "--nu", "2",
+            "--z0", "0,0", "--seg", seg]
+    code, data = _run(capsys, *argv, *(["--check-iterates", check] if check else []))
+    assert code == 0 and data["verdict"] == "wandering"
+    assert seen == [replayed] and data["checked_iterates"] == replayed

@@ -5,6 +5,7 @@ transverse pairs in the slope's field against the lift search, rational
 directions decided on their loops with no lifts, and the typed cross-checks
 under ``python -O``."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from flatwander import lattes, line_orbit, segments
-from flatwander.cli import main
+from flatwander.cli import _parse_segment, main
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_segment, verify_sphere_disjoint_iterates
 from flatwander.errors import FieldClash
@@ -327,6 +328,7 @@ def _refuse_lifts(monkeypatch):
 
     monkeypatch.setattr(segments, "lift_segments_intersect_torus", refuse)
     monkeypatch.setattr(segments, "lift_chain", refuse)
+    monkeypatch.setattr(segments, "_lift_step", refuse)
 
 
 @pytest.mark.parametrize("budget", [12, 40])
@@ -355,20 +357,56 @@ def test_mixed_radicals_on_a_rational_direction_fall_back_to_the_lift_chain(
     capsys, monkeypatch
 ):
     # the anchor in sqrt(2) and b in sqrt(3) share no field for the loop
-    # sweep, but the lift chain's two-radicand tower holds them
-    calls = []
-    orig = segments.lift_chain
-
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
-
-    monkeypatch.setattr(segments, "lift_chain", counted)
+    # sweep, but the lift chain's two-radicand tower holds them: the miss
+    # builds all 3 lift steps and tests all 6 pairs (n, m), n < m <= 3
+    steps, pairs = _count_lift_work(monkeypatch)
     code, data = _cli(capsys, "find-collision", "--a", "2", "--b", "sqrt(3)/5", "--omega", "i",
                       "--seg", "sqrt(2)/3,1/5,h,1/10", "--budget", "3")
     assert code == 0
     assert data == {"verdict": "no-collision-within-budget", "budget": 3, "group_order": 1}
-    assert len(calls) == 1
+    assert (len(steps), len(pairs)) == (3, 6)
+
+
+def _count_lift_work(monkeypatch):
+    """Record every lift-chain step and every lift-pair test from here on."""
+    steps, pairs = [], []
+
+    def spy(fn, calls):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(segments, "_lift_step", spy(segments._lift_step, steps))
+    monkeypatch.setattr(
+        segments, "lift_segments_intersect_torus", spy(segments.lift_segments_intersect_torus, pairs)
+    )
+    return steps, pairs
+
+
+@pytest.mark.parametrize(
+    "a, group, argv_seg",
+    [
+        ("1+1i", None, "0.1,0.2,h,0.05"),
+        ("2+1i", None, "1/3,1/7,s:sqrt(2),1/40"),
+        ("2", (4, (0, 0)), "0,1/7,s:sqrt(2),1/18"),
+        ("2", (3, (0, 0)), "1/5,1/9,v,1/30"),
+    ],
+)
+def test_a_first_hit_at_m_takes_m_lift_steps(monkeypatch, a, group, argv_seg):
+    # the search builds iterate m only when it reaches m, so a budget far
+    # past the hit costs nothing
+    omega = "1/2+sqrt(3)/2i" if group and group[0] == 3 else "i"
+    tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
+    seg = _parse_segment(argv_seg)
+    grp = None if group is None else (group[0], point(*group[1]))
+    steps, _ = _count_lift_work(monkeypatch)
+    got = find_collision(tm, seg, group=grp, budget=30)
+    assert isinstance(got, CollisionCertificate) and got.m < 30
+    assert len(steps) == got.m
+    monkeypatch.undo()
+    assert got == dataclasses.replace(find_collision(tm, seg, group=grp, budget=got.m), budget=30)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwander.errors import MixedRadicals, ParseError
 from flatwander.numbers import (
@@ -235,3 +237,176 @@ def test_float_jitter_alters_floats_only():
         assert x.to_float() != base
         assert x.sign() == 1
         assert x.mod1() == x  # in [0,1): (1+sqrt2)/3 ~ 0.80
+
+
+# ---------------------------------------------------------------------------
+# the trusted constructors against the validating one
+# ---------------------------------------------------------------------------
+
+_RADICANDS = (2, 3, 1000003)
+
+
+def _beyond_doubles(lo: int, hi: int):
+    """Integers a*2^64 + b with a in [lo, hi] and 64 random low bits b: past
+    2^53 with low bits set, where a float conversion that is not correctly
+    rounded shows."""
+    return st.builds(lambda a, b: a * 2**64 + b, st.integers(lo, hi), st.integers(0, 2**64 - 1))
+
+
+_ints = st.one_of(st.integers(-(10**12), 10**12), _beyond_doubles(-(2**40), 2**40))
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _canonical(draw, d=None):
+    """A canonical value through the public constructor: an integer, a
+    rational or an element of Q(sqrt(d))."""
+    d = draw(st.sampled_from(_RADICANDS)) if d is None else d
+    kind = draw(st.sampled_from(("int", "rational", "quadratic", "quadratic")))
+    u = draw(_ints)
+    if kind == "int":
+        return Q(u)
+    w = draw(st.one_of(st.integers(1, 10**9), _beyond_doubles(1, 2**30)))
+    v = draw(_ints) if kind == "quadratic" else 0
+    return Q(u, v, w, d)
+
+
+@st.composite
+def _pair(draw):
+    d = draw(st.sampled_from(_RADICANDS))
+    return draw(_canonical(d)), draw(_canonical(d))
+
+
+def _parts(x):
+    """x = a + b*sqrt(d) with a, b rational."""
+    return Fraction(x.u, x.w), Fraction(x.v, x.w)
+
+
+def _rebuilt(a, b, d):
+    """a + b*sqrt(d) through the validating constructor."""
+    w = a.denominator * b.denominator
+    return Q(int(a * w), int(b * w), w, d)
+
+
+def _fields(x):
+    return (x.u, x.v, x.w, x.d)
+
+
+def _floor_by_search(x):
+    """The largest n with x - n >= 0, by bisection on exact signs."""
+    bound = (abs(x.u) + abs(x.v) * (math.isqrt(x.d) + 1)) // x.w + 1
+    lo, hi = -bound, bound  # x - lo >= 0 > x - hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (x - mid).sign() >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair(), st.integers(-(10**6), 10**6))
+def test_trusted_arithmetic_equals_the_validating_constructor(pair, k):
+    x, y = pair
+    d = x.d or y.d
+    (xa, xb), (ya, yb) = _parts(x), _parts(y)
+    want = {
+        "add": _rebuilt(xa + ya, xb + yb, d),
+        "sub": _rebuilt(xa - ya, xb - yb, d),
+        "mul": _rebuilt(xa * ya + xb * yb * d, xa * yb + xb * ya, d),
+        "neg": _rebuilt(-xa, -xb, d),
+        "add_int": _rebuilt(xa + k, xb, d),
+        "sub_int": _rebuilt(xa - k, xb, d),
+        "rsub_int": _rebuilt(k - xa, -xb, d),
+        "mul_int": _rebuilt(xa * k, xb * k, d),
+        "mul_fraction": _rebuilt(xa * Fraction(k, 7), xb * Fraction(k, 7), d),
+        "mod1": _rebuilt(xa - _floor_by_search(x), xb, d),
+    }
+    got = {
+        "add": x + y,
+        "sub": x - y,
+        "mul": x * y,
+        "neg": -x,
+        "add_int": x + k,
+        "sub_int": x - k,
+        "rsub_int": k - x,
+        "mul_int": k * x,
+        "mul_fraction": x * Fraction(k, 7),
+        "mod1": x.mod1(),
+    }
+    assert {op: _fields(v) for op, v in got.items()} == {op: _fields(v) for op, v in want.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_canonical())
+def test_floor_hash_and_float_match_their_references(x):
+    assert x.floor() == _floor_by_search(x)
+    a, b = _parts(x)
+    want = float(a) + (float(b) * math.sqrt(x.d) if x.v else 0.0)
+    assert x.to_float().hex() == want.hex()
+    if x.is_rational:
+        assert hash(x) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(0, 1), (-1, 1), (1, 2), (-1, 2), (7, 2**61 - 1), (-7, 2 * (2**61 - 1)), (-(10**40), 3)],
+)
+def test_rational_hash_is_the_fraction_hash(num, den):
+    # a denominator that is a multiple of the hash modulus hashes as infinity
+    assert hash(Q(num, 0, den)) == hash(Fraction(num, den))
+
+
+@st.composite
+def _tower(draw, e):
+    d = draw(st.sampled_from((2, 3)))
+    p = Q(draw(_small), draw(_small), draw(st.integers(1, 3)), d)
+    q = Q(draw(_small), draw(_small), draw(st.integers(1, 3)), d)
+    return BiQuadratic(p, q, e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((5, 7, 1000003)), _small)
+def test_tower_arithmetic_equals_the_validating_constructor(data, e, k):
+    # small coefficients make results that fold (q == 0, or both parts
+    # rational) and operand pairs with different inner radicands
+    x, y = data.draw(_tower(e)), data.draw(_tower(e))
+    try:
+        # the operands' common tower (a folded operand may join one) and
+        # their parts in it, as the arithmetic defines them
+        ee = x._common_e(y)
+        (xp, xq), (yp, yq) = x._parts(ee), y._parts(ee)
+        want = {
+            "add": BiQuadratic(xp + yp, xq + yq, ee),
+            "sub": BiQuadratic(xp - yp, xq - yq, ee),
+            "mul": BiQuadratic(xp * yp + xq * yq * ee, xp * yq + xq * yp, ee),
+        }
+    except MixedRadicals:
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(MixedRadicals):
+                op()
+        return
+    want |= {
+        "neg": BiQuadratic(-x.p, -x.q, x.e),
+        "scale": BiQuadratic(x.p * k, x.q * k, x.e),
+        "shift": BiQuadratic(x.p + k, x.q, x.e),
+    }
+    got = {"add": x + y, "sub": x - y, "mul": x * y, "neg": -x, "scale": x * k, "shift": x + k}
+    assert {op: (v.p, v.q, v.e) for op, v in got.items()} == {
+        op: (v.p, v.q, v.e) for op, v in want.items()
+    }
+
+
+def test_mixed_radicals_still_raise():
+    r2, r3, r5 = Q.sqrt_int(2), Q.sqrt_int(3), Q.sqrt_int(5)
+    for op in (lambda: r2 + r5, lambda: r2 - r5, lambda: r2 * r5, lambda: r5 + r2 * 3):
+        with pytest.raises(MixedRadicals):
+            op()
+    # within one tower: inner radicands that differ, and outer ones that do
+    with pytest.raises(MixedRadicals):
+        BiQuadratic(r2, qn(1), 5) + BiQuadratic(qn(0), r3, 5)
+    with pytest.raises(MixedRadicals):
+        BiQuadratic(r2, qn(1), 5) * BiQuadratic(r2, qn(1), 7)
+    with pytest.raises(MixedRadicals):
+        BiQuadratic(r2, qn(1), 5) + r3

@@ -270,7 +270,7 @@ def test_overlap_raises_under_optimize():
         cwd=ROOT,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {
         "error": "internal-inconsistency",
         "message": "certified iterates 0, 4 overlap",
