@@ -196,13 +196,7 @@ def _parse_segment(text: str) -> TorusSegment:
         spec = _parse_slope(mode[2:])
     else:
         raise UsageError(f"unknown direction mode {mode!r}")
-    line = line_from_point(spec, (ax, ay))
-    if isinstance(spec, IrrationalSlope):
-        # the anchor's canonical parameter is its integer x-offset from beta
-        t0 = ax - line.beta
-    else:
-        t0 = qn(0)
-    return segment_new(line, t0, t0 + length)
+    return segment_new(line_from_point(spec, (ax, ay)), qn(0), length)
 
 
 def _build_map(args) -> AffineTorusMap:

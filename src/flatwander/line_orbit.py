@@ -1,34 +1,67 @@
 """Flat lines mod the lattice and the classification of their orbits.
 
-An irrational-slope line is identified by its transverse pair (alpha, beta)
-mod Z^2: the functional slope*x - y is constant on the line and decomposes
-uniquely as alpha + beta*slope when the transverse field does not contain the
-slope radicand.  Line equality and grid membership are then exact integer
-decisions.  Rational directions close up into Jordan curves and carry a
-one-dimensional invariant instead.  A transverse orbit is walked in one place,
-``_walk``; every consumer indexes its states instead of re-applying
-``line_image``.  Under an integer multiplier that walk serves rational
-directions too: their iterates are closed loops parallel to the seed, and the
-state is the anchor in the seed's loop frame (``RationalDirection.loop_coords``).
+Both slope kinds share one representation: an integer frame matrix F of
+determinant 1 per slope, and a line stored as its base point's state
+F*(x, y) mod 1.  An irrational slope's frame (x, y) -> (-y, x) gives the
+transverse pair (alpha, beta): the functional slope*x - y is constant on the
+line and decomposes uniquely as alpha + beta*slope when the transverse field
+does not contain the slope radicand, so line equality and grid membership are
+exact decisions.  A rational direction (m, k) closes up into a Jordan curve;
+its frame (x, y) -> (k*x - m*y, u*x + v*y), u*m + v*k = 1, gives the loop's
+invariant and the base point's place on the loop.  An integer covering keeps
+every slope (a rational direction up to sign, which is the same set of
+lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
+(``_state_step``).  A transverse orbit is walked in one place, ``_walk``;
+every consumer indexes its states instead of re-applying ``line_image``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FieldClash, InternalInconsistency, IrrationalOffset, SlopeNotInvariant
-from .lattice import CoordPair, TorusPoint, reduce_to_fundamental
+from .lattice import CoordPair, TorusPoint
 from .numbers import QuadraticNumber, qn
 from .torus_map import AffineTorusMap, apply_map
 
+TransverseState = tuple[QuadraticNumber, QuadraticNumber]
+
+
+class _Frame:
+    """What both slope kinds share: an integer ``frame`` (f11, f12, f21, f22)
+    of determinant 1 and the radicand of the slope (0 for a rational one).
+    A lattice translate of a point keeps its state, and ``from_state``
+    inverts ``to_state`` up to one."""
+
+    def to_state(self, p: CoordPair) -> TransverseState:
+        f11, f12, f21, f22 = self.frame
+        x, y = p
+        return ((x * f11 + y * f12).mod1(), (x * f21 + y * f22).mod1())
+
+    def from_state(self, st: TransverseState) -> CoordPair:
+        f11, f12, f21, f22 = self.frame
+        s0, s1 = st
+        return (s0 * f22 - s1 * f12, s1 * f11 - s0 * f21)
+
+    def check_field(self, st: TransverseState) -> None:
+        """A state in the slope's field would not identify the line."""
+        # rationals have d = 0, so only a shared radicand matches
+        d = self.radicand
+        if d and d in (st[0].d, st[1].d):
+            raise FieldClash(f"transverse data in Q(sqrt({d})) collides with the slope radicand")
+
 
 @dataclass(frozen=True)
-class RationalDirection:
+class RationalDirection(_Frame):
     """Primitive integer direction vector (m, k) in lattice coordinates."""
 
     m: int
     k: int
+
+    radicand = 0
 
     def __post_init__(self):
         if self.m == 0 and self.k == 0:
@@ -36,20 +69,13 @@ class RationalDirection:
         if math.gcd(abs(self.m), abs(self.k)) != 1:
             raise ValueError("direction vector must be primitive")
 
-    def loop_coords(self, p: CoordPair) -> TransverseState:
-        """The point in the unimodular loop frame of this direction:
-        (k*x - m*y, u*x + v*y) mod 1 with u*m + v*k = 1.  The first coordinate
-        is the invariant of the closed loop through the point, the second its
+    @cached_property
+    def frame(self) -> tuple[int, int, int, int]:
+        """(k, -m, u, v) with u*m + v*k = 1: a state's first coordinate is
+        the invariant of the closed loop through the point, its second the
         place on that loop, where the direction advances it by 1."""
         u, v = bezout(self.m, self.k)
-        x, y = p
-        return ((x * self.k - y * self.m).mod1(), (x * u + y * v).mod1())
-
-    def loop_point(self, inv: QuadraticNumber, c: QuadraticNumber) -> CoordPair:
-        """Inverse of ``loop_coords`` up to lattice translation: the point
-        (v*inv + m*c, -u*inv + k*c)."""
-        u, v = bezout(self.m, self.k)
-        return (inv * v + c * self.m, c * self.k - inv * u)
+        return (self.k, -self.m, u, v)
 
 
 def bezout(m: int, k: int) -> tuple[int, int]:
@@ -68,12 +94,19 @@ def bezout(m: int, k: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class IrrationalSlope:
+class IrrationalSlope(_Frame):
     s: QuadraticNumber
+
+    # (x, y) -> (alpha, beta) = (-y, x)
+    frame = (0, -1, 1, 0)
 
     def __post_init__(self):
         if self.s.is_rational:
             raise ValueError("slope is rational; use RationalDirection")
+
+    @property
+    def radicand(self) -> int:
+        return self.s.d
 
 
 SlopeSpec = RationalDirection | IrrationalSlope
@@ -93,30 +126,25 @@ def slope_spec(value: QuadraticNumber | tuple[int, int]) -> SlopeSpec:
 
 @dataclass(frozen=True)
 class TorusLine:
-    """A flat line mod Z^2.
-
-    slope: direction data.  For an irrational slope the pair (alpha, beta),
-    each reduced mod 1, is the full identity of the line, provided neither
-    lies in the slope's field (``FieldClash`` otherwise); for a rational
-    direction the anchor point plus the invariant k*x - m*y mod 1 is.
+    """A flat line mod Z^2, stored as its base point's state (alpha, beta) in
+    the slope's frame, each reduced mod 1: for an irrational slope the full
+    identity of the line, provided neither lies in the slope's field
+    (``FieldClash`` otherwise); for a rational direction the loop invariant
+    k*x - m*y, which identifies the line, and the base point's place on it.
     """
 
     slope: SlopeSpec
     alpha: QuadraticNumber
     beta: QuadraticNumber
-    anchor: TorusPoint | None = None
 
     def __post_init__(self):
-        # rationals have d = 0, so only a shared radicand matches
-        d = self.slope.s.d if isinstance(self.slope, IrrationalSlope) else 0
-        if d and d in (self.alpha.d, self.beta.d):
-            raise FieldClash(f"transverse data in Q(sqrt({d})) collides with the slope radicand")
+        self.slope.check_field(self.transverse())
 
     @property
     def is_irrational(self) -> bool:
         return isinstance(self.slope, IrrationalSlope)
 
-    def transverse(self) -> tuple[QuadraticNumber, QuadraticNumber]:
+    def transverse(self) -> TransverseState:
         return (self.alpha, self.beta)
 
     def direction(self) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -125,75 +153,61 @@ class TorusLine:
         return (qn(self.slope.m), qn(self.slope.k))
 
     def base_point(self) -> CoordPair:
-        """A point on a lift: (beta, -alpha) mod 1 for irrational slope."""
-        if isinstance(self.slope, IrrationalSlope):
-            return (self.beta, (-self.alpha).mod1())
-        return self.loop_anchor().coords()
-
-    def loop_anchor(self) -> TorusPoint:
-        """The anchor of a rational-direction line; a line built without one
-        (not through ``line_from_point``) is a construction bug."""
-        if self.anchor is None:
-            raise InternalInconsistency("a rational-direction line has no anchor")
-        return self.anchor
+        """The base point mod 1: (beta, -alpha) for an irrational slope."""
+        x, y = self.slope.from_state(self.transverse())
+        return (x.mod1(), y.mod1())
 
     def same_line(self, other: TorusLine) -> bool:
         if self.slope != other.slope:
             return False
         if self.is_irrational:
             return self.alpha == other.alpha and self.beta == other.beta
-        return self.alpha == other.alpha  # rational case: stored invariant
-
-    def key(self):
-        if self.is_irrational:
-            s = self.slope.s
-            return ("irr", s.u, s.v, s.w, s.d, hash(self.alpha), hash(self.beta))
-        return ("rat", self.slope.m, self.slope.k, hash(self.alpha))
+        return self.alpha == other.alpha  # rational case: the loop invariant
 
 
 def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
-    """Line through ``base`` with the given slope.
+    """Line through ``base`` with the given slope, at the state
+    ``slope.to_state(base)``; for an irrational slope, (alpha, beta) =
+    (-P2 mod 1, P1 mod 1), which must avoid the slope radicand."""
+    return TorusLine(slope, *slope.to_state(base))
 
-    Irrational slope: transverse pair (alpha, beta) = (-P2 mod 1, P1 mod 1);
-    the base coordinates must avoid the slope radicand.  Rational direction:
-    stores the reduced anchor and the invariant k*x - m*y mod 1.
-    """
-    p1, p2 = base
-    if isinstance(slope, IrrationalSlope):
-        return TorusLine(slope, (-p2).mod1(), p1.mod1())
-    inv = (p1 * slope.k - p2 * slope.m).mod1()
-    return TorusLine(slope, inv, qn(0), anchor=reduce_to_fundamental(base))
+
+def _state_step(
+    tm: AffineTorusMap, slope: SlopeSpec
+) -> Callable[[TransverseState], TransverseState]:
+    """The covering on states in ``slope``'s frame: F(a*p + b) = a*F(p) + F(b),
+    so st -> a*st + to_state(b) mod 1.  A translation whose state lies in the
+    slope's field is refused here, once: every later state would share it."""
+    if not tm.has_integer_multiplier:
+        raise SlopeNotInvariant("a non-real multiplier turns every slope")
+    a = tm.multiplier_int()
+    c0, c1 = slope.to_state(tm.b.coords())
+    slope.check_field((c0, c1))
+
+    def step(st: TransverseState) -> TransverseState:
+        return ((st[0] * a + c0).mod1(), (st[1] * a + c1).mod1())
+
+    return step
 
 
 def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
     """Image of a line under the covering.
 
-    Integer multiplier: slope is preserved and the transverse pair maps by
-    (alpha, beta) -> (a*alpha - b_y, a*beta + b_x) mod 1.  A rational direction
-    transforms by the integer matrix under any covering.
+    Integer multiplier: the line keeps its slope, and its state steps by
+    st -> a*st + to_state(b) mod 1.  A rational direction transforms by the
+    integer matrix under any other covering.
     """
-    if isinstance(line.slope, RationalDirection):
-        p, q, r, s = tm.m
-        m, k = line.slope.m, line.slope.k
-        new_dir = (p * m + r * k, q * m + s * k)
-        new_anchor = apply_map(tm, line.loop_anchor())
-        return line_from_point(slope_spec(new_dir), new_anchor.coords())
-    if not tm.has_integer_multiplier:
-        raise SlopeNotInvariant(
-            "irrational slope is not preserved by a non-real multiplier"
-        )
-    a = tm.multiplier_int()
-    alpha = (line.alpha * a - tm.b.y).mod1()
-    beta = (line.beta * a + tm.b.x).mod1()
-    return TorusLine(line.slope, alpha, beta)
+    if tm.has_integer_multiplier or line.is_irrational:
+        return TorusLine(line.slope, *_state_step(tm, line.slope)(line.transverse()))
+    p, q, r, s = tm.m
+    m, k = line.slope.m, line.slope.k
+    image = apply_map(tm, TorusPoint(*line.base_point()))
+    return line_from_point(slope_spec((p * m + r * k, q * m + s * k)), image.coords())
 
 
 @dataclass(frozen=True)
 class JordanCurve:
     direction: RationalDirection
-
-
-TransverseState = tuple[QuadraticNumber, QuadraticNumber]
 
 
 @dataclass(frozen=True)
@@ -223,42 +237,16 @@ class WanderingLine:
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
 
 
-def _require_rational_b(tm: AffineTorusMap) -> None:
-    if not (tm.b.x.is_rational and tm.b.y.is_rational):
-        raise IrrationalOffset("classification requires a rational translation part")
-
-
 def _walk(
     tm: AffineTorusMap, line: TorusLine, limit: int
 ) -> tuple[tuple[TransverseState, ...], int | None]:
     """The distinct states of the orbit of ``line`` in orbit order, up to the
     first repeat or ``limit`` states, and the index the repeat returns to
-    (None when the limit came first): the one loop over orbit states.
-
-    An irrational slope's state is its transverse pair, stepped by
-    ``line_image``.  An integer multiplier keeps a rational direction (m, k)
-    up to sign, so every iterate is a closed loop parallel to the seed; the
-    state is the iterate's anchor in the seed's loop frame (``loop_coords``),
-    where the covering steps it by (inv, c) -> a*(inv, c) + loop_coords(b)
-    mod 1.  The frame is the seed's, so the reversed direction of a negative
-    multiplier does not flip the invariant's sign, and the anchor fixes the
-    rest of the orbit, so a repeated state is a repeated iterate."""
-    if isinstance(line.slope, RationalDirection):
-        if not tm.has_integer_multiplier:
-            raise SlopeNotInvariant("a non-real multiplier turns a rational direction")
-        frame, a = line.slope, tm.multiplier_int()
-        shift = frame.loop_coords(tm.b.coords())
-        state = frame.loop_coords(line.base_point())
-
-        def step(st: TransverseState) -> TransverseState:
-            return ((st[0] * a + shift[0]).mod1(), (st[1] * a + shift[1]).mod1())
-
-    else:
-        slope, state = line.slope, line.transverse()
-
-        def step(st: TransverseState) -> TransverseState:
-            return line_image(tm, TorusLine(slope, *st)).transverse()
-
+    (None when the limit came first): the one loop over orbit states, stepped
+    by ``_state_step`` in the seed's frame for both slope kinds.  A state
+    fixes the iterate's line and base point, so a repeated state is a
+    repeated iterate."""
+    step, state = _state_step(tm, line.slope), line.transverse()
     seen: dict[TransverseState, int] = {}  # insertion order is orbit order
     for i in range(limit):
         if i:
@@ -276,7 +264,7 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     transverse pair -> eventually periodic, by cycle detection on the single
     walk of the exact finite orbit (denominators never grow under
     x -> a*x + c with integer a, rational c), which stops at the first repeat:
-    preperiod + period applications of ``line_image``.  Irrational transverse
+    preperiod + period steps.  Irrational transverse
     component -> wandering: a periodic state of that affine map is rational,
     and a*irr + rational stays irrational, so the state can never repeat.
     """
@@ -286,7 +274,8 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         raise SlopeNotInvariant(
             "irrational slope is not preserved by a non-real multiplier"
         )
-    _require_rational_b(tm)
+    if not (tm.b.x.is_rational and tm.b.y.is_rational):
+        raise IrrationalOffset("classification requires a rational translation part")
     if not line.alpha.is_rational:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
@@ -300,9 +289,9 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
-    """States 0..n of the orbit of a line, as ``_walk`` defines them: the
-    transverse pair of an irrational slope, the anchor in the seed's loop
-    frame for a rational direction under an integer multiplier.
+    """States 0..n of the orbit of a line in the seed's frame, as ``_walk``
+    defines them: the transverse pair of an irrational slope; the loop
+    invariant and place of a rational direction under an integer multiplier.
 
     The orbit is walked at most n steps; once a state repeats, the rest is
     indexed out of the cycle.  This needs no classification, so it holds for

@@ -119,10 +119,6 @@ class QuadraticNumber:
         return x
 
     @classmethod
-    def rational(cls, num: int, den: int = 1) -> QuadraticNumber:
-        return cls(num, 0, den)
-
-    @classmethod
     def sqrt_int(cls, n: int) -> QuadraticNumber:
         """Exact sqrt of a non-negative integer, radicand reduced."""
         return cls(0, 1, 1, n)
@@ -220,9 +216,11 @@ class QuadraticNumber:
     def inverse(self) -> QuadraticNumber:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        # 1 / ((u + v sqrt(d))/w) = w (u - v sqrt(d)) / (u^2 - v^2 d)
+        # 1 / ((u + v sqrt(d))/w) = w (u - v sqrt(d)) / (u^2 - v^2 d); the
+        # norm is nonzero for a square-free d, and its sign moves to the top
         norm = self.u * self.u - self.v * self.v * self.d
-        return QuadraticNumber(self.w * self.u, -self.w * self.v, norm, self.d)
+        s = 1 if norm > 0 else -1
+        return QuadraticNumber._canon(s * self.w * self.u, -s * self.w * self.v, s * norm, self.d)
 
     def __truediv__(self, other: Scalar) -> QuadraticNumber:
         o = self._coerce(other)
@@ -374,12 +372,6 @@ class ComplexPair(NamedTuple):
     @classmethod
     def make(cls, re: Scalar, im: Scalar = 0) -> ComplexPair:
         return cls(qn(re), qn(im))
-
-    def add(self, other: ComplexPair) -> ComplexPair:
-        return ComplexPair(self.re + other.re, self.im + other.im)
-
-    def sub(self, other: ComplexPair) -> ComplexPair:
-        return ComplexPair(self.re - other.re, self.im - other.im)
 
     def mul(self, other: ComplexPair) -> ComplexPair:
         return ComplexPair(

@@ -1,21 +1,24 @@
 """Segments of flat lines: exact intersection, wandering certificates and the
 collision finder.
 
-The certificate logic lives in the canonical line parameterization: with bases
-(beta, -alpha) the covering acts on the parameter as t -> a*t, so the return
-map of a period-p line is t -> a^p * t with fixed point 0 and a certified
+The certificate logic lives in the canonical line parameterization: a segment
+runs from its line's base point, the point its state in the slope's frame
+stands for, and an integer covering maps base point to base point, so it acts
+on the parameter as t -> a*t for both slope kinds.  The return map of a
+period-p line is then t -> a^p * t with fixed point 0, and a certified
 subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
 The sphere certificate is the same one seen through rho, which acts on the
 parameter as t -> -t and only adds reflected comparisons and the quotient's
-return multiplier.  Transverse states are indexed out of ``line_orbit``'s single walk, and one
-exact sweep, ``first_overlap``, compares only iterates that share a state; it
-decides both the certificates and the integer-multiplier collision search, for
-both slope kinds: parameter intervals on an irrational-slope line, arcs of a
-closed loop for a rational direction.  The lift chain and its bounding-box
-translate search serve only non-real multipliers, group mode and the
-fallback for orbit states with no common tower or in the slope's field.
-Everything verdict-bearing is an exact predicate; floats appear only in
-bounding-box prefilters and reports.
+return multiplier.  States are indexed out of ``line_orbit``'s single walk,
+and one exact sweep, ``first_overlap``, compares only iterates that share a
+state; it decides both the certificates and the integer-multiplier collision
+search, for both slope kinds: parameter intervals on an irrational-slope
+line, arcs of a closed loop for a rational direction.  The lift chain and its
+bounding-box translate search serve only non-real multipliers, group mode and
+the fallback for orbit states with no common tower or in the slope's field.
+Everything verdict-bearing is an exact predicate, and a pair of lifts with no
+common two-radicand tower is refused with ``MixedRadicals``; floats appear
+only in bounding-box prefilters and reports.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .errors import (
 )
 from .lattice import Lattice, TorusPoint
 from .line_orbit import (
-    IrrationalSlope,
     JordanCurve,
     LineOrbitClass,
     RationalDirection,
@@ -127,20 +129,14 @@ def _orient_float(a, b, c, scale: float) -> int:
     return 1 if det > 0 else -1
 
 
-def segments_meet_float(fp0, fp1, fq0, fq1) -> tuple[float, float] | None:
-    """Float fallback; raises UncertainAtTolerance near degeneracy."""
+def segments_meet_float(fp0, fp1, fq0, fq1) -> bool:
+    """Float prefilter; raises UncertainAtTolerance near degeneracy."""
     scale = max(abs(v) for pt in (fp0, fp1, fq0, fq1) for v in pt) ** 2
     o1 = _orient_float(fp0, fp1, fq0, scale)
     o2 = _orient_float(fp0, fp1, fq1, scale)
     o3 = _orient_float(fq0, fq1, fp0, scale)
     o4 = _orient_float(fq0, fq1, fp1, scale)
-    if o1 != o2 and o3 != o4:
-        dpx, dpy = fp1[0] - fp0[0], fp1[1] - fp0[1]
-        dqx, dqy = fq1[0] - fq0[0], fq1[1] - fq0[1]
-        den = dpx * dqy - dpy * dqx
-        t = ((fq0[0] - fp0[0]) * dqy - (fq0[1] - fp0[1]) * dqx) / den
-        return (fp0[0] + t * dpx, fp0[1] + t * dpy)
-    return None
+    return o1 != o2 and o3 != o4
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,6 @@ class LiftSegment:
 class IntersectionResult:
     hit: bool
     witness: tuple[float, float] | None = None
-    exact: bool = True
 
     def __bool__(self) -> bool:
         return self.hit
@@ -208,8 +203,8 @@ def lift_segments_intersect_torus(
 
     Enumerates the lattice translates of s2 whose bounding box meets s1's box
     (a conservative float prefilter), then decides each candidate with exact
-    orientation predicates; falls back to float predicates with an uncertainty
-    band only when the scalars span more than two radicands.
+    orientation predicates.  A pair whose scalars span more than two radicands
+    is refused with ``MixedRadicals``: floats never decide a hit.
     """
     b1 = s1.box()
     b2 = s2.box()
@@ -222,7 +217,6 @@ def lift_segments_intersect_torus(
         raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
     f1 = s1.float_endpoints
     f2 = s2.float_endpoints
-    unresolved = 0
     for n in range(n_lo, n_hi + 1):
         for m in range(m_lo, m_hi + 1):
             shifted = (
@@ -231,30 +225,15 @@ def lift_segments_intersect_torus(
             )
             # float prefilter: a decisive clean miss needs no exact work; the
             # uncertainty band is four orders above double rounding error
-            undecided = False
             try:
-                if segments_meet_float(f1[0], f1[1], *shifted) is None:
+                if not segments_meet_float(f1[0], f1[1], *shifted):
                     continue
             except UncertainAtTolerance:
-                undecided = True
+                pass
             cand = s2.translate(n, m)
-            try:
-                w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-                if w is not None:
-                    return IntersectionResult(True, reduce_mod1_float(w))
-            except MixedRadicals:
-                # no common tower for this pair; trust floats only when they
-                # are decisive, else keep looking for a decisive hit elsewhere
-                if undecided:
-                    unresolved += 1
-                    continue
-                fw = segments_meet_float(f1[0], f1[1], *shifted)
-                if fw is not None:
-                    return IntersectionResult(True, (fw[0] % 1.0, fw[1] % 1.0), False)
-    if unresolved:
-        raise UncertainAtTolerance(
-            f"{unresolved} translate(s) within the float band with no common tower"
-        )
+            w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+            if w is not None:
+                return IntersectionResult(True, reduce_mod1_float(w))
     return IntersectionResult(False)
 
 
@@ -270,9 +249,8 @@ def reduce_mod1_float(p: Point) -> tuple[float, float]:
 
 def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
     """The point at parameter t on the lift of ``line`` through its base
-    point: base + t * direction.  For an irrational slope this is the
-    canonical (beta, -alpha) + t*(1, slope); for a rational direction the
-    anchor is the base."""
+    point: base + t * direction, for an irrational slope the canonical
+    (beta, -alpha) + t*(1, slope)."""
     (bx, by), (dx, dy) = line.base_point(), line.direction()
     t = BiQuadratic.lift(t)
     return (t * dx + bx, t * dy + by)
@@ -307,13 +285,11 @@ class TorusSegment:
 
 
 def _check_param_field(t: QuadraticNumber, line: TorusLine) -> None:
-    if t.is_rational:
-        return
-    if isinstance(line.slope, IrrationalSlope) and t.d == line.slope.s.d:
-        return
-    raise IncompatibleField(
-        "segment parameters must be rational or share the slope radicand"
-    )
+    # rationals have d = 0, and so has a rational direction
+    if t.d not in (0, line.slope.radicand):
+        raise IncompatibleField(
+            "segment parameters must be rational or share the slope radicand"
+        )
 
 
 def segment_new(
@@ -329,12 +305,9 @@ def segment_new(
 
 
 def iterate_segment(tm: AffineTorusMap, seg: TorusSegment) -> TorusSegment:
-    """Image under an integer-multiplier covering.  An irrational slope keeps
-    its direction, so the parameter maps by t -> a*t; a rational direction d
-    maps to the primitive direction sign(a)*d, so it maps by t -> |a|*t."""
+    """Image under an integer-multiplier covering: the line keeps its slope,
+    so the parameter maps by t -> a*t."""
     a = tm.multiplier_int()
-    if not seg.line.is_irrational:
-        a = abs(a)
     return segment_new(line_image(tm, seg.line), *interval_chain(seg.t_lo, seg.t_hi, a, 1)[1])
 
 
@@ -362,7 +335,7 @@ def _arc_witness(
     two meeting arcs starts, or, if that start lies off the earlier arc, where
     the earlier one starts."""
     c = later[0] if _on_arc(earlier, later[0]) else earlier[0]
-    x, y = direction.loop_point(inv, c)
+    x, y = direction.from_state((inv, c))
     return (x.mod1().to_float(), y.mod1().to_float())
 
 
@@ -669,7 +642,7 @@ class CollisionCertificate:
     m: int
     k: int
     witness: tuple[float, float]
-    exact: bool
+    exact: bool  # always True: floats never decide a collision
     bound_used: float
     budget: int
 
@@ -786,7 +759,7 @@ def find_collision(
             if seg.line.is_irrational:
                 pair = first_overlap(states, intervals, None)
             else:
-                # iterate n is the arc anchor + a^n * [t_lo, t_hi] of its loop
+                # iterate n is the arc place + a^n * [t_lo, t_hi] of its loop
                 intervals = [(c + lo, c + hi) for (_, c), (lo, hi) in zip(states, intervals)]
                 pair = first_overlap([inv for inv, _ in states], intervals, None, circular=True)
             if pair is None:
@@ -819,7 +792,7 @@ def find_collision(
             for k in range(nu if group else 1):
                 res = lift_segments_intersect_torus(lat, chain[m], rot(n, k))
                 if res.hit:
-                    return CollisionCertificate(n, m, k, res.witness, res.exact, bound, budget)
+                    return CollisionCertificate(n, m, k, res.witness, True, bound, budget)
     return NoCollisionWithinBudget(budget=budget, group_order=nu)
 
 

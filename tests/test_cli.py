@@ -547,3 +547,35 @@ def test_sphere_certificate_reports_the_iterates_its_oracle_replayed(
     code, data = _run(capsys, *argv, *(["--check-iterates", check] if check else []))
     assert code == 0 and data["verdict"] == "wandering"
     assert seen == [replayed] and data["checked_iterates"] == replayed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("find-collision", "--a", "1+1i", "--omega", "i"),
+        ("certify-segment", "--a", "2", "--omega", "i"),
+    ],
+)
+def test_an_irrational_segment_starts_at_its_anchor(capsys, argv):
+    # the anchor is taken mod Z^2 and the segment runs from it, so anchors a
+    # lattice vector apart give one certificate
+    outs = []
+    for x in ("0.3", "1.3", "-0.7"):
+        code, data = _run(capsys, *argv, f"--seg={x},1/5,s:sqrt(2),1/10")
+        assert code == 0
+        outs.append(data)
+    assert outs[0] == outs[1] == outs[2]
+    if argv[0] == "find-collision":
+        assert (outs[0]["n"], outs[0]["m"]) == (2, 4)
+    else:
+        assert outs[0]["interval"]["hi"] == "1/10"
+
+
+def test_a_pair_of_lifts_with_no_common_tower_is_refused(capsys):
+    # sqrt(3) in b, sqrt(2) in the anchor and sqrt(5) in the slope: the lift
+    # pair has no two-radicand tower, and no float verdict stands in for it
+    code, data = _run(capsys, "find-collision", "--a", "2i", "--omega", "i",
+                      "--b", "sqrt(3)/7+5*sqrt(3)/11i",
+                      "--seg", "9*sqrt(2)/13,7/17,s:sqrt(5),3/100", "--budget", "6")
+    assert code == 2
+    assert data == {"error": "mixed-radicals", "message": "sqrt(5) and sqrt(2) in one scalar"}

@@ -192,15 +192,21 @@ def test_orbit_states_under_an_irrational_translation(b, alpha):
 def test_orbit_states_walks_no_further_than_asked(monkeypatch):
     tm = _map("2")
     line = _line(Fraction(1, 1021), 0)  # period 340
+    expect = _walked(tm, line, 14)
     calls = []
-    orig = line_orbit.line_image
+    orig = line_orbit._state_step
 
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
+    def counted_rule(tm, slope):
+        step = orig(tm, slope)
 
-    monkeypatch.setattr(line_orbit, "line_image", counted)
-    assert orbit_states(tm, line, 14) == _walked(tm, line, 14)
+        def counted(st):
+            calls.append(st)
+            return step(st)
+
+        return counted
+
+    monkeypatch.setattr(line_orbit, "_state_step", counted_rule)
+    assert orbit_states(tm, line, 14) == expect
     assert len(calls) == 14
 
 
@@ -419,9 +425,7 @@ import json
 from flatwander.errors import FlatwanderError
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_pairing
-from flatwander.line_orbit import (
-    IrrationalSlope, RationalDirection, TorusLine, bezout, line_image,
-)
+from flatwander.line_orbit import IrrationalSlope, TorusLine, bezout
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
@@ -466,9 +470,6 @@ checks = {
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
     ),
-    # a rational-direction line built without its anchor
-    "anchor": lambda: TorusLine(RationalDirection(1, 2), qn(0), qn(0)).base_point(),
-    "image": lambda: line_image(tm, TorusLine(RationalDirection(1, 2), qn(0), qn(0))),
     # a direction that is not primitive has no Bezout pair
     "bezout": lambda: bezout(2, 4),
     # a matrix that is not multiplication by a scalar, under the order-4 rotation
@@ -530,8 +531,6 @@ def test_cross_checks_raise_under_optimize():
         "slack": ["InternalInconsistency", "certified slack 1/2 is not above 1"],
         "pairing": ["InternalInconsistency", "rho maps part of the cycle into it"],
         "reverify": ["ValueError", "a rotated collision needs its group to re-verify"],
-        "anchor": ["InternalInconsistency", "a rational-direction line has no anchor"],
-        "image": ["InternalInconsistency", "a rational-direction line has no anchor"],
         "bezout": ["InternalInconsistency", "no Bezout pair for the direction (2, 4)"],
         "commute": ["InternalInconsistency", "the covering does not commute with the rotation"],
         "kernel": ["InternalInconsistency", "the kernel has 9 points, not the degree 3"],

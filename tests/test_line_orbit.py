@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwander.errors import FieldClash, SlopeNotInvariant
 from flatwander.lattice import Lattice, half_lattice_q, point
@@ -14,11 +16,12 @@ from flatwander.line_orbit import (
     classify_line,
     line_from_point,
     line_image,
+    orbit_states,
     passes_through_q,
     slope_spec,
 )
-from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
-from flatwander.torus_map import apply_map, torus_map_new
+from flatwander.numbers import ComplexPair, QuadraticNumber, parse_complex, parse_number, qn
+from flatwander.torus_map import apply_map, iterate_map, torus_map_new
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -154,3 +157,49 @@ def test_passes_through_q_examples():
     assert passes_through_q(line, q_pts) is None
     line = TorusLineFactory((Fraction(1, 3), Fraction(1, 3)))
     assert passes_through_q(line, q_pts) is None
+
+
+# ---------------------------------------------------------------------------
+# one frame for both slope kinds
+# ---------------------------------------------------------------------------
+
+
+_coord = st.fractions(-3, 3, max_denominator=30)
+
+
+@st.composite
+def _frame_case(draw):
+    """An integer covering, a line of either slope kind through a base point
+    with rational or irrational coordinates, and an orbit length."""
+    a = draw(st.sampled_from((2, -2, 3, -3)))
+    b = ComplexPair(qn(draw(_coord)), qn(draw(_coord)))
+    tm = torus_map_new(ComplexPair(qn(a), qn(0)), b, SQUARE)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from((2, 3, 5)))
+        slope = IrrationalSlope(Q(draw(st.integers(-3, 3)), draw(st.sampled_from((1, -2))), 1, d))
+    else:
+        m, k = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        slope = slope_spec((m, k) if (m, k) != (0, 0) else (1, 0))
+        d = 0
+    # the base point avoids the slope's radicand, or the line would clash
+    e = draw(st.sampled_from([r for r in (0, 2, 3, 5, 7) if r != d]))
+    base = tuple(qn(draw(_coord)) + Q(0, draw(st.integers(-3, 3)), 7, e) for _ in range(2))
+    return tm, line_from_point(slope, base), draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame_case())
+def test_one_frame_steps_both_slope_kinds(case):
+    tm, line, n = case
+    slope, state = line.slope, line.transverse()
+    f11, f12, f21, f22 = slope.frame
+    assert f11 * f22 - f12 * f21 == 1
+    assert slope.to_state(slope.from_state(state)) == state
+    # unimodular, so from_state lands on the base point mod Z^2
+    assert tuple(c.mod1() for c in slope.from_state(state)) == line.base_point()
+    base = point(*line.base_point())
+    image = apply_map(tm, base)
+    assert line_image(tm, line) == line_from_point(slope, image.coords())
+    assert orbit_states(tm, line, n) == [
+        slope.to_state(iterate_map(tm, base, i).coords()) for i in range(n + 1)
+    ]

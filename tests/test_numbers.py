@@ -349,6 +349,29 @@ def test_floor_hash_and_float_match_their_references(x):
         assert hash(x) == hash(a)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_canonical())
+def test_inverse_equals_the_validating_constructor(x):
+    # the norm u^2 - v^2*d takes either sign; the trusted result must equal
+    # the one the validating constructor reduces, field for field
+    if x.is_zero:
+        return
+    norm = x.u * x.u - x.v * x.v * x.d
+    assert _fields(x.inverse()) == _fields(Q(x.w * x.u, -x.w * x.v, norm, x.d))
+    assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize(
+    "x, norm_sign",
+    [(Q(1, 1, 1, 2), -1), (Q(3, 1, 1, 2), 1), (Q(-1, -1, 3, 2), -1), (Q(-2, 7, 5, 1000000007), -1),
+     (Q(-10**9, 3, 7, 1000000007), 1), (Q(-4, 0, 9), 1)],
+)
+def test_inverse_on_both_signs_of_the_norm(x, norm_sign):
+    assert (x.u * x.u - x.v * x.v * x.d > 0) == (norm_sign > 0)
+    inv = x.inverse()
+    assert inv.w > 0 and x * inv == 1 and x / x == 1 and inv.inverse() == x
+
+
 @pytest.mark.parametrize(
     "num, den",
     [(0, 1), (-1, 1), (1, 2), (-1, 2), (7, 2**61 - 1), (-7, 2 * (2**61 - 1)), (-(10**40), 3)],

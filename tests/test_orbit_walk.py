@@ -74,6 +74,25 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_steps(monkeypatch):
+    """Count the steps of the one state rule, which the walk and
+    ``line_image`` share: one entry per state stepped."""
+    calls = []
+    orig = line_orbit._state_step
+
+    def counted_rule(tm, slope):
+        step = orig(tm, slope)
+
+        def counted(st):
+            calls.append(st)
+            return step(st)
+
+        return counted
+
+    monkeypatch.setattr(line_orbit, "_state_step", counted_rule)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # one representation
 # ---------------------------------------------------------------------------
@@ -105,7 +124,7 @@ def test_orbit_states_walks_a_wandering_line(monkeypatch):
     tm = _map("3")
     line = _line(parse_number("sqrt(3)-1"), Fraction(1, 4))
     expect = _walked(tm, line, 9)
-    calls = _count_calls(monkeypatch, "line_image")
+    calls = _count_steps(monkeypatch)
     assert orbit_states(tm, line, 9) == expect
     assert len(calls) == 9
     assert len(set(expect)) == 10
@@ -128,9 +147,10 @@ def test_orbit_states_of_a_rational_direction_stay_in_the_seed_frame(a, b):
         x, y = iterate_map(tm, anchor, n).coords()
         expect.append(((x * 2 - y).mod1(), x))
     assert orbit_states(tm, line, 7) == expect
-    if a.startswith("-"):
-        # the iterate's own direction is reversed, and so is its invariant
-        assert line_image(tm, line).alpha == (-expect[1][0]).mod1() != expect[1][0]
+    # a negative multiplier reverses the direction, which is the same line
+    # set: the image keeps the seed's slope, and so its frame
+    img = line_image(tm, line)
+    assert img.slope == line.slope and img.transverse() == expect[1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +173,7 @@ def test_certify_wandering_walks_a_periodic_orbit_once(
     tm = _map(a)
     seg = segment_new(_line(alpha, beta), qn(0), qn(Fraction(1, 10)))
     verdict = classify_line(tm, seg.line)
-    calls = _count_calls(monkeypatch, "line_image")
+    calls = _count_steps(monkeypatch)
     cert = certify_wandering(tm, seg, check_iterates)
     assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
     assert len(calls) == verdict.preperiod + verdict.period

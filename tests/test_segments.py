@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatwander.errors import DegenerateSegment
+from flatwander.errors import DegenerateSegment, MixedRadicals
 from flatwander.lattice import Lattice, point
 from flatwander.line_orbit import (
     EventuallyPeriodic,
@@ -81,14 +81,14 @@ def test_parallel_distinct_lines_disjoint():
 def test_segment_meets_itself():
     s = segment_new(_line(Fraction(1, 3), 0), qn(0), qn(Fraction(1, 10)))
     got = segments_intersect(SQUARE, s, s)
-    assert got.hit and got.exact
+    assert got.hit
 
 
 def test_crossing_lifts_with_witness():
     s1 = LiftSegment(_pt(0, 0), _pt(Fraction(1, 2), 0))
     s2 = LiftSegment(_pt(Fraction(1, 4), Fraction(-1, 4)), _pt(Fraction(1, 4), Fraction(1, 4)))
     got = lift_segments_intersect_torus(SQUARE, s1, s2)
-    assert got.hit and got.exact
+    assert got.hit
     assert abs(got.witness[0] - 0.25) < 1e-12 and abs(got.witness[1]) < 1e-12
 
 
@@ -268,14 +268,12 @@ def test_axis_aligned_cross_fields_stay_exact():
         (BiQuadratic.lift(qn(1)), BiQuadratic.lift(Q(0, 1, 4, 5))),
     )
     got = lift_segments_intersect_torus(SQUARE, s1, s2)
-    assert got.hit and got.exact
+    assert got.hit
 
 
 def test_float_fallback_on_three_radicands():
-    from flatwander.errors import UncertainAtTolerance
-
-    # a clean crossing whose determinants genuinely mix three radicands:
-    # the float band decides, flagged non-exact
+    # a clean crossing whose determinants genuinely mix three radicands: no
+    # float verdict stands in for the exact one, so the pair is refused
     s1 = LiftSegment(
         (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
         (BiQuadratic.lift(qn(1) + Q(0, 1, 10, 2)), BiQuadratic.lift(qn(1))),
@@ -287,11 +285,11 @@ def test_float_fallback_on_three_radicands():
             BiQuadratic.lift(qn(Fraction(1, 2)) + Q(0, 1, 10, 5)),
         ),
     )
-    got = lift_segments_intersect_torus(SQUARE, s1, s2)
-    assert got.hit and not got.exact
+    with pytest.raises(MixedRadicals):
+        lift_segments_intersect_torus(SQUARE, s1, s2)
 
-    # an endpoint a hair off the other line, in incompatible fields: neither
-    # the float band nor the tower can decide, and no other translate helps
+    # an endpoint a hair off the other line, in incompatible fields: refused
+    # the same way, whatever the float band says
     eps_den = 10**13
     base = LiftSegment(
         (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
@@ -307,7 +305,7 @@ def test_float_fallback_on_three_radicands():
             BiQuadratic.lift(Q(0, 1, 16, 2)) + BiQuadratic.lift(qn(Fraction(-1, 50))),
         ),
     )
-    with pytest.raises(UncertainAtTolerance):
+    with pytest.raises(MixedRadicals):
         lift_segments_intersect_torus(SQUARE, base, near)
 
 
