@@ -21,7 +21,6 @@ from .errors import (
     InternalInconsistency,
     IoError,
     ResidualExceedsTol,
-    UncertainAtTolerance,
     UsageError,
 )
 from .lattice import Lattice, TorusPoint, reduce_to_fundamental
@@ -62,7 +61,7 @@ from .torus_map import (
     torus_map_new,
 )
 
-_BUDGET_ERRORS = (BudgetExceeded, UncertainAtTolerance, ResidualExceedsTol)
+_BUDGET_ERRORS = (BudgetExceeded, ResidualExceedsTol)
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:
@@ -558,10 +557,22 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest + extra
 
 
+def _attach_segments(argv: list[str]) -> list[str]:
+    """``--seg VALUE`` as ``--seg=VALUE`` for a segment that starts with '-',
+    which argparse would otherwise read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--seg" and arg.startswith("-") and "," in arg:
+            out[-1] = f"--seg={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        args = build_parser().parse_args(_attach_segments(_apply_config(argv)))
         return args.fn(args)
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})

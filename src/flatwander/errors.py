@@ -59,12 +59,6 @@ class DegenerateSegment(FlatwanderError):
     code = "degenerate-segment"
 
 
-class UncertainAtTolerance(FlatwanderError):
-    """A float-mode predicate came within tolerance of degeneracy."""
-
-    code = "uncertain-at-tolerance"
-
-
 class BudgetExceeded(FlatwanderError):
     code = "budget-exceeded"
 

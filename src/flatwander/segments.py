@@ -13,22 +13,32 @@ return multiplier.  States are indexed out of ``line_orbit``'s single walk,
 and one exact sweep, ``first_overlap``, compares only iterates that share a
 state; it decides both the certificates and the integer-multiplier collision
 search, for both slope kinds: parameter intervals on an irrational-slope
-line, arcs of a closed loop for a rational direction.  The lift chain and its
-bounding-box translate search serve only non-real multipliers, group mode and
-the fallback for orbit states with no common tower or in the slope's field.
-Everything verdict-bearing is an exact predicate, and a pair of lifts with no
-common two-radicand tower is refused with ``MixedRadicals``; floats appear
-only in bounding-box prefilters and reports.
+line, arcs of a closed loop for a rational direction.  The lift search serves
+only non-real multipliers, group mode and the fallback for orbit states with
+no common tower or in the slope's field.
+
+The lift search runs in floats: each lift is a ``FloatLift`` that carries one
+proven absolute error bound, stepped by the covering's integer matrix and
+float shift, and each pair of lifts enumerates the lattice translates whose
+bounding boxes meet.  A translate is skipped only when the bounds prove it
+misses; every survivor is decided by the exact predicate
+``segments_meet_exact`` on exact lifts built for it on demand, which also
+builds every witness.  So floats only ever skip certain misses, and every
+verdict is exact; a pair of lifts with no common two-radicand tower is
+refused with ``MixedRadicals`` when a translate of it survives.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable
+import sys
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
+from . import numbers
 from .errors import (
     BudgetExceeded,
     DegenerateSegment,
@@ -37,7 +47,6 @@ from .errors import (
     InternalInconsistency,
     MixedRadicals,
     SlopeNotInvariant,
-    UncertainAtTolerance,
     UsageError,
 )
 from .lattice import Lattice, TorusPoint
@@ -52,7 +61,7 @@ from .line_orbit import (
     line_image,
     orbit_states,
 )
-from .numbers import HALF, BiQuadratic, QuadraticNumber, qn
+from .numbers import HALF, ZERO, BiQuadratic, QuadraticNumber, qn
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -61,14 +70,12 @@ from .torus_map import (
 )
 
 Point = tuple[BiQuadratic, BiQuadratic]
+Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
 
-_BOX_MARGIN = 1e-6
 _TRANSLATE_CAP = 2_000_000
-_FLOAT_BAND = 1e-9
-
-
-def _orient(a: Point, b: Point, c: Point) -> int:
-    return ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])).sign()
+_EPS = sys.float_info.epsilon  # 2**-52, twice the unit roundoff of a double
+# a bound's own few float operations round it down by less than this factor
+_UP = 1 + 16 * _EPS
 
 
 def _within(a: BiQuadratic, lo: BiQuadratic, hi: BiQuadratic) -> bool:
@@ -93,14 +100,16 @@ def _sub(a: Point, b: Point) -> Point:
 
 def segments_meet_exact(p0: Point, p1: Point, q0: Point, q1: Point) -> Point | None:
     """Exact closed-segment intersection; returns a witness point or None."""
-    o1 = _orient(p0, p1, q0)
-    o2 = _orient(p0, p1, q1)
-    o3 = _orient(q0, q1, p0)
-    o4 = _orient(q0, q1, p1)
+    dp, dq = _sub(p1, p0), _sub(q1, q0)
+    pq = _sub(p0, q0)
+    c3, c4 = _cross(dq, pq), _cross(dq, _sub(p1, q0))
+    o1 = -_cross(dp, pq).sign()  # orient(p0, p1, q0)
+    o2 = _cross(dp, _sub(q1, p0)).sign()
+    o3, o4 = c3.sign(), c4.sign()
     if o1 * o2 < 0 and o3 * o4 < 0:
-        dp = _sub(p1, p0)
-        dq = _sub(q1, q0)
-        t = _cross(_sub(q0, p0), dq) / _cross(dp, dq)
+        # p0 + t*dp lies on q's line where the orientation c3 + t*(c4 - c3)
+        # vanishes
+        t = c3 / (c3 - c4)
         return (p0[0] + t * dp[0], p0[1] + t * dp[1])
     if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
         # collinear: overlap iff the coordinate boxes overlap
@@ -122,21 +131,151 @@ def segments_meet_exact(p0: Point, p1: Point, q0: Point, q1: Point) -> Point | N
     return None
 
 
-def _orient_float(a, b, c, scale: float) -> int:
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if abs(det) <= _FLOAT_BAND * max(1.0, scale):
-        raise UncertainAtTolerance("orientation within float tolerance band")
-    return 1 if det > 0 else -1
+# ---------------------------------------------------------------------------
+# Float lifts with proven error bounds
+#
+# A float lift carries one absolute bound on every coordinate's distance from
+# the exact lift it stands for.  The bounds are first-order rounding-error
+# bounds in the style of Shewchuk (1997), with every constant at least twice
+# what the derivation needs, and they include the ``float_jitter`` test hook,
+# so a perturbed conversion still leaves each exact value inside its bound.
+# ---------------------------------------------------------------------------
 
 
-def segments_meet_float(fp0, fp1, fq0, fq1) -> bool:
-    """Float prefilter; raises UncertainAtTolerance near degeneracy."""
-    scale = max(abs(v) for pt in (fp0, fp1, fq0, fq1) for v in pt) ** 2
-    o1 = _orient_float(fp0, fp1, fq0, scale)
-    o2 = _orient_float(fp0, fp1, fq1, scale)
-    o3 = _orient_float(fq0, fq1, fp0, scale)
-    o4 = _orient_float(fq0, fq1, fp1, scale)
-    return o1 != o2 and o3 != o4
+class FloatLift(NamedTuple):
+    """A lifted segment's endpoints (x0, y0), (x1, y1) as floats, each
+    coordinate within ``err`` of the exact one."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+    err: float
+
+
+def _mag(x: QuadraticNumber) -> float:
+    """|u|/w + |v|*sqrt(d)/w, the size that bounds to_float's rounding."""
+    m = abs(x.u) / x.w
+    if x.v:
+        m += abs(x.v) / x.w * math.sqrt(x.d)
+    return m
+
+
+def _converted(x: BiQuadratic | QuadraticNumber) -> tuple[float, float]:
+    """``x.to_float()`` and a bound on its absolute error,
+    (8*eps + 2*|jitter|) * mag(x).  mag sums the absolute values of x's
+    parts, not |x|: to_float of (u + v*sqrt(d))/w cancels when u is near
+    -v*sqrt(d), and its error scales with the parts."""
+    if isinstance(x, BiQuadratic):
+        mag = _mag(x.p) + _mag(x.q) * math.sqrt(x.e)
+    else:
+        mag = _mag(x)
+    return x.to_float(), (8 * _EPS + 2 * abs(numbers._FLOAT_JITTER)) * mag * _UP
+
+
+def _float_shift(
+    shift: tuple[QuadraticNumber, QuadraticNumber],
+) -> tuple[float, float, float]:
+    """An exact shift as floats (bx, by) and one bound on both."""
+    (bx, ex), (by, ey) = _converted(shift[0]), _converted(shift[1])
+    return bx, by, max(ex, ey)
+
+
+def _float_image(
+    f: FloatLift, mat: Matrix, shift: tuple[float, float, float]
+) -> tuple[FloatLift, tuple[int, int]]:
+    """The image of ``f`` under x -> mat*x + shift, moved by the integer
+    translate that puts its float midpoint into [0,1)^2; returns the image
+    and that translate.  Any integer translate is the same torus segment, so
+    the exact lift it stands for is the exact image minus the same translate.
+
+    With L the matrix's largest absolute row sum, the bound grows to
+    L*err + err_shift + 4*eps*(L*|coords| + |shift| + |image| + |out|),
+    which covers the two products, two sums and one translate per
+    coordinate."""
+    p, q, r, s = mat
+    bx, by, berr = shift
+    x0, y0, x1, y1, err = f
+    X0, Y0 = x0 * p + y0 * r + bx, x0 * q + y0 * s + by
+    X1, Y1 = x1 * p + y1 * r + bx, x1 * q + y1 * s + by
+    tx, ty = math.floor((X0 + X1) * 0.5), math.floor((Y0 + Y1) * 0.5)
+    out = (X0 - tx, Y0 - ty, X1 - tx, Y1 - ty)
+    lip = max(abs(p) + abs(r), abs(q) + abs(s))
+    sizes = (
+        lip * max(abs(x0), abs(y0), abs(x1), abs(y1))
+        + max(abs(bx), abs(by))
+        + max(abs(X0), abs(Y0), abs(X1), abs(Y1))
+        + max(map(abs, out))
+    )
+    return FloatLift(*out, (lip * err + berr + 4 * _EPS * sizes) * _UP), (tx, ty)
+
+
+def _surviving_translates(f1: FloatLift, f2: FloatLift) -> Iterator[tuple[int, int]]:
+    """The lattice translates t of segment 2, in enumeration order, that the
+    error bounds cannot prove to miss segment 1.
+
+    Only translates whose bounding boxes meet, widened by both bounds, are
+    enumerated.  Each orientation is affine in t: with u = p1 - p0 and
+    v = q1 - q0, orient(p0, p1, q0 + t) = cross(u, q0 - p0) + cross(u, t),
+    and orient(q0 + t, q1 + t, p0) = cross(v, p0 - q0) - cross(v, t).  The
+    constant parts and one bound that holds over the whole enumerated box
+    are computed once per pair; a translate is skipped only when the
+    endpoints of one segment lie certainly and strictly on one side of the
+    other's line, which no exact hit, touching or collinear, can do."""
+    px0, py0, px1, py1, e1 = f1
+    qx0, qy0, qx1, qy1, e2 = f2
+    e = e1 + e2
+    size = max(abs(px0), abs(py0), abs(px1), abs(py1), abs(qx0), abs(qy0), abs(qx1), abs(qy1))
+    margin = 2 * e + 16 * _EPS * size
+    n_lo = math.floor(min(px0, px1) - max(qx0, qx1) - margin)
+    n_hi = math.ceil(max(px0, px1) - min(qx0, qx1) + margin)
+    m_lo = math.floor(min(py0, py1) - max(qy0, qy1) - margin)
+    m_hi = math.ceil(max(py0, py1) - min(qy0, qy1) + margin)
+    count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
+    if count > _TRANSLATE_CAP:
+        raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
+    ux, uy = px1 - px0, py1 - py0
+    vx, vy = qx1 - qx0, qy1 - qy0
+    a1 = ux * (qy0 - py0) - uy * (qx0 - px0)
+    a2 = ux * (qy1 - py0) - uy * (qx1 - px0)
+    a3 = vx * (py0 - qy0) - vy * (px0 - qx0)
+    a4 = vx * (py1 - qy0) - vy * (px1 - qx0)
+    # every difference of coordinates is within du (edges) or dw (endpoint
+    # to translated endpoint) of the exact one; edges have 1-norm <= 4*size,
+    # endpoint-to-endpoint vectors <= 4*size + 2*t; the float evaluation
+    # rounds by at most 16*eps*size*(size + t)
+    t = max(-n_lo, n_hi, -m_lo, m_hi)
+    du = 2 * e + 2 * _EPS * size
+    dw = e + 2 * _EPS * size
+    bound = (
+        du * (4 * size + 2 * t + 2 * dw) + 4 * size * dw + 16 * _EPS * size * (size + t)
+    ) * _UP
+    lo12, hi12 = min(a1, a2), max(a1, a2)
+    lo34, hi34 = min(a3, a4), max(a3, a4)
+    for i in range(n_lo, n_hi + 1):
+        for j in range(m_lo, m_hi + 1):
+            c = ux * j - uy * i
+            if lo12 + c > bound or hi12 + c < -bound:
+                continue
+            c = vx * j - vy * i
+            if lo34 - c > bound or hi34 - c < -bound:
+                continue
+            yield i, j
+
+
+def _first_meeting(
+    f1: FloatLift, f2: FloatLift, exact: Callable[[], tuple[LiftSegment, LiftSegment]]
+) -> tuple[float, float] | None:
+    """The witness mod 1 where the first translate of segment 2 meets
+    segment 1, or None.  Only surviving translates are decided, exactly, on
+    the lifts ``exact`` builds at the first survivor."""
+    for i, j in _surviving_translates(f1, f2):
+        s1, s2 = exact()
+        cand = s2.translate(i, j)
+        w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+        if w is not None:
+            return reduce_mod1_float(w)
+    return None
 
 
 @dataclass(frozen=True)
@@ -170,20 +309,14 @@ class LiftSegment:
 
         return LiftSegment(f(self.p0), f(self.p1))
 
-    @cached_property
-    def float_endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The endpoints as floats, converted once per segment."""
-        return (
-            (self.p0[0].to_float(), self.p0[1].to_float()),
-            (self.p1[0].to_float(), self.p1[1].to_float()),
-        )
-
-    def box(self) -> tuple[float, float, float, float]:
-        (x0, y0), (x1, y1) = self.float_endpoints
-        return (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+    def float_lift(self) -> FloatLift:
+        """The endpoints as floats, with one bound on every coordinate's
+        conversion error.  Not cached: the bound reads the float jitter."""
+        coords = [_converted(c) for c in (*self.p0, *self.p1)]
+        return FloatLift(*(x for x, _ in coords), max(e for _, e in coords))
 
     def euclidean_length(self, lat: Lattice) -> float:
-        (x0, y0), (x1, y1) = self.float_endpoints
+        x0, y0, x1, y1, _ = self.float_lift()
         return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
 
 
@@ -201,40 +334,14 @@ def lift_segments_intersect_torus(
 ) -> IntersectionResult:
     """Do the projections of two lifted segments intersect on the torus?
 
-    Enumerates the lattice translates of s2 whose bounding box meets s1's box
-    (a conservative float prefilter), then decides each candidate with exact
-    orientation predicates.  A pair whose scalars span more than two radicands
-    is refused with ``MixedRadicals``: floats never decide a hit.
+    Enumerates the lattice translates of s2 whose bounding boxes meet s1's,
+    skips those that carried float error bounds prove to miss, and decides
+    every survivor with exact orientation predicates.  A pair whose scalars
+    span more than two radicands is refused with ``MixedRadicals``: floats
+    never decide a hit.
     """
-    b1 = s1.box()
-    b2 = s2.box()
-    n_lo = math.floor(b1[0] - b2[1] - _BOX_MARGIN)
-    n_hi = math.ceil(b1[1] - b2[0] + _BOX_MARGIN)
-    m_lo = math.floor(b1[2] - b2[3] - _BOX_MARGIN)
-    m_hi = math.ceil(b1[3] - b2[2] + _BOX_MARGIN)
-    count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
-    if count > _TRANSLATE_CAP:
-        raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
-    f1 = s1.float_endpoints
-    f2 = s2.float_endpoints
-    for n in range(n_lo, n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            shifted = (
-                (f2[0][0] + n, f2[0][1] + m),
-                (f2[1][0] + n, f2[1][1] + m),
-            )
-            # float prefilter: a decisive clean miss needs no exact work; the
-            # uncertainty band is four orders above double rounding error
-            try:
-                if not segments_meet_float(f1[0], f1[1], *shifted):
-                    continue
-            except UncertainAtTolerance:
-                pass
-            cand = s2.translate(n, m)
-            w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-            if w is not None:
-                return IntersectionResult(True, reduce_mod1_float(w))
-    return IntersectionResult(False)
+    w = _first_meeting(s1.float_lift(), s2.float_lift(), lambda: (s1, s2))
+    return IntersectionResult(False) if w is None else IntersectionResult(True, w)
 
 
 def reduce_mod1_float(p: Point) -> tuple[float, float]:
@@ -683,26 +790,35 @@ def default_collision_budget(
     return math.ceil(math.log(bound / length) / math.log(tm.abs_multiplier())) + 2
 
 
-def _rho_affine(
-    lat: Lattice, nu: int, z0: TorusPoint, k: int
-) -> tuple[tuple[int, int, int, int], tuple[QuadraticNumber, QuadraticNumber]]:
+AffineMap = tuple[Matrix, tuple[QuadraticNumber, QuadraticNumber]]
+
+
+def _compose(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product a*b, in the (p, q, r, s) layout."""
+    p, q, r, s = a
+    p1, q1, r1, s1 = b
+    return (p * p1 + r * q1, q * p1 + s * q1, p * r1 + r * s1, q * r1 + s * s1)
+
+
+def _then(inner: AffineMap, outer: AffineMap, t: tuple[int, int]) -> AffineMap:
+    """The exact affine map x -> outer(inner(x)) - t."""
+    a, (sx, sy) = inner
+    mat, (bx, by) = outer
+    p, q, r, s = mat
+    return _compose(mat, a), (sx * p + sy * r + bx - t[0], sx * q + sy * s + by - t[1])
+
+
+def _rho_affine(lat: Lattice, nu: int, z0: TorusPoint, k: int) -> AffineMap:
     """Lattice-coordinate form of the k-th rotation power about z0: an integer
     matrix plus a rational shift (I - R^k) z0."""
-    p, q, r, s = rotation_matrix(lat, nu)
+    rot = rotation_matrix(lat, nu)
     rk = (1, 0, 0, 1)
     for _ in range(k):
-        a1, b1, c1, d1 = rk  # (p, q, r, s) layout: [[p, r], [q, s]]
-        rk = (p * a1 + r * b1, q * a1 + s * b1, p * c1 + r * d1, q * c1 + s * d1)
+        rk = _compose(rot, rk)
     pk, qk, rr, sk = rk
     sx = z0.x * (1 - pk) - z0.y * rr
     sy = z0.y * (1 - sk) - z0.x * qk
     return rk, (sx, sy)
-
-
-def _lift_step(tm: AffineTorusMap, lift: LiftSegment) -> LiftSegment:
-    """The lift of the next iterate: the covering's affine image of ``lift``,
-    midpoint-normalized into the fundamental cell."""
-    return lift.affine_image(tm.m, (tm.b.x, tm.b.y)).normalize()
 
 
 def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
@@ -712,8 +828,51 @@ def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegmen
         raise UsageError(f"iterate count must be >= 0, got {n}")
     chain = [seg.lift]
     for _ in range(n):
-        chain.append(_lift_step(tm, chain[-1]))
+        chain.append(chain[-1].affine_image(tm.m, (tm.b.x, tm.b.y)).normalize())
     return chain
+
+
+class _LiftSearch:
+    """The lifts the collision search compares: iterate m of the segment
+    under the covering x -> M*x + b, and its images under the group's
+    rotations x -> R_k*x + s_k (k = 0 is the identity).
+
+    Every lift is carried as a ``FloatLift`` and normalized by the integer
+    translate ``_float_image`` records.  Exact lifts are built on demand:
+    iterate m is M^m * lift_0 + S_m, with S_0 = 0 and S_m = M*S_{m-1} + b - t_m
+    an exact pair that follows the recorded translates t_m, and its rotation
+    k is R_k applied to that, plus s_k minus the rotation's own translate.
+    Both are one affine image of lift_0."""
+
+    def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
+        self.lift0 = lift0
+        self.step_map: AffineMap = (tm.m, (tm.b.x, tm.b.y))
+        self.float_b = _float_shift(self.step_map[1])
+        self.rotations = [(rot, _float_shift(rot[1])) for rot in rotations]
+        self.iterates = [(lift0.float_lift(), (0, 0))]  # float lift and translate
+        self.targets: list[list[tuple[FloatLift, tuple[int, int]]]] = []  # [n][k]
+        self.maps: list[AffineMap] = [((1, 0, 0, 1), (ZERO, ZERO))]  # lift_0 -> iterate m
+        self.exact_lifts: dict[tuple[int, int], LiftSegment] = {}
+
+    def step(self) -> None:
+        """Build the next iterate, and the rotations of the last one."""
+        last = self.iterates[-1][0]
+        self.targets.append(
+            [(last, (0, 0))] + [_float_image(last, rot[0], fb) for rot, fb in self.rotations]
+        )
+        self.iterates.append(_float_image(last, self.step_map[0], self.float_b))
+
+    def exact(self, n: int, k: int = 0) -> LiftSegment:
+        """The exact lift that rotation k of iterate n stands for."""
+        if (n, k) not in self.exact_lifts:
+            while len(self.maps) <= n:
+                t = self.iterates[len(self.maps)][1]
+                self.maps.append(_then(self.maps[-1], self.step_map, t))
+            amap = self.maps[n]
+            if k:
+                amap = _then(amap, self.rotations[k - 1][0], self.targets[n][k][1])
+            self.exact_lifts[n, k] = self.lift0.affine_image(*amap)
+        return self.exact_lifts[n, k]
 
 
 def find_collision(
@@ -732,17 +891,17 @@ def find_collision(
     irrational slope iterates meet iff they share a transverse state and their
     parameter intervals overlap; on a rational direction iff they lie on one
     closed loop (share the loop invariant) and their arcs of it overlap.  The
-    lift chain serves non-real multipliers and group mode, and states with no
+    lift search serves non-real multipliers and group mode, and states with no
     common tower or that a translation in the slope's field takes into it.
     """
     lat = tm.lattice
     nu = 1
-    rhos: list[tuple[tuple[int, int, int, int], tuple[QuadraticNumber, QuadraticNumber]]] = []
+    rotations: list[AffineMap] = []
     if group is not None:
         nu, z0 = group
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
-        rhos = [_rho_affine(lat, nu, z0, k) for k in range(nu)]
+        rotations = [_rho_affine(lat, nu, z0, k) for k in range(1, nu)]
     if budget is None:
         budget = default_collision_budget(tm, seg, nu=nu if group else None)
     if budget < 1:
@@ -753,7 +912,7 @@ def find_collision(
         try:
             states = orbit_states(tm, seg.line, budget)
         except (MixedRadicals, FieldClash):
-            pass  # the states share no tower or meet the slope's field: lift chain
+            pass  # the states share no tower or meet the slope's field: lift search
         else:
             intervals = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), budget)
             if seg.line.is_irrational:
@@ -772,27 +931,17 @@ def find_collision(
                 witness = _arc_witness(seg.line.slope, states[m][0], intervals[n], intervals[m])
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
-    # iterate m is built when the search reaches it, so a first hit at m
-    # costs m lift steps, not budget
-    chain = [seg.lift]
-    rotated: dict[tuple[int, int], LiftSegment] = {}
-
-    def rot(n: int, k: int) -> LiftSegment:
-        if k == 0:
-            return chain[n]
-        key = (n, k)
-        if key not in rotated:
-            mat, shift = rhos[k]
-            rotated[key] = chain[n].affine_image(mat, shift).normalize()
-        return rotated[key]
-
+    # iterate m is stepped when the search reaches it, so a first hit at m
+    # costs m float steps, not budget, and exact lifts only for survivors
+    lifts = _LiftSearch(tm, seg.lift, rotations)
     for m in range(1, budget + 1):
-        chain.append(_lift_step(tm, chain[-1]))
+        lifts.step()
+        current = lifts.iterates[m][0]
         for n in range(m):
-            for k in range(nu if group else 1):
-                res = lift_segments_intersect_torus(lat, chain[m], rot(n, k))
-                if res.hit:
-                    return CollisionCertificate(n, m, k, res.witness, True, bound, budget)
+            for k, (target, _) in enumerate(lifts.targets[n]):
+                w = _first_meeting(current, target, lambda: (lifts.exact(m), lifts.exact(n, k)))
+                if w is not None:
+                    return CollisionCertificate(n, m, k, w, True, bound, budget)
     return NoCollisionWithinBudget(budget=budget, group_order=nu)
 
 

@@ -579,3 +579,20 @@ def test_a_pair_of_lifts_with_no_common_tower_is_refused(capsys):
                       "--seg", "9*sqrt(2)/13,7/17,s:sqrt(5),3/100", "--budget", "6")
     assert code == 2
     assert data == {"error": "mixed-radicals", "message": "sqrt(5) and sqrt(2) in one scalar"}
+
+
+def test_a_segment_starting_with_a_minus_sign_parses_as_a_separate_argument(capsys, tmp_path):
+    # argparse reads a bare '-0.7,...' as an option; the CLI attaches it to
+    # --seg, so both spellings, and a config file's segment, give the same
+    # certificate
+    argv = ("find-collision", "--a", "1+1i", "--omega", "i")
+    cfg = tmp_path / "seg.json"
+    cfg.write_text(json.dumps({"seg": "-0.7,1/5,s:sqrt(2),1/10"}))
+    runs = [
+        _run(capsys, *argv, "--seg", "-0.7,1/5,s:sqrt(2),1/10"),
+        _run(capsys, *argv, "--seg=-0.7,1/5,s:sqrt(2),1/10"),
+        _run(capsys, *argv, "--config", str(cfg)),
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    code, data = runs[0]
+    assert code == 0 and (data["n"], data["m"]) == (2, 4)

@@ -334,7 +334,9 @@ def _refuse_lifts(monkeypatch):
 
     monkeypatch.setattr(segments, "lift_segments_intersect_torus", refuse)
     monkeypatch.setattr(segments, "lift_chain", refuse)
-    monkeypatch.setattr(segments, "_lift_step", refuse)
+    monkeypatch.setattr(segments, "_float_image", refuse)
+    monkeypatch.setattr(segments, "_surviving_translates", refuse)
+    monkeypatch.setattr(segments.LiftSegment, "affine_image", refuse)
 
 
 @pytest.mark.parametrize("budget", [12, 40])
@@ -363,32 +365,60 @@ def test_mixed_radicals_on_a_rational_direction_fall_back_to_the_lift_chain(
     capsys, monkeypatch
 ):
     # the anchor in sqrt(2) and b in sqrt(3) share no field for the loop
-    # sweep, but the lift chain's two-radicand tower holds them: the miss
-    # builds all 3 lift steps and tests all 6 pairs (n, m), n < m <= 3
-    steps, pairs = _count_lift_work(monkeypatch)
+    # sweep, but the lift search's two-radicand tower holds them: the miss
+    # steps all 3 iterates and tests all 6 pairs (n, m), n < m <= 3
+    work = _count_lift_work(monkeypatch)
     code, data = _cli(capsys, "find-collision", "--a", "2", "--b", "sqrt(3)/5", "--omega", "i",
                       "--seg", "sqrt(2)/3,1/5,h,1/10", "--budget", "3")
     assert code == 0
     assert data == {"verdict": "no-collision-within-budget", "budget": 3, "group_order": 1}
-    assert (len(steps), len(pairs)) == (3, 6)
+    assert (len(work["steps"]), len(work["pairs"])) == (3, 6)
+    _assert_exact_lifts_meet_survivors(work)
 
 
 def _count_lift_work(monkeypatch):
-    """Record every lift-chain step and every lift-pair test from here on."""
-    steps, pairs = [], []
+    """Record, from here on, every float lift image (the covering's steps
+    and the group's rotations), every lift-pair test, every exact lift the
+    search builds and every exact predicate call."""
+    work = {"steps": [], "pairs": [], "exact": [], "predicates": []}
 
-    def spy(fn, calls):
+    def spy(fn, calls, record_result=False):
         def counted(*args):
-            calls.append(args)
-            return fn(*args)
+            out = fn(*args)
+            calls.append(out if record_result else args)
+            return out
 
         return counted
 
-    monkeypatch.setattr(segments, "_lift_step", spy(segments._lift_step, steps))
+    monkeypatch.setattr(segments, "_float_image", spy(segments._float_image, work["steps"]))
     monkeypatch.setattr(
-        segments, "lift_segments_intersect_torus", spy(segments.lift_segments_intersect_torus, pairs)
+        segments, "_surviving_translates", spy(segments._surviving_translates, work["pairs"])
     )
-    return steps, pairs
+    monkeypatch.setattr(
+        segments.LiftSegment,
+        "affine_image",
+        spy(segments.LiftSegment.affine_image, work["exact"], record_result=True),
+    )
+    monkeypatch.setattr(
+        segments, "segments_meet_exact", spy(segments.segments_meet_exact, work["predicates"])
+    )
+    return work
+
+
+def _assert_exact_lifts_meet_survivors(work):
+    """Every exact lift the search built went into an exact predicate, as
+    the first segment or as an integer translate of the second: exact lifts
+    are built only for iterates with a surviving translate."""
+
+    def translate_of(lift, q0, q1):
+        shifts = [q[i] - p[i] for q, p in ((q0, lift.p0), (q1, lift.p1)) for i in (0, 1)]
+        return all(d == d.floor() for d in shifts) and shifts[:2] == shifts[2:]
+
+    for lift in work["exact"]:
+        assert any(
+            (p0, p1) == (lift.p0, lift.p1) or translate_of(lift, q0, q1)
+            for p0, p1, q0, q1 in work["predicates"]
+        ), lift
 
 
 @pytest.mark.parametrize(
@@ -401,18 +431,25 @@ def _count_lift_work(monkeypatch):
     ],
 )
 def test_a_first_hit_at_m_takes_m_lift_steps(monkeypatch, a, group, argv_seg):
-    # the search builds iterate m only when it reaches m, so a budget far
-    # past the hit costs nothing
+    # the search steps iterate m only when it reaches m, so a budget far
+    # past the hit costs nothing, and it builds exact lifts only for pairs
+    # whose translates survive the float filter
     omega = "1/2+sqrt(3)/2i" if group and group[0] == 3 else "i"
     tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
     seg = _parse_segment(argv_seg)
     grp = None if group is None else (group[0], point(*group[1]))
-    steps, _ = _count_lift_work(monkeypatch)
+    work = _count_lift_work(monkeypatch)
     got = find_collision(tm, seg, group=grp, budget=30)
     assert isinstance(got, CollisionCertificate) and got.m < 30
-    assert len(steps) == got.m
-    monkeypatch.undo()
-    assert got == dataclasses.replace(find_collision(tm, seg, group=grp, budget=got.m), budget=30)
+    assert len([args for args in work["steps"] if args[1] == tm.m]) == got.m
+    assert 0 < len(work["exact"]) <= 2 * len(work["predicates"])
+    _assert_exact_lifts_meet_survivors(work)
+    at_30 = {key: len(calls) for key, calls in work.items()}
+    for calls in work.values():
+        calls.clear()
+    at_m = find_collision(tm, seg, group=grp, budget=got.m)
+    assert got == dataclasses.replace(at_m, budget=30)
+    assert {key: len(calls) for key, calls in work.items()} == at_30
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def test_float_fallback_on_three_radicands():
         lift_segments_intersect_torus(SQUARE, s1, s2)
 
     # an endpoint a hair off the other line, in incompatible fields: refused
-    # the same way, whatever the float band says
+    # the same way: no float bound can rule a 1e-13 crossing out
     eps_den = 10**13
     base = LiftSegment(
         (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
