@@ -248,11 +248,12 @@ def _cmd_classify_line(args) -> int:
     elif isinstance(verdict, WanderingLine):
         payload = {"verdict": "wandering-line", "witness": verdict.witness}
     else:
+        cycle = (verdict.state(i) for i in range(verdict.preperiod, len(verdict.states)))
         payload = {
             "verdict": "eventually-periodic",
             "preperiod": verdict.preperiod,
             "period": verdict.period,
-            "cycle": [[a.to_expr(), b.to_expr()] for a, b in verdict.cycle],
+            "cycle": [[a.to_expr(), b.to_expr()] for a, b in cycle],
         }
     _emit(payload, args.out)
     return 0

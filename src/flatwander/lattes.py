@@ -33,7 +33,7 @@ from .line_orbit import (
     classify_line,
     passes_through_q,
 )
-from .numbers import HALF, ComplexPair, QuadraticNumber
+from .numbers import HALF, ZERO, ComplexPair, QuadraticNumber
 from .segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -160,6 +160,17 @@ def rho_transverse(
     )
 
 
+def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):
+    """rho on the numerator pairs over N of an orbit: p -> r - p mod N, with
+    r/N = to_state(2*z0) = rho(0).  When to_state(2*z0) is off the 1/N grid,
+    no state reflects into the orbit, and every image is None."""
+    den = orbit.den
+    r0, r1 = (x * den for x in rho_transverse(model, (ZERO, ZERO)))
+    if not (r0.is_integer and r1.is_integer):
+        return lambda p: None
+    return lambda p: ((r0.u - p[0]) % den, (r1.u - p[1]) % den)
+
+
 def rho_line(model: LattesModel, line: TorusLine) -> TorusLine:
     if not line.is_irrational:
         raise ValueError("rho images are tracked for irrational-slope lines")
@@ -199,11 +210,8 @@ class SelfPaired:
 RhoPairing = Unpaired | Paired | SelfPaired
 
 
-def rho_pairing(
-    model: LattesModel,
-    cycle: tuple[tuple[QuadraticNumber, QuadraticNumber], ...],
-) -> RhoPairing:
-    """Test whether rho maps a transverse cycle to itself.
+def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
+    """Test whether rho maps an orbit's cycle to itself, on numerator pairs.
 
     Since rho commutes with the covering on valid models, the induced action
     is an index shift c with 2c = 0 mod p: c = p/2 pairs lines two by two and
@@ -211,17 +219,18 @@ def rho_pairing(
     """
     if model.nu != 2:
         raise ValueError("rho-pairing applies to the order-2 quotient")
+    rho, cycle = rho_numerators(model, orbit), orbit.cycle
     p = len(cycle)
     index = {cycle[j]: j for j in range(p)}
-    img0 = rho_transverse(model, cycle[0])
+    img0 = rho(cycle[0])
     if img0 not in index:
-        if any(rho_transverse(model, st) in index for st in cycle[1:]):
+        if any(rho(st) in index for st in cycle[1:]):
             raise InternalInconsistency("rho maps part of the cycle into it")
         return Unpaired(p)
     c = index[img0]
     for j in range(p):
         expect = cycle[(j + c) % p]
-        if rho_transverse(model, cycle[j]) != expect:
+        if rho(cycle[j]) != expect:
             raise InternalInconsistency("rho image of the cycle is not an index shift")
     if c == 0:
         return SelfPaired(p)
@@ -278,17 +287,15 @@ def certify_sphere_wandering(
         return NotFlexible(reason, witness)
 
     verdict = classify_line(tm, seg.line)
-    returns = None
+    returns, rho = None, lambda st: rho_transverse(model, st)
     if isinstance(verdict, EventuallyPeriodic):
         a, p = tm.multiplier_int(), verdict.period
-        pairing = rho_pairing(model, verdict.cycle)
+        pairing, rho = rho_pairing(model, verdict), rho_numerators(model, verdict)
         if isinstance(pairing, Paired):
             returns = (pairing.half_period, -(a**pairing.half_period), False)
         else:
             returns = (p, a**p, isinstance(pairing, SelfPaired))
-    cert = certify_classified(
-        tm, seg, verdict, check_iterates, lambda st: rho_transverse(model, st), returns
-    )
+    cert = certify_classified(tm, seg, verdict, check_iterates, rho, returns)
     if isinstance(cert, NotWanderable):
         return cert
     k = min(check_iterates, 6) if cert.mode == "whole-segment" else check_iterates

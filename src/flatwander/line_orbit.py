@@ -13,6 +13,7 @@ every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
 (``_state_step``).  A transverse orbit is walked in one place, ``_walk``;
 every consumer indexes its states instead of re-applying ``line_image``.
+On rational data it steps integers, numerator pairs over one denominator.
 """
 
 from __future__ import annotations
@@ -22,12 +23,21 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import FieldClash, InternalInconsistency, IrrationalOffset, SlopeNotInvariant
+from .errors import (
+    BudgetExceeded,
+    FieldClash,
+    InternalInconsistency,
+    IrrationalOffset,
+    SlopeNotInvariant,
+)
 from .lattice import CoordPair, TorusPoint
 from .numbers import QuadraticNumber, qn
 from .torus_map import AffineTorusMap, apply_map
 
 TransverseState = tuple[QuadraticNumber, QuadraticNumber]
+NumeratorPair = tuple[int, int]
+
+MAX_ORBIT_STATES = 2**18  # above every period in the tests and the bench (~1e5)
 
 
 class _Frame:
@@ -190,6 +200,28 @@ def _state_step(
     return step
 
 
+def _state_value(p: NumeratorPair, den: int) -> TransverseState:
+    """The state a numerator pair over den stands for."""
+    return (QuadraticNumber(p[0], 0, den), QuadraticNumber(p[1], 0, den))
+
+
+def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> tuple:
+    """The rule ``_walk`` steps, the seed as its state, and the denominator N:
+    on rational data, numerator pairs over N, the lcm of the denominators of
+    seed and to_state(b), stepped by p -> (a*p + N*to_state(b)) mod N."""
+    rule = _state_step(tm, slope)
+    if not all(x.is_rational for x in (*seed, tm.b.x, tm.b.y)):
+        return rule, seed, 0  # ``_state_step`` on transverse states
+    c, a = slope.to_state(tm.b.coords()), tm.multiplier_int()
+    den = math.lcm(*(x.w for x in (*seed, *c)))
+    c0, c1, *start = (x.u * (den // x.w) for x in (*c, *seed))
+
+    def step(p: NumeratorPair) -> NumeratorPair:
+        return ((a * p[0] + c0) % den, (a * p[1] + c1) % den)
+
+    return step, tuple(start), den
+
+
 def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
     """Image of a line under the covering.
 
@@ -212,21 +244,23 @@ class JordanCurve:
 
 @dataclass(frozen=True)
 class EventuallyPeriodic:
-    """The preperiod + period distinct transverse states in orbit order;
-    ``state(n)`` folds any later index back into the cycle."""
+    """The preperiod + period distinct states in orbit order, numerator pairs
+    over ``den``; ``index(n)`` folds any later index back into the cycle."""
 
     preperiod: int
     period: int
-    states: tuple[TransverseState, ...]
+    den: int
+    states: tuple[NumeratorPair, ...]
 
     @property
-    def cycle(self) -> tuple[TransverseState, ...]:
+    def cycle(self) -> tuple[NumeratorPair, ...]:
         return self.states[self.preperiod :]
 
+    def index(self, n: int) -> int:
+        return n if n < self.preperiod else self.preperiod + (n - self.preperiod) % self.period
+
     def state(self, n: int) -> TransverseState:
-        if n >= self.preperiod:
-            n = self.preperiod + (n - self.preperiod) % self.period
-        return self.states[n]
+        return _state_value(self.states[self.index(n)], self.den)
 
 
 @dataclass(frozen=True)
@@ -237,24 +271,22 @@ class WanderingLine:
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
 
 
-def _walk(
-    tm: AffineTorusMap, line: TorusLine, limit: int
-) -> tuple[tuple[TransverseState, ...], int | None]:
+def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int | None, int]:
     """The distinct states of the orbit of ``line`` in orbit order, up to the
-    first repeat or ``limit`` states, and the index the repeat returns to
-    (None when the limit came first): the one loop over orbit states, stepped
-    by ``_state_step`` in the seed's frame for both slope kinds.  A state
+    first repeat or ``limit`` states, the index the repeat returns to (None
+    when the limit came first) and ``_state_rule``'s denominator: the one loop
+    over orbit states, in the seed's frame for both slope kinds.  A state
     fixes the iterate's line and base point, so a repeated state is a
     repeated iterate."""
-    step, state = _state_step(tm, line.slope), line.transverse()
-    seen: dict[TransverseState, int] = {}  # insertion order is orbit order
+    step, state, den = _state_rule(tm, line.slope, line.transverse())
+    seen: dict = {}  # insertion order is orbit order
     for i in range(limit):
         if i:
             state = step(state)
         if state in seen:
-            return tuple(seen), seen[state]
+            return tuple(seen), seen[state], den
         seen[state] = i
-    return tuple(seen), None
+    return tuple(seen), None, den
 
 
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
@@ -264,7 +296,8 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     transverse pair -> eventually periodic, by cycle detection on the single
     walk of the exact finite orbit (denominators never grow under
     x -> a*x + c with integer a, rational c), which stops at the first repeat:
-    preperiod + period steps.  Irrational transverse
+    preperiod + period steps.  An orbit of more than ``MAX_ORBIT_STATES``
+    states is refused with ``BudgetExceeded``.  Irrational transverse
     component -> wandering: a periodic state of that affine map is rational,
     and a*irr + rational stays irrational, so the state can never repeat.
     """
@@ -280,12 +313,10 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    lcm = math.lcm(*(x.as_fraction().denominator for x in (*line.transverse(), tm.b.x, tm.b.y)))
-    # at most lcm^2 distinct states, so the walk repeats within the limit
-    states, n0 = _walk(tm, line, lcm * lcm + 1)
+    states, n0, den = _walk(tm, line, MAX_ORBIT_STATES + 1)
     if n0 is None:
-        raise InternalInconsistency("finite rational orbit exceeded its sanity cap")
-    return EventuallyPeriodic(preperiod=n0, period=len(states) - n0, states=states)
+        raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
+    return EventuallyPeriodic(n0, len(states) - n0, den, states)
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
@@ -296,11 +327,11 @@ def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[Transverse
     The orbit is walked at most n steps; once a state repeats, the rest is
     indexed out of the cycle.  This needs no classification, so it holds for
     any translation part, rational or not."""
-    states, n0 = _walk(tm, line, n + 1)
-    if n0 is None:
-        return list(states)
-    orbit = EventuallyPeriodic(preperiod=n0, period=len(states) - n0, states=states)
-    return [orbit.state(i) for i in range(n + 1)]
+    states, n0, den = _walk(tm, line, n + 1)
+    if n0 is not None:
+        p = len(states) - n0
+        states += tuple(states[n0 + (i - n0) % p] for i in range(len(states), n + 1))
+    return [_state_value(st, den) for st in states] if den else list(states)
 
 
 def passes_through_q(

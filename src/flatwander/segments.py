@@ -55,8 +55,8 @@ from .line_orbit import (
     LineOrbitClass,
     RationalDirection,
     TorusLine,
-    TransverseState,
     WanderingLine,
+    _state_step,
     classify_line,
     line_image,
     orbit_states,
@@ -482,12 +482,12 @@ def verify_disjoint_iterates(
     ``reflect`` each pair (i, j) is also tested between iterate i and the
     reflection of iterate j.  Returns the first failing (i, j) in order.
 
-    Independent of ``first_overlap``: it builds every iterate (and its
-    reflection) once with ``iterate_segment`` and decides every pair with
-    ``segments_intersect``."""
-    segs = [seg]
-    for _ in range(k):
-        segs.append(iterate_segment(tm, segs[-1]))
+    Independent of ``first_overlap`` and of the integer walk: it builds every
+    iterate (and its reflection) once, by one ``_state_step`` rule, and
+    decides every pair with ``segments_intersect``."""
+    step, slope, segs = _state_step(tm, seg.line.slope), seg.line.slope, [seg]
+    for lo, hi in interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), k)[1:]:
+        segs.append(segment_new(TorusLine(slope, *step(segs[-1].line.transverse())), lo, hi))
     mirrors = [reflect(s) for s in segs] if reflect is not None else None
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
@@ -601,7 +601,7 @@ def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> li
 def first_overlap(
     states: list[Hashable],
     intervals: list[Interval],
-    rho_states: list[TransverseState] | None,
+    rho_states: list[Hashable] | None,
     circular: bool = False,
 ) -> tuple[int, int] | None:
     """Exact disjointness sweep over iterates with the given states and
@@ -650,18 +650,19 @@ def certify_classified(
     seg: TorusSegment,
     verdict: LineOrbitClass,
     check_iterates: int,
-    rho: Callable[[TransverseState], TransverseState] | None = None,
+    rho: Callable[[Hashable], Hashable] | None = None,
     returns: tuple[int, int, bool] | None = None,
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``.
 
-    With ``rho``, the order-2 involution on transverse states, the certificate
-    is for the quotient (level "sphere"), and ``returns`` gives the quotient's
-    return map (period, multiplier, both_sides); without it the return map is
-    the line's (p, a^p, False).  A wandering line must then also keep its
-    states apart from their reflections, and a periodic line is swept against
-    the reflections to the dominance horizon: past the preperiod a pair
-    repeats one period later scaled by a^p, and pairs further apart than
+    With ``rho``, the order-2 involution on the verdict's states (numerator
+    pairs of a periodic line; None off its grid), the certificate is for the
+    quotient (level "sphere"), and ``returns`` gives the quotient's return map
+    (period, multiplier, both_sides); without it the return map is the line's
+    (p, a^p, False).  A wandering line must then also keep its states apart
+    from their reflections, and a periodic line is swept against the
+    reflections to the dominance horizon: past the preperiod a pair repeats
+    one period later scaled by a^p, and pairs further apart than
     ``dominance`` steps are separated by growth, so the sweep covers them all.
     """
     if check_iterates < 0:
@@ -701,7 +702,7 @@ def certify_classified(
     if rho is not None:
         dominance = math.ceil(math.log(max(2.0, abs(float(v / u)))) / math.log(abs(a))) + 2
         horizon = max(check_iterates, verdict.preperiod + verdict.period + dominance)
-    states = [verdict.state(i) for i in range(horizon + 1)]
+    states = [verdict.states[verdict.index(i)] for i in range(horizon + 1)]
     rho_states = None if rho is None else [rho(st) for st in states]
     pair = first_overlap(states, interval_chain(u, v, a, horizon), rho_states)
     if pair is not None:

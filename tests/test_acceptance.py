@@ -287,7 +287,7 @@ def test_criterion_6_rho_pairing_period_halving():
     ]:
         verdict = classify_line(tm, _line(alpha, 0))
         assert isinstance(verdict, EventuallyPeriodic) and verdict.period == expect_p
-        pairing = rho_pairing(model, verdict.cycle)
+        pairing = rho_pairing(model, verdict)
         if not (isinstance(pairing, Paired) and pairing.half_period == expect_half):
             failures += 1
             continue
@@ -395,7 +395,7 @@ def _verdict_battery():
     out.append(segments_intersect(SQUARE, s_a, segment_new(lines[1], qn(0), qn(1))).hit)
     model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
     verdict = classify_line(tm, _line(Fraction(1, 5), 0))
-    out.append(type(rho_pairing(model, verdict.cycle)).__name__)
+    out.append(type(rho_pairing(model, verdict)).__name__)
     tm_c = _map("1+1i")
     ln_h = line_from_point(slope_spec((1, 0)), (qn(Fraction(1, 10)), qn(Fraction(1, 5))))
     seg_h = segment_new(ln_h, qn(0), qn(Fraction(1, 20)))

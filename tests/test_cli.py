@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # a = 2, -2, 3, the Paired / SelfPaired / Unpaired sphere cases, and wandering
 # lines certified whole on the torus and on the sphere
 GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
+# byte-exact classify-line, certify-segment --verify-oracle and certify-sphere
+# --nu 2 output over a in {2, -2, 3, -3}: preperiodic lines, paired,
+# self-paired and unpaired cycles, rotation centres z0 with 2*z0 off the 1/N
+# grid of the orbit, rational translations and wandering lines
+GOLDEN += json.loads((ROOT / "tests" / "data" / "orbit_golden.json").read_text())
 
 
 def _run(capsys, *argv):
@@ -269,11 +275,25 @@ def test_certificate_json_matches_golden(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+def test_an_orbit_too_long_to_walk_is_refused_fast(capsys):
+    argv = ["classify-line", "--a", "3", "--omega", "i", "--slope", "sqrt(2)", "--beta", "0"]
+    start = time.perf_counter()
+    code, data = _run(capsys, *argv, "--alpha", "1/1000000007")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and data["error"] == "budget-exceeded"
+    # period 100002, the order of 3 mod the prime 100003, is under the cap
+    code, data = _run(capsys, *argv, "--alpha", "1/100003")
+    assert code == 0 and (data["preperiod"], data["period"]) == (0, 100002)
+    assert data["cycle"][1] == ["3/100003", "0"]
+
+
 def _no_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
-@pytest.mark.parametrize("name", ["cli_golden", "find_collision_golden", "plot_orbit_golden"])
+@pytest.mark.parametrize(
+    "name", ["cli_golden", "find_collision_golden", "orbit_golden", "plot_orbit_golden"]
+)
 def test_golden_outputs_are_strict_json(name):
     # NaN and Infinity are Python's extensions; strict parsers reject them
     cases = json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())

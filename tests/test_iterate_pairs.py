@@ -162,6 +162,23 @@ def test_sphere_oracle_reflects_each_iterate_once(monkeypatch):
     assert len(calls) == 13
 
 
+def test_oracles_build_the_state_rule_once(monkeypatch):
+    builds = []
+    orig = segments._state_step
+
+    def counted(tm, slope):
+        builds.append(slope)
+        return orig(tm, slope)
+
+    monkeypatch.setattr(segments, "_state_step", counted)
+    model = lattes_model_new(SQUARE, _map("3", "1/2"), 2, point(Fraction(1, 4), 0))
+    line = _line(Fraction(1, 7), Fraction(1, 3))
+    seg = segment_new(line, qn(Fraction(1, 50)), qn(Fraction(1, 20)))
+    assert verify_disjoint_iterates(model.map, seg, 12) == (True, None)
+    assert verify_sphere_disjoint_iterates(model, seg, 12)[0]
+    assert len(builds) == 2
+
+
 # ---------------------------------------------------------------------------
 # transverse walks bounded by the request
 # ---------------------------------------------------------------------------
@@ -194,20 +211,21 @@ def test_orbit_states_walks_no_further_than_asked(monkeypatch):
     line = _line(Fraction(1, 1021), 0)  # period 340
     expect = _walked(tm, line, 14)
     calls = []
-    orig = line_orbit._state_step
+    orig = line_orbit._state_rule
 
-    def counted_rule(tm, slope):
-        step = orig(tm, slope)
+    def counted_rule(tm, slope, seed):
+        step, start, den = orig(tm, slope, seed)
 
-        def counted(st):
-            calls.append(st)
-            return step(st)
+        def counted(p):
+            calls.append(p)
+            return step(p)
 
-        return counted
+        return counted, start, den
 
-    monkeypatch.setattr(line_orbit, "_state_step", counted_rule)
+    monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
     assert orbit_states(tm, line, 14) == expect
     assert len(calls) == 14
+    assert all(isinstance(x, int) for p in calls for x in p)  # numerators over 1021
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +480,7 @@ import json
 from flatwander.errors import FlatwanderError
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_pairing
-from flatwander.line_orbit import IrrationalSlope, TorusLine, bezout
+from flatwander.line_orbit import EventuallyPeriodic, IrrationalSlope, TorusLine, bezout
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
@@ -501,8 +519,8 @@ seg = segment_new(TorusLine(IrrationalSlope(parse_number("sqrt(2)")), qn(0), qn(
 checks = {
     # [1, 4] under return multiplier 2 is not a certified interval
     "slack": lambda: certified_slack(qn(1), qn(4), 2),
-    # rho sends 1/3 off the cycle but fixes 1/2 on it
-    "pairing": lambda: rho_pairing(model, ((qn(1) / 3, qn(0)), (qn(1) / 2, qn(0)))),
+    # rho sends 1/3 off the cycle but fixes 1/2 on it (numerators over 6)
+    "pairing": lambda: rho_pairing(model, EventuallyPeriodic(0, 2, 6, ((2, 0), (3, 0)))),
     # a rotated collision without its group
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
@@ -517,7 +535,7 @@ checks = {
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
     # rho's image of the cycle is not an index shift of it
     "shift": lambda: rho_pairing(
-        model, ((qn(1) / 3, qn(0)), (qn(2) / 3, qn(0)), (qn(1) / 2, qn(0)))
+        model, EventuallyPeriodic(0, 3, 6, ((2, 0), (4, 0), (3, 0)))
     ),
     # omega^2 computed inconsistently with a*omega
     "relation": lambda: solve_lattice_multiplier(

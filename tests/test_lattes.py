@@ -23,6 +23,7 @@ from flatwander.lattes import (
     g_invariants,
     lattes_model_new,
     quotient_map,
+    rho_numerators,
     rho_pairing,
     rho_segment,
     rho_transverse,
@@ -149,7 +150,7 @@ def _cycle(model, alpha, beta):
 def test_rho_pairing_period_two():
     model = _model()
     verdict = _cycle(model, Fraction(1, 3), 0)
-    got = rho_pairing(model, verdict.cycle)
+    got = rho_pairing(model, verdict)
     assert got == Paired(1, ((0, 1),))
 
 
@@ -157,14 +158,14 @@ def test_rho_pairing_period_four():
     model = _model()
     verdict = _cycle(model, Fraction(1, 5), 0)
     assert verdict.period == 4
-    got = rho_pairing(model, verdict.cycle)
+    got = rho_pairing(model, verdict)
     assert isinstance(got, Paired) and got.half_period == 2
 
 
 def test_rho_pairing_unpaired():
     model = _model()
     verdict = _cycle(model, Fraction(1, 7), Fraction(1, 3))
-    got = rho_pairing(model, verdict.cycle)
+    got = rho_pairing(model, verdict)
     assert isinstance(got, Unpaired) and got.period == verdict.period
 
 
@@ -172,7 +173,7 @@ def test_rho_pairing_self_symmetric():
     model = _model()
     verdict = _cycle(model, 0, 0)
     assert verdict.period == 1
-    got = rho_pairing(model, verdict.cycle)
+    got = rho_pairing(model, verdict)
     assert got == SelfPaired(1)
 
 
@@ -240,11 +241,9 @@ def test_a_wrong_sphere_return_map_is_caught_by_the_sweep():
     model = _model(a="-2")
     seg = segment_new(_line(0, 0), qn(Fraction(1, 100)), qn(Fraction(1, 2)))
     verdict = classify_line(model.map, seg.line)
-    assert rho_pairing(model, verdict.cycle) == SelfPaired(1)
+    assert rho_pairing(model, verdict) == SelfPaired(1)
 
-    def rho(st):
-        return rho_transverse(model, st)
-
+    rho = rho_numerators(model, verdict)
     # a self-paired line must avoid both sides of the fixed point: ratio 2, not 4
     with pytest.raises(InternalInconsistency, match="certified iterates 0, 1 overlap"):
         certify_classified(model.map, seg, verdict, 12, rho, (1, -2, False))

@@ -80,8 +80,8 @@ def test_classify_eventually_periodic_third():
     got = classify_line(tm, TorusLineFactory((Fraction(1, 3), 0)))
     assert isinstance(got, EventuallyPeriodic)
     assert got.preperiod == 0 and got.period == 2
-    assert got.cycle[0] == (qn(Fraction(1, 3)), qn(0))
-    assert got.cycle[1] == (qn(Fraction(2, 3)), qn(0))
+    assert got.state(0) == (qn(Fraction(1, 3)), qn(0))
+    assert got.state(1) == (qn(Fraction(2, 3)), qn(0))
 
 
 def test_classify_wandering_sqrt3():
@@ -120,8 +120,8 @@ def test_cycle_minimality_brute_force():
         states = got.states
         # all stored states pairwise distinct, and the next state re-enters at n0
         assert len(set(states)) == len(states)
-        nxt = line_image(tm, TorusLineFactory(states[-1])).transverse()
-        assert nxt == states[got.preperiod]
+        nxt = line_image(tm, TorusLineFactory(got.state(len(states) - 1))).transverse()
+        assert nxt == got.state(got.preperiod)
 
 
 def test_wandering_soundness_64_states():

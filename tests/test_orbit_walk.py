@@ -1,6 +1,8 @@
 """The transverse orbit is walked once and indexed everywhere else: state
-indexing, call counts of the walk, the bucketed disjointness sweep against
-the pairwise reference, and the typed cross-check under ``python -O``."""
+indexing, the integer orbit and rho on numerators against stepping in
+QuadraticNumbers, call counts of the walk, the bucketed disjointness sweep
+against the pairwise reference, and the typed cross-check under
+``python -O``."""
 
 import json
 import subprocess
@@ -16,7 +18,16 @@ import flatwander
 from flatwander import lattes, line_orbit, segments
 from flatwander.errors import SlopeNotInvariant
 from flatwander.lattice import Lattice, point
-from flatwander.lattes import certify_sphere_wandering, lattes_model_new, rho_transverse
+from flatwander.lattes import (
+    Paired,
+    SelfPaired,
+    Unpaired,
+    certify_sphere_wandering,
+    lattes_model_new,
+    rho_numerators,
+    rho_pairing,
+    rho_transverse,
+)
 from flatwander.line_orbit import (
     EventuallyPeriodic,
     IrrationalSlope,
@@ -75,21 +86,22 @@ def _count_calls(monkeypatch, name):
 
 
 def _count_steps(monkeypatch):
-    """Count the steps of the one state rule, which the walk and
-    ``line_image`` share: one entry per state stepped."""
+    """Count the steps of the walk's state rule, on numerator pairs for
+    rational data and on transverse states otherwise: one entry per state
+    stepped."""
     calls = []
-    orig = line_orbit._state_step
+    orig = line_orbit._state_rule
 
-    def counted_rule(tm, slope):
-        step = orig(tm, slope)
+    def counted_rule(tm, slope, seed):
+        step, start, den = orig(tm, slope, seed)
 
         def counted(st):
             calls.append(st)
             return step(st)
 
-        return counted
+        return counted, start, den
 
-    monkeypatch.setattr(line_orbit, "_state_step", counted_rule)
+    monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
     return calls
 
 
@@ -151,6 +163,63 @@ def test_orbit_states_of_a_rational_direction_stay_in_the_seed_frame(a, b):
     # set: the image keeps the seed's slope, and so its frame
     img = line_image(tm, line)
     assert img.slope == line.slope and img.transverse() == expect[1]
+
+
+def _reference_orbit(tm, line):
+    """Preperiod and the distinct states of the orbit, stepped by
+    ``line_image`` in QuadraticNumbers up to the first repeat."""
+    states = []
+    while line.transverse() not in states:
+        states.append(line.transverse())
+        line = line_image(tm, line)
+    return states.index(line.transverse()), states
+
+
+def _reference_pairing(model, cycle):
+    """The sphere-level pairing of a transverse cycle, by comparing every
+    index shift of rho's image with the cycle."""
+    p, images = len(cycle), [rho_transverse(model, s) for s in cycle]
+    shifts = [c for c in range(p) if all(images[j] == cycle[(j + c) % p] for j in range(p))]
+    if not shifts:
+        assert not set(images) & set(cycle)
+        return Unpaired(p)
+    if shifts[0] == 0:
+        return SelfPaired(p)
+    return Paired(p // 2, tuple((j, j + p // 2) for j in range(p // 2)))
+
+
+@st.composite
+def _rational_orbit(draw):
+    """A rational line, a rational b and a rotation centre z0 of the order-2
+    quotient: 2(a - 1)*z0 + 2b lies in the lattice, so z0 = (mu/2 - b)/(a - 1)
+    for mu in Z^2, and 2*z0 need not lie on the orbit's grid."""
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    q = draw(st.integers(1, 40))
+    alpha, beta = (Fraction(draw(st.integers(0, q - 1)), q) for _ in range(2))
+    bx, by = (Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12))) for _ in range(2))
+    mu = [draw(st.integers(0, 2 * abs(a - 1) - 1)) for _ in range(2)]
+    tm = _map(str(a), f"{bx}+{by}i")
+    z0 = point((Fraction(mu[0], 2) - bx) / (a - 1), (Fraction(mu[1], 2) - by) / (a - 1))
+    return tm, _line(alpha, beta), lattes_model_new(SQUARE, tm, 2, z0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_orbit())
+def test_integer_orbit_matches_the_quadratic_walk(case):
+    tm, line, model = case
+    n0, reference = _reference_orbit(tm, line)
+    verdict = classify_line(tm, line)
+    assert (verdict.preperiod, verdict.period) == (n0, len(reference) - n0)
+    assert [verdict.state(i) for i in range(len(reference))] == reference
+    assert verdict.state(len(reference)) == reference[n0]
+    # rho on numerators is rho_transverse on the grid, and None off it
+    rho = rho_numerators(model, verdict)
+    for i, p in enumerate(verdict.states):
+        image, expect = rho(p), rho_transverse(model, reference[i])
+        on_grid = all((x * verdict.den).is_integer for x in expect)
+        assert (image is not None) == on_grid
+        assert image is None or tuple(qn(Fraction(x, verdict.den)) for x in image) == expect
+    assert rho_pairing(model, verdict) == _reference_pairing(model, reference[n0:])
 
 
 # ---------------------------------------------------------------------------
