@@ -366,23 +366,32 @@ class WeierstrassContext:
     def __init__(self, lat: Lattice):
         self.v1, self.v2, self.tau = _reduced_basis(lat)
         self.r_min = abs(self.v1)
+        self.nine = tuple(i * self.v1 + j * self.v2 for i in (-1, 0, 1) for j in (-1, 0, 1))
         self.e2, e4, e6 = _eisenstein(self.tau)
         self.g2 = (2 * math.pi) ** 4 / 12 * e4 * self.v1**-4
         self.g3 = (2 * math.pi) ** 6 / 216 * e6 * self.v1**-6
+        # q^0 .. q^(M-1) for the rows |m| <= M of wp_pair, M <= 12: the rows
+        # dropped past M sum to at most 9 |q|^M < 1e-20 (see wp_pair)
+        q = cmath.exp(2j * cmath.pi * self.tau)
+        powers = [1 + 0j]
+        while len(powers) < 12 and 9 * abs(q) ** len(powers) >= 1e-20:
+            powers.append(powers[-1] * q)
+        self.q_powers = tuple(powers)
 
     def _reduce(self, z):
         """z minus its nearest lattice point, for a complex number or an
         array: in a reduced basis that point is among the nine around the
-        rounded coordinates of z."""
+        rounded coordinates of z, so z minus the rounded point is moved by
+        the one of ``nine`` (0, v1, v2 and their sums and differences, both
+        signs) that leaves it shortest."""
         import numpy as np
 
-        z = np.asarray(z, dtype=complex)[..., None]
+        z = np.asarray(z, dtype=complex)
         u = z / self.v1
         y = u.imag / self.tau.imag
         n, m = np.round(u.real - y * self.tau.real), np.round(y)
-        dn, dm = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
-        cands = z - ((n + dn) * self.v1 + (m + dm) * self.v2)
-        best = np.abs(cands).argmin(-1)
+        cands = (z - (n * self.v1 + m * self.v2))[..., None] - np.array(self.nine)
+        best = (cands.real**2 + cands.imag**2).argmin(-1)
         return np.take_along_axis(cands, best[..., None], -1)[..., 0]
 
     def wp_pair(self, z):
@@ -391,26 +400,46 @@ class WeierstrassContext:
         With u = z/v1 reduced to the cell of 0 (DLMF §23.8),
             wp  = (pi/v1)^2 [sum_m csc^2(pi(u + m tau')) - E2(tau')/3],
             wp' = -2 pi^3/v1^3 sum_m csc^2 cot,
-        where, for t = u + m tau', csc^2 = -4w/(1-w)^2 and
-        csc^2 cot = 4is w(w+1)/(1-w)^3 with w = exp(2 pi i s t), the sign s
-        taken so that |w| <= 1: nothing overflows however thin the lattice."""
+        where, for t = u + m tau', csc^2 = -4w d^2 and
+        csc^2 cot = 4is w(w+1) d^3 with w = exp(2 pi i s t), d = 1/(1 - w),
+        and the sign s taken so that |w| <= 1: nothing overflows however
+        thin the lattice.  With q = exp(2 pi i tau') the rows factor as
+            m >= 1:   s = 1,  w = exp(2 pi i (u + tau')) q^(m-1),
+            m <= -1:  s = -1, w = exp(-2 pi i (u - tau')) q^(|m|-1),
+        and row 0 takes s = sign(Im u), so a point costs three exponentials.
+        Each factor has modulus <= 1: u in the cell of 0 has
+        |Im u| <= Im tau', and |q| <= exp(-pi sqrt 3) < 0.0044 in the
+        fundamental domain.  A row past |m| = M has |w| <= |q|^M, so the rows
+        dropped past M add at most 9 |q|^M to either sum; the context keeps
+        q^0 .. q^(M-1) for the least M <= 12 that puts this below 1e-20."""
         import numpy as np
 
         zr = self._reduce(z)
         near = np.abs(zr) < 1e-6 * self.r_min
         if near.any():
             raise NearPole(f"z within 1e-6 r_min of a lattice point: {np.asarray(z)[near][0]}")
-        # rows |m| <= 12: u reduced to the cell of 0 has |Im u| <= Im tau', so
-        # a dropped row is below 4 exp(-2 pi * 12 * sqrt(3)/2) and all of them
-        # sum to less than 1e-27
-        m = np.arange(-12, 13)
-        t = (zr / self.v1)[..., None] + m * self.tau
-        s = np.where(t.imag < 0, -1, 1)
-        w = np.exp(2j * np.pi * s * t)
-        x = (np.pi / self.v1) ** 2 * ((-4 * w / (1 - w) ** 2).sum(-1) - self.e2 / 3)
-        y = -2 * (np.pi / self.v1) ** 3 * (4j * s * w * (w + 1) / (1 - w) ** 3).sum(-1)
-        res = np.abs(y * y - (4 * x**3 - self.g2 * x - self.g3))
-        scale = np.maximum(1.0, np.maximum(np.abs(x) ** 3, np.abs(y) ** 2))
+        u = zr / self.v1
+        s0 = np.where(u.imag < 0, -1, 1)
+        qm = np.array(self.q_powers)
+        # one row per m along the last axis: 0, then 1 .. M, then -1 .. -M
+        w = np.concatenate(
+            [
+                np.exp(2j * np.pi * s0 * u)[..., None],
+                np.exp(2j * np.pi * (u + self.tau))[..., None] * qm,
+                np.exp(-2j * np.pi * (u - self.tau))[..., None] * qm,
+            ],
+            axis=-1,
+        )
+        d = 1 / (1 - w)
+        csc2 = w * d * d
+        cot = csc2 * (w + 1) * d
+        rows = len(qm)
+        cot_sum = s0 * cot[..., 0] + cot[..., 1 : rows + 1].sum(-1) - cot[..., rows + 1 :].sum(-1)
+        x = (np.pi / self.v1) ** 2 * (-4 * csc2.sum(-1) - self.e2 / 3)
+        y = -2 * (np.pi / self.v1) ** 3 * 4j * cot_sum
+        ax, ay = np.abs(x), np.abs(y)
+        res = np.abs(y * y - (4 * x * x * x - self.g2 * x - self.g3))
+        scale = np.maximum(1.0, np.maximum(ax * ax * ax, ay * ay))
         bad = ~(res <= 1e-6 * scale)
         if bad.any():
             raise ResidualExceedsTol(
@@ -448,26 +477,30 @@ def _sample_points(model: LattesModel, shift: complex, count: int):
     """Deterministic sample points w in the fundamental cell, kept 0.08 r_min
     away from the poles and half-lattice points of both w and its image
     a*w + shift.  Candidates come in one random order and are filtered a batch
-    at a time, so the points kept do not depend on the batch size."""
+    at a time, so the points kept do not depend on the batch size.
+
+    The half-lattice (1/2)L is L and its three cosets by the half-periods, so
+    dist(p, (1/2)L) = dist(2p, L)/2: a point is clear when its double lies
+    0.16 r_min from L, one nearest-point reduction.  A candidate is
+    x + y*omega with x, y uniform on [0.02, 0.98], x drawn first, mapped in
+    numpy from the generator's random() as random.uniform maps it."""
     import random as _random
 
     import numpy as np
 
-    rng = _random.Random(20240801)
+    draw = _random.Random(20240801).random
     w = model.lattice.omega_complex()
     ac = model.map.a.to_complex()
     ctx = weierstrass_context(model.lattice)
-
-    def clear(p):
-        probes = (p, p - 0.5, p - 0.5 * w, p - 0.5 - 0.5 * w)
-        return np.minimum.reduce([np.abs(ctx._reduce(q)) for q in probes]) >= 0.08 * ctx.r_min
 
     chunks, found, attempts = [], 0, 0
     while found < count and attempts < 100 * count:
         k = min(2 * (count - found), 100 * count - attempts)
         attempts += k
-        z = np.array([rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * w for _ in range(k)])
-        z = z[clear(z) & clear(ac * z + shift)]
+        r = 0.02 + (0.98 - 0.02) * np.array([draw() for _ in range(2 * k)])
+        z = r[0::2] + r[1::2] * w
+        clear = np.abs(ctx._reduce(2 * np.concatenate([z, ac * z + shift]))) >= 0.16 * ctx.r_min
+        z = z[clear[:k] & clear[k:]]
         chunks.append(z)
         found += len(z)
     if found < count:

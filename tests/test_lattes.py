@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from flatwander import lattes
 from flatwander.errors import (
     InternalInconsistency,
     NearPole,
     NotLattesCompatible,
+    ResidualExceedsTol,
     WrongLatticeForGroup,
 )
 from flatwander.lattice import Lattice, embed, point
@@ -19,6 +22,7 @@ from flatwander.lattes import (
     Paired,
     SelfPaired,
     Unpaired,
+    _sample_points,
     certify_sphere_wandering,
     g_invariants,
     lattes_model_new,
@@ -56,6 +60,14 @@ Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
 HEX = Lattice(parse_complex("1/2+sqrt(3)/2i"))
 SQRT2 = IrrationalSlope(parse_number("sqrt(2)"))
+# every (a, omega) with a*L inside L among the multipliers 2, 3, 2i, 1+i,
+# 3/2+sqrt(3)/2i and the lattices i, 2i, 1/2+i and hex: the pairs that
+# verify-semiconjugacy is benchmarked on
+SEMICONJ_PAIRS = (
+    ("2", "i"), ("2", "2i"), ("2", "1/2+i"), ("2", "1/2+sqrt(3)/2i"),
+    ("3", "i"), ("3", "2i"), ("3", "1/2+i"), ("3", "1/2+sqrt(3)/2i"),
+    ("2i", "i"), ("2i", "2i"), ("1+1i", "i"), ("3/2+sqrt(3)/2i", "1/2+sqrt(3)/2i"),
+)  # fmt: skip
 ORIGIN = point(0, 0)
 
 
@@ -459,3 +471,58 @@ def test_sphere_disjointness_reduction_matches_wp_proximity():
             assert dmin > 1e-8
             checked += 1
     assert checked > 500
+
+
+def _reference_sample_points(model, shift, count):
+    """The sampler with one random.uniform call per coordinate and four
+    probes per point, one for each coset of L in (1/2)L."""
+    rng = random.Random(20240801)
+    w = model.lattice.omega_complex()
+    ac = model.map.a.to_complex()
+    ctx = weierstrass_context(model.lattice)
+
+    def clear(p):
+        probes = (p, p - 0.5, p - 0.5 * w, p - 0.5 - 0.5 * w)
+        return np.minimum.reduce([np.abs(ctx._reduce(q)) for q in probes]) >= 0.08 * ctx.r_min
+
+    chunks, found, attempts = [], 0, 0
+    while found < count and attempts < 100 * count:
+        k = min(2 * (count - found), 100 * count - attempts)
+        attempts += k
+        z = np.array([rng.uniform(0.02, 0.98) + rng.uniform(0.02, 0.98) * w for _ in range(k)])
+        z = z[clear(z) & clear(ac * z + shift)]
+        chunks.append(z)
+        found += len(z)
+    return np.concatenate(chunks)[:count]
+
+
+@pytest.mark.parametrize(
+    "a,omega,b", [(a, omega, "0") for a, omega in SEMICONJ_PAIRS]
+    + [("2", "i", "1/2"), ("3", "1/2+i", "1/4+1/2i"), ("2i", "i", "1/2+1/2i")],
+)
+def test_one_probe_sampling_keeps_the_four_probe_points(a, omega, b):
+    # dist(p, L/2) = dist(2p, L)/2 and uniform(lo, hi) = lo + (hi - lo)*random(),
+    # so one reduction of 2p on numpy-mapped draws keeps the same points
+    lat = Lattice(parse_complex(omega))
+    model = _model(a, b, lat=lat)
+    shift = embed(model.shift, lat)
+    assert (shift != 0) == (b != "0")
+    for count in (1, 20, 200, 363, 500):
+        got = _sample_points(model, shift, count)
+        assert len(got) == count
+        assert np.array_equal(got, _reference_sample_points(model, shift, count))
+
+
+@pytest.mark.parametrize("a,omega", SEMICONJ_PAIRS)
+def test_a_wrong_quotient_map_is_refused(monkeypatch, a, omega):
+    model = _model(a, lat=Lattice(parse_complex(omega)))
+    assert verify_semiconjugacy(model, samples=200, tol=1e-6)["passed"]
+    exact = lattes.quotient_map
+
+    def scaled(m):
+        R = exact(m)
+        return lambda x: (1 + 1e-4) * R(x)
+
+    monkeypatch.setattr(lattes, "quotient_map", scaled)
+    with pytest.raises(ResidualExceedsTol):
+        verify_semiconjugacy(model, samples=200, tol=1e-6)

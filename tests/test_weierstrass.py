@@ -109,6 +109,53 @@ def test_wp_matches_the_theta_oracle(omega):
         checked += 1
 
 
+def row_sum_reference(ctx, z):
+    """wp and wp' by the csc^2 series with one exponential per row, the 25
+    rows |m| <= 12 each with its own sign s (DLMF §23.8)."""
+    m = np.arange(-12, 13)
+    t = (ctx._reduce(z) / ctx.v1)[..., None] + m * ctx.tau
+    s = np.where(t.imag < 0, -1, 1)
+    w = np.exp(2j * np.pi * s * t)
+    x = (np.pi / ctx.v1) ** 2 * ((-4 * w / (1 - w) ** 2).sum(-1) - ctx.e2 / 3)
+    y = -2 * (np.pi / ctx.v1) ** 3 * (4j * s * w * (w + 1) / (1 - w) ** 3).sum(-1)
+    return x, y
+
+
+@pytest.mark.parametrize("omega", BASES + THIN + ("0.0001i",))
+def test_factored_rows_match_the_row_sum(omega):
+    # points anywhere in three cells, and on the lines Im u = +-Im tau'/2 and
+    # near the poles, where one factor of a factored row reaches modulus 1
+    lat = _lat(omega)
+    ctx = weierstrass_context(lat)
+    rng = random.Random(omega)
+    w = lat.omega_complex()
+    z = [rng.uniform(-1, 2) + rng.uniform(-1, 2) * w for _ in range(480)]
+    z += [rng.uniform(0, 1) * ctx.v1 + sign * ctx.v2 / 2 for sign in (1, -1) for _ in range(10)]
+    z = np.array(z)
+    assert len(z) == 500
+    z = np.where(np.abs(ctx._reduce(z)) < 1e-3 * ctx.r_min, z + 1e-3 * ctx.r_min, z)
+    s = _scale(ctx.g2, ctx.g3)
+    rx, ry = row_sum_reference(ctx, z)
+    x, y = ctx.wp_pair(z)
+    # the reference is finite everywhere, so neither may wp_pair be
+    assert np.all(np.isfinite(rx)) and np.all(np.isfinite(ry))
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    # measured against max(|value|, scale), as for the oracle
+    assert np.max(np.abs(x - rx) / np.maximum(np.abs(rx), s)) < 1e-13
+    assert np.max(np.abs(y - ry) / np.maximum(np.abs(ry), s**1.5)) < 1e-13
+
+
+def test_thin_contexts_keep_one_power_of_q():
+    # |q| = exp(-2 pi Im tau') underflows on 10000i; rows past |m| = 1 are
+    # dropped once 9 |q|^M < 1e-20, and at most twelve powers are kept
+    assert weierstrass_context(_lat("10000i")).q_powers == (1,)
+    assert weierstrass_context(_lat("0.0001i")).q_powers == (1,)
+    for omega in BASES:
+        ctx = weierstrass_context(_lat(omega))
+        q, m = ctx.q_powers[1], len(ctx.q_powers)
+        assert m <= 12 and 9 * abs(q) ** m < 1e-20 <= 9 * abs(q) ** (m - 1)
+
+
 @pytest.mark.parametrize("omega", ("i", "1/2+sqrt(3)/2i", "5+1/2i", "20i", "1/100i"))
 def test_array_and_scalar_calls_agree(omega):
     lat = _lat(omega)
