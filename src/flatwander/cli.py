@@ -117,8 +117,9 @@ def _verdict_json(v) -> dict:
             "period": v.period,
             "return_map": {
                 "multiplier": v.multiplier,
-                "offset": v.offset.to_expr(),
-                "fixed_point": v.fixed_point.to_expr(),
+                # the canonical parameter puts the return map's fixed point at t = 0
+                "offset": "0",
+                "fixed_point": "0",
             },
             "checked_iterates": v.checked_iterates,
             "slack": None if v.slack is None else v.slack.to_expr(),

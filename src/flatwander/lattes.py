@@ -171,18 +171,6 @@ def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):
     return lambda p: ((r0.u - p[0]) % den, (r1.u - p[1]) % den)
 
 
-def rho_line(model: LattesModel, line: TorusLine) -> TorusLine:
-    if not line.is_irrational:
-        raise ValueError("rho images are tracked for irrational-slope lines")
-    alpha, beta = rho_transverse(model, line.transverse())
-    return TorusLine(line.slope, alpha, beta)
-
-
-def rho_segment(model: LattesModel, seg: TorusSegment) -> TorusSegment:
-    """rho in canonical parameters is t -> -t."""
-    return segment_new(rho_line(model, seg.line), -seg.t_hi, -seg.t_lo)
-
-
 # ---------------------------------------------------------------------------
 # rho-pairing of periodic cycles
 # ---------------------------------------------------------------------------
@@ -257,8 +245,9 @@ def verify_sphere_disjoint_iterates(
     model: LattesModel, seg: TorusSegment, k: int
 ) -> tuple[bool, tuple[int, int] | None]:
     """Brute-force oracle at the quotient level: Theta images of iterates
-    0..k are pairwise disjoint iff the segments and their rho reflections are."""
-    return verify_disjoint_iterates(model.map, seg, k, lambda s: rho_segment(model, s))
+    0..k are pairwise disjoint iff the segments and their rho reflections
+    (``rho_transverse`` on states, t -> -t) are."""
+    return verify_disjoint_iterates(model.map, seg, k, lambda st: rho_transverse(model, st))
 
 
 def certify_sphere_wandering(
@@ -574,5 +563,5 @@ def verify_semiconjugacy(model: LattesModel, samples: int = 500, tol: float = 1e
         "tolerance": tol,
         "passed": True,
         "coef_rel_error": None,
-        "rows": list(zip(*(a.tolist() for a in (z.real, z.imag, X.real, X.imag, resid)))),
+        "rows": np.column_stack((z.real, z.imag, X.real, X.imag, resid)),
     }

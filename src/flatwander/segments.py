@@ -15,7 +15,9 @@ state; it decides both the certificates and the integer-multiplier collision
 search, for both slope kinds: parameter intervals on an irrational-slope
 line, arcs of a closed loop for a rational direction.  The lift search serves
 only non-real multipliers, group mode and the fallback for orbit states with
-no common tower or in the slope's field.
+no common tower or in the slope's field.  The brute-force oracle,
+``verify_disjoint_iterates``, compares the same states and intervals
+pairwise, unbucketed, on irrational slopes only.
 
 The lift search runs in floats: each lift is a ``FloatLift`` that carries one
 proven absolute error bound, stepped by the covering's integer matrix and
@@ -55,10 +57,10 @@ from .line_orbit import (
     LineOrbitClass,
     RationalDirection,
     TorusLine,
+    TransverseState,
     WanderingLine,
     _state_step,
     classify_line,
-    line_image,
     orbit_states,
 )
 from .numbers import HALF, ZERO, BiQuadratic, QuadraticNumber, qn
@@ -320,19 +322,10 @@ class LiftSegment:
         return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
-    hit: bool
-    witness: tuple[float, float] | None = None
-
-    def __bool__(self) -> bool:
-        return self.hit
-
-
 def lift_segments_intersect_torus(
     lat: Lattice, s1: LiftSegment, s2: LiftSegment
-) -> IntersectionResult:
-    """Do the projections of two lifted segments intersect on the torus?
+) -> tuple[float, float] | None:
+    """A witness mod 1 where two lifted segments meet on the torus, or None.
 
     Enumerates the lattice translates of s2 whose bounding boxes meet s1's,
     skips those that carried float error bounds prove to miss, and decides
@@ -340,8 +333,7 @@ def lift_segments_intersect_torus(
     span more than two radicands is refused with ``MixedRadicals``: floats
     never decide a hit.
     """
-    w = _first_meeting(s1.float_lift(), s2.float_lift(), lambda: (s1, s2))
-    return IntersectionResult(False) if w is None else IntersectionResult(True, w)
+    return _first_meeting(s1.float_lift(), s2.float_lift(), lambda: (s1, s2))
 
 
 def reduce_mod1_float(p: Point) -> tuple[float, float]:
@@ -411,13 +403,6 @@ def segment_new(
     return TorusSegment(line, t_lo, t_hi)
 
 
-def iterate_segment(tm: AffineTorusMap, seg: TorusSegment) -> TorusSegment:
-    """Image under an integer-multiplier covering: the line keeps its slope,
-    so the parameter maps by t -> a*t."""
-    a = tm.multiplier_int()
-    return segment_new(line_image(tm, seg.line), *interval_chain(seg.t_lo, seg.t_hi, a, 1)[1])
-
-
 Interval = tuple[QuadraticNumber, QuadraticNumber]
 
 
@@ -454,8 +439,8 @@ def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float
 
 def segments_intersect(
     lat: Lattice, s1: TorusSegment, s2: TorusSegment
-) -> IntersectionResult:
-    """Torus-level intersection of two segments, exact verdicts.
+) -> tuple[float, float] | None:
+    """A witness mod 1 where two segments meet on the torus, or None, exactly.
 
     Segments on the same irrational-slope line reduce to one-dimensional
     interval overlap in the shared canonical parameter; distinct parallel
@@ -467,8 +452,8 @@ def segments_intersect(
         and s1.line.slope == s2.line.slope
     ):
         if not (s1.line.same_line(s2.line) and _overlap(s1.interval(), s2.interval())):
-            return IntersectionResult(False)
-        return IntersectionResult(True, _overlap_witness(s1.line, s1.interval(), s2.interval()))
+            return None
+        return _overlap_witness(s1.line, s1.interval(), s2.interval())
     return lift_segments_intersect_torus(lat, s1.lift, s2.lift)
 
 
@@ -476,23 +461,27 @@ def verify_disjoint_iterates(
     tm: AffineTorusMap,
     seg: TorusSegment,
     k: int,
-    reflect: Callable[[TorusSegment], TorusSegment] | None = None,
+    reflect: Callable[[TransverseState], TransverseState] | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Brute-force oracle: are iterates 0..k pairwise disjoint?  With
-    ``reflect`` each pair (i, j) is also tested between iterate i and the
-    reflection of iterate j.  Returns the first failing (i, j) in order.
-
-    Independent of ``first_overlap`` and of the integer walk: it builds every
-    iterate (and its reflection) once, by one ``_state_step`` rule, and
-    decides every pair with ``segments_intersect``."""
-    step, slope, segs = _state_step(tm, seg.line.slope), seg.line.slope, [seg]
-    for lo, hi in interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), k)[1:]:
-        segs.append(segment_new(TorusLine(slope, *step(segs[-1].line.transverse())), lo, hi))
-    mirrors = [reflect(s) for s in segs] if reflect is not None else None
+    """Brute-force oracle: are iterates 0..k of an irrational-slope segment
+    pairwise disjoint?  Returns the first failing (i, j) in order.  On
+    parallel geodesics i and j meet iff they share a transverse state and
+    their intervals overlap; with ``reflect``, an involution on states that
+    maps the parameter by t -> -t, iterate i is also tested against the
+    reflection of j.  Independent of ``first_overlap`` and the integer walk:
+    one ``_state_step`` rule, every pair compared.  A rational direction is
+    refused: states do not decide arcs of a closed loop."""
+    if not seg.line.is_irrational:
+        raise ValueError("the oracle decides irrational-slope segments only")
+    step, states = _state_step(tm, seg.line.slope), [seg.line.transverse()]
+    for _ in range(k):
+        states.append(step(states[-1]))
+    ivs = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), k)
+    mirrors = [(reflect(st), (-hi, -lo)) for st, (lo, hi) in zip(states, ivs)] if reflect else []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            if segments_intersect(tm.lattice, segs[i], segs[j]).hit or (
-                mirrors is not None and segments_intersect(tm.lattice, segs[i], mirrors[j]).hit
+            if (states[i] == states[j] and _overlap(ivs[i], ivs[j])) or (
+                mirrors and states[i] == mirrors[j][0] and _overlap(ivs[i], mirrors[j][1])
             ):
                 return False, (i, j)
     return True, None
@@ -511,8 +500,6 @@ class WanderingCertificate:
     preperiod: int
     period: int
     multiplier: int  # effective return multiplier; 0 in whole-segment mode
-    offset: QuadraticNumber
-    fixed_point: QuadraticNumber
     checked_iterates: int
     slack: QuadraticNumber | None
     line: TorusLine
@@ -685,8 +672,6 @@ def certify_classified(
             preperiod=0,
             period=0,
             multiplier=0,
-            offset=qn(0),
-            fixed_point=qn(0),
             checked_iterates=check_iterates,
             slack=None,
             line=seg.line,
@@ -714,8 +699,6 @@ def certify_classified(
         preperiod=verdict.preperiod,
         period=period,
         multiplier=lam,
-        offset=qn(0),
-        fixed_point=qn(0),
         checked_iterates=check_iterates,
         slack=slack,
         line=seg.line,
@@ -961,4 +944,4 @@ def reverify_collision(
             raise ValueError("a rotated collision needs its group to re-verify")
         mat, shift = _rho_affine(lat, group[0], group[1], cert.k)
         target = target.affine_image(mat, shift).normalize()
-    return lift_segments_intersect_torus(lat, lifts[cert.m], target).hit
+    return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None

@@ -169,7 +169,7 @@ def test_criterion_2_and_3_reverse_direction_with_bound():
         cur = seg.lift.normalize()
         for _n in range(cert.m if isinstance(cert, CollisionCertificate) else budget):
             nxt = cur.affine_image(tm.m, (tm.b.x, tm.b.y)).normalize()
-            if not lift_segments_intersect_torus(SQUARE, cur, nxt).hit:
+            if lift_segments_intersect_torus(SQUARE, cur, nxt) is None:
                 if cur.euclidean_length(SQUARE) > bound + 1e-9:
                     bound_violations += 1
             cur = nxt
@@ -389,10 +389,10 @@ def _verdict_battery():
     # touching segments: exact predicates must call this an intersection
     s_a = segment_new(lines[0], qn(Fraction(1, 100)), qn(Fraction(1, 10)))
     s_b = segment_new(lines[0], qn(Fraction(1, 10)), qn(Fraction(2, 10)))
-    out.append(segments_intersect(SQUARE, s_a, s_b).hit)
+    out.append(segments_intersect(SQUARE, s_a, s_b) is not None)
     s_c = segment_new(lines[0], qn(Fraction(21, 100)), qn(Fraction(3, 10)))
-    out.append(segments_intersect(SQUARE, s_a, s_c).hit)
-    out.append(segments_intersect(SQUARE, s_a, segment_new(lines[1], qn(0), qn(1))).hit)
+    out.append(segments_intersect(SQUARE, s_a, s_c) is not None)
+    out.append(segments_intersect(SQUARE, s_a, segment_new(lines[1], qn(0), qn(1))) is not None)
     model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
     verdict = classify_line(tm, _line(Fraction(1, 5), 0))
     out.append(type(rho_pairing(model, verdict)).__name__)

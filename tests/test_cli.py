@@ -158,6 +158,15 @@ def test_verify_semiconjugacy_cli(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "z_re,z_im,wp_re,wp_im,residual"
     assert len(lines) == 61
+    # each line is its row formatted from Python floats
+    from flatwander.lattes import lattes_model_new, verify_semiconjugacy
+    from flatwander.lattice import Lattice, point
+    from flatwander.numbers import parse_complex
+    from flatwander.torus_map import torus_map_new
+
+    tm = torus_map_new(parse_complex("2"), parse_complex("0"), Lattice(parse_complex("i")))
+    rows = verify_semiconjugacy(lattes_model_new(tm.lattice, tm, 2, point(0, 0)), 60)["rows"]
+    assert lines[1:] == [",".join(f"{float(v):.17g}" for v in row) for row in rows]
 
 
 def test_determinism_byte_identical(capsys):

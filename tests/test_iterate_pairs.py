@@ -1,6 +1,6 @@
 """One iterate-pair sweep and one brute-force oracle: the integer collision
-search against recorded CLI output, both oracles against the pairwise loops
-they replaced, the oracle's reflection count, walks bounded by the budget,
+search against recorded CLI output, both oracles against a planar reference
+on lifts, the oracle's reflection count, walks bounded by the budget,
 transverse pairs in the slope's field against the lift search, rational
 directions decided on their loops with no lifts, and the typed cross-checks
 under ``python -O``."""
@@ -15,12 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from flatwander import lattes, line_orbit, segments
 from flatwander.cli import _parse_segment, main
 from flatwander.lattice import Lattice, point
-from flatwander.lattes import lattes_model_new, rho_segment, verify_sphere_disjoint_iterates
-from flatwander.errors import FieldClash
+from flatwander.lattes import lattes_model_new, verify_sphere_disjoint_iterates
+from flatwander.errors import FieldClash, NotLattesCompatible
 from flatwander.line_orbit import (
     IrrationalSlope,
     TorusLine,
@@ -34,12 +36,10 @@ from flatwander.segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
     find_collision,
-    iterate_segment,
     lift_chain,
     lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
-    segments_intersect,
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import torus_map_new
@@ -70,31 +70,26 @@ def test_find_collision_matches_golden(capsys, case):
 
 
 # ---------------------------------------------------------------------------
-# the oracles against the pairwise loops they replaced
+# the oracles against a planar reference
 # ---------------------------------------------------------------------------
 
 
-def pairwise_disjoint_iterates(tm, seg, k):
-    segs = [seg]
-    for _ in range(k):
-        segs.append(iterate_segment(tm, segs[-1]))
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if segments_intersect(tm.lattice, segs[i], segs[j]).hit:
-                return False, (i, j)
-    return True, None
-
-
-def pairwise_sphere_disjoint_iterates(model, seg, k):
-    segs = [seg]
-    for _ in range(k):
-        segs.append(iterate_segment(model.map, segs[-1]))
-    lat = model.lattice
+def planar_disjoint_iterates(tm, seg, k, z0=None):
+    """The first meeting pair (i, j) of iterates 0..k, decided in the plane:
+    the ``lift_chain`` lifts and, with a center z0, each lift's point
+    reflection z -> 2*z0 - z, every pair in order by the exact lift
+    predicate.  No transverse state or parameter interval is read."""
+    lifts = lift_chain(tm, seg, k)
+    mirrors = None
+    if z0 is not None:
+        mirrors = [lift.affine_image((-1, 0, 0, -1), (z0.x * 2, z0.y * 2)) for lift in lifts]
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            if segments_intersect(lat, segs[i], segs[j]).hit:
+            if lift_segments_intersect_torus(tm.lattice, lifts[i], lifts[j]) is not None:
                 return False, (i, j)
-            if segments_intersect(lat, segs[i], rho_segment(model, segs[j])).hit:
+            if mirrors is not None and (
+                lift_segments_intersect_torus(tm.lattice, lifts[i], mirrors[j]) is not None
+            ):
                 return False, (i, j)
     return True, None
 
@@ -131,9 +126,9 @@ def test_oracles_match_pairwise_loops(k):
     torus_fail = sphere_fail = sphere_only = 0
     for tm, model, seg in _oracle_results():
         got = verify_disjoint_iterates(tm, seg, k)
-        assert got == pairwise_disjoint_iterates(tm, seg, k)
+        assert got == planar_disjoint_iterates(tm, seg, k)
         got_sphere = verify_sphere_disjoint_iterates(model, seg, k)
-        assert got_sphere == pairwise_sphere_disjoint_iterates(model, seg, k)
+        assert got_sphere == planar_disjoint_iterates(tm, seg, k, model.z0)
         torus_fail += not got[0]
         sphere_fail += not got_sphere[0]
         sphere_only += got[0] and not got_sphere[0]
@@ -148,14 +143,64 @@ def test_oracle_failure_pairs_are_the_first_in_order():
     assert verify_disjoint_iterates(tm, seg, 6) == (False, (2, 3))
 
 
+@st.composite
+def _flexible_case(draw):
+    """A flexible model on a 1/4-grid center and real translation, and a
+    segment on a periodic or wandering line, short enough that the planar
+    reference's translates stay few."""
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    lat = Lattice(parse_complex(draw(st.sampled_from(["i", "1/2+1i", "2i"]))))
+    b = Fraction(draw(st.integers(0, 3)), 4)
+    tm = torus_map_new(parse_complex(str(a)), parse_complex(str(b)), lat)
+    z0 = point(Fraction(draw(st.integers(0, 3)), 4), Fraction(draw(st.integers(0, 3)), 4))
+    try:
+        model = lattes_model_new(lat, tm, 2, z0)
+    except NotLattesCompatible:
+        reject()
+    q = draw(st.integers(1, 8))
+    alpha, beta = (qn(Fraction(draw(st.integers(0, q - 1)), q)) for _ in range(2))
+    if draw(st.booleans()):
+        alpha = parse_number("sqrt(3)-1")  # a wandering line
+    t0 = Fraction(draw(st.integers(-8, 8)), 40)
+    t1 = t0 + Fraction(draw(st.integers(1, 8)), 40)
+    k = draw(st.integers(0, 8 if abs(a) == 2 else 5))
+    seg = segment_new(TorusLine(SQRT2, alpha.mod1(), beta), qn(t0), qn(t1))
+    return model, seg, k
+
+
+def test_oracles_match_the_planar_reference_on_flexible_models():
+    verdicts = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_flexible_case())
+    def check(case):
+        model, seg, k = case
+        got = verify_disjoint_iterates(model.map, seg, k)
+        assert got == planar_disjoint_iterates(model.map, seg, k)
+        got_sphere = verify_sphere_disjoint_iterates(model, seg, k)
+        assert got_sphere == planar_disjoint_iterates(model.map, seg, k, model.z0)
+        verdicts.append((got[0], got_sphere[0]))
+
+    check()
+    # failing pairs are drawn, plain ones and reflected-only ones
+    assert (False, False) in verdicts and (True, False) in verdicts
+
+
+def test_the_oracle_refuses_a_rational_direction():
+    line = line_from_point(slope_spec((1, 0)), (qn(Fraction(1, 3)), qn(0)))
+    with pytest.raises(ValueError):
+        verify_disjoint_iterates(_map("2"), segment_new(line, qn(0), qn(Fraction(1, 7))), 4)
+
+
 def test_sphere_oracle_reflects_each_iterate_once(monkeypatch):
     calls = []
+    orig = lattes.rho_transverse
 
-    def counted(model, seg):
-        calls.append(seg)
-        return rho_segment(model, seg)
+    def counted(model, state):
+        calls.append(state)
+        return orig(model, state)
 
-    monkeypatch.setattr(lattes, "rho_segment", counted)
+    monkeypatch.setattr(lattes, "rho_transverse", counted)
     model = lattes_model_new(SQUARE, _map("2"), 2, point(0, 0))
     seg = segment_new(_line(Fraction(1, 5), 0), qn(Fraction(1, 50)), qn(Fraction(1, 20)))
     assert verify_sphere_disjoint_iterates(model, seg, 12) == (True, None)
@@ -273,7 +318,7 @@ def _lift_search(tm, seg, budget):
     chain = lift_chain(tm, seg, budget)
     for m in range(1, budget + 1):
         for n in range(m):
-            if lift_segments_intersect_torus(tm.lattice, chain[m], chain[n]).hit:
+            if lift_segments_intersect_torus(tm.lattice, chain[m], chain[n]) is not None:
                 return (n, m)
     return None
 

@@ -29,7 +29,6 @@ from flatwander.lattes import (
     quotient_map,
     rho_numerators,
     rho_pairing,
-    rho_segment,
     rho_transverse,
     theta_line_type,
     verify_semiconjugacy,
@@ -455,9 +454,16 @@ def test_sphere_disjointness_reduction_matches_wp_proximity():
         a2 = Fraction(rng.randint(0, 90), 100)
         s1 = segment_new(_line(a1, 0), qn(0), qn(Fraction(1, 25)))
         s2 = segment_new(_line(a2, 0), qn(0), qn(Fraction(1, 25)))
-        plain = segments_intersect(SQUARE, s1, s2)
-        refl = segments_intersect(SQUARE, s1, rho_segment(model, s2))
-        meet = plain.hit or refl.hit
+        # rho in canonical parameters is t -> -t on the reflected line
+        mirror = segment_new(
+            TorusLine(s2.line.slope, *rho_transverse(model, s2.line.transverse())),
+            -s2.t_hi,
+            -s2.t_lo,
+        )
+        meet = (
+            segments_intersect(SQUARE, s1, s2) is not None
+            or segments_intersect(SQUARE, s1, mirror) is not None
+        )
         im1, im2 = sample(s1), sample(s2)
         if not im1 or not im2:
             continue

@@ -1,8 +1,9 @@
 """One segment representation: a ``TorusSegment`` is its line and its
 parameter interval, and its lift is derived on demand.  Checks that the
-certifiers on irrational slopes never build a lift, that ``iterate_segment``
-agrees with the lift chain for either sign of the multiplier and both slope
-kinds, and that ``plot-orbit`` output matches a recording."""
+certifiers on irrational slopes never build a lift, that the image of a
+segment under an integer covering, its line's image with the parameter mapped
+by t -> a*t, agrees with the lift chain for either sign of the multiplier and
+both slope kinds, and that ``plot-orbit`` output matches a recording."""
 
 import dataclasses
 import json
@@ -13,12 +14,12 @@ import pytest
 
 from flatwander.cli import main
 from flatwander.lattice import Lattice
-from flatwander.line_orbit import TorusLine, line_from_point, slope_spec
+from flatwander.line_orbit import TorusLine, line_from_point, line_image, slope_spec
 from flatwander.numbers import BiQuadratic, parse_complex, parse_number, qn
 from flatwander.segments import (
     LiftSegment,
     TorusSegment,
-    iterate_segment,
+    interval_chain,
     lift_chain,
     segment_new,
 )
@@ -55,13 +56,21 @@ def _lines():
     }
 
 
+def _image(tm, seg):
+    """The segment's image under an integer covering: the line keeps its
+    slope and steps to ``line_image``, and the parameter maps by t -> a*t,
+    the parameterisation the certifiers and the oracle assume."""
+    a = tm.multiplier_int()
+    return segment_new(line_image(tm, seg.line), *interval_chain(seg.t_lo, seg.t_hi, a, 1)[1])
+
+
 @pytest.mark.parametrize("kind", ["irrational", "horizontal", "direction-2,-3"])
 @pytest.mark.parametrize("a", [2, -2, 3, -3])
 def test_iterate_segment_matches_lift_chain(a, kind):
     tm = torus_map_new(parse_complex(str(a)), parse_complex("1/7"), SQUARE)
     seg = segment_new(_lines()[kind], qn(Fraction(1, 50)), qn(Fraction(1, 10)))
     for want in lift_chain(tm, seg, 3)[1:]:
-        seg = iterate_segment(tm, seg)
+        seg = _image(tm, seg)
         assert {seg.lift.p0, seg.lift.p1} == {want.p0, want.p1}
 
 
@@ -70,7 +79,7 @@ def test_iterate_segment_negative_multiplier_on_rational_direction():
     # x in [2/15, 1/3] at y = 3/5 (mod 1); the direction flips to (-1, 0)
     tm = torus_map_new(parse_complex("-2"), parse_complex("0"), SQUARE)
     line = line_from_point(slope_spec((1, 0)), (qn(Fraction(1, 3)), qn(Fraction(1, 5))))
-    image = iterate_segment(tm, segment_new(line, qn(0), qn(Fraction(1, 10))))
+    image = _image(tm, segment_new(line, qn(0), qn(Fraction(1, 10))))
 
     def pt(x, y):
         return (BiQuadratic.lift(qn(x)), BiQuadratic.lift(qn(y)))

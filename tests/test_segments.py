@@ -75,21 +75,20 @@ def test_midpoint_normalized_into_cell():
 def test_parallel_distinct_lines_disjoint():
     s1 = segment_new(_line(Fraction(1, 3), 0), qn(0), qn(1))
     s2 = segment_new(_line(Fraction(1, 5), 0), qn(0), qn(1))
-    assert not segments_intersect(SQUARE, s1, s2).hit
+    assert segments_intersect(SQUARE, s1, s2) is None
 
 
 def test_segment_meets_itself():
     s = segment_new(_line(Fraction(1, 3), 0), qn(0), qn(Fraction(1, 10)))
-    got = segments_intersect(SQUARE, s, s)
-    assert got.hit
+    assert segments_intersect(SQUARE, s, s) is not None
 
 
 def test_crossing_lifts_with_witness():
     s1 = LiftSegment(_pt(0, 0), _pt(Fraction(1, 2), 0))
     s2 = LiftSegment(_pt(Fraction(1, 4), Fraction(-1, 4)), _pt(Fraction(1, 4), Fraction(1, 4)))
     got = lift_segments_intersect_torus(SQUARE, s1, s2)
-    assert got.hit
-    assert abs(got.witness[0] - 0.25) < 1e-12 and abs(got.witness[1]) < 1e-12
+    assert got is not None
+    assert abs(got[0] - 0.25) < 1e-12 and abs(got[1]) < 1e-12
 
 
 def test_exact_meet_collinear_overlap_and_touch():
@@ -126,7 +125,6 @@ def test_certify_periodic_subsegment_brute_force():
     assert isinstance(got, WanderingCertificate)
     assert got.mode == "subsegment"
     assert got.period == 2 and got.multiplier == 4
-    assert got.fixed_point == 0 and got.offset == 0
     u, v = got.interval
     assert (u - seg.t_lo).sign() >= 0 and (seg.t_hi - v).sign() >= 0
     assert got.slack is not None and (got.slack - 1).sign() > 0
@@ -249,8 +247,8 @@ def test_fast_path_agrees_with_geometric_path():
         lo2 = Fraction(rng.randint(-40, 40), 20)
         s1 = segment_new(line, qn(lo1), qn(lo1 + Fraction(rng.randint(1, 10), 20)))
         s2 = segment_new(line, qn(lo2), qn(lo2 + Fraction(rng.randint(1, 10), 20)))
-        fast = segments_intersect(SQUARE, s1, s2).hit
-        geometric = lift_segments_intersect_torus(SQUARE, s1.lift, s2.lift).hit
+        fast = segments_intersect(SQUARE, s1, s2) is not None
+        geometric = lift_segments_intersect_torus(SQUARE, s1.lift, s2.lift) is not None
         assert fast == geometric, (alpha, lo1, lo2)
         agreements += 1
     assert agreements == 120
@@ -267,8 +265,7 @@ def test_axis_aligned_cross_fields_stay_exact():
         (BiQuadratic.lift(qn(0)), BiQuadratic.lift(Q(0, 1, 4, 5))),
         (BiQuadratic.lift(qn(1)), BiQuadratic.lift(Q(0, 1, 4, 5))),
     )
-    got = lift_segments_intersect_torus(SQUARE, s1, s2)
-    assert got.hit
+    assert lift_segments_intersect_torus(SQUARE, s1, s2) is not None
 
 
 def test_float_fallback_on_three_radicands():
@@ -318,6 +315,6 @@ def test_consecutive_disjoint_pairs_respect_length_bound():
     b_shift = (tm.b.x, tm.b.y)
     for _ in range(16):
         nxt = cur.affine_image(tm.m, b_shift).normalize()
-        if not lift_segments_intersect_torus(SQUARE, cur, nxt).hit:
+        if lift_segments_intersect_torus(SQUARE, cur, nxt) is None:
             assert cur.euclidean_length(SQUARE) <= bound + 1e-9
         cur = nxt
