@@ -173,8 +173,13 @@ def _parse_point(text: str) -> TorusPoint:
 
 def _parse_slope(text: str) -> RationalDirection | IrrationalSlope:
     if "," in text:
-        m_s, k_s = text.split(",")
-        return slope_spec((int(m_s), int(k_s)))
+        try:
+            m, k = map(int, text.split(","))
+        except ValueError:
+            m = k = 0
+        if m == k == 0:
+            raise UsageError(f"--slope 'm,k' takes two integers, not both 0, got {text!r}")
+        return slope_spec((m, k))
     return slope_spec(parse_number(text))
 
 
@@ -447,7 +452,10 @@ def _cmd_plot_orbit(args) -> int:
     lifts = lift_chain(tm, seg, args.iterates)
     witness = None
     if args.mark_witness:
-        wx, wy = args.mark_witness.split(",")
+        try:
+            wx, wy = args.mark_witness.split(",")
+        except ValueError:
+            raise UsageError(f"--mark-witness takes 'x,y', got {args.mark_witness!r}") from None
         witness = (float(parse_number(wx).to_float()), float(parse_number(wy).to_float()))
     emit_orbit_svg(tm.lattice, lifts, args.out or "orbit.svg", witness)
     _emit({"written": args.out or "orbit.svg", "segments": len(lifts)})
@@ -536,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iterates", type=int, default=8)
     sp.add_argument("--mark-witness", default=None, help="'x,y' glyph position")
     sp.set_defaults(fn=_cmd_plot_orbit)
+    ap.commands = sub.choices  # name -> subcommand parser, for _parse_argv
     return ap
 
 
@@ -549,32 +558,52 @@ def _apply_config(argv: list[str]) -> list[str]:
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         raise UsageError(f"unreadable config: {exc}") from exc
     rest = argv[:i] + argv[i + 2 :]
+    given = {arg.split("=", 1)[0] for arg in rest}
     extra: list[str] = []
     for key, value in sorted(cfg.items()):
         flag = f"--{key.replace('_', '-')}"
-        if flag in rest or value is False:
+        if flag in given or value is False:
             continue
         # true switches a flag on; any other value is the option's argument
-        extra.extend([flag] if value is True else [flag, str(value)])
+        extra.append(flag if value is True else f"{flag}={value}")
     return rest + extra
 
 
-def _attach_segments(argv: list[str]) -> list[str]:
-    """``--seg VALUE`` as ``--seg=VALUE`` for a segment that starts with '-',
-    which argparse would otherwise read as an option."""
+def _attach_values(sp: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``--opt VALUE`` as ``--opt=VALUE`` when VALUE starts with '-' and is no
+    option of ``sp``: argparse would otherwise read '-1/2' or '-i' as one."""
+    options = sp._option_string_actions
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--seg" and arg.startswith("-") and "," in arg:
-            out[-1] = f"--seg={arg}"
+        prev = out[-1] if out else None
+        if (arg[:1] == "-" and arg not in options and prev in options
+                and options[prev].nargs is None):
+            out[-1] = f"{prev}={arg}"
         else:
             out.append(arg)
     return out
 
 
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """Parse with the subcommand's own parser when argv starts with one;
+    anything else (help, an unknown command, no command) goes to the top
+    parser, which reports it."""
+    ap = build_parser()
+    argv = _apply_config(argv)
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is None:
+        return ap.parse_args(argv)
+    rest = _attach_values(sp, argv[1:])
+    args, extra = sp.parse_known_args(rest)
+    if extra:
+        ap.parse_args([argv[0], *rest])  # reports the unrecognized arguments
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_attach_segments(_apply_config(argv)))
+        args = _parse_argv(argv)
         return args.fn(args)
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})

@@ -45,7 +45,7 @@ from .segments import (
     segment_new,
     verify_disjoint_iterates,
 )
-from .torus_map import AffineTorusMap, apply_map, kernel, rotation_matrix
+from .torus_map import AffineTorusMap, kernel, rotation_matrix
 
 _SIGNATURES = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
 
@@ -93,22 +93,27 @@ def lattes_model_new(
         and q * rr + s * rs == rq * r + rs * s
     ):
         raise InternalInconsistency("the covering does not commute with the rotation")
-    az0 = apply_map(tm, z0)
-    shift = reduce_to_fundamental((az0.x - z0.x, az0.y - z0.y))
-    cx = shift.x * (1 - rp) - shift.y * rr
-    cy = shift.y * (1 - rs) - shift.x * rq
-    if not (cx.is_integer and cy.is_integer):
+    bx, by = tm.b.x, tm.b.y
+    shift = reduce_to_fundamental((z0.x * (p - 1) + z0.y * r + bx, z0.x * q + z0.y * (s - 1) + by))
+    # (I - R)(shift) on numerators over one den; I - R is invertible over Q,
+    # so an irrational shift never descends
+    den = math.lcm(shift.x.w, shift.y.w)
+    sx, sy = (c.u * (den // c.w) for c in shift.coords())
+    if not (shift.x.is_rational and shift.y.is_rational
+            and ((1 - rp) * sx - rr * sy) % den == 0 == ((1 - rs) * sy - rq * sx) % den):
         raise NotLattesCompatible(
             f"A(z0) - z0 = {shift.to_expr()} is not (I - R)-annihilated mod Z^2"
         )
-    model = LattesModel(lat, tm, nu, z0, _SIGNATURES[nu], rot, shift)
     if nu == 2:
-        grid = model.q_grid()
-        keys = {g.key() for g in grid}
-        for g in grid:
-            if apply_map(tm, g).key() not in keys:
-                raise NotLattesCompatible("grid not forward invariant")
-    return model
+        # the shift is rational, and with it b: the grid z0 + (1/2)Z^2 and its
+        # image under A are numerator pairs over one even den
+        den = 2 * math.lcm(z0.x.w, z0.y.w, bx.w, by.w)
+        zx, zy, nx, ny = (c.u * (den // c.w) for c in (z0.x, z0.y, bx, by))
+        grid = {((zx + i) % den, (zy + j) % den) for i in (0, den // 2) for j in (0, den // 2)}
+        if any(((p * x + r * y + nx) % den, (q * x + s * y + ny) % den) not in grid
+               for x, y in grid):
+            raise NotLattesCompatible("grid not forward invariant")
+    return LattesModel(lat, tm, nu, z0, _SIGNATURES[nu], rot, shift)
 
 
 # ---------------------------------------------------------------------------

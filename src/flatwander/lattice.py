@@ -37,9 +37,8 @@ class TorusPoint:
     y: QuadraticNumber
 
     def __post_init__(self):
-        for c in (self.x, self.y):
-            if c.sign() < 0 or (c - 1).sign() >= 0:
-                raise ValueError("TorusPoint coordinates must lie in [0,1)")
+        if self.x.floor() or self.y.floor():
+            raise ValueError("TorusPoint coordinates must lie in [0,1)")
 
     def coords(self) -> CoordPair:
         return (self.x, self.y)

@@ -129,8 +129,8 @@ def slope_spec(value: QuadraticNumber | tuple[int, int]) -> SlopeSpec:
         g = math.gcd(abs(m), abs(k))
         return RationalDirection(m // g, k // g)
     if value.is_rational:
-        f = value.as_fraction()
-        return RationalDirection(f.denominator, f.numerator)
+        # canonical: u/w is in lowest terms with w > 0
+        return RationalDirection(value.w, value.u)
     return IrrationalSlope(value)
 
 

@@ -657,34 +657,34 @@ _set_p, _set_q, _set_e = (getattr(BiQuadratic, slot).__set__ for slot in BiQuadr
 # Whitespace is insignificant.  Decimal literals parse to exact rationals.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\.\d+|\d+)|(sqrt)|([()+\-*/i]))")
+_TOKEN = r"\d+\.\d+|\.\d+|\d+|sqrt|[()+\-*/i]"
+_TOKENS = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_TOKEN_RE = re.compile(_TOKEN)
 
 
 def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character at {text[pos:]!r}")
-            break
-        out.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
-    return out
+    # the longest run of tokens from the start; anything after it but
+    # whitespace is an error
+    end = _TOKENS.match(text).end()
+    if text[end:].strip():
+        raise ParseError(f"unexpected character at {text[end:]!r}")
+    return _TOKEN_RE.findall(text, 0, end)
 
 
 class _Parser:
+    """Recursive descent over the tokens, which end in an empty sentinel."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
+        if not self.toks:
+            raise ParseError("empty expression")
+        self.toks.append("")
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
     def take(self) -> str:
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of expression")
         tok = self.toks[self.i]
+        if not tok:
+            raise ParseError("unexpected end of expression")
         self.i += 1
         return tok
 
@@ -696,9 +696,8 @@ class _Parser:
     def _number(self, tok: str) -> QuadraticNumber:
         if "." in tok:
             whole, frac = tok.split(".")
-            num = int((whole or "0") + frac)
-            return QuadraticNumber(num, 0, 10 ** len(frac))
-        return QuadraticNumber(int(tok))
+            return QuadraticNumber._canon(int((whole or "0") + frac), 0, 10 ** len(frac), 0)
+        return QuadraticNumber._canon(int(tok), 0, 1, 0)
 
     def factor(self) -> QuadraticNumber:
         tok = self.take()
@@ -713,70 +712,62 @@ class _Parser:
             val = self.expr()
             self.expect(")")
             return val
-        if tok and (tok[0].isdigit() or tok[0] == "."):
+        if tok[0].isdigit() or tok[0] == ".":
             return self._number(tok)
         raise ParseError(f"unexpected token {tok!r}")
 
     def term(self) -> QuadraticNumber:
         val = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
+        while (op := self.toks[self.i]) in ("*", "/"):
+            self.i += 1
             if op == "*":
                 val = val * self.factor()
-            else:
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise ParseError("division only by a positive integer")
-                val = val / int(den)
+                continue
+            den = self.take()
+            if not den.isdigit() or int(den) == 0:
+                raise ParseError("division only by a positive integer")
+            # a canonical value over a positive integer: _canon reduces it
+            val = QuadraticNumber._canon(val.u, val.v, val.w * int(den), val.d)
         return val
 
     def expr(self) -> QuadraticNumber:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        val = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            val = val + t if op == "+" else val - t
+        sign = self.toks[self.i]
+        if sign in ("+", "-"):
+            self.i += 1
+        val = -self.term() if sign == "-" else self.term()
+        while (op := self.toks[self.i]) in ("+", "-"):
+            self.i += 1
+            val = val + self.term() if op == "+" else val - self.term()
         return val
 
     def complex_expr(self) -> ComplexPair:
-        re_acc, im_acc = ZERO, ZERO
+        parts = [ZERO, ZERO]  # the real and the imaginary sum
         first = True
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
+        while tok := self.toks[self.i]:
             if tok in ("+", "-"):
-                sign = -1 if self.take() == "-" else 1
-            elif first:
-                sign = 1
-            else:
+                self.i += 1
+            elif not first:
                 raise ParseError(f"expected '+' or '-', got {tok!r}")
             first = False
-            if self.peek() == "i":
-                self.take()
-                im_acc = im_acc + sign
-                continue
-            t = self.term() * sign
-            if self.peek() == "i":
-                self.take()
-                im_acc = im_acc + t
-            else:
-                re_acc = re_acc + t
-        return ComplexPair(re_acc, im_acc)
+            # a bare 'i' is 1*i
+            t = ONE if self.toks[self.i] == "i" else self.term()
+            if tok == "-":
+                t = -t
+            im = self.toks[self.i] == "i"
+            if im:
+                self.i += 1
+            # the first term of a sum is the sum: no addition to ZERO
+            parts[im] = t if parts[im] is ZERO else parts[im] + t
+        return ComplexPair(*parts)
 
     def done(self) -> None:
-        if self.i != len(self.toks):
+        if self.toks[self.i]:
             raise ParseError(f"trailing input near {self.toks[self.i]!r}")
 
 
 def parse_number(text: str) -> QuadraticNumber:
     """Parse a real scalar in the number-expression grammar."""
     p = _Parser(text)
-    if not p.toks:
-        raise ParseError("empty expression")
     val = p.expr()
     p.done()
     return val
@@ -785,8 +776,6 @@ def parse_number(text: str) -> QuadraticNumber:
 def parse_complex(text: str) -> ComplexPair:
     """Parse a complex scalar (``expr``, ``expr+expr i``, ``expr i`` or ``i``)."""
     p = _Parser(text)
-    if not p.toks:
-        raise ParseError("empty expression")
     val = p.complex_expr()
     p.done()
     return val

@@ -25,7 +25,12 @@ from .numbers import ComplexPair, QuadraticNumber
 def solve_lattice_multiplier(lat: Lattice, a: ComplexPair) -> tuple[int, int, int, int]:
     """Integers (p, q, r, s) with a*1 = p + q*omega and a*omega = r + s*omega,
     or raise NotACovering when multiplication by ``a`` does not preserve the
-    lattice."""
+    lattice.  A real ``a`` preserves a lattice exactly when it is an integer, and
+    then the matrix is (a, 0, 0, a), for which the relation check is vacuous."""
+    if a.is_real:
+        if not a.re.is_integer:
+            raise NotACovering(f"a*1 not in the lattice for a = {a.to_expr()}")
+        return a.re.u, 0, 0, a.re.u
     w_re, w_im = lat.omega.re, lat.omega.im
     try:
         q_val = a.im / w_im

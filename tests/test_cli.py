@@ -1,3 +1,4 @@
+import ast
 import json
 import shlex
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flatwander.cli import main
+from flatwander.cli import build_parser, main
 from flatwander.numbers import parse_number
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,6 +21,10 @@ GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
 # self-paired and unpaired cycles, rotation centres z0 with 2*z0 off the 1/N
 # grid of the orbit, rational translations and wandering lines
 GOLDEN += json.loads((ROOT / "tests" / "data" / "orbit_golden.json").read_text())
+# byte-exact output of malformed inputs: parse errors, non-coverings, low
+# degrees, omega off the upper half-plane, models that do not descend,
+# degenerate segments and malformed --slope, --seg, --z0 and --mark-witness
+GOLDEN += json.loads((ROOT / "tests" / "data" / "input_errors_golden.json").read_text())
 
 
 def _run(capsys, *argv):
@@ -301,7 +306,9 @@ def _no_constant(token):
 
 
 @pytest.mark.parametrize(
-    "name", ["cli_golden", "find_collision_golden", "orbit_golden", "plot_orbit_golden"]
+    "name",
+    ["cli_golden", "find_collision_golden", "input_errors_golden", "orbit_golden",
+     "plot_orbit_golden"],
 )
 def test_golden_outputs_are_strict_json(name):
     # NaN and Infinity are Python's extensions; strict parsers reject them
@@ -430,7 +437,7 @@ def test_semiconjugacy_closed_form(capsys, argv):
 
 _THIN = """
 import sys
-from flatwander.cli import main
+from flatwander.cli import build_parser, main
 sys.exit(main(["verify-semiconjugacy", "--a", "2", "--omega", sys.argv[1]]))
 """
 
@@ -625,3 +632,127 @@ def test_a_segment_starting_with_a_minus_sign_parses_as_a_separate_argument(caps
     assert runs[0] == runs[1] == runs[2]
     code, data = runs[0]
     assert code == 0 and (data["n"], data["m"]) == (2, 4)
+
+
+_DASH_VALUES = [
+    (["classify-map", "--omega", "i"], "--a", "-2i"),
+    (["classify-map", "--a", "2", "--omega", "i"], "--b", "-1/2"),
+    (["classify-line", "--a", "2", "--omega", "i", "--slope", "sqrt(2)"], "--alpha", "-1/3"),
+    (["certify-segment", "--a", "2", "--omega", "i", "--slope", "sqrt(2)", "--alpha", "1/5"],
+     "--t0", "-1/40"),
+    (["classify-line", "--a", "2", "--omega", "i", "--alpha", "1/5"], "--slope", "-sqrt(2)"),
+    (["classify-line", "--a", "2", "--omega", "i", "--alpha", "1/5"], "--slope", "-1,2"),
+    (["certify-sphere", "--a", "3", "--omega", "i", "--seg", "0,1/7,s:sqrt(2),1/18"],
+     "--z0", "-1/2,0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value", _DASH_VALUES, ids=[flag for _, flag, _ in _DASH_VALUES]
+)
+def test_an_option_value_starting_with_a_minus_sign_is_attached(capsys, argv, flag, value):
+    # argparse reads a bare '-1/2' as an option; the CLI attaches it to the
+    # option before it, so both spellings print the same JSON
+    spaced = main([*argv, flag, value])
+    out = capsys.readouterr().out
+    assert spaced == main([*argv, f"{flag}={value}"]) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_a_config_value_starting_with_a_minus_sign(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": "-1/2"}))
+    argv = ["classify-map", "--a", "2", "--omega", "i"]
+    code = main(["--config", str(cfg), *argv])
+    out = capsys.readouterr().out
+    assert code == main([*argv, "--b=-1/2"]) == 0
+    assert out == capsys.readouterr().out
+    assert json.loads(out)["b"] == ["1/2", "0"]
+    # a config value is always a value, even one spelled like an option
+    cfg.write_text(json.dumps({"b": "-h"}))
+    code, data = _run(capsys, "--config", str(cfg), *argv)
+    assert code == 2 and data["error"] == "syntax"
+
+
+def test_a_command_line_value_overrides_its_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": "1/3"}))
+    code, data = _run(capsys, "--config", str(cfg), "classify-map", "--a", "2", "--omega", "i",
+                      "--b=1/5")
+    assert code == 0 and data["b"] == ["1/5", "0"]
+
+
+def test_an_option_name_is_never_taken_as_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-map", "--a", "--omega", "i"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify-line", "--slope", "a,b"],
+         "--slope 'm,k' takes two integers, not both 0, got 'a,b'"),
+        (["classify-line", "--slope", "1.5,2"],
+         "--slope 'm,k' takes two integers, not both 0, got '1.5,2'"),
+        (["classify-line", "--slope", "0,0"],
+         "--slope 'm,k' takes two integers, not both 0, got '0,0'"),
+        (["certify-segment", "--slope", "1,2,3"],
+         "--slope 'm,k' takes two integers, not both 0, got '1,2,3'"),
+        (["plot-orbit", "--seg", "0,0,h,1/10", "--mark-witness", "1"],
+         "--mark-witness takes 'x,y', got '1'"),
+    ],
+    ids=["letters", "decimal", "zero", "triple", "witness"],
+)
+def test_malformed_pairs_name_their_flag(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, data = _run(capsys, argv[0], "--a", "2", "--omega", "i", *argv[1:])
+    assert code == 2
+    assert data == {"error": "usage", "message": message}
+    assert not (tmp_path / "orbit.svg").exists()
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts, so a check written as one would vanish
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "flatwander").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+_REPLAY = """
+import contextlib, io, json, sys
+from flatwander.cli import build_parser, main
+out = []
+for argv in json.loads(sys.stdin.read()):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_golden_cases_replay_under_optimize(tmp_path):
+    # one success and one error per subcommand, where the goldens hold one
+    goldens = list(GOLDEN)
+    for name in ("find_collision_golden", "plot_orbit_golden"):
+        goldens += json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())
+    cases = {}
+    for case in goldens:
+        cases.setdefault((case["argv"][0], case["exit"] == 0), case)
+    assert {command for command, _ in cases} == set(build_parser().commands)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REPLAY],
+        input=json.dumps([case["argv"] for case in cases.values()]),
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[case["exit"], case["stdout"]] for case in cases.values()]

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from flatwander.errors import (
     ResidualExceedsTol,
     WrongLatticeForGroup,
 )
-from flatwander.lattice import Lattice, embed, point
+from flatwander.lattice import Lattice, embed, half_lattice_q, point
 from flatwander.lattes import (
     ClosedCurveImage,
     FoldedRay,
@@ -53,7 +55,7 @@ from flatwander.segments import (
     certify_classified,
     segment_new,
 )
-from flatwander.torus_map import torus_map_new
+from flatwander.torus_map import apply_map, rotation_matrix, torus_map_new
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -139,6 +141,45 @@ def test_offcenter_z0_compatibility():
     # a = 2 moves the grid off itself
     with pytest.raises(NotLattesCompatible):
         _model(a="2", z0=point(Fraction(1, 4), 0))
+
+
+def _descends_pointwise(tm, nu, z0):
+    """The model check on exact torus points: (I - R)(A(z0) - z0) in Z^2 and,
+    for nu = 2, the four grid points mapped into the grid."""
+    rp, rq, rr, rs = rotation_matrix(tm.lattice, nu)
+    az0 = apply_map(tm, z0)
+    shift = point(az0.x - z0.x, az0.y - z0.y)
+    cx = shift.x * (1 - rp) - shift.y * rr
+    cy = shift.y * (1 - rs) - shift.x * rq
+    ok = cx.is_integer and cy.is_integer
+    if ok and nu == 2:
+        grid = set(half_lattice_q(tm.lattice, z0))
+        ok = all(apply_map(tm, g) in grid for g in grid)
+    return ok, shift
+
+
+def test_model_check_agrees_with_the_pointwise_reference():
+    maps = [("2", "i", 4), ("-3", "i", 4), ("1+1i", "i", 4), ("2i", "2i", 2),
+            ("3", "1/2+i", 2), ("2", "1/2+sqrt(3)/2i", 3), ("3/2+sqrt(3)/2i", "1/2+sqrt(3)/2i", 6),
+            ("-2", "1/2+sqrt(3)/2i", 6)]  # fmt: skip
+    b_parts = ("0", "1/2", "1/3", "2/3")
+    z_parts = (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    verdicts = Counter()
+    for a, omega, nu_other in maps:
+        lat = Lattice(parse_complex(omega))
+        for bx, by in itertools.product(b_parts, repeat=2):
+            # on hex, an imaginary part of b gives irrational lattice coordinates
+            tm = _map(a, f"{bx}+({by})i", lat)
+            for nu, zx, zy in itertools.product({2, nu_other}, z_parts, z_parts):
+                z0 = point(zx, zy)
+                ok, shift = _descends_pointwise(tm, nu, z0)
+                verdicts[nu, ok] += 1
+                if ok:
+                    assert lattes_model_new(lat, tm, nu, z0).shift == shift
+                else:
+                    with pytest.raises(NotLattesCompatible, match=r"\(I - R\)-annihilated"):
+                        lattes_model_new(lat, tm, nu, z0)
+    assert all(verdicts[nu, ok] for nu in (2, 3, 4, 6) for ok in (True, False)), verdicts
 
 
 def test_theta_line_type_examples():

@@ -433,3 +433,53 @@ def test_mixed_radicals_still_raise():
         BiQuadratic(r2, qn(1), 5) * BiQuadratic(r2, qn(1), 7)
     with pytest.raises(MixedRadicals):
         BiQuadratic(r2, qn(1), 5) + r3
+
+
+def _literal_terms(draw, n, depth):
+    """Text of a sum of terms in one radicand n, with its value A + B*sqrt(n)
+    as Fractions."""
+    text, a, b = "", Fraction(0), Fraction(0)
+    for j in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(("", "+", "-") if j == 0 else ("+", "-")))
+        kind = draw(st.sampled_from(("sqrt", "frac", "decimal") + (("paren",) if depth < 2 else ())))
+        ta, tb = Fraction(0), Fraction(0)
+        if kind == "sqrt":
+            k, q = draw(st.integers(1, 60)), draw(st.integers(1, 30))
+            t, tb = f"{k}*sqrt({n})/{q}", Fraction(k, q)
+        elif kind == "frac":
+            p, r = draw(st.integers(0, 60)), draw(st.integers(1, 30))
+            t, ta = f"{p}/{r}", Fraction(p, r)
+        elif kind == "decimal":
+            whole = draw(st.sampled_from(("", "0", "3", "12")))
+            t = f"{whole}.{draw(st.text('0123456789', min_size=1, max_size=4))}"
+            ta = Fraction(t)
+        else:
+            inner, ia, ib = _literal_terms(draw, n, depth + 1)
+            m = draw(st.integers(1, 9))
+            if draw(st.booleans()):
+                t, ta, tb = f"{m}*({inner})", m * ia, m * ib
+            else:
+                t, ta, tb = f"({inner})/{m}", ia / m, ib / m
+        if sign == "-":
+            ta, tb = -ta, -tb
+        text, a, b = text + sign + t, a + ta, b + tb
+    return text, a, b
+
+
+@st.composite
+def _literals(draw):
+    # square-free, non-square-free, 0 and 1 radicands
+    n = draw(st.sampled_from((0, 1, 2, 3, 4, 8, 12, 18, 50, 1000003)))
+    return (n, *_literal_terms(draw, n, 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_literals())
+def test_literals_parse_to_their_value_in_canonical_form(lit):
+    n, text, a, b = lit
+    want = Q(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, n)
+    for got in (parse_number(text), parse_complex(text).re, parse_complex(f"({text})i").im):
+        assert _fields(got) == _fields(want)
+        assert got.w > 0 and math.gcd(got.u, got.v, got.w) == 1
+        assert (got.d == 0) == (got.v == 0) and got.d != 1
+        assert all(got.d % (p * p) for p in range(2, math.isqrt(got.d) + 1))

@@ -14,6 +14,7 @@ from flatwander.torus_map import (
     iterate_map,
     kernel,
     preimages,
+    solve_lattice_multiplier,
     torus_map_new,
 )
 
@@ -140,3 +141,17 @@ def test_real_non_integer_never_covers():
         omega = rng.choice([SQUARE, HEX])
         with pytest.raises(NotACovering):
             torus_map_new(ComplexPair.make(Fraction(num, den)), ZERO_C, omega)
+
+
+@pytest.mark.parametrize("omega", ["i", "2i", "1/2+i", "1/2+sqrt(3)/2i", "1/3+sqrt(5)i"])
+def test_real_multipliers_solve_exactly(omega):
+    lat = Lattice(parse_complex(omega))
+    w = lat.omega
+    for n in range(-3, 4):
+        p, q, r, s = solve_lattice_multiplier(lat, ComplexPair.make(n))
+        # a*1 = p + q*omega and a*omega = r + s*omega, on exact parts
+        assert (w.re * q + p, w.im * q) == (Q(n), Q(0))
+        assert (w.re * s + r, w.im * s) == (w.re * n, w.im * n)
+    for a in ("1/2", "-7/3", "sqrt(2)", "1+sqrt(3)"):
+        with pytest.raises(NotACovering, match=r"a\*1 not in the lattice for a = "):
+            solve_lattice_multiplier(lat, parse_complex(a))
