@@ -569,16 +569,26 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest + extra
 
 
+def _option_named(options: dict[str, argparse.Action], name: str) -> argparse.Action | None:
+    """The action of option ``name``, or of the one long option that ``name``
+    abbreviates; an ambiguous prefix is left to argparse."""
+    if name in options:
+        return options[name]
+    hits = [opt for opt in options if opt.startswith(name)] if name[:2] == "--" else []
+    return options[hits[0]] if len(hits) == 1 else None
+
+
 def _attach_values(sp: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """``--opt VALUE`` as ``--opt=VALUE`` when VALUE starts with '-' and is no
-    option of ``sp``: argparse would otherwise read '-1/2' or '-i' as one."""
+    option of ``sp``: argparse would otherwise read '-1/2' or '-i' as one.
+    ``--opt`` may be an unambiguous abbreviation, as argparse allows."""
     options = sp._option_string_actions
     out: list[str] = []
     for arg in argv:
-        prev = out[-1] if out else None
-        if (arg[:1] == "-" and arg not in options and prev in options
-                and options[prev].nargs is None):
-            out[-1] = f"{prev}={arg}"
+        dash_value = arg[:1] == "-" and arg not in options
+        action = _option_named(options, out[-1]) if dash_value and out else None
+        if action is not None and action.nargs is None:
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

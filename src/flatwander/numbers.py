@@ -3,9 +3,9 @@
 A :class:`QuadraticNumber` stores (u + v*sqrt(D))/w with unbounded integers,
 canonicalized so that equality is structural and sign/floor are decided by
 integer arithmetic alone.  :class:`BiQuadratic` layers one further radicand on
-top (values p + q*sqrt(E) with p, q quadratic); it is what planar predicates
-on geodesic segments need, since a point of an irrational-slope line mixes the
-slope radicand into one coordinate.
+top (values p + q*sqrt(E) with p, q quadratic); planar predicates on geodesic
+segments need it only when a lift's data span two radicands, say an anchor in
+one field on a line whose slope lies in another.
 """
 
 from __future__ import annotations
@@ -409,6 +409,7 @@ class ComplexPair(NamedTuple):
         return f"{re_s.to_expr()}{sign}{im_part}"
 
 
+@total_ordering
 class BiQuadratic:
     """p + q*sqrt(e) with p, q in one quadratic field and e a second radicand.
 
@@ -474,10 +475,6 @@ class BiQuadratic:
         _set_q(x, q)
         _set_e(x, e)
         return x
-
-    @classmethod
-    def lift(cls, x: Scalar) -> BiQuadratic:
-        return cls(qn(x))
 
     def _common_e(self, other: BiQuadratic) -> int:
         a = self.e if not self.q.is_zero else 0
@@ -568,6 +565,12 @@ class BiQuadratic:
             return NotImplemented
         return self * o.inverse()
 
+    def __rtruediv__(self, other: object) -> BiQuadratic:
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o * self.inverse()
+
     def sign(self) -> int:
         sp = self.p.sign()
         if self.q.is_zero:
@@ -605,18 +608,6 @@ class BiQuadratic:
         if o is NotImplemented:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        return self._coerce(other) < self
-
-    def __ge__(self, other: object) -> bool:
-        return self._coerce(other) <= self
 
     def floor(self) -> int:
         if self.q.is_zero:

@@ -26,8 +26,9 @@ bounding boxes meet.  A translate is skipped only when the bounds prove it
 misses; every survivor is decided by the exact predicate
 ``segments_meet_exact`` on exact lifts built for it on demand, which also
 builds every witness.  So floats only ever skip certain misses, and every
-verdict is exact; a pair of lifts with no common two-radicand tower is
-refused with ``MixedRadicals`` when a translate of it survives.
+verdict is exact.  Exact lifts are ``QuadraticNumber`` points, in the tower
+only when the segment, b and the rotation shifts span two radicands; with no
+common two-radicand tower a surviving translate raises ``MixedRadicals``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ from .torus_map import (
     rotation_matrix,
 )
 
-Point = tuple[BiQuadratic, BiQuadratic]
+Coord = QuadraticNumber | BiQuadratic
+Point = tuple[Coord, Coord]  # a lift's coordinates share the search's field
 Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
 
 _TRANSLATE_CAP = 2_000_000
@@ -80,7 +82,7 @@ _EPS = sys.float_info.epsilon  # 2**-52, twice the unit roundoff of a double
 _UP = 1 + 16 * _EPS
 
 
-def _within(a: BiQuadratic, lo: BiQuadratic, hi: BiQuadratic) -> bool:
+def _within(a: Coord, lo: Coord, hi: Coord) -> bool:
     return (a - lo).sign() >= 0 and (hi - a).sign() >= 0
 
 
@@ -92,7 +94,7 @@ def _on_collinear_segment(p0: Point, p1: Point, r: Point) -> bool:
     return True
 
 
-def _cross(u: Point, v: Point) -> BiQuadratic:
+def _cross(u: Point, v: Point) -> Coord:
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -163,7 +165,7 @@ def _mag(x: QuadraticNumber) -> float:
     return m
 
 
-def _converted(x: BiQuadratic | QuadraticNumber) -> tuple[float, float]:
+def _converted(x: Coord) -> tuple[float, float]:
     """``x.to_float()`` and a bound on its absolute error,
     (8*eps + 2*|jitter|) * mag(x).  mag sums the absolute values of x's
     parts, not |x|: to_float of (u + v*sqrt(d))/w cancels when u is near
@@ -322,6 +324,21 @@ class LiftSegment:
         return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
 
 
+def _needs_tower(*xs: Coord) -> bool:
+    """Is one of the scalars in the BiQuadratic tower, or do they span more
+    than one radicand?"""
+    return any(isinstance(x, BiQuadratic) for x in xs) or len({x.d for x in xs} - {0}) > 1
+
+
+def _common_field(shifts: tuple[QuadraticNumber, ...], *lifts: LiftSegment) -> list[LiftSegment]:
+    """The lifts in one field that also holds ``shifts``: as they are when
+    all their scalars share at most one radicand, else in the tower."""
+    if not _needs_tower(*shifts, *(c for lift in lifts for c in (*lift.p0, *lift.p1))):
+        return list(lifts)
+    tower = BiQuadratic._coerce
+    return [LiftSegment(tuple(map(tower, s.p0)), tuple(map(tower, s.p1))) for s in lifts]
+
+
 def lift_segments_intersect_torus(
     lat: Lattice, s1: LiftSegment, s2: LiftSegment
 ) -> tuple[float, float] | None:
@@ -329,10 +346,11 @@ def lift_segments_intersect_torus(
 
     Enumerates the lattice translates of s2 whose bounding boxes meet s1's,
     skips those that carried float error bounds prove to miss, and decides
-    every survivor with exact orientation predicates.  A pair whose scalars
-    span more than two radicands is refused with ``MixedRadicals``: floats
-    never decide a hit.
+    every survivor with exact orientation predicates, in one common field.  A
+    pair spanning more than two radicands is refused with ``MixedRadicals``:
+    floats never decide a hit.
     """
+    s1, s2 = _common_field((), s1, s2)
     return _first_meeting(s1.float_lift(), s2.float_lift(), lambda: (s1, s2))
 
 
@@ -349,9 +367,10 @@ def reduce_mod1_float(p: Point) -> tuple[float, float]:
 def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
     """The point at parameter t on the lift of ``line`` through its base
     point: base + t * direction, for an irrational slope the canonical
-    (beta, -alpha) + t*(1, slope)."""
+    (beta, -alpha) + t*(1, slope); in the tower only if its data span two radicands."""
     (bx, by), (dx, dy) = line.base_point(), line.direction()
-    t = BiQuadratic.lift(t)
+    if _needs_tower(bx, by, dx, dy, t):
+        t = BiQuadratic(t)
     return (t * dx + bx, t * dy + by)
 
 
@@ -792,25 +811,24 @@ def _then(inner: AffineMap, outer: AffineMap, t: tuple[int, int]) -> AffineMap:
     return _compose(mat, a), (sx * p + sy * r + bx - t[0], sx * q + sy * s + by - t[1])
 
 
-def _rho_affine(lat: Lattice, nu: int, z0: TorusPoint, k: int) -> AffineMap:
-    """Lattice-coordinate form of the k-th rotation power about z0: an integer
-    matrix plus a rational shift (I - R^k) z0."""
-    rot = rotation_matrix(lat, nu)
-    rk = (1, 0, 0, 1)
-    for _ in range(k):
+def _rotations(lat: Lattice, nu: int, z0: TorusPoint) -> list[AffineMap]:
+    """Lattice-coordinate form of the rotation powers k = 1..nu-1 about z0:
+    integer matrices R^k plus rational shifts (I - R^k) z0."""
+    rot, rk, out = rotation_matrix(lat, nu), (1, 0, 0, 1), []
+    for _ in range(1, nu):
         rk = _compose(rot, rk)
-    pk, qk, rr, sk = rk
-    sx = z0.x * (1 - pk) - z0.y * rr
-    sy = z0.y * (1 - sk) - z0.x * qk
-    return rk, (sx, sy)
+        pk, qk, rr, sk = rk
+        out.append((rk, (z0.x * (1 - pk) - z0.y * rr, z0.y * (1 - sk) - z0.x * qk)))
+    return out
 
 
 def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
     """Lifts of iterates 0..n of the segment under the covering, each
-    midpoint-normalized into the fundamental cell; works for any multiplier."""
+    midpoint-normalized into the fundamental cell; works for any multiplier.
+    They are in the tower only when b brings a second radicand."""
     if n < 0:
         raise UsageError(f"iterate count must be >= 0, got {n}")
-    chain = [seg.lift]
+    chain = _common_field((tm.b.x, tm.b.y), seg.lift)
     for _ in range(n):
         chain.append(chain[-1].affine_image(tm.m, (tm.b.x, tm.b.y)).normalize())
     return chain
@@ -826,14 +844,16 @@ class _LiftSearch:
     iterate m is M^m * lift_0 + S_m, with S_0 = 0 and S_m = M*S_{m-1} + b - t_m
     an exact pair that follows the recorded translates t_m, and its rotation
     k is R_k applied to that, plus s_k minus the rotation's own translate.
-    Both are one affine image of lift_0."""
+    Both are one affine image of lift_0, which goes to the tower only when b
+    or an s_k brings a second radicand."""
 
     def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
-        self.lift0 = lift0
+        shifts = (tm.b.x, tm.b.y, *(c for _, shift in rotations for c in shift))
+        (self.lift0,) = _common_field(shifts, lift0)
         self.step_map: AffineMap = (tm.m, (tm.b.x, tm.b.y))
         self.float_b = _float_shift(self.step_map[1])
         self.rotations = [(rot, _float_shift(rot[1])) for rot in rotations]
-        self.iterates = [(lift0.float_lift(), (0, 0))]  # float lift and translate
+        self.iterates = [(self.lift0.float_lift(), (0, 0))]  # float lift and translate
         self.targets: list[list[tuple[FloatLift, tuple[int, int]]]] = []  # [n][k]
         self.maps: list[AffineMap] = [((1, 0, 0, 1), (ZERO, ZERO))]  # lift_0 -> iterate m
         self.exact_lifts: dict[tuple[int, int], LiftSegment] = {}
@@ -885,7 +905,7 @@ def find_collision(
         nu, z0 = group
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
-        rotations = [_rho_affine(lat, nu, z0, k) for k in range(1, nu)]
+        rotations = _rotations(lat, nu, z0)
     if budget is None:
         budget = default_collision_budget(tm, seg, nu=nu if group else None)
     if budget < 1:
@@ -942,6 +962,7 @@ def reverify_collision(
     if cert.k:
         if group is None:
             raise ValueError("a rotated collision needs its group to re-verify")
-        mat, shift = _rho_affine(lat, group[0], group[1], cert.k)
+        mat, shift = _rotations(lat, *group)[cert.k - 1]
+        (target,) = _common_field(shift, target)
         target = target.affine_image(mat, shift).normalize()
     return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None

@@ -64,13 +64,13 @@ def test_the_conversion_bound_covers_a_cancelling_coordinate(d, jitter):
 
 
 def _exact_minus(x: BiQuadratic, f: float) -> BiQuadratic:
-    return x - BiQuadratic.lift(qn(Fraction(f)))
+    return x - BiQuadratic(qn(Fraction(f)))
 
 
 def _covers(lift: LiftSegment, f: FloatLift) -> bool:
     """Every exact coordinate lies within f.err of its float, decided
     exactly (a float is a dyadic rational)."""
-    err = BiQuadratic.lift(qn(Fraction(f.err)))
+    err = BiQuadratic(qn(Fraction(f.err)))
     for exact, approx in zip((*lift.p0, *lift.p1), f[:4]):
         diff = _exact_minus(exact, approx)
         if (diff - err).sign() > 0 or (diff + err).sign() < 0:
@@ -181,13 +181,13 @@ def test_the_filter_never_skips_an_exact_hit(jitter):
 def test_the_filter_skips_certain_misses():
     # parallel segments 1e-9 apart: every translate is a certain miss
     s1 = LiftSegment(
-        (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
-        (BiQuadratic.lift(Q(0, 1, 1, 2)), BiQuadratic.lift(qn(1))),
+        (BiQuadratic(qn(0)), BiQuadratic(qn(0))),
+        (BiQuadratic(Q(0, 1, 1, 2)), BiQuadratic(qn(1))),
     )
     off = qn(Fraction(1, 10**9))
     s2 = LiftSegment(
-        (BiQuadratic.lift(off), BiQuadratic.lift(qn(0))),
-        (BiQuadratic.lift(Q(0, 1, 1, 2) + off), BiQuadratic.lift(qn(1))),
+        (BiQuadratic(off), BiQuadratic(qn(0))),
+        (BiQuadratic(Q(0, 1, 1, 2) + off), BiQuadratic(qn(1))),
     )
     assert list(_surviving_translates(s1.float_lift(), s2.float_lift())) == []
 

@@ -659,6 +659,38 @@ def test_an_option_value_starting_with_a_minus_sign_is_attached(capsys, argv, fl
     assert out == capsys.readouterr().out
 
 
+_ABBREVIATED = [
+    (["classify-map", "--a", "2"], "--om", "-i"),
+    (["classify-line", "--a", "2", "--omega", "i", "--slope", "sqrt(2)"], "--al", "-1/3"),
+    (["certify-sphere", "--a", "3", "--omega", "i", "--seg", "0,1/7,s:sqrt(2),1/18"],
+     "--z", "-1/2,0"),
+    (["find-collision", "--a", "1+1i", "--omega", "i"], "--se", "-0.7,1/5,s:sqrt(2),1/10"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value", _ABBREVIATED, ids=[flag for _, flag, _ in _ABBREVIATED]
+)
+def test_an_abbreviated_option_takes_a_value_starting_with_a_minus_sign(
+    capsys, argv, flag, value
+):
+    # argparse resolves '--om' to '--omega' only after the value is split
+    # off, so the value is attached to the abbreviation as to the full name
+    spaced = main([*argv, flag, value])
+    out = capsys.readouterr().out
+    assert spaced == main([*argv, f"{flag}={value}"])
+    assert out == capsys.readouterr().out and out.startswith("{")
+
+
+def test_an_ambiguous_abbreviation_is_left_to_argparse(capsys):
+    argv = ["certify-segment", "--a", "2", "--omega", "i", "--slope", "sqrt(2)", "--alpha", "1/5"]
+    for tail in (["--t", "-1/40"], ["--t=-1/40"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *tail])
+        assert exc.value.code == 2
+        assert "could match --t0, --t1" in capsys.readouterr().err
+
+
 def test_a_config_value_starting_with_a_minus_sign(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": "-1/2"}))

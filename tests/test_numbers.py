@@ -421,6 +421,60 @@ def test_tower_arithmetic_equals_the_validating_constructor(data, e, k):
     }
 
 
+@st.composite
+def _plain_scalar(draw):
+    """An int, a Fraction or a QuadraticNumber, rational or in one of three
+    fields, some in a tower's inner or outer field."""
+    kind = draw(st.sampled_from(("int", "fraction", "quadratic")))
+    if kind == "int":
+        return draw(_small)
+    if kind == "fraction":
+        return Fraction(draw(_small), draw(st.integers(1, 4)))
+    d = draw(st.sampled_from((0, 2, 3, 5)))
+    return Q(draw(_small), draw(_small), draw(st.integers(1, 3)), d)
+
+
+_MIXED_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+    "eq": lambda x, y: x == y,
+    "lt": lambda x, y: x < y,
+    "le": lambda x, y: x <= y,
+    "gt": lambda x, y: x > y,
+    "ge": lambda x, y: x >= y,
+}
+
+
+def _outcome(op, x, y):
+    try:
+        got = op(x, y)
+    except (MixedRadicals, ZeroDivisionError) as exc:
+        return type(exc)
+    return (got.p, got.q, got.e) if isinstance(got, BiQuadratic) else got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((5, 7)), _plain_scalar())
+def test_mixed_type_operators_agree_with_the_tower(data, e, x):
+    # a plain scalar against a BiQuadratic, on either side, gives what the
+    # same operator gives on the scalar lifted into BiQuadratic: the same
+    # value, the same refusal, or the same division by zero
+    y = data.draw(st.one_of(_tower(e), _plain_scalar().map(lambda v: BiQuadratic(qn(v)))))
+    lifted = BiQuadratic(qn(x))
+    for name, op in _MIXED_OPS.items():
+        assert _outcome(op, x, y) == _outcome(op, lifted, y), (name, "left")
+        assert _outcome(op, y, x) == _outcome(op, y, lifted), (name, "right")
+
+
+def test_a_plain_scalar_divides_by_a_tower_element():
+    y = BiQuadratic(Q(1, 1, 1, 2), qn(1), 5)  # 1 + sqrt(2) + sqrt(5)
+    for x in (3, Fraction(1, 3), Q(0, 1, 1, 2)):
+        assert (x / y) * y == x
+        assert x / y == BiQuadratic(qn(x)) / y
+
+
 def test_mixed_radicals_still_raise():
     r2, r3, r5 = Q.sqrt_int(2), Q.sqrt_int(3), Q.sqrt_int(5)
     for op in (lambda: r2 + r5, lambda: r2 - r5, lambda: r2 * r5, lambda: r5 + r2 * 3):

@@ -3,7 +3,9 @@ parameter interval, and its lift is derived on demand.  Checks that the
 certifiers on irrational slopes never build a lift, that the image of a
 segment under an integer covering, its line's image with the parameter mapped
 by t -> a*t, agrees with the lift chain for either sign of the multiplier and
-both slope kinds, and that ``plot-orbit`` output matches a recording."""
+both slope kinds, that ``plot-orbit`` output matches a recording, and that
+the collision search lifts in its own field: the BiQuadratic tower only when
+its data span two radicands, with the same answers as a tower-only search."""
 
 import dataclasses
 import json
@@ -11,16 +13,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from flatwander import segments
 from flatwander.cli import main
-from flatwander.lattice import Lattice
+from flatwander.errors import FieldClash, MixedRadicals
+from flatwander.lattice import Lattice, point
 from flatwander.line_orbit import TorusLine, line_from_point, line_image, slope_spec
 from flatwander.numbers import BiQuadratic, parse_complex, parse_number, qn
 from flatwander.segments import (
+    CollisionCertificate,
     LiftSegment,
     TorusSegment,
+    find_collision,
     interval_chain,
     lift_chain,
+    reverify_collision,
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
@@ -82,7 +91,7 @@ def test_iterate_segment_negative_multiplier_on_rational_direction():
     image = _image(tm, segment_new(line, qn(0), qn(Fraction(1, 10))))
 
     def pt(x, y):
-        return (BiQuadratic.lift(qn(x)), BiQuadratic.lift(qn(y)))
+        return (BiQuadratic(qn(x)), BiQuadratic(qn(y)))
 
     assert {image.lift.p0, image.lift.p1} == {
         pt(Fraction(1, 3), Fraction(3, 5)),
@@ -130,3 +139,142 @@ def test_plot_orbit_matches_golden(monkeypatch, capsys, tmp_path, case):
     assert main(list(case["argv"])) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
     assert (tmp_path / "orbit.svg").read_text() == case["svg"]
+
+
+# ---------------------------------------------------------------------------
+# the collision search lifts in its own field
+# ---------------------------------------------------------------------------
+
+FIND_COLLISION_GOLDEN = json.loads(
+    (ROOT / "tests" / "data" / "find_collision_golden.json").read_text()
+)
+HEX = "1/2+sqrt(3)/2i"
+# (lattice, multiplier, group order or None): non-real multipliers on their
+# own, and the nu = 3, 4, 6 obstructions with multipliers that commute with
+# the rotation
+_SEARCHES = [
+    ("i", a, None) for a in ("1+1i", "2+1i", "2i", "1+2i")
+] + [("i", a, 4) for a in ("1+1i", "2i", "2")] + [
+    (HEX, a, nu) for a in ("2", "3/2+sqrt(3)/2i") for nu in (3, 6)
+]
+_FIELDS = (0, 2, 3, 5)
+_SLOPES = {"h": (1, 0), "v": (0, 1), "1,2": (1, 2), "2,-1": (2, -1)}
+_IRRATIONAL_SLOPES = ["sqrt(2)", "sqrt(3)-1", "(1+sqrt(5))/2"]
+
+
+@st.composite
+def _in_field(draw, d):
+    """A small number in Q (d = 0) or in Q(sqrt(d))."""
+    u = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 13)))
+    if not d:
+        return qn(u)
+    v = Fraction(draw(st.integers(1, 9)), draw(st.integers(2, 17)))
+    return qn(u) + parse_number(f"sqrt({d})") * v
+
+
+@st.composite
+def _lift_search_case(draw):
+    """A collision search's data: the anchor, the translation (in lattice
+    coordinates) and the rotation center each drawn from Q, Q(sqrt 2),
+    Q(sqrt 3) or Q(sqrt 5), so the lifts span one, two or three radicands."""
+    omega, a, nu = draw(st.sampled_from(_SEARCHES))
+    slope = draw(st.sampled_from([*_SLOPES, *_IRRATIONAL_SLOPES]))
+    # most data rational or in one main field, the rest anywhere
+    fields = st.sampled_from((0, 0, draw(st.sampled_from((2, 3, 5))), *_FIELDS))
+    anchor, b, z0 = (tuple(draw(_in_field(draw(fields))) for _ in range(2)) for _ in range(3))
+    length = Fraction(draw(st.integers(1, 6)), 40)
+    return omega, a, nu, slope, anchor, b, z0, length, draw(st.integers(2, 5))
+
+
+def _search(case):
+    """The search's outcome, built from scratch: (n, m, k) and the witness
+    bytes, no collision, or the refusal's type."""
+    omega, a, nu, slope, anchor, b, z0, length, budget = case
+    tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
+    # b in lattice coordinates, which need not be a complex literal's
+    tm = dataclasses.replace(tm, b=point(*b))
+    spec = slope_spec(_SLOPES[slope] if slope in _SLOPES else parse_number(slope))
+    try:
+        seg = segment_new(line_from_point(spec, anchor), qn(0), qn(length))
+        group = None if nu is None else (nu, point(*z0))
+        got = find_collision(tm, seg, group=group, budget=budget)
+    except (MixedRadicals, FieldClash) as exc:
+        return type(exc).__name__
+    if isinstance(got, CollisionCertificate):
+        assert reverify_collision(tm, seg, got, group=group)
+        return (got.n, got.m, got.k, repr(got.witness))
+    return "no-collision"
+
+
+def _radicands(case):
+    _, _, nu, slope, anchor, b, z0, _, _ = case
+    data = [*anchor, *b, *(z0 if nu else ())]
+    if slope not in _SLOPES:
+        data.append(parse_number(slope))
+    return len({x.d for x in data} - {0})
+
+
+def test_the_lift_search_agrees_with_a_tower_only_search():
+    seen = {}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_lift_search_case())
+    def check(case):
+        got = _search(case)
+        with pytest.MonkeyPatch.context() as mp:
+            # the reference: every lift in the BiQuadratic tower
+            mp.setattr(segments, "_needs_tower", lambda *xs: True)
+            want = _search(case)
+        assert got == want, case
+        if got == "FieldClash":
+            reject()
+        seen.setdefault(_radicands(case), set()).add(got if isinstance(got, str) else "collision")
+
+    check()
+    # one-, two- and three-radicand searches, hits among the first two
+    assert {1, 2, 3} <= seen.keys(), seen
+    assert "collision" in seen[1] and "collision" in seen[2], seen
+
+
+def _count_towers(monkeypatch):
+    built = []
+    init = BiQuadratic.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BiQuadratic, "__init__", counting)
+    return built
+
+
+_ONE_RADICAND = [
+    ["find-collision", "--a", "1+1i", "--omega", "i", "--seg", "1/5,1/7,s:sqrt(2),1/18"],
+    ["find-collision", "--a", "2+1i", "--omega", "i", "--b", "sqrt(2)/7",
+     "--seg", "1/5,2/7,s:sqrt(2),1/15"],
+    ["find-collision", "--a", "2i", "--omega", "i", "--b", "1/4+sqrt(5)/9i",
+     "--seg", "1/3,1/5,v,1/9"],
+    ["find-collision", "--a", "1+1i", "--omega", "i", "--nu", "4", "--z0", "1/2,1/2",
+     "--seg", "1/5,1/7,s:sqrt(3),1/18"],
+    ["find-collision", "--a", "2", "--omega", HEX, "--nu", "6", "--z0", "0,0",
+     "--seg", "1/7,1/5,s:sqrt(2),1/20"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_RADICAND, ids=lambda argv: " ".join(argv[1:3]))
+def test_a_one_radicand_search_builds_no_tower(monkeypatch, capsys, argv):
+    built = _count_towers(monkeypatch)
+    assert main(list(argv)) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "collision"
+    assert built == []
+
+
+_TWO_RADICANDS = [c for c in FIND_COLLISION_GOLDEN if c["name"].startswith("two-radicand")]
+
+
+@pytest.mark.parametrize("case", _TWO_RADICANDS, ids=[c["name"] for c in _TWO_RADICANDS])
+def test_a_two_radicand_search_builds_the_tower(monkeypatch, capsys, case):
+    built = _count_towers(monkeypatch)
+    assert main(list(case["argv"])) == case["exit"] == 0
+    assert capsys.readouterr().out == case["stdout"]
+    assert built

@@ -49,7 +49,7 @@ def _line(alpha, beta, slope=SQRT2):
 
 
 def _pt(x, y):
-    return (BiQuadratic.lift(qn(x)), BiQuadratic.lift(qn(y)))
+    return (BiQuadratic(qn(x)), BiQuadratic(qn(y)))
 
 
 def test_segment_length_scales_by_direction_norm():
@@ -166,15 +166,15 @@ def test_return_map_matches_direct_iteration():
     pqs = tm.m
     for _ in range(100):
         t = qn(Fraction(rng.randint(-500, 500), 97))
-        x = BiQuadratic.lift(bx) + BiQuadratic.lift(t)
-        y = BiQuadratic.lift(by) + BiQuadratic.lift(t) * BiQuadratic.lift(s)
+        x = BiQuadratic(bx) + BiQuadratic(t)
+        y = BiQuadratic(by) + BiQuadratic(t) * BiQuadratic(s)
         for _ in range(p):
             x, y = (
                 x * pqs[0] + y * pqs[2] + tm.b.x,
                 x * pqs[1] + y * pqs[3] + tm.b.y,
             )
-        ex = BiQuadratic.lift(bx) + BiQuadratic.lift(t * lam)
-        ey = BiQuadratic.lift(by) + BiQuadratic.lift(t * lam) * BiQuadratic.lift(s)
+        ex = BiQuadratic(bx) + BiQuadratic(t * lam)
+        ey = BiQuadratic(by) + BiQuadratic(t * lam) * BiQuadratic(s)
         dx, dy = x - ex, y - ey
         assert dx.q.is_zero and dx.p.is_rational and dx.p.as_fraction().denominator == 1
         assert dy.q.is_zero and dy.p.is_rational and dy.p.as_fraction().denominator == 1
@@ -258,28 +258,37 @@ def test_axis_aligned_cross_fields_stay_exact():
     # per-coordinate radicands sqrt(2) / sqrt(3) / sqrt(5) still pair off two
     # at a time inside each orientation determinant: the verdict stays exact
     s1 = LiftSegment(
-        (BiQuadratic.lift(Q(0, 1, 4, 2)), BiQuadratic.lift(qn(0))),
-        (BiQuadratic.lift(Q(0, 1, 4, 2)), BiQuadratic.lift(Q(0, 1, 2, 3))),
+        (BiQuadratic(Q(0, 1, 4, 2)), BiQuadratic(qn(0))),
+        (BiQuadratic(Q(0, 1, 4, 2)), BiQuadratic(Q(0, 1, 2, 3))),
     )
     s2 = LiftSegment(
-        (BiQuadratic.lift(qn(0)), BiQuadratic.lift(Q(0, 1, 4, 5))),
-        (BiQuadratic.lift(qn(1)), BiQuadratic.lift(Q(0, 1, 4, 5))),
+        (BiQuadratic(qn(0)), BiQuadratic(Q(0, 1, 4, 5))),
+        (BiQuadratic(qn(1)), BiQuadratic(Q(0, 1, 4, 5))),
     )
     assert lift_segments_intersect_torus(SQUARE, s1, s2) is not None
+
+
+def test_plain_lifts_in_two_fields_meet_in_the_tower():
+    # QuadraticNumber lifts in Q(sqrt 2) and Q(sqrt 3) share no field; the
+    # pair is decided in the tower, not refused
+    s1 = LiftSegment((qn(0), qn(0)), (Q(0, 1, 2, 2), qn(1)))
+    s2 = LiftSegment((qn(0), Q(0, 1, 4, 3)), (qn(1), Q(0, 1, 4, 3)))
+    got = lift_segments_intersect_torus(SQUARE, s1, s2)
+    assert got == pytest.approx((math.sqrt(6) / 8, math.sqrt(3) / 4), abs=1e-15)
 
 
 def test_float_fallback_on_three_radicands():
     # a clean crossing whose determinants genuinely mix three radicands: no
     # float verdict stands in for the exact one, so the pair is refused
     s1 = LiftSegment(
-        (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
-        (BiQuadratic.lift(qn(1) + Q(0, 1, 10, 2)), BiQuadratic.lift(qn(1))),
+        (BiQuadratic(qn(0)), BiQuadratic(qn(0))),
+        (BiQuadratic(qn(1) + Q(0, 1, 10, 2)), BiQuadratic(qn(1))),
     )
     s2 = LiftSegment(
-        (BiQuadratic.lift(qn(Fraction(1, 2))), BiQuadratic.lift(qn(Fraction(-1, 2)))),
+        (BiQuadratic(qn(Fraction(1, 2))), BiQuadratic(qn(Fraction(-1, 2)))),
         (
-            BiQuadratic.lift(qn(Fraction(1, 2)) + Q(0, 1, 10, 3)),
-            BiQuadratic.lift(qn(Fraction(1, 2)) + Q(0, 1, 10, 5)),
+            BiQuadratic(qn(Fraction(1, 2)) + Q(0, 1, 10, 3)),
+            BiQuadratic(qn(Fraction(1, 2)) + Q(0, 1, 10, 5)),
         ),
     )
     with pytest.raises(MixedRadicals):
@@ -289,17 +298,17 @@ def test_float_fallback_on_three_radicands():
     # the same way: no float bound can rule a 1e-13 crossing out
     eps_den = 10**13
     base = LiftSegment(
-        (BiQuadratic.lift(qn(0)), BiQuadratic.lift(qn(0))),
-        (BiQuadratic.lift(qn(Fraction(1, 4))), BiQuadratic.lift(Q(0, 1, 8, 2))),
+        (BiQuadratic(qn(0)), BiQuadratic(qn(0))),
+        (BiQuadratic(qn(Fraction(1, 4))), BiQuadratic(Q(0, 1, 8, 2))),
     )
     near = LiftSegment(
         (
-            BiQuadratic.lift(qn(Fraction(1, 8))) + BiQuadratic.lift(Q(0, 1, eps_den, 5)),
-            BiQuadratic.lift(Q(0, 1, 16, 2)) + BiQuadratic.lift(Q(0, 1, eps_den, 3)),
+            BiQuadratic(qn(Fraction(1, 8))) + BiQuadratic(Q(0, 1, eps_den, 5)),
+            BiQuadratic(Q(0, 1, 16, 2)) + BiQuadratic(Q(0, 1, eps_den, 3)),
         ),
         (
-            BiQuadratic.lift(qn(Fraction(1, 8)) + Fraction(1, 50)),
-            BiQuadratic.lift(Q(0, 1, 16, 2)) + BiQuadratic.lift(qn(Fraction(-1, 50))),
+            BiQuadratic(qn(Fraction(1, 8)) + Fraction(1, 50)),
+            BiQuadratic(Q(0, 1, 16, 2)) + BiQuadratic(qn(Fraction(-1, 50))),
         ),
     )
     with pytest.raises(MixedRadicals):
