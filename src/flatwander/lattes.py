@@ -273,7 +273,7 @@ def certify_sphere_wandering(
     if not model.flexible:
         witness = None
         if model.nu > 2:
-            witness = find_collision(tm, seg, group=(model.nu, model.z0))
+            witness = find_collision(tm, seg, (model.nu, model.z0), rotation=model.rotation)
             reason = f"group-order-{model.nu}-orbifold"
         else:
             witness = find_collision(tm, seg)

@@ -13,7 +13,9 @@ every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
 (``_state_step``).  A transverse orbit is walked in one place, ``_walk``;
 every consumer indexes its states instead of re-applying ``line_image``.
-On rational data it steps integers, numerator pairs over one denominator.
+It steps integers only, over one denominator N: a numerator pair on rational
+data, and a pair (u, v) per coordinate for (u + v*sqrt(d))/N otherwise, with
+one radicand d per coordinate.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
     FieldClash,
     InternalInconsistency,
     IrrationalOffset,
+    MixedRadicals,
     SlopeNotInvariant,
 )
 from .lattice import CoordPair, TorusPoint
-from .numbers import QuadraticNumber, qn
+from .numbers import QuadraticNumber, floor_parts, qn
 from .torus_map import AffineTorusMap, apply_map
 
 TransverseState = tuple[QuadraticNumber, QuadraticNumber]
@@ -182,17 +186,22 @@ def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
     return TorusLine(slope, *slope.to_state(base))
 
 
+def _translation_state(tm: AffineTorusMap, slope: SlopeSpec) -> tuple[int, TransverseState]:
+    """a and c = to_state(b), refusing a c in the slope's field, once: every
+    later state would share it."""
+    if not tm.has_integer_multiplier:
+        raise SlopeNotInvariant("a non-real multiplier turns every slope")
+    c = slope.to_state(tm.b.coords())
+    slope.check_field(c)
+    return tm.multiplier_int(), c
+
+
 def _state_step(
     tm: AffineTorusMap, slope: SlopeSpec
 ) -> Callable[[TransverseState], TransverseState]:
     """The covering on states in ``slope``'s frame: F(a*p + b) = a*F(p) + F(b),
-    so st -> a*st + to_state(b) mod 1.  A translation whose state lies in the
-    slope's field is refused here, once: every later state would share it."""
-    if not tm.has_integer_multiplier:
-        raise SlopeNotInvariant("a non-real multiplier turns every slope")
-    a = tm.multiplier_int()
-    c0, c1 = slope.to_state(tm.b.coords())
-    slope.check_field((c0, c1))
+    so st -> a*st + to_state(b) mod 1."""
+    a, (c0, c1) = _translation_state(tm, slope)
 
     def step(st: TransverseState) -> TransverseState:
         return ((st[0] * a + c0).mod1(), (st[1] * a + c1).mod1())
@@ -200,26 +209,51 @@ def _state_step(
     return step
 
 
-def _state_value(p: NumeratorPair, den: int) -> TransverseState:
-    """The state a numerator pair over den stands for."""
-    return (QuadraticNumber(p[0], 0, den), QuadraticNumber(p[1], 0, den))
+class Numerators(NamedTuple):
+    """``_walk``'s states are numerators over ``den``: pairs (p0, p1) when
+    ``rads`` is None, else (u0, v0, u1, v1) for (u_i + v_i*sqrt(rads[i]))/den."""
+
+    den: int
+    rads: tuple[int, int] | None = None
+
+    def value(self, p: tuple[int, ...]) -> TransverseState:
+        den, rads = self
+        if rads is None:
+            return (QuadraticNumber(p[0], 0, den), QuadraticNumber(p[1], 0, den))
+        canon = QuadraticNumber._canon
+        return (canon(p[0], p[1], den, rads[0]), canon(p[2], p[3], den, rads[1]))
 
 
 def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> tuple:
-    """The rule ``_walk`` steps, the seed as its state, and the denominator N:
-    on rational data, numerator pairs over N, the lcm of the denominators of
-    seed and to_state(b), stepped by p -> (a*p + N*to_state(b)) mod N."""
-    rule = _state_step(tm, slope)
-    if not all(x.is_rational for x in (*seed, tm.b.x, tm.b.y)):
-        return rule, seed, 0  # ``_state_step`` on transverse states
-    c, a = slope.to_state(tm.b.coords()), tm.multiplier_int()
-    den = math.lcm(*(x.w for x in (*seed, *c)))
-    c0, c1, *start = (x.u * (den // x.w) for x in (*c, *seed))
+    """The integer rule ``_walk`` steps, the seed as its state, and the
+    ``Numerators`` of its states, over N, the lcm of the denominators of the
+    seed and c = to_state(b).  On rational data p -> (a*p + N*c) mod N;
+    otherwise (u, v) -> (a*u + N*c_u, a*v + N*c_v) per coordinate, on the
+    radicand of its seed or c, and then u -= N*floor (``floor_parts``).  A
+    coordinate whose seed and c lie in two fields is refused at the first
+    step, with ``_state_step``'s ``MixedRadicals``."""
+    a, c = _translation_state(tm, slope)
+    xs = (*c, *seed)
+    den = math.lcm(*(x.w for x in xs))
+    if all(x.is_rational for x in xs):
+        c0, c1, *start = (x.u * (den // x.w) for x in xs)
 
-    def step(p: NumeratorPair) -> NumeratorPair:
-        return ((a * p[0] + c0) % den, (a * p[1] + c1) % den)
+        def step(p: NumeratorPair) -> NumeratorPair:
+            return ((a * p[0] + c0) % den, (a * p[1] + c1) % den)
 
-    return step, tuple(start), den
+        return step, tuple(start), Numerators(den)
+    cu0, cv0, cu1, cv1, *start = (n * (den // x.w) for x in xs for n in (x.u, x.v))
+    d0, d1 = rads = tuple(s.d or t.d for s, t in zip(seed, c))
+    clash = [(s.d, t.d) for s, t in zip(seed, c) if s.d and t.d and s.d != t.d]
+
+    def step(p: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        if clash:
+            raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash[0])
+        u0, v0, u1, v1 = a * p[0] + cu0, a * p[1] + cv0, a * p[2] + cu1, a * p[3] + cv1
+        return (u0 - den * floor_parts(u0, v0, den, d0), v0,
+                u1 - den * floor_parts(u1, v1, den, d1), v1)
+
+    return step, tuple(start), Numerators(den, rads)
 
 
 def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
@@ -260,7 +294,7 @@ class EventuallyPeriodic:
         return n if n < self.preperiod else self.preperiod + (n - self.preperiod) % self.period
 
     def state(self, n: int) -> TransverseState:
-        return _state_value(self.states[self.index(n)], self.den)
+        return Numerators(self.den).value(self.states[self.index(n)])
 
 
 @dataclass(frozen=True)
@@ -271,22 +305,22 @@ class WanderingLine:
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
 
 
-def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int | None, int]:
+def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int | None, Numerators]:
     """The distinct states of the orbit of ``line`` in orbit order, up to the
     first repeat or ``limit`` states, the index the repeat returns to (None
-    when the limit came first) and ``_state_rule``'s denominator: the one loop
-    over orbit states, in the seed's frame for both slope kinds.  A state
-    fixes the iterate's line and base point, so a repeated state is a
-    repeated iterate."""
-    step, state, den = _state_rule(tm, line.slope, line.transverse())
+    when the limit came first) and the ``Numerators`` they are over: the one
+    loop over orbit states, in the seed's frame for both slope kinds, on
+    integers only (``_state_rule``).  A state fixes the iterate's line and
+    base point, so a repeated state is a repeated iterate."""
+    step, state, num = _state_rule(tm, line.slope, line.transverse())
     seen: dict = {}  # insertion order is orbit order
     for i in range(limit):
         if i:
             state = step(state)
         if state in seen:
-            return tuple(seen), seen[state], den
+            return tuple(seen), seen[state], num
         seen[state] = i
-    return tuple(seen), None, den
+    return tuple(seen), None, num
 
 
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
@@ -313,26 +347,30 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    states, n0, den = _walk(tm, line, MAX_ORBIT_STATES + 1)
+    states, n0, num = _walk(tm, line, MAX_ORBIT_STATES + 1)
     if n0 is None:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
-    return EventuallyPeriodic(n0, len(states) - n0, den, states)
+    return EventuallyPeriodic(n0, len(states) - n0, num.den, states)
 
 
-def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
-    """States 0..n of the orbit of a line in the seed's frame, as ``_walk``
-    defines them: the transverse pair of an irrational slope; the loop
-    invariant and place of a rational direction under an integer multiplier.
-
-    The orbit is walked at most n steps; once a state repeats, the rest is
-    indexed out of the cycle.  This needs no classification, so it holds for
-    any translation part, rational or not."""
-    states, n0, den = _walk(tm, line, n + 1)
+def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
+    """States 0..n of the orbit of a line as ``_walk``'s integers, and their
+    ``Numerators``.  The orbit is walked at most n steps; once a state
+    repeats, the rest is indexed out of the cycle.  This needs no
+    classification, so it holds for any translation part, rational or not."""
+    states, n0, num = _walk(tm, line, n + 1)
     if n0 is not None:
         p = len(states) - n0
         states += tuple(states[n0 + (i - n0) % p] for i in range(len(states), n + 1))
-    return [_state_value(st, den) for st in states] if den else list(states)
+    return states, num
 
+
+def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
+    """``orbit_numerators`` as states in the seed's frame: the transverse pair
+    of an irrational slope; the loop invariant and place of a rational
+    direction under an integer multiplier."""
+    states, num = orbit_numerators(tm, line, n)
+    return [num.value(p) for p in states]
 
 def passes_through_q(
     line: TorusLine, q_points: tuple[TorusPoint, ...]

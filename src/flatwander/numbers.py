@@ -61,6 +61,18 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return f, d
 
 
+def floor_parts(u: int, v: int, w: int, d: int) -> int:
+    """floor((u + v*sqrt(d))/w) for w > 0 and a square-free d (any d when
+    v == 0), from one integer square root: floor((u + y)/w) =
+    (u + floor(y)) // w, and v^2*d is never a square for a square-free
+    d > 1, so floor(v*sqrt(d)) is isqrt(v^2*d) for v > 0 and
+    -isqrt(v^2*d) - 1 for v < 0."""
+    if v == 0:
+        return u // w
+    r = math.isqrt(v * v * d)
+    return (u + r) // w if v > 0 else (u - r - 1) // w
+
+
 Scalar = Union["QuadraticNumber", int, Fraction]
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -294,15 +306,8 @@ class QuadraticNumber:
         return -2 if h == -1 else h
 
     def floor(self) -> int:
-        """Exact floor from one integer square root: floor((u + y)/w) =
-        (u + floor(y)) // w for w > 0, and v^2*d is never a square for a
-        square-free d > 1, so floor(v*sqrt(d)) is isqrt(v^2*d) for v > 0
-        and -isqrt(v^2*d) - 1 for v < 0."""
-        u, v, w = self.u, self.v, self.w
-        if v == 0:
-            return u // w
-        r = math.isqrt(v * v * self.d)
-        return (u + r) // w if v > 0 else (u - r - 1) // w
+        """Exact floor, by ``floor_parts``."""
+        return floor_parts(self.u, self.v, self.w, self.d)
 
     def mod1(self) -> QuadraticNumber:
         """x - floor(x), exactly in [0, 1)."""

@@ -11,11 +11,12 @@ The sphere certificate is the same one seen through rho, which acts on the
 parameter as t -> -t and only adds reflected comparisons and the quotient's
 return multiplier.  States are indexed out of ``line_orbit``'s single walk,
 and one exact sweep, ``first_overlap``, compares only iterates that share a
-state; it decides both the certificates and the integer-multiplier collision
-search, for both slope kinds: parameter intervals on an irrational-slope
+state and asks only for their intervals; it decides both the certificates and
+the integer-multiplier collision search, which buckets on the walk's integer
+states, for both slope kinds: parameter intervals on an irrational-slope
 line, arcs of a closed loop for a rational direction.  The lift search serves
 only non-real multipliers, group mode and the fallback for orbit states with
-no common tower or in the slope's field.  The brute-force oracle,
+no common field or in the slope's field.  The brute-force oracle,
 ``verify_disjoint_iterates``, compares the same states and intervals
 pairwise, unbucketed, on irrational slopes only.
 
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,9 +63,10 @@ from .line_orbit import (
     WanderingLine,
     _state_step,
     classify_line,
+    orbit_numerators,
     orbit_states,
 )
-from .numbers import HALF, ZERO, BiQuadratic, QuadraticNumber, qn
+from .numbers import HALF, BiQuadratic, QuadraticNumber, qn
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -604,35 +606,41 @@ def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> li
     return chain
 
 
+def _interval_at(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> Interval:
+    """Parameter interval of iterate n alone: ``interval_chain(u, v, a, n)[n]``."""
+    k = a**n
+    return (v * k, u * k) if k < 0 else (u * k, v * k)
+
+
 def first_overlap(
-    states: list[Hashable],
-    intervals: list[Interval],
-    rho_states: list[Hashable] | None,
+    states: Sequence[Hashable],
+    interval: Callable[[int], Interval],
+    rho_states: Sequence[Hashable] | None,
     circular: bool = False,
 ) -> tuple[int, int] | None:
     """Exact disjointness sweep over iterates with the given states and
-    intervals: the first pair (n, m), n < m, that meets, ordered by m and then
-    by n, or None.  The sweep stops at the first m with a hit.
+    intervals (``interval(i)`` is iterate i's): the first pair (n, m), n < m,
+    that meets, ordered by m and then by n, or None.  The sweep stops at the
+    first m with a hit.
 
     Distinct states are distinct parallel geodesics, so only iterates that
-    share a state are compared: by 1-D interval overlap, or, with
-    ``circular``, as closed arcs of the loop R/Z.  With rho-states (rho in
-    canonical parameters is t -> -t) iterate m's reflection is also compared
-    against every iterate n on the line it is reflected onto."""
+    share a state are compared, and only their intervals are asked for: by
+    1-D interval overlap, or, with ``circular``, as closed arcs of the loop
+    R/Z.  With rho-states (rho in canonical parameters is t -> -t) iterate
+    m's reflection is also compared against every iterate n on the line it
+    is reflected onto."""
     meet = _arcs_meet if circular else _overlap
-    by_state: dict[Hashable, list[int]] = {}
-    for i, st in enumerate(states):
-        by_state.setdefault(st, []).append(i)
-    for m, (lo, hi) in enumerate(intervals):
-        hits = [n for n in by_state[states[m]] if n < m and meet(intervals[n], (lo, hi))]
-        if rho_states is not None:
-            hits += [
-                n
-                for n in by_state.get(rho_states[m], ())
-                if n < m and meet(intervals[n], (-hi, -lo))
-            ]
-        if hits:
-            return (min(hits), m)
+    by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
+    for m, st in enumerate(states):
+        same = by_state.setdefault(st, [])
+        mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
+        if same or mirrored:
+            lo, hi = interval(m)
+            hits = [n for n in same if meet(interval(n), (lo, hi))]
+            hits += [n for n in mirrored if meet(interval(n), (-hi, -lo))]
+            if hits:
+                return (min(hits), m)
+        same.append(m)
     return None
 
 
@@ -708,7 +716,7 @@ def certify_classified(
         horizon = max(check_iterates, verdict.preperiod + verdict.period + dominance)
     states = [verdict.states[verdict.index(i)] for i in range(horizon + 1)]
     rho_states = None if rho is None else [rho(st) for st in states]
-    pair = first_overlap(states, interval_chain(u, v, a, horizon), rho_states)
+    pair = first_overlap(states, interval_chain(u, v, a, horizon).__getitem__, rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
     return WanderingCertificate(
@@ -811,10 +819,10 @@ def _then(inner: AffineMap, outer: AffineMap, t: tuple[int, int]) -> AffineMap:
     return _compose(mat, a), (sx * p + sy * r + bx - t[0], sx * q + sy * s + by - t[1])
 
 
-def _rotations(lat: Lattice, nu: int, z0: TorusPoint) -> list[AffineMap]:
-    """Lattice-coordinate form of the rotation powers k = 1..nu-1 about z0:
-    integer matrices R^k plus rational shifts (I - R^k) z0."""
-    rot, rk, out = rotation_matrix(lat, nu), (1, 0, 0, 1), []
+def _rotations(rot: Matrix, nu: int, z0: TorusPoint) -> list[AffineMap]:
+    """Lattice-coordinate form of the powers k = 1..nu-1 of the rotation R
+    about z0: integer matrices R^k plus rational shifts (I - R^k) z0."""
+    rk, out = (1, 0, 0, 1), []
     for _ in range(1, nu):
         rk = _compose(rot, rk)
         pk, qk, rr, sk = rk
@@ -845,7 +853,7 @@ class _LiftSearch:
     an exact pair that follows the recorded translates t_m, and its rotation
     k is R_k applied to that, plus s_k minus the rotation's own translate.
     Both are one affine image of lift_0, which goes to the tower only when b
-    or an s_k brings a second radicand."""
+    or an s_k brings a second radicand; the shifts then compose in it too."""
 
     def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
         shifts = (tm.b.x, tm.b.y, *(c for _, shift in rotations for c in shift))
@@ -855,7 +863,8 @@ class _LiftSearch:
         self.rotations = [(rot, _float_shift(rot[1])) for rot in rotations]
         self.iterates = [(self.lift0.float_lift(), (0, 0))]  # float lift and translate
         self.targets: list[list[tuple[FloatLift, tuple[int, int]]]] = []  # [n][k]
-        self.maps: list[AffineMap] = [((1, 0, 0, 1), (ZERO, ZERO))]  # lift_0 -> iterate m
+        zero = self.lift0.p0[0] * 0  # S_0 in lift_0's field: every S_m composes in it
+        self.maps: list[AffineMap] = [((1, 0, 0, 1), (zero, zero))]  # lift_0 -> iterate m
         self.exact_lifts: dict[tuple[int, int], LiftSegment] = {}
 
     def step(self) -> None:
@@ -884,6 +893,7 @@ def find_collision(
     seg: TorusSegment,
     group: tuple[int, TorusPoint] | None = None,
     budget: int | None = None,
+    rotation: Matrix | None = None,
 ) -> CollisionCertificate | NoCollisionWithinBudget:
     """Search indices n < m <= budget (and rotation powers k in group mode) for
     an intersection of iterate m with the k-rotated iterate n.
@@ -896,7 +906,9 @@ def find_collision(
     parameter intervals overlap; on a rational direction iff they lie on one
     closed loop (share the loop invariant) and their arcs of it overlap.  The
     lift search serves non-real multipliers and group mode, and states with no
-    common tower or that a translation in the slope's field takes into it.
+    common field or that a translation in the slope's field takes into it.
+    In group mode ``rotation`` is the group's rotation matrix when the caller
+    has solved it already (``LattesModel.rotation``).
     """
     lat = tm.lattice
     nu = 1
@@ -905,7 +917,7 @@ def find_collision(
         nu, z0 = group
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
-        rotations = _rotations(lat, nu, z0)
+        rotations = _rotations(rotation or rotation_matrix(lat, nu), nu, z0)
     if budget is None:
         budget = default_collision_budget(tm, seg, nu=nu if group else None)
     if budget < 1:
@@ -914,25 +926,32 @@ def find_collision(
 
     if group is None and tm.has_integer_multiplier:
         try:
-            states = orbit_states(tm, seg.line, budget)
+            states, num = orbit_numerators(tm, seg.line, budget)
         except (MixedRadicals, FieldClash):
-            pass  # the states share no tower or meet the slope's field: lift search
+            pass  # the states share no field or meet the slope's field: lift search
         else:
-            intervals = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), budget)
-            if seg.line.is_irrational:
-                pair = first_overlap(states, intervals, None)
-            else:
-                # iterate n is the arc place + a^n * [t_lo, t_hi] of its loop
-                intervals = [(c + lo, c + hi) for (_, c), (lo, hi) in zip(states, intervals)]
-                pair = first_overlap([inv for inv, _ in states], intervals, None, circular=True)
+            a, loop = tm.multiplier_int(), not seg.line.is_irrational
+
+            @cache  # per search: each later m in a bucket asks for its n again
+            def interval(n: int) -> Interval:
+                lo, hi = _interval_at(seg.t_lo, seg.t_hi, a, n)
+                if not loop:
+                    return lo, hi
+                place = num.value(states[n])[1]  # iterate n's arc starts at its place
+                return (place + lo, place + hi)
+
+            # a loop is its invariant, the first coordinate's numerators
+            keys = [p[: len(p) // 2] for p in states] if loop else states
+            pair = first_overlap(keys, interval, None, circular=loop)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)
             n, m = pair
-            if seg.line.is_irrational:
-                line = TorusLine(seg.line.slope, *states[m])
-                witness = _overlap_witness(line, intervals[m], intervals[n])
+            state = num.value(states[m])
+            if loop:
+                witness = _arc_witness(seg.line.slope, state[0], interval(n), interval(m))
             else:
-                witness = _arc_witness(seg.line.slope, states[m][0], intervals[n], intervals[m])
+                line = TorusLine(seg.line.slope, *state)
+                witness = _overlap_witness(line, interval(m), interval(n))
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
     # iterate m is stepped when the search reaches it, so a first hit at m
@@ -954,15 +973,17 @@ def reverify_collision(
     seg: TorusSegment,
     cert: CollisionCertificate,
     group: tuple[int, TorusPoint] | None = None,
+    rotation: Matrix | None = None,
 ) -> bool:
-    """Recompute the claimed intersection from scratch."""
+    """Recompute the claimed intersection from scratch; ``rotation`` as in
+    ``find_collision``."""
     lat = tm.lattice
     lifts = lift_chain(tm, seg, cert.m)
     target = lifts[cert.n]
     if cert.k:
         if group is None:
             raise ValueError("a rotated collision needs its group to re-verify")
-        mat, shift = _rotations(lat, *group)[cert.k - 1]
+        mat, shift = _rotations(rotation or rotation_matrix(lat, group[0]), *group)[cert.k - 1]
         (target,) = _common_field(shift, target)
         target = target.affine_image(mat, shift).normalize()
     return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None

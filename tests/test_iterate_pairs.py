@@ -31,7 +31,7 @@ from flatwander.line_orbit import (
     orbit_states,
     slope_spec,
 )
-from flatwander.numbers import parse_complex, parse_number, qn
+from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -259,18 +259,65 @@ def test_orbit_states_walks_no_further_than_asked(monkeypatch):
     orig = line_orbit._state_rule
 
     def counted_rule(tm, slope, seed):
-        step, start, den = orig(tm, slope, seed)
+        step, start, num = orig(tm, slope, seed)
 
         def counted(p):
             calls.append(p)
             return step(p)
 
-        return counted, start, den
+        return counted, start, num
 
     monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
     assert orbit_states(tm, line, 14) == expect
     assert len(calls) == 14
     assert all(isinstance(x, int) for p in calls for x in p)  # numerators over 1021
+    # an irrational seed under an irrational translation steps integers too,
+    # (u, v) per coordinate over one denominator
+    tm = _map("-3", "sqrt(5)/4+1/7i")
+    line = _line(parse_number("sqrt(3)/11"), parse_number("2*sqrt(5)/9"))
+    expect = _walked(tm, line, 14)
+    calls.clear()
+    assert orbit_states(tm, line, 14) == expect
+    assert len(calls) == 14
+    assert all(len(p) == 4 and all(isinstance(x, int) for x in p) for p in calls)
+
+
+_DISTINCT_MISSES = [
+    # the collide-miss shape: a rational direction through an irrational anchor
+    ("2", "0", "sqrt(2)/9,sqrt(2)/4,v,1/1000"),
+    ("-2", "0", "sqrt(7)/5,sqrt(7)/7,h,1/200"),
+    ("3", "0", "sqrt(5)/3,sqrt(5)/2,s:1/2,1/500"),
+    # an irrational slope on a wandering line, and an irrational translation
+    ("2", "1/3", "sqrt(3)/7,1/5,s:sqrt(2),1/40"),
+    ("-3", "sqrt(5)/4+1/3i", "sqrt(5)/4,1/3,v,1/50"),
+]
+
+
+@pytest.mark.parametrize("a,b,seg", _DISTINCT_MISSES)
+def test_a_miss_on_distinct_states_builds_no_interval(monkeypatch, a, b, seg):
+    """Iterates on pairwise distinct states are never compared, so the search
+    asks for no interval and builds no scalar per iterate: the exact values
+    it builds do not grow with the budget."""
+    tm, segment = _map(a, b), _parse_segment(seg)
+    intervals, built = [], []
+    for name in ("_interval_at", "interval_chain"):
+        orig = getattr(segments, name)
+        monkeypatch.setattr(
+            segments, name, lambda *args, orig=orig: intervals.append(args) or orig(*args)
+        )
+    canon = QuadraticNumber._canon.__func__
+    monkeypatch.setattr(
+        QuadraticNumber,
+        "_canon",
+        classmethod(lambda cls, *args: built.append(args) or canon(cls, *args)),
+    )
+    counts = []
+    for budget in (4, 12):
+        built.clear()
+        assert find_collision(tm, segment, budget=budget) == NoCollisionWithinBudget(budget, 1)
+        counts.append(len(built))
+    assert intervals == []
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

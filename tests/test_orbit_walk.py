@@ -1,9 +1,11 @@
 """The transverse orbit is walked once and indexed everywhere else: state
 indexing, the integer orbit and rho on numerators against stepping in
-QuadraticNumbers, call counts of the walk, the bucketed disjointness sweep
+QuadraticNumbers, quadratic states walked as integers against the same steps
+and refusals, call counts of the walk, the bucketed disjointness sweep
 against the pairwise reference, and the typed cross-check under
 ``python -O``."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,12 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import flatwander
 from flatwander import lattes, line_orbit, segments
-from flatwander.errors import SlopeNotInvariant
+from flatwander.errors import FieldClash, MixedRadicals, SlopeNotInvariant
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import (
     Paired,
@@ -34,11 +36,12 @@ from flatwander.line_orbit import (
     TorusLine,
     classify_line,
     line_from_point,
+    _state_step,
     line_image,
     orbit_states,
     slope_spec,
 )
-from flatwander.numbers import parse_complex, parse_number, qn
+from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
     WanderingCertificate,
     certify_wandering,
@@ -62,10 +65,11 @@ def _line(alpha, beta):
 
 
 def _walked(tm, line, n):
-    out = []
-    for _ in range(n + 1):
-        out.append(line.transverse())
+    """States 0..n by ``line_image``, n steps."""
+    out = [line.transverse()]
+    for _ in range(n):
         line = line_image(tm, line)
+        out.append(line.transverse())
     return out
 
 
@@ -86,20 +90,20 @@ def _count_calls(monkeypatch, name):
 
 
 def _count_steps(monkeypatch):
-    """Count the steps of the walk's state rule, on numerator pairs for
-    rational data and on transverse states otherwise: one entry per state
+    """Count the steps of the walk's state rule, which steps integer
+    numerators on rational and irrational data alike: one entry per state
     stepped."""
     calls = []
     orig = line_orbit._state_rule
 
     def counted_rule(tm, slope, seed):
-        step, start, den = orig(tm, slope, seed)
+        step, start, num = orig(tm, slope, seed)
 
         def counted(st):
             calls.append(st)
             return step(st)
 
-        return counted, start, den
+        return counted, start, num
 
     monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
     return calls
@@ -139,6 +143,7 @@ def test_orbit_states_walks_a_wandering_line(monkeypatch):
     calls = _count_steps(monkeypatch)
     assert orbit_states(tm, line, 9) == expect
     assert len(calls) == 9
+    assert all(isinstance(x, int) for p in calls for x in p)  # (u, v) per coordinate
     assert len(set(expect)) == 10
 
 
@@ -163,6 +168,110 @@ def test_orbit_states_of_a_rational_direction_stay_in_the_seed_frame(a, b):
     # set: the image keeps the seed's slope, and so its frame
     img = line_image(tm, line)
     assert img.slope == line.slope and img.transverse() == expect[1]
+
+
+# ---------------------------------------------------------------------------
+# quadratic states walk as integers
+# ---------------------------------------------------------------------------
+
+# slope radicand 7 stays clear of the states' fields; three rational
+# directions, with frames (0, -1, 1, 0), (2, -1, 1, 0) and (-3, -2, 1, 1)
+_WALK_SLOPES = [IrrationalSlope(parse_number("(1+sqrt(7))/2"))] + [
+    slope_spec(d) for d in ((1, 0), (1, 2), (2, -3))
+]
+
+
+def _walk_outcome(walk):
+    try:
+        return walk()
+    except (MixedRadicals, FieldClash) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _quadratic_walk(draw):
+    """An integer covering and a line whose seed, or whose translation's
+    state c = to_state(b), has an irrational coordinate.  a is drawn from
+    {2, -2, 3, -3}, the slope from both kinds, and each coordinate of the
+    seed and of c from Q or Q(sqrt d), d in {2, 3, 5}, independently; in some
+    draws c cancels a seed coordinate's irrational part at the first step."""
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    slope = draw(st.sampled_from(_WALK_SLOPES))
+
+    def number():
+        x = qn(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))))
+        d = draw(st.sampled_from([0, 2, 3, 5]))
+        if d:
+            x += QuadraticNumber.sqrt_int(d) * Fraction(
+                draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
+            )
+        return x
+
+    seed = (number().mod1(), number().mod1())
+    c = [number(), number()]
+    for i, s in enumerate(seed):
+        if s.v and draw(st.booleans()):
+            c[i] = qn(c[i].floor()) - QuadraticNumber(0, s.v, s.w, s.d) * a
+    try:
+        b = point(*slope.from_state(c))
+    except MixedRadicals:
+        reject()  # this frame's b would mix c's two fields in one coordinate
+    tm = dataclasses.replace(_map(str(a)), b=b)
+    if (tm.b.x.d or tm.b.y.d) and not any(x.v for x in (*seed, *c)):
+        reject()
+    return tm, TorusLine(slope, *seed), draw(st.integers(0, 12))
+
+
+def test_quadratic_orbit_states_match_the_line_image_walk():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_quadratic_walk())
+    def check(case):
+        tm, line, n = case
+        got = _walk_outcome(lambda: orbit_states(tm, line, n))
+        assert got == _walk_outcome(lambda: _walked(tm, line, n))
+        # a refusal comes at the first step, not before it
+        assert orbit_states(tm, line, 0) == [line.transverse()]
+        if isinstance(got, tuple):
+            seen.add(got[0])
+            return
+        seen.add("walked")
+        if any(s[i].v and not t[i].v for s, t in zip(got, got[1:]) for i in (0, 1)):
+            seen.add("cancelled")
+
+    check()
+    assert seen == {"walked", "cancelled", "MixedRadicals"}, seen
+
+
+_REFUSALS = {
+    # irrational slope: (alpha, beta) with c = (-b_y, b_x); refused at the
+    # first step, in the first coordinate that mixes two fields
+    "alpha": (SQRT2, ("sqrt(3)/7", "1/5"), "sqrt(5)/9i", MixedRadicals, 1),
+    "beta": (SQRT2, ("1/7", "sqrt(3)/5"), "sqrt(5)/9", MixedRadicals, 1),
+    "both": (SQRT2, ("sqrt(3)/7", "sqrt(5)/6"), "sqrt(3)/9+sqrt(5)/4i", MixedRadicals, 1),
+    # direction (1, 2): (2x - y, x)
+    "invariant": (slope_spec((1, 2)), ("sqrt(2)/3", "1/7"), "sqrt(3)/5", MixedRadicals, 1),
+    # refused with the rule, before any step: c in the slope's field, and a
+    # c that mixes b's two fields
+    "b-in-slope-field": (SQRT2, ("1/7", "sqrt(3)/5"), "sqrt(2)/5", FieldClash, 0),
+    "b-on-loop": (slope_spec((1, 2)), ("1/3", "1/7"), "sqrt(2)/5+sqrt(3)/5i", MixedRadicals, 0),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS.values(), ids=_REFUSALS)
+def test_the_integer_walk_refuses_as_the_quadratic_step(case):
+    slope, seed, b, error, first_refused = case
+    tm = _map("3", b)
+    line = TorusLine(slope, *(parse_number(x).mod1() for x in seed))
+    with pytest.raises(error) as want:
+        _state_step(tm, slope)(line.transverse())
+    for n in (first_refused, 5):
+        with pytest.raises(error) as got:
+            orbit_states(tm, line, n)
+        assert str(got.value) == str(want.value)
+    if first_refused:
+        assert orbit_states(tm, line, 0) == [line.transverse()]
 
 
 def _reference_orbit(tm, line):
@@ -327,7 +436,7 @@ def _sweep_case(draw):
 @given(_sweep_case())
 def test_bucketed_sweep_matches_pairwise_reference(case):
     states, intervals, rho_states = case
-    assert first_overlap(states, intervals, rho_states) == pairwise_first_overlap(
+    assert first_overlap(states, intervals.__getitem__, rho_states) == pairwise_first_overlap(
         states, intervals, rho_states
     )
 

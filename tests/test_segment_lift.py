@@ -5,7 +5,9 @@ segment under an integer covering, its line's image with the parameter mapped
 by t -> a*t, agrees with the lift chain for either sign of the multiplier and
 both slope kinds, that ``plot-orbit`` output matches a recording, and that
 the collision search lifts in its own field: the BiQuadratic tower only when
-its data span two radicands, with the same answers as a tower-only search."""
+its data span two radicands, with the same answers as a tower-only search,
+shifts composed in the tower with the lifts, and the group's rotation solved
+once per search."""
 
 import dataclasses
 import json
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from flatwander import segments
-from flatwander.cli import main
+from flatwander import lattes, segments, torus_map
+from flatwander.cli import _parse_segment, main
 from flatwander.errors import FieldClash, MixedRadicals
 from flatwander.lattice import Lattice, point
 from flatwander.line_orbit import TorusLine, line_from_point, line_image, slope_spec
@@ -278,3 +280,59 @@ def test_a_two_radicand_search_builds_the_tower(monkeypatch, capsys, case):
     assert main(list(case["argv"])) == case["exit"] == 0
     assert capsys.readouterr().out == case["stdout"]
     assert built
+
+
+# b's coordinates in two fields under non-diagonal coverings: each search
+# spans two radicands, and composing b's shifts outside the tower raised
+# MixedRadicals (exit 2) before they went to the tower with lift_0
+_TWO_FIELD_B = "sqrt(3)/4+(sqrt(5)/9)i"
+_TWO_FIELD_SEGS = ["5/7,1/3,h,1/9", "2/7,1/5,v,1/8", "1/3,2/5,s:2,1/10"]
+
+
+@pytest.mark.parametrize("a", ["1+1i", "2i", "1+2i"])
+@pytest.mark.parametrize("seg", _TWO_FIELD_SEGS)
+def test_shifts_compose_in_the_tower_with_the_lifts(a, seg):
+    tm = torus_map_new(parse_complex(a), parse_complex(_TWO_FIELD_B), SQUARE)
+    segment = _parse_segment(seg)
+    got = find_collision(tm, segment)
+    assert isinstance(got, CollisionCertificate)
+    assert reverify_collision(tm, segment, got)
+
+
+_GROUP_SEARCHES = [c["argv"] for c in FIND_COLLISION_GOLDEN if "--nu" in c["argv"]] + [
+    argv for argv in _ONE_RADICAND if "--nu" in argv
+] + [
+    ["certify-sphere", "--a", "1+1i", "--omega", "i", "--nu", "4", "--z0", "0,0",
+     "--seg", "1/5,1/7,s:sqrt(3),1/18"],
+    ["certify-sphere", "--a", "2", "--omega", HEX, "--nu", "3", "--z0", "0,0",
+     "--seg", "1/7,1/5,s:sqrt(2),1/20"],
+]
+
+
+@pytest.mark.parametrize("argv", _GROUP_SEARCHES, ids=lambda argv: " ".join(argv[:8:2]))
+def test_a_group_mode_case_solves_its_rotation_once(monkeypatch, capsys, argv):
+    solved = []
+    orig = torus_map.rotation_matrix
+
+    def counted(lat, nu):
+        solved.append(nu)
+        return orig(lat, nu)
+
+    for mod in (torus_map, lattes, segments):
+        monkeypatch.setattr(mod, "rotation_matrix", counted)
+    assert main(list(argv)) == 0
+    out = json.loads(capsys.readouterr().out)
+    cert = out if argv[0] == "find-collision" else out["witness"]
+    assert cert["verdict"] == "collision"
+    assert len(solved) == 1
+
+
+def test_a_solved_rotation_is_not_solved_again(monkeypatch):
+    tm = torus_map_new(parse_complex("1+1i"), parse_complex("0"), SQUARE)
+    model = lattes.lattes_model_new(SQUARE, tm, 4, point(Fraction(1, 2), Fraction(1, 2)))
+    seg = _parse_segment("sqrt(3)/5,1/7,s:sqrt(2),1/18")
+    group = (model.nu, model.z0)
+    monkeypatch.setattr(segments, "rotation_matrix", None)  # any call fails
+    got = find_collision(tm, seg, group, rotation=model.rotation)
+    assert isinstance(got, CollisionCertificate) and got.k
+    assert reverify_collision(tm, seg, got, group, rotation=model.rotation)
