@@ -292,12 +292,12 @@ def _segment_from_args(args) -> TorusSegment:
 def _cmd_find_collision(args) -> int:
     tm = _build_map(args)
     seg = _segment_from_args(args)
-    group = rotation = None
+    group = None
     if args.nu is not None:
         # the group obstruction is about the quotient, so the covering must descend
-        group = (args.nu, _parse_point(args.z0))
-        rotation = lattes_model_new(tm.lattice, tm, *group).rotation
-    got = find_collision(tm, seg, group=group, budget=args.budget, rotation=rotation)
+        model = lattes_model_new(tm.lattice, tm, args.nu, _parse_point(args.z0))
+        group = (model.nu, model.z0, model.rotation)
+    got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
     return 0
 

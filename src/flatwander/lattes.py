@@ -271,9 +271,8 @@ def certify_sphere_wandering(
     """
     tm = model.map
     if not model.flexible:
-        witness = None
         if model.nu > 2:
-            witness = find_collision(tm, seg, (model.nu, model.z0), rotation=model.rotation)
+            witness = find_collision(tm, seg, (model.nu, model.z0, model.rotation))
             reason = f"group-order-{model.nu}-orbifold"
         else:
             witness = find_collision(tm, seg)

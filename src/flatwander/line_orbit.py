@@ -11,11 +11,10 @@ its frame (x, y) -> (k*x - m*y, u*x + v*y), u*m + v*k = 1, gives the loop's
 invariant and the base point's place on the loop.  An integer covering keeps
 every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
-(``_state_step``).  A transverse orbit is walked in one place, ``_walk``;
-every consumer indexes its states instead of re-applying ``line_image``.
-It steps integers only, over one denominator N: a numerator pair on rational
-data, and a pair (u, v) per coordinate for (u + v*sqrt(d))/N otherwise, with
-one radicand d per coordinate.
+(``_state_step``).  A transverse orbit is walked in one place, ``_walk``, on
+integers over one denominator N: a numerator pair on rational data, else a
+pair (u, v) per coordinate for (u + v*sqrt(d))/N.  Every consumer indexes
+its states instead of re-applying ``line_image``.
 """
 
 from __future__ import annotations
@@ -187,8 +186,7 @@ def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
 
 
 def _translation_state(tm: AffineTorusMap, slope: SlopeSpec) -> tuple[int, TransverseState]:
-    """a and c = to_state(b), refusing a c in the slope's field, once: every
-    later state would share it."""
+    """a and c = to_state(b); a c in the slope's field is refused once here."""
     if not tm.has_integer_multiplier:
         raise SlopeNotInvariant("a non-real multiplier turns every slope")
     c = slope.to_state(tm.b.coords())
@@ -225,13 +223,9 @@ class Numerators(NamedTuple):
 
 
 def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> tuple:
-    """The integer rule ``_walk`` steps, the seed as its state, and the
-    ``Numerators`` of its states, over N, the lcm of the denominators of the
-    seed and c = to_state(b).  On rational data p -> (a*p + N*c) mod N;
-    otherwise (u, v) -> (a*u + N*c_u, a*v + N*c_v) per coordinate, on the
-    radicand of its seed or c, and then u -= N*floor (``floor_parts``).  A
-    coordinate whose seed and c lie in two fields is refused at the first
-    step, with ``_state_step``'s ``MixedRadicals``."""
+    """``_state_step`` on integers over N, the lcm of the denominators of the
+    seed and c = to_state(b): the rule, the seed as its state, and the
+    ``Numerators``.  A seed and c in two fields are refused at the first step."""
     a, c = _translation_state(tm, slope)
     xs = (*c, *seed)
     den = math.lcm(*(x.w for x in xs))
@@ -257,12 +251,9 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
 
 
 def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
-    """Image of a line under the covering.
-
-    Integer multiplier: the line keeps its slope, and its state steps by
-    st -> a*st + to_state(b) mod 1.  A rational direction transforms by the
-    integer matrix under any other covering.
-    """
+    """Image of a line under the covering: under an integer multiplier it
+    keeps its slope and its state steps by ``_state_step``; a rational
+    direction transforms by the integer matrix under any other covering."""
     if tm.has_integer_multiplier or line.is_irrational:
         return TorusLine(line.slope, *_state_step(tm, line.slope)(line.transverse()))
     p, q, r, s = tm.m
@@ -306,12 +297,10 @@ LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
 
 
 def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int | None, Numerators]:
-    """The distinct states of the orbit of ``line`` in orbit order, up to the
-    first repeat or ``limit`` states, the index the repeat returns to (None
-    when the limit came first) and the ``Numerators`` they are over: the one
-    loop over orbit states, in the seed's frame for both slope kinds, on
-    integers only (``_state_rule``).  A state fixes the iterate's line and
-    base point, so a repeated state is a repeated iterate."""
+    """The distinct orbit states of ``line`` in orbit order, up to the first
+    repeat or ``limit`` states, the index the repeat returns to (None when the
+    limit came first) and their ``Numerators``.  A state fixes the iterate's
+    line and base point, so a repeated state is a repeated iterate."""
     step, state, num = _state_rule(tm, line.slope, line.transverse())
     seen: dict = {}  # insertion order is orbit order
     for i in range(limit):
@@ -327,13 +316,11 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     """Trichotomy for the orbit of a line under an integer-multiplier covering.
 
     Rational direction -> Jordan curve.  Irrational slope with rational
-    transverse pair -> eventually periodic, by cycle detection on the single
-    walk of the exact finite orbit (denominators never grow under
-    x -> a*x + c with integer a, rational c), which stops at the first repeat:
-    preperiod + period steps.  An orbit of more than ``MAX_ORBIT_STATES``
-    states is refused with ``BudgetExceeded``.  Irrational transverse
-    component -> wandering: a periodic state of that affine map is rational,
-    and a*irr + rational stays irrational, so the state can never repeat.
+    transverse pair -> eventually periodic, found by ``_walk`` at the first
+    repeat (denominators never grow under x -> a*x + c with integer a,
+    rational c), refused with ``BudgetExceeded`` past ``MAX_ORBIT_STATES``
+    states.  Irrational transverse component -> wandering: a periodic state
+    of that affine map is rational, and a*irr + rational stays irrational.
     """
     if isinstance(line.slope, RationalDirection):
         return JordanCurve(line.slope)
@@ -355,9 +342,8 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
 
 def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
     """States 0..n of the orbit of a line as ``_walk``'s integers, and their
-    ``Numerators``.  The orbit is walked at most n steps; once a state
-    repeats, the rest is indexed out of the cycle.  This needs no
-    classification, so it holds for any translation part, rational or not."""
+    ``Numerators``: at most n steps, then indexed out of the cycle once a
+    state repeats.  This needs no classification, so any b will do."""
     states, n0, num = _walk(tm, line, n + 1)
     if n0 is not None:
         p = len(states) - n0
@@ -366,11 +352,11 @@ def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
-    """``orbit_numerators`` as states in the seed's frame: the transverse pair
-    of an irrational slope; the loop invariant and place of a rational
-    direction under an integer multiplier."""
+    """``orbit_numerators`` as states: the transverse pair of an irrational
+    slope; the loop invariant and place of a rational direction."""
     states, num = orbit_numerators(tm, line, n)
     return [num.value(p) for p in states]
+
 
 def passes_through_q(
     line: TorusLine, q_points: tuple[TorusPoint, ...]

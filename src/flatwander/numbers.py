@@ -62,11 +62,9 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 def floor_parts(u: int, v: int, w: int, d: int) -> int:
-    """floor((u + v*sqrt(d))/w) for w > 0 and a square-free d (any d when
-    v == 0), from one integer square root: floor((u + y)/w) =
-    (u + floor(y)) // w, and v^2*d is never a square for a square-free
-    d > 1, so floor(v*sqrt(d)) is isqrt(v^2*d) for v > 0 and
-    -isqrt(v^2*d) - 1 for v < 0."""
+    """floor((u + v*sqrt(d))/w) for w > 0 and a square-free d, from one integer
+    square root: floor((u + y)/w) = (u + floor(y)) // w, and v^2*d is never a
+    square, so floor(v*sqrt(d)) is isqrt(v^2*d), or -isqrt(v^2*d) - 1 for v < 0."""
     if v == 0:
         return u // w
     r = math.isqrt(v * v * d)

@@ -2,34 +2,25 @@
 collision finder.
 
 The certificate logic lives in the canonical line parameterization: a segment
-runs from its line's base point, the point its state in the slope's frame
-stands for, and an integer covering maps base point to base point, so it acts
-on the parameter as t -> a*t for both slope kinds.  The return map of a
-period-p line is then t -> a^p * t with fixed point 0, and a certified
-subinterval only has to avoid 0 and satisfy an expansion-disjointness ratio.
-The sphere certificate is the same one seen through rho, which acts on the
-parameter as t -> -t and only adds reflected comparisons and the quotient's
-return multiplier.  States are indexed out of ``line_orbit``'s single walk,
-and one exact sweep, ``first_overlap``, compares only iterates that share a
-state and asks only for their intervals; it decides both the certificates and
-the integer-multiplier collision search, which buckets on the walk's integer
-states, for both slope kinds: parameter intervals on an irrational-slope
-line, arcs of a closed loop for a rational direction.  The lift search serves
-only non-real multipliers, group mode and the fallback for orbit states with
-no common field or in the slope's field.  The brute-force oracle,
-``verify_disjoint_iterates``, compares the same states and intervals
-pairwise, unbucketed, on irrational slopes only.
+runs from its line's base point, and an integer covering maps base point to
+base point, so it acts on the parameter as t -> a*t for both slope kinds.  The
+return map of a period-p line is then t -> a^p * t with fixed point 0, and a
+certified subinterval only has to avoid 0 and satisfy an expansion-disjointness
+ratio; the sphere certificate adds rho, t -> -t, and the quotient's return
+multiplier.  One exact sweep, ``first_overlap``, decides the certificates and
+the integer-multiplier collision search: it compares only iterates on one
+walked state, as parameter intervals or as arcs of a closed loop.  The lift
+search serves non-real multipliers, group mode and orbit states with no common
+field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
+compares the same states and intervals pairwise.
 
-The lift search runs in floats: each lift is a ``FloatLift`` that carries one
-proven absolute error bound, stepped by the covering's integer matrix and
-float shift, and each pair of lifts enumerates the lattice translates whose
+The lift search runs in floats: each ``FloatLift`` carries one proven absolute
+error bound, and each pair of lifts enumerates the lattice translates whose
 bounding boxes meet.  A translate is skipped only when the bounds prove it
-misses; every survivor is decided by the exact predicate
-``segments_meet_exact`` on exact lifts built for it on demand, which also
-builds every witness.  So floats only ever skip certain misses, and every
-verdict is exact.  Exact lifts are ``QuadraticNumber`` points, in the tower
-only when the segment, b and the rotation shifts span two radicands; with no
-common two-radicand tower a surviving translate raises ``MixedRadicals``.
+misses; every survivor, and every witness, is decided by the exact predicate
+``segments_meet_exact`` on exact lifts built on demand, in the tower only when
+the segment, b and the rotation shifts span two radicands (``MixedRadicals``
+when they share no tower).
 """
 
 from __future__ import annotations
@@ -597,19 +588,15 @@ def certified_slack(
     return slack
 
 
-def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
-    """Parameter intervals of iterates 0..n of [u, v] under t -> a*t."""
-    chain, cur = [], (u, v)
-    for _ in range(n + 1):
-        chain.append(cur)
-        cur = (cur[1] * a, cur[0] * a) if a < 0 else (cur[0] * a, cur[1] * a)
-    return chain
-
-
 def _interval_at(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> Interval:
-    """Parameter interval of iterate n alone: ``interval_chain(u, v, a, n)[n]``."""
+    """Parameter interval of iterate n of [u, v] under t -> a*t."""
     k = a**n
     return (v * k, u * k) if k < 0 else (u * k, v * k)
+
+
+def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
+    """Parameter intervals of iterates 0..n."""
+    return [_interval_at(u, v, a, i) for i in range(n + 1)]
 
 
 def first_overlap(
@@ -618,17 +605,12 @@ def first_overlap(
     rho_states: Sequence[Hashable] | None,
     circular: bool = False,
 ) -> tuple[int, int] | None:
-    """Exact disjointness sweep over iterates with the given states and
-    intervals (``interval(i)`` is iterate i's): the first pair (n, m), n < m,
-    that meets, ordered by m and then by n, or None.  The sweep stops at the
-    first m with a hit.
-
-    Distinct states are distinct parallel geodesics, so only iterates that
-    share a state are compared, and only their intervals are asked for: by
-    1-D interval overlap, or, with ``circular``, as closed arcs of the loop
-    R/Z.  With rho-states (rho in canonical parameters is t -> -t) iterate
-    m's reflection is also compared against every iterate n on the line it
-    is reflected onto."""
+    """The first pair (n, m), n < m, of iterates with these states whose
+    intervals (``interval(i)`` is iterate i's) meet, by m and then n, or None.
+    Only iterates on one state are compared, so only their intervals are asked
+    for: as 1-D intervals, or, with ``circular``, as arcs of the loop R/Z.
+    With rho-states (rho is t -> -t) iterate m's reflection is also compared
+    against the iterates on the line it is reflected onto."""
     meet = _arcs_meet if circular else _overlap
     by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
     for m, st in enumerate(states):
@@ -647,13 +629,11 @@ def first_overlap(
 def certify_wandering(
     tm: AffineTorusMap, seg: TorusSegment, check_iterates: int = 12
 ) -> WanderingCertificate | NotWanderable:
-    """Constructive wandering decision for an integer-multiplier covering.
-
-    Jordan curve -> not wanderable.  Wandering line -> whole segment (iterates
-    live on pairwise-distinct parallel geodesics).  Eventually periodic line
+    """Constructive wandering decision for an integer-multiplier covering:
+    Jordan curve -> not wanderable; wandering line -> whole segment (iterates
+    live on pairwise-distinct parallel geodesics); eventually periodic line
     -> certified subsegment avoiding the return-map fixed point with the
-    expansion-disjointness ratio; cross-checked by the exact sweep.
-    """
+    expansion-disjointness ratio, cross-checked by the exact sweep."""
     if not tm.has_integer_multiplier:
         raise SlopeNotInvariant("wandering certificates require an integer multiplier")
     return certify_classified(tm, seg, classify_line(tm, seg.line), check_iterates)
@@ -851,9 +831,9 @@ class _LiftSearch:
     translate ``_float_image`` records.  Exact lifts are built on demand:
     iterate m is M^m * lift_0 + S_m, with S_0 = 0 and S_m = M*S_{m-1} + b - t_m
     an exact pair that follows the recorded translates t_m, and its rotation
-    k is R_k applied to that, plus s_k minus the rotation's own translate.
-    Both are one affine image of lift_0, which goes to the tower only when b
-    or an s_k brings a second radicand; the shifts then compose in it too."""
+    k is R_k applied to that, plus s_k minus the rotation's own translate:
+    one affine image of lift_0, in lift_0's field, the tower when b or an s_k
+    brings a second radicand."""
 
     def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
         shifts = (tm.b.x, tm.b.y, *(c for _, shift in rotations for c in shift))
@@ -891,38 +871,29 @@ class _LiftSearch:
 def find_collision(
     tm: AffineTorusMap,
     seg: TorusSegment,
-    group: tuple[int, TorusPoint] | None = None,
+    group: tuple[int, TorusPoint, Matrix] | None = None,
     budget: int | None = None,
-    rotation: Matrix | None = None,
 ) -> CollisionCertificate | NoCollisionWithinBudget:
     """Search indices n < m <= budget (and rotation powers k in group mode) for
-    an intersection of iterate m with the k-rotated iterate n.
-
-    The minimal-m certificate is returned (ties broken by n, then k), which
-    keeps the returned m within the log-derived forcing bound.  An integer
-    multiplier keeps every slope, so iterates are parallel and ``first_overlap``
-    decides the search in the same order, for both slope kinds: on an
-    irrational slope iterates meet iff they share a transverse state and their
-    parameter intervals overlap; on a rational direction iff they lie on one
-    closed loop (share the loop invariant) and their arcs of it overlap.  The
-    lift search serves non-real multipliers and group mode, and states with no
-    common field or that a translation in the slope's field takes into it.
-    In group mode ``rotation`` is the group's rotation matrix when the caller
-    has solved it already (``LattesModel.rotation``).
-    """
-    lat = tm.lattice
-    nu = 1
-    rotations: list[AffineMap] = []
+    an intersection of iterate m with the k-rotated iterate n; the minimal-m
+    certificate is returned (ties by n, then k), which keeps m within the
+    forcing bound.  Under an integer multiplier iterates are parallel and meet
+    iff they share a state (the loop invariant, on a rational direction) and
+    their intervals (arcs) overlap, which ``first_overlap`` decides; the lift
+    search serves the rest.  A ``group`` is (nu, z0, R), with R =
+    rotation_matrix(tm.lattice, nu) as the caller solved it
+    (``LattesModel.rotation``)."""
+    nu, rotations = None, []
     if group is not None:
-        nu, z0 = group
+        nu, z0, rot = group
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
-        rotations = _rotations(rotation or rotation_matrix(lat, nu), nu, z0)
+        rotations = _rotations(rot, nu, z0)
     if budget is None:
-        budget = default_collision_budget(tm, seg, nu=nu if group else None)
+        budget = default_collision_budget(tm, seg, nu=nu)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    bound = _forcing_bound(tm, nu if group else None)
+    bound = _forcing_bound(tm, nu)
 
     if group is None and tm.has_integer_multiplier:
         try:
@@ -965,7 +936,7 @@ def find_collision(
                 w = _first_meeting(current, target, lambda: (lifts.exact(m), lifts.exact(n, k)))
                 if w is not None:
                     return CollisionCertificate(n, m, k, w, True, bound, budget)
-    return NoCollisionWithinBudget(budget=budget, group_order=nu)
+    return NoCollisionWithinBudget(budget=budget, group_order=nu or 1)
 
 
 def reverify_collision(
@@ -973,17 +944,15 @@ def reverify_collision(
     seg: TorusSegment,
     cert: CollisionCertificate,
     group: tuple[int, TorusPoint] | None = None,
-    rotation: Matrix | None = None,
 ) -> bool:
-    """Recompute the claimed intersection from scratch; ``rotation`` as in
-    ``find_collision``."""
+    """Recompute the claimed intersection from scratch; ``group`` is (nu, z0)."""
     lat = tm.lattice
     lifts = lift_chain(tm, seg, cert.m)
     target = lifts[cert.n]
     if cert.k:
         if group is None:
             raise ValueError("a rotated collision needs its group to re-verify")
-        mat, shift = _rotations(rotation or rotation_matrix(lat, group[0]), *group)[cert.k - 1]
+        mat, shift = _rotations(rotation_matrix(lat, group[0]), *group)[cert.k - 1]
         (target,) = _common_field(shift, target)
         target = target.affine_image(mat, shift).normalize()
     return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None

@@ -206,7 +206,7 @@ def test_criterion_4_group_obstruction():
         plen = Fraction(1, math.floor(dir_norm * 10))
         seg = segment_new(line, qn(0), qn(plen))
         assert seg.euclidean_length(lat) >= 0.1 - 1e-12
-        cert = find_collision(tm, seg, group=(4, point(0, 0)))
+        cert = find_collision(tm, seg, group=(4, point(0, 0), model.rotation))
         if not (isinstance(cert, CollisionCertificate) and cert.m <= 7):
             failures += 1
             continue

@@ -42,7 +42,7 @@ from flatwander.segments import (
     segment_new,
     verify_disjoint_iterates,
 )
-from flatwander.torus_map import torus_map_new
+from flatwander.torus_map import rotation_matrix, torus_map_new
 
 ROOT = Path(__file__).resolve().parent.parent
 # find-collision on integer multipliers, recorded from the pairwise search
@@ -547,7 +547,7 @@ def test_a_first_hit_at_m_takes_m_lift_steps(monkeypatch, a, group, argv_seg):
     omega = "1/2+sqrt(3)/2i" if group and group[0] == 3 else "i"
     tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
     seg = _parse_segment(argv_seg)
-    grp = None if group is None else (group[0], point(*group[1]))
+    grp = group and (group[0], point(*group[1]), rotation_matrix(tm.lattice, group[0]))
     work = _count_lift_work(monkeypatch)
     got = find_collision(tm, seg, group=grp, budget=30)
     assert isinstance(got, CollisionCertificate) and got.m < 30

