@@ -5,123 +5,9 @@ an affine covering z -> a*z + b or it provably collides with its own orbit;
 which of the two happens is decided here with exact quadratic-field arithmetic
 and machine-checkable certificates, both on the torus and on its order-2
 rotation quotient.
+
+The package root re-exports nothing: import each name from its module
+(``flatwander.segments``, ``flatwander.lattes``, ...).
 """
-
-from .errors import FlatwanderError
-from .lattice import Lattice, TorusPoint, embed, half_lattice_q, point, reduce_to_fundamental
-from .lattes import (
-    LattesModel,
-    NotFlexible,
-    certify_sphere_wandering,
-    g_invariants,
-    lattes_model_new,
-    rho_pairing,
-    theta_line_type,
-    verify_semiconjugacy,
-    wp,
-    wp_prime,
-)
-from .line_orbit import (
-    EventuallyPeriodic,
-    IrrationalSlope,
-    JordanCurve,
-    RationalDirection,
-    TorusLine,
-    WanderingLine,
-    classify_line,
-    line_from_point,
-    line_image,
-    passes_through_q,
-    slope_spec,
-)
-from .numbers import (
-    BiQuadratic,
-    ComplexPair,
-    QuadraticNumber,
-    float_jitter,
-    parse_complex,
-    parse_number,
-    qn,
-)
-from .segments import (
-    CollisionCertificate,
-    NoCollisionWithinBudget,
-    NotWanderable,
-    TorusSegment,
-    WanderingCertificate,
-    certify_wandering,
-    collision_bound,
-    find_collision,
-    segment_new,
-    segments_intersect,
-    verify_disjoint_iterates,
-)
-from .torus_map import (
-    AffineTorusMap,
-    IntegerDerivative,
-    NonRealMultiplier,
-    apply_map,
-    classify_multiplier,
-    iterate_map,
-    preimages,
-    torus_map_new,
-)
-
-__all__ = [
-    "AffineTorusMap",
-    "BiQuadratic",
-    "CollisionCertificate",
-    "ComplexPair",
-    "EventuallyPeriodic",
-    "FlatwanderError",
-    "IntegerDerivative",
-    "IrrationalSlope",
-    "JordanCurve",
-    "Lattice",
-    "LattesModel",
-    "NoCollisionWithinBudget",
-    "NonRealMultiplier",
-    "NotFlexible",
-    "NotWanderable",
-    "QuadraticNumber",
-    "RationalDirection",
-    "TorusLine",
-    "TorusPoint",
-    "TorusSegment",
-    "WanderingCertificate",
-    "WanderingLine",
-    "apply_map",
-    "certify_sphere_wandering",
-    "certify_wandering",
-    "classify_line",
-    "classify_multiplier",
-    "collision_bound",
-    "embed",
-    "find_collision",
-    "float_jitter",
-    "g_invariants",
-    "half_lattice_q",
-    "iterate_map",
-    "lattes_model_new",
-    "line_from_point",
-    "line_image",
-    "parse_complex",
-    "parse_number",
-    "passes_through_q",
-    "point",
-    "preimages",
-    "qn",
-    "reduce_to_fundamental",
-    "rho_pairing",
-    "segment_new",
-    "segments_intersect",
-    "slope_spec",
-    "theta_line_type",
-    "torus_map_new",
-    "verify_disjoint_iterates",
-    "verify_semiconjugacy",
-    "wp",
-    "wp_prime",
-]
 
 __version__ = "0.1.0"

@@ -62,6 +62,7 @@ from .torus_map import (
 )
 
 _BUDGET_ERRORS = (BudgetExceeded, ResidualExceedsTol)
+_MAX_PLOT_SEGMENTS = 10_000
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:
@@ -342,11 +343,14 @@ def _color(i: int, total: int) -> str:
 
 
 def _segment_pieces(lift, samples: int = 257):
-    """Split the projected segment at cell wrap-arounds; float polyline data."""
+    """Split the projected segment at cell wrap-arounds; float polyline data.
+    OverflowError when the segment does not fit in doubles."""
     bx, by = lift.p0
     ex, ey = lift.p1
     x0, y0 = bx.to_float(), by.to_float()
     x1, y1 = ex.to_float(), ey.to_float()
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise OverflowError("segment beyond double range")
     pieces = []
     cur = []
     prev_cell = None
@@ -375,8 +379,6 @@ def emit_orbit_svg(
 ) -> str:
     """One SVG: fundamental parallelogram, each iterate's segment as polylines
     split at wrap-around, color-indexed, with a legend; deterministic bytes."""
-    if len(lifts) > 10_000:
-        raise UsageError("too many segments to plot")
     w = lat.omega_complex()
     scale = 420.0
     pad = 40.0
@@ -409,7 +411,11 @@ def emit_orbit_svg(
     total = len(lifts)
     for i, lift in enumerate(lifts):
         color = _color(i, total)
-        for piece in _segment_pieces(lift):
+        try:
+            pieces = _segment_pieces(lift)
+        except OverflowError:
+            raise BudgetExceeded(f"iterate {i} lies beyond double range; plot fewer") from None
+        for piece in pieces:
             pts = " ".join(
                 f"{to_px(x, y)[0]:.3f},{to_px(x, y)[1]:.3f}" for x, y in piece
             )
@@ -448,6 +454,8 @@ def emit_orbit_svg(
 def _cmd_plot_orbit(args) -> int:
     tm = _build_map(args)
     seg = _segment_from_args(args)
+    if args.iterates >= _MAX_PLOT_SEGMENTS:
+        raise UsageError("too many segments to plot")
     # raw-lift iteration plots any covering, integer multiplier or not
     lifts = lift_chain(tm, seg, args.iterates)
     witness = None
@@ -548,21 +556,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with ``--config PATH`` (or ``--config=PATH``) replaced by the
+    file's options that argv does not give.  A given option is matched by
+    the action it names in the subcommand's parser, so an abbreviation wins
+    over the file as the full name does."""
+    at = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+    if at is None:
         return argv
-    i = argv.index("--config")
+    _, attached, path = argv[at].partition("=")
     try:
-        with open(argv[i + 1]) as fh:
+        with open(path if attached else argv[at + 1]) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         raise UsageError(f"unreadable config: {exc}") from exc
-    rest = argv[:i] + argv[i + 2 :]
-    given = {arg.split("=", 1)[0] for arg in rest}
+    rest = argv[:at] + argv[at + (1 if attached else 2) :]
+    sp = ap.commands.get(rest[0]) if rest else None
+    options = sp._option_string_actions if sp else {}
+
+    def named(arg: str):
+        name = arg.split("=", 1)[0]
+        return _option_named(options, name) or name
+
+    given = {named(arg) for arg in rest}
     extra: list[str] = []
     for key, value in sorted(cfg.items()):
         flag = f"--{key.replace('_', '-')}"
-        if flag in given or value is False:
+        if named(flag) in given or value is False:
             continue
         # true switches a flag on; any other value is the option's argument
         extra.append(flag if value is True else f"{flag}={value}")
@@ -599,7 +619,7 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     anything else (help, an unknown command, no command) goes to the top
     parser, which reports it."""
     ap = build_parser()
-    argv = _apply_config(argv)
+    argv = _apply_config(ap, argv)
     sp = ap.commands.get(argv[0]) if argv else None
     if sp is None:
         return ap.parse_args(argv)

@@ -26,13 +26,8 @@ from .errors import (
     ResidualExceedsTol,
     UsageError,
 )
-from .lattice import ORIGIN, Lattice, TorusPoint, embed, half_lattice_q, reduce_to_fundamental
-from .line_orbit import (
-    EventuallyPeriodic,
-    TorusLine,
-    classify_line,
-    passes_through_q,
-)
+from .lattice import ORIGIN, Lattice, TorusPoint, embed, reduce_to_fundamental
+from .line_orbit import EventuallyPeriodic, classify_line
 from .numbers import HALF, ZERO, ComplexPair, QuadraticNumber
 from .segments import (
     CollisionCertificate,
@@ -64,9 +59,6 @@ class LattesModel:
     @property
     def flexible(self) -> bool:
         return self.nu == 2 and self.map.has_integer_multiplier
-
-    def q_grid(self) -> tuple[TorusPoint, ...]:
-        return half_lattice_q(self.lattice, self.z0)
 
 
 def lattes_model_new(
@@ -117,40 +109,8 @@ def lattes_model_new(
 
 
 # ---------------------------------------------------------------------------
-# Line images under the quotient
+# rho on transverse states
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InjectiveGeodesicImage:
-    pass
-
-
-@dataclass(frozen=True)
-class FoldedRay:
-    fold_point: TorusPoint
-
-
-@dataclass(frozen=True)
-class ClosedCurveImage:
-    pass
-
-
-ThetaLineType = InjectiveGeodesicImage | FoldedRay | ClosedCurveImage
-
-
-def theta_line_type(model: LattesModel, line: TorusLine) -> ThetaLineType:
-    """Rational direction -> closed curve; an irrational-slope line through a
-    grid point folds at it (it cannot hit two grid lifts: that forces a
-    rational direction); otherwise the quotient map is injective on it."""
-    if model.nu != 2:
-        raise ValueError("line images are classified for the order-2 quotient")
-    if not line.is_irrational:
-        return ClosedCurveImage()
-    hit = passes_through_q(line, model.q_grid())
-    if hit is not None:
-        return FoldedRay(hit)
-    return InjectiveGeodesicImage()
 
 
 def rho_transverse(
@@ -166,14 +126,15 @@ def rho_transverse(
 
 
 def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):
-    """rho on the numerator pairs over N of an orbit: p -> r - p mod N, with
-    r/N = to_state(2*z0) = rho(0).  When to_state(2*z0) is off the 1/N grid,
-    no state reflects into the orbit, and every image is None."""
-    den = orbit.den
+    """rho on the integer states (u0, 0, u1, 0) over N of a rational orbit:
+    u_i -> r_i - u_i mod N, with r/N = to_state(2*z0) = rho(0).  When
+    to_state(2*z0) is off the 1/N grid, no state reflects into the orbit, and
+    every image is None."""
+    den = orbit.num.den
     r0, r1 = (x * den for x in rho_transverse(model, (ZERO, ZERO)))
     if not (r0.is_integer and r1.is_integer):
         return lambda p: None
-    return lambda p: ((r0.u - p[0]) % den, (r1.u - p[1]) % den)
+    return lambda p: ((r0.u - p[0]) % den, 0, (r1.u - p[2]) % den, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +165,7 @@ RhoPairing = Unpaired | Paired | SelfPaired
 
 
 def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
-    """Test whether rho maps an orbit's cycle to itself, on numerator pairs.
+    """Test whether rho maps an orbit's cycle to itself, on its integer states.
 
     Since rho commutes with the covering on valid models, the induced action
     is an index shift c with 2c = 0 mod p: c = p/2 pairs lines two by two and
@@ -451,14 +412,6 @@ def weierstrass_context(lat: Lattice) -> WeierstrassContext:
     if lat.omega not in _WP_CACHE:
         _WP_CACHE[lat.omega] = WeierstrassContext(lat)
     return _WP_CACHE[lat.omega]
-
-
-def wp(lat: Lattice, z: complex) -> complex:
-    return weierstrass_context(lat).wp_pair(z)[0]
-
-
-def wp_prime(lat: Lattice, z: complex) -> complex:
-    return weierstrass_context(lat).wp_pair(z)[1]
 
 
 # ---------------------------------------------------------------------------

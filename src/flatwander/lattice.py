@@ -1,4 +1,4 @@
-"""Lattice L = {n + m*omega}, lattice coordinates and the half-lattice grid.
+"""Lattice L = {n + m*omega} and lattice coordinates.
 
 All torus arithmetic uses lattice coordinates (x, y), meaning the point
 x*1 + y*omega, so reduction mod the lattice is coordinate-wise mod 1 and every
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, LowerHalfPlane
-from .numbers import HALF, ZERO, ComplexPair, QuadraticNumber, qn
+from .errors import LowerHalfPlane
+from .numbers import ZERO, ComplexPair, QuadraticNumber, qn
 
 CoordPair = tuple[QuadraticNumber, QuadraticNumber]
 
@@ -43,9 +43,6 @@ class TorusPoint:
     def coords(self) -> CoordPair:
         return (self.x, self.y)
 
-    def key(self) -> tuple:
-        return (self.x.u, self.x.v, self.x.w, self.x.d, self.y.u, self.y.v, self.y.w, self.y.d)
-
     def to_expr(self) -> str:
         return f"({self.x.to_expr()}, {self.y.to_expr()})"
 
@@ -61,18 +58,6 @@ def reduce_to_fundamental(p: CoordPair) -> TorusPoint:
 
 def point(x, y) -> TorusPoint:
     return reduce_to_fundamental((qn(x), qn(y)))
-
-
-def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, ...]:
-    """The four fixed points of z -> 2*z0 - z: z0 shifted by the half-lattice,
-    sorted for deterministic iteration."""
-    if not (z0.x.is_rational and z0.y.is_rational):
-        raise ValueError("z0 must be rational")
-    shifts = [(ZERO, ZERO), (HALF, ZERO), (ZERO, HALF), (HALF, HALF)]
-    pts = {reduce_to_fundamental((z0.x + sx, z0.y + sy)) for sx, sy in shifts}
-    if len(pts) != 4:
-        raise InternalInconsistency(f"{len(pts)} fixed points of rho, not 4")
-    return tuple(sorted(pts, key=lambda p: (p.x.as_fraction(), p.y.as_fraction())))
 
 
 def embed(p: TorusPoint, lat: Lattice) -> complex:

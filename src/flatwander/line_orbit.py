@@ -12,9 +12,9 @@ invariant and the base point's place on the loop.  An integer covering keeps
 every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
 (``_state_step``).  A transverse orbit is walked in one place, ``_walk``, on
-integers over one denominator N: a numerator pair on rational data, else a
-pair (u, v) per coordinate for (u + v*sqrt(d))/N.  Every consumer indexes
-its states instead of re-applying ``line_image``.
+integers over one denominator N: a pair (u, v) per coordinate for
+(u + v*sqrt(d))/N, with v = 0 on rational data.  Every consumer indexes its
+states instead of stepping lines again.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .errors import (
     MixedRadicals,
     SlopeNotInvariant,
 )
-from .lattice import CoordPair, TorusPoint
+from .lattice import CoordPair
 from .numbers import QuadraticNumber, floor_parts, qn
-from .torus_map import AffineTorusMap, apply_map
+from .torus_map import AffineTorusMap
 
 TransverseState = tuple[QuadraticNumber, QuadraticNumber]
-NumeratorPair = tuple[int, int]
+StateInts = tuple[int, int, int, int]  # (u0, v0, u1, v1), see ``Numerators``
 
 MAX_ORBIT_STATES = 2**18  # above every period in the tests and the bench (~1e5)
 
@@ -170,13 +170,6 @@ class TorusLine:
         x, y = self.slope.from_state(self.transverse())
         return (x.mod1(), y.mod1())
 
-    def same_line(self, other: TorusLine) -> bool:
-        if self.slope != other.slope:
-            return False
-        if self.is_irrational:
-            return self.alpha == other.alpha and self.beta == other.beta
-        return self.alpha == other.alpha  # rational case: the loop invariant
-
 
 def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
     """Line through ``base`` with the given slope, at the state
@@ -208,18 +201,16 @@ def _state_step(
 
 
 class Numerators(NamedTuple):
-    """``_walk``'s states are numerators over ``den``: pairs (p0, p1) when
-    ``rads`` is None, else (u0, v0, u1, v1) for (u_i + v_i*sqrt(rads[i]))/den."""
+    """``_walk``'s states are integers (u0, v0, u1, v1) over ``den``, the
+    coordinates (u_i + v_i*sqrt(rads[i]))/den; v_i = 0 on a rational one."""
 
     den: int
-    rads: tuple[int, int] | None = None
+    rads: tuple[int, int]
 
-    def value(self, p: tuple[int, ...]) -> TransverseState:
-        den, rads = self
-        if rads is None:
-            return (QuadraticNumber(p[0], 0, den), QuadraticNumber(p[1], 0, den))
+    def value(self, p: StateInts) -> TransverseState:
+        den, (d0, d1) = self
         canon = QuadraticNumber._canon
-        return (canon(p[0], p[1], den, rads[0]), canon(p[2], p[3], den, rads[1]))
+        return (canon(p[0], p[1], den, d0), canon(p[2], p[3], den, d1))
 
 
 def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> tuple:
@@ -229,18 +220,11 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
     a, c = _translation_state(tm, slope)
     xs = (*c, *seed)
     den = math.lcm(*(x.w for x in xs))
-    if all(x.is_rational for x in xs):
-        c0, c1, *start = (x.u * (den // x.w) for x in xs)
-
-        def step(p: NumeratorPair) -> NumeratorPair:
-            return ((a * p[0] + c0) % den, (a * p[1] + c1) % den)
-
-        return step, tuple(start), Numerators(den)
     cu0, cv0, cu1, cv1, *start = (n * (den // x.w) for x in xs for n in (x.u, x.v))
     d0, d1 = rads = tuple(s.d or t.d for s, t in zip(seed, c))
     clash = [(s.d, t.d) for s, t in zip(seed, c) if s.d and t.d and s.d != t.d]
 
-    def step(p: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    def step(p: StateInts) -> StateInts:
         if clash:
             raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash[0])
         u0, v0, u1, v1 = a * p[0] + cu0, a * p[1] + cv0, a * p[2] + cu1, a * p[3] + cv1
@@ -250,18 +234,6 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
     return step, tuple(start), Numerators(den, rads)
 
 
-def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
-    """Image of a line under the covering: under an integer multiplier it
-    keeps its slope and its state steps by ``_state_step``; a rational
-    direction transforms by the integer matrix under any other covering."""
-    if tm.has_integer_multiplier or line.is_irrational:
-        return TorusLine(line.slope, *_state_step(tm, line.slope)(line.transverse()))
-    p, q, r, s = tm.m
-    m, k = line.slope.m, line.slope.k
-    image = apply_map(tm, TorusPoint(*line.base_point()))
-    return line_from_point(slope_spec((p * m + r * k, q * m + s * k)), image.coords())
-
-
 @dataclass(frozen=True)
 class JordanCurve:
     direction: RationalDirection
@@ -269,23 +241,24 @@ class JordanCurve:
 
 @dataclass(frozen=True)
 class EventuallyPeriodic:
-    """The preperiod + period distinct states in orbit order, numerator pairs
-    over ``den``; ``index(n)`` folds any later index back into the cycle."""
+    """The preperiod + period distinct states in orbit order, as ``_walk``'s
+    integers over ``num``; ``index(n)`` folds any later index back into the
+    cycle."""
 
     preperiod: int
     period: int
-    den: int
-    states: tuple[NumeratorPair, ...]
+    num: Numerators
+    states: tuple[StateInts, ...]
 
     @property
-    def cycle(self) -> tuple[NumeratorPair, ...]:
+    def cycle(self) -> tuple[StateInts, ...]:
         return self.states[self.preperiod :]
 
     def index(self, n: int) -> int:
         return n if n < self.preperiod else self.preperiod + (n - self.preperiod) % self.period
 
     def state(self, n: int) -> TransverseState:
-        return Numerators(self.den).value(self.states[self.index(n)])
+        return self.num.value(self.states[self.index(n)])
 
 
 @dataclass(frozen=True)
@@ -337,7 +310,7 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     states, n0, num = _walk(tm, line, MAX_ORBIT_STATES + 1)
     if n0 is None:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
-    return EventuallyPeriodic(n0, len(states) - n0, num.den, states)
+    return EventuallyPeriodic(n0, len(states) - n0, num, states)
 
 
 def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
@@ -356,19 +329,3 @@ def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[Transverse
     slope; the loop invariant and place of a rational direction."""
     states, num = orbit_numerators(tm, line, n)
     return [num.value(p) for p in states]
-
-
-def passes_through_q(
-    line: TorusLine, q_points: tuple[TorusPoint, ...]
-) -> TorusPoint | None:
-    """First grid point lying on the line, if any.
-
-    (q1, q2) is on an irrational-slope line iff beta = q1 and alpha = -q2
-    mod 1; an irrational transverse pair can never match the rational grid.
-    """
-    if not line.is_irrational:
-        raise ValueError("grid membership is defined for irrational-slope lines")
-    for qp in q_points:
-        if line.beta == qp.x and line.alpha == (-qp.y).mod1():
-            return qp
-    return None

@@ -312,10 +312,6 @@ class LiftSegment:
         coords = [_converted(c) for c in (*self.p0, *self.p1)]
         return FloatLift(*(x for x, _ in coords), max(e for _, e in coords))
 
-    def euclidean_length(self, lat: Lattice) -> float:
-        x0, y0, x1, y1, _ = self.float_lift()
-        return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
-
 
 def _needs_tower(*xs: Coord) -> bool:
     """Is one of the scalars in the BiQuadratic tower, or do they span more
@@ -384,15 +380,10 @@ class TorusSegment:
             _point_at(self.line, self.t_lo), _point_at(self.line, self.t_hi)
         ).normalize()
 
-    def direction_complex(self, lat: Lattice) -> complex:
-        dx, dy = self.line.direction()
-        return dx.to_float() + dy.to_float() * lat.omega_complex()
-
     def euclidean_length(self, lat: Lattice) -> float:
-        return (self.t_hi - self.t_lo).to_float() * abs(self.direction_complex(lat))
-
-    def interval(self) -> tuple[QuadraticNumber, QuadraticNumber]:
-        return (self.t_lo, self.t_hi)
+        dx, dy = self.line.direction()
+        direction = dx.to_float() + dy.to_float() * lat.omega_complex()
+        return (self.t_hi - self.t_lo).to_float() * abs(direction)
 
 
 def _check_param_field(t: QuadraticNumber, line: TorusLine) -> None:
@@ -447,26 +438,6 @@ def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float
     """The point mod 1 at the midpoint of two overlapping parameter intervals
     on one irrational-slope line."""
     return reduce_mod1_float(_point_at(line, (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2))
-
-
-def segments_intersect(
-    lat: Lattice, s1: TorusSegment, s2: TorusSegment
-) -> tuple[float, float] | None:
-    """A witness mod 1 where two segments meet on the torus, or None, exactly.
-
-    Segments on the same irrational-slope line reduce to one-dimensional
-    interval overlap in the shared canonical parameter; distinct parallel
-    lines are disjoint injective geodesics and need no geometry.
-    """
-    if (
-        s1.line.is_irrational
-        and s2.line.is_irrational
-        and s1.line.slope == s2.line.slope
-    ):
-        if not (s1.line.same_line(s2.line) and _overlap(s1.interval(), s2.interval())):
-            return None
-        return _overlap_witness(s1.line, s1.interval(), s2.interval())
-    return lift_segments_intersect_torus(lat, s1.lift, s2.lift)
 
 
 def verify_disjoint_iterates(
@@ -649,8 +620,8 @@ def certify_classified(
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``.
 
-    With ``rho``, the order-2 involution on the verdict's states (numerator
-    pairs of a periodic line; None off its grid), the certificate is for the
+    With ``rho``, the order-2 involution on the verdict's states (the integer
+    states of a periodic line; None off its grid), the certificate is for the
     quotient (level "sphere"), and ``returns`` gives the quotient's return map
     (period, multiplier, both_sides); without it the return map is the line's
     (p, a^p, False).  A wandering line must then also keep its states apart
@@ -911,8 +882,8 @@ def find_collision(
                 place = num.value(states[n])[1]  # iterate n's arc starts at its place
                 return (place + lo, place + hi)
 
-            # a loop is its invariant, the first coordinate's numerators
-            keys = [p[: len(p) // 2] for p in states] if loop else states
+            # a loop is its invariant, the first coordinate's (u0, v0)
+            keys = [p[:2] for p in states] if loop else states
             pair = first_overlap(keys, interval, None, circular=loop)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)

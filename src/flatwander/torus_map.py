@@ -141,14 +141,6 @@ def apply_map(tm: AffineTorusMap, pt: TorusPoint) -> TorusPoint:
     return reduce_to_fundamental((nx, ny))
 
 
-def iterate_map(tm: AffineTorusMap, pt: TorusPoint, n: int) -> TorusPoint:
-    if n < 0:
-        raise ValueError("iterate count must be non-negative")
-    for _ in range(n):
-        pt = apply_map(tm, pt)
-    return pt
-
-
 _ROTATION_SCALARS = {
     2: ComplexPair.make(-1, 0),
     3: ComplexPair(QuadraticNumber(-1, 0, 2), QuadraticNumber(0, 1, 2, 3)),
@@ -191,14 +183,3 @@ def kernel(tm: AffineTorusMap) -> list[tuple[int, int]]:
     if len(out) != det:
         raise InternalInconsistency(f"the kernel has {len(out)} points, not the degree {det}")
     return list(out)
-
-
-def preimages(tm: AffineTorusMap, target: TorusPoint) -> list[TorusPoint]:
-    """All solutions of apply_map(P) = target: one exact solve, shifted by
-    each point of the kernel; there are exactly ``degree`` of them."""
-    p, q, r, s = tm.m
-    cx, cy = target.x - tm.b.x, target.y - tm.b.y
-    # M^{-1} = adj(M)/det with adj = [[s, -r], [-q, p]]
-    x, y = cx * s - cy * r, cy * p - cx * q
-    det = tm.degree
-    return [reduce_to_fundamental(((x + n1) / det, (y + n2) / det)) for n1, n2 in kernel(tm)]

@@ -1,0 +1,170 @@
+"""Reference implementations that the tests compare flatwander against.
+
+Each one reaches a result the package computes another way, by the direct
+route: a line stepped one image at a time, two segments intersected as a
+pair, a point iterated or pulled back, the grid of rho's fixed points built
+and searched, and a line's image under the quotient typed by that search.
+No command and no certificate runs them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from flatwander.errors import InternalInconsistency
+from flatwander.lattes import LattesModel
+from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
+from flatwander.line_orbit import TorusLine, _state_step, line_from_point, slope_spec
+from flatwander.numbers import HALF, ZERO
+from flatwander.segments import (
+    LiftSegment,
+    TorusSegment,
+    _overlap,
+    _overlap_witness,
+    lift_segments_intersect_torus,
+)
+from flatwander.torus_map import AffineTorusMap, apply_map, kernel
+
+# ---------------------------------------------------------------------------
+# points and lines, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def iterate_map(tm: AffineTorusMap, pt: TorusPoint, n: int) -> TorusPoint:
+    if n < 0:
+        raise ValueError("iterate count must be non-negative")
+    for _ in range(n):
+        pt = apply_map(tm, pt)
+    return pt
+
+
+def preimages(tm: AffineTorusMap, target: TorusPoint) -> list[TorusPoint]:
+    """All solutions of apply_map(P) = target: one exact solve, shifted by
+    each point of the kernel; there are exactly ``degree`` of them."""
+    p, q, r, s = tm.m
+    cx, cy = target.x - tm.b.x, target.y - tm.b.y
+    # M^{-1} = adj(M)/det with adj = [[s, -r], [-q, p]]
+    x, y = cx * s - cy * r, cy * p - cx * q
+    det = tm.degree
+    return [reduce_to_fundamental(((x + n1) / det, (y + n2) / det)) for n1, n2 in kernel(tm)]
+
+
+def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
+    """Image of a line under the covering: under an integer multiplier it
+    keeps its slope and its state steps by ``_state_step``; a rational
+    direction transforms by the integer matrix under any other covering."""
+    if tm.has_integer_multiplier or line.is_irrational:
+        return TorusLine(line.slope, *_state_step(tm, line.slope)(line.transverse()))
+    p, q, r, s = tm.m
+    m, k = line.slope.m, line.slope.k
+    image = apply_map(tm, TorusPoint(*line.base_point()))
+    return line_from_point(slope_spec((p * m + r * k, q * m + s * k)), image.coords())
+
+
+def same_line(line: TorusLine, other: TorusLine) -> bool:
+    if line.slope != other.slope:
+        return False
+    if line.is_irrational:
+        return line.alpha == other.alpha and line.beta == other.beta
+    return line.alpha == other.alpha  # rational case: the loop invariant
+
+
+# ---------------------------------------------------------------------------
+# segments, a pair at a time
+# ---------------------------------------------------------------------------
+
+
+def segments_intersect(
+    lat: Lattice, s1: TorusSegment, s2: TorusSegment
+) -> tuple[float, float] | None:
+    """A witness mod 1 where two segments meet on the torus, or None, exactly.
+
+    Segments on the same irrational-slope line reduce to one-dimensional
+    interval overlap in the shared canonical parameter; distinct parallel
+    lines are disjoint injective geodesics and need no geometry.
+    """
+    if (
+        s1.line.is_irrational
+        and s2.line.is_irrational
+        and s1.line.slope == s2.line.slope
+    ):
+        i1, i2 = (s1.t_lo, s1.t_hi), (s2.t_lo, s2.t_hi)
+        if not (same_line(s1.line, s2.line) and _overlap(i1, i2)):
+            return None
+        return _overlap_witness(s1.line, i1, i2)
+    return lift_segments_intersect_torus(lat, s1.lift, s2.lift)
+
+
+def lift_length(lift: LiftSegment, lat: Lattice) -> float:
+    """The Euclidean length of a lifted segment, from its float endpoints."""
+    x0, y0, x1, y1, _ = lift.float_lift()
+    return abs((x1 - x0) + (y1 - y0) * lat.omega_complex())
+
+
+# ---------------------------------------------------------------------------
+# the half-lattice grid and line types on the order-2 quotient
+# ---------------------------------------------------------------------------
+
+
+def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, ...]:
+    """The four fixed points of z -> 2*z0 - z: z0 shifted by the half-lattice,
+    sorted for deterministic iteration."""
+    if not (z0.x.is_rational and z0.y.is_rational):
+        raise ValueError("z0 must be rational")
+    shifts = [(ZERO, ZERO), (HALF, ZERO), (ZERO, HALF), (HALF, HALF)]
+    pts = {reduce_to_fundamental((z0.x + sx, z0.y + sy)) for sx, sy in shifts}
+    if len(pts) != 4:
+        raise InternalInconsistency(f"{len(pts)} fixed points of rho, not 4")
+    return tuple(sorted(pts, key=lambda p: (p.x.as_fraction(), p.y.as_fraction())))
+
+
+def q_grid(model: LattesModel) -> tuple[TorusPoint, ...]:
+    return half_lattice_q(model.lattice, model.z0)
+
+
+def passes_through_q(
+    line: TorusLine, q_points: tuple[TorusPoint, ...]
+) -> TorusPoint | None:
+    """First grid point lying on the line, if any.
+
+    (q1, q2) is on an irrational-slope line iff beta = q1 and alpha = -q2
+    mod 1; an irrational transverse pair can never match the rational grid.
+    """
+    if not line.is_irrational:
+        raise ValueError("grid membership is defined for irrational-slope lines")
+    for qp in q_points:
+        if line.beta == qp.x and line.alpha == (-qp.y).mod1():
+            return qp
+    return None
+
+
+@dataclass(frozen=True)
+class InjectiveGeodesicImage:
+    pass
+
+
+@dataclass(frozen=True)
+class FoldedRay:
+    fold_point: TorusPoint
+
+
+@dataclass(frozen=True)
+class ClosedCurveImage:
+    pass
+
+
+ThetaLineType = InjectiveGeodesicImage | FoldedRay | ClosedCurveImage
+
+
+def theta_line_type(model: LattesModel, line: TorusLine) -> ThetaLineType:
+    """Rational direction -> closed curve; an irrational-slope line through a
+    grid point folds at it (it cannot hit two grid lifts: that forces a
+    rational direction); otherwise the quotient map is injective on it."""
+    if model.nu != 2:
+        raise ValueError("line images are classified for the order-2 quotient")
+    if not line.is_irrational:
+        return ClosedCurveImage()
+    hit = passes_through_q(line, q_grid(model))
+    if hit is not None:
+        return FoldedRay(hit)
+    return InjectiveGeodesicImage()

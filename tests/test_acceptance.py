@@ -20,7 +20,6 @@ from flatwander.lattes import (
     verify_semiconjugacy,
     verify_sphere_disjoint_iterates,
     weierstrass_context,
-    wp,
 )
 from flatwander.line_orbit import (
     EventuallyPeriodic,
@@ -28,11 +27,8 @@ from flatwander.line_orbit import (
     TorusLine,
     classify_line,
     line_from_point,
-    line_image,
-    passes_through_q,
     slope_spec,
 )
-from flatwander.lattice import half_lattice_q
 from flatwander.numbers import (
     QuadraticNumber,
     float_jitter,
@@ -50,10 +46,10 @@ from flatwander.segments import (
     lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
-    segments_intersect,
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import torus_map_new
+from reference import half_lattice_q, lift_length, line_image, passes_through_q, segments_intersect
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -170,7 +166,7 @@ def test_criterion_2_and_3_reverse_direction_with_bound():
         for _n in range(cert.m if isinstance(cert, CollisionCertificate) else budget):
             nxt = cur.affine_image(tm.m, (tm.b.x, tm.b.y)).normalize()
             if lift_segments_intersect_torus(SQUARE, cur, nxt) is None:
-                if cur.euclidean_length(SQUARE) > bound + 1e-9:
+                if lift_length(cur, SQUARE) > bound + 1e-9:
                     bound_violations += 1
             cur = nxt
     _report(
@@ -349,9 +345,10 @@ def test_criterion_8_symmetry_sanity():
         if abs(ctx._reduce(z)) < 0.05:
             continue
         checked += 1
-        worst = max(worst, abs(wp(SQUARE, -z) - wp(SQUARE, z)))
-        worst = max(worst, abs(wp(SQUARE, z + 1) - wp(SQUARE, z)))
-        worst = max(worst, abs(wp(SQUARE, z + 1j) - wp(SQUARE, z)))
+        x = ctx.wp_pair(z)[0]
+        worst = max(worst, abs(ctx.wp_pair(-z)[0] - x))
+        worst = max(worst, abs(ctx.wp_pair(z + 1)[0] - x))
+        worst = max(worst, abs(ctx.wp_pair(z + 1j)[0] - x))
     ok = ok and worst < 1e-9
     _report(
         8,
@@ -379,7 +376,7 @@ def _verdict_battery():
         if isinstance(v, EventuallyPeriodic):
             out.append((v.preperiod, v.period))
         hit = passes_through_q(ln, q_pts)
-        out.append(None if hit is None else hit.key())
+        out.append(None if hit is None else hit.coords())
     for ln in lines[:2]:
         v = classify_line(tm_b, ln)
         out.append(type(v).__name__)

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -373,14 +374,47 @@ def test_negative_check_iterates_rejected_by_api():
         (["plot-orbit", "--seg", "0.1,0.2,h,0.05", "--iterates=-2"],
          "iterate count must be >= 0, got -2"),
         (["verify-semiconjugacy", "--samples", "0"], "samples must be >= 1, got 0"),
+        (["plot-orbit", "--seg", "0.1,0.2,h,0.05", "--iterates", "10000"],
+         "too many segments to plot"),
     ],
-    ids=["plot-iterates", "semiconj-samples"],
+    ids=["plot-iterates", "semiconj-samples", "plot-cap"],
 )
 def test_bad_counts_rejected(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     code, data = _run(capsys, *argv[:1], "--a", "2", "--omega", "i", *argv[1:])
     assert code == 2
     assert data == {"error": "usage", "message": message}
+    assert not (tmp_path / "orbit.svg").exists()
+
+
+def test_the_plot_cap_is_checked_before_any_lift_is_built(tmp_path, monkeypatch, capsys):
+    from flatwander import cli
+
+    monkeypatch.chdir(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "lift_chain", lambda *args: built.append(args))
+    code, data = _run(capsys, "plot-orbit", "--a", "1+1i", "--omega", "i",
+                      "--seg", "0.1,0.2,h,0.05", "--iterates", "40000")
+    assert (code, data["error"], built) == (2, "usage", [])
+
+
+@pytest.mark.parametrize(
+    "a, iterates, refused",
+    [("1+1i", 2100, 2058), ("3", 700, 649), ("3", 648, None)],
+)
+def test_a_plot_beyond_double_range_is_refused(tmp_path, monkeypatch, capsys, a, iterates, refused):
+    # exact lifts grow as |a|^n; floats of the SVG cannot follow past ~1e308
+    monkeypatch.chdir(tmp_path)
+    code, data = _run(capsys, "plot-orbit", "--a", a, "--omega", "i",
+                      "--seg", "0.1,0.2,h,0.05", "--iterates", str(iterates))
+    if refused is None:
+        assert code == 0 and data["segments"] == iterates + 1
+        return
+    assert code == 3
+    assert data == {
+        "error": "budget-exceeded",
+        "message": f"iterate {refused} lies beyond double range; plot fewer",
+    }
     assert not (tmp_path / "orbit.svg").exists()
 
 
@@ -712,6 +746,18 @@ def test_a_command_line_value_overrides_its_config_value(tmp_path, capsys):
     code, data = _run(capsys, "--config", str(cfg), "classify-map", "--a", "2", "--omega", "i",
                       "--b=1/5")
     assert code == 0 and data["b"] == ["1/5", "0"]
+    # the attached spelling --config=PATH reads the file too, and an
+    # abbreviated option on the command line wins over the file's value
+    cfg.write_text(json.dumps({"a": "3", "omega": "2i", "b": "1/3"}))
+    cases = [
+        ([f"--config={cfg}", "classify-map", "--b=1/5"], (3, 0, 0, 3), ["1/5", "0"]),
+        (["--config", str(cfg), "classify-map", "--a", "1+1i", "--om", "i"],
+         (1, 1, -1, 1), ["1/3", "0"]),
+    ]
+    for argv, matrix, b in cases:
+        code, data = _run(capsys, *argv)
+        assert code == 0, data
+        assert ((data["p"], data["q"], data["r"], data["s"]), data["b"]) == (matrix, b)
 
 
 def test_an_option_name_is_never_taken_as_a_value(capsys):
@@ -754,6 +800,24 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_public_name_in_the_package_is_named_outside_its_definition():
+    # src/ holds what the commands, the certificates and bench/ run; a public
+    # function or class that only the tests name belongs in tests/reference.py
+    package = sorted(p for p in (ROOT / "src" / "flatwander").glob("*.py") if p.name != "__init__.py")
+    sources = {p: p.read_text() for p in [*package, *sorted((ROOT / "bench").glob("*.py"))]}
+    unnamed = []
+    for path in package:
+        lines = sources[path].splitlines(keepends=True)
+        for node in ast.parse(sources[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            outside = "".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            texts = [outside, *(text for p, text in sources.items() if p != path)]
+            if not any(re.search(rf"\b{node.name}\b", text) for text in texts):
+                unnamed.append(f"{path.stem}.{node.name}")
+    assert unnamed == []
 
 
 _REPLAY = """

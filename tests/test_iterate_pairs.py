@@ -27,7 +27,6 @@ from flatwander.line_orbit import (
     IrrationalSlope,
     TorusLine,
     line_from_point,
-    line_image,
     orbit_states,
     slope_spec,
 )
@@ -43,6 +42,7 @@ from flatwander.segments import (
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
+from reference import line_image
 
 ROOT = Path(__file__).resolve().parent.parent
 # find-collision on integer multipliers, recorded from the pairwise search
@@ -572,12 +572,13 @@ import json
 from flatwander.errors import FlatwanderError
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, rho_pairing
-from flatwander.line_orbit import EventuallyPeriodic, IrrationalSlope, TorusLine, bezout
+from flatwander.line_orbit import EventuallyPeriodic, IrrationalSlope, Numerators, TorusLine, bezout
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
 )
-from flatwander import lattice as lattice_mod, torus_map as torus_map_mod
+from flatwander import torus_map as torus_map_mod
+import reference
 from flatwander.numbers import ComplexPair
 from flatwander.torus_map import (
     AffineTorusMap, kernel, rotation_matrix, solve_lattice_multiplier, torus_map_new,
@@ -612,7 +613,9 @@ checks = {
     # [1, 4] under return multiplier 2 is not a certified interval
     "slack": lambda: certified_slack(qn(1), qn(4), 2),
     # rho sends 1/3 off the cycle but fixes 1/2 on it (numerators over 6)
-    "pairing": lambda: rho_pairing(model, EventuallyPeriodic(0, 2, 6, ((2, 0), (3, 0)))),
+    "pairing": lambda: rho_pairing(
+        model, EventuallyPeriodic(0, 2, Numerators(6, (0, 0)), ((2, 0, 0, 0), (3, 0, 0, 0)))
+    ),
     # a rotated collision without its group
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
@@ -627,7 +630,10 @@ checks = {
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
     # rho's image of the cycle is not an index shift of it
     "shift": lambda: rho_pairing(
-        model, EventuallyPeriodic(0, 3, 6, ((2, 0), (4, 0), (3, 0)))
+        model,
+        EventuallyPeriodic(
+            0, 3, Numerators(6, (0, 0)), ((2, 0, 0, 0), (4, 0, 0, 0), (3, 0, 0, 0))
+        ),
     ),
     # omega^2 computed inconsistently with a*omega
     "relation": lambda: solve_lattice_multiplier(
@@ -648,10 +654,11 @@ checks = {
         torus_map_mod, "solve_lattice_multiplier", lambda lat, a: (2, 0, 0, 1),
         lambda: rotation_matrix(lat, 4),
     ),
-    # a reduction that merges the four fixed points of rho
+    # a reduction that merges the four fixed points of rho (the grid's
+    # reference construction)
     "grid": lambda: patched(
-        lattice_mod, "reduce_to_fundamental", lambda p: model.z0,
-        lambda: lattice_mod.half_lattice_q(lat),
+        reference, "reduce_to_fundamental", lambda p: model.z0,
+        lambda: reference.half_lattice_q(lat),
     ),
 }
 out = {}
@@ -671,7 +678,7 @@ def test_cross_checks_raise_under_optimize():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'tests'}", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {

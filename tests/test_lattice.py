@@ -8,11 +8,11 @@ from flatwander.lattice import (
     Lattice,
     TorusPoint,
     embed,
-    half_lattice_q,
     point,
     reduce_to_fundamental,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, qn
+from reference import half_lattice_q
 
 Q = QuadraticNumber
 

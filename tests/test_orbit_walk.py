@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-import flatwander
 from flatwander import lattes, line_orbit, segments
 from flatwander.errors import FieldClash, MixedRadicals, SlopeNotInvariant
 from flatwander.lattice import Lattice, point
@@ -37,7 +36,6 @@ from flatwander.line_orbit import (
     classify_line,
     line_from_point,
     _state_step,
-    line_image,
     orbit_states,
     slope_spec,
 )
@@ -49,7 +47,8 @@ from flatwander.segments import (
     interval_chain,
     segment_new,
 )
-from flatwander.torus_map import iterate_map, torus_map_new
+from flatwander.torus_map import torus_map_new
+from reference import iterate_map, line_image
 
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = Lattice(parse_complex("i"))
@@ -83,7 +82,7 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    for mod in (line_orbit, segments, lattes, flatwander):
+    for mod in (line_orbit, segments, lattes):
         if getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, counted)
     return calls
@@ -325,9 +324,9 @@ def test_integer_orbit_matches_the_quadratic_walk(case):
     rho = rho_numerators(model, verdict)
     for i, p in enumerate(verdict.states):
         image, expect = rho(p), rho_transverse(model, reference[i])
-        on_grid = all((x * verdict.den).is_integer for x in expect)
+        on_grid = all((x * verdict.num.den).is_integer for x in expect)
         assert (image is not None) == on_grid
-        assert image is None or tuple(qn(Fraction(x, verdict.den)) for x in image) == expect
+        assert image is None or verdict.num.value(image) == expect
     assert rho_pairing(model, verdict) == _reference_pairing(model, reference[n0:])
 
 

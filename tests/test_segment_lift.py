@@ -22,7 +22,7 @@ from flatwander import lattes, segments, torus_map
 from flatwander.cli import _parse_segment, main
 from flatwander.errors import FieldClash, MixedRadicals
 from flatwander.lattice import Lattice, point
-from flatwander.line_orbit import TorusLine, line_from_point, line_image, slope_spec
+from flatwander.line_orbit import TorusLine, line_from_point, slope_spec
 from flatwander.numbers import BiQuadratic, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
@@ -35,6 +35,7 @@ from flatwander.segments import (
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
+from reference import line_image
 
 ROOT = Path(__file__).resolve().parent.parent
 # plot-orbit SVGs recorded before the lift became derived: a = 2 and -3 on

@@ -28,11 +28,11 @@ from flatwander.segments import (
     lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
-    segments_intersect,
     segments_meet_exact,
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
+from reference import lift_length, line_image, segments_intersect
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -158,8 +158,6 @@ def test_return_map_matches_direct_iteration():
     # on the cycle line, A^p in canonical parameters is t -> lam * t
     cyc_line = line
     for _ in range(verdict.preperiod):
-        from flatwander.line_orbit import line_image
-
         cyc_line = line_image(tm, cyc_line)
     bx, by = cyc_line.base_point()
     s = cyc_line.slope.s
@@ -325,5 +323,5 @@ def test_consecutive_disjoint_pairs_respect_length_bound():
     for _ in range(16):
         nxt = cur.affine_image(tm.m, b_shift).normalize()
         if lift_segments_intersect_torus(SQUARE, cur, nxt) is None:
-            assert cur.euclidean_length(SQUARE) <= bound + 1e-9
+            assert lift_length(cur, SQUARE) <= bound + 1e-9
         cur = nxt

