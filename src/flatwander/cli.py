@@ -50,7 +50,7 @@ from .segments import (
     WanderingCertificate,
     certify_wandering,
     find_collision,
-    lift_chain,
+    iterate_lifts,
     segment_new,
     verify_disjoint_iterates,
 )
@@ -336,21 +336,28 @@ def _cmd_verify_semiconjugacy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+Span = tuple[float, float, float, float]  # a lift's endpoints (x0, y0, x1, y1)
+
+
 def _color(i: int, total: int) -> str:
     h = (i / max(1, total)) * 0.85
     r, g, b = colorsys.hls_to_rgb(h, 0.45, 0.9)
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def _segment_pieces(lift, samples: int = 257):
-    """Split the projected segment at cell wrap-arounds; float polyline data.
-    OverflowError when the segment does not fit in doubles."""
-    bx, by = lift.p0
-    ex, ey = lift.p1
-    x0, y0 = bx.to_float(), by.to_float()
-    x1, y1 = ex.to_float(), ey.to_float()
+def _float_span(lift: LiftSegment) -> Span:
+    """The lift's endpoints as floats; OverflowError when the segment does
+    not fit in doubles."""
+    (bx, by), (ex, ey) = lift.p0, lift.p1
+    x0, y0, x1, y1 = bx.to_float(), by.to_float(), ex.to_float(), ey.to_float()
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise OverflowError("segment beyond double range")
+    return x0, y0, x1, y1
+
+
+def _segment_pieces(span: Span, samples: int = 257):
+    """Split the projected segment at cell wrap-arounds; float polyline data."""
+    x0, y0, x1, y1 = span
     pieces = []
     cur = []
     prev_cell = None
@@ -373,12 +380,13 @@ def _segment_pieces(lift, samples: int = 257):
 
 def emit_orbit_svg(
     lat: Lattice,
-    lifts: list[LiftSegment],
+    spans: list[Span],
     path: str,
     witness: tuple[float, float] | None = None,
 ) -> str:
     """One SVG: fundamental parallelogram, each iterate's segment as polylines
-    split at wrap-around, color-indexed, with a legend; deterministic bytes."""
+    split at wrap-around (``_segment_pieces``), color-indexed, with a legend;
+    deterministic bytes."""
     w = lat.omega_complex()
     scale = 420.0
     pad = 40.0
@@ -408,14 +416,10 @@ def emit_orbit_svg(
     parts.append(
         f'<polygon points="{cell}" fill="none" stroke="#333333" stroke-width="1.5"/>'
     )
-    total = len(lifts)
-    for i, lift in enumerate(lifts):
+    total = len(spans)
+    for i, span in enumerate(spans):
         color = _color(i, total)
-        try:
-            pieces = _segment_pieces(lift)
-        except OverflowError:
-            raise BudgetExceeded(f"iterate {i} lies beyond double range; plot fewer") from None
-        for piece in pieces:
+        for piece in _segment_pieces(span):
             pts = " ".join(
                 f"{to_px(x, y)[0]:.3f},{to_px(x, y)[1]:.3f}" for x, y in piece
             )
@@ -456,8 +460,16 @@ def _cmd_plot_orbit(args) -> int:
     seg = _segment_from_args(args)
     if args.iterates >= _MAX_PLOT_SEGMENTS:
         raise UsageError("too many segments to plot")
-    # raw-lift iteration plots any covering, integer multiplier or not
-    lifts = lift_chain(tm, seg, args.iterates)
+    # raw-lift iteration plots any covering, integer multiplier or not; each
+    # lift is put in floats as it is built, so the first iterate beyond
+    # double range ends the chain (and is refused after the witness is read)
+    spans, refused = [], None
+    for i, lift in enumerate(iterate_lifts(tm, seg, args.iterates)):
+        try:
+            spans.append(_float_span(lift))
+        except OverflowError:
+            refused = i
+            break
     witness = None
     if args.mark_witness:
         try:
@@ -465,8 +477,10 @@ def _cmd_plot_orbit(args) -> int:
         except ValueError:
             raise UsageError(f"--mark-witness takes 'x,y', got {args.mark_witness!r}") from None
         witness = (float(parse_number(wx).to_float()), float(parse_number(wy).to_float()))
-    emit_orbit_svg(tm.lattice, lifts, args.out or "orbit.svg", witness)
-    _emit({"written": args.out or "orbit.svg", "segments": len(lifts)})
+    if refused is not None:
+        raise BudgetExceeded(f"iterate {refused} lies beyond double range; plot fewer")
+    emit_orbit_svg(tm.lattice, spans, args.out or "orbit.svg", witness)
+    _emit({"written": args.out or "orbit.svg", "segments": len(spans)})
     return 0
 
 

@@ -71,6 +71,22 @@ def floor_parts(u: int, v: int, w: int, d: int) -> int:
     return (u + r) // w if v > 0 else (u - r - 1) // w
 
 
+def _sign_parts(u: int, v: int, d: int) -> int:
+    """sign(u + v*sqrt(d)) for a square-free d, by integer case analysis
+    (never floats): only mixed signs need the norm u^2 - v^2*d."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return (v > 0) - (v < 0)
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    t = u * u - v * v * d
+    s = (t > 0) - (t < 0)
+    return s if u > 0 else -s
+
+
 Scalar = Union["QuadraticNumber", int, Fraction]
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -121,12 +137,7 @@ class QuadraticNumber:
         g = math.gcd(u, v, w)
         if g > 1:
             u, v, w = u // g, v // g, w // g
-        x = object.__new__(cls)
-        _set_u(x, u)
-        _set_v(x, v)
-        _set_w(x, w)
-        _set_d(x, d if v else 0)
-        return x
+        return _exact(u, v, w, d if v else 0)
 
     @classmethod
     def sqrt_int(cls, n: int) -> QuadraticNumber:
@@ -155,11 +166,6 @@ class QuadraticNumber:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not rational")
-        return Fraction(self.u, self.w)
-
     def as_int(self) -> int:
         if not self.is_integer:
             raise ValueError("not an integer")
@@ -174,7 +180,7 @@ class QuadraticNumber:
 
     def __add__(self, other: Scalar) -> QuadraticNumber:
         if isinstance(other, int):
-            return QuadraticNumber._canon(self.u + other * self.w, self.v, self.w, self.d)
+            return _exact(self.u + other * self.w, self.v, self.w, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -189,7 +195,7 @@ class QuadraticNumber:
 
     def __sub__(self, other: Scalar) -> QuadraticNumber:
         if isinstance(other, int):
-            return QuadraticNumber._canon(self.u - other * self.w, self.v, self.w, self.d)
+            return _exact(self.u - other * self.w, self.v, self.w, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -204,7 +210,7 @@ class QuadraticNumber:
         return (-self) + other
 
     def __neg__(self) -> QuadraticNumber:
-        return QuadraticNumber._canon(-self.u, -self.v, self.w, self.d)
+        return _exact(-self.u, -self.v, self.w, self.d)
 
     def __mul__(self, other: Scalar) -> QuadraticNumber:
         if isinstance(other, int):
@@ -258,24 +264,22 @@ class QuadraticNumber:
 
     def sign(self) -> int:
         """Exact sign, by integer case analysis (never floats)."""
-        u, v, d = self.u, self.v, self.d
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return (v > 0) - (v < 0)
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        t = u * u - v * v * d
-        s = (t > 0) - (t < 0)
-        return s if u > 0 else -s
+        return _sign_parts(self.u, self.v, self.d)
+
+    def cmp(self, other: QuadraticNumber) -> int:
+        """sign(self - other), read off the integers without building the
+        difference: its numerator over w*w' > 0 is
+        (u*w' - u'*w) + (v*w' - v'*w)*sqrt(d)."""
+        sw, ow = self.w, other.w
+        return _sign_parts(
+            self.u * ow - other.u * sw, self.v * ow - other.v * sw, self._common_d(other)
+        )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not QuadraticNumber:
             other = self._coerce(other)
-        if not isinstance(other, QuadraticNumber):
-            return NotImplemented
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self.u == other.u
             and self.v == other.v
@@ -284,10 +288,12 @@ class QuadraticNumber:
         )
 
     def __lt__(self, other: Scalar) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
+        o = other if type(other) is QuadraticNumber else self._coerce(other)
+        return NotImplemented if o is NotImplemented else self.cmp(o) < 0
+
+    def __le__(self, other: Scalar) -> bool:
+        o = other if type(other) is QuadraticNumber else self._coerce(other)
+        return NotImplemented if o is NotImplemented else self.cmp(o) <= 0
 
     def __hash__(self) -> int:
         if self.v:
@@ -309,7 +315,8 @@ class QuadraticNumber:
 
     def mod1(self) -> QuadraticNumber:
         """x - floor(x), exactly in [0, 1)."""
-        return self - self.floor()
+        u, v, w, d = self.u, self.v, self.w, self.d
+        return _exact(u - w * floor_parts(u, v, w, d), v, w, d)
 
     def to_float(self) -> float:
         # int / int is correctly rounded, as float(Fraction(u, w)) is
@@ -353,6 +360,20 @@ class QuadraticNumber:
 _set_u, _set_v, _set_w, _set_d = (
     getattr(QuadraticNumber, slot).__set__ for slot in QuadraticNumber.__slots__
 )
+
+
+def _exact(u: int, v: int, w: int, d: int) -> QuadraticNumber:
+    """A value from integers already canonical: nothing is reduced.  A shift
+    by an integer (``mod1`` is one) or a negation keeps them so, since
+    gcd(u + k*w, v, w) = gcd(u, v, w) and ``v``, ``w`` and ``d`` do not
+    change."""
+    x = object.__new__(QuadraticNumber)
+    _set_u(x, u)
+    _set_v(x, v)
+    _set_w(x, w)
+    _set_d(x, d)
+    return x
+
 
 ZERO = QuadraticNumber(0)
 ONE = QuadraticNumber(1)

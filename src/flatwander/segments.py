@@ -399,7 +399,7 @@ def segment_new(
 ) -> TorusSegment:
     """Validate and build a segment: t_lo < t_hi, each parameter rational or
     in the slope's field."""
-    if (t_hi - t_lo).sign() <= 0:
+    if t_hi.cmp(t_lo) <= 0:
         raise DegenerateSegment("need t_lo < t_hi")
     _check_param_field(t_lo, line)
     _check_param_field(t_hi, line)
@@ -410,12 +410,12 @@ Interval = tuple[QuadraticNumber, QuadraticNumber]
 
 
 def _overlap(i1: Interval, i2: Interval) -> bool:
-    return (i2[0] - i1[1]).sign() <= 0 and (i1[0] - i2[1]).sign() <= 0
+    return i2[0].cmp(i1[1]) <= 0 and i1[0].cmp(i2[1]) <= 0
 
 
 def _on_arc(arc: Interval, c: QuadraticNumber) -> bool:
     """Does the closed arc [lo, hi] of the loop R/Z contain c?"""
-    return ((c - arc[0]).mod1() - (arc[1] - arc[0])).sign() <= 0
+    return (c - arc[0]).mod1().cmp(arc[1] - arc[0]) <= 0
 
 
 def _arcs_meet(a1: Interval, a2: Interval) -> bool:
@@ -513,14 +513,14 @@ def certify_interval(
         if hi.sign() <= 0:
             return None
         lo = lo if lo.sign() > 0 else None
-        if lo is not None and (hi - lo * ratio).sign() < 0:
+        if lo is not None and hi.cmp(lo * ratio) < 0:
             return (lo, hi)
         inner = hi / ratio
         notch = (hi - inner) * Fraction(1, 1024)
         u = inner + notch
-        if lo is not None and (u - lo).sign() < 0:
+        if lo is not None and u.cmp(lo) < 0:
             u = lo
-        if (hi - u).sign() <= 0:
+        if hi.cmp(u) <= 0:
             return None
         return (u, hi)
 
@@ -781,16 +781,24 @@ def _rotations(rot: Matrix, nu: int, z0: TorusPoint) -> list[AffineMap]:
     return out
 
 
-def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
-    """Lifts of iterates 0..n of the segment under the covering, each
-    midpoint-normalized into the fundamental cell; works for any multiplier.
-    They are in the tower only when b brings a second radicand."""
+def iterate_lifts(tm: AffineTorusMap, seg: TorusSegment, n: int) -> Iterator[LiftSegment]:
+    """Lifts of iterates 0..n of the segment under the covering, each built
+    when asked for and midpoint-normalized into the fundamental cell; works
+    for any multiplier.  They are in the tower only when b brings a second
+    radicand."""
     if n < 0:
         raise UsageError(f"iterate count must be >= 0, got {n}")
-    chain = _common_field((tm.b.x, tm.b.y), seg.lift)
+    shift = (tm.b.x, tm.b.y)
+    (lift,) = _common_field(shift, seg.lift)
+    yield lift
     for _ in range(n):
-        chain.append(chain[-1].affine_image(tm.m, (tm.b.x, tm.b.y)).normalize())
-    return chain
+        lift = lift.affine_image(tm.m, shift).normalize()
+        yield lift
+
+
+def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
+    """The lifts of ``iterate_lifts``, all built."""
+    return list(iterate_lifts(tm, seg, n))
 
 
 class _LiftSearch:

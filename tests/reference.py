@@ -10,12 +10,13 @@ No command and no certificate runs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from flatwander.errors import InternalInconsistency
 from flatwander.lattes import LattesModel
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import TorusLine, _state_step, line_from_point, slope_spec
-from flatwander.numbers import HALF, ZERO
+from flatwander.numbers import HALF, ZERO, QuadraticNumber
 from flatwander.segments import (
     LiftSegment,
     TorusSegment,
@@ -24,6 +25,14 @@ from flatwander.segments import (
     lift_segments_intersect_torus,
 )
 from flatwander.torus_map import AffineTorusMap, apply_map, kernel
+
+
+def as_fraction(x: QuadraticNumber) -> Fraction:
+    """A rational value as a ``Fraction``."""
+    if not x.is_rational:
+        raise ValueError("not rational")
+    return Fraction(x.u, x.w)
+
 
 # ---------------------------------------------------------------------------
 # points and lines, one step at a time
@@ -115,7 +124,7 @@ def half_lattice_q(lat: Lattice, z0: TorusPoint = ORIGIN) -> tuple[TorusPoint, .
     pts = {reduce_to_fundamental((z0.x + sx, z0.y + sy)) for sx, sy in shifts}
     if len(pts) != 4:
         raise InternalInconsistency(f"{len(pts)} fixed points of rho, not 4")
-    return tuple(sorted(pts, key=lambda p: (p.x.as_fraction(), p.y.as_fraction())))
+    return tuple(sorted(pts, key=lambda p: (as_fraction(p.x), as_fraction(p.y))))
 
 
 def q_grid(model: LattesModel) -> tuple[TorusPoint, ...]:

@@ -392,10 +392,32 @@ def test_the_plot_cap_is_checked_before_any_lift_is_built(tmp_path, monkeypatch,
 
     monkeypatch.chdir(tmp_path)
     built = []
-    monkeypatch.setattr(cli, "lift_chain", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "iterate_lifts", lambda *args: built.append(args))
     code, data = _run(capsys, "plot-orbit", "--a", "1+1i", "--omega", "i",
                       "--seg", "0.1,0.2,h,0.05", "--iterates", "40000")
     assert (code, data["error"], built) == (2, "usage", [])
+
+
+def test_a_plot_stops_building_lifts_at_the_first_beyond_double_range(
+    tmp_path, monkeypatch, capsys
+):
+    from flatwander.segments import LiftSegment
+
+    monkeypatch.chdir(tmp_path)
+    images = []
+    image = LiftSegment.affine_image
+
+    def counted(lift, *args):
+        images.append(lift)
+        return image(lift, *args)
+
+    monkeypatch.setattr(LiftSegment, "affine_image", counted)
+    code, data = _run(capsys, "plot-orbit", "--a", "1+1i", "--omega", "i",
+                      "--seg", "0.1,0.2,h,0.05", "--iterates", "2100")
+    # iterate 2058 is the first beyond double range: lift 0 and the images
+    # that are lifts 1..2058, no more
+    assert (code, data["error"]) == (3, "budget-exceeded")
+    assert 1 + len(images) <= 2059
 
 
 @pytest.mark.parametrize(
@@ -802,21 +824,33 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and class,
+    and of each public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name[0] != "_":
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_name_in_the_package_is_named_outside_its_definition():
     # src/ holds what the commands, the certificates and bench/ run; a public
-    # function or class that only the tests name belongs in tests/reference.py
+    # function, class or method that only the tests name belongs in
+    # tests/reference.py
     package = sorted(p for p in (ROOT / "src" / "flatwander").glob("*.py") if p.name != "__init__.py")
     sources = {p: p.read_text() for p in [*package, *sorted((ROOT / "bench").glob("*.py"))]}
     unnamed = []
     for path in package:
         lines = sources[path].splitlines(keepends=True)
-        for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
+        for qualname, node in _public_definitions(ast.parse(sources[path])):
             outside = "".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
             texts = [outside, *(text for p, text in sources.items() if p != path)]
             if not any(re.search(rf"\b{node.name}\b", text) for text in texts):
-                unnamed.append(f"{path.stem}.{node.name}")
+                unnamed.append(f"{path.stem}.{qualname}")
     assert unnamed == []
 
 

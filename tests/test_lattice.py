@@ -12,7 +12,7 @@ from flatwander.lattice import (
     reduce_to_fundamental,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, qn
-from reference import half_lattice_q
+from reference import as_fraction, half_lattice_q
 
 Q = QuadraticNumber
 
@@ -88,7 +88,7 @@ def test_embed_examples():
 
 def test_half_lattice_q_at_origin():
     pts = half_lattice_q(SQUARE)
-    got = {(p.x.as_fraction(), p.y.as_fraction()) for p in pts}
+    got = {(as_fraction(p.x), as_fraction(p.y)) for p in pts}
     assert got == {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 2), Fraction(0)),
@@ -99,7 +99,7 @@ def test_half_lattice_q_at_origin():
 
 def test_half_lattice_q_translated():
     pts = half_lattice_q(SQUARE, point(Fraction(1, 4), 0))
-    got = {(p.x.as_fraction(), p.y.as_fraction()) for p in pts}
+    got = {(as_fraction(p.x), as_fraction(p.y)) for p in pts}
     assert got == {
         (Fraction(1, 4), Fraction(0)),
         (Fraction(3, 4), Fraction(0)),

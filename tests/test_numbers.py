@@ -272,9 +272,23 @@ def _canonical(draw, d=None):
 
 
 @st.composite
+def _scaled(draw, d):
+    """A canonical value of Q(sqrt(d)) times a^n, n up to 600, through the
+    validating constructor: integers of the size an interval chain of the
+    certifier reaches, of either sign."""
+    x = draw(_canonical(d))
+    k = draw(st.sampled_from((-3, -2, 2, 3, 5))) ** draw(st.integers(0, 600))
+    return Q(x.u * k, x.v * k, x.w, d)
+
+
+def _value(d):
+    return st.one_of(_canonical(d), _scaled(d))
+
+
+@st.composite
 def _pair(draw):
     d = draw(st.sampled_from(_RADICANDS))
-    return draw(_canonical(d)), draw(_canonical(d))
+    return draw(_value(d)), draw(_value(d))
 
 
 def _parts(x):
@@ -379,6 +393,50 @@ def test_inverse_on_both_signs_of_the_norm(x, norm_sign):
 def test_rational_hash_is_the_fraction_hash(num, den):
     # a denominator that is a multiple of the hash modulus hashes as infinity
     assert hash(Q(num, 0, den)) == hash(Fraction(num, den))
+
+
+@st.composite
+def _comparable(draw):
+    """Two values of one field: apart, equal, or within a tiny (possibly
+    irrational) offset of each other, where only the norm decides the sign."""
+    d = draw(st.sampled_from(_RADICANDS))
+    x = draw(_value(d))
+    kind = draw(st.sampled_from(("apart", "equal", "near")))
+    if kind == "apart":
+        return x, draw(_value(d))
+    if kind == "equal":
+        return x, Q(x.u, x.v, x.w, x.d)
+    eps = draw(_canonical(d))
+    return x, x + Q(eps.u, eps.v, eps.w * 10 ** draw(st.integers(20, 400)), eps.d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_comparable())
+def test_comparisons_are_the_sign_of_the_difference(pair):
+    x, y = pair
+    s = (x - y).sign()
+    assert (x.cmp(y), y.cmp(x)) == (s, -s)
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    assert max(x, y) == (x if s >= 0 else y) and min(x, y) == (y if s > 0 else x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.permutations(_RADICANDS))
+def test_comparing_two_radicands_raises(data, rads):
+    x, y = (data.draw(_value(d).filter(lambda z: z.v)) for d in rads[:2])
+    for compare in (x.cmp, x.__lt__, x.__le__, x.__gt__, x.__ge__):
+        with pytest.raises(MixedRadicals):
+            compare(y)
+    assert x != y  # equality stays structural
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ints, st.integers(1, 10**9))
+def test_equality_with_ints_and_fractions(num, den):
+    x, f = Q(num, 0, den), Fraction(num, den)
+    assert x == f and f == x and x != f + 1 and hash(x) == hash(f)
+    assert Q(num) == num and num == Q(num) and Q(num) != num + 1
+    assert Q(num, 1, den, 2) != f and Q(num, 0, den) != str(f)
 
 
 @st.composite

@@ -48,7 +48,7 @@ from flatwander.segments import (
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
-from reference import iterate_map, line_image
+from reference import as_fraction, iterate_map, line_image
 
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = Lattice(parse_complex("i"))
@@ -379,8 +379,8 @@ def test_certify_sphere_wandering_classifies_once(monkeypatch, a, alpha, beta, t
 
 
 def _meets(i1, i2) -> bool:
-    lo1, hi1 = (x.as_fraction() for x in i1)
-    lo2, hi2 = (x.as_fraction() for x in i2)
+    lo1, hi1 = map(as_fraction, i1)
+    lo2, hi2 = map(as_fraction, i2)
     return lo2 <= hi1 and lo1 <= hi2
 
 
