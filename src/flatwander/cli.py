@@ -8,12 +8,13 @@ Identical inputs produce byte-identical JSON and SVG.
 
 from __future__ import annotations
 
-import argparse
 import colorsys
-import functools
 import json
 import math
 import sys
+from collections.abc import Callable
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     BudgetExceeded,
@@ -485,170 +486,196 @@ def _cmd_plot_orbit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# option tables
 # ---------------------------------------------------------------------------
 
 
-def _add_map_args(sp) -> None:
-    sp.add_argument("--a", required=True, help="multiplier (complex expression)")
-    sp.add_argument("--b", default="0", help="translation (complex expression)")
-    sp.add_argument("--omega", required=True, help="lattice generator, Im > 0")
-    sp.add_argument("--out", default=None, help="also write the JSON to this path")
+class _Opt(NamedTuple):
+    """A command-line option, read with ``kind`` (str, int or float); a
+    ``bool`` option is a flag, switched on by its name alone."""
+
+    name: str
+    kind: type = str
+    default: object = None
+    required: bool = False
+    help: str = ""
 
 
-def _add_line_args(sp, required: bool) -> None:
-    sp.add_argument("--slope", required=required, help="slope expression or 'm,k'")
-    sp.add_argument("--alpha", default="0", help="transverse alpha (or anchor x)")
-    sp.add_argument("--beta", default="0", help="transverse beta (or anchor y)")
+_HELP = _Opt("-h/--help", bool, help="show this help message and exit")
+_MAP = (_Opt("--a", required=True, help="multiplier (complex expression)"),
+        _Opt("--b", default="0", help="translation (complex expression)"),
+        _Opt("--omega", required=True, help="lattice generator, Im > 0"),
+        _Opt("--out", help="also write the JSON to this path"))
+_SLOPE = _Opt("--slope", help="slope expression or 'm,k'")
+_LINE = (_Opt("--alpha", default="0", help="transverse alpha (or anchor x)"),
+         _Opt("--beta", default="0", help="transverse beta (or anchor y)"))
+_SEGMENT = (_Opt("--seg", help="segment as 'x,y,h|v|s:<slope>,len'"), _SLOPE, *_LINE,
+            _Opt("--t0", default="0", help="parameter interval start"),
+            _Opt("--t1", default="1/10", help="parameter interval end"))
+_Z0 = _Opt("--z0", default="0,0", help="rotation center (lattice coords)")
+_CHECKS = _Opt("--check-iterates", int, 12, help="iterates the certificate covers")
+
+# command -> (function, help, options in the order that --help and errors list)
+COMMANDS = {
+    "classify-map": (_cmd_classify_map, "covering matrix, degree, multiplier class", _MAP),
+    "classify-line": (_cmd_classify_line, "orbit class of a flat line",
+                      (*_MAP, _SLOPE._replace(required=True), *_LINE)),
+    "certify-segment": (_cmd_certify_segment, "wandering certificate for a segment",
+                        (*_MAP, *_SEGMENT, _CHECKS,
+                         _Opt("--verify-oracle", bool, False,
+                              help="replay the certificate through the pairwise oracle"))),
+    "find-collision": (_cmd_find_collision, "collision certificate search",
+                       (*_MAP, *_SEGMENT, _Opt("--budget", int, help="iterates to search"),
+                        _Opt("--nu", int, help="group order for group mode"), _Z0)),
+    "certify-sphere": (_cmd_certify_sphere, "sphere-level wandering certificate",
+                       (*_MAP, *_SEGMENT, _Opt("--nu", int, 2, help="group order"), _Z0,
+                        _CHECKS)),
+    "verify-semiconjugacy": (_cmd_verify_semiconjugacy, "commuting-diagram residuals",
+                             (*_MAP, _Z0, _Opt("--samples", int, 500, help="sample points"),
+                              _Opt("--tol", float, 1e-6, help="residual bound, in (0, 1)"),
+                              _Opt("--dump-csv", help="write sample rows as CSV"))),
+    "plot-orbit": (_cmd_plot_orbit, "SVG of iterated segments",
+                   (*_MAP, *_SEGMENT, _Opt("--iterates", int, 8, help="iterates to draw"),
+                    _Opt("--mark-witness", help="'x,y' glyph position"))),
+}
+# flatwander's own options, and each command's by name, help first as
+# argparse listed them
+_TOP = {"-h": _HELP, "--help": _HELP}
+_NAMES = {command: {**_TOP, **{opt.name: opt for opt in options}}
+          for command, (_, _, options) in COMMANDS.items()}
 
 
-def _add_segment_args(sp) -> None:
-    sp.add_argument("--seg", default=None, help="segment as 'x,y,h|v|s:<slope>,len'")
-    _add_line_args(sp, required=False)
-    sp.add_argument("--t0", default="0", help="parameter interval start")
-    sp.add_argument("--t1", default="1/10", help="parameter interval end")
+def _matches(names: dict[str, _Opt], name: str) -> list[str]:
+    """``name`` if it names an option, else the long options it abbreviates."""
+    if name in names:
+        return [name]
+    return [n for n in names if n.startswith(name)] if name[:2] == "--" and name != "--" else []
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    ``main`` call in the process."""
-    ap = argparse.ArgumentParser(
-        prog="flatwander",
-        description="Exact certificates for wandering flat geodesic segments",
-    )
-    ap.add_argument("--config", default=None, help="JSON file of argument defaults")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("classify-map", help="covering matrix, degree, multiplier class")
-    _add_map_args(sp)
-    sp.set_defaults(fn=_cmd_classify_map)
-
-    sp = sub.add_parser("classify-line", help="orbit class of a flat line")
-    _add_map_args(sp)
-    _add_line_args(sp, required=True)
-    sp.set_defaults(fn=_cmd_classify_line)
-
-    sp = sub.add_parser("certify-segment", help="wandering certificate for a segment")
-    _add_map_args(sp)
-    _add_segment_args(sp)
-    sp.add_argument("--check-iterates", type=int, default=12)
-    sp.add_argument("--verify-oracle", action="store_true")
-    sp.set_defaults(fn=_cmd_certify_segment)
-
-    sp = sub.add_parser("find-collision", help="collision certificate search")
-    _add_map_args(sp)
-    _add_segment_args(sp)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--nu", type=int, default=None, help="group order for group mode")
-    sp.add_argument("--z0", default="0,0", help="rotation center (lattice coords)")
-    sp.set_defaults(fn=_cmd_find_collision)
-
-    sp = sub.add_parser("certify-sphere", help="sphere-level wandering certificate")
-    _add_map_args(sp)
-    _add_segment_args(sp)
-    sp.add_argument("--nu", type=int, default=2)
-    sp.add_argument("--z0", default="0,0")
-    sp.add_argument("--check-iterates", type=int, default=12)
-    sp.set_defaults(fn=_cmd_certify_sphere)
-
-    sp = sub.add_parser("verify-semiconjugacy", help="commuting-diagram residuals")
-    _add_map_args(sp)
-    sp.add_argument("--z0", default="0,0")
-    sp.add_argument("--samples", type=int, default=500)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--dump-csv", default=None, help="write sample rows as CSV")
-    sp.set_defaults(fn=_cmd_verify_semiconjugacy)
-
-    sp = sub.add_parser("plot-orbit", help="SVG of iterated segments")
-    _add_map_args(sp)
-    _add_segment_args(sp)
-    sp.add_argument("--iterates", type=int, default=8)
-    sp.add_argument("--mark-witness", default=None, help="'x,y' glyph position")
-    sp.set_defaults(fn=_cmd_plot_orbit)
-    ap.commands = sub.choices  # name -> subcommand parser, for _parse_argv
-    return ap
+def _spec(opt: _Opt) -> str:
+    return opt.name if opt.kind is bool else f"{opt.name} {opt.name[2:].replace('-', '_').upper()}"
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """argv with ``--config PATH`` (or ``--config=PATH``) replaced by the
-    file's options that argv does not give.  A given option is matched by
-    the action it names in the subcommand's parser, so an abbreviation wins
-    over the file as the full name does."""
-    at = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: flatwander [-h] [--config CONFIG] {%s} ..." % ",".join(COMMANDS)
+    specs = (_spec(opt) if opt.required else f"[{_spec(opt)}]" for opt in COMMANDS[command][2])
+    return " ".join(["usage: flatwander", command, "[-h]", *specs])
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print ``--help`` for ``command``, or for flatwander when None, and exit 0."""
+    if command is None:
+        about = "Exact certificates for wandering flat geodesic segments"
+        rows = [("--config CONFIG", "JSON file of option values")]
+        rows += [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    else:
+        _, about, options = COMMANDS[command]
+        rows = [(_spec(opt), opt.help) for opt in options]
+    rows.insert(0, ("-h, --help", _HELP.help))
+    width = max(len(spec) for spec, _ in rows) + 2
+    print(_usage(command), "", about, "", "options:", sep="\n")
+    print("\n".join(f"  {spec:<{width}}{text}" for spec, text in rows))
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """argparse's error contract: the usage line and ``<prog>: error:
+    <message>`` on stderr, nothing on stdout, exit 2."""
+    prog = f"flatwander {command}" if command else "flatwander"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _split_config(argv: list[str]) -> tuple[list[str], dict]:
+    """argv without ``--config PATH`` (or ``--config=PATH``), and the file's
+    options ({} without one)."""
+    at = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
     if at is None:
-        return argv
+        return argv, {}
     _, attached, path = argv[at].partition("=")
     try:
         with open(path if attached else argv[at + 1]) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, IndexError) as exc:
         raise UsageError(f"unreadable config: {exc}") from exc
-    rest = argv[:at] + argv[at + (1 if attached else 2) :]
-    sp = ap.commands.get(rest[0]) if rest else None
-    options = sp._option_string_actions if sp else {}
+    if not isinstance(cfg, dict):
+        raise UsageError("unreadable config: not a JSON object")
+    return argv[:at] + argv[at + (1 if attached else 2) :], cfg
 
-    def named(arg: str):
-        name = arg.split("=", 1)[0]
-        return _option_named(options, name) or name
 
-    given = {named(arg) for arg in rest}
-    extra: list[str] = []
-    for key, value in sorted(cfg.items()):
-        flag = f"--{key.replace('_', '-')}"
-        if named(flag) in given or value is False:
+def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
+    """The command's function and its option values.  An exact name or a
+    unique ``--`` prefix selects an option, whose value is attached
+    (``--opt=v``) or the next argument, taken whole unless it is an option's
+    name.  The last occurrence wins, and the config file's options follow
+    argv's, less those argv gives.  Errors come in argparse's order: an
+    ambiguous option, the first bad or missing value (or --help), missing
+    required options, unrecognized arguments."""
+    argv, cfg = _split_config(argv)
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        if command is None:
+            _fail(None, "the following arguments are required: command")
+        if _matches(_TOP, command):
+            _help(None)
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    run, _, options = COMMANDS[command]
+    names, given, extras, event = _NAMES[command], {}, [], None
+    i = 1
+    while i < len(argv) or cfg:
+        if i == len(argv):
+            # true switches a flag on; any other value is the option's value
+            for key, value in sorted(cfg.items()):
+                flag = f"--{key.replace('_', '-')}"
+                hits = _matches(names, flag)
+                if value is not False and not (len(hits) == 1 and names[hits[0]].name in given):
+                    argv.append(flag if value is True else f"{flag}={value}")
+            cfg = {}
             continue
-        # true switches a flag on; any other value is the option's argument
-        extra.append(flag if value is True else f"{flag}={value}")
-    return rest + extra
-
-
-def _option_named(options: dict[str, argparse.Action], name: str) -> argparse.Action | None:
-    """The action of option ``name``, or of the one long option that ``name``
-    abbreviates; an ambiguous prefix is left to argparse."""
-    if name in options:
-        return options[name]
-    hits = [opt for opt in options if opt.startswith(name)] if name[:2] == "--" else []
-    return options[hits[0]] if len(hits) == 1 else None
-
-
-def _attach_values(sp: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """``--opt VALUE`` as ``--opt=VALUE`` when VALUE starts with '-' and is no
-    option of ``sp``: argparse would otherwise read '-1/2' or '-i' as one.
-    ``--opt`` may be an unambiguous abbreviation, as argparse allows."""
-    options = sp._option_string_actions
-    out: list[str] = []
-    for arg in argv:
-        dash_value = arg[:1] == "-" and arg not in options
-        action = _option_named(options, out[-1]) if dash_value and out else None
-        if action is not None and action.nargs is None:
-            out[-1] = f"{out[-1]}={arg}"
+        arg, i, problem = argv[i], i + 1, None
+        name, eq, value = arg.partition("=")
+        hits = _matches(names, name) if arg[:1] == "-" else []
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        opt = names[hits[0]] if hits else None
+        if opt is None:
+            extras.append(arg)
+        elif opt.kind is bool and eq:
+            problem = f"ignored explicit argument {value!r}"
+        elif opt is _HELP:
+            event = event or _HELP
+        elif opt.kind is bool:
+            given[opt.name] = True
+        elif not eq and (i == len(argv) or argv[i] in names):
+            problem = "expected one argument"
         else:
-            out.append(arg)
-    return out
-
-
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """Parse with the subcommand's own parser when argv starts with one;
-    anything else (help, an unknown command, no command) goes to the top
-    parser, which reports it."""
-    ap = build_parser()
-    argv = _apply_config(ap, argv)
-    sp = ap.commands.get(argv[0]) if argv else None
-    if sp is None:
-        return ap.parse_args(argv)
-    rest = _attach_values(sp, argv[1:])
-    args, extra = sp.parse_known_args(rest)
-    if extra:
-        ap.parse_args([argv[0], *rest])  # reports the unrecognized arguments
-    return args
+            if not eq:
+                value, i = argv[i], i + 1
+            try:
+                given[opt.name] = opt.kind(value)
+            except ValueError:
+                problem = f"invalid {opt.kind.__name__} value: {value!r}"
+        event = event or problem and f"argument {opt.name}: {problem}"
+    if event is _HELP:
+        _help(command)
+    if event:
+        _fail(command, event)
+    missing = [opt.name for opt in options if opt.required and opt.name not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    values = {opt.name[2:].replace("-", "_"): given.get(opt.name, opt.default) for opt in options}
+    return run, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_argv(argv)
-        return args.fn(args)
+        run, args = _parse(argv)
+        return run(args)
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})
         return 3

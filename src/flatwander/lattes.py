@@ -67,8 +67,11 @@ def lattes_model_new(
     """Validate that the covering descends through the order-``nu`` quotient.
 
     The descent condition is (I - R)(A(z0) - z0) = 0 mod Z^2 where R is the
-    rotation matrix; for nu = 2 this is exactly forward invariance of the
-    four-point grid.
+    rotation matrix.  For nu = 2 it also makes the four-point grid
+    z0 + (1/2)Z^2 forward invariant, with no check of its own: R = -I, so
+    the condition says 2(A(z0) - z0) is in Z^2, that is A(z0) - z0 is in
+    (1/2)Z^2; and A(z0 + h) = z0 + (A(z0) - z0) + M h, where M is an
+    integer matrix, so M maps (1/2)Z^2 into itself.
     """
     if nu not in _SIGNATURES:
         raise NotLattesCompatible(f"group order must be one of 2, 3, 4, 6, got {nu}")
@@ -96,15 +99,6 @@ def lattes_model_new(
         raise NotLattesCompatible(
             f"A(z0) - z0 = {shift.to_expr()} is not (I - R)-annihilated mod Z^2"
         )
-    if nu == 2:
-        # the shift is rational, and with it b: the grid z0 + (1/2)Z^2 and its
-        # image under A are numerator pairs over one even den
-        den = 2 * math.lcm(z0.x.w, z0.y.w, bx.w, by.w)
-        zx, zy, nx, ny = (c.u * (den // c.w) for c in (z0.x, z0.y, bx, by))
-        grid = {((zx + i) % den, (zy + j) % den) for i in (0, den // 2) for j in (0, den // 2)}
-        if any(((p * x + r * y + nx) % den, (q * x + s * y + ny) % den) not in grid
-               for x, y in grid):
-            raise NotLattesCompatible("grid not forward invariant")
     return LattesModel(lat, tm, nu, z0, _SIGNATURES[nu], rot, shift)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     SlopeNotInvariant,
 )
 from .lattice import CoordPair
-from .numbers import QuadraticNumber, floor_parts, qn
+from .numbers import ZERO, QuadraticNumber, floor_parts, qn
 from .torus_map import AffineTorusMap
 
 TransverseState = tuple[QuadraticNumber, QuadraticNumber]
@@ -182,6 +182,8 @@ def _translation_state(tm: AffineTorusMap, slope: SlopeSpec) -> tuple[int, Trans
     """a and c = to_state(b); a c in the slope's field is refused once here."""
     if not tm.has_integer_multiplier:
         raise SlopeNotInvariant("a non-real multiplier turns every slope")
+    if tm.b.x.is_zero and tm.b.y.is_zero:
+        return tm.multiplier_int(), (ZERO, ZERO)
     c = slope.to_state(tm.b.coords())
     slope.check_field(c)
     return tm.multiplier_int(), c

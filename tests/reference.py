@@ -3,12 +3,16 @@
 Each one reaches a result the package computes another way, by the direct
 route: a line stepped one image at a time, two segments intersected as a
 pair, a point iterated or pulled back, the grid of rho's fixed points built
-and searched, and a line's image under the quotient typed by that search.
-No command and no certificate runs them.
+and searched, a line's image under the quotient typed by that search, and
+argv read by argparse, as the command line was read before its option
+tables.  No command and no certificate runs them.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,3 +181,139 @@ def theta_line_type(model: LattesModel, line: TorusLine) -> ThetaLineType:
     if hit is not None:
         return FoldedRay(hit)
     return InjectiveGeodesicImage()
+
+
+# ---------------------------------------------------------------------------
+# the argparse front end, as the CLI read argv before its option tables
+# ---------------------------------------------------------------------------
+
+
+def _add_map_args(sp) -> None:
+    sp.add_argument("--a", required=True)
+    sp.add_argument("--b", default="0")
+    sp.add_argument("--omega", required=True)
+    sp.add_argument("--out", default=None)
+
+
+def _add_line_args(sp, required: bool) -> None:
+    sp.add_argument("--slope", required=required)
+    sp.add_argument("--alpha", default="0")
+    sp.add_argument("--beta", default="0")
+
+
+def _add_segment_args(sp) -> None:
+    sp.add_argument("--seg", default=None)
+    _add_line_args(sp, required=False)
+    sp.add_argument("--t0", default="0")
+    sp.add_argument("--t1", default="1/10")
+
+
+@functools.cache
+def argparse_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="flatwander")
+    ap.add_argument("--config", default=None)
+    sub = ap.add_subparsers(dest="command", required=True)
+    sp = sub.add_parser("classify-map")
+    _add_map_args(sp)
+    sp = sub.add_parser("classify-line")
+    _add_map_args(sp)
+    _add_line_args(sp, required=True)
+    sp = sub.add_parser("certify-segment")
+    _add_map_args(sp)
+    _add_segment_args(sp)
+    sp.add_argument("--check-iterates", type=int, default=12)
+    sp.add_argument("--verify-oracle", action="store_true")
+    sp = sub.add_parser("find-collision")
+    _add_map_args(sp)
+    _add_segment_args(sp)
+    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--nu", type=int, default=None)
+    sp.add_argument("--z0", default="0,0")
+    sp = sub.add_parser("certify-sphere")
+    _add_map_args(sp)
+    _add_segment_args(sp)
+    sp.add_argument("--nu", type=int, default=2)
+    sp.add_argument("--z0", default="0,0")
+    sp.add_argument("--check-iterates", type=int, default=12)
+    sp = sub.add_parser("verify-semiconjugacy")
+    _add_map_args(sp)
+    sp.add_argument("--z0", default="0,0")
+    sp.add_argument("--samples", type=int, default=500)
+    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--dump-csv", default=None)
+    sp = sub.add_parser("plot-orbit")
+    _add_map_args(sp)
+    _add_segment_args(sp)
+    sp.add_argument("--iterates", type=int, default=8)
+    sp.add_argument("--mark-witness", default=None)
+    ap.commands = sub.choices
+    return ap
+
+
+def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with ``--config PATH`` (or ``--config=PATH``) replaced by the
+    file's options that argv does not give, matched by the action they name."""
+    at = next((i for i, arg in enumerate(argv) if arg.split("=", 1)[0] == "--config"), None)
+    if at is None:
+        return argv
+    _, attached, path = argv[at].partition("=")
+    try:
+        with open(path if attached else argv[at + 1]) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError, IndexError) as exc:
+        raise ValueError(f"unreadable config: {exc}") from exc
+    rest = argv[:at] + argv[at + (1 if attached else 2) :]
+    sp = ap.commands.get(rest[0]) if rest else None
+    options = sp._option_string_actions if sp else {}
+
+    def named(arg: str):
+        name = arg.split("=", 1)[0]
+        return _option_named(options, name) or name
+
+    given = {named(arg) for arg in rest}
+    extra: list[str] = []
+    for key, value in sorted(cfg.items()):
+        flag = f"--{key.replace('_', '-')}"
+        if named(flag) in given or value is False:
+            continue
+        extra.append(flag if value is True else f"{flag}={value}")
+    return rest + extra
+
+
+def _option_named(options: dict, name: str):
+    """The action of option ``name``, or of the one long option that ``name``
+    abbreviates; an ambiguous prefix is left to argparse."""
+    if name in options:
+        return options[name]
+    hits = [opt for opt in options if opt.startswith(name)] if name[:2] == "--" else []
+    return options[hits[0]] if len(hits) == 1 else None
+
+
+def _attach_values(sp: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``--opt VALUE`` as ``--opt=VALUE`` when VALUE starts with '-' and is no
+    option of ``sp``: argparse would otherwise read '-1/2' as an option."""
+    options = sp._option_string_actions
+    out: list[str] = []
+    for arg in argv:
+        dash_value = arg[:1] == "-" and arg not in options
+        action = _option_named(options, out[-1]) if dash_value and out else None
+        if action is not None and action.nargs is None:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def argparse_options(argv: list[str]) -> dict:
+    """The option values the argparse front end read from ``argv``.  Its
+    errors exit as argparse's do; an unreadable config raises ValueError."""
+    ap = argparse_parser()
+    argv = _apply_config(ap, list(argv))
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is None:
+        return vars(ap.parse_args(argv))
+    rest = _attach_values(sp, argv[1:])
+    args, extra = sp.parse_known_args(rest)
+    if extra:
+        ap.parse_args([argv[0], *rest])  # reports the unrecognized arguments
+    return vars(args)

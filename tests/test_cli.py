@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -8,8 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import argparse_options
 
-from flatwander.cli import build_parser, main
+from flatwander import cli
+from flatwander.cli import COMMANDS, main
+from flatwander.errors import UsageError
 from flatwander.numbers import parse_number
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -455,6 +462,13 @@ def test_config_booleans_switch_flags(tmp_path, capsys, value):
     assert data.get("oracle_pairwise_disjoint") is (True if value else None)
 
 
+def test_a_config_that_is_no_json_object_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, data = _run(capsys, "--config", str(cfg), "classify-map", "--a", "2", "--omega", "i")
+    assert (code, data) == (2, {"error": "usage", "message": "unreadable config: not a JSON object"})
+
+
 def _semiconj(capsys, a, omega):
     return _run(capsys, "verify-semiconjugacy", "--a", a, f"--omega={omega}")
 
@@ -493,7 +507,7 @@ def test_semiconjugacy_closed_form(capsys, argv):
 
 _THIN = """
 import sys
-from flatwander.cli import build_parser, main
+from flatwander.cli import main
 sys.exit(main(["verify-semiconjugacy", "--a", "2", "--omega", sys.argv[1]]))
 """
 
@@ -532,26 +546,144 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert isinstance(json.loads(out), dict)
 
 
-_PARSER_ONCE = """
-from flatwander import cli
-assert cli.build_parser.cache_info().misses == 0  # not built at import
-for _ in range(3):
-    cli.main(["classify-map", "--a", "2", "--omega", "i"])
-info = cli.build_parser.cache_info()
-print(info.misses, info.hits)
+# argparse-class errors: exit 2, nothing on stdout, and the last line of
+# stderr; an unreadable config is a JSON usage error instead
+USAGE_GOLDEN = json.loads((ROOT / "tests" / "data" / "usage_errors_golden.json").read_text())
+
+
+def _outcome(parse, argv: list[str]):
+    """What ``parse`` makes of argv: its option values, or the exit code and
+    the last line of stderr of a SystemExit, or the text of a config error."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, (err.getvalue().splitlines() or [""])[-1] if exc.code else ""
+    except (UsageError, ValueError) as exc:
+        return "config", str(exc)
+
+
+def _table_options(argv: list[str]) -> dict:
+    return vars(cli._parse(argv)[1])
+
+
+def _with_config(case, tmp_path, monkeypatch) -> list[str]:
+    monkeypatch.chdir(tmp_path)
+    if "config" in case:
+        cfg = case["config"]
+        (tmp_path / "cfg.json").write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    return case["argv"]
+
+
+@pytest.mark.parametrize("case", USAGE_GOLDEN, ids=[c["name"] for c in USAGE_GOLDEN])
+def test_usage_errors_match_golden(tmp_path, monkeypatch, capsys, case):
+    argv = _with_config(case, tmp_path, monkeypatch)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (code, captured.out, lines[-1] if lines else "") == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+    if captured.err:
+        # the usage line above the error names the command's options
+        assert lines[0].startswith("usage: flatwander")
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_option(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag] if command else [flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    names = [opt.name for opt in COMMANDS[command][2]] if command else [*COMMANDS, "--config"]
+    assert out.startswith("usage: flatwander") and all(name in out for name in names)
+
+
+def test_the_option_tables_read_argv_as_argparse_did(tmp_path, monkeypatch):
+    # every argv of the goldens, errors included, against the argparse front
+    # end they were recorded with
+    goldens = [*GOLDEN, *USAGE_GOLDEN]
+    for name in ("find_collision_golden", "plot_orbit_golden"):
+        goldens += json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())
+    for case in goldens:
+        argv = _with_config(case, tmp_path, monkeypatch)
+        want = _outcome(argparse_options, argv)
+        assert _outcome(_table_options, argv) == want, argv
+
+
+# values taken whole after their option: ones that start with '-', options'
+# prefixes and strings with '='; never an exact option name (read as that
+# option by both), a '--config' (taken out before parsing) or a lone '--'
+# (argparse turns it into an empty list)
+_VALUES = st.one_of(
+    st.sampled_from(["2", "i", "-1/2", "-i", "-", "--o", "--al", "--t", "-h1", "-1,2",
+                     "-0.7,1/5,s:sqrt(2),1/10", "a=b", "--x=1", "", " -1", "x"]),
+    st.integers(-50, 50).map(str),
+    st.text("-=a1 ,", max_size=4).filter(lambda v: v != "--" and not v.startswith("--c")),
+)
+
+
+def _spellings(names: list[str], name: str) -> list[str]:
+    """``name`` and each abbreviation of it that no other option shares."""
+    return [name] + [name[:k] for k in range(3, len(name))
+                     if [n for n in names if n.startswith(name[:k])] == [name]]
+
+
+_NUMBERS = {
+    int: st.integers(-20, 20).map(str) | st.sampled_from(["-3", "x", "1.5", " 7"]),
+    float: st.floats(-1, 1).map(repr) | st.sampled_from(["-1e-3", "x", "nan"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command][2]
+    names = ["--help", *(opt.name for opt in options)]
+    argv = []
+    for opt in draw(st.lists(st.sampled_from(options), max_size=9)):
+        flag = draw(st.sampled_from(_spellings(names, opt.name)))
+        if opt.kind is bool:
+            argv.append([flag])
+            continue
+        value = draw(_NUMBERS[opt.kind] if opt.kind is not str else _VALUES)
+        if value in names or value == "-h":
+            value = "x"
+        argv.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    # a required option is left out once in ten draws
+    required = [[opt.name, "1"] for opt in options if opt.required and draw(st.integers(0, 9))]
+    order = draw(st.permutations(argv + required))
+    return [command, *(arg for group in order for arg in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_the_option_tables_read_shuffled_abbreviated_argv_as_argparse_did(argv):
+    # compared as text, since --tol nan reads as a float unequal to itself
+    assert repr(_outcome(_table_options, argv)) == repr(_outcome(argparse_options, argv))
+
+
+_NO_ARGPARSE = """
+import sys
+import flatwander.cli
+print("argparse" in sys.modules)
 """
 
 
-def test_parser_built_once_per_process():
+def test_the_cli_does_not_import_argparse():
     proc = subprocess.run(
-        [sys.executable, "-c", _PARSER_ONCE],
+        [sys.executable, "-c", _NO_ARGPARSE],
         capture_output=True,
         text=True,
         cwd=ROOT,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1 2"
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.mark.parametrize("z0, code", [("1/3,1/5", 2), ("0,0", 0)])
@@ -856,7 +988,7 @@ def test_every_public_name_in_the_package_is_named_outside_its_definition():
 
 _REPLAY = """
 import contextlib, io, json, sys
-from flatwander.cli import build_parser, main
+from flatwander.cli import main
 out = []
 for argv in json.loads(sys.stdin.read()):
     buf = io.StringIO()
@@ -875,7 +1007,7 @@ def test_golden_cases_replay_under_optimize(tmp_path):
     cases = {}
     for case in goldens:
         cases.setdefault((case["argv"][0], case["exit"] == 0), case)
-    assert {command for command, _ in cases} == set(build_parser().commands)
+    assert {command for command, _ in cases} == set(COMMANDS)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _REPLAY],
         input=json.dumps([case["argv"] for case in cases.values()]),

@@ -143,11 +143,11 @@ def test_wrong_lattice_for_group():
 
 def test_offcenter_z0_compatibility():
     # z0 = (1/4, 0), a = 3, b = 0: A(z0) - z0 = (1/2, 0) is annihilated by
-    # (I - R) = 2I mod Z^2, and the grid is forward invariant
+    # (I - R) = 2I mod Z^2, so the grid is forward invariant
     model = _model(a="3", z0=point(Fraction(1, 4), 0))
     assert model.flexible
-    # a = 2 moves the grid off itself
-    with pytest.raises(NotLattesCompatible):
+    # a = 2 moves the grid off itself, and the descent test says so
+    with pytest.raises(NotLattesCompatible, match=r"A\(z0\) - z0 = .* is not \(I - R\)"):
         _model(a="2", z0=point(Fraction(1, 4), 0))
 
 

@@ -472,3 +472,15 @@ def test_overlap_raises_under_optimize():
         "error": "internal-inconsistency",
         "message": "certified iterates 0, 4 overlap",
     }
+
+
+@pytest.mark.parametrize("a", ["2", "-3"])
+@pytest.mark.parametrize("slope", [(1, 0), (2, -3), "sqrt(2)", "-1/3+sqrt(5)/7"])
+def test_a_zero_translation_is_the_zero_state(a, slope):
+    # b = 0 skips to_state's products: the same a and c, field for field
+    tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex("i")))
+    spec = slope_spec(slope if isinstance(slope, tuple) else parse_number(slope))
+    got_a, got_c = line_orbit._translation_state(tm, spec)
+    want = spec.to_state(tm.b.coords())
+    assert got_a == int(a)
+    assert [(x.u, x.v, x.w, x.d) for x in got_c] == [(x.u, x.v, x.w, x.d) for x in want]
