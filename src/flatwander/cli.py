@@ -531,7 +531,8 @@ COMMANDS = {
                        (*_MAP, *_SEGMENT, _Opt("--nu", int, 2, help="group order"), _Z0,
                         _CHECKS)),
     "verify-semiconjugacy": (_cmd_verify_semiconjugacy, "commuting-diagram residuals",
-                             (*_MAP, _Z0, _Opt("--samples", int, 500, help="sample points"),
+                             (*_MAP, _Z0,
+                              _Opt("--samples", int, 500, help="sample points, 1 to 100000"),
                               _Opt("--tol", float, 1e-6, help="residual bound, in (0, 1)"),
                               _Opt("--dump-csv", help="write sample rows as CSV"))),
     "plot-orbit": (_cmd_plot_orbit, "SVG of iterated segments",
@@ -626,11 +627,13 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
     i = 1
     while i < len(argv) or cfg:
         if i == len(argv):
-            # true switches a flag on; any other value is the option's value
+            # true switches a flag on, and false or null leaves an option
+            # unset; any other value is the option's value
             for key, value in sorted(cfg.items()):
                 flag = f"--{key.replace('_', '-')}"
                 hits = _matches(names, flag)
-                if value is not False and not (len(hits) == 1 and names[hits[0]].name in given):
+                on_argv = len(hits) == 1 and names[hits[0]].name in given
+                if value is not False and value is not None and not on_argv:
                     argv.append(flag if value is True else f"{flag}={value}")
             cfg = {}
             continue

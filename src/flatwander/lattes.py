@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -295,17 +297,6 @@ def _eisenstein(tau: complex) -> tuple[complex, complex, complex]:
     return 1 - 24 * s1, 1 + 240 * s3, 1 - 504 * s5
 
 
-def g_invariants(lat: Lattice) -> tuple[complex, complex]:
-    """Eisenstein invariants g2 = 60*sum w^-4, g3 = 140*sum w^-6 over nonzero
-    lattice vectors, as held by the lattice's ``WeierstrassContext``.
-
-    (The raw lattice sum is the test oracle; its O(N^-2) tail cannot reach
-    double precision in reasonable time.)
-    """
-    ctx = weierstrass_context(lat)
-    return ctx.g2, ctx.g3
-
-
 class WeierstrassContext:
     """wp and wp' of one lattice from its reduced basis (v1, v2), computed
     once.  The lattice is v1*(Z + tau'*Z), so wp(z) = v1^-2 wp(z/v1; 1, tau')
@@ -326,6 +317,13 @@ class WeierstrassContext:
             powers.append(powers[-1] * q)
         self.q_powers = tuple(powers)
 
+    @cached_property
+    def _arrays(self):
+        """``nine`` and ``q_powers`` as arrays, built at the first evaluation."""
+        import numpy as np
+
+        return np.array(self.nine), np.array(self.q_powers)
+
     def _reduce(self, z):
         """z minus its nearest lattice point, for a complex number or an
         array: in a reduced basis that point is among the nine around the
@@ -338,9 +336,9 @@ class WeierstrassContext:
         u = z / self.v1
         y = u.imag / self.tau.imag
         n, m = np.round(u.real - y * self.tau.real), np.round(y)
-        cands = (z - (n * self.v1 + m * self.v2))[..., None] - np.array(self.nine)
+        cands = (z - (n * self.v1 + m * self.v2))[..., None] - self._arrays[0]
         best = (cands.real**2 + cands.imag**2).argmin(-1)
-        return np.take_along_axis(cands, best[..., None], -1)[..., 0]
+        return cands.reshape(-1)[best + np.arange(0, cands.size, 9).reshape(best.shape)]
 
     def wp_pair(self, z):
         """(wp(z), wp'(z)) for a complex number, or two arrays for an array.
@@ -368,20 +366,19 @@ class WeierstrassContext:
             raise NearPole(f"z within 1e-6 r_min of a lattice point: {np.asarray(z)[near][0]}")
         u = zr / self.v1
         s0 = np.where(u.imag < 0, -1, 1)
-        qm = np.array(self.q_powers)
-        # one row per m along the last axis: 0, then 1 .. M, then -1 .. -M
-        w = np.concatenate(
-            [
-                np.exp(2j * np.pi * s0 * u)[..., None],
-                np.exp(2j * np.pi * (u + self.tau))[..., None] * qm,
-                np.exp(-2j * np.pi * (u - self.tau))[..., None] * qm,
-            ],
-            axis=-1,
-        )
-        d = 1 / (1 - w)
-        csc2 = w * d * d
-        cot = csc2 * (w + 1) * d
+        qm = self._arrays[1]
         rows = len(qm)
+        # one row per m along the last axis: 0, then 1 .. M, then -1 .. -M
+        w = np.empty((*u.shape, 2 * rows + 1), dtype=complex)
+        w[..., 0] = np.exp(2j * np.pi * s0 * u)
+        np.multiply(np.exp(2j * np.pi * (u + self.tau))[..., None], qm, out=w[..., 1 : rows + 1])
+        np.multiply(np.exp(-2j * np.pi * (u - self.tau))[..., None], qm, out=w[..., rows + 1 :])
+        d = 1 - w
+        np.divide(1, d, out=d)
+        csc2 = w * d
+        csc2 *= d
+        cot = csc2 * (w + 1)
+        cot *= d
         cot_sum = s0 * cot[..., 0] + cot[..., 1 : rows + 1].sum(-1) - cot[..., rows + 1 :].sum(-1)
         x = (np.pi / self.v1) ** 2 * (-4 * csc2.sum(-1) - self.e2 / 3)
         y = -2 * (np.pi / self.v1) ** 3 * 4j * cot_sum
@@ -413,6 +410,22 @@ def weierstrass_context(lat: Lattice) -> WeierstrassContext:
 # ---------------------------------------------------------------------------
 
 
+MAX_SAMPLES = 100_000  # so the sampling stream holds about 4 * MAX_SAMPLES floats
+_STREAM = [random.Random(20240801).random, ()]  # its generator, the prefix drawn
+
+
+def _stream(stop: int):
+    """The first ``stop`` values 0.02 + 0.96 * random() of one fixed
+    random.Random stream, from a prefix that grows to the longest asked."""
+    import numpy as np
+
+    draw, r = _STREAM
+    if len(r) < stop:
+        more = np.array([draw() for _ in range(stop - len(r))])
+        _STREAM[1] = r = np.concatenate([r, 0.02 + (0.98 - 0.02) * more])
+    return r[:stop]
+
+
 def _sample_points(model: LattesModel, shift: complex, count: int):
     """Deterministic sample points w in the fundamental cell, kept 0.08 r_min
     away from the poles and half-lattice points of both w and its image
@@ -422,22 +435,17 @@ def _sample_points(model: LattesModel, shift: complex, count: int):
     The half-lattice (1/2)L is L and its three cosets by the half-periods, so
     dist(p, (1/2)L) = dist(2p, L)/2: a point is clear when its double lies
     0.16 r_min from L, one nearest-point reduction.  A candidate is
-    x + y*omega with x, y uniform on [0.02, 0.98], x drawn first, mapped in
-    numpy from the generator's random() as random.uniform maps it."""
-    import random as _random
-
+    x + y*omega with x, y the next two values of the constant ``_stream``."""
     import numpy as np
 
-    draw = _random.Random(20240801).random
-    w = model.lattice.omega_complex()
-    ac = model.map.a.to_complex()
+    w, ac = model.lattice.omega_complex(), model.map.a.to_complex()
     ctx = weierstrass_context(model.lattice)
 
     chunks, found, attempts = [], 0, 0
     while found < count and attempts < 100 * count:
         k = min(2 * (count - found), 100 * count - attempts)
+        r = _stream(2 * (attempts + k))[2 * attempts :]
         attempts += k
-        r = 0.02 + (0.98 - 0.02) * np.array([draw() for _ in range(2 * k)])
         z = r[0::2] + r[1::2] * w
         clear = np.abs(ctx._reduce(2 * np.concatenate([z, ac * z + shift]))) >= 0.16 * ctx.r_min
         z = z[clear[:k] & clear[k:]]
@@ -448,9 +456,19 @@ def _sample_points(model: LattesModel, shift: complex, count: int):
     return np.concatenate(chunks)[:count]
 
 
-def quotient_map(model: LattesModel):
+def quotient_probes(model: LattesModel) -> list[complex]:
+    """The points whose wp values ``quotient_map`` takes: the kernel points
+    P != 0 of K = a^-1 L / L, then b' when it is not 0."""
+    w, tm = model.lattice.omega_complex(), model.map
+    probes = [(n1 + n2 * w) / tm.degree for n1, n2 in kernel(tm)[1:]]
+    shift = [embed(model.shift, model.lattice)] if model.shift != ORIGIN else []
+    return probes + shift
+
+
+def quotient_map(model: LattesModel, wp_probes):
     """The Lattes map R with wp(a*w + b') = R(wp(w)), w = z - z0, as a
-    function on numpy arrays, in closed form on the kernel K = a^-1 L / L.
+    function on numpy arrays, in closed form on the kernel K = a^-1 L / L,
+    from ``wp_probes``, wp at ``quotient_probes(model)``.
 
     With S(x, p) = ((x + p)(2xp - g2/2) - g3)/(x - p)^2, which is
     wp(w + P) + wp(w - P) for x = wp(w), p = wp(P) (DLMF §23.10),
@@ -461,13 +479,8 @@ def quotient_map(model: LattesModel):
     """
     import numpy as np
 
-    lat, tm = model.lattice, model.map
-    ctx = weierstrass_context(lat)
-    w = lat.omega_complex()
-    probes = [(n1 + n2 * w) / tm.degree for n1, n2 in kernel(tm)[1:]]
-    if model.shift != ORIGIN:
-        probes.append(embed(model.shift, lat))
-    p, e = np.split(ctx.wp_pair(np.array(probes))[0], [tm.degree - 1])
+    tm, ctx = model.map, weierstrass_context(model.lattice)
+    p, e = np.split(wp_probes, [tm.degree - 1])
     a2 = tm.a.to_complex() ** 2
 
     def pair_sum(x, p):
@@ -492,15 +505,17 @@ def verify_semiconjugacy(model: LattesModel, samples: int = 500, tol: float = 1e
         raise ValueError("semiconjugacy verification targets the order-2 quotient")
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise UsageError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     lat = model.lattice
-    ac = model.map.a.to_complex()
-    bc = embed(model.shift, lat)
+    ac, bc = model.map.a.to_complex(), embed(model.shift, lat)
     pts = _sample_points(model, bc, samples)
+    probes = quotient_probes(model)
     with np.errstate(all="ignore"):
-        R = quotient_map(model)
-        images = weierstrass_context(lat).wp_pair(np.concatenate([pts, ac * pts + bc]))[0]
-        X, Y = np.split(images, 2)
-        resid = np.abs(R(X) - Y)
+        # one evaluation: the probes of R, then the points and their images
+        wp = weierstrass_context(lat).wp_pair(np.concatenate([probes, pts, ac * pts + bc]))[0]
+        P, X, Y = np.split(wp, [len(probes), len(probes) + samples])
+        resid = np.abs(quotient_map(model, P)(X) - Y)
     bad = ~np.isfinite(resid)
     if bad.any():
         raise ResidualExceedsTol(f"non-finite residual {resid[bad][0]} at w={pts[bad][0]}")

@@ -3,9 +3,10 @@
 Each one reaches a result the package computes another way, by the direct
 route: a line stepped one image at a time, two segments intersected as a
 pair, a point iterated or pulled back, the grid of rho's fixed points built
-and searched, a line's image under the quotient typed by that search, and
-argv read by argparse, as the command line was read before its option
-tables.  No command and no certificate runs them.
+and searched, a line's image under the quotient typed by that search, wp
+evaluated with one new array per operation, and argv read by argparse, as
+the command line was read before its option tables.  No command and no
+certificate runs them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from flatwander.errors import InternalInconsistency
-from flatwander.lattes import LattesModel
+import numpy as np
+
+from flatwander.errors import InternalInconsistency, NearPole, ResidualExceedsTol
+from flatwander.lattes import LattesModel, WeierstrassContext, weierstrass_context
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import TorusLine, _state_step, line_from_point, slope_spec
 from flatwander.numbers import HALF, ZERO, QuadraticNumber
@@ -274,7 +277,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     extra: list[str] = []
     for key, value in sorted(cfg.items()):
         flag = f"--{key.replace('_', '-')}"
-        if named(flag) in given or value is False:
+        if named(flag) in given or value is False or value is None:
             continue
         extra.append(flag if value is True else f"{flag}={value}")
     return rest + extra
@@ -317,3 +320,70 @@ def argparse_options(argv: list[str]) -> dict:
     if extra:
         ap.parse_args([argv[0], *rest])  # reports the unrecognized arguments
     return vars(args)
+
+
+# ---------------------------------------------------------------------------
+# the Weierstrass layer: its invariants, and the evaluator as it was before
+# its arrays were kept per context
+# ---------------------------------------------------------------------------
+
+
+def g_invariants(lat: Lattice) -> tuple[complex, complex]:
+    """Eisenstein invariants g2 = 60*sum w^-4, g3 = 140*sum w^-6 over nonzero
+    lattice vectors, as held by the lattice's ``WeierstrassContext``.
+
+    (The raw lattice sum is the test oracle; its O(N^-2) tail cannot reach
+    double precision in reasonable time.)
+    """
+    ctx = weierstrass_context(lat)
+    return ctx.g2, ctx.g3
+
+
+def reduce_nearest(ctx: WeierstrassContext, z):
+    """z minus its nearest lattice point, picked among the nine around the
+    rounded coordinates of z with ``take_along_axis``."""
+    z = np.asarray(z, dtype=complex)
+    u = z / ctx.v1
+    y = u.imag / ctx.tau.imag
+    n, m = np.round(u.real - y * ctx.tau.real), np.round(y)
+    cands = (z - (n * ctx.v1 + m * ctx.v2))[..., None] - np.array(ctx.nine)
+    best = (cands.real**2 + cands.imag**2).argmin(-1)
+    return np.take_along_axis(cands, best[..., None], -1)[..., 0]
+
+
+def wp_pair(ctx: WeierstrassContext, z):
+    """(wp(z), wp'(z)) from the csc^2 rows, built by concatenation with one
+    new array per operation; the refusals are the context's."""
+    zr = reduce_nearest(ctx, z)
+    near = np.abs(zr) < 1e-6 * ctx.r_min
+    if near.any():
+        raise NearPole(f"z within 1e-6 r_min of a lattice point: {np.asarray(z)[near][0]}")
+    u = zr / ctx.v1
+    s0 = np.where(u.imag < 0, -1, 1)
+    qm = np.array(ctx.q_powers)
+    w = np.concatenate(
+        [
+            np.exp(2j * np.pi * s0 * u)[..., None],
+            np.exp(2j * np.pi * (u + ctx.tau))[..., None] * qm,
+            np.exp(-2j * np.pi * (u - ctx.tau))[..., None] * qm,
+        ],
+        axis=-1,
+    )
+    d = 1 / (1 - w)
+    csc2 = w * d * d
+    cot = csc2 * (w + 1) * d
+    rows = len(qm)
+    cot_sum = s0 * cot[..., 0] + cot[..., 1 : rows + 1].sum(-1) - cot[..., rows + 1 :].sum(-1)
+    x = (np.pi / ctx.v1) ** 2 * (-4 * csc2.sum(-1) - ctx.e2 / 3)
+    y = -2 * (np.pi / ctx.v1) ** 3 * 4j * cot_sum
+    ax, ay = np.abs(x), np.abs(y)
+    res = np.abs(y * y - (4 * x * x * x - ctx.g2 * x - ctx.g3))
+    scale = np.maximum(1.0, np.maximum(ax * ax * ax, ay * ay))
+    bad = ~(res <= 1e-6 * scale)
+    if bad.any():
+        raise ResidualExceedsTol(
+            f"differential-equation residual {np.max(res):.3e} at z={np.asarray(z)[bad][0]}"
+        )
+    if np.ndim(z) == 0:
+        return complex(x), complex(y)
+    return x, y

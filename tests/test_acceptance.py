@@ -14,7 +14,6 @@ from flatwander.lattes import (
     NotFlexible,
     Paired,
     certify_sphere_wandering,
-    g_invariants,
     lattes_model_new,
     rho_pairing,
     verify_semiconjugacy,
@@ -49,7 +48,14 @@ from flatwander.segments import (
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import torus_map_new
-from reference import half_lattice_q, lift_length, line_image, passes_through_q, segments_intersect
+from reference import (
+    g_invariants,
+    half_lattice_q,
+    lift_length,
+    line_image,
+    passes_through_q,
+    segments_intersect,
+)
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))

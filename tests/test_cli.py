@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -316,7 +317,7 @@ def _no_constant(token):
 @pytest.mark.parametrize(
     "name",
     ["cli_golden", "find_collision_golden", "input_errors_golden", "orbit_golden",
-     "plot_orbit_golden"],
+     "plot_orbit_golden", "semiconj_golden"],
 )
 def test_golden_outputs_are_strict_json(name):
     # NaN and Infinity are Python's extensions; strict parsers reject them
@@ -381,10 +382,12 @@ def test_negative_check_iterates_rejected_by_api():
         (["plot-orbit", "--seg", "0.1,0.2,h,0.05", "--iterates=-2"],
          "iterate count must be >= 0, got -2"),
         (["verify-semiconjugacy", "--samples", "0"], "samples must be >= 1, got 0"),
+        (["verify-semiconjugacy", "--samples", "100001"],
+         "samples must be <= 100000, got 100001"),
         (["plot-orbit", "--seg", "0.1,0.2,h,0.05", "--iterates", "10000"],
          "too many segments to plot"),
     ],
-    ids=["plot-iterates", "semiconj-samples", "plot-cap"],
+    ids=["plot-iterates", "semiconj-samples", "semiconj-samples-cap", "plot-cap"],
 )
 def test_bad_counts_rejected(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -462,6 +465,24 @@ def test_config_booleans_switch_flags(tmp_path, capsys, value):
     assert data.get("oracle_pairwise_disjoint") is (True if value else None)
 
 
+def test_a_null_config_value_leaves_its_option_unset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": None}))
+    argv = ["classify-map", "--a", "2", "--omega", "i"]
+    assert main(["--config", "cfg.json", *argv]) == 0
+    out = capsys.readouterr().out
+    assert main(argv) == 0 and out == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    # a null budget is the default budget, not the string 'None'
+    (tmp_path / "cfg.json").write_text(json.dumps({"budget": None, "nu": None}))
+    argv = ["find-collision", "--a", "1+1i", "--omega", "i", "--seg", "0.1,0.2,h,0.05"]
+    assert main(["--config", "cfg.json", *argv]) == main(argv) == 0
+    first, second = capsys.readouterr().out.split("}\n{")
+    assert first + "}\n" == "{" + second
+    for argv in (["--config", "cfg.json", *argv], ["--config=cfg.json", "classify-map", "--a=2"]):
+        assert _outcome(_table_options, argv) == _outcome(argparse_options, argv)
+
+
 def test_a_config_that_is_no_json_object_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -503,6 +524,33 @@ def test_semiconjugacy_closed_form(capsys, argv):
     assert data["max_residual"] < 1e-10
     assert data["fitted_degree"] == int(argv[1]) ** 2
     assert data["coef_rel_error"] is None
+
+
+# byte-exact verify-semiconjugacy output and --dump-csv rows: the benchmark's
+# valid (a, omega) pairs at three sample counts, a = 3 on 2i, half-period
+# translations and off-centre rotation centres
+SEMICONJ_GOLDEN = json.loads((ROOT / "tests" / "data" / "semiconj_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SEMICONJ_GOLDEN, ids=[c["name"] for c in SEMICONJ_GOLDEN])
+def test_semiconjugacy_matches_golden(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    code = main(list(case["argv"]))
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+    csv = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
+    assert csv == case["csv_sha256"]
+
+
+def test_a_huge_sample_count_is_refused_before_any_draw(capsys):
+    from flatwander import lattes
+
+    drawn = len(lattes._STREAM[1])
+    start = time.perf_counter()
+    code, data = _run(capsys, "verify-semiconjugacy", "--a", "2", "--omega", "i",
+                      "--samples", "100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, data["error"]) == (2, "usage")
+    assert len(lattes._STREAM[1]) == drawn
 
 
 _THIN = """
@@ -1002,7 +1050,7 @@ print(json.dumps(out))
 def test_golden_cases_replay_under_optimize(tmp_path):
     # one success and one error per subcommand, where the goldens hold one
     goldens = list(GOLDEN)
-    for name in ("find_collision_golden", "plot_orbit_golden"):
+    for name in ("find_collision_golden", "plot_orbit_golden", "semiconj_golden"):
         goldens += json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())
     cases = {}
     for case in goldens:

@@ -21,11 +21,12 @@ from flatwander.lattes import (
     Paired,
     SelfPaired,
     Unpaired,
+    WeierstrassContext,
     _sample_points,
     certify_sphere_wandering,
-    g_invariants,
     lattes_model_new,
     quotient_map,
+    quotient_probes,
     rho_numerators,
     rho_pairing,
     rho_transverse,
@@ -53,11 +54,14 @@ from reference import (
     ClosedCurveImage,
     FoldedRay,
     InjectiveGeodesicImage,
+    g_invariants,
     half_lattice_q,
     passes_through_q,
     q_grid,
+    reduce_nearest,
     segments_intersect,
     theta_line_type,
+    wp_pair,
 )
 
 Q = QuadraticNumber
@@ -438,7 +442,8 @@ def test_closed_form_duplication_matches_the_tangent_construction(a, omega):
             z.append(c)
     x = ctx.wp_pair(np.array(z))[0]
     want = np.polyval(P[::-1], x) / np.polyval(Q[::-1], x)
-    got = quotient_map(_model(a, lat=lat))(x)
+    model = _model(a, lat=lat)
+    got = quotient_map(model, ctx.wp_pair(np.array(quotient_probes(model)))[0])(x)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
 
 
@@ -572,10 +577,73 @@ def test_a_wrong_quotient_map_is_refused(monkeypatch, a, omega):
     assert verify_semiconjugacy(model, samples=200, tol=1e-6)["passed"]
     exact = lattes.quotient_map
 
-    def scaled(m):
-        R = exact(m)
+    def scaled(m, wp_probes):
+        R = exact(m, wp_probes)
         return lambda x: (1 + 1e-4) * R(x)
 
     monkeypatch.setattr(lattes, "quotient_map", scaled)
     with pytest.raises(ResidualExceedsTol):
         verify_semiconjugacy(model, samples=200, tol=1e-6)
+
+
+def _evaluated(f, ctx, z):
+    """What f(ctx, z) returns, or the type and text of its refusal."""
+    try:
+        return f(ctx, z)
+    except (NearPole, ResidualExceedsTol) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("omega", ["i", "2i", "1/2+i", "1/2+sqrt(3)/2i", "4i"])
+@pytest.mark.parametrize("count", [0, 1, 8, 700])
+def test_the_evaluator_matches_its_reference_bit_for_bit(omega, count):
+    # count 0 stands for one complex number rather than an array
+    lat = Lattice(parse_complex(omega))
+    ctx, w = weierstrass_context(lat), lat.omega_complex()
+    rng = random.Random(count)
+    z = np.array([rng.uniform(-2, 2) + rng.uniform(-2, 2) * w for _ in range(max(count, 1))])
+    z = complex(z[0]) if count == 0 else z
+    assert np.array_equal(ctx._reduce(z), reduce_nearest(ctx, z))
+    got, want = ctx.wp_pair(z), wp_pair(ctx, z)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert all(np.array_equal(g, h) for g, h in zip(got, want))
+
+
+def test_the_evaluator_refuses_as_its_reference_does():
+    ctx = weierstrass_context(SQUARE)
+    for z in (1e-9 + 0j, np.array([0.3 + 0.2j, 1 + 1j + 5e-9, 1e-8j])):
+        with pytest.raises(NearPole):
+            ctx.wp_pair(z)
+        assert _evaluated(WeierstrassContext.wp_pair, ctx, z) == _evaluated(wp_pair, ctx, z)
+    nan_ctx = WeierstrassContext(SQUARE)
+    nan_ctx.e2 = math.nan
+    for z in (0.3 + 0.2j, np.array([0.3 + 0.2j, 0.4 + 0.1j])):
+        got = _evaluated(WeierstrassContext.wp_pair, nan_ctx, z)
+        assert got[0] is ResidualExceedsTol and got == _evaluated(wp_pair, nan_ctx, z)
+
+
+@pytest.mark.parametrize("b", ["0", "1/2+1/2i"])
+def test_one_semiconjugacy_check_evaluates_wp_once(monkeypatch, b):
+    model = _model("3", b)
+    calls = []
+    evaluate = WeierstrassContext.wp_pair
+
+    def counted(ctx, z):
+        calls.append(np.shape(z))
+        return evaluate(ctx, z)
+
+    monkeypatch.setattr(WeierstrassContext, "wp_pair", counted)
+    assert verify_semiconjugacy(model, samples=50)["passed"]
+    # the 8 kernel points P != 0, b' when it is not 0, and 2 x 50 points
+    assert calls == [(8 + (b != "0") + 100,)]
+
+
+def test_the_sample_stream_grows_to_the_longest_prefix_asked():
+    rng = random.Random(20240801)
+    head = lattes._stream(10)
+    assert np.array_equal(head, [rng.uniform(0.02, 0.98) for _ in range(10)])
+    drawn = len(lattes._STREAM[1])
+    assert np.array_equal(lattes._stream(3), head[:3]) and len(lattes._STREAM[1]) == drawn
+    longer = lattes._stream(drawn + 5)
+    assert len(lattes._STREAM[1]) == drawn + 5
+    assert np.array_equal(longer[:10], head)

@@ -24,9 +24,10 @@ import numpy as np
 import pytest
 
 from flatwander.errors import NearPole, ResidualExceedsTol
-from flatwander.lattes import WeierstrassContext, g_invariants, weierstrass_context
+from flatwander.lattes import WeierstrassContext, weierstrass_context
 from flatwander.lattice import Lattice
 from flatwander.numbers import parse_complex
+from reference import g_invariants
 
 ROOT = Path(__file__).resolve().parent.parent
 # reduced bases and skewed spellings of three of them: omega and omega + k
