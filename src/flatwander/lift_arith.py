@@ -1,0 +1,334 @@
+"""The numbers of the collision search's lifts, in two forms.
+
+Float lifts filter.  A ``FloatLift`` carries one proven absolute error bound
+on every coordinate, and an affine step grows it (``_float_image``).  Each
+pair of lifts enumerates only the lattice translates in its exact coordinate
+ranges, widened by the bounds, and skips one only when the bounds prove a
+miss (``_surviving_translates``).
+
+Exact lifts decide.  The search's scalars become integer numerators over one
+denominator on the basis of their field (``_numerators``, ``_Field``), affine
+maps compose on them (``_then``), and ``_meet`` reads each orientation's sign
+from integers.  Only a hit's witness becomes a QuadraticNumber or BiQuadratic.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import sys
+from collections.abc import Sequence
+from typing import NamedTuple
+
+from . import numbers
+from .errors import BudgetExceeded, MixedRadicals
+from .numbers import BiQuadratic, QuadraticNumber, _sign_parts
+
+Coord = QuadraticNumber | BiQuadratic
+Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
+
+_TRANSLATE_CAP = 2_000_000
+_EPS = sys.float_info.epsilon  # 2**-52, twice the unit roundoff of a double
+# a bound's own few float operations round it down by less than this factor
+_UP = 1 + 16 * _EPS
+
+
+# ---------------------------------------------------------------------------
+# Float lifts with proven error bounds
+#
+# A float lift carries one absolute bound on every coordinate's distance from
+# the exact lift it stands for.  The bounds are first-order rounding-error
+# bounds in the style of Shewchuk (1997), with every constant at least twice
+# what the derivation needs, and they include the ``float_jitter`` test hook,
+# so a perturbed conversion still leaves each exact value inside its bound.
+# ---------------------------------------------------------------------------
+
+
+class FloatLift(NamedTuple):
+    """A lifted segment's endpoints (x0, y0), (x1, y1) as floats, each
+    coordinate within ``err`` of the exact one."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+    err: float
+
+
+def _mag(x: QuadraticNumber) -> float:
+    """|u|/w + |v|*sqrt(d)/w, the size that bounds to_float's rounding."""
+    m = abs(x.u) / x.w
+    if x.v:
+        m += abs(x.v) / x.w * math.sqrt(x.d)
+    return m
+
+
+def _converted(x: Coord) -> tuple[float, float]:
+    """``x.to_float()`` and a bound on its absolute error,
+    (8*eps + 2*|jitter|) * mag(x).  mag sums the absolute values of x's
+    parts, not |x|: to_float of (u + v*sqrt(d))/w cancels when u is near
+    -v*sqrt(d), and its error scales with the parts."""
+    if isinstance(x, BiQuadratic):
+        mag = _mag(x.p) + _mag(x.q) * math.sqrt(x.e)
+    else:
+        mag = _mag(x)
+    return x.to_float(), (8 * _EPS + 2 * abs(numbers._FLOAT_JITTER)) * mag * _UP
+
+
+def _float_shift(
+    shift: tuple[QuadraticNumber, QuadraticNumber],
+) -> tuple[float, float, float]:
+    """An exact shift as floats (bx, by) and one bound on both."""
+    (bx, ex), (by, ey) = _converted(shift[0]), _converted(shift[1])
+    return bx, by, max(ex, ey)
+
+
+def _float_image(
+    f: FloatLift, mat: Matrix, shift: tuple[float, float, float]
+) -> tuple[FloatLift, tuple[int, int]]:
+    """The image of ``f`` under x -> mat*x + shift, moved by the integer
+    translate that puts its float midpoint into [0,1)^2; returns the image
+    and that translate.  Any integer translate is the same torus segment, so
+    the exact lift it stands for is the exact image minus the same translate.
+
+    With L the matrix's largest absolute row sum, the bound grows to
+    L*err + err_shift + 4*eps*(L*|coords| + |shift| + |image| + |out|),
+    which covers the two products, two sums and one translate per
+    coordinate."""
+    p, q, r, s = mat
+    bx, by, berr = shift
+    x0, y0, x1, y1, err = f
+    X0, Y0 = x0 * p + y0 * r + bx, x0 * q + y0 * s + by
+    X1, Y1 = x1 * p + y1 * r + bx, x1 * q + y1 * s + by
+    tx, ty = math.floor((X0 + X1) * 0.5), math.floor((Y0 + Y1) * 0.5)
+    out = (X0 - tx, Y0 - ty, X1 - tx, Y1 - ty)
+    lip = max(abs(p) + abs(r), abs(q) + abs(s))
+    sizes = (
+        lip * max(abs(x0), abs(y0), abs(x1), abs(y1))
+        + max(abs(bx), abs(by))
+        + max(abs(X0), abs(Y0), abs(X1), abs(Y1))
+        + max(map(abs, out))
+    )
+    return FloatLift(*out, (lip * err + berr + 4 * _EPS * sizes) * _UP), (tx, ty)
+
+
+def _orientation_bound(e: float, size: float, t: int) -> float:
+    """A bound on the float error of every orientation over a box of
+    translates up to t, for coordinates up to ``size`` each within its
+    lift's bound (the two sum to ``e``): every difference of coordinates is
+    within du (edges) or dw (endpoint to translated endpoint) of the exact
+    one; edges have 1-norm <= 4*size, endpoint-to-endpoint vectors
+    <= 4*size + 2*t; the float evaluation rounds by at most
+    16*eps*size*(size + t)."""
+    du = 2 * e + 2 * _EPS * size
+    dw = e + 2 * _EPS * size
+    return (
+        du * (4 * size + 2 * t + 2 * dw) + 4 * size * dw + 16 * _EPS * size * (size + t)
+    ) * _UP
+
+
+def _surviving_translates(f1: FloatLift, f2: FloatLift) -> list[tuple[int, int]]:
+    """The lattice translates t of segment 2, in enumeration order, that the
+    error bounds cannot prove to miss segment 1.
+
+    Only the integers in the exact coordinate ranges, widened by the margin,
+    are enumerated: an exact hit's translate i lies in
+    [min(px) - max(qx), max(px) - min(qx)], and the floats of those ends are
+    within the margin of the exact ones, which covers both bounds and the
+    rounding of the subtraction; so does j.  A pair with an empty range
+    returns at once.  Each orientation is affine in t: with u = p1 - p0 and
+    v = q1 - q0, orient(p0, p1, q0 + t) = cross(u, q0 - p0) + cross(u, t),
+    and orient(q0 + t, q1 + t, p0) = cross(v, p0 - q0) - cross(v, t).  The
+    constant parts and one bound that holds over the whole enumerated box
+    are computed once per pair; a translate is skipped only when the
+    endpoints of one segment lie certainly and strictly on one side of the
+    other's line, which no exact hit, touching or collinear, can do."""
+    px0, py0, px1, py1, e1 = f1
+    qx0, qy0, qx1, qy1, e2 = f2
+    e = e1 + e2
+    size = max(abs(px0), abs(py0), abs(px1), abs(py1), abs(qx0), abs(qy0), abs(qx1), abs(qy1))
+    margin = 2 * e + 16 * _EPS * size
+    lo, hi = (px0, px1) if px0 < px1 else (px1, px0)
+    qlo, qhi = (qx0, qx1) if qx0 < qx1 else (qx1, qx0)
+    n_lo, n_hi = math.ceil(lo - qhi - margin), math.floor(hi - qlo + margin)
+    if n_lo > n_hi:
+        return []
+    lo, hi = (py0, py1) if py0 < py1 else (py1, py0)
+    qlo, qhi = (qy0, qy1) if qy0 < qy1 else (qy1, qy0)
+    m_lo, m_hi = math.ceil(lo - qhi - margin), math.floor(hi - qlo + margin)
+    if m_lo > m_hi:
+        return []
+    count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
+    if count > _TRANSLATE_CAP:
+        raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
+    ux, uy = px1 - px0, py1 - py0
+    vx, vy = qx1 - qx0, qy1 - qy0
+    a1 = ux * (qy0 - py0) - uy * (qx0 - px0)
+    a2 = ux * (qy1 - py0) - uy * (qx1 - px0)
+    a3 = vx * (py0 - qy0) - vy * (px0 - qx0)
+    a4 = vx * (py1 - qy0) - vy * (px1 - qx0)
+    bound = _orientation_bound(e, size, max(-n_lo, n_hi, -m_lo, m_hi))
+    lo12, hi12 = min(a1, a2), max(a1, a2)
+    lo34, hi34 = min(a3, a4), max(a3, a4)
+    kept = []
+    for i in range(n_lo, n_hi + 1):
+        for j in range(m_lo, m_hi + 1):
+            c = ux * j - uy * i
+            if lo12 + c > bound or hi12 + c < -bound:
+                continue
+            c = vx * j - vy * i
+            if lo34 - c > bound or hi34 - c < -bound:
+                continue
+            kept.append((i, j))
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# Exact lifts on integer numerators
+# ---------------------------------------------------------------------------
+
+Vector = tuple[int, ...]  # a lift search scalar: integer numerators on its field's basis
+Lift = tuple[tuple[Vector, Vector], tuple[Vector, Vector]]  # ((x0, y0), (x1, y1))
+
+
+def _compose(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product a*b, in the (p, q, r, s) layout."""
+    p, q, r, s = a
+    p1, q1, r1, s1 = b
+    return (p * p1 + r * q1, q * p1 + s * q1, p * r1 + r * s1, q * r1 + s * s1)
+
+
+def _affine(mat: Matrix, shift: tuple, pt: tuple) -> tuple[tuple, tuple]:
+    """The point pt under x -> mat*x + shift, coordinate vector by vector."""
+    (p, q, r, s), (bx, by), (x, y) = mat, shift, pt
+    return (
+        tuple(p * u + r * v + c for u, v, c in zip(x, y, bx)),
+        tuple(q * u + s * v + c for u, v, c in zip(x, y, by)),
+    )
+
+
+def _then(inner: tuple, outer: tuple, t: tuple[int, int], den: int) -> tuple:
+    """The map x -> outer(inner(x)) - t, shifts as numerators over ``den``
+    (an integer moves only the rational coordinate)."""
+    mat, (bx, by) = outer
+    shift = ((bx[0] - t[0] * den, *bx[1:]), (by[0] - t[1] * den, *by[1:]))
+    return _compose(mat, inner[0]), _affine(mat, shift, inner[1])
+
+
+class _Field(NamedTuple):
+    """Q, Q(sqrt d) or the tower Q(sqrt d, sqrt e) with d < e: an element is
+    its integer numerators on the basis {1}, {1, sqrt d} or {1, sqrt d,
+    sqrt e, sqrt de}, whose elements i and j multiply to unit[i & j] times
+    element i ^ j."""
+
+    unit: tuple[int, int, int, int]  # (1, d, e, d*e)
+
+    def mul(self, a: Vector, b: Vector) -> Vector:
+        if len(a) == 1:
+            return (a[0] * b[0],)
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i ^ j] += self.unit[i & j] * x * y
+        return tuple(out)
+
+    def cross(self, u: tuple[Vector, Vector], v: tuple[Vector, Vector]) -> Vector:
+        return _vsub(self.mul(u[0], v[1]), self.mul(u[1], v[0]))
+
+    def conjugate(self, a: Vector) -> tuple[Vector, int]:
+        """c and n > 0 with a*c = n, for a nonzero a: c is the product of
+        a's other conjugates, each flipping the basis elements that hold an
+        odd number of its radicands."""
+        c = (1,) + (0,) * (len(a) - 1)
+        for g in range(1, len(a)):
+            c = self.mul(c, tuple(-x if bin(i & g).count("1") % 2 else x for i, x in enumerate(a)))
+        n = self.mul(a, c)[0]
+        return (c, n) if n > 0 else (tuple(-x for x in c), -n)
+
+    def sign(self, a: Vector) -> int:
+        """By ``_sign_parts``; p + q*sqrt(e) with p, q in Q(sqrt d) compares
+        p^2 with q^2*e when their signs differ, as ``BiQuadratic.sign``."""
+        d = self.unit[1]
+        if len(a) < 4:
+            return _sign_parts(a[0], a[1] if len(a) == 2 else 0, d)
+        sp, sq = _sign_parts(a[0], a[1], d), _sign_parts(a[2], a[3], d)
+        if sq == 0 or sp == sq:
+            return sp
+        (p0, p1), (q0, q1) = self.mul(a[:2], a[:2]), self.mul(a[2:], a[2:])
+        # p^2 = q^2*e would put sqrt(e) in Q(sqrt d), so the sign is never 0
+        return sp if _sign_parts(p0 - self.unit[2] * q0, p1 - self.unit[2] * q1, d) > 0 else sq
+
+    def scalar(self, a: Vector, den: int) -> Coord:
+        """a / den as a canonical QuadraticNumber, a BiQuadratic in the tower."""
+        if len(a) == 4:
+            return BiQuadratic(self.scalar(a[:2], den), self.scalar(a[2:], den), self.unit[2])
+        return QuadraticNumber._canon(a[0], a[1] if len(a) == 2 else 0, den, self.unit[1])
+
+
+def _numerators(xs: Sequence[Coord]) -> tuple[_Field, int, list[Vector]]:
+    """The field of the scalars ``xs``, their least common denominator and
+    each as numerators over it; ``MixedRadicals`` past two radicands."""
+    parts = [
+        ((x.p, 0), (x.q, 2)) if isinstance(x, BiQuadratic) and not x.q.is_zero
+        else ((x.p if isinstance(x, BiQuadratic) else x, 0),)
+        for x in xs
+    ]
+    rads = {c.d for ps in parts for c, _ in ps} | {x.e for x, ps in zip(xs, parts) if len(ps) > 1}
+    rads = sorted(rads - {0})
+    if len(rads) > 2:
+        raise MixedRadicals(", ".join(f"sqrt({r})" for r in rads) + " in one search")
+    (d, e), den = (*rads, 0, 0)[:2], math.lcm(*(c.w for ps in parts for c, _ in ps))
+    out = []
+    for ps in parts:
+        v = [0] * (1 if not d else 2 if not e else 4)
+        for c, base in ps:
+            v[base] += c.u * (den // c.w)
+            if c.v:
+                v[base + (1 if c.d == d else 2)] += c.v * (den // c.w)
+        out.append(tuple(v))
+    return _Field((1, d, e, d * e)), den, out
+
+
+def _vsub(a: Vector, b: Vector) -> Vector:
+    return tuple(map(operator.sub, a, b))
+
+
+def _psub(a: tuple[Vector, Vector], b: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
+    return (_vsub(a[0], b[0]), _vsub(a[1], b[1]))
+
+
+def _on_collinear(f: _Field, p0: tuple, p1: tuple, r: tuple) -> bool:
+    """``_on_collinear_segment`` on numerators."""
+    for i in (0, 1):
+        lo, hi = (p0[i], p1[i]) if f.sign(_vsub(p1[i], p0[i])) >= 0 else (p1[i], p0[i])
+        if f.sign(_vsub(r[i], lo)) < 0 or f.sign(_vsub(hi, r[i])) < 0:
+            return False
+    return True
+
+
+def _meet(f: _Field, den: int, s1: Lift, s2: Lift, i: int, j: int) -> tuple | None:
+    """``segments_meet_exact`` on numerators over ``den``, in its case
+    order: the point where segment 1 meets the translate (i, j) of segment
+    2, or None.  Only a hit's witness becomes exact scalars."""
+    p0, p1 = s1
+    q0, q1 = (((x[0] + i * den, *x[1:]), (y[0] + j * den, *y[1:])) for x, y in s2)
+    dp, dq, pq = _psub(p1, p0), _psub(q1, q0), _psub(p0, q0)
+    c3, c4 = f.cross(dq, pq), f.cross(dq, _psub(p1, q0))
+    o1 = -f.sign(f.cross(dp, pq))
+    o2 = f.sign(f.cross(dp, _psub(q1, p0)))
+    o3, o4 = f.sign(c3), f.sign(c4)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        # p0 + t*dp with t = c3/(c3 - c4) = c3*c/n, over den*n
+        c, n = f.conjugate(_vsub(c3, c4))
+        t = f.mul(c3, c)
+        w = (tuple(x * n + y for x, y in zip(a, f.mul(t, b))) for a, b in zip(p0, dp))
+        return tuple(f.scalar(x, den * n) for x in w)
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        tests = [(s1, q0), (s1, q1), ((q0, q1), p0), ((q0, q1), p1)]
+    else:
+        tests = [(s1, q0, o1), (s1, q1, o2), ((q0, q1), p0, o3), ((q0, q1), p1, o4)]
+        tests = [(seg, c) for seg, c, o in tests if o == 0]
+    for seg, c in tests:
+        if _on_collinear(f, *seg, c):
+            return tuple(f.scalar(x, den) for x in c)
+    return None

@@ -14,28 +14,24 @@ search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
 compares the same states and intervals pairwise.
 
-The lift search runs in floats: each ``FloatLift`` carries one proven absolute
-error bound, and each pair of lifts enumerates the lattice translates whose
-bounding boxes meet.  A translate is skipped only when the bounds prove it
-misses; every survivor, and every witness, is decided by the exact predicate
-``segments_meet_exact`` on exact lifts built on demand, in the tower only when
-the segment, b and the rotation shifts span two radicands (``MixedRadicals``
-when they share no tower).
+The lift search filters in floats and decides on integers, both in
+``lift_arith``: a translate is skipped only when the float lifts' proven
+bounds show it misses, and every survivor, and every witness, is decided
+exactly on integer numerators of exact lifts built on demand, in the field the
+segment, b and the rotation shifts span (``MixedRadicals`` past two
+radicands).  ``segments_meet_exact`` decides ``LiftSegment``s for the re-check
+and plots.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
-from . import numbers
 from .errors import (
-    BudgetExceeded,
     DegenerateSegment,
     FieldClash,
     IncompatibleField,
@@ -45,6 +41,22 @@ from .errors import (
     UsageError,
 )
 from .lattice import Lattice, TorusPoint
+from .lift_arith import (
+    Coord,
+    FloatLift,
+    Lift,
+    Matrix,
+    _affine,
+    _compose,
+    _converted,
+    _Field,
+    _float_image,
+    _float_shift,
+    _meet,
+    _numerators,
+    _surviving_translates,
+    _then,
+)
 from .line_orbit import (
     JordanCurve,
     LineOrbitClass,
@@ -65,15 +77,7 @@ from .torus_map import (
     rotation_matrix,
 )
 
-Coord = QuadraticNumber | BiQuadratic
 Point = tuple[Coord, Coord]  # a lift's coordinates share the search's field
-Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
-
-_TRANSLATE_CAP = 2_000_000
-_EPS = sys.float_info.epsilon  # 2**-52, twice the unit roundoff of a double
-# a bound's own few float operations round it down by less than this factor
-_UP = 1 + 16 * _EPS
-
 
 def _within(a: Coord, lo: Coord, hi: Coord) -> bool:
     return (a - lo).sign() >= 0 and (hi - a).sign() >= 0
@@ -125,153 +129,6 @@ def segments_meet_exact(p0: Point, p1: Point, q0: Point, q1: Point) -> Point | N
         return p0
     if o4 == 0 and _on_collinear_segment(q0, q1, p1):
         return p1
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Float lifts with proven error bounds
-#
-# A float lift carries one absolute bound on every coordinate's distance from
-# the exact lift it stands for.  The bounds are first-order rounding-error
-# bounds in the style of Shewchuk (1997), with every constant at least twice
-# what the derivation needs, and they include the ``float_jitter`` test hook,
-# so a perturbed conversion still leaves each exact value inside its bound.
-# ---------------------------------------------------------------------------
-
-
-class FloatLift(NamedTuple):
-    """A lifted segment's endpoints (x0, y0), (x1, y1) as floats, each
-    coordinate within ``err`` of the exact one."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    err: float
-
-
-def _mag(x: QuadraticNumber) -> float:
-    """|u|/w + |v|*sqrt(d)/w, the size that bounds to_float's rounding."""
-    m = abs(x.u) / x.w
-    if x.v:
-        m += abs(x.v) / x.w * math.sqrt(x.d)
-    return m
-
-
-def _converted(x: Coord) -> tuple[float, float]:
-    """``x.to_float()`` and a bound on its absolute error,
-    (8*eps + 2*|jitter|) * mag(x).  mag sums the absolute values of x's
-    parts, not |x|: to_float of (u + v*sqrt(d))/w cancels when u is near
-    -v*sqrt(d), and its error scales with the parts."""
-    if isinstance(x, BiQuadratic):
-        mag = _mag(x.p) + _mag(x.q) * math.sqrt(x.e)
-    else:
-        mag = _mag(x)
-    return x.to_float(), (8 * _EPS + 2 * abs(numbers._FLOAT_JITTER)) * mag * _UP
-
-
-def _float_shift(
-    shift: tuple[QuadraticNumber, QuadraticNumber],
-) -> tuple[float, float, float]:
-    """An exact shift as floats (bx, by) and one bound on both."""
-    (bx, ex), (by, ey) = _converted(shift[0]), _converted(shift[1])
-    return bx, by, max(ex, ey)
-
-
-def _float_image(
-    f: FloatLift, mat: Matrix, shift: tuple[float, float, float]
-) -> tuple[FloatLift, tuple[int, int]]:
-    """The image of ``f`` under x -> mat*x + shift, moved by the integer
-    translate that puts its float midpoint into [0,1)^2; returns the image
-    and that translate.  Any integer translate is the same torus segment, so
-    the exact lift it stands for is the exact image minus the same translate.
-
-    With L the matrix's largest absolute row sum, the bound grows to
-    L*err + err_shift + 4*eps*(L*|coords| + |shift| + |image| + |out|),
-    which covers the two products, two sums and one translate per
-    coordinate."""
-    p, q, r, s = mat
-    bx, by, berr = shift
-    x0, y0, x1, y1, err = f
-    X0, Y0 = x0 * p + y0 * r + bx, x0 * q + y0 * s + by
-    X1, Y1 = x1 * p + y1 * r + bx, x1 * q + y1 * s + by
-    tx, ty = math.floor((X0 + X1) * 0.5), math.floor((Y0 + Y1) * 0.5)
-    out = (X0 - tx, Y0 - ty, X1 - tx, Y1 - ty)
-    lip = max(abs(p) + abs(r), abs(q) + abs(s))
-    sizes = (
-        lip * max(abs(x0), abs(y0), abs(x1), abs(y1))
-        + max(abs(bx), abs(by))
-        + max(abs(X0), abs(Y0), abs(X1), abs(Y1))
-        + max(map(abs, out))
-    )
-    return FloatLift(*out, (lip * err + berr + 4 * _EPS * sizes) * _UP), (tx, ty)
-
-
-def _surviving_translates(f1: FloatLift, f2: FloatLift) -> Iterator[tuple[int, int]]:
-    """The lattice translates t of segment 2, in enumeration order, that the
-    error bounds cannot prove to miss segment 1.
-
-    Only translates whose bounding boxes meet, widened by both bounds, are
-    enumerated.  Each orientation is affine in t: with u = p1 - p0 and
-    v = q1 - q0, orient(p0, p1, q0 + t) = cross(u, q0 - p0) + cross(u, t),
-    and orient(q0 + t, q1 + t, p0) = cross(v, p0 - q0) - cross(v, t).  The
-    constant parts and one bound that holds over the whole enumerated box
-    are computed once per pair; a translate is skipped only when the
-    endpoints of one segment lie certainly and strictly on one side of the
-    other's line, which no exact hit, touching or collinear, can do."""
-    px0, py0, px1, py1, e1 = f1
-    qx0, qy0, qx1, qy1, e2 = f2
-    e = e1 + e2
-    size = max(abs(px0), abs(py0), abs(px1), abs(py1), abs(qx0), abs(qy0), abs(qx1), abs(qy1))
-    margin = 2 * e + 16 * _EPS * size
-    n_lo = math.floor(min(px0, px1) - max(qx0, qx1) - margin)
-    n_hi = math.ceil(max(px0, px1) - min(qx0, qx1) + margin)
-    m_lo = math.floor(min(py0, py1) - max(qy0, qy1) - margin)
-    m_hi = math.ceil(max(py0, py1) - min(qy0, qy1) + margin)
-    count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
-    if count > _TRANSLATE_CAP:
-        raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
-    ux, uy = px1 - px0, py1 - py0
-    vx, vy = qx1 - qx0, qy1 - qy0
-    a1 = ux * (qy0 - py0) - uy * (qx0 - px0)
-    a2 = ux * (qy1 - py0) - uy * (qx1 - px0)
-    a3 = vx * (py0 - qy0) - vy * (px0 - qx0)
-    a4 = vx * (py1 - qy0) - vy * (px1 - qx0)
-    # every difference of coordinates is within du (edges) or dw (endpoint
-    # to translated endpoint) of the exact one; edges have 1-norm <= 4*size,
-    # endpoint-to-endpoint vectors <= 4*size + 2*t; the float evaluation
-    # rounds by at most 16*eps*size*(size + t)
-    t = max(-n_lo, n_hi, -m_lo, m_hi)
-    du = 2 * e + 2 * _EPS * size
-    dw = e + 2 * _EPS * size
-    bound = (
-        du * (4 * size + 2 * t + 2 * dw) + 4 * size * dw + 16 * _EPS * size * (size + t)
-    ) * _UP
-    lo12, hi12 = min(a1, a2), max(a1, a2)
-    lo34, hi34 = min(a3, a4), max(a3, a4)
-    for i in range(n_lo, n_hi + 1):
-        for j in range(m_lo, m_hi + 1):
-            c = ux * j - uy * i
-            if lo12 + c > bound or hi12 + c < -bound:
-                continue
-            c = vx * j - vy * i
-            if lo34 - c > bound or hi34 - c < -bound:
-                continue
-            yield i, j
-
-
-def _first_meeting(
-    f1: FloatLift, f2: FloatLift, exact: Callable[[], tuple[LiftSegment, LiftSegment]]
-) -> tuple[float, float] | None:
-    """The witness mod 1 where the first translate of segment 2 meets
-    segment 1, or None.  Only surviving translates are decided, exactly, on
-    the lifts ``exact`` builds at the first survivor."""
-    for i, j in _surviving_translates(f1, f2):
-        s1, s2 = exact()
-        cand = s2.translate(i, j)
-        w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-        if w is not None:
-            return reduce_mod1_float(w)
     return None
 
 
@@ -340,7 +197,12 @@ def lift_segments_intersect_torus(
     floats never decide a hit.
     """
     s1, s2 = _common_field((), s1, s2)
-    return _first_meeting(s1.float_lift(), s2.float_lift(), lambda: (s1, s2))
+    for i, j in _surviving_translates(s1.float_lift(), s2.float_lift()):
+        cand = s2.translate(i, j)
+        w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+        if w is not None:
+            return reduce_mod1_float(w)
+    return None
 
 
 def reduce_mod1_float(p: Point) -> tuple[float, float]:
@@ -753,23 +615,6 @@ def default_collision_budget(
 
 
 AffineMap = tuple[Matrix, tuple[QuadraticNumber, QuadraticNumber]]
-
-
-def _compose(a: Matrix, b: Matrix) -> Matrix:
-    """The matrix product a*b, in the (p, q, r, s) layout."""
-    p, q, r, s = a
-    p1, q1, r1, s1 = b
-    return (p * p1 + r * q1, q * p1 + s * q1, p * r1 + r * s1, q * r1 + s * s1)
-
-
-def _then(inner: AffineMap, outer: AffineMap, t: tuple[int, int]) -> AffineMap:
-    """The exact affine map x -> outer(inner(x)) - t."""
-    a, (sx, sy) = inner
-    mat, (bx, by) = outer
-    p, q, r, s = mat
-    return _compose(mat, a), (sx * p + sy * r + bx - t[0], sx * q + sy * s + by - t[1])
-
-
 def _rotations(rot: Matrix, nu: int, z0: TorusPoint) -> list[AffineMap]:
     """Lattice-coordinate form of the powers k = 1..nu-1 of the rotation R
     about z0: integer matrices R^k plus rational shifts (I - R^k) z0."""
@@ -809,42 +654,75 @@ class _LiftSearch:
     Every lift is carried as a ``FloatLift`` and normalized by the integer
     translate ``_float_image`` records.  Exact lifts are built on demand:
     iterate m is M^m * lift_0 + S_m, with S_0 = 0 and S_m = M*S_{m-1} + b - t_m
-    an exact pair that follows the recorded translates t_m, and its rotation
-    k is R_k applied to that, plus s_k minus the rotation's own translate:
-    one affine image of lift_0, in lift_0's field, the tower when b or an s_k
-    brings a second radicand."""
+    following the recorded translates t_m, and its rotation k is R_k applied
+    to that, plus s_k minus the rotation's own translate: one affine image of
+    lift_0.  At the first survivor, lift_0, b and the s_k become numerators
+    over one denominator in their field, where the maps compose and
+    ``_meet`` decides."""
 
     def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
-        shifts = (tm.b.x, tm.b.y, *(c for _, shift in rotations for c in shift))
-        (self.lift0,) = _common_field(shifts, lift0)
-        self.step_map: AffineMap = (tm.m, (tm.b.x, tm.b.y))
-        self.float_b = _float_shift(self.step_map[1])
-        self.rotations = [(rot, _float_shift(rot[1])) for rot in rotations]
-        self.iterates = [(self.lift0.float_lift(), (0, 0))]  # float lift and translate
+        self.lift0 = lift0
+        self.exact_maps = [(tm.m, (tm.b.x, tm.b.y)), *rotations]  # the covering, then the R_k
+        self.float_b = _float_shift(self.exact_maps[0][1])
+        self.rotations = [(rot, _float_shift(shift)) for rot, shift in rotations]
+        self.iterates = [(lift0.float_lift(), (0, 0))]  # float lift and translate
         self.targets: list[list[tuple[FloatLift, tuple[int, int]]]] = []  # [n][k]
-        zero = self.lift0.p0[0] * 0  # S_0 in lift_0's field: every S_m composes in it
-        self.maps: list[AffineMap] = [((1, 0, 0, 1), (zero, zero))]  # lift_0 -> iterate m
-        self.exact_lifts: dict[tuple[int, int], LiftSegment] = {}
+        self.field: _Field | None = None
+        self.exact_lifts: dict[tuple[int, int], Lift] = {}
 
     def step(self) -> None:
         """Build the next iterate, and the rotations of the last one."""
         last = self.iterates[-1][0]
         self.targets.append(
-            [(last, (0, 0))] + [_float_image(last, rot[0], fb) for rot, fb in self.rotations]
+            [(last, (0, 0))] + [_float_image(last, rot, fb) for rot, fb in self.rotations]
         )
-        self.iterates.append(_float_image(last, self.step_map[0], self.float_b))
+        self.iterates.append(_float_image(last, self.exact_maps[0][0], self.float_b))
 
-    def exact(self, n: int, k: int = 0) -> LiftSegment:
+    def _hold(self, xs: list, den: int) -> None:
+        """Compose from ``xs``: lift_0's four coordinates, then the maps'
+        shifts, each a vector of numerators over ``den``."""
+        self.den, zero = den, tuple(c * 0 for c in xs[0])  # S_0, in lift_0's field
+        self.points = ((xs[0], xs[1]), (xs[2], xs[3]))
+        self.maps = [((1, 0, 0, 1), (zero, zero))]  # lift_0 -> iterate m
+        shifts = iter(xs[4:])
+        self.num_maps = [(mat, (next(shifts), next(shifts))) for mat, _ in self.exact_maps]
+
+    def exact(self, n: int, k: int = 0) -> Lift:
         """The exact lift that rotation k of iterate n stands for."""
         if (n, k) not in self.exact_lifts:
             while len(self.maps) <= n:
                 t = self.iterates[len(self.maps)][1]
-                self.maps.append(_then(self.maps[-1], self.step_map, t))
+                self.maps.append(_then(self.maps[-1], self.num_maps[0], t, self.den))
             amap = self.maps[n]
             if k:
-                amap = _then(amap, self.rotations[k - 1][0], self.targets[n][k][1])
-            self.exact_lifts[n, k] = self.lift0.affine_image(*amap)
+                amap = _then(amap, self.num_maps[k], self.targets[n][k][1], self.den)
+            self.exact_lifts[n, k] = tuple(_affine(*amap, pt) for pt in self.points)
         return self.exact_lifts[n, k]
+
+    def meet(self, m: int, n: int, k: int, i: int, j: int) -> tuple[float, float] | None:
+        """The witness mod 1 where iterate m meets the translate (i, j) of
+        rotation k of iterate n, or None.  A search past two radicands
+        composes and decides this first pair in QuadraticNumber/BiQuadratic
+        instead, and raises the ``MixedRadicals`` that meets."""
+        if self.field is None:
+            shifts = [c for _, shift in self.exact_maps for c in shift]
+            xs = [*self.lift0.p0, *self.lift0.p1, *shifts]
+            try:
+                self.field, den, vs = _numerators(xs)
+            except MixedRadicals:
+                # each scalar as a vector of one coordinate, over 1
+                (lift0,) = _common_field(shifts, self.lift0)
+                self._hold([(c,) for c in (*lift0.p0, *lift0.p1, *shifts)], 1)
+                s1, s2 = (
+                    LiftSegment(*((x, y) for (x,), (y,) in self.exact(*nk)))
+                    for nk in ((m, 0), (n, k))
+                )
+                cand = s2.translate(i, j)
+                segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+                raise
+            self._hold(vs, den)
+        w = _meet(self.field, self.den, self.exact(m), self.exact(n, k), i, j)
+        return None if w is None else reduce_mod1_float(w)
 
 
 def find_collision(
@@ -912,9 +790,13 @@ def find_collision(
         current = lifts.iterates[m][0]
         for n in range(m):
             for k, (target, _) in enumerate(lifts.targets[n]):
-                w = _first_meeting(current, target, lambda: (lifts.exact(m), lifts.exact(n, k)))
-                if w is not None:
-                    return CollisionCertificate(n, m, k, w, True, bound, budget)
+                for i, j in _surviving_translates(current, target):
+                    w = lifts.meet(m, n, k, i, j)
+                    if w is not None:
+                        return CollisionCertificate(n, m, k, w, True, bound, budget)
+    if math.isfinite(bound) and budget >= default_collision_budget(tm, seg, nu=nu):
+        # the forcing bound promises a collision within this budget
+        raise InternalInconsistency(f"no collision within the forcing budget {budget}")
     return NoCollisionWithinBudget(budget=budget, group_order=nu or 1)
 
 

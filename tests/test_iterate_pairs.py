@@ -489,14 +489,14 @@ def test_mixed_radicals_on_a_rational_direction_fall_back_to_the_lift_chain(
 def _count_lift_work(monkeypatch):
     """Record, from here on, every float lift image (the covering's steps
     and the group's rotations), every lift-pair test, every exact lift the
-    search builds and every exact predicate call."""
+    search builds (once each, not its cached reuse) and every exact
+    predicate call."""
     work = {"steps": [], "pairs": [], "exact": [], "predicates": []}
 
-    def spy(fn, calls, record_result=False):
+    def spy(fn, calls):
         def counted(*args):
-            out = fn(*args)
-            calls.append(out if record_result else args)
-            return out
+            calls.append(args)
+            return fn(*args)
 
         return counted
 
@@ -504,31 +504,27 @@ def _count_lift_work(monkeypatch):
     monkeypatch.setattr(
         segments, "_surviving_translates", spy(segments._surviving_translates, work["pairs"])
     )
-    monkeypatch.setattr(
-        segments.LiftSegment,
-        "affine_image",
-        spy(segments.LiftSegment.affine_image, work["exact"], record_result=True),
-    )
-    monkeypatch.setattr(
-        segments, "segments_meet_exact", spy(segments.segments_meet_exact, work["predicates"])
-    )
+    monkeypatch.setattr(segments, "_meet", spy(segments._meet, work["predicates"]))
+    exact = segments._LiftSearch.exact
+
+    def built(search, n, k=0):
+        new = (n, k) not in search.exact_lifts
+        lift = exact(search, n, k)
+        if new:
+            work["exact"].append(lift)
+        return lift
+
+    monkeypatch.setattr(segments._LiftSearch, "exact", built)
     return work
 
 
 def _assert_exact_lifts_meet_survivors(work):
     """Every exact lift the search built went into an exact predicate, as
-    the first segment or as an integer translate of the second: exact lifts
-    are built only for iterates with a surviving translate."""
-
-    def translate_of(lift, q0, q1):
-        shifts = [q[i] - p[i] for q, p in ((q0, lift.p0), (q1, lift.p1)) for i in (0, 1)]
-        return all(d == d.floor() for d in shifts) and shifts[:2] == shifts[2:]
-
+    the first segment or as the second, whose surviving translate (i, j) it
+    decided: exact lifts are built only for iterates with a surviving
+    translate."""
     for lift in work["exact"]:
-        assert any(
-            (p0, p1) == (lift.p0, lift.p1) or translate_of(lift, q0, q1)
-            for p0, p1, q0, q1 in work["predicates"]
-        ), lift
+        assert any(lift in (s1, s2) for _, _, s1, s2, _, _ in work["predicates"]), lift
 
 
 @pytest.mark.parametrize(
