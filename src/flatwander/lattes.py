@@ -62,6 +62,11 @@ class LattesModel:
     def flexible(self) -> bool:
         return self.nu == 2 and self.map.has_integer_multiplier
 
+    @cached_property
+    def rho_origin(self) -> tuple[QuadraticNumber, QuadraticNumber]:
+        """rho(0) = 2*z0 as a transverse pair, (-2*z0_y, 2*z0_x)."""
+        return (self.z0.y * -2, self.z0.x * 2)
+
 
 def lattes_model_new(
     lat: Lattice, tm: AffineTorusMap, nu: int, z0: TorusPoint
@@ -112,13 +117,10 @@ def lattes_model_new(
 def rho_transverse(
     model: LattesModel, state: tuple[QuadraticNumber, QuadraticNumber]
 ) -> tuple[QuadraticNumber, QuadraticNumber]:
-    """Action of rho(v) = 2*z0 - v on transverse pairs:
-    (alpha, beta) -> (-alpha - 2*z0_y, -beta + 2*z0_x) mod 1."""
-    alpha, beta = state
-    return (
-        (-alpha - model.z0.y * 2).mod1(),
-        (-beta + model.z0.x * 2).mod1(),
-    )
+    """Action of rho(v) = 2*z0 - v on transverse pairs: (alpha, beta) ->
+    rho(0) - (alpha, beta) mod 1, with rho(0) = (-2*z0_y, 2*z0_x)."""
+    (r0, r1), (alpha, beta) = model.rho_origin, state
+    return ((r0 - alpha).mod1(), (r1 - beta).mod1())
 
 
 def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):

@@ -12,7 +12,10 @@ the integer-multiplier collision search: it compares only iterates on one
 walked state, as parameter intervals or as arcs of a closed loop.  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
-compares the same states and intervals pairwise.
+compares the same states and intervals pairwise.  The sweep and the oracle
+read their intervals from one ``IntervalChain``, integer numerators over one
+denominator times a^n, so ``QuadraticNumber``s are built only for a
+certificate's interval and slack and a hit's witness.
 
 The lift search filters in floats and decides on integers, both in
 ``lift_arith``: a translate is skipped only when the float lifts' proven
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 
 from .errors import (
@@ -60,7 +63,9 @@ from .lift_arith import (
 from .line_orbit import (
     JordanCurve,
     LineOrbitClass,
+    Numerators,
     RationalDirection,
+    StateInts,
     TorusLine,
     TransverseState,
     WanderingLine,
@@ -69,7 +74,7 @@ from .line_orbit import (
     orbit_numerators,
     orbit_states,
 )
-from .numbers import HALF, BiQuadratic, QuadraticNumber, qn
+from .numbers import HALF, BiQuadratic, QuadraticNumber, _sign_parts, floor_parts, qn
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -78,6 +83,9 @@ from .torus_map import (
 )
 
 Point = tuple[Coord, Coord]  # a lift's coordinates share the search's field
+
+MAX_CHECK_ITERATES = 1024  # the goldens check at most 40
+
 
 def _within(a: Coord, lo: Coord, hi: Coord) -> bool:
     return (a - lo).sign() >= 0 and (hi - a).sign() >= 0
@@ -269,29 +277,92 @@ def segment_new(
 
 
 Interval = tuple[QuadraticNumber, QuadraticNumber]
+Span = tuple[int, int, int, int]  # (lo_u, lo_v, hi_u, hi_v) over an ``IntervalChain``'s den
 
 
-def _overlap(i1: Interval, i2: Interval) -> bool:
-    return i2[0].cmp(i1[1]) <= 0 and i1[0].cmp(i2[1]) <= 0
+class IntervalChain:
+    """The parameter intervals of iterates 0, 1, ... of [u, v] under t -> a*t,
+    on integers.  u and v share one denominator den = lcm(u.w, v.w) and one
+    radicand d (each lies in Q or in the slope's field), so an interval is a
+    ``Span``, [(lo_u + lo_v*sqrt(d))/den, (hi_u + hi_v*sqrt(d))/den]: iterate
+    n's is [u, v]'s numerators times a^n, swapped when a^n < 0, and the
+    reflection t -> -t negates and swaps them.  Spans are stepped when first
+    asked for.
 
+    On a closed loop, ``loop`` is the walk's ``Numerators`` and states, and
+    iterate n's span is the arc of R/Z at its place plus its interval, over
+    lcm(N, den); the place's radicand is d, since the parameters of a
+    rational direction are rational."""
 
-def _on_arc(arc: Interval, c: QuadraticNumber) -> bool:
-    """Does the closed arc [lo, hi] of the loop R/Z contain c?"""
-    return (c - arc[0]).mod1().cmp(arc[1] - arc[0]) <= 0
+    def __init__(
+        self,
+        u: QuadraticNumber,
+        v: QuadraticNumber,
+        a: int,
+        loop: tuple[Numerators, Sequence[StateInts]] | None = None,
+    ):
+        den, self.a, self.d, self.loop = math.lcm(u.w, v.w), a, u.d or v.d, loop
+        if loop is not None:
+            num = loop[0]
+            den = math.lcm(num.den, den)
+            self.d, self.place_scale = num.rads[1], den // num.den
+        su, sv, self.den = den // u.w, den // v.w, den
+        self.spans = [(u.u * su, u.v * su, v.u * sv, v.v * sv)]
 
+    def span(self, n: int) -> Span:
+        """Iterate n's interval, or on a loop its arc."""
+        spans, a = self.spans, self.a
+        while len(spans) <= n:
+            p, q, r, s = spans[-1]
+            # a negative factor swaps the ends
+            spans.append((r * a, s * a, p * a, q * a) if a < 0 else (p * a, q * a, r * a, s * a))
+        if self.loop is None:
+            return spans[n]
+        lo_u, lo_v, hi_u, hi_v = spans[n]
+        _, _, pu, pv = self.loop[1][n]
+        pu, pv = pu * self.place_scale, pv * self.place_scale
+        return (pu + lo_u, pv + lo_v, pu + hi_u, pv + hi_v)
 
-def _arcs_meet(a1: Interval, a2: Interval) -> bool:
-    """Two closed arcs of R/Z meet iff one starts on the other."""
-    return _on_arc(a1, a2[0]) or _on_arc(a2, a1[0])
+    def value(self, n: int) -> Interval:
+        """Iterate n's span as ``QuadraticNumber``s, for a certificate or a
+        witness."""
+        lo_u, lo_v, hi_u, hi_v = self.span(n)
+        canon = QuadraticNumber._canon
+        return (canon(lo_u, lo_v, self.den, self.d), canon(hi_u, hi_v, self.den, self.d))
+
+    def meet(self, n: int, m: int, reflect: bool = False) -> bool:
+        """Do iterate n's and iterate m's (with ``reflect``, its reflection's)
+        closed intervals meet: lo_m <= hi_n and lo_n <= hi_m?  Two closed
+        arcs of a loop meet iff one starts on the other."""
+        s1, s2 = self.span(n), self.span(m)
+        if reflect:
+            s2 = (-s2[2], -s2[3], -s2[0], -s2[1])
+        if self.loop is not None:
+            return self._on_arc(s1, s2) or self._on_arc(s2, s1)
+        d = self.d
+        return (
+            _sign_parts(s1[2] - s2[0], s1[3] - s2[1], d) >= 0
+            and _sign_parts(s2[2] - s1[0], s2[3] - s1[1], d) >= 0
+        )
+
+    def _on_arc(self, arc: Span, other: Span) -> bool:
+        """Does the closed arc [lo, hi] contain ``other``'s start c:
+        (c - lo) mod 1 <= hi - lo?"""
+        d, den = self.d, self.den
+        xu, xv = other[0] - arc[0], other[1] - arc[1]
+        xu -= den * floor_parts(xu, xv, den, d)
+        return _sign_parts(arc[2] - arc[0] - xu, arc[3] - arc[1] - xv, d) >= 0
 
 
 def _arc_witness(
-    direction: RationalDirection, inv: QuadraticNumber, earlier: Interval, later: Interval
+    direction: RationalDirection, inv: QuadraticNumber, chain: IntervalChain, n: int, m: int
 ) -> tuple[float, float]:
-    """The point mod 1 on the loop with invariant ``inv`` where the later of
-    two meeting arcs starts, or, if that start lies off the earlier arc, where
-    the earlier one starts."""
-    c = later[0] if _on_arc(earlier, later[0]) else earlier[0]
+    """The point mod 1 on the loop with invariant ``inv`` where the arc of
+    iterate m starts, or, if that start lies off iterate n's arc, where
+    iterate n's starts."""
+    earlier, later = chain.span(n), chain.span(m)
+    start = later if chain._on_arc(earlier, later) else earlier
+    c = QuadraticNumber._canon(start[0], start[1], chain.den, chain.d)
     x, y = direction.from_state((inv, c))
     return (x.mod1().to_float(), y.mod1().to_float())
 
@@ -321,12 +392,12 @@ def verify_disjoint_iterates(
     step, states = _state_step(tm, seg.line.slope), [seg.line.transverse()]
     for _ in range(k):
         states.append(step(states[-1]))
-    ivs = interval_chain(seg.t_lo, seg.t_hi, tm.multiplier_int(), k)
-    mirrors = [(reflect(st), (-hi, -lo)) for st, (lo, hi) in zip(states, ivs)] if reflect else []
+    chain = IntervalChain(seg.t_lo, seg.t_hi, tm.multiplier_int())
+    mirrors = [reflect(st) for st in states] if reflect else []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            if (states[i] == states[j] and _overlap(ivs[i], ivs[j])) or (
-                mirrors and states[i] == mirrors[j][0] and _overlap(ivs[i], mirrors[j][1])
+            if (states[i] == states[j] and chain.meet(i, j)) or (
+                mirrors and states[i] == mirrors[j] and chain.meet(i, j, reflect=True)
             ):
                 return False, (i, j)
     return True, None
@@ -421,38 +492,26 @@ def certified_slack(
     return slack
 
 
-def _interval_at(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> Interval:
-    """Parameter interval of iterate n of [u, v] under t -> a*t."""
-    k = a**n
-    return (v * k, u * k) if k < 0 else (u * k, v * k)
-
-
-def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
-    """Parameter intervals of iterates 0..n."""
-    return [_interval_at(u, v, a, i) for i in range(n + 1)]
-
-
 def first_overlap(
     states: Sequence[Hashable],
-    interval: Callable[[int], Interval],
-    rho_states: Sequence[Hashable] | None,
-    circular: bool = False,
+    chain: Callable[[], IntervalChain],
+    rho_states: Sequence[Hashable] | None = None,
 ) -> tuple[int, int] | None:
     """The first pair (n, m), n < m, of iterates with these states whose
-    intervals (``interval(i)`` is iterate i's) meet, by m and then n, or None.
-    Only iterates on one state are compared, so only their intervals are asked
-    for: as 1-D intervals, or, with ``circular``, as arcs of the loop R/Z.
-    With rho-states (rho is t -> -t) iterate m's reflection is also compared
-    against the iterates on the line it is reflected onto."""
-    meet = _arcs_meet if circular else _overlap
+    intervals meet, by m and then n, or None.  Only iterates on one state are
+    compared, so ``chain`` is called for their ``IntervalChain`` only when a
+    state first repeats.  With rho-states (rho is t -> -t) iterate m's
+    reflection is also compared against the iterates on the line it is
+    reflected onto."""
     by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
+    ivs = None
     for m, st in enumerate(states):
         same = by_state.setdefault(st, [])
         mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
         if same or mirrored:
-            lo, hi = interval(m)
-            hits = [n for n in same if meet(interval(n), (lo, hi))]
-            hits += [n for n in mirrored if meet(interval(n), (-hi, -lo))]
+            ivs = ivs or chain()
+            hits = [n for n in same if ivs.meet(n, m)]
+            hits += [n for n in mirrored if ivs.meet(n, m, reflect=True)]
             if hits:
                 return (min(hits), m)
         same.append(m)
@@ -494,6 +553,11 @@ def certify_classified(
     """
     if check_iterates < 0:
         raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
+    if check_iterates > MAX_CHECK_ITERATES:
+        # the oracle compares every pair of iterates
+        raise UsageError(
+            f"check_iterates must be at most {MAX_CHECK_ITERATES}, got {check_iterates}"
+        )
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
     level = "torus" if rho is None else "sphere"
@@ -529,7 +593,7 @@ def certify_classified(
         horizon = max(check_iterates, verdict.preperiod + verdict.period + dominance)
     states = [verdict.states[verdict.index(i)] for i in range(horizon + 1)]
     rho_states = None if rho is None else [rho(st) for st in states]
-    pair = first_overlap(states, interval_chain(u, v, a, horizon).__getitem__, rho_states)
+    pair = first_overlap(states, partial(IntervalChain, u, v, a), rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
     return WanderingCertificate(
@@ -759,27 +823,21 @@ def find_collision(
             pass  # the states share no field or meet the slope's field: lift search
         else:
             a, loop = tm.multiplier_int(), not seg.line.is_irrational
-
-            @cache  # per search: each later m in a bucket asks for its n again
-            def interval(n: int) -> Interval:
-                lo, hi = _interval_at(seg.t_lo, seg.t_hi, a, n)
-                if not loop:
-                    return lo, hi
-                place = num.value(states[n])[1]  # iterate n's arc starts at its place
-                return (place + lo, place + hi)
-
+            # built at the first repeated state, and kept for the witness
+            walk = (num, states) if loop else None
+            chain = cache(partial(IntervalChain, seg.t_lo, seg.t_hi, a, walk))
             # a loop is its invariant, the first coordinate's (u0, v0)
             keys = [p[:2] for p in states] if loop else states
-            pair = first_overlap(keys, interval, None, circular=loop)
+            pair = first_overlap(keys, chain)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)
             n, m = pair
             state = num.value(states[m])
             if loop:
-                witness = _arc_witness(seg.line.slope, state[0], interval(n), interval(m))
+                witness = _arc_witness(seg.line.slope, state[0], chain(), n, m)
             else:
                 line = TorusLine(seg.line.slope, *state)
-                witness = _overlap_witness(line, interval(m), interval(n))
+                witness = _overlap_witness(line, chain().value(m), chain().value(n))
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
     # iterate m is stepped when the search reaches it, so a first hit at m

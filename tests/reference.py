@@ -1,11 +1,12 @@
 """Reference implementations that the tests compare flatwander against.
 
 Each one reaches a result the package computes another way, by the direct
-route: a line stepped one image at a time, two segments intersected as a
-pair, a point iterated or pulled back, the grid of rho's fixed points built
-and searched, a line's image under the quotient typed by that search, wp
-evaluated with one new array per operation, and argv read by argparse, as
-the command line was read before its option tables.  No command and no
+route: a line stepped one image at a time, parameter intervals and arcs as
+``QuadraticNumber`` pairs, two segments intersected as a pair, a point
+iterated or pulled back, the grid of rho's fixed points built and searched, a
+line's image under the quotient typed by that search, wp evaluated with one
+new array per operation, and argv read by argparse, as the command line was
+read before its option tables.  No command and no
 certificate runs them.
 """
 
@@ -25,9 +26,9 @@ from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamenta
 from flatwander.line_orbit import TorusLine, _state_step, line_from_point, slope_spec
 from flatwander.numbers import HALF, ZERO, QuadraticNumber
 from flatwander.segments import (
+    Interval,
     LiftSegment,
     TorusSegment,
-    _overlap,
     _overlap_witness,
     lift_segments_intersect_torus,
 )
@@ -83,6 +84,36 @@ def same_line(line: TorusLine, other: TorusLine) -> bool:
     if line.is_irrational:
         return line.alpha == other.alpha and line.beta == other.beta
     return line.alpha == other.alpha  # rational case: the loop invariant
+
+
+# ---------------------------------------------------------------------------
+# parameter intervals in QuadraticNumber, one product per endpoint
+# ---------------------------------------------------------------------------
+
+
+def _overlap(i1: Interval, i2: Interval) -> bool:
+    return i2[0].cmp(i1[1]) <= 0 and i1[0].cmp(i2[1]) <= 0
+
+
+def _on_arc(arc: Interval, c: QuadraticNumber) -> bool:
+    """Does the closed arc [lo, hi] of the loop R/Z contain c?"""
+    return (c - arc[0]).mod1().cmp(arc[1] - arc[0]) <= 0
+
+
+def _arcs_meet(a1: Interval, a2: Interval) -> bool:
+    """Two closed arcs of R/Z meet iff one starts on the other."""
+    return _on_arc(a1, a2[0]) or _on_arc(a2, a1[0])
+
+
+def _interval_at(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> Interval:
+    """Parameter interval of iterate n of [u, v] under t -> a*t."""
+    k = a**n
+    return (v * k, u * k) if k < 0 else (u * k, v * k)
+
+
+def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
+    """Parameter intervals of iterates 0..n."""
+    return [_interval_at(u, v, a, i) for i in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,24 @@ def test_negative_check_iterates_rejected(capsys, command):
     assert data == {"error": "usage", "message": "check_iterates must be >= 0, got -3"}
 
 
+@pytest.mark.parametrize("command", ["certify-segment", "certify-sphere"])
+@pytest.mark.parametrize("check", [1025, 10**6])
+def test_check_iterates_above_the_cap_rejected(capsys, command, check):
+    # the oracle is O(k^2): at the cap of 1024 a period-1 line takes seconds,
+    # and 10**6 would run for days; past it the refusal comes before any walk
+    start = time.perf_counter()
+    code, data = _run(
+        capsys,
+        command,
+        "--a", "2", "--omega", "i", "--slope", "sqrt(2)",
+        "--alpha", "1/5", "--beta", "0", f"--check-iterates={check}",
+        *(["--verify-oracle"] if command == "certify-segment" else []),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert data == {"error": "usage", "message": f"check_iterates must be at most 1024, got {check}"}
+
+
 def test_negative_check_iterates_rejected_by_api():
     from flatwander.errors import UsageError
     from flatwander.lattice import Lattice

@@ -300,11 +300,10 @@ def test_a_miss_on_distinct_states_builds_no_interval(monkeypatch, a, b, seg):
     it builds do not grow with the budget."""
     tm, segment = _map(a, b), _parse_segment(seg)
     intervals, built = [], []
-    for name in ("_interval_at", "interval_chain"):
-        orig = getattr(segments, name)
-        monkeypatch.setattr(
-            segments, name, lambda *args, orig=orig: intervals.append(args) or orig(*args)
-        )
+    orig = segments.IntervalChain
+    monkeypatch.setattr(
+        segments, "IntervalChain", lambda *args: intervals.append(args) or orig(*args)
+    )
     canon = QuadraticNumber._canon.__func__
     monkeypatch.setattr(
         QuadraticNumber,

@@ -7,16 +7,18 @@ against the pairwise reference, and the typed cross-check under
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from flatwander import lattes, line_orbit, segments
+from flatwander import lattes, line_orbit, numbers, segments
 from flatwander.errors import FieldClash, MixedRadicals, SlopeNotInvariant
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import (
@@ -36,19 +38,28 @@ from flatwander.line_orbit import (
     classify_line,
     line_from_point,
     _state_step,
+    orbit_numerators,
     orbit_states,
     slope_spec,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
+    IntervalChain,
     WanderingCertificate,
     certify_wandering,
     first_overlap,
-    interval_chain,
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
-from reference import as_fraction, iterate_map, line_image
+from reference import (
+    _arcs_meet,
+    _on_arc,
+    _overlap,
+    as_fraction,
+    interval_chain,
+    iterate_map,
+    line_image,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SQUARE = Lattice(parse_complex("i"))
@@ -373,71 +384,163 @@ def test_certify_sphere_wandering_classifies_once(monkeypatch, a, alpha, beta, t
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "a,alpha,beta,t0,sphere",
+    [
+        ("2", Fraction(1, 5), 0, 0, False),
+        ("-2", Fraction(1, 3), 0, 0, False),
+        ("3", Fraction(1, 101), Fraction(2, 7), 0, False),
+        ("2", Fraction(1, 5), 0, 0, True),  # paired
+        ("-2", 0, 0, Fraction(1, 100), True),  # self-paired
+        ("2", Fraction(1, 7), Fraction(1, 3), 0, True),  # unpaired
+    ],
+)
+def test_the_certify_sweep_builds_no_scalar_per_iterate(monkeypatch, a, alpha, beta, t0, sphere):
+    """The sweep compares integer intervals: the QuadraticNumbers a periodic
+    certificate builds (interval, slack, witnesses) do not grow with the
+    iterates it checks.  The sphere's oracle replay, which steps states in
+    QuadraticNumbers, is stubbed out."""
+    built = []
+    exact = numbers._exact
+    monkeypatch.setattr(numbers, "_exact", lambda *args: built.append(args) or exact(*args))
+    monkeypatch.setattr(lattes, "verify_sphere_disjoint_iterates", lambda *args: (True, None))
+    seg = segment_new(_line(alpha, beta), qn(t0), qn(Fraction(1, 10)))
+    counts = []
+    for check in (12, 200):
+        model = lattes_model_new(SQUARE, _map(a), 2, point(0, 0))  # rho(0) built anew
+        built.clear()
+        if sphere:
+            cert = certify_sphere_wandering(model, seg, check)
+        else:
+            cert = certify_wandering(model.map, seg, check)
+        assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # one sweep
 # ---------------------------------------------------------------------------
 
 
 def _meets(i1, i2) -> bool:
+    if not all(x.is_rational for x in (*i1, *i2)):
+        return _overlap(i1, i2)
     lo1, hi1 = map(as_fraction, i1)
     lo2, hi2 = map(as_fraction, i2)
     return lo2 <= hi1 and lo1 <= hi2
 
 
-def pairwise_first_overlap(states, intervals, rho_states):
+def pairwise_first_overlap(states, intervals, rho_states, meet=_meets):
     """The O(k^2) reference: every pair n < m, ordered by m and then by n."""
     for m in range(len(states)):
         for n in range(m):
-            if states[n] == states[m] and _meets(intervals[n], intervals[m]):
+            if states[n] == states[m] and meet(intervals[n], intervals[m]):
                 return (n, m)
             if rho_states is None or rho_states[m] != states[n]:
                 continue
-            if _meets(intervals[n], (-intervals[m][1], -intervals[m][0])):
+            if meet(intervals[n], (-intervals[m][1], -intervals[m][0])):
                 return (n, m)
     return None
 
 
+def _chain_of(intervals, loop=None):
+    """An ``IntervalChain`` whose iterates have these parameter intervals,
+    as drawn rather than stepped: its spans set over one denominator."""
+    chain = IntervalChain(qn(0), qn(1), 2, loop)
+    den = math.lcm(chain.den, *(x.w for iv in intervals for x in iv))
+    if loop is not None:
+        chain.place_scale *= den // chain.den
+    chain.den, chain.d = den, chain.d or max(x.d for iv in intervals for x in iv)
+    chain.spans = [
+        tuple(c for x in iv for c in (x.u * (den // x.w), x.v * (den // x.w))) for iv in intervals
+    ]
+    return chain
+
+
 _fraction = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+_SQRT = {d: QuadraticNumber.sqrt_int(d) for d in (2, 3, 5)}
+
+
+def _endpoint(draw, d):
+    """A rational endpoint, or one with a sqrt(d) part when d > 0."""
+    x = qn(draw(_fraction))
+    return x + _SQRT[d] * draw(_fraction) if d and draw(st.booleans()) else x
 
 
 @st.composite
 def _sweep_case(draw):
-    a = draw(st.sampled_from([2, -2, 3]))
+    a = draw(st.sampled_from([2, -2, 3, -3]))
     q = draw(st.integers(1, 60))
     alpha = Fraction(draw(st.integers(0, q - 1)), q)
     beta = Fraction(draw(st.integers(0, q - 1)), q)
     n = draw(st.integers(0, 24))
     tm = _map(str(a))
-    states = orbit_states(tm, _line(alpha, beta), n)
-    if draw(st.booleans()):
+    loop = draw(st.booleans())
+    if loop:
+        # a rational direction through an anchor with a sqrt(3) place: arcs
+        # of the closed loops, keyed by the invariant
+        anchor = (qn(alpha) + _SQRT[3] * draw(_fraction), qn(beta))
+        line = line_from_point(slope_spec((1, draw(st.integers(-2, 2)))), anchor)
+        nums, num = orbit_numerators(tm, line, n)
+        states = [p[:2] for p in nums]
+    else:
+        states = orbit_states(tm, _line(alpha, beta), n)
+    d = 0 if loop else 2  # a loop's parameters are rational
+    drawn = draw(st.booleans())
+    if not drawn:
         u = draw(st.fractions(Fraction(1, 64), 1, max_denominator=64))
-        v = u * draw(st.fractions(Fraction(65, 64), abs(a) ** 2, max_denominator=64))
+        ratio = st.fractions(Fraction(65, 64), abs(a) ** 2, max_denominator=64)
+        # v = u*|a| or u*a^2: iterates touch themselves or their reflections
+        v = u * draw(st.one_of(ratio, st.sampled_from([abs(a), a * a])))
+        u, v = qn(u), qn(v)
+        if d and draw(st.booleans()):
+            u, v = u * _SQRT[d], v * _SQRT[d]
         if draw(st.booleans()):
             u, v = -v, -u
-        intervals = interval_chain(qn(u), qn(v), a, n)
+        intervals = interval_chain(u, v, a, n)
     else:
         intervals = []
         for _ in range(n + 1):
-            lo, hi = sorted((draw(_fraction), draw(_fraction)))
-            intervals.append((qn(lo), qn(hi)))
+            lo, hi = _endpoint(draw, d), _endpoint(draw, d)
+            intervals.append((lo, hi) if lo.cmp(hi) <= 0 else (hi, lo))
     for _ in range(draw(st.integers(0, 2))):  # deliberate overlaps and touches
         i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
         lo, hi = intervals[i]
         intervals[j] = draw(st.sampled_from([(lo, hi), (-hi, -lo), (hi, hi * 2 - lo)]))
+        drawn = True
+    walk = (num, nums) if loop else None
+    chain = partial(_chain_of, intervals, walk) if drawn else partial(IntervalChain, u, v, a, walk)
     rho_states = None
-    if draw(st.booleans()):
+    if not loop and draw(st.booleans()):
         model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
         rho_states = [rho_transverse(model, s) for s in states]
-    return states, intervals, rho_states
+    if loop:
+        places = [num.value(p)[1] for p in nums]
+        intervals = [(c + lo, c + hi) for c, (lo, hi) in zip(places, intervals)]
+    return states, intervals, rho_states, chain, _arcs_meet if loop else _meets
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sweep_case())
 def test_bucketed_sweep_matches_pairwise_reference(case):
-    states, intervals, rho_states = case
-    assert first_overlap(states, intervals.__getitem__, rho_states) == pairwise_first_overlap(
-        states, intervals, rho_states
+    states, intervals, rho_states, chain, meet = case
+    assert first_overlap(states, chain, rho_states) == pairwise_first_overlap(
+        states, intervals, rho_states, meet
     )
+    # every integer interval, arc and reflection against its QuadraticNumber
+    # reference, with arcs placed anywhere in [0, 1), so that they wrap past 1
+    ivs = chain()
+    for i in range(len(states)):
+        assert ivs.value(i) == intervals[i]
+        for j in range(len(states)):
+            assert ivs.meet(i, j) == meet(intervals[i], intervals[j])
+            if meet is _arcs_meet:  # the test that picks an arc witness
+                on = ivs._on_arc(ivs.span(i), ivs.span(j))
+                assert on == _on_arc(intervals[i], intervals[j][0])
+            else:
+                lo, hi = intervals[j]
+                assert ivs.meet(i, j, reflect=True) == meet(intervals[i], (-hi, -lo))
 
 
 _INJECT = """
@@ -446,14 +549,13 @@ from flatwander import segments
 from flatwander.cli import main
 
 assert not __debug__
-real = segments.interval_chain
+real = segments.IntervalChain.span
 
-def overlapping(u, v, a, n):
-    chain = real(u, v, a, n)
-    chain[4] = chain[0]  # iterate 4 shares iterate 0's line on a period-4 cycle
-    return chain
+def overlapping(chain, n):
+    # iterate 4 shares iterate 0's line on a period-4 cycle
+    return real(chain, 0 if n == 4 else n)
 
-segments.interval_chain = overlapping
+segments.IntervalChain.span = overlapping
 sys.exit(main(["certify-segment", "--a", "2", "--omega", "i", "--slope", "sqrt(2)",
                "--alpha", "1/5", "--beta", "0"]))
 """

@@ -29,13 +29,12 @@ from flatwander.segments import (
     LiftSegment,
     TorusSegment,
     find_collision,
-    interval_chain,
     lift_chain,
     reverify_collision,
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
-from reference import line_image
+from reference import interval_chain, line_image
 
 ROOT = Path(__file__).resolve().parent.parent
 # plot-orbit SVGs recorded before the lift became derived: a = 2 and -3 on
