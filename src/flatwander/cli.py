@@ -13,6 +13,8 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .lattice import Lattice, TorusPoint, reduce_to_fundamental
 from .lattes import (
+    LattesModel,
     NotFlexible,
     certify_sphere_wandering,
     lattes_model_new,
@@ -64,10 +67,37 @@ from .torus_map import (
 
 _BUDGET_ERRORS = (BudgetExceeded, ResidualExceedsTol)
 _MAX_PLOT_SEGMENTS = 10_000
+_MAPS = 64  # validated coverings, and Lattès models, one process keeps
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, separators=(",", ": "),
+    allow_nan=False)``, without json's pure-Python indenting encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        rows = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        rows, brackets = [_json(item, inner) for item in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not rows:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(payload: dict, out_path: str | None = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+    text = _json(payload)
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -206,9 +236,18 @@ def _parse_segment(text: str) -> TorusSegment:
     return segment_new(line_from_point(spec, (ax, ay)), qn(0), length)
 
 
-def _build_map(args) -> AffineTorusMap:
-    lat = Lattice(parse_complex(args.omega))
-    return torus_map_new(parse_complex(args.a), parse_complex(args.b), lat)
+# the covering and its quotient are exact and immutable, so one process
+# validates each once, keyed by its option text; a failure is not cached
+@lru_cache(maxsize=_MAPS)
+def _covering(a: str, b: str, omega: str) -> AffineTorusMap:
+    lat = Lattice(parse_complex(omega))
+    return torus_map_new(parse_complex(a), parse_complex(b), lat)
+
+
+@lru_cache(maxsize=_MAPS)
+def _model(a: str, b: str, omega: str, nu: int, z0: str) -> LattesModel:
+    tm = _covering(a, b, omega)
+    return lattes_model_new(tm.lattice, tm, nu, _parse_point(z0))
 
 
 def _build_line(args) -> TorusLine:
@@ -225,7 +264,7 @@ def _build_line(args) -> TorusLine:
 
 
 def _cmd_classify_map(args) -> int:
-    tm = _build_map(args)
+    tm = _covering(args.a, args.b, args.omega)
     mc = classify_multiplier(tm)
     payload = {
         "p": tm.m[0],
@@ -245,7 +284,7 @@ def _cmd_classify_map(args) -> int:
 
 
 def _cmd_classify_line(args) -> int:
-    tm = _build_map(args)
+    tm = _covering(args.a, args.b, args.omega)
     line = _build_line(args)
     verdict = classify_line(tm, line)
     if isinstance(verdict, JordanCurve):
@@ -268,7 +307,7 @@ def _cmd_classify_line(args) -> int:
 
 
 def _cmd_certify_segment(args) -> int:
-    tm = _build_map(args)
+    tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     got = certify_wandering(tm, seg, check_iterates=args.check_iterates)
     payload = _verdict_json(got)
@@ -292,12 +331,12 @@ def _segment_from_args(args) -> TorusSegment:
 
 
 def _cmd_find_collision(args) -> int:
-    tm = _build_map(args)
+    tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     group = None
     if args.nu is not None:
         # the group obstruction is about the quotient, so the covering must descend
-        model = lattes_model_new(tm.lattice, tm, args.nu, _parse_point(args.z0))
+        model = _model(args.a, args.b, args.omega, args.nu, args.z0)
         group = (model.nu, model.z0, model.rotation)
     got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
@@ -305,8 +344,7 @@ def _cmd_find_collision(args) -> int:
 
 
 def _cmd_certify_sphere(args) -> int:
-    tm = _build_map(args)
-    model = lattes_model_new(tm.lattice, tm, args.nu, _parse_point(args.z0))
+    model = _model(args.a, args.b, args.omega, args.nu, args.z0)
     seg = _segment_from_args(args)
     got = certify_sphere_wandering(model, seg, check_iterates=args.check_iterates)
     _emit(_verdict_json(got), args.out)
@@ -316,8 +354,7 @@ def _cmd_certify_sphere(args) -> int:
 def _cmd_verify_semiconjugacy(args) -> int:
     if not 0.0 < args.tol < 1.0:
         raise UsageError("--tol must lie in (0, 1)")
-    tm = _build_map(args)
-    model = lattes_model_new(tm.lattice, tm, 2, _parse_point(args.z0))
+    model = _model(args.a, args.b, args.omega, 2, args.z0)
     report = verify_semiconjugacy(model, samples=args.samples, tol=args.tol)
     rows = report.pop("rows")
     if args.dump_csv:
@@ -457,7 +494,7 @@ def emit_orbit_svg(
 
 
 def _cmd_plot_orbit(args) -> int:
-    tm = _build_map(args)
+    tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     if args.iterates >= _MAX_PLOT_SEGMENTS:
         raise UsageError("too many segments to plot")

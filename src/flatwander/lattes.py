@@ -162,8 +162,9 @@ class SelfPaired:
 RhoPairing = Unpaired | Paired | SelfPaired
 
 
-def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
-    """Test whether rho maps an orbit's cycle to itself, on its integer states.
+def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, rho=None) -> RhoPairing:
+    """Test whether rho maps an orbit's cycle to itself, on its integer states
+    (through ``rho``, the orbit's ``rho_numerators``, when the caller has it).
 
     Since rho commutes with the covering on valid models, the induced action
     is an index shift c with 2c = 0 mod p: c = p/2 pairs lines two by two and
@@ -171,7 +172,7 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
     """
     if model.nu != 2:
         raise ValueError("rho-pairing applies to the order-2 quotient")
-    rho, cycle = rho_numerators(model, orbit), orbit.cycle
+    rho, cycle = rho or rho_numerators(model, orbit), orbit.cycle
     p = len(cycle)
     index = {cycle[j]: j for j in range(p)}
     img0 = rho(cycle[0])
@@ -242,7 +243,8 @@ def certify_sphere_wandering(
     returns, rho = None, lambda st: rho_transverse(model, st)
     if isinstance(verdict, EventuallyPeriodic):
         a, p = tm.multiplier_int(), verdict.period
-        pairing, rho = rho_pairing(model, verdict), rho_numerators(model, verdict)
+        rho = rho_numerators(model, verdict)
+        pairing = rho_pairing(model, verdict, rho)
         if isinstance(pairing, Paired):
             returns = (pairing.half_period, -(a**pairing.half_period), False)
         else:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -314,16 +315,80 @@ def _no_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+
+
 @pytest.mark.parametrize(
     "name",
     ["cli_golden", "find_collision_golden", "input_errors_golden", "orbit_golden",
      "plot_orbit_golden", "semiconj_golden"],
 )
 def test_golden_outputs_are_strict_json(name):
-    # NaN and Infinity are Python's extensions; strict parsers reject them
+    # NaN and Infinity are Python's extensions; strict parsers reject them.
+    # The JSON writer writes each payload as json.dumps does.
     cases = json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text())
     for case in cases:
-        json.loads(case["stdout"], parse_constant=_no_constant)
+        payload = json.loads(case["stdout"], parse_constant=_no_constant)
+        assert cli._json(payload) == _dumps(payload) == case["stdout"][:-1]
+
+
+_EDGE_PAYLOADS = [
+    {"ascii": "plain", "accents": "é ñ ü", "cjk": "数学", "astral": "\U0001d4b5"},
+    {"escapes": "quote \" backslash \\ tab \t nl \n cr \r nul \x00 \x1f del \x7f",
+     "separators": "\u2028\u2029", "lone surrogate": "\ud800"},
+    {"é": 1, "\n": 2, "": 3, "a\"b": 4, "Z": 5, "a": 6},
+    {"zeros": [0.0, -0.0, 0, -0], "big": [1e16, -1e16, 1e308, 2**80, -(2**80)],
+     "small": [5e-324, -5e-324, 1e-7, 0.1], "ints": [True, False, 1, -1]},
+    {"none": None, "bools": [True, False, None], "empty": {}, "nil": [], "tuple": (1, "x")},
+    [], {}, [[]], [{}], {"a": {"b": {"c": [[], {}, [1, [2, [3]]]]}}}, "text", 0, -0.0, None,
+]
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS)
+def test_the_json_writer_matches_json_dumps_on_edge_values(payload):
+    assert cli._json(payload) == _dumps(payload)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_writer_matches_json_dumps_on_nested_payloads(payload):
+    # infinities included: both sides refuse them
+    try:
+        want = _dumps(payload)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            cli._json(payload)
+        assert str(got.value) == str(exc)
+    else:
+        assert cli._json(payload) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [lambda x: x, lambda x: {"a": [1, {"b": x}]}, lambda x: [x]])
+def test_the_json_writer_refuses_non_finite_floats_as_json_dumps_does(bad, where):
+    with pytest.raises(ValueError) as want:
+        _dumps(where(bad))
+    with pytest.raises(ValueError) as got:
+        cli._json(where(bad))
+    assert str(got.value) == str(want.value)
+
+
+def test_a_non_finite_float_is_still_an_invalid_input(monkeypatch, capsys):
+    # main's invalid-input path reports the refusal in a payload of its own
+    monkeypatch.setattr(cli, "_verdict_json", lambda v: {"bound_used": math.nan})
+    code = main(["find-collision", "--a", "1+1i", "--omega", "i", "--seg", "1/5,1/7,h,1/10"])
+    with pytest.raises(ValueError) as refusal:
+        _dumps({"bound_used": math.nan})
+    want = {"error": "invalid-input", "message": str(refusal.value)}
+    assert (code, capsys.readouterr().out) == (2, _dumps(want) + "\n")
 
 
 def test_integer_multiplier_collision_emits_a_null_bound(capsys):

@@ -385,6 +385,28 @@ def test_certify_sphere_wandering_classifies_once(monkeypatch, a, alpha, beta, t
 
 
 @pytest.mark.parametrize(
+    "a,alpha,beta,t0",
+    [
+        ("2", Fraction(1, 5), 0, 0),  # paired
+        ("-2", 0, 0, Fraction(1, 100)),  # self-paired
+        ("2", Fraction(1, 7), Fraction(1, 3), 0),  # unpaired
+    ],
+)
+def test_a_periodic_sphere_case_builds_rho_on_numerators_once(monkeypatch, a, alpha, beta, t0):
+    model = lattes_model_new(SQUARE, _map(a), 2, point(0, 0))
+    seg = segment_new(_line(alpha, beta), qn(t0), qn(Fraction(1, 10)))
+    built, orig = [], lattes.rho_numerators
+
+    def counted(*args):
+        built.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(lattes, "rho_numerators", counted)
+    assert isinstance(certify_sphere_wandering(model, seg), WanderingCertificate)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
     "a,alpha,beta,t0,sphere",
     [
         ("2", Fraction(1, 5), 0, 0, False),

@@ -7,7 +7,7 @@ both slope kinds, that ``plot-orbit`` output matches a recording, and that
 the collision search lifts in its own field: the BiQuadratic tower only when
 its data span two radicands, with the same answers as a tower-only search,
 shifts composed in the tower with the lifts, and the group's rotation solved
-once per search."""
+once per search and not again when the process repeats it."""
 
 import dataclasses
 import json
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from flatwander import lattes, segments, torus_map
+from flatwander import cli, lattes, segments, torus_map
 from flatwander.cli import _parse_segment, main
 from flatwander.errors import FieldClash, MixedRadicals
 from flatwander.lattice import Lattice, point
@@ -311,17 +311,30 @@ _GROUP_SEARCHES = [c["argv"] for c in FIND_COLLISION_GOLDEN if "--nu" in c["argv
 
 @pytest.mark.parametrize("argv", _GROUP_SEARCHES, ids=lambda argv: " ".join(argv[:8:2]))
 def test_a_group_mode_case_solves_its_rotation_once(monkeypatch, capsys, argv):
-    solved = []
-    orig = torus_map.rotation_matrix
+    solved, built = [], []
+    orig, orig_new = torus_map.rotation_matrix, cli.torus_map_new
 
     def counted(lat, nu):
         solved.append(nu)
         return orig(lat, nu)
 
+    def counted_new(*args):
+        built.append(args)
+        return orig_new(*args)
+
     for mod in (torus_map, lattes, segments):
         monkeypatch.setattr(mod, "rotation_matrix", counted)
+    monkeypatch.setattr(cli, "torus_map_new", counted_new)
+    cli._covering.cache_clear()
+    cli._model.cache_clear()
     assert main(list(argv)) == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    out = json.loads(text)
     cert = out if argv[0] == "find-collision" else out["witness"]
     assert cert["verdict"] == "collision"
-    assert len(solved) == 1
+    assert (len(solved), len(built)) == (1, 1)
+    # the process keeps the validated covering and model, rotation included
+    del solved[:], built[:]
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == text
+    assert (solved, built) == ([], [])
