@@ -221,14 +221,11 @@ def _parse_segment(text: str) -> TorusSegment:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("segment syntax is 'x,y,h|v|s:<slope>,len'")
-    ax = parse_number(parts[0])
-    ay = parse_number(parts[1])
+    ax, ay = parse_number(parts[0]), parse_number(parts[1])
     mode = parts[2].strip()
     length = parse_number(parts[3])
-    if mode == "h":
-        spec = slope_spec((1, 0))
-    elif mode == "v":
-        spec = slope_spec((0, 1))
+    if mode in ("h", "v"):
+        spec = slope_spec((1, 0) if mode == "h" else (0, 1))
     elif mode.startswith("s:"):
         spec = _parse_slope(mode[2:])
     else:
@@ -263,7 +260,7 @@ def _build_line(args) -> TorusLine:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify_map(args) -> int:
+def _cmd_classify_map(args) -> None:
     tm = _covering(args.a, args.b, args.omega)
     mc = classify_multiplier(tm)
     payload = {
@@ -280,10 +277,9 @@ def _cmd_classify_map(args) -> int:
         ),
     }
     _emit(payload, args.out)
-    return 0
 
 
-def _cmd_classify_line(args) -> int:
+def _cmd_classify_line(args) -> None:
     tm = _covering(args.a, args.b, args.omega)
     line = _build_line(args)
     verdict = classify_line(tm, line)
@@ -303,10 +299,9 @@ def _cmd_classify_line(args) -> int:
             "cycle": [[a.to_expr(), b.to_expr()] for a, b in cycle],
         }
     _emit(payload, args.out)
-    return 0
 
 
-def _cmd_certify_segment(args) -> int:
+def _cmd_certify_segment(args) -> None:
     tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     got = certify_wandering(tm, seg, check_iterates=args.check_iterates)
@@ -318,7 +313,6 @@ def _cmd_certify_segment(args) -> int:
         if not ok:
             payload["oracle_failure_pair"] = list(pair)
     _emit(payload, args.out)
-    return 0
 
 
 def _segment_from_args(args) -> TorusSegment:
@@ -330,7 +324,7 @@ def _segment_from_args(args) -> TorusSegment:
     return segment_new(line, parse_number(args.t0), parse_number(args.t1))
 
 
-def _cmd_find_collision(args) -> int:
+def _cmd_find_collision(args) -> None:
     tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     group = None
@@ -340,18 +334,16 @@ def _cmd_find_collision(args) -> int:
         group = (model.nu, model.z0, model.rotation)
     got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
-    return 0
 
 
-def _cmd_certify_sphere(args) -> int:
+def _cmd_certify_sphere(args) -> None:
     model = _model(args.a, args.b, args.omega, args.nu, args.z0)
     seg = _segment_from_args(args)
     got = certify_sphere_wandering(model, seg, check_iterates=args.check_iterates)
     _emit(_verdict_json(got), args.out)
-    return 0
 
 
-def _cmd_verify_semiconjugacy(args) -> int:
+def _cmd_verify_semiconjugacy(args) -> None:
     if not 0.0 < args.tol < 1.0:
         raise UsageError("--tol must lie in (0, 1)")
     model = _model(args.a, args.b, args.omega, 2, args.z0)
@@ -366,7 +358,6 @@ def _cmd_verify_semiconjugacy(args) -> int:
         except OSError as exc:
             raise IoError(str(exc)) from exc
     _emit(report, args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +484,7 @@ def emit_orbit_svg(
     return doc
 
 
-def _cmd_plot_orbit(args) -> int:
+def _cmd_plot_orbit(args) -> None:
     tm = _covering(args.a, args.b, args.omega)
     seg = _segment_from_args(args)
     if args.iterates >= _MAX_PLOT_SEGMENTS:
@@ -519,7 +510,6 @@ def _cmd_plot_orbit(args) -> int:
         raise BudgetExceeded(f"iterate {refused} lies beyond double range; plot fewer")
     emit_orbit_svg(tm.lattice, spans, args.out or "orbit.svg", witness)
     _emit({"written": args.out or "orbit.svg", "segments": len(spans)})
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +567,11 @@ COMMANDS = {
                     _Opt("--mark-witness", help="'x,y' glyph position"))),
 }
 # flatwander's own options, and each command's by name, help first as
-# argparse listed them
+# argparse listed them; then each command's with its value's attribute name
 _TOP = {"-h": _HELP, "--help": _HELP}
 _NAMES = {command: {**_TOP, **{opt.name: opt for opt in options}}
+          for command, (_, _, options) in COMMANDS.items()}
+_DESTS = {command: [(opt.name[2:].replace("-", "_"), opt) for opt in options]
           for command, (_, _, options) in COMMANDS.items()}
 
 
@@ -707,7 +699,7 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    values = {opt.name[2:].replace("-", "_"): given.get(opt.name, opt.default) for opt in options}
+    values = {dest: given.get(opt.name, opt.default) for dest, opt in _DESTS[command]}
     return run, SimpleNamespace(**values)
 
 
@@ -715,7 +707,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         run, args = _parse(argv)
-        return run(args)
+        run(args)  # a command that does not raise has a verdict: exit 0
+        return 0
     except _BUDGET_ERRORS as exc:
         _emit({"error": exc.code, "message": str(exc)})
         return 3

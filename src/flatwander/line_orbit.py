@@ -50,9 +50,16 @@ class _Frame:
     inverts ``to_state`` up to one."""
 
     def to_state(self, p: CoordPair) -> TransverseState:
-        f11, f12, f21, f22 = self.frame
-        x, y = p
-        return ((x * f11 + y * f12).mod1(), (x * f21 + y * f22).mod1())
+        x, y = p  # F*p mod 1, on p's numerators over one denominator
+        den = math.lcm(x.w, y.w)
+        sx, sy, out = den // x.w, den // y.w, []
+        for fx, fy in (self.frame[:2], self.frame[2:]):
+            vx, vy = x.v * sx * fx, y.v * sy * fy
+            if vx and vy and x.d != y.d:
+                raise MixedRadicals(f"sqrt({x.d}) and sqrt({y.d}) in one scalar")
+            u, v, d = x.u * sx * fx + y.u * sy * fy, vx + vy, x.d if vx else y.d
+            out.append(QuadraticNumber._canon(u - den * floor_parts(u, v, den, d), v, den, d))
+        return tuple(out)
 
     def from_state(self, st: TransverseState) -> CoordPair:
         f11, f12, f21, f22 = self.frame
@@ -271,12 +278,12 @@ class WanderingLine:
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
 
 
-def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int | None, Numerators]:
-    """The distinct orbit states of ``line`` in orbit order, up to the first
+def _walk(rule: tuple, limit: int) -> tuple[tuple, int | None, Numerators]:
+    """The distinct states of a ``_state_rule`` in orbit order, up to the first
     repeat or ``limit`` states, the index the repeat returns to (None when the
     limit came first) and their ``Numerators``.  A state fixes the iterate's
     line and base point, so a repeated state is a repeated iterate."""
-    step, state, num = _state_rule(tm, line.slope, line.transverse())
+    step, state, num = rule
     seen: dict = {}  # insertion order is orbit order
     for i in range(limit):
         if i:
@@ -285,6 +292,16 @@ def _walk(tm: AffineTorusMap, line: TorusLine, limit: int) -> tuple[tuple, int |
             return tuple(seen), seen[state], num
         seen[state] = i
     return tuple(seen), None, num
+
+
+def _moves(rule: tuple, loop: bool) -> bool:
+    """Does the first step of a ``_state_rule`` move the irrational part v of
+    a coordinate that identifies the iterate: either on an irrational slope,
+    the invariant (coordinate 0) on a loop?  Then no state repeats: v is never
+    reduced, so v_n - v* = a^n*(v_0 - v*) about its fixed point v*, |a| >= 2."""
+    step, start, _ = rule
+    p = step(start)
+    return p[1] != start[1] or (not loop and p[3] != start[3])
 
 
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
@@ -309,17 +326,18 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    states, n0, num = _walk(tm, line, MAX_ORBIT_STATES + 1)
+    states, n0, num = _walk(_state_rule(tm, line.slope, line.transverse()), MAX_ORBIT_STATES + 1)
     if n0 is None:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
     return EventuallyPeriodic(n0, len(states) - n0, num, states)
 
 
-def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
-    """States 0..n of the orbit of a line as ``_walk``'s integers, and their
-    ``Numerators``: at most n steps, then indexed out of the cycle once a
-    state repeats.  This needs no classification, so any b will do."""
-    states, n0, num = _walk(tm, line, n + 1)
+def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int,
+                     rule: tuple | None = None) -> tuple[tuple, Numerators]:
+    """States 0..n of the orbit of a line as ``_walk``'s integers by ``rule``,
+    its ``_state_rule`` if built, and their ``Numerators``: at most n steps,
+    then indexed out of the cycle.  Nothing is classified, so any b will do."""
+    states, n0, num = _walk(rule or _state_rule(tm, line.slope, line.transverse()), n + 1)
     if n0 is not None:
         p = len(states) - n0
         states += tuple(states[n0 + (i - n0) % p] for i in range(len(states), n + 1))

@@ -18,9 +18,10 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterator, NamedTuple, Union
 
-from .errors import MixedRadicals, ParseError
+from .errors import BudgetExceeded, MixedRadicals, ParseError
 
 _FLOAT_JITTER = 0.0
+MAX_RADICAND = 10**18  # squarefree_split takes about 0.1 s at the cap
 
 
 def set_float_jitter(eps: float) -> None:
@@ -49,16 +50,21 @@ def _jittered(x: float) -> float:
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (f, d) with n = f*f*d and d square-free."""
+    """Return (f, d) with n = f*f*d and d square-free, for n <= MAX_RADICAND.
+    Trial division stops at p^3 > m, the part not yet factored, which then
+    has at most two prime factors: one isqrt tells a square from square-free."""
     if n < 0:
         raise ValueError("radicand must be non-negative")
-    f, d, p = 1, n, 2
-    while p * p <= d:
-        while d % (p * p) == 0:
-            d //= p * p
-            f *= p
+    if n > MAX_RADICAND:
+        raise BudgetExceeded("radicands are capped at 10^18")
+    f, d, m, p = 1, 1, n, 2
+    while p * p * p <= m:
+        while m % p == 0:  # each p goes into d, or pairs with the one there
+            m //= p
+            f, d = (f * p, d // p) if d % p == 0 else (f, d * p)
         p += 1 if p == 2 else 2
-    return f, d
+    r = math.isqrt(m)
+    return (f * r, d) if m and r * r == m else (f, d * m)
 
 
 def floor_parts(u: int, v: int, w: int, d: int) -> int:
@@ -780,8 +786,22 @@ class _Parser:
             raise ParseError(f"trailing input near {self.toks[self.i]!r}")
 
 
+_LITERAL = re.compile(r"(-?)(?:([0-9]+)(?:/([0-9]+))?"
+                      r"|(?:([0-9]+)\*)?sqrt\(([0-9]+)\)(?:/([0-9]+))?)")
+
+
 def parse_number(text: str) -> QuadraticNumber:
-    """Parse a real scalar in the number-expression grammar."""
+    """Parse a real scalar in the number-expression grammar.  ``_LITERAL``
+    reads [-]k, [-]p/q and [-][k*]sqrt(r)[/n]; other text, a zero or a
+    radicand above the cap goes to ``_Parser``: errors come from one place."""
+    if m := _LITERAL.fullmatch(text):
+        sign, num, den, k, r, n = m.groups()  # converted in the parser's order
+        if num is not None:
+            num, den = int(num), int(den or 1)
+            if den:
+                return QuadraticNumber._canon(-num if sign else num, 0, den, 0)
+        elif (k := int(k or 1)) and 0 < (r := int(r)) <= MAX_RADICAND and (n := int(n or 1)):
+            return QuadraticNumber(0, -k if sign else k, n, r)
     p = _Parser(text)
     val = p.expr()
     p.done()

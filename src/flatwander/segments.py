@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from fractions import Fraction
 
 from .errors import (
@@ -69,6 +69,8 @@ from .line_orbit import (
     TorusLine,
     TransverseState,
     WanderingLine,
+    _moves,
+    _state_rule,
     _state_step,
     classify_line,
     orbit_numerators,
@@ -800,8 +802,9 @@ def find_collision(
     certificate is returned (ties by n, then k), which keeps m within the
     forcing bound.  Under an integer multiplier iterates are parallel and meet
     iff they share a state (the loop invariant, on a rational direction) and
-    their intervals (arcs) overlap, which ``first_overlap`` decides; the lift
-    search serves the rest.  A ``group`` is (nu, z0, R), with R =
+    their intervals (arcs) overlap, which ``first_overlap`` decides, after
+    one step when no state repeats (``_moves``); the lift search serves the
+    rest.  A ``group`` is (nu, z0, R), with R =
     rotation_matrix(tm.lattice, nu) as the caller solved it
     (``LattesModel.rotation``)."""
     nu, rotations = None, []
@@ -817,15 +820,21 @@ def find_collision(
     bound = _forcing_bound(tm, nu)
 
     if group is None and tm.has_integer_multiplier:
+        loop = not seg.line.is_irrational
         try:
-            states, num = orbit_numerators(tm, seg.line, budget)
+            rule = _state_rule(tm, seg.line.slope, seg.line.transverse())
+            if _moves(rule, loop):
+                return NoCollisionWithinBudget(budget=budget, group_order=1)
+            states, num = orbit_numerators(tm, seg.line, budget, rule)
         except (MixedRadicals, FieldClash):
             pass  # the states share no field or meet the slope's field: lift search
         else:
-            a, loop = tm.multiplier_int(), not seg.line.is_irrational
-            # built at the first repeated state, and kept for the witness
-            walk = (num, states) if loop else None
-            chain = cache(partial(IntervalChain, seg.t_lo, seg.t_hi, a, walk))
+            a, ivs, walk = tm.multiplier_int(), None, (num, states) if loop else None
+            def chain() -> IntervalChain:
+                # built at the first repeated state, and kept for the witness
+                nonlocal ivs
+                ivs = ivs or IntervalChain(seg.t_lo, seg.t_hi, a, walk)
+                return ivs
             # a loop is its invariant, the first coordinate's (u0, v0)
             keys = [p[:2] for p in states] if loop else states
             pair = first_overlap(keys, chain)

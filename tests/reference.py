@@ -5,9 +5,9 @@ route: a line stepped one image at a time, parameter intervals and arcs as
 ``QuadraticNumber`` pairs, two segments intersected as a pair, a point
 iterated or pulled back, the grid of rho's fixed points built and searched, a
 line's image under the quotient typed by that search, wp evaluated with one
-new array per operation, and argv read by argparse, as the command line was
-read before its option tables.  No command and no
-certificate runs them.
+new array per operation, argv read by argparse, as the command line was
+read before its option tables, a point's state from its frame products, and
+a radicand split by trial division up to its square root.  No command and no certificate runs them.
 """
 
 from __future__ import annotations
@@ -418,3 +418,23 @@ def wp_pair(ctx: WeierstrassContext, z):
     if np.ndim(z) == 0:
         return complex(x), complex(y)
     return x, y
+
+
+def squarefree_split_trial(n: int) -> tuple[int, int]:
+    """(f, d) with n = f*f*d and d square-free, by dividing out p*p for every
+    p with p*p <= d."""
+    f, d, p = 1, n, 2
+    while p * p <= d:
+        while d % (p * p) == 0:
+            d //= p * p
+            f *= p
+        p += 1 if p == 2 else 2
+    return f, d
+
+
+def frame_state(slope, p) -> tuple[QuadraticNumber, QuadraticNumber]:
+    """A point's state in the slope's frame, F*p mod 1, from the products of
+    its coordinates with the frame's integers."""
+    f11, f12, f21, f22 = slope.frame
+    x, y = p
+    return ((x * f11 + y * f12).mod1(), (x * f21 + y * f22).mod1())

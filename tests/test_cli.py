@@ -299,6 +299,48 @@ def test_certificate_json_matches_golden(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+def _process(*argv):
+    """One CLI run as its own process: exit code, stdout JSON and seconds.
+    It is killed after 10 s, so a regression to a walk of every state fails
+    before the walk's numbers fill memory."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatwander.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=10,
+    )
+    return proc.returncode, json.loads(proc.stdout), time.perf_counter() - start
+
+
+def test_a_moving_miss_costs_one_step_at_any_budget():
+    # the invariant's sqrt(7) part doubles at every step, so no two iterates
+    # share a loop; walking a million states took minutes
+    code, data, seconds = _process(
+        "find-collision", "--a=-2", "--omega", "i",
+        "--seg", "sqrt(7)/2,sqrt(7)/6,s:-1/3,1/500", "--budget", "1000000",
+    )
+    assert (code, data) == (
+        0, {"budget": 1000000, "group_order": 1, "verdict": "no-collision-within-budget"}
+    )
+    assert seconds < 5
+
+
+def test_a_radicand_is_split_fast_up_to_the_cap():
+    argv = ("classify-line", "--a", "2", "--omega", "i", "--slope")
+    # 10^17 + 3 took 42 s by trial division to its square root
+    code, data, seconds = _process(*argv, "sqrt(100000000000000003)")
+    assert (code, data["verdict"], data["cycle"]) == (0, "eventually-periodic", [["0", "0"]])
+    assert seconds < 5
+    code, data, seconds = _process(*argv, "2*sqrt(1000000000000000001)")
+    assert (code, data) == (
+        3, {"error": "budget-exceeded", "message": "radicands are capped at 10^18"}
+    )
+    assert seconds < 5
+
+
 def test_an_orbit_too_long_to_walk_is_refused_fast(capsys):
     argv = ["classify-line", "--a", "3", "--omega", "i", "--slope", "sqrt(2)", "--beta", "0"]
     start = time.perf_counter()

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwander.errors import MixedRadicals, ParseError
+from flatwander import numbers
+from flatwander.errors import BudgetExceeded, MixedRadicals, ParseError
 from flatwander.numbers import (
+    MAX_RADICAND,
     BiQuadratic,
     QuadraticNumber,
+    _Parser,
     float_jitter,
     parse_complex,
     parse_number,
     qn,
+    squarefree_split,
 )
+from reference import squarefree_split_trial
 
 Q = QuadraticNumber
 
@@ -595,3 +600,117 @@ def test_literals_parse_to_their_value_in_canonical_form(lit):
         assert got.w > 0 and math.gcd(got.u, got.v, got.w) == 1
         assert (got.d == 0) == (got.v == 0) and got.d != 1
         assert all(got.d % (p * p) for p in range(2, math.isqrt(got.d) + 1))
+
+
+# ---------------------------------------------------------------------------
+# radicands split to the cube root, and capped
+# ---------------------------------------------------------------------------
+
+_PRIMES_NEAR_1E6 = (999_979, 999_983, 1_000_003, 1_000_033)
+
+
+def test_squarefree_split_matches_trial_division():
+    for n in range(20_000):
+        assert squarefree_split(n) == squarefree_split_trial(n), n
+    # the cofactor left past the cube root: a prime, a square or two primes
+    assert all(squarefree_split_trial(p) == (1, p) for p in _PRIMES_NEAR_1E6)
+    products = [p * q for i, p in enumerate(_PRIMES_NEAR_1E6) for q in _PRIMES_NEAR_1E6[i:]]
+    for n in (*products, 12 * 999_979 * 1_000_003, 45 * 999_983**2):
+        assert squarefree_split(n) == squarefree_split_trial(n), n
+
+
+def test_a_radicand_above_the_cap_is_refused_when_read():
+    assert parse_number(f"sqrt({MAX_RADICAND})") == 10**9
+    x = parse_number(f"sqrt({MAX_RADICAND - 1})")
+    assert x * x == MAX_RADICAND - 1 and x.v == 9  # 10^18 - 1 = 81 * 12345679012345679
+    for text in (
+        f"sqrt({MAX_RADICAND + 1})",
+        f"-2*sqrt({10**30})/3",
+        f"1 + sqrt({MAX_RADICAND + 1})",
+        f"sqrt({MAX_RADICAND + 1})/0",
+    ):
+        with pytest.raises(BudgetExceeded, match="capped at 10\\^18"):
+            parse_number(text)
+    with pytest.raises(BudgetExceeded):
+        parse_complex(f"1+sqrt({MAX_RADICAND + 1})i")
+
+
+# ---------------------------------------------------------------------------
+# the literal fast path against the parser
+# ---------------------------------------------------------------------------
+
+
+def _parse_outcome(parse, text):
+    """A parse's value as fields and ``to_expr``, or its error's type and text."""
+    try:
+        val = parse(text)
+    except Exception as exc:  # the differential compares every failure
+        return type(exc), str(exc)
+    return _fields(val), val.to_expr()
+
+
+def _parser_only(text):
+    p = _Parser(text)
+    val = p.expr()
+    p.done()
+    return val
+
+
+def test_common_literals_skip_the_parser(monkeypatch):
+    want = {t: _parse_outcome(parse_number, t) for t in _FAST}
+    monkeypatch.setattr(numbers, "_Parser", None)  # called, it would raise TypeError
+    assert {t: _parse_outcome(parse_number, t) for t in _FAST} == want
+    assert all(isinstance(fields, tuple) for fields, _ in want.values())
+
+
+_FAST = ("5", "-5", "007", "0/5", "-12/8", "sqrt(7)/6", "-sqrt(7)/2", "2*sqrt(8)/4",
+         "sqrt(1)", "sqrt(4)/2", "-0", "3*sqrt(12)", f"sqrt({MAX_RADICAND})")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*_FAST, "sqrt(0)", "0*sqrt(2)", "1/0", "2*sqrt(3)/0", " 5", "5 ", "+5", "--5", "- 5",
+     "1/ 2", "sqrt (2)", "sqrt(2)/", "sqrt()", "sqrt(-2)", "sqrt(2", "2*", "/2", "", " ",
+     "1.5", "5i", "x", "1/2/3", "sqrt(2)*sqrt(2)", "2sqrt(2)", "0x10", "\u0663",
+     f"sqrt({MAX_RADICAND + 1})", f"0*sqrt({MAX_RADICAND + 1})"],
+)
+def test_literal_examples_parse_as_the_parser_does(text):
+    assert _parse_outcome(parse_number, text) == _parse_outcome(_parser_only, text)
+
+
+def test_a_radicand_is_refused_before_a_denominator_too_long_for_int():
+    text = f"sqrt({MAX_RADICAND + 1})/{'1' * 5000}"
+    want = (BudgetExceeded, "radicands are capped at 10^18")
+    assert _parse_outcome(parse_number, text) == _parse_outcome(_parser_only, text) == want
+
+
+_DIGITS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.text("0123456789", min_size=1, max_size=22),
+    st.sampled_from(("0", "00", "1", "007", str(MAX_RADICAND), str(MAX_RADICAND + 1))),
+)
+
+
+@st.composite
+def _literal_texts(draw):
+    """The fast path's shapes with any digits, under any sign, and then
+    perhaps one character inserted or one deleted."""
+    sign = draw(st.sampled_from(("", "", "-", "+", "--", " -", "- ")))
+    k, r, p, q = (draw(_DIGITS) for _ in range(4))
+    core = draw(st.sampled_from((
+        p, f"{p}/{q}", f"sqrt({r})", f"{k}*sqrt({r})", f"sqrt({r})/{q}", f"{k}*sqrt({r})/{q}",
+    )))
+    text = sign + core
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("", "", "insert", "delete")))
+    if edit == "insert":
+        text = text[:at] + draw(st.sampled_from(" \t()*/+-.0ix")) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_literal_texts())
+def test_the_literal_fast_path_parses_as_the_parser_does(text):
+    assert _parse_outcome(parse_number, text) == _parse_outcome(_parser_only, text)

@@ -44,9 +44,12 @@ from flatwander.line_orbit import (
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
+    CollisionCertificate,
     IntervalChain,
+    NoCollisionWithinBudget,
     WanderingCertificate,
     certify_wandering,
+    find_collision,
     first_overlap,
     segment_new,
 )
@@ -56,6 +59,7 @@ from reference import (
     _on_arc,
     _overlap,
     as_fraction,
+    frame_state,
     interval_chain,
     iterate_map,
     line_image,
@@ -608,3 +612,140 @@ def test_a_zero_translation_is_the_zero_state(a, slope):
     want = spec.to_state(tm.b.coords())
     assert got_a == int(a)
     assert [(x.u, x.v, x.w, x.d) for x in got_c] == [(x.u, x.v, x.w, x.d) for x in want]
+
+
+def test_the_state_of_a_point_is_its_frame_products():
+    """``to_state`` on numerators against the frame's products in
+    QuadraticNumbers: the same state, or the same ``MixedRadicals``."""
+    seen = set()
+    slopes = [*_WALK_SLOPES, SQRT2, slope_spec((0, 1)), slope_spec((3, 5))]
+    frac = st.fractions(-3, 3, max_denominator=30)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(slopes), st.lists(st.tuples(frac, st.sampled_from([0, 2, 3, 5]), frac),
+                                             min_size=2, max_size=2))
+    def check(slope, coords):
+        p = tuple(qn(x) + _SQRT[d] * y if d else qn(x) for x, d, y in coords)
+
+        def outcome(state):
+            try:
+                return [_fields(x) for x in state(p)]
+            except MixedRadicals as exc:
+                return str(exc)
+
+        got = outcome(slope.to_state)
+        assert got == outcome(partial(frame_state, slope))
+        seen.add(isinstance(got, str))
+
+    check()
+    assert seen == {False, True}
+
+
+def _fields(x):
+    return (x.u, x.v, x.w, x.d)
+
+
+# ---------------------------------------------------------------------------
+# a moving state misses in one step
+# ---------------------------------------------------------------------------
+
+
+_LOOPS = [slope_spec(d) for d in ((1, 0), (0, 1), (1, 1), (2, -1), (1, 3))]
+
+
+@st.composite
+def _integer_segment(draw):
+    """A segment under an integer covering whose state coordinates are each
+    rational, or carry a drawn sqrt(3) part, or sit with their sqrt(3) part
+    on the step's fixed point v* = c_v/(1 - a), where c = to_state(b) and b
+    is 0, rational or has sqrt(3) parts.  Both slope kinds; on a loop a
+    drawn part on the place alone (coordinate 1) moves it while the
+    invariant stays."""
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    slope = draw(st.sampled_from([SQRT2, *_LOOPS]))
+    frac = st.fractions(-1, 1, max_denominator=12)
+
+    def number(irrational):
+        x = qn(draw(frac))
+        return x + _SQRT[3] * draw(frac.filter(bool)) if irrational else x
+
+    b = point(number(draw(st.booleans())), number(draw(st.booleans())))
+    tm = dataclasses.replace(_map(str(a)), b=b if draw(st.booleans()) else point(0, 0))
+    state = []
+    for c in slope.to_state(tm.b.coords()):
+        kind = draw(st.sampled_from(["rational", "drawn", "fixed"]))
+        x = number(kind == "drawn")
+        if kind == "fixed" and c.v:
+            x += QuadraticNumber(0, c.v, c.w * (1 - a), c.d)
+        state.append(x.mod1())
+    t0 = qn(draw(st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=12)))
+    length = draw(st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100))
+    seg = segment_new(TorusLine(slope, *state), t0, t0 + length)
+    return tm, seg, draw(st.integers(1, 24))
+
+
+def test_the_one_step_miss_agrees_with_the_whole_walk():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_integer_segment())
+    def check(case):
+        tm, seg, budget = case
+        loop = not seg.line.is_irrational
+        step, start, _ = rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
+        moves = line_orbit._moves(rule, loop)
+        # find_collision's integer path without the one-step test
+        states, num = orbit_numerators(tm, seg.line, budget)
+        keys = [p[:2] for p in states] if loop else states
+        walk = (num, states) if loop else None
+        chain = IntervalChain(seg.t_lo, seg.t_hi, tm.multiplier_int(), walk)
+        pair = first_overlap(keys, lambda: chain)
+        got = find_collision(tm, seg, budget=budget)
+        assert ((got.n, got.m) if isinstance(got, CollisionCertificate) else None) == pair
+        if moves:
+            # no identifying state ever repeats, at a budget past any period
+            states, _ = orbit_numerators(tm, seg.line, 200)
+            keys = [p[:2] for p in states] if loop else states
+            assert len(set(keys)) == len(keys)
+        place_moves = loop and step(start)[3] != start[3]
+        seen.add((loop, moves, pair is not None, place_moves))
+
+    check()
+    # each slope kind misses in one step and walks to a hit and to a miss,
+    # and a loop whose place alone moves walks to a hit
+    for loop in (False, True):
+        assert {(loop, True, False), (loop, False, False), (loop, False, True)} <= {
+            key[:3] for key in seen
+        }
+    assert (True, False, True, True) in seen
+
+
+@pytest.mark.parametrize(
+    "slope,state",
+    [
+        (SQRT2, ("sqrt(3)/5", "1/7")),  # alpha moves
+        (SQRT2, ("1/7", "sqrt(3)/5")),  # beta moves
+        (slope_spec((2, -1)), ("sqrt(3)/5", "1/7")),  # a loop's invariant moves
+    ],
+)
+def test_a_moving_state_is_stepped_once_at_any_budget(monkeypatch, slope, state):
+    steps = []
+    orig = segments._state_rule
+
+    def counted_rule(tm, slope, seed):
+        step, start, num = orig(tm, slope, seed)
+
+        def once(p):
+            # fail at the second step, before a walk of 10^6 growing states
+            steps.append(p)
+            if len(steps) > 1:
+                raise AssertionError("a moving state was stepped twice")
+            return step(p)
+
+        return once, start, num
+
+    monkeypatch.setattr(segments, "_state_rule", counted_rule)
+    seg = segment_new(TorusLine(slope, *map(parse_number, state)), qn(0), qn(Fraction(1, 3)))
+    got = find_collision(_map("3", "1/2"), seg, budget=10**6)
+    assert got == NoCollisionWithinBudget(budget=10**6, group_order=1)
+    assert len(steps) == 1
