@@ -331,7 +331,7 @@ def _cmd_find_collision(args) -> None:
     if args.nu is not None:
         # the group obstruction is about the quotient, so the covering must descend
         model = _model(args.a, args.b, args.omega, args.nu, args.z0)
-        group = (model.nu, model.z0, model.rotation)
+        group = model.group
     got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
 

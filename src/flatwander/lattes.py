@@ -37,6 +37,7 @@ from .segments import (
     NotWanderable,
     TorusSegment,
     WanderingCertificate,
+    _rotations,
     certify_classified,
     find_collision,
     segment_new,
@@ -61,6 +62,10 @@ class LattesModel:
     @property
     def flexible(self) -> bool:
         return self.nu == 2 and self.map.has_integer_multiplier
+
+    @cached_property
+    def group(self) -> tuple:  # find_collision's, with R's rotations solved once
+        return (self.nu, self.z0, self.rotation, _rotations(self.rotation, self.nu, self.z0))
 
     @cached_property
     def rho_origin(self) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -232,7 +237,7 @@ def certify_sphere_wandering(
     tm = model.map
     if not model.flexible:
         if model.nu > 2:
-            witness = find_collision(tm, seg, (model.nu, model.z0, model.rotation))
+            witness = find_collision(tm, seg, model.group)
             reason = f"group-order-{model.nu}-orbifold"
         else:
             witness = find_collision(tm, seg)
@@ -415,6 +420,7 @@ def weierstrass_context(lat: Lattice) -> WeierstrassContext:
 
 
 MAX_SAMPLES = 100_000  # so the sampling stream holds about 4 * MAX_SAMPLES floats
+MAX_KERNEL_SAMPLES = 5_000_000  # R's kernel sums keep 31 to 37 bytes a point a sample
 _STREAM = [random.Random(20240801).random, ()]  # its generator, the prefix drawn
 
 
@@ -511,6 +517,8 @@ def verify_semiconjugacy(model: LattesModel, samples: int = 500, tol: float = 1e
         raise UsageError(f"samples must be >= 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise UsageError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    if model.map.degree * samples > MAX_KERNEL_SAMPLES:
+        raise BudgetExceeded(f"degree times samples exceeds {MAX_KERNEL_SAMPLES}")
     lat = model.lattice
     ac, bc = model.map.a.to_complex(), embed(model.shift, lat)
     pts = _sample_points(model, bc, samples)

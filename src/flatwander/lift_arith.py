@@ -4,7 +4,7 @@ Float lifts filter.  A ``FloatLift`` carries one proven absolute error bound
 on every coordinate, and an affine step grows it (``_float_image``).  Each
 pair of lifts enumerates only the lattice translates in its exact coordinate
 ranges, widened by the bounds, and skips one only when the bounds prove a
-miss (``_surviving_translates``).
+miss (``_surviving_translates``) from the ranges of each lift's ``_box``.
 
 Exact lifts decide.  The search's scalars become integer numerators over one
 denominator on the basis of their field (``_numerators``, ``_Field``), affine
@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 from . import numbers
 from .errors import BudgetExceeded, MixedRadicals
-from .numbers import BiQuadratic, QuadraticNumber, _sign_parts
+from .line_orbit import TorusLine
+from .numbers import BiQuadratic, QuadraticNumber, _sign_parts, floor_parts
 
 Coord = QuadraticNumber | BiQuadratic
 Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
@@ -55,24 +56,10 @@ class FloatLift(NamedTuple):
     err: float
 
 
-def _mag(x: QuadraticNumber) -> float:
-    """|u|/w + |v|*sqrt(d)/w, the size that bounds to_float's rounding."""
-    m = abs(x.u) / x.w
-    if x.v:
-        m += abs(x.v) / x.w * math.sqrt(x.d)
-    return m
-
-
 def _converted(x: Coord) -> tuple[float, float]:
-    """``x.to_float()`` and a bound on its absolute error,
-    (8*eps + 2*|jitter|) * mag(x).  mag sums the absolute values of x's
-    parts, not |x|: to_float of (u + v*sqrt(d))/w cancels when u is near
-    -v*sqrt(d), and its error scales with the parts."""
-    if isinstance(x, BiQuadratic):
-        mag = _mag(x.p) + _mag(x.q) * math.sqrt(x.e)
-    else:
-        mag = _mag(x)
-    return x.to_float(), (8 * _EPS + 2 * abs(numbers._FLOAT_JITTER)) * mag * _UP
+    """x as a float by ``_float_of``, and a bound on its absolute error."""
+    f, den, (v,) = _numerators([x])
+    return _float_of(f, v, den)
 
 
 def _float_shift(
@@ -85,11 +72,11 @@ def _float_shift(
 
 def _float_image(
     f: FloatLift, mat: Matrix, shift: tuple[float, float, float]
-) -> tuple[FloatLift, tuple[int, int]]:
-    """The image of ``f`` under x -> mat*x + shift, moved by the integer
-    translate that puts its float midpoint into [0,1)^2; returns the image
-    and that translate.  Any integer translate is the same torus segment, so
-    the exact lift it stands for is the exact image minus the same translate.
+) -> tuple[FloatLift, tuple[int, int], tuple]:
+    """The image of ``f`` under x -> mat*x + shift moved by the integer
+    translate that puts its float midpoint into [0,1)^2, that translate and
+    its ``_box``.  Any integer translate is the same torus segment, so the
+    exact lift it stands for is the exact image minus the same translate.
 
     With L the matrix's largest absolute row sum, the bound grows to
     L*err + err_shift + 4*eps*(L*|coords| + |shift| + |image| + |out|),
@@ -102,14 +89,15 @@ def _float_image(
     X1, Y1 = x1 * p + y1 * r + bx, x1 * q + y1 * s + by
     tx, ty = math.floor((X0 + X1) * 0.5), math.floor((Y0 + Y1) * 0.5)
     out = (X0 - tx, Y0 - ty, X1 - tx, Y1 - ty)
+    box = _box(*out)
     lip = max(abs(p) + abs(r), abs(q) + abs(s))
     sizes = (
         lip * max(abs(x0), abs(y0), abs(x1), abs(y1))
         + max(abs(bx), abs(by))
         + max(abs(X0), abs(Y0), abs(X1), abs(Y1))
-        + max(map(abs, out))
+        + box[4]
     )
-    return FloatLift(*out, (lip * err + berr + 4 * _EPS * sizes) * _UP), (tx, ty)
+    return FloatLift(*out, (lip * err + berr + 4 * _EPS * sizes) * _UP), (tx, ty), box
 
 
 def _orientation_bound(e: float, size: float, t: int) -> float:
@@ -127,7 +115,13 @@ def _orientation_bound(e: float, size: float, t: int) -> float:
     ) * _UP
 
 
-def _surviving_translates(f1: FloatLift, f2: FloatLift) -> list[tuple[int, int]]:
+def _box(x0: float, y0: float, x1: float, y1: float) -> tuple:
+    """A lift's (x_lo, x_hi, y_lo, y_hi, largest absolute coordinate)."""
+    xs, ys = (x0, x1) if x0 < x1 else (x1, x0), (y0, y1) if y0 < y1 else (y1, y0)
+    return (*xs, *ys, max(abs(x0), abs(y0), abs(x1), abs(y1)))
+
+
+def _surviving_translates(f1: FloatLift, f2: FloatLift, box1=None, box2=None) -> list:
     """The lattice translates t of segment 2, in enumeration order, that the
     error bounds cannot prove to miss segment 1.
 
@@ -143,21 +137,19 @@ def _surviving_translates(f1: FloatLift, f2: FloatLift) -> list[tuple[int, int]]
     are computed once per pair; a translate is skipped only when the
     endpoints of one segment lie certainly and strictly on one side of the
     other's line, which no exact hit, touching or collinear, can do."""
-    px0, py0, px1, py1, e1 = f1
-    qx0, qy0, qx1, qy1, e2 = f2
-    e = e1 + e2
-    size = max(abs(px0), abs(py0), abs(px1), abs(py1), abs(qx0), abs(qy0), abs(qx1), abs(qy1))
+    xlo, xhi, ylo, yhi, s1 = box1 or _box(*f1[:4])
+    qxlo, qxhi, qylo, qyhi, s2 = box2 or _box(*f2[:4])
+    e = f1[4] + f2[4]
+    size = s1 if s1 > s2 else s2
     margin = 2 * e + 16 * _EPS * size
-    lo, hi = (px0, px1) if px0 < px1 else (px1, px0)
-    qlo, qhi = (qx0, qx1) if qx0 < qx1 else (qx1, qx0)
-    n_lo, n_hi = math.ceil(lo - qhi - margin), math.floor(hi - qlo + margin)
+    n_lo, n_hi = math.ceil(xlo - qxhi - margin), math.floor(xhi - qxlo + margin)
     if n_lo > n_hi:
         return []
-    lo, hi = (py0, py1) if py0 < py1 else (py1, py0)
-    qlo, qhi = (qy0, qy1) if qy0 < qy1 else (qy1, qy0)
-    m_lo, m_hi = math.ceil(lo - qhi - margin), math.floor(hi - qlo + margin)
+    m_lo, m_hi = math.ceil(ylo - qyhi - margin), math.floor(yhi - qylo + margin)
     if m_lo > m_hi:
         return []
+    px0, py0, px1, py1, _ = f1
+    qx0, qy0, qx1, qy1, _ = f2
     count = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
     if count > _TRANSLATE_CAP:
         raise BudgetExceeded(f"{count} lattice translates exceed the enumeration cap")
@@ -277,7 +269,7 @@ def _numerators(xs: Sequence[Coord]) -> tuple[_Field, int, list[Vector]]:
     rads = sorted(rads - {0})
     if len(rads) > 2:
         raise MixedRadicals(", ".join(f"sqrt({r})" for r in rads) + " in one search")
-    (d, e), den = (*rads, 0, 0)[:2], math.lcm(*(c.w for ps in parts for c, _ in ps))
+    (d, e), den = (*rads, 0, 0)[:2], math.lcm(*[c.w for ps in parts for c, _ in ps])
     out = []
     for ps in parts:
         v = [0] * (1 if not d else 2 if not e else 4)
@@ -287,6 +279,49 @@ def _numerators(xs: Sequence[Coord]) -> tuple[_Field, int, list[Vector]]:
                 v[base + (1 if c.d == d else 2)] += c.v * (den // c.w)
         out.append(tuple(v))
     return _Field((1, d, e, d * e)), den, out
+
+
+def _segment_numerators(
+    line: TorusLine, t: tuple[QuadraticNumber, QuadraticNumber], shifts: Sequence[QuadraticNumber]
+) -> tuple[_Field, int, list[Vector]] | None:
+    """``_numerators`` of ``TorusSegment.lift`` for t = (t_lo, t_hi) on
+    ``line``, then of ``shifts``: F^-1 * state + t*direction (F the integer
+    frame, direction[0] an integer), moved by the exact floor of the
+    midpoint.  None past two radicands, and where F^-1 adds two radicands in
+    one coordinate, which ``TorusSegment.lift`` refuses."""
+    alpha, beta, (dx, dy) = line.alpha, line.beta, line.direction()
+    f11, f12, f21, f22 = line.slope.frame
+    if alpha.d and beta.d and alpha.d != beta.d and (f12 and f22 or f11 and f21):
+        return None
+    try:
+        f, den, (a, b, slope, *rest) = _numerators([alpha, beta, dy, *t, *shifts])
+    except MixedRadicals:
+        return None
+    # the endpoints over den*w: t*dy is over den^2, and den/w divides dy's numerators
+    (_, d, e, _), w, k, big = f.unit, dy.w, den // dy.w, den * dy.w
+    bx = [(p * f22 - q * f12) * w for p, q in zip(a, b)]
+    by = [(q * f11 - p * f21) * w for p, q in zip(a, b)]
+    ends = [[[p + c * dx.u * w for p, c in zip(bx, s)],
+             [p + c // k for p, c in zip(by, f.mul(s, slope))]] for s in rest[:2]]
+    for i in (0, 1):  # by floor_parts, and in the tower by BiQuadratic.floor
+        mid = list(map(operator.add, ends[0][i], ends[1][i]))
+        n = f.scalar(mid, 2 * big).floor() if e else floor_parts(mid[0], d and mid[1], 2 * big, d)
+        ends[0][i][0] -= n * big
+        ends[1][i][0] -= n * big
+    shifts = [tuple(c * w for c in x) for x in rest[2:]]
+    return f, big, [tuple(x) for end in ends for x in end] + shifts
+
+
+def _float_of(f: _Field, a: Sequence[int], den: int) -> tuple[float, float]:
+    """a/den as a float, and a bound on its absolute error, (8*eps +
+    2*|jitter|) * mag, with mag the sum of the parts' absolute values: the
+    sum cancels when u is near -v*sqrt(d), and the error scales with them."""
+    x = mag = 0.0
+    for u, c in zip(a, f.unit):
+        if u:
+            y = u / den if c == 1 else u / den * math.sqrt(c)
+            x, mag = x + y, mag + abs(y)
+    return numbers._jittered(x), (8 * _EPS + 2 * abs(numbers._FLOAT_JITTER)) * mag * _UP
 
 
 def _vsub(a: Vector, b: Vector) -> Vector:

@@ -20,7 +20,7 @@ states instead of stepping lines again.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -332,16 +332,28 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     return EventuallyPeriodic(n0, len(states) - n0, num, states)
 
 
+class _Folded(Sequence):
+    """States 0..n as ``_walk``'s distinct states, folding into the n0 cycle."""
+
+    def __init__(self, states: tuple, n0: int, n: int):
+        self.states, self.n0, self.n, self.period = states, n0, n, len(states) - n0
+
+    def __len__(self) -> int:
+        return self.n + 1
+
+    def __getitem__(self, i: int) -> StateInts:
+        if not 0 <= i <= self.n:
+            raise IndexError(i)
+        return self.states[i if i < self.n0 else self.n0 + (i - self.n0) % self.period]
+
+
 def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int,
-                     rule: tuple | None = None) -> tuple[tuple, Numerators]:
+                     rule: tuple | None = None) -> tuple[Sequence[StateInts], Numerators]:
     """States 0..n of the orbit of a line as ``_walk``'s integers by ``rule``,
-    its ``_state_rule`` if built, and their ``Numerators``: at most n steps,
-    then indexed out of the cycle.  Nothing is classified, so any b will do."""
+    its ``_state_rule`` if built, and their ``Numerators``: at most n steps, then
+    folded into the cycle (``_Folded``).  Nothing is classified, so any b will do."""
     states, n0, num = _walk(rule or _state_rule(tm, line.slope, line.transverse()), n + 1)
-    if n0 is not None:
-        p = len(states) - n0
-        states += tuple(states[n0 + (i - n0) % p] for i in range(len(states), n + 1))
-    return states, num
+    return states if n0 is None else _Folded(states, n0, n), num
 
 
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:

@@ -29,7 +29,7 @@ and plots.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
@@ -50,13 +50,15 @@ from .lift_arith import (
     Lift,
     Matrix,
     _affine,
+    _box,
     _compose,
     _converted,
-    _Field,
     _float_image,
+    _float_of,
     _float_shift,
     _meet,
     _numerators,
+    _segment_numerators,
     _surviving_translates,
     _then,
 )
@@ -495,7 +497,7 @@ def certified_slack(
 
 
 def first_overlap(
-    states: Sequence[Hashable],
+    states: Iterable[Hashable],
     chain: Callable[[], IntervalChain],
     rho_states: Sequence[Hashable] | None = None,
 ) -> tuple[int, int] | None:
@@ -715,34 +717,42 @@ def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegmen
 class _LiftSearch:
     """The lifts the collision search compares: iterate m of the segment
     under the covering x -> M*x + b, and its images under the group's
-    rotations x -> R_k*x + s_k (k = 0 is the identity).
+    ``_rotations`` x -> R_k*x + s_k (k = 0 is the identity).
 
-    Every lift is carried as a ``FloatLift`` and normalized by the integer
-    translate ``_float_image`` records.  Exact lifts are built on demand:
-    iterate m is M^m * lift_0 + S_m, with S_0 = 0 and S_m = M*S_{m-1} + b - t_m
-    following the recorded translates t_m, and its rotation k is R_k applied
-    to that, plus s_k minus the rotation's own translate: one affine image of
-    lift_0.  At the first survivor, lift_0, b and the s_k become numerators
-    over one denominator in their field, where the maps compose and
-    ``_meet`` decides."""
+    Every lift is carried as a ``FloatLift`` with its ``_box``, normalized
+    by the integer translate ``_float_image`` records.  Exact lifts are built
+    on demand: iterate m is M^m * lift_0 + S_m, with S_0 = 0 and
+    S_m = M*S_{m-1} + b - t_m following the recorded translates t_m, and its
+    rotation k is R_k applied to that, plus s_k minus the rotation's own
+    translate: one affine image of lift_0.  lift_0, b and the s_k are
+    numerators over one denominator in their field (``_segment_numerators``);
+    past two radicands, the first survivor converts ``TorusSegment.lift``."""
 
-    def __init__(self, tm: AffineTorusMap, lift0: LiftSegment, rotations: list[AffineMap]):
-        self.lift0 = lift0
+    def __init__(self, tm: AffineTorusMap, seg: TorusSegment, rotations: Sequence[AffineMap]):
+        self.seg, self.field = seg, None
         self.exact_maps = [(tm.m, (tm.b.x, tm.b.y)), *rotations]  # the covering, then the R_k
-        self.float_b = _float_shift(self.exact_maps[0][1])
-        self.rotations = [(rot, _float_shift(shift)) for rot, shift in rotations]
-        self.iterates = [(lift0.float_lift(), (0, 0))]  # float lift and translate
-        self.targets: list[list[tuple[FloatLift, tuple[int, int]]]] = []  # [n][k]
-        self.field: _Field | None = None
+        self.shifts = [c for _, shift in self.exact_maps for c in shift]
+        held = _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), self.shifts)
+        if held is None:
+            lift0, fs = seg.lift.float_lift(), [_float_shift(s) for _, s in self.exact_maps]
+        else:
+            self.field, den, vs = held
+            self._hold(vs, den)
+            xs, es = zip(*[_float_of(self.field, v, den) for v in vs])
+            lift0 = FloatLift(*xs[:4], max(es[:4]))
+            fs = [(*xs[i : i + 2], max(es[i : i + 2])) for i in range(4, len(xs), 2)]
+        self.float_maps = [(mat, fb) for (mat, _), fb in zip(self.exact_maps, fs)]
+        self.iterates = [(lift0, (0, 0), _box(*lift0[:4]))]  # float lift, translate, box
+        self.targets: list[list[tuple]] = []  # [n][k]: float lift, translate, box
         self.exact_lifts: dict[tuple[int, int], Lift] = {}
 
     def step(self) -> None:
         """Build the next iterate, and the rotations of the last one."""
-        last = self.iterates[-1][0]
+        last, _, box = self.iterates[-1]
         self.targets.append(
-            [(last, (0, 0))] + [_float_image(last, rot, fb) for rot, fb in self.rotations]
+            [(last, (0, 0), box)] + [_float_image(last, *rot) for rot in self.float_maps[1:]]
         )
-        self.iterates.append(_float_image(last, self.exact_maps[0][0], self.float_b))
+        self.iterates.append(_float_image(last, *self.float_maps[0]))
 
     def _hold(self, xs: list, den: int) -> None:
         """Compose from ``xs``: lift_0's four coordinates, then the maps'
@@ -767,26 +777,21 @@ class _LiftSearch:
 
     def meet(self, m: int, n: int, k: int, i: int, j: int) -> tuple[float, float] | None:
         """The witness mod 1 where iterate m meets the translate (i, j) of
-        rotation k of iterate n, or None.  A search past two radicands
-        composes and decides this first pair in QuadraticNumber/BiQuadratic
-        instead, and raises the ``MixedRadicals`` that meets."""
+        rotation k of iterate n, or None.  Past two radicands (no field),
+        this first pair is decided in QuadraticNumber/BiQuadratic instead,
+        raising the ``MixedRadicals`` that meets, else ``_numerators``'."""
         if self.field is None:
-            shifts = [c for _, shift in self.exact_maps for c in shift]
-            xs = [*self.lift0.p0, *self.lift0.p1, *shifts]
-            try:
-                self.field, den, vs = _numerators(xs)
-            except MixedRadicals:
-                # each scalar as a vector of one coordinate, over 1
-                (lift0,) = _common_field(shifts, self.lift0)
-                self._hold([(c,) for c in (*lift0.p0, *lift0.p1, *shifts)], 1)
-                s1, s2 = (
-                    LiftSegment(*((x, y) for (x,), (y,) in self.exact(*nk)))
-                    for nk in ((m, 0), (n, k))
-                )
-                cand = s2.translate(i, j)
-                segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-                raise
-            self._hold(vs, den)
+            # each scalar as a vector of one coordinate, over 1
+            xs = [*self.seg.lift.p0, *self.seg.lift.p1, *self.shifts]
+            (lift0,) = _common_field(self.shifts, self.seg.lift)
+            self._hold([(c,) for c in (*lift0.p0, *lift0.p1, *self.shifts)], 1)
+            s1, s2 = (
+                LiftSegment(*((x, y) for (x,), (y,) in self.exact(*nk)))
+                for nk in ((m, 0), (n, k))
+            )
+            cand = s2.translate(i, j)
+            segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+            _numerators(xs)  # lift_0 spans its line data's radicands, so this raises
         w = _meet(self.field, self.den, self.exact(m), self.exact(n, k), i, j)
         return None if w is None else reduce_mod1_float(w)
 
@@ -794,7 +799,7 @@ class _LiftSearch:
 def find_collision(
     tm: AffineTorusMap,
     seg: TorusSegment,
-    group: tuple[int, TorusPoint, Matrix] | None = None,
+    group: tuple | None = None,
     budget: int | None = None,
 ) -> CollisionCertificate | NoCollisionWithinBudget:
     """Search indices n < m <= budget (and rotation powers k in group mode) for
@@ -805,14 +810,14 @@ def find_collision(
     their intervals (arcs) overlap, which ``first_overlap`` decides, after
     one step when no state repeats (``_moves``); the lift search serves the
     rest.  A ``group`` is (nu, z0, R), with R =
-    rotation_matrix(tm.lattice, nu) as the caller solved it
-    (``LattesModel.rotation``)."""
+    rotation_matrix(tm.lattice, nu) as the caller solved it, and may add R's
+    ``_rotations`` (both as ``LattesModel.group`` keeps them)."""
     nu, rotations = None, []
     if group is not None:
-        nu, z0, rot = group
+        nu, z0, rot, *maps = group
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
-        rotations = _rotations(rot, nu, z0)
+        rotations = maps[0] if maps else _rotations(rot, nu, z0)
     if budget is None:
         budget = default_collision_budget(tm, seg, nu=nu)
     if budget < 1:
@@ -836,7 +841,7 @@ def find_collision(
                 ivs = ivs or IntervalChain(seg.t_lo, seg.t_hi, a, walk)
                 return ivs
             # a loop is its invariant, the first coordinate's (u0, v0)
-            keys = [p[:2] for p in states] if loop else states
+            keys = (p[:2] for p in states) if loop else states
             pair = first_overlap(keys, chain)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)
@@ -851,13 +856,13 @@ def find_collision(
 
     # iterate m is stepped when the search reaches it, so a first hit at m
     # costs m float steps, not budget, and exact lifts only for survivors
-    lifts = _LiftSearch(tm, seg.lift, rotations)
+    lifts = _LiftSearch(tm, seg, rotations)
     for m in range(1, budget + 1):
         lifts.step()
-        current = lifts.iterates[m][0]
+        current, _, box = lifts.iterates[m]
         for n in range(m):
-            for k, (target, _) in enumerate(lifts.targets[n]):
-                for i, j in _surviving_translates(current, target):
+            for k, (target, _, target_box) in enumerate(lifts.targets[n]):
+                for i, j in _surviving_translates(current, target, box, target_box):
                     w = lifts.meet(m, n, k, i, j)
                     if w is not None:
                         return CollisionCertificate(n, m, k, w, True, bound, budget)

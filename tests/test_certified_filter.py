@@ -119,7 +119,7 @@ def test_the_step_bound_covers_the_exact_chain(mat, shift, jitter):
         fshift = _float_shift(shift)
         assert _covers(lift, f)
         for _ in range(24):
-            f, (tx, ty) = _float_image(f, mat, fshift)
+            f, (tx, ty), _ = _float_image(f, mat, fshift)
             lift = lift.affine_image(mat, (shift[0] - tx, shift[1] - ty))
             assert _covers(lift, f)
 
@@ -364,7 +364,7 @@ def test_the_step_bound_covers_the_rounding_of_exact_floats(mat):
     # |image| + |out|), and must cover the exactly computed image
     f = FloatLift(0.1, 0.7, 0.30000000000000004, 0.9, 0.0)
     shift = (1 / 3, 2 / 7, 0.0)
-    image, (tx, ty) = _float_image(f, mat, shift)
+    image, (tx, ty), _ = _float_image(f, mat, shift)
     p, q, r, s = mat
     exact = []
     for x, y in ((f.x0, f.y0), (f.x1, f.y1)):
@@ -467,7 +467,7 @@ def _reference_first_hit(tm, seg, rotations, budget):
     same float lifts and translates, exact lifts as affine images of lift_0
     in its tower, and every translate of each pair's bounding box, widened
     by one, decided by ``segments_meet_exact`` in enumeration order."""
-    search = _LiftSearch(tm, seg.lift, rotations)
+    search = _LiftSearch(tm, seg, rotations)
     shifts = [c for _, shift in search.exact_maps for c in shift]
     (lift0,) = segments._common_field(shifts, seg.lift)
     step, b = tm.m, (tm.b.x, tm.b.y)
@@ -478,7 +478,7 @@ def _reference_first_hit(tm, seg, rotations, budget):
         lifts.append(lifts[-1].affine_image(step, (b[0] - tx, b[1] - ty)))
         current = lifts[m]
         for n in range(m):
-            for k, (_, (rx, ry)) in enumerate(search.targets[n]):
+            for k, (_, (rx, ry), _) in enumerate(search.targets[n]):
                 target = lifts[n]
                 if k:
                     mat, (sx, sy) = rotations[k - 1]
