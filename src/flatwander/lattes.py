@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lattice import ORIGIN, Lattice, TorusPoint, embed, reduce_to_fundamental
 from .line_orbit import EventuallyPeriodic, classify_line
-from .numbers import HALF, ZERO, ComplexPair, QuadraticNumber
+from .numbers import HALF, ComplexPair, QuadraticNumber
 from .segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -115,34 +115,16 @@ def lattes_model_new(
 
 
 # ---------------------------------------------------------------------------
-# rho on transverse states
+# rho on integer states, and the rho-pairing of periodic cycles
 # ---------------------------------------------------------------------------
-
-
-def rho_transverse(
-    model: LattesModel, state: tuple[QuadraticNumber, QuadraticNumber]
-) -> tuple[QuadraticNumber, QuadraticNumber]:
-    """Action of rho(v) = 2*z0 - v on transverse pairs: (alpha, beta) ->
-    rho(0) - (alpha, beta) mod 1, with rho(0) = (-2*z0_y, 2*z0_x)."""
-    (r0, r1), (alpha, beta) = model.rho_origin, state
-    return ((r0 - alpha).mod1(), (r1 - beta).mod1())
 
 
 def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):
-    """rho on the integer states (u0, 0, u1, 0) over N of a rational orbit:
-    u_i -> r_i - u_i mod N, with r/N = to_state(2*z0) = rho(0).  When
-    to_state(2*z0) is off the 1/N grid, no state reflects into the orbit, and
-    every image is None."""
-    den = orbit.num.den
-    r0, r1 = (x * den for x in rho_transverse(model, (ZERO, ZERO)))
-    if not (r0.is_integer and r1.is_integer):
-        return lambda p: None
-    return lambda p: ((r0.u - p[0]) % den, 0, (r1.u - p[2]) % den, 0)
-
-
-# ---------------------------------------------------------------------------
-# rho-pairing of periodic cycles
-# ---------------------------------------------------------------------------
+    """rho on the integer states over N of an orbit, ``Numerators.reflection``
+    of rho(0) = to_state(2*z0): u_i -> r_i - u_i mod N, v_i -> -v_i.  When
+    rho(0) is off the 1/N grid, no state reflects into the orbit, and every
+    image is None."""
+    return orbit.num.reflection(model.rho_origin)
 
 
 @dataclass(frozen=True)
@@ -186,10 +168,8 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, rho=None) -> RhoP
             raise InternalInconsistency("rho maps part of the cycle into it")
         return Unpaired(p)
     c = index[img0]
-    for j in range(p):
-        expect = cycle[(j + c) % p]
-        if rho(cycle[j]) != expect:
-            raise InternalInconsistency("rho image of the cycle is not an index shift")
+    if any(rho(cycle[j]) != cycle[(j + c) % p] for j in range(p)):
+        raise InternalInconsistency("rho image of the cycle is not an index shift")
     if c == 0:
         return SelfPaired(p)
     if p % 2 == 1 or c != p // 2:
@@ -216,8 +196,8 @@ def verify_sphere_disjoint_iterates(
 ) -> tuple[bool, tuple[int, int] | None]:
     """Brute-force oracle at the quotient level: Theta images of iterates
     0..k are pairwise disjoint iff the segments and their rho reflections
-    (``rho_transverse`` on states, t -> -t) are."""
-    return verify_disjoint_iterates(model.map, seg, k, lambda st: rho_transverse(model, st))
+    (st -> rho(0) - st on states, t -> -t) are."""
+    return verify_disjoint_iterates(model.map, seg, k, model.rho_origin)
 
 
 def certify_sphere_wandering(
@@ -245,7 +225,7 @@ def certify_sphere_wandering(
         return NotFlexible(reason, witness)
 
     verdict = classify_line(tm, seg.line)
-    returns, rho = None, lambda st: rho_transverse(model, st)
+    returns, rho = None, model.rho_origin
     if isinstance(verdict, EventuallyPeriodic):
         a, p = tm.multiplier_int(), verdict.period
         rho = rho_numerators(model, verdict)

@@ -10,11 +10,12 @@ exact decisions.  A rational direction (m, k) closes up into a Jordan curve;
 its frame (x, y) -> (k*x - m*y, u*x + v*y), u*m + v*k = 1, gives the loop's
 invariant and the base point's place on the loop.  An integer covering keeps
 every slope (a rational direction up to sign, which is the same set of
-lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1
-(``_state_step``).  A transverse orbit is walked in one place, ``_walk``, on
-integers over one denominator N: a pair (u, v) per coordinate for
-(u + v*sqrt(d))/N, with v = 0 on rational data.  Every consumer indexes its
-states instead of stepping lines again.
+lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1.
+A transverse orbit is walked in one place, ``_walk``, on integers over one
+denominator N: a pair (u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0
+on rational data.  Every consumer indexes its states instead of stepping lines
+again, and the order-2 involution acts on them as one integer map
+(``Numerators.reflection``).
 """
 
 from __future__ import annotations
@@ -196,19 +197,6 @@ def _translation_state(tm: AffineTorusMap, slope: SlopeSpec) -> tuple[int, Trans
     return tm.multiplier_int(), c
 
 
-def _state_step(
-    tm: AffineTorusMap, slope: SlopeSpec
-) -> Callable[[TransverseState], TransverseState]:
-    """The covering on states in ``slope``'s frame: F(a*p + b) = a*F(p) + F(b),
-    so st -> a*st + to_state(b) mod 1."""
-    a, (c0, c1) = _translation_state(tm, slope)
-
-    def step(st: TransverseState) -> TransverseState:
-        return ((st[0] * a + c0).mod1(), (st[1] * a + c1).mod1())
-
-    return step
-
-
 class Numerators(NamedTuple):
     """``_walk``'s states are integers (u0, v0, u1, v1) over ``den``, the
     coordinates (u_i + v_i*sqrt(rads[i]))/den; v_i = 0 on a rational one."""
@@ -221,11 +209,30 @@ class Numerators(NamedTuple):
         canon = QuadraticNumber._canon
         return (canon(p[0], p[1], den, d0), canon(p[2], p[3], den, d1))
 
+    def reflection(self, origin: TransverseState) -> Callable[[StateInts], StateInts | None]:
+        """The involution st -> origin - st mod 1 on these integers, for a
+        rational ``origin`` = r/den: u -> r - u reduced by ``floor_parts``,
+        v -> -v.  Off the 1/den grid it maps no state onto one over den, and
+        every image is None."""
+        den, (d0, d1) = self
+        r0, r1 = (x * den for x in origin)
+        if not (r0.is_integer and r1.is_integer):
+            return lambda p: None
+
+        def rho(p: StateInts) -> StateInts:
+            u0, u1 = r0.u - p[0], r1.u - p[2]
+            return (u0 - den * floor_parts(u0, -p[1], den, d0), -p[1],
+                    u1 - den * floor_parts(u1, -p[3], den, d1), -p[3])
+
+        return rho
+
 
 def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> tuple:
-    """``_state_step`` on integers over N, the lcm of the denominators of the
-    seed and c = to_state(b): the rule, the seed as its state, and the
-    ``Numerators``.  A seed and c in two fields are refused at the first step."""
+    """The covering on states in ``slope``'s frame, F(a*p + b) = a*F(p) + F(b),
+    so st -> a*st + c mod 1 with c = to_state(b), on integers over N, the lcm
+    of the denominators of the seed and c: the rule, the seed as its state,
+    and the ``Numerators``.  A seed and c in two fields are refused at the
+    first step."""
     a, c = _translation_state(tm, slope)
     xs = (*c, *seed)
     den = math.lcm(*(x.w for x in xs))
@@ -354,10 +361,3 @@ def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int,
     folded into the cycle (``_Folded``).  Nothing is classified, so any b will do."""
     states, n0, num = _walk(rule or _state_rule(tm, line.slope, line.transverse()), n + 1)
     return states if n0 is None else _Folded(states, n0, n), num
-
-
-def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list[TransverseState]:
-    """``orbit_numerators`` as states: the transverse pair of an irrational
-    slope; the loop invariant and place of a rational direction."""
-    states, num = orbit_numerators(tm, line, n)
-    return [num.value(p) for p in states]

@@ -12,7 +12,8 @@ the integer-multiplier collision search: it compares only iterates on one
 walked state, as parameter intervals or as arcs of a closed loop.  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
-compares the same states and intervals pairwise.  The sweep and the oracle
+derives each state in closed form from the seed, not by the walk, and
+compares the iterates on one state.  The sweep and the oracle
 read their intervals from one ``IntervalChain``, integer numerators over one
 denominator times a^n, so ``QuadraticNumber``s are built only for a
 certificate's interval and slack and a hit's witness.
@@ -28,6 +29,7 @@ and plots.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -71,12 +73,12 @@ from .line_orbit import (
     TorusLine,
     TransverseState,
     WanderingLine,
+    _Folded,
     _moves,
     _state_rule,
-    _state_step,
+    _translation_state,
     classify_line,
     orbit_numerators,
-    orbit_states,
 )
 from .numbers import HALF, BiQuadratic, QuadraticNumber, _sign_parts, floor_parts, qn
 from .torus_map import (
@@ -381,28 +383,47 @@ def verify_disjoint_iterates(
     tm: AffineTorusMap,
     seg: TorusSegment,
     k: int,
-    reflect: Callable[[TransverseState], TransverseState] | None = None,
+    reflect: TransverseState | None = None,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Brute-force oracle: are iterates 0..k of an irrational-slope segment
     pairwise disjoint?  Returns the first failing (i, j) in order.  On
     parallel geodesics i and j meet iff they share a transverse state and
-    their intervals overlap; with ``reflect``, an involution on states that
-    maps the parameter by t -> -t, iterate i is also tested against the
-    reflection of j.  Independent of ``first_overlap`` and the integer walk:
-    one ``_state_step`` rule, every pair compared.  A rational direction is
-    refused: states do not decide arcs of a closed loop."""
+    their intervals overlap; with ``reflect``, rho(0) of an involution
+    st -> rho(0) - st that maps the parameter by t -> -t, iterate i is also
+    tested against the reflection of j.  Independent of ``first_overlap``
+    and the integer walk: iterate n's state is a^n*s0 + G_n*c mod 1,
+    G_n = (a^n - 1)/(a - 1), in closed form on numerators over one
+    denominator, and a dict of buckets finds the pairs on one state (or on
+    a reflection's).  A rational direction is refused: states do not decide
+    arcs of a closed loop."""
     if not seg.line.is_irrational:
         raise ValueError("the oracle decides irrational-slope segments only")
-    step, states = _state_step(tm, seg.line.slope), [seg.line.transverse()]
-    for _ in range(k):
-        states.append(step(states[-1]))
-    chain = IntervalChain(seg.t_lo, seg.t_hi, tm.multiplier_int())
-    mirrors = [reflect(st) for st in states] if reflect else []
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            if (states[i] == states[j] and chain.meet(i, j)) or (
-                mirrors and states[i] == mirrors[j] and chain.meet(i, j, reflect=True)
-            ):
+    a, c = _translation_state(tm, seg.line.slope)
+    xs = (*seg.line.transverse(), *c)  # the seed s0, then c
+    clash = [(s.d, t.d) for s, t in zip(xs, c) if s.d and t.d and s.d != t.d]
+    if clash and k > 0:
+        raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash[0])
+    den = math.lcm(*[x.w for x in xs])
+    su0, sv0, su1, sv1, cu0, cv0, cu1, cv1 = [n * (den // x.w) for x in xs for n in (x.u, x.v)]
+    d0, d1 = rads = (xs[0].d or c[0].d, xs[1].d or c[1].d)
+    states = []
+    for an in (a**n for n in range(k + 1)):
+        g = (an - 1) // (a - 1)
+        u0, v0 = an * su0 + g * cu0, an * sv0 + g * cv0
+        u1, v1 = an * su1 + g * cu1, an * sv1 + g * cv1
+        states.append((u0 - den * floor_parts(u0, v0, den, d0), v0,
+                       u1 - den * floor_parts(u1, v1, den, d1), v1))
+    rho = (lambda p: None) if reflect is None else Numerators(den, rads).reflection(reflect)
+    mirrors = list(map(rho, states))
+    buckets: dict[Hashable, list[int]] = {}  # a state: the iterates on it or reflected onto it
+    for j, (st, mirror) in enumerate(zip(states, mirrors)):
+        for key in {st, mirror} - {None}:
+            buckets.setdefault(key, []).append(j)
+    chain = IntervalChain(seg.t_lo, seg.t_hi, a)
+    for i, st in enumerate(states):
+        for j in buckets[st]:
+            if j > i and ((states[j] == st and chain.meet(i, j))
+                          or (mirrors[j] == st and chain.meet(i, j, reflect=True))):
                 return False, (i, j)
     return True, None
 
@@ -522,6 +543,18 @@ def first_overlap(
     return None
 
 
+def _separation(lo: QuadraticNumber, hi: QuadraticNumber, a: int) -> int:
+    """The least D with |a|^D * min|t| > max|t| on [lo, hi], 0 when 0 lies in
+    it: the interval and its images under t -> a^j*t, j >= D, are apart."""
+    if lo.sign() <= 0 <= hi.sign():
+        return 0
+    near, far = sorted((abs(lo), abs(hi)))
+    top = 1  # doubled past D, then bisected: O(log D) exact comparisons
+    while (near * abs(a) ** top).cmp(far) <= 0:
+        top *= 2
+    return bisect.bisect(range(top), False, key=lambda j: (near * abs(a) ** j).cmp(far) > 0)
+
+
 def certify_wandering(
     tm: AffineTorusMap, seg: TorusSegment, check_iterates: int = 12
 ) -> WanderingCertificate | NotWanderable:
@@ -540,50 +573,41 @@ def certify_classified(
     seg: TorusSegment,
     verdict: LineOrbitClass,
     check_iterates: int,
-    rho: Callable[[Hashable], Hashable] | None = None,
+    rho: Callable[[StateInts], StateInts | None] | TransverseState | None = None,
     returns: tuple[int, int, bool] | None = None,
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``.
 
-    With ``rho``, the order-2 involution on the verdict's states (the integer
-    states of a periodic line; None off its grid), the certificate is for the
-    quotient (level "sphere"), and ``returns`` gives the quotient's return map
-    (period, multiplier, both_sides); without it the return map is the line's
-    (p, a^p, False).  A wandering line must then also keep its states apart
-    from their reflections, and a periodic line is swept against the
-    reflections to the dominance horizon: past the preperiod a pair repeats
-    one period later scaled by a^p, and pairs further apart than
-    ``dominance`` steps are separated by growth, so the sweep covers them all.
-    """
+    With ``rho``, the order-2 involution (on a periodic line, its map on the
+    verdict's integer states, None off their grid; on a wandering line,
+    rho(0), whose ``Numerators.reflection`` acts on the walked states), the
+    certificate is for the quotient (level "sphere"), and ``returns`` gives
+    the quotient's return map (period, multiplier, both_sides); without it
+    the return map is the line's (p, a^p, False).  A wandering line must then
+    also keep its states apart from their reflections, and a periodic line is
+    swept against the reflections to the dominance horizon: past the
+    preperiod a pair repeats one period later scaled by a^p, and pairs
+    ``_separation`` or more steps apart are separated by growth, so the
+    sweep covers them all."""
     if check_iterates < 0:
         raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
-    if check_iterates > MAX_CHECK_ITERATES:
-        # the oracle compares every pair of iterates
-        raise UsageError(
-            f"check_iterates must be at most {MAX_CHECK_ITERATES}, got {check_iterates}"
-        )
+    if check_iterates > MAX_CHECK_ITERATES:  # a period-1 line puts every pair on one state
+        raise UsageError(f"check_iterates must be at most {MAX_CHECK_ITERATES}, "
+                         f"got {check_iterates}")
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
-    level = "torus" if rho is None else "sphere"
+    cert = partial(WanderingCertificate, level="torus" if rho is None else "sphere",
+                   checked_iterates=check_iterates, line=seg.line)
     if isinstance(verdict, WanderingLine):
         # transverse states never repeat; exact check over the budget
-        states = orbit_states(tm, seg.line, check_iterates)
+        states, num = orbit_numerators(tm, seg.line, check_iterates)
         if len(set(states)) != len(states):
             raise InternalInconsistency("a wandering line repeated a transverse state")
         # a state rho fixes is a line through the grid
-        if rho is not None and not {rho(st) for st in states}.isdisjoint(states):
+        if rho is not None and not set(map(num.reflection(rho), states)).isdisjoint(states):
             raise InternalInconsistency("rho collision on a wandering line")
-        return WanderingCertificate(
-            mode="whole-segment",
-            level=level,
-            interval=(seg.t_lo, seg.t_hi),
-            preperiod=0,
-            period=0,
-            multiplier=0,
-            checked_iterates=check_iterates,
-            slack=None,
-            line=seg.line,
-        )
+        return cert(mode="whole-segment", interval=(seg.t_lo, seg.t_hi), preperiod=0,
+                    period=0, multiplier=0, slack=None)
     a = tm.multiplier_int()
     period, lam, both_sides = returns or (verdict.period, a**verdict.period, False)
     u, v, slack = certify_interval(seg.t_lo, seg.t_hi, lam, both_sides)
@@ -593,24 +617,14 @@ def certify_classified(
         raise InternalInconsistency("negative return multiplier kept the certified side")
     horizon = check_iterates
     if rho is not None:
-        dominance = math.ceil(math.log(max(2.0, abs(float(v / u)))) / math.log(abs(a))) + 2
-        horizon = max(check_iterates, verdict.preperiod + verdict.period + dominance)
+        horizon = max(check_iterates, len(verdict.states) + _separation(u, v, a))
     states = [verdict.states[verdict.index(i)] for i in range(horizon + 1)]
     rho_states = None if rho is None else [rho(st) for st in states]
     pair = first_overlap(states, partial(IntervalChain, u, v, a), rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
-    return WanderingCertificate(
-        mode="subsegment",
-        level=level,
-        interval=(u, v),
-        preperiod=verdict.preperiod,
-        period=period,
-        multiplier=lam,
-        checked_iterates=check_iterates,
-        slack=slack,
-        line=seg.line,
-    )
+    return cert(mode="subsegment", interval=(u, v), preperiod=verdict.preperiod,
+                period=period, multiplier=lam, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +679,13 @@ def _forcing_bound(tm: AffineTorusMap, nu: int | None) -> float:
 
 
 def default_collision_budget(
-    tm: AffineTorusMap, seg: TorusSegment, nu: int | None = None
+    tm: AffineTorusMap, seg: TorusSegment, nu: int | None = None, bound: float | None = None
 ) -> int:
     """ceil(log_|a|(bound / length)) + 2 iterations suffice to force a
-    collision (the +2 covers an exact-power edge)."""
-    bound = _forcing_bound(tm, nu)
+    collision (the +2 covers an exact-power edge); ``bound`` is
+    ``_forcing_bound(tm, nu)`` when the caller has it."""
+    if bound is None:
+        bound = _forcing_bound(tm, nu)
     if math.isinf(bound):
         raise ValueError(
             "no finite default budget for an integer multiplier; pass one explicitly"
@@ -818,11 +834,11 @@ def find_collision(
         if nu not in (3, 4, 6):
             raise ValueError("group order must be 3, 4 or 6")
         rotations = maps[0] if maps else _rotations(rot, nu, z0)
+    bound = _forcing_bound(tm, nu)
     if budget is None:
-        budget = default_collision_budget(tm, seg, nu=nu)
+        budget = default_collision_budget(tm, seg, bound=bound)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    bound = _forcing_bound(tm, nu)
 
     if group is None and tm.has_integer_multiplier:
         loop = not seg.line.is_irrational
@@ -835,6 +851,10 @@ def find_collision(
             pass  # the states share no field or meet the slope's field: lift search
         else:
             a, ivs, walk = tm.multiplier_int(), None, (num, states) if loop else None
+            if not loop and isinstance(states, _Folded):
+                # a hit (n, m) has m - n < D, so past n0 + p + D one period earlier meets too
+                cut = len(states.states) + _separation(seg.t_lo, seg.t_hi, a)
+                states = _Folded(states.states, states.n0, min(budget, cut))
             def chain() -> IntervalChain:
                 # built at the first repeated state, and kept for the witness
                 nonlocal ivs
@@ -866,7 +886,7 @@ def find_collision(
                     w = lifts.meet(m, n, k, i, j)
                     if w is not None:
                         return CollisionCertificate(n, m, k, w, True, bound, budget)
-    if math.isfinite(bound) and budget >= default_collision_budget(tm, seg, nu=nu):
+    if math.isfinite(bound) and budget >= default_collision_budget(tm, seg, bound=bound):
         # the forcing bound promises a collision within this budget
         raise InternalInconsistency(f"no collision within the forcing budget {budget}")
     return NoCollisionWithinBudget(budget=budget, group_order=nu or 1)

@@ -6,8 +6,11 @@ route: a line stepped one image at a time, parameter intervals and arcs as
 iterated or pulled back, the grid of rho's fixed points built and searched, a
 line's image under the quotient typed by that search, wp evaluated with one
 new array per operation, argv read by argparse, as the command line was
-read before its option tables, a point's state from its frame products, and
-a radicand split by trial division up to its square root.  No command and no certificate runs them.
+read before its option tables, a point's state from its frame products, a
+line's states and their reflections as ``QuadraticNumber`` pairs, the
+disjointness oracle with each state stepped from the one before and every
+pair compared, and a radicand split by trial division up to its square root.
+No command and no certificate runs them.
 """
 
 from __future__ import annotations
@@ -23,10 +26,17 @@ import numpy as np
 from flatwander.errors import InternalInconsistency, NearPole, ResidualExceedsTol
 from flatwander.lattes import LattesModel, WeierstrassContext, weierstrass_context
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
-from flatwander.line_orbit import TorusLine, _state_step, line_from_point, slope_spec
+from flatwander.line_orbit import (
+    TorusLine,
+    _translation_state,
+    line_from_point,
+    orbit_numerators,
+    slope_spec,
+)
 from flatwander.numbers import HALF, ZERO, QuadraticNumber
 from flatwander.segments import (
     Interval,
+    IntervalChain,
     LiftSegment,
     TorusSegment,
     _overlap_witness,
@@ -64,6 +74,59 @@ def preimages(tm: AffineTorusMap, target: TorusPoint) -> list[TorusPoint]:
     x, y = cx * s - cy * r, cy * p - cx * q
     det = tm.degree
     return [reduce_to_fundamental(((x + n1) / det, (y + n2) / det)) for n1, n2 in kernel(tm)]
+
+
+def _state_step(tm: AffineTorusMap, slope):
+    """The covering on states in ``slope``'s frame, stepped in
+    ``QuadraticNumber``s: F(a*p + b) = a*F(p) + F(b), so
+    st -> a*st + to_state(b) mod 1."""
+    a, (c0, c1) = _translation_state(tm, slope)
+
+    def step(st):
+        return ((st[0] * a + c0).mod1(), (st[1] * a + c1).mod1())
+
+    return step
+
+
+def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list:
+    """States 0..n of the walk (``orbit_numerators``) as ``QuadraticNumber``
+    pairs: the transverse pair of an irrational slope; the loop invariant and
+    place of a rational direction."""
+    states, num = orbit_numerators(tm, line, n)
+    return [num.value(p) for p in states]
+
+
+def _reflected(origin, state):
+    (r0, r1), (alpha, beta) = origin, state
+    return ((r0 - alpha).mod1(), (r1 - beta).mod1())
+
+
+def rho_transverse(model: LattesModel, state):
+    """rho(v) = 2*z0 - v on transverse pairs, on values: (alpha, beta) ->
+    rho(0) - (alpha, beta) mod 1, with rho(0) = (-2*z0_y, 2*z0_x)."""
+    return _reflected(model.rho_origin, state)
+
+
+def stepped_disjoint_iterates(tm: AffineTorusMap, seg: TorusSegment, k: int, origin=None):
+    """The first meeting pair (i, j) of iterates 0..k of an irrational-slope
+    segment, or (True, None): each state stepped from the one before in
+    ``QuadraticNumber``s, every pair compared, and with an ``origin`` rho(0)
+    each iterate also against the reflection st -> rho(0) - st mod 1 of each
+    later one, whose interval maps by t -> -t."""
+    if not seg.line.is_irrational:
+        raise ValueError("the oracle decides irrational-slope segments only")
+    step, states = _state_step(tm, seg.line.slope), [seg.line.transverse()]
+    for _ in range(k):
+        states.append(step(states[-1]))
+    chain = IntervalChain(seg.t_lo, seg.t_hi, tm.multiplier_int())
+    mirrors = [_reflected(origin, st) for st in states] if origin else []
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if (states[i] == states[j] and chain.meet(i, j)) or (
+                mirrors and states[i] == mirrors[j] and chain.meet(i, j, reflect=True)
+            ):
+                return False, (i, j)
+    return True, None
 
 
 def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:

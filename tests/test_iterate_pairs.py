@@ -1,10 +1,12 @@
 """One iterate-pair sweep and one brute-force oracle: the integer collision
 search against recorded CLI output, both oracles against a planar reference
-on lifts, the oracle's reflection count, walks bounded by the budget,
-transverse pairs in the slope's field against the lift search, rational
-directions decided on their loops with no lifts, and the typed cross-checks
-under ``python -O``."""
+on lifts, the closed-form oracle against the stepped one, the oracle's
+reflection count, a periodic line's cut sweep against the full sweep, walks
+bounded by the budget, transverse pairs in the slope's field against the
+lift search, rational directions decided on their loops with no lifts, and
+the typed cross-checks under ``python -O``."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -12,6 +14,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,15 +25,15 @@ from flatwander import lattes, line_orbit, segments
 from flatwander.cli import _parse_segment, main
 from flatwander.lattice import Lattice, point
 from flatwander.lattes import lattes_model_new, verify_sphere_disjoint_iterates
-from flatwander.errors import FieldClash, NotLattesCompatible
+from flatwander.errors import FieldClash, MixedRadicals, NotLattesCompatible
 from flatwander.line_orbit import (
     IrrationalSlope,
     TorusLine,
     line_from_point,
-    orbit_states,
+    orbit_numerators,
     slope_spec,
 )
-from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
+from flatwander.numbers import ComplexPair, QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -42,7 +45,7 @@ from flatwander.segments import (
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
-from reference import line_image
+from reference import line_image, orbit_states, stepped_disjoint_iterates
 
 ROOT = Path(__file__).resolve().parent.parent
 # find-collision on integer multipliers, recorded from the pairwise search
@@ -194,13 +197,13 @@ def test_the_oracle_refuses_a_rational_direction():
 
 def test_sphere_oracle_reflects_each_iterate_once(monkeypatch):
     calls = []
-    orig = lattes.rho_transverse
+    orig = line_orbit.Numerators.reflection
 
-    def counted(model, state):
-        calls.append(state)
-        return orig(model, state)
+    def counted(num, origin):
+        rho = orig(num, origin)
+        return lambda p: calls.append(p) or rho(p)
 
-    monkeypatch.setattr(lattes, "rho_transverse", counted)
+    monkeypatch.setattr(line_orbit.Numerators, "reflection", counted)
     model = lattes_model_new(SQUARE, _map("2"), 2, point(0, 0))
     seg = segment_new(_line(Fraction(1, 5), 0), qn(Fraction(1, 50)), qn(Fraction(1, 20)))
     assert verify_sphere_disjoint_iterates(model, seg, 12) == (True, None)
@@ -209,19 +212,161 @@ def test_sphere_oracle_reflects_each_iterate_once(monkeypatch):
 
 def test_oracles_build_the_state_rule_once(monkeypatch):
     builds = []
-    orig = segments._state_step
+    orig = segments._translation_state
 
     def counted(tm, slope):
         builds.append(slope)
         return orig(tm, slope)
 
-    monkeypatch.setattr(segments, "_state_step", counted)
+    monkeypatch.setattr(segments, "_translation_state", counted)
     model = lattes_model_new(SQUARE, _map("3", "1/2"), 2, point(Fraction(1, 4), 0))
     line = _line(Fraction(1, 7), Fraction(1, 3))
     seg = segment_new(line, qn(Fraction(1, 50)), qn(Fraction(1, 20)))
     assert verify_disjoint_iterates(model.map, seg, 12) == (True, None)
     assert verify_sphere_disjoint_iterates(model, seg, 12)[0]
     assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the closed-form oracle against the stepped one
+# ---------------------------------------------------------------------------
+
+
+def _irrational(draw, d):
+    """A drawn p/q + sqrt(d)/m."""
+    m = draw(st.integers(2, 9))
+    return qn(Fraction(draw(st.integers(0, 6)), 7)) + QuadraticNumber.sqrt_int(d) / m
+
+
+@st.composite
+def _oracle_case(draw):
+    """A segment on a periodic or wandering line of slope sqrt(2), under a
+    rational b or one with parts in Q(sqrt 3) and Q(sqrt 5) (rarely in the
+    slope's field, which is refused), k from 0 to 40, and an origin rho(0)
+    whose denominator may or may not divide the states' one."""
+    a = draw(st.sampled_from([2, -2, 3]))
+    q = draw(st.integers(1, 8))
+    seed = [qn(Fraction(draw(st.integers(0, q - 1)), q)) for _ in range(2)]
+    wandering = draw(st.booleans())
+    if wandering:
+        i = draw(st.integers(0, 1))
+        seed[i] = (seed[i] + _irrational(draw, draw(st.sampled_from([3, 5])))).mod1()
+    b = [qn(Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 6)))) for _ in range(2)]
+    for i in range(2):
+        d = draw(st.sampled_from([0, 0, 0, 0, 3, 5, 2]))
+        if d:
+            b[i] = b[i] + _irrational(draw, d)
+    tm = torus_map_new(parse_complex(str(a)), ComplexPair(*b), SQUARE)
+    t0 = qn(Fraction(draw(st.integers(-8, 8)), 40))
+    t1 = t0 + Fraction(draw(st.integers(1, 30)), 40)
+    if draw(st.booleans()):  # parameters in the slope's field
+        shift = QuadraticNumber.sqrt_int(2) / draw(st.integers(20, 60))
+        t0, t1 = t0 + shift, t1 + shift
+    seg = segment_new(TorusLine(SQRT2, *seed), t0, t1)
+    g = draw(st.sampled_from([1, 2, q, 2 * q, 7, 9]))
+    origin = tuple(qn(Fraction(draw(st.integers(0, 2 * g - 1)), g)) for _ in range(2))
+    if not wandering and draw(st.integers(0, 2)):
+        # rho(0) = s_0 + s_m reflects iterate m onto iterate 0
+        states = _outcome(lambda: _walked(tm, seg.line, 3))
+        m = draw(st.integers(1, 3))
+        if isinstance(states, list) and all(x.is_rational for x in (*states[0], *states[m])):
+            origin = tuple(x + y for x, y in zip(states[0], states[m]))
+    return tm, seg, draw(st.integers(0, 40)), origin, wandering
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (MixedRadicals, FieldClash) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_closed_form_oracle_matches_the_stepped_oracle():
+    seen = collections.Counter()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_oracle_case())
+    def check(case):
+        tm, seg, k, origin, wandering = case
+        got = [_outcome(lambda: verify_disjoint_iterates(tm, seg, k, o)) for o in (None, origin)]
+        want = [_outcome(lambda: stepped_disjoint_iterates(tm, seg, k, o)) for o in (None, origin)]
+        assert got == want
+        xs = (*seg.line.transverse(), tm.b.x, tm.b.y)
+        den = math.lcm(*[x.w for x in xs])
+        seen["wandering" if wandering else "periodic"] += 1
+        seen["on the grid" if all((x * den).is_integer for x in origin) else "off it"] += 1
+        seen["irrational b"] += not (tm.b.x.is_rational and tm.b.y.is_rational)
+        if isinstance(got[0][0], str):
+            seen[got[0][0]] += 1
+        elif not got[0][0]:
+            seen["plain pair"] += 1
+        elif not got[1][0]:
+            seen["reflected pair only"] += 1
+        else:
+            seen["disjoint"] += 1
+
+    check()
+    for kind in ("wandering", "periodic", "on the grid", "off it", "irrational b",
+                 "MixedRadicals", "FieldClash", "plain pair", "reflected pair only", "disjoint"):
+        assert seen[kind] >= 5, (kind, seen)
+
+
+# ---------------------------------------------------------------------------
+# a periodic line's collision sweep, cut at n0 + period + D
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _periodic_case(draw):
+    a = draw(st.sampled_from([2, -2, -2, 3, -3]))  # a^p < 0 can miss at p and meet at 2p
+    q = draw(st.integers(1, 12))
+    seed = [qn(Fraction(draw(st.integers(0, q - 1)), q)) for _ in range(2)]
+    b = [qn(Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 4)))) for _ in range(2)]
+    tm = torus_map_new(parse_complex(str(a)), ComplexPair(*b), SQUARE)
+    if draw(st.booleans()):  # the fixed point -c/(a - 1) of st -> a*st + c, c = (-b_y, b_x)
+        seed = [(tm.b.y / (a - 1)).mod1(), (-tm.b.x / (a - 1)).mod1()]
+    scale = draw(st.sampled_from([10, 40, 1000]))
+    t0 = Fraction(draw(st.integers(-20, 20)), scale)
+    t1 = t0 + Fraction(draw(st.integers(1, 40)), draw(st.sampled_from([10, 40, 1000])))
+    seg = segment_new(TorusLine(SQRT2, *seed), qn(t0), qn(t1))
+    return tm, seg, draw(st.integers(1, 150))
+
+
+def test_the_cut_periodic_sweep_matches_the_full_sweep():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_periodic_case())
+    def check(case):
+        tm, seg, budget = case
+        a = tm.multiplier_int()
+        states, _ = orbit_numerators(tm, seg.line, budget)
+        chain = partial(segments.IntervalChain, seg.t_lo, seg.t_hi, a)
+        full = segments.first_overlap(states, chain)
+        got = find_collision(tm, seg, budget=budget)
+        assert ((got.n, got.m) if isinstance(got, CollisionCertificate) else None) == full
+        if not isinstance(states, line_orbit._Folded):
+            return  # no repeat within the budget: nothing is cut
+        if len(states.states) + segments._separation(seg.t_lo, seg.t_hi, a) < budget:
+            seen["cut hit" if full else "cut miss"] += 1
+            seen["hit past the cycle"] += bool(full) and full[1] > len(states.states)
+
+    check()
+    assert min(seen["cut hit"], seen["cut miss"], seen["hit past the cycle"]) >= 5, seen
+
+
+def test_a_periodic_miss_answers_at_any_budget(monkeypatch):
+    # v/u = 3 < 4 = a^2: no two iterates of this period-1 line ever meet
+    tm = _map("-2")
+    seg = segment_new(_line(0, 0), qn(Fraction(1, 10)), qn(Fraction(3, 10)))
+    assert segments._separation(seg.t_lo, seg.t_hi, -2) == 2
+    compared, orig = [], segments.IntervalChain.meet
+    monkeypatch.setattr(
+        segments.IntervalChain, "meet", lambda *args: compared.append(args) or orig(*args)
+    )
+    assert find_collision(tm, seg, budget=10**6) == NoCollisionWithinBudget(10**6, 1)
+    # n0 + period + D = 0 + 1 + 2: the six pairs of iterates 0..3, all on one state
+    assert sorted((n, m) for _, n, m in compared) == list(itertools.combinations(range(4), 2))
 
 
 # ---------------------------------------------------------------------------

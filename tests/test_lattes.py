@@ -29,7 +29,6 @@ from flatwander.lattes import (
     quotient_probes,
     rho_numerators,
     rho_pairing,
-    rho_transverse,
     verify_semiconjugacy,
     verify_sphere_disjoint_iterates,
     weierstrass_context,
@@ -59,6 +58,7 @@ from reference import (
     passes_through_q,
     q_grid,
     reduce_nearest,
+    rho_transverse,
     segments_intersect,
     theta_line_type,
     wp_pair,

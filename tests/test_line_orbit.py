@@ -15,12 +15,18 @@ from flatwander.line_orbit import (
     WanderingLine,
     classify_line,
     line_from_point,
-    orbit_states,
     slope_spec,
 )
 from flatwander.numbers import ComplexPair, QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.torus_map import apply_map, torus_map_new
-from reference import half_lattice_q, iterate_map, line_image, passes_through_q, same_line
+from reference import (
+    half_lattice_q,
+    iterate_map,
+    line_image,
+    orbit_states,
+    passes_through_q,
+    same_line,
+)
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))

@@ -29,7 +29,6 @@ from flatwander.lattes import (
     lattes_model_new,
     rho_numerators,
     rho_pairing,
-    rho_transverse,
 )
 from flatwander.line_orbit import (
     EventuallyPeriodic,
@@ -37,9 +36,7 @@ from flatwander.line_orbit import (
     TorusLine,
     classify_line,
     line_from_point,
-    _state_step,
     orbit_numerators,
-    orbit_states,
     slope_spec,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
@@ -58,11 +55,14 @@ from reference import (
     _arcs_meet,
     _on_arc,
     _overlap,
+    _state_step,
     as_fraction,
     frame_state,
     interval_chain,
     iterate_map,
     line_image,
+    orbit_states,
+    rho_transverse,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
