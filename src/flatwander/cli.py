@@ -96,14 +96,18 @@ def _json(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(rows) + f"\n{indent}{brackets[1]}"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
 def _emit(payload: dict, out_path: str | None = None) -> None:
     text = _json(payload)
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        _write(out_path, text + "\n")
     print(text)
 
 
@@ -350,13 +354,8 @@ def _cmd_verify_semiconjugacy(args) -> None:
     report = verify_semiconjugacy(model, samples=args.samples, tol=args.tol)
     rows = report.pop("rows")
     if args.dump_csv:
-        try:
-            with open(args.dump_csv, "w") as fh:
-                fh.write("z_re,z_im,wp_re,wp_im,residual\n")
-                for r in rows:
-                    fh.write(",".join(f"{v:.17g}" for v in r) + "\n")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        rows = [",".join(f"{v:.17g}" for v in r) for r in rows]
+        _write(args.dump_csv, "\n".join(["z_re,z_im,wp_re,wp_im,residual", *rows]) + "\n")
     _emit(report, args.out)
 
 
@@ -476,11 +475,7 @@ def emit_orbit_svg(
     parts.append("</svg>")
     doc = "\n".join(parts) + "\n"
     if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        _write(path, doc)
     return doc
 
 

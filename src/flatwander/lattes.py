@@ -227,13 +227,12 @@ def certify_sphere_wandering(
     verdict = classify_line(tm, seg.line)
     returns, rho = None, model.rho_origin
     if isinstance(verdict, EventuallyPeriodic):
-        a, p = tm.multiplier_int(), verdict.period
         rho = rho_numerators(model, verdict)
         pairing = rho_pairing(model, verdict, rho)
         if isinstance(pairing, Paired):
-            returns = (pairing.half_period, -(a**pairing.half_period), False)
+            returns = (pairing.half_period, -1, False)
         else:
-            returns = (p, a**p, isinstance(pairing, SelfPaired))
+            returns = (verdict.period, 1, isinstance(pairing, SelfPaired))
     cert = certify_classified(tm, seg, verdict, check_iterates, rho, returns)
     if isinstance(cert, NotWanderable):
         return cert

@@ -194,8 +194,8 @@ def _affine(mat: Matrix, shift: tuple, pt: tuple) -> tuple[tuple, tuple]:
     """The point pt under x -> mat*x + shift, coordinate vector by vector."""
     (p, q, r, s), (bx, by), (x, y) = mat, shift, pt
     return (
-        tuple(p * u + r * v + c for u, v, c in zip(x, y, bx)),
-        tuple(q * u + s * v + c for u, v, c in zip(x, y, by)),
+        tuple([p * u + r * v + c for u, v, c in zip(x, y, bx)]),
+        tuple([q * u + s * v + c for u, v, c in zip(x, y, by)]),
     )
 
 
@@ -289,7 +289,7 @@ def _segment_numerators(
     frame, direction[0] an integer), moved by the exact floor of the
     midpoint.  None past two radicands, and where F^-1 adds two radicands in
     one coordinate, which ``TorusSegment.lift`` refuses."""
-    alpha, beta, (dx, dy) = line.alpha, line.beta, line.direction()
+    alpha, beta, (dx, dy) = line.alpha, line.beta, line.direction
     f11, f12, f21, f22 = line.slope.frame
     if alpha.d and beta.d and alpha.d != beta.d and (f12 and f22 or f11 and f21):
         return None
@@ -334,11 +334,7 @@ def _psub(a: tuple[Vector, Vector], b: tuple[Vector, Vector]) -> tuple[Vector, V
 
 def _on_collinear(f: _Field, p0: tuple, p1: tuple, r: tuple) -> bool:
     """``_on_collinear_segment`` on numerators."""
-    for i in (0, 1):
-        lo, hi = (p0[i], p1[i]) if f.sign(_vsub(p1[i], p0[i])) >= 0 else (p1[i], p0[i])
-        if f.sign(_vsub(r[i], lo)) < 0 or f.sign(_vsub(hi, r[i])) < 0:
-            return False
-    return True
+    return all(f.sign(_vsub(r[i], p0[i])) * f.sign(_vsub(r[i], p1[i])) <= 0 for i in (0, 1))
 
 
 def _meet(f: _Field, den: int, s1: Lift, s2: Lift, i: int, j: int) -> tuple | None:

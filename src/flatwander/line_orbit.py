@@ -13,17 +13,18 @@ every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1.
 A transverse orbit is walked in one place, ``_walk``, on integers over one
 denominator N: a pair (u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0
-on rational data.  Every consumer indexes its states instead of stepping lines
-again, and the order-2 involution acts on them as one integer map
-(``Numerators.reflection``).
+on rational data, and only as far as a consumer indexes it (a periodic one's
+period is in closed form, ``_shape``); the order-2 involution acts on the
+states as one integer map (``Numerators.reflection``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, cycle, islice
 from typing import NamedTuple
 
 from .errors import (
@@ -168,6 +169,7 @@ class TorusLine:
     def transverse(self) -> TransverseState:
         return (self.alpha, self.beta)
 
+    @cached_property
     def direction(self) -> tuple[QuadraticNumber, QuadraticNumber]:
         if isinstance(self.slope, IrrationalSlope):
             return (qn(1), self.slope.s)
@@ -235,9 +237,9 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
     first step."""
     a, c = _translation_state(tm, slope)
     xs = (*c, *seed)
-    den = math.lcm(*(x.w for x in xs))
-    cu0, cv0, cu1, cv1, *start = (n * (den // x.w) for x in xs for n in (x.u, x.v))
-    d0, d1 = rads = tuple(s.d or t.d for s, t in zip(seed, c))
+    den = math.lcm(*[x.w for x in xs])
+    cu0, cv0, cu1, cv1, *start = [n * (den // x.w) for x in xs for n in (x.u, x.v)]
+    d0, d1 = rads = (seed[0].d or c[0].d, seed[1].d or c[1].d)
     clash = [(s.d, t.d) for s, t in zip(seed, c) if s.d and t.d and s.d != t.d]
 
     def step(p: StateInts) -> StateInts:
@@ -257,24 +259,29 @@ class JordanCurve:
 
 @dataclass(frozen=True)
 class EventuallyPeriodic:
-    """The preperiod + period distinct states in orbit order, as ``_walk``'s
-    integers over ``num``; ``index(n)`` folds any later index back into the
-    cycle."""
+    """An orbit's preperiod and period, in closed form (``_shape``), and its
+    ``_state_rule``, whose preperiod + period distinct ``states`` over ``num``
+    are walked when first asked for; ``state(n)`` folds any later index back
+    into the cycle (``_Folded``)."""
 
     preperiod: int
     period: int
     num: Numerators
-    states: tuple[StateInts, ...]
+    rule: tuple
+
+    @cached_property
+    def states(self) -> tuple[StateInts, ...]:
+        states, n0, _ = _walk(self.rule, self.preperiod + self.period + 1)
+        if (n0, len(states)) != (self.preperiod, self.preperiod + self.period):
+            raise InternalInconsistency("the walk disagrees with the closed-form period")
+        return states
 
     @property
     def cycle(self) -> tuple[StateInts, ...]:
         return self.states[self.preperiod :]
 
-    def index(self, n: int) -> int:
-        return n if n < self.preperiod else self.preperiod + (n - self.preperiod) % self.period
-
     def state(self, n: int) -> TransverseState:
-        return self.num.value(self.states[self.index(n)])
+        return self.num.value(_Folded(self.states, self.preperiod, n)[n])
 
 
 @dataclass(frozen=True)
@@ -311,15 +318,50 @@ def _moves(rule: tuple, loop: bool) -> bool:
     return p[1] != start[1] or (not loop and p[3] != start[3])
 
 
+def _order(a: int, m: int) -> int:
+    """The least n >= 1 with a^n = 1 mod m, for a prime to m, or a number past
+    ``MAX_ORBIT_STATES`` when n is, in O(sqrt(cap)) multiply-mods: baby steps
+    keep a^j, j < s, and giant steps a^(-i*s) find n = i*s + j."""
+    s, x, baby = math.isqrt(MAX_ORBIT_STATES) + 1, 1 % m, {}
+    for j in range(s):
+        baby[x], x = j, x * a % m
+        if x == 1 % m:
+            return j + 1
+    giant = y = pow(x, -1, m)  # a^(-s); the a^j, j < s, are distinct
+    for i in range(1, MAX_ORBIT_STATES // s + 2):
+        if y in baby:
+            return i * s + baby[y]
+        y = y * giant % m
+    return MAX_ORBIT_STATES + 1
+
+
+def _shape(a: int, rule: tuple) -> tuple[int, int]:
+    """The preperiod and period of a ``_state_rule`` on rational states, in
+    closed form (past ``MAX_ORBIT_STATES``, any period past it).  Per
+    coordinate, y = (a-1)*u + c mod N*|a-1| turns u -> a*u + c mod N into
+    y -> a*y, whose orbit is that of a^n mod M = N*|a-1|/gcd(y, N*|a-1|):
+    peeling gcd(M, a) off M takes the preperiod, and the period is the order
+    of a on the rest.  The pair's are the max and the lcm of the two's."""
+    step, start, num = rule
+    c, pre, period = step((0, 0, 0, 0)), 0, 1  # c mod N, as one step from 0
+    for y in ((a - 1) * start[0] + c[0], (a - 1) * start[2] + c[2]):
+        m, k = num.den * abs(a - 1), 0
+        m //= math.gcd(y, m)
+        while (g := math.gcd(m, a)) > 1:
+            m, k = m // g, k + 1
+        pre, period = max(pre, k), math.lcm(period, _order(a, m))
+    return pre, period
+
+
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     """Trichotomy for the orbit of a line under an integer-multiplier covering.
 
     Rational direction -> Jordan curve.  Irrational slope with rational
-    transverse pair -> eventually periodic, found by ``_walk`` at the first
-    repeat (denominators never grow under x -> a*x + c with integer a,
-    rational c), refused with ``BudgetExceeded`` past ``MAX_ORBIT_STATES``
-    states.  Irrational transverse component -> wandering: a periodic state
-    of that affine map is rational, and a*irr + rational stays irrational.
+    transverse pair -> eventually periodic, in closed form by ``_shape``
+    (denominators never grow under x -> a*x + c with integer a, rational c),
+    refused with ``BudgetExceeded`` past ``MAX_ORBIT_STATES`` states.
+    Irrational transverse component -> wandering: a periodic state of that
+    affine map is rational, and a*irr + rational stays irrational.
     """
     if isinstance(line.slope, RationalDirection):
         return JordanCurve(line.slope)
@@ -333,10 +375,11 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    states, n0, num = _walk(_state_rule(tm, line.slope, line.transverse()), MAX_ORBIT_STATES + 1)
-    if n0 is None:
+    rule = _state_rule(tm, line.slope, line.transverse())
+    pre, period = _shape(tm.multiplier_int(), rule)
+    if pre + period > MAX_ORBIT_STATES:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
-    return EventuallyPeriodic(n0, len(states) - n0, num, states)
+    return EventuallyPeriodic(pre, period, rule[2], rule)
 
 
 class _Folded(Sequence):
@@ -352,6 +395,9 @@ class _Folded(Sequence):
         if not 0 <= i <= self.n:
             raise IndexError(i)
         return self.states[i if i < self.n0 else self.n0 + (i - self.n0) % self.period]
+
+    def __iter__(self) -> Iterator[StateInts]:
+        return islice(chain(self.states, cycle(self.states[self.n0 :])), self.n + 1)
 
 
 def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int,

@@ -9,14 +9,15 @@ certified subinterval only has to avoid 0 and satisfy an expansion-disjointness
 ratio; the sphere certificate adds rho, t -> -t, and the quotient's return
 multiplier.  One exact sweep, ``first_overlap``, decides the certificates and
 the integer-multiplier collision search: it compares only iterates on one
-walked state, as parameter intervals or as arcs of a closed loop.  The lift
+walked state, as arcs of a closed loop or, once per index difference, as
+parameter intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I).  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
 derives each state in closed form from the seed, not by the walk, and
-compares the iterates on one state.  The sweep and the oracle
+compares the iterates on one state, pair by pair.  The sweep and the oracle
 read their intervals from one ``IntervalChain``, integer numerators over one
-denominator times a^n, so ``QuadraticNumber``s are built only for a
-certificate's interval and slack and a hit's witness.
+denominator times a^n; ``QuadraticNumber``s are built only for a hit's witness
+and, once each, a certificate's interval and slack (``certify_interval``).
 
 The lift search filters in floats and decides on integers, both in
 ``lift_arith``: a translate is skipped only when the float lifts' proven
@@ -34,9 +35,9 @@ import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from fractions import Fraction
 
 from .errors import (
+    BudgetExceeded,
     DegenerateSegment,
     FieldClash,
     IncompatibleField,
@@ -80,7 +81,7 @@ from .line_orbit import (
     classify_line,
     orbit_numerators,
 )
-from .numbers import HALF, BiQuadratic, QuadraticNumber, _sign_parts, floor_parts, qn
+from .numbers import HALF, BiQuadratic, QuadraticNumber, _sign_parts, floor_parts
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -91,18 +92,12 @@ from .torus_map import (
 Point = tuple[Coord, Coord]  # a lift's coordinates share the search's field
 
 MAX_CHECK_ITERATES = 1024  # the goldens check at most 40
-
-
-def _within(a: Coord, lo: Coord, hi: Coord) -> bool:
-    return (a - lo).sign() >= 0 and (hi - a).sign() >= 0
+MAX_RETURN_DIGITS = 4000  # the JSON prints the ratio's digits; str(int) stops at 4300
 
 
 def _on_collinear_segment(p0: Point, p1: Point, r: Point) -> bool:
-    for i in (0, 1):
-        lo, hi = (p0[i], p1[i]) if (p1[i] - p0[i]).sign() >= 0 else (p1[i], p0[i])
-        if not _within(r[i], lo, hi):
-            return False
-    return True
+    """Does each coordinate of r lie between p0's and p1's?"""
+    return all((r[i] - p0[i]).sign() * (r[i] - p1[i]).sign() <= 0 for i in (0, 1))
 
 
 def _cross(u: Point, v: Point) -> Coord:
@@ -169,13 +164,9 @@ class LiftSegment:
     def affine_image(
         self, m: tuple[int, int, int, int], shift: tuple[QuadraticNumber, QuadraticNumber]
     ) -> LiftSegment:
-        p, q, r, s = m
-        bx, by = shift
-
-        def f(pt: Point) -> Point:
-            return (pt[0] * p + pt[1] * r + bx, pt[0] * q + pt[1] * s + by)
-
-        return LiftSegment(f(self.p0), f(self.p1))
+        (p, q, r, s), (bx, by) = m, shift
+        ends = [(x * p + y * r + bx, x * q + y * s + by) for x, y in (self.p0, self.p1)]
+        return LiftSegment(*ends)
 
     def float_lift(self) -> FloatLift:
         """The endpoints as floats, with one bound on every coordinate's
@@ -221,7 +212,7 @@ def lift_segments_intersect_torus(
 
 def reduce_mod1_float(p: Point) -> tuple[float, float]:
     """The point mod 1, reduced exactly and then rounded to floats."""
-    return tuple((c - c.floor()).to_float() for c in p)
+    return tuple([(c - c.floor()).to_float() for c in p])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +224,7 @@ def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
     """The point at parameter t on the lift of ``line`` through its base
     point: base + t * direction, for an irrational slope the canonical
     (beta, -alpha) + t*(1, slope); in the tower only if its data span two radicands."""
-    (bx, by), (dx, dy) = line.base_point(), line.direction()
+    (bx, by), (dx, dy) = line.base_point(), line.direction
     if _needs_tower(bx, by, dx, dy, t):
         t = BiQuadratic(t)
     return (t * dx + bx, t * dy + by)
@@ -257,7 +248,7 @@ class TorusSegment:
         ).normalize()
 
     def euclidean_length(self, lat: Lattice) -> float:
-        dx, dy = self.line.direction()
+        dx, dy = self.line.direction
         direction = dx.to_float() + dy.to_float() * lat.omega_complex()
         return (self.t_hi - self.t_lo).to_float() * abs(direction)
 
@@ -461,43 +452,42 @@ def certify_interval(
     max(|u|,|v|) < ratio * min(|u|,|v|), with ratio from ``_return_ratio``.
 
     The supremum is an open condition, so the inner endpoint backs off from it
-    by a 1/1024 notch.  Returns (u, v, slack) with slack = ratio*min/max > 1.
-    For t_lo < t_hi one side of 0 always yields an interval.
-    """
-    ratio = _return_ratio(lam, both_sides)
+    by a 1/1024 notch, to hi*(ratio + 1023)/(1024*ratio), which lies above
+    any lo > 0 with hi >= ratio*lo.  Returns (u, v, slack) with
+    slack = ratio*min/max > 1.  For t_lo < t_hi one side of 0 always yields
+    an interval; the longer wins, the positive one on a tie.  A side is a
+    ``Span`` over 1024*ratio*w, w = lcm(t_lo.w, t_hi.w)."""
+    ratio, d, w = _return_ratio(lam, both_sides), t_lo.d or t_hi.d, math.lcm(t_lo.w, t_hi.w)
+    big, notch = 1024 * ratio, ratio + 1023
+    lu, lv, hu, hv = [x * (w // t.w) for t in (t_lo, t_hi) for x in (t.u, t.v)]
 
-    def one_side(lo: QuadraticNumber, hi: QuadraticNumber):
-        # requires 0 <= lo < hi, returns candidate on the positive side
-        if hi.sign() <= 0:
+    def one_side(lo_u: int, lo_v: int, hi_u: int, hi_v: int) -> Span | None:
+        # [max(lo, 0), hi] cut to a certified side, None when hi <= 0
+        if _sign_parts(hi_u, hi_v, d) <= 0:
             return None
-        lo = lo if lo.sign() > 0 else None
-        if lo is not None and hi.cmp(lo * ratio) < 0:
-            return (lo, hi)
-        inner = hi / ratio
-        notch = (hi - inner) * Fraction(1, 1024)
-        u = inner + notch
-        if lo is not None and u.cmp(lo) < 0:
-            u = lo
-        if hi.cmp(u) <= 0:
-            return None
-        return (u, hi)
+        if _sign_parts(lo_u, lo_v, d) > 0 > _sign_parts(hi_u - ratio * lo_u,
+                                                        hi_v - ratio * lo_v, d):
+            return (lo_u * big, lo_v * big, hi_u * big, hi_v * big)
+        return (hi_u * notch, hi_v * notch, hi_u * big, hi_v * big)
 
-    pos = one_side(t_lo if t_lo.sign() > 0 else qn(0), t_hi)
-    neg = one_side(-t_hi if t_hi.sign() < 0 else qn(0), -t_lo)
-    sides = [c for c in (pos, neg and (-neg[1], -neg[0])) if c]
-    if not sides:
+    pos, neg = one_side(lu, lv, hu, hv), one_side(-hu, -hv, -lu, -lv)  # neg on t -> -t
+    if pos is None and neg is None:
         raise InternalInconsistency(
             f"no certified subinterval of [{t_lo.to_expr()}, {t_hi.to_expr()}]"
         )
-    # the longer side; the positive one on a tie
-    u, v = max(sides, key=lambda c: c[1] - c[0])
-    return (u, v, certified_slack(u, v, lam, both_sides))
+    longer = pos is None or neg is not None and _sign_parts(
+        neg[2] - neg[0] - pos[2] + pos[0], neg[3] - neg[1] - pos[3] + pos[1], d) > 0
+    side = neg if longer else pos  # its near end, then its far one
+    ends = (-neg[2], -neg[3], -neg[0], -neg[1]) if longer else pos
+    canon, den = QuadraticNumber._canon, big * w
+    slack = certified_slack(side[:2], side[2:], ratio, d)
+    return canon(ends[0], ends[1], den, d), canon(ends[2], ends[3], den, d), slack
 
 
 def _return_ratio(lam: int, both_sides: bool) -> int:
-    """The effective one-sided ratio of return multiplier lam: lam for
-    lam > 0, lam^2 for lam < 0, and |lam| when images on both sides of the
-    fixed point must be avoided."""
+    """The effective one-sided ratio of return multiplier lam: lam for lam > 0,
+    lam^2 for lam < 0 (one period carries the certified side across the fixed
+    point, two bring it back), and |lam| when both sides must be avoided."""
     if lam in (-1, 0, 1):
         raise ValueError("return multiplier must be expanding")
     if lam > 0:
@@ -506,13 +496,16 @@ def _return_ratio(lam: int, both_sides: bool) -> int:
 
 
 def certified_slack(
-    u: QuadraticNumber, v: QuadraticNumber, lam: int, both_sides: bool = False
+    near: tuple[int, int], far: tuple[int, int], ratio: int, d: int
 ) -> QuadraticNumber:
-    """ratio * min(|u|,|v|) / max(|u|,|v|) for a certified [u, v] under
-    return multiplier lam; a value not above 1 is a certifier bug."""
-    lo_abs, hi_abs = sorted((abs(u), abs(v)))
-    slack = lo_abs * _return_ratio(lam, both_sides) / hi_abs
-    if (slack - 1).sign() <= 0:
+    """ratio * near / far for the ends 0 < near < far of a certified side (or
+    of its mirror image), each x + y*sqrt(d) as numerators over one
+    denominator; a value not above 1 is a certifier bug."""
+    (a, b), (c, e) = near, far
+    norm = c * c - e * e * d  # far times its conjugate, nonzero for a square-free d
+    s = ratio if norm > 0 else -ratio
+    slack = QuadraticNumber._canon(s * (a * c - b * e * d), s * (b * c - a * e), abs(norm), d)
+    if _sign_parts(ratio * a - c, ratio * b - e, d) <= 0:
         raise InternalInconsistency(f"certified slack {slack.to_expr()} is not above 1")
     return slack
 
@@ -525,18 +518,26 @@ def first_overlap(
     """The first pair (n, m), n < m, of iterates with these states whose
     intervals meet, by m and then n, or None.  Only iterates on one state are
     compared, so ``chain`` is called for their ``IntervalChain`` only when a
-    state first repeats.  With rho-states (rho is t -> -t) iterate m's
-    reflection is also compared against the iterates on the line it is
-    reflected onto."""
+    state first repeats, and two intervals are compared once per difference
+    m - n.  With rho-states (rho is t -> -t) iterate m's reflection is also
+    compared against the iterates on the line it is reflected onto."""
     by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
-    ivs = None
+    ivs, gaps = None, {}
+
+    def meet(n: int, m: int, reflect: bool = False) -> bool:
+        # a^n*I meets (-)a^m*I iff I meets (-)a^(m-n)*I; an arc depends on its place
+        if ivs.loop is not None:
+            return ivs.meet(n, m, reflect)
+        key = (m - n, reflect)
+        return gaps[key] if key in gaps else gaps.setdefault(key, ivs.meet(0, m - n, reflect))
+
     for m, st in enumerate(states):
         same = by_state.setdefault(st, [])
         mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
         if same or mirrored:
             ivs = ivs or chain()
-            hits = [n for n in same if ivs.meet(n, m)]
-            hits += [n for n in mirrored if ivs.meet(n, m, reflect=True)]
+            hits = [n for n in same if meet(n, m)]
+            hits += [n for n in mirrored if meet(n, m, True)]
             if hits:
                 return (min(hits), m)
         same.append(m)
@@ -582,13 +583,14 @@ def certify_classified(
     verdict's integer states, None off their grid; on a wandering line,
     rho(0), whose ``Numerators.reflection`` acts on the walked states), the
     certificate is for the quotient (level "sphere"), and ``returns`` gives
-    the quotient's return map (period, multiplier, both_sides); without it
-    the return map is the line's (p, a^p, False).  A wandering line must then
-    also keep its states apart from their reflections, and a periodic line is
-    swept against the reflections to the dominance horizon: past the
-    preperiod a pair repeats one period later scaled by a^p, and pairs
-    ``_separation`` or more steps apart are separated by growth, so the
-    sweep covers them all."""
+    the quotient's return map (period, sign, both_sides), multiplier
+    sign*a^period; without it the return map is the line's (p, 1, False) and
+    the sweep walks only the iterates it checks.  A return ratio past
+    ``MAX_RETURN_DIGITS`` digits is refused before it is built.  A wandering
+    line must then also keep its states apart from their reflections, and a
+    periodic line is swept against the reflections to the dominance horizon:
+    past the preperiod a pair repeats one period later scaled by a^p, and
+    pairs ``_separation`` or more steps apart are separated by growth."""
     if check_iterates < 0:
         raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
     if check_iterates > MAX_CHECK_ITERATES:  # a period-1 line puts every pair on one state
@@ -609,17 +611,19 @@ def certify_classified(
         return cert(mode="whole-segment", interval=(seg.t_lo, seg.t_hi), preperiod=0,
                     period=0, multiplier=0, slack=None)
     a = tm.multiplier_int()
-    period, lam, both_sides = returns or (verdict.period, a**verdict.period, False)
+    period, sign, both_sides = returns or (verdict.period, 1, False)
+    power = period * (2 if sign * a ** (period % 2) < 0 and not both_sides else 1)  # the ratio's
+    if power * math.log10(abs(a)) > MAX_RETURN_DIGITS:
+        raise BudgetExceeded(f"the return ratio {abs(a)}^{power} has more than "
+                             f"{MAX_RETURN_DIGITS} digits")
+    lam = sign * a**period
     u, v, slack = certify_interval(seg.t_lo, seg.t_hi, lam, both_sides)
-    if lam < 0 and u.sign() * (u * lam).sign() != -1:
-        # one period must carry the certified side across the fixed point,
-        # which makes that single pair disjoint
-        raise InternalInconsistency("negative return multiplier kept the certified side")
-    horizon = check_iterates
-    if rho is not None:
+    if rho is None:
+        states, rho_states = orbit_numerators(tm, seg.line, check_iterates, verdict.rule)[0], None
+    else:
         horizon = max(check_iterates, len(verdict.states) + _separation(u, v, a))
-    states = [verdict.states[verdict.index(i)] for i in range(horizon + 1)]
-    rho_states = None if rho is None else [rho(st) for st in states]
+        states = _Folded(verdict.states, verdict.preperiod, horizon)
+        rho_states = [rho(st) for st in states]
     pair = first_overlap(states, partial(IntervalChain, u, v, a), rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")

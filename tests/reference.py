@@ -9,7 +9,9 @@ new array per operation, argv read by argparse, as the command line was
 read before its option tables, a point's state from its frame products, a
 line's states and their reflections as ``QuadraticNumber`` pairs, the
 disjointness oracle with each state stepped from the one before and every
-pair compared, and a radicand split by trial division up to its square root.
+pair compared, a certificate's interval and slack built in
+``QuadraticNumber`` steps, and a radicand split by trial division up to its
+square root.
 No command and no certificate runs them.
 """
 
@@ -40,6 +42,7 @@ from flatwander.segments import (
     LiftSegment,
     TorusSegment,
     _overlap_witness,
+    _return_ratio,
     lift_segments_intersect_torus,
 )
 from flatwander.torus_map import AffineTorusMap, apply_map, kernel
@@ -177,6 +180,50 @@ def _interval_at(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> Inte
 def interval_chain(u: QuadraticNumber, v: QuadraticNumber, a: int, n: int) -> list[Interval]:
     """Parameter intervals of iterates 0..n."""
     return [_interval_at(u, v, a, i) for i in range(n + 1)]
+
+
+def certify_interval(
+    t_lo: QuadraticNumber,
+    t_hi: QuadraticNumber,
+    lam: int,
+    both_sides: bool = False,
+) -> tuple[QuadraticNumber, QuadraticNumber, QuadraticNumber]:
+    """``segments.certify_interval`` in QuadraticNumbers, step by step: the
+    largest-practical subinterval [u, v] of [t_lo, t_hi] with 0 outside and
+    max(|u|,|v|) < ratio * min(|u|,|v|), the inner endpoint backed off from
+    the supremum by a 1/1024 notch; (u, v, slack), slack = ratio*min/max."""
+    ratio = _return_ratio(lam, both_sides)
+
+    def one_side(lo: QuadraticNumber, hi: QuadraticNumber):
+        # requires 0 <= lo < hi, returns candidate on the positive side
+        if hi.sign() <= 0:
+            return None
+        lo = lo if lo.sign() > 0 else None
+        if lo is not None and hi.cmp(lo * ratio) < 0:
+            return (lo, hi)
+        inner = hi / ratio
+        notch = (hi - inner) * Fraction(1, 1024)
+        u = inner + notch
+        if lo is not None and u.cmp(lo) < 0:
+            u = lo
+        if hi.cmp(u) <= 0:
+            return None
+        return (u, hi)
+
+    pos = one_side(t_lo if t_lo.sign() > 0 else ZERO, t_hi)
+    neg = one_side(-t_hi if t_hi.sign() < 0 else ZERO, -t_lo)
+    sides = [c for c in (pos, neg and (-neg[1], -neg[0])) if c]
+    if not sides:
+        raise InternalInconsistency(
+            f"no certified subinterval of [{t_lo.to_expr()}, {t_hi.to_expr()}]"
+        )
+    # the longer side; the positive one on a tie
+    u, v = max(sides, key=lambda c: c[1] - c[0])
+    lo_abs, hi_abs = sorted((abs(u), abs(v)))
+    slack = lo_abs * ratio / hi_abs
+    if (slack - 1).sign() <= 0:
+        raise InternalInconsistency(f"certified slack {slack.to_expr()} is not above 1")
+    return (u, v, slack)
 
 
 # ---------------------------------------------------------------------------

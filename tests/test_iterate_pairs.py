@@ -365,8 +365,9 @@ def test_a_periodic_miss_answers_at_any_budget(monkeypatch):
         segments.IntervalChain, "meet", lambda *args: compared.append(args) or orig(*args)
     )
     assert find_collision(tm, seg, budget=10**6) == NoCollisionWithinBudget(10**6, 1)
-    # n0 + period + D = 0 + 1 + 2: the six pairs of iterates 0..3, all on one state
-    assert sorted((n, m) for _, n, m in compared) == list(itertools.combinations(range(4), 2))
+    # n0 + period + D = 0 + 1 + 2: the six pairs of iterates 0..3, all on one
+    # state, decided once per difference m - n, as iterate 0 against iterate m - n
+    assert sorted(args[1:] for args in compared) == [(0, 1, False), (0, 2, False), (0, 3, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +737,13 @@ def patched(module, name, value, call):
         setattr(module, name, old)
 
 
+def cycle(den, *states):
+    # the orbit of a rule that runs through these rational states in turn
+    step = lambda p: states[(states.index(p) + 1) % len(states)]
+    num = Numerators(den, (0, 0))
+    return EventuallyPeriodic(0, len(states), num, (step, states[0], num))
+
+
 class Skewed(ComplexPair):
     # a lattice generator whose square comes out one too large
     __slots__ = ()
@@ -751,11 +759,9 @@ model = lattes_model_new(lat, tm, 2, point(0, 0))
 seg = segment_new(TorusLine(IrrationalSlope(parse_number("sqrt(2)")), qn(0), qn(0)), qn(0), qn(1))
 checks = {
     # [1, 4] under return multiplier 2 is not a certified interval
-    "slack": lambda: certified_slack(qn(1), qn(4), 2),
+    "slack": lambda: certified_slack((1, 0), (4, 0), 2, 0),
     # rho sends 1/3 off the cycle but fixes 1/2 on it (numerators over 6)
-    "pairing": lambda: rho_pairing(
-        model, EventuallyPeriodic(0, 2, Numerators(6, (0, 0)), ((2, 0, 0, 0), (3, 0, 0, 0)))
-    ),
+    "pairing": lambda: rho_pairing(model, cycle(6, (2, 0, 0, 0), (3, 0, 0, 0))),
     # a rotated collision without its group
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
@@ -769,12 +775,7 @@ checks = {
     # a degree that is not the determinant of the matrix
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
     # rho's image of the cycle is not an index shift of it
-    "shift": lambda: rho_pairing(
-        model,
-        EventuallyPeriodic(
-            0, 3, Numerators(6, (0, 0)), ((2, 0, 0, 0), (4, 0, 0, 0), (3, 0, 0, 0))
-        ),
-    ),
+    "shift": lambda: rho_pairing(model, cycle(6, (2, 0, 0, 0), (4, 0, 0, 0), (3, 0, 0, 0))),
     # omega^2 computed inconsistently with a*omega
     "relation": lambda: solve_lattice_multiplier(
         Lattice(Skewed(*parse_complex("i"))), parse_complex("1+1i")

@@ -309,9 +309,10 @@ def test_a_wrong_sphere_return_map_is_caught_by_the_sweep():
 
     rho = rho_numerators(model, verdict)
     # a self-paired line must avoid both sides of the fixed point: ratio 2, not 4
+    # (the return map is (period, sign, both_sides), multiplier sign*a^period = -2)
     with pytest.raises(InternalInconsistency, match="certified iterates 0, 1 overlap"):
-        certify_classified(model.map, seg, verdict, 12, rho, (1, -2, False))
-    got = certify_classified(model.map, seg, verdict, 12, rho, (1, -2, True))
+        certify_classified(model.map, seg, verdict, 12, rho, (1, 1, False))
+    got = certify_classified(model.map, seg, verdict, 12, rho, (1, 1, True))
     assert got.level == "sphere" and got.multiplier == -2
     torus = certify_classified(model.map, seg, verdict, 12)
     assert torus.level == "torus" and torus.multiplier == -2

@@ -73,7 +73,7 @@ def _check(seg: TorusSegment, shifts: list[QuadraticNumber]) -> bool:
     where ``TorusSegment.lift`` refuses the state."""
     held = _shifts(seg, shifts)
     line = seg.line
-    xs = (*line.transverse(), *line.direction(), seg.t_lo, seg.t_hi, *shifts)
+    xs = (*line.transverse(), *line.direction, seg.t_lo, seg.t_hi, *shifts)
     if held is None:
         if len({x.d for x in xs} - {0}) <= 2:
             with pytest.raises(MixedRadicals):
@@ -122,7 +122,7 @@ def _cases(draw):
         # the midpoint's x (or y) coordinate on an integer n, where the
         # base point's coordinate and the direction allow it
         i = draw(st.integers(0, 1))
-        base, step = line.slope.from_state(line.transverse())[i], line.direction()[i]
+        base, step = line.slope.from_state(line.transverse())[i], line.direction[i]
         if not step.is_zero and base.d in t_field and (base / step).d in t_field:
             mid = (qn(draw(st.integers(-4, 4))) - base) / step
             half = abs(scalar(draw(st.sampled_from(t_field)))) + Fraction(1, 97)

@@ -5,6 +5,7 @@ and refusals, call counts of the walk, the bucketed disjointness sweep
 against the pairwise reference, and the typed cross-check under
 ``python -O``."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -368,7 +369,9 @@ def test_certify_wandering_walks_a_periodic_orbit_once(
     calls = _count_steps(monkeypatch)
     cert = certify_wandering(tm, seg, check_iterates)
     assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
-    assert len(calls) == verdict.preperiod + verdict.period
+    # one step from the zero state reads c for the closed-form period, and the
+    # sweep walks the iterates it checks, up to the first repeat
+    assert len(calls) == 1 + min(check_iterates, verdict.preperiod + verdict.period)
 
 
 @pytest.mark.parametrize(
@@ -544,16 +547,19 @@ def _sweep_case(draw):
     if loop:
         places = [num.value(p)[1] for p in nums]
         intervals = [(c + lo, c + hi) for c, (lo, hi) in zip(places, intervals)]
-    return states, intervals, rho_states, chain, _arcs_meet if loop else _meets
+    # the sweep reads a line's intervals as a^n*I (it compares each difference
+    # m - n once), so drawn ones test it only on loops, whose arcs it takes per pair
+    return states, intervals, rho_states, chain, _arcs_meet if loop else _meets, loop or not drawn
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sweep_case())
 def test_bucketed_sweep_matches_pairwise_reference(case):
-    states, intervals, rho_states, chain, meet = case
-    assert first_overlap(states, chain, rho_states) == pairwise_first_overlap(
-        states, intervals, rho_states, meet
-    )
+    states, intervals, rho_states, chain, meet, scaled = case
+    if scaled:
+        assert first_overlap(states, chain, rho_states) == pairwise_first_overlap(
+            states, intervals, rho_states, meet
+        )
     # every integer interval, arc and reflection against its QuadraticNumber
     # reference, with arcs placed anywhere in [0, 1), so that they wrap past 1
     ivs = chain()
@@ -567,6 +573,67 @@ def test_bucketed_sweep_matches_pairwise_reference(case):
             else:
                 lo, hi = intervals[j]
                 assert ivs.meet(i, j, reflect=True) == meet(intervals[i], (-hi, -lo))
+
+
+@st.composite
+def _memo_case(draw):
+    """Iterates of one interval [u, v] under t -> a*t on states drawn from a
+    few, so that states repeat at many differences m - n, with or without
+    rho-states drawn from the same few; the ratio v/u sits near |a| and a^2,
+    where iterates touch themselves or their reflections."""
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    n = draw(st.integers(0, 30))
+    states = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+    rho_states = None
+    if draw(st.booleans()):
+        rho_states = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+    u = draw(st.fractions(Fraction(1, 64), 1, max_denominator=64))
+    ratio = st.fractions(Fraction(65, 64), a * a + 1, max_denominator=64)
+    v = u * draw(st.one_of(ratio, st.sampled_from([abs(a), a * a])))
+    u, v = qn(u), qn(v)
+    if draw(st.booleans()):
+        u, v = u * QuadraticNumber.sqrt_int(2), v * QuadraticNumber.sqrt_int(2)
+    if draw(st.booleans()):
+        u, v = -v, -u
+    return states, rho_states, u, v, a
+
+
+@settings(max_examples=500, deadline=None)
+@given(_memo_case())
+def test_the_sweep_decides_each_difference_once_as_the_pairwise_reference(case):
+    states, rho_states, u, v, a = case
+    calls = []
+
+    class Counted(IntervalChain):
+        def meet(self, n, m, reflect=False):
+            calls.append((n, m, reflect))
+            return super().meet(n, m, reflect)
+
+    got = first_overlap(states, partial(Counted, u, v, a), rho_states)
+    intervals = interval_chain(u, v, a, len(states) - 1)
+    assert got == pairwise_first_overlap(states, intervals, rho_states)
+    # each (m - n, reflect) once, as iterate 0 against iterate m - n
+    assert all(n == 0 for n, _, _ in calls) and len(set(calls)) == len(calls)
+
+
+def test_the_memo_cases_hit_plain_and_reflected_pairs():
+    seen = collections.Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(_memo_case())
+    def draw(case):
+        states, rho_states, u, v, a = case
+        intervals = interval_chain(u, v, a, len(states) - 1)
+        pair = pairwise_first_overlap(states, intervals, rho_states)
+        if pair is None:
+            seen["miss"] += 1
+        else:
+            plain = pair == pairwise_first_overlap(states, intervals, None)
+            seen["plain hit" if plain else "reflected hit"] += 1
+            seen["hit past difference 1"] += pair[1] - pair[0] > 1
+
+    draw()
+    assert min(seen.values()) >= 20, seen
 
 
 _INJECT = """
