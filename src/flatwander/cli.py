@@ -14,6 +14,7 @@ import math
 import sys
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
@@ -34,6 +35,7 @@ from .lattes import (
     lattes_model_new,
     verify_semiconjugacy,
 )
+from .lift_arith import Lift, _Field
 from .line_orbit import (
     IrrationalSlope,
     JordanCurve,
@@ -47,14 +49,13 @@ from .line_orbit import (
 from .numbers import parse_complex, parse_number, qn
 from .segments import (
     CollisionCertificate,
-    LiftSegment,
     NoCollisionWithinBudget,
     NotWanderable,
     TorusSegment,
     WanderingCertificate,
     certify_wandering,
     find_collision,
-    iterate_lifts,
+    lift_orbit,
     segment_new,
     verify_disjoint_iterates,
 )
@@ -373,11 +374,10 @@ def _color(i: int, total: int) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def _float_span(lift: LiftSegment) -> Span:
-    """The lift's endpoints as floats; OverflowError when the segment does
-    not fit in doubles."""
-    (bx, by), (ex, ey) = lift.p0, lift.p1
-    x0, y0, x1, y1 = bx.to_float(), by.to_float(), ex.to_float(), ey.to_float()
+def _float_span(f: _Field, den: int, lift: Lift) -> Span:
+    """The exact lift's endpoints as floats; OverflowError when the segment
+    does not fit in doubles."""
+    x0, y0, x1, y1 = [f.scalar(v, den).to_float() for pt in lift for v in pt]
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise OverflowError("segment beyond double range")
     return x0, y0, x1, y1
@@ -484,13 +484,16 @@ def _cmd_plot_orbit(args) -> None:
     seg = _segment_from_args(args)
     if args.iterates >= _MAX_PLOT_SEGMENTS:
         raise UsageError("too many segments to plot")
+    if args.iterates < 0:
+        raise UsageError(f"iterate count must be >= 0, got {args.iterates}")
     # raw-lift iteration plots any covering, integer multiplier or not; each
     # lift is put in floats as it is built, so the first iterate beyond
     # double range ends the chain (and is refused after the witness is read)
     spans, refused = [], None
-    for i, lift in enumerate(iterate_lifts(tm, seg, args.iterates)):
+    f, den, lifts, _ = lift_orbit(tm, seg)
+    for i, lift in enumerate(islice(lifts, args.iterates + 1)):
         try:
-            spans.append(_float_span(lift))
+            spans.append(_float_span(f, den, lift))
         except OverflowError:
             refused = i
             break

@@ -149,9 +149,10 @@ class SelfPaired:
 RhoPairing = Unpaired | Paired | SelfPaired
 
 
-def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, rho=None) -> RhoPairing:
+def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, images=None) -> RhoPairing:
     """Test whether rho maps an orbit's cycle to itself, on its integer states
-    (through ``rho``, the orbit's ``rho_numerators``, when the caller has it).
+    (``images``: rho of each of the orbit's states, when the caller has them;
+    else the cycle is mapped by its ``rho_numerators``).
 
     Since rho commutes with the covering on valid models, the induced action
     is an index shift c with 2c = 0 mod p: c = p/2 pairs lines two by two and
@@ -159,16 +160,16 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, rho=None) -> RhoP
     """
     if model.nu != 2:
         raise ValueError("rho-pairing applies to the order-2 quotient")
-    rho, cycle = rho or rho_numerators(model, orbit), orbit.cycle
+    cycle = orbit.cycle
+    images = images[orbit.preperiod :] if images else list(map(rho_numerators(model, orbit), cycle))
     p = len(cycle)
     index = {cycle[j]: j for j in range(p)}
-    img0 = rho(cycle[0])
-    if img0 not in index:
-        if any(rho(st) in index for st in cycle[1:]):
+    if images[0] not in index:
+        if any(img in index for img in images[1:]):
             raise InternalInconsistency("rho maps part of the cycle into it")
         return Unpaired(p)
-    c = index[img0]
-    if any(rho(cycle[j]) != cycle[(j + c) % p] for j in range(p)):
+    c = index[images[0]]
+    if any(images[j] != cycle[(j + c) % p] for j in range(p)):
         raise InternalInconsistency("rho image of the cycle is not an index shift")
     if c == 0:
         return SelfPaired(p)
@@ -227,7 +228,7 @@ def certify_sphere_wandering(
     verdict = classify_line(tm, seg.line)
     returns, rho = None, model.rho_origin
     if isinstance(verdict, EventuallyPeriodic):
-        rho = rho_numerators(model, verdict)
+        rho = list(map(rho_numerators(model, verdict), verdict.states))  # rho of each state, once
         pairing = rho_pairing(model, verdict, rho)
         if isinstance(pairing, Paired):
             returns = (pairing.half_period, -1, False)

@@ -8,8 +8,10 @@ miss (``_surviving_translates``) from the ranges of each lift's ``_box``.
 
 Exact lifts decide.  The search's scalars become integer numerators over one
 denominator on the basis of their field (``_numerators``, ``_Field``), affine
-maps compose on them (``_then``), and ``_meet`` reads each orientation's sign
-from integers.  Only a hit's witness becomes a QuadraticNumber or BiQuadratic.
+maps compose on them (``_then``) or step a lift, moved back by the exact
+floor of its midpoint (``_normalized``), and ``_meet`` reads each
+orientation's sign from integers.  Only a hit's witness, and a plot's floats,
+become a QuadraticNumber or BiQuadratic.
 """
 
 from __future__ import annotations
@@ -56,17 +58,12 @@ class FloatLift(NamedTuple):
     err: float
 
 
-def _converted(x: Coord) -> tuple[float, float]:
-    """x as a float by ``_float_of``, and a bound on its absolute error."""
-    f, den, (v,) = _numerators([x])
-    return _float_of(f, v, den)
-
-
 def _float_shift(
     shift: tuple[QuadraticNumber, QuadraticNumber],
 ) -> tuple[float, float, float]:
-    """An exact shift as floats (bx, by) and one bound on both."""
-    (bx, ex), (by, ey) = _converted(shift[0]), _converted(shift[1])
+    """An exact shift as floats (bx, by) by ``_float_of``, and one bound on both."""
+    f, den, vs = _numerators(shift)
+    (bx, ex), (by, ey) = [_float_of(f, v, den) for v in vs]
     return bx, by, max(ex, ey)
 
 
@@ -250,6 +247,12 @@ class _Field(NamedTuple):
         # p^2 = q^2*e would put sqrt(e) in Q(sqrt d), so the sign is never 0
         return sp if _sign_parts(p0 - self.unit[2] * q0, p1 - self.unit[2] * q1, d) > 0 else sq
 
+    def floor(self, a: Sequence[int], den: int) -> int:
+        """floor(a / den) by ``floor_parts``, in the tower by ``BiQuadratic.floor``."""
+        if len(a) == 4:
+            return self.scalar(a, den).floor()
+        return floor_parts(a[0], a[1] if len(a) == 2 else 0, den, self.unit[1])
+
     def scalar(self, a: Vector, den: int) -> Coord:
         """a / den as a canonical QuadraticNumber, a BiQuadratic in the tower."""
         if len(a) == 4:
@@ -257,59 +260,82 @@ class _Field(NamedTuple):
         return QuadraticNumber._canon(a[0], a[1] if len(a) == 2 else 0, den, self.unit[1])
 
 
-def _numerators(xs: Sequence[Coord]) -> tuple[_Field, int, list[Vector]]:
+def _numerators(xs: Sequence[QuadraticNumber]) -> tuple[_Field, int, list[Vector]]:
     """The field of the scalars ``xs``, their least common denominator and
     each as numerators over it; ``MixedRadicals`` past two radicands."""
-    parts = [
-        ((x.p, 0), (x.q, 2)) if isinstance(x, BiQuadratic) and not x.q.is_zero
-        else ((x.p if isinstance(x, BiQuadratic) else x, 0),)
-        for x in xs
-    ]
-    rads = {c.d for ps in parts for c, _ in ps} | {x.e for x, ps in zip(xs, parts) if len(ps) > 1}
-    rads = sorted(rads - {0})
+    rads = sorted({x.d for x in xs} - {0})
     if len(rads) > 2:
         raise MixedRadicals(", ".join(f"sqrt({r})" for r in rads) + " in one search")
-    (d, e), den = (*rads, 0, 0)[:2], math.lcm(*[c.w for ps in parts for c, _ in ps])
+    (d, e), den = (*rads, 0, 0)[:2], math.lcm(*[x.w for x in xs])
     out = []
-    for ps in parts:
+    for x in xs:
         v = [0] * (1 if not d else 2 if not e else 4)
-        for c, base in ps:
-            v[base] += c.u * (den // c.w)
-            if c.v:
-                v[base + (1 if c.d == d else 2)] += c.v * (den // c.w)
+        v[0] = x.u * (den // x.w)
+        if x.v:
+            v[1 if x.d == d else 2] = x.v * (den // x.w)
         out.append(tuple(v))
     return _Field((1, d, e, d * e)), den, out
 
 
 def _segment_numerators(
     line: TorusLine, t: tuple[QuadraticNumber, QuadraticNumber], shifts: Sequence[QuadraticNumber]
-) -> tuple[_Field, int, list[Vector]] | None:
-    """``_numerators`` of ``TorusSegment.lift`` for t = (t_lo, t_hi) on
-    ``line``, then of ``shifts``: F^-1 * state + t*direction (F the integer
-    frame, direction[0] an integer), moved by the exact floor of the
-    midpoint.  None past two radicands, and where F^-1 adds two radicands in
-    one coordinate, which ``TorusSegment.lift`` refuses."""
+) -> tuple[_Field, int, list[Vector]]:
+    """``_numerators`` of the segment's lift for t = (t_lo, t_hi) on ``line``,
+    then of ``shifts``: F^-1 * state + t*direction (F the integer frame,
+    direction[0] an integer), moved by the exact floor of the midpoint
+    (``_normalized``).  ``MixedRadicals`` past two radicands, and where F^-1
+    adds two radicands in one coordinate, as the base point's arithmetic."""
     alpha, beta, (dx, dy) = line.alpha, line.beta, line.direction
     f11, f12, f21, f22 = line.slope.frame
     if alpha.d and beta.d and alpha.d != beta.d and (f12 and f22 or f11 and f21):
-        return None
-    try:
-        f, den, (a, b, slope, *rest) = _numerators([alpha, beta, dy, *t, *shifts])
-    except MixedRadicals:
-        return None
+        pair = (alpha.d, beta.d) if f12 and f22 else (beta.d, alpha.d)
+        raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % pair)
+    f, den, (a, b, slope, *rest) = _numerators([alpha, beta, dy, *t, *shifts])
     # the endpoints over den*w: t*dy is over den^2, and den/w divides dy's numerators
-    (_, d, e, _), w, k, big = f.unit, dy.w, den // dy.w, den * dy.w
+    w, k, big = dy.w, den // dy.w, den * dy.w
     bx = [(p * f22 - q * f12) * w for p, q in zip(a, b)]
     by = [(q * f11 - p * f21) * w for p, q in zip(a, b)]
-    ends = [[[p + c * dx.u * w for p, c in zip(bx, s)],
-             [p + c // k for p, c in zip(by, f.mul(s, slope))]] for s in rest[:2]]
-    for i in (0, 1):  # by floor_parts, and in the tower by BiQuadratic.floor
-        mid = list(map(operator.add, ends[0][i], ends[1][i]))
-        n = f.scalar(mid, 2 * big).floor() if e else floor_parts(mid[0], d and mid[1], 2 * big, d)
-        ends[0][i][0] -= n * big
-        ends[1][i][0] -= n * big
-    shifts = [tuple(c * w for c in x) for x in rest[2:]]
-    return f, big, [tuple(x) for end in ends for x in end] + shifts
+    ends = [(tuple([p + c * dx.u * w for p, c in zip(bx, s)]),
+             tuple([p + c // k for p, c in zip(by, f.mul(s, slope))])) for s in rest[:2]]
+    shifts = [tuple([c * w for c in x]) for x in rest[2:]]
+    return f, big, [x for end in _normalized(f, big, ends) for x in end] + shifts
+
+
+def _centred(f: _Field, den: int, p: Vector, q: Vector) -> tuple[Vector, Vector]:
+    """p and q over ``den`` moved by the integer that puts their midpoint
+    into [0,1), found exactly (p mod 1 when q is p)."""
+    n = f.floor(list(map(operator.add, p, q)), 2 * den) * den
+    return (p[0] - n, *p[1:]), (q[0] - n, *q[1:])
+
+
+def _normalized(f: _Field, den: int, lift: Sequence[tuple[Vector, Vector]]) -> Lift:
+    """The lift ((x0, y0), (x1, y1)) over ``den`` moved by the integer
+    translate that puts its midpoint into [0,1)^2."""
+    (x0, y0), (x1, y1) = lift
+    (x0, x1), (y0, y1) = _centred(f, den, x0, x1), _centred(f, den, y0, y1)
+    return ((x0, y0), (x1, y1))
+
+
+def _coordinates(
+    line: TorusLine, ts: Sequence[QuadraticNumber]
+) -> list[tuple[_Field, int, list[Vector]]]:
+    """Per coordinate of the points base + t*direction, t in ``ts``, on the
+    lift of ``line`` through F^-1 * state: its own field, a denominator and
+    the points' numerators over it.  A coordinate holds at most its state's
+    radicand and the slope's; where F^-1 adds two fields in one, the base
+    point's arithmetic raises ``MixedRadicals``."""
+    out = []
+    for b, dc in zip(line.slope.from_state(line.transverse()), line.direction):
+        f, den, (b, dc, *vs) = _numerators([b, dc, *ts])
+        b = [x * den for x in b]
+        out.append((f, den * den, [tuple(map(operator.add, b, f.mul(dc, t))) for t in vs]))
+    return out
+
+
+def _float_lift(f: _Field, den: int, lift: Lift) -> FloatLift:
+    """An exact lift as floats by ``_float_of``, with one bound on all four."""
+    xs, es = zip(*[_float_of(f, v, den) for pt in lift for v in pt])
+    return FloatLift(*xs, max(es))
 
 
 def _float_of(f: _Field, a: Sequence[int], den: int) -> tuple[float, float]:
@@ -333,14 +359,15 @@ def _psub(a: tuple[Vector, Vector], b: tuple[Vector, Vector]) -> tuple[Vector, V
 
 
 def _on_collinear(f: _Field, p0: tuple, p1: tuple, r: tuple) -> bool:
-    """``_on_collinear_segment`` on numerators."""
+    """Does each coordinate of r lie between p0's and p1's?"""
     return all(f.sign(_vsub(r[i], p0[i])) * f.sign(_vsub(r[i], p1[i])) <= 0 for i in (0, 1))
 
 
 def _meet(f: _Field, den: int, s1: Lift, s2: Lift, i: int, j: int) -> tuple | None:
-    """``segments_meet_exact`` on numerators over ``den``, in its case
-    order: the point where segment 1 meets the translate (i, j) of segment
-    2, or None.  Only a hit's witness becomes exact scalars."""
+    """The point where the closed segment 1 meets the translate (i, j) of
+    segment 2, both on numerators over ``den``, or None: a proper crossing
+    by four orientation signs, else a touching or collinear endpoint.  Only
+    a hit's witness becomes exact scalars."""
     p0, p1 = s1
     q0, q1 = (((x[0] + i * den, *x[1:]), (y[0] + j * den, *y[1:])) for x, y in s2)
     dp, dq, pq = _psub(p1, p0), _psub(q1, q0), _psub(p0, q0)

@@ -175,11 +175,6 @@ class TorusLine:
             return (qn(1), self.slope.s)
         return (qn(self.slope.m), qn(self.slope.k))
 
-    def base_point(self) -> CoordPair:
-        """The base point mod 1: (beta, -alpha) for an irrational slope."""
-        x, y = self.slope.from_state(self.transverse())
-        return (x.mod1(), y.mod1())
-
 
 def line_from_point(slope: SlopeSpec, base: CoordPair) -> TorusLine:
     """Line through ``base`` with the given slope, at the state

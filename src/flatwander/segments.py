@@ -24,8 +24,8 @@ The lift search filters in floats and decides on integers, both in
 bounds show it misses, and every survivor, and every witness, is decided
 exactly on integer numerators of exact lifts built on demand, in the field the
 segment, b and the rotation shifts span (``MixedRadicals`` past two
-radicands).  ``segments_meet_exact`` decides ``LiftSegment``s for the re-check
-and plots.
+radicands).  The re-check and the plots step the same numerators one image at
+a time (``lift_orbit``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import bisect
 import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
+from itertools import islice
 
 from .errors import (
     BudgetExceeded,
@@ -52,15 +53,19 @@ from .lift_arith import (
     FloatLift,
     Lift,
     Matrix,
+    Vector,
     _affine,
     _box,
+    _centred,
     _compose,
-    _converted,
+    _coordinates,
+    _Field,
     _float_image,
+    _float_lift,
     _float_of,
     _float_shift,
     _meet,
-    _numerators,
+    _normalized,
     _segment_numerators,
     _surviving_translates,
     _then,
@@ -81,7 +86,7 @@ from .line_orbit import (
     classify_line,
     orbit_numerators,
 )
-from .numbers import HALF, BiQuadratic, QuadraticNumber, _sign_parts, floor_parts
+from .numbers import QuadraticNumber, _sign_parts, floor_parts
 from .torus_map import (
     AffineTorusMap,
     NonRealMultiplier,
@@ -89,128 +94,11 @@ from .torus_map import (
     rotation_matrix,
 )
 
-Point = tuple[Coord, Coord]  # a lift's coordinates share the search's field
-
 MAX_CHECK_ITERATES = 1024  # the goldens check at most 40
 MAX_RETURN_DIGITS = 4000  # the JSON prints the ratio's digits; str(int) stops at 4300
 
 
-def _on_collinear_segment(p0: Point, p1: Point, r: Point) -> bool:
-    """Does each coordinate of r lie between p0's and p1's?"""
-    return all((r[i] - p0[i]).sign() * (r[i] - p1[i]).sign() <= 0 for i in (0, 1))
-
-
-def _cross(u: Point, v: Point) -> Coord:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def segments_meet_exact(p0: Point, p1: Point, q0: Point, q1: Point) -> Point | None:
-    """Exact closed-segment intersection; returns a witness point or None."""
-    dp, dq = _sub(p1, p0), _sub(q1, q0)
-    pq = _sub(p0, q0)
-    c3, c4 = _cross(dq, pq), _cross(dq, _sub(p1, q0))
-    o1 = -_cross(dp, pq).sign()  # orient(p0, p1, q0)
-    o2 = _cross(dp, _sub(q1, p0)).sign()
-    o3, o4 = c3.sign(), c4.sign()
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        # p0 + t*dp lies on q's line where the orientation c3 + t*(c4 - c3)
-        # vanishes
-        t = c3 / (c3 - c4)
-        return (p0[0] + t * dp[0], p0[1] + t * dp[1])
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        # collinear: overlap iff the coordinate boxes overlap
-        for cand in (q0, q1):
-            if _on_collinear_segment(p0, p1, cand):
-                return cand
-        for cand in (p0, p1):
-            if _on_collinear_segment(q0, q1, cand):
-                return cand
-        return None
-    if o1 == 0 and _on_collinear_segment(p0, p1, q0):
-        return q0
-    if o2 == 0 and _on_collinear_segment(p0, p1, q1):
-        return q1
-    if o3 == 0 and _on_collinear_segment(q0, q1, p0):
-        return p0
-    if o4 == 0 and _on_collinear_segment(q0, q1, p1):
-        return p1
-    return None
-
-
-@dataclass(frozen=True)
-class LiftSegment:
-    """A segment in the plane, endpoints exact; the unit of collision search."""
-
-    p0: Point
-    p1: Point
-
-    def midpoint(self) -> Point:
-        return ((self.p0[0] + self.p1[0]) * HALF, (self.p0[1] + self.p1[1]) * HALF)
-
-    def translate(self, n: int, m: int) -> LiftSegment:
-        return LiftSegment(
-            (self.p0[0] + n, self.p0[1] + m), (self.p1[0] + n, self.p1[1] + m)
-        )
-
-    def normalize(self) -> LiftSegment:
-        """Translate so the midpoint lies in the fundamental cell [0,1)^2."""
-        mx, my = self.midpoint()
-        return self.translate(-mx.floor(), -my.floor())
-
-    def affine_image(
-        self, m: tuple[int, int, int, int], shift: tuple[QuadraticNumber, QuadraticNumber]
-    ) -> LiftSegment:
-        (p, q, r, s), (bx, by) = m, shift
-        ends = [(x * p + y * r + bx, x * q + y * s + by) for x, y in (self.p0, self.p1)]
-        return LiftSegment(*ends)
-
-    def float_lift(self) -> FloatLift:
-        """The endpoints as floats, with one bound on every coordinate's
-        conversion error.  Not cached: the bound reads the float jitter."""
-        coords = [_converted(c) for c in (*self.p0, *self.p1)]
-        return FloatLift(*(x for x, _ in coords), max(e for _, e in coords))
-
-
-def _needs_tower(*xs: Coord) -> bool:
-    """Is one of the scalars in the BiQuadratic tower, or do they span more
-    than one radicand?"""
-    return any(isinstance(x, BiQuadratic) for x in xs) or len({x.d for x in xs} - {0}) > 1
-
-
-def _common_field(shifts: tuple[QuadraticNumber, ...], *lifts: LiftSegment) -> list[LiftSegment]:
-    """The lifts in one field that also holds ``shifts``: as they are when
-    all their scalars share at most one radicand, else in the tower."""
-    if not _needs_tower(*shifts, *(c for lift in lifts for c in (*lift.p0, *lift.p1))):
-        return list(lifts)
-    tower = BiQuadratic._coerce
-    return [LiftSegment(tuple(map(tower, s.p0)), tuple(map(tower, s.p1))) for s in lifts]
-
-
-def lift_segments_intersect_torus(
-    lat: Lattice, s1: LiftSegment, s2: LiftSegment
-) -> tuple[float, float] | None:
-    """A witness mod 1 where two lifted segments meet on the torus, or None.
-
-    Enumerates the lattice translates of s2 whose bounding boxes meet s1's,
-    skips those that carried float error bounds prove to miss, and decides
-    every survivor with exact orientation predicates, in one common field.  A
-    pair spanning more than two radicands is refused with ``MixedRadicals``:
-    floats never decide a hit.
-    """
-    s1, s2 = _common_field((), s1, s2)
-    for i, j in _surviving_translates(s1.float_lift(), s2.float_lift()):
-        cand = s2.translate(i, j)
-        w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-        if w is not None:
-            return reduce_mod1_float(w)
-    return None
-
-
-def reduce_mod1_float(p: Point) -> tuple[float, float]:
+def reduce_mod1_float(p: tuple[Coord, Coord]) -> tuple[float, float]:
     """The point mod 1, reduced exactly and then rounded to floats."""
     return tuple([(c - c.floor()).to_float() for c in p])
 
@@ -220,32 +108,16 @@ def reduce_mod1_float(p: Point) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
-    """The point at parameter t on the lift of ``line`` through its base
-    point: base + t * direction, for an irrational slope the canonical
-    (beta, -alpha) + t*(1, slope); in the tower only if its data span two radicands."""
-    (bx, by), (dx, dy) = line.base_point(), line.direction
-    if _needs_tower(bx, by, dx, dy, t):
-        t = BiQuadratic(t)
-    return (t * dx + bx, t * dy + by)
-
-
 @dataclass(frozen=True)
 class TorusSegment:
     """A segment of a flat line, given by the line and the parameter interval
-    [t_lo, t_hi] of ``_point_at``; its lift into the plane is derived from
-    them on first use (``lift``)."""
+    [t_lo, t_hi] from its base point; its lift into the plane is built as
+    integer numerators where a search or a plot needs it
+    (``_segment_numerators``)."""
 
     line: TorusLine
     t_lo: QuadraticNumber
     t_hi: QuadraticNumber
-
-    @cached_property
-    def lift(self) -> LiftSegment:
-        """The lifted segment, midpoint-normalized into the fundamental cell."""
-        return LiftSegment(
-            _point_at(self.line, self.t_lo), _point_at(self.line, self.t_hi)
-        ).normalize()
 
     def euclidean_length(self, lat: Lattice) -> float:
         dx, dy = self.line.direction
@@ -366,8 +238,10 @@ def _arc_witness(
 
 def _overlap_witness(line: TorusLine, i1: Interval, i2: Interval) -> tuple[float, float]:
     """The point mod 1 at the midpoint of two overlapping parameter intervals
-    on one irrational-slope line."""
-    return reduce_mod1_float(_point_at(line, (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2))
+    on one irrational-slope line, each coordinate reduced in its own field."""
+    t = (max(i1[0], i2[0]) + min(i1[1], i2[1])) / 2
+    return tuple([f.scalar(_centred(f, den, p, p)[0], den).to_float()
+                  for f, den, (p,) in _coordinates(line, [t])])
 
 
 def verify_disjoint_iterates(
@@ -546,14 +420,23 @@ def first_overlap(
 
 def _separation(lo: QuadraticNumber, hi: QuadraticNumber, a: int) -> int:
     """The least D with |a|^D * min|t| > max|t| on [lo, hi], 0 when 0 lies in
-    it: the interval and its images under t -> a^j*t, j >= D, are apart."""
-    if lo.sign() <= 0 <= hi.sign():
+    it: the interval and its images under t -> a^j*t, j >= D, are apart.
+    Decided by ``_sign_parts`` on the ends' numerators over one denominator."""
+    d, w = lo.d or hi.d, math.lcm(lo.w, hi.w)
+    lu, lv, hu, hv = [x * (w // t.w) for t in (lo, hi) for x in (t.u, t.v)]
+    if _sign_parts(lu, lv, d) <= 0 <= _sign_parts(hu, hv, d):
         return 0
-    near, far = sorted((abs(lo), abs(hi)))
+    # the near end, then the far one, of [lo, hi] or of its mirror image
+    nu, nv, fu, fv = (lu, lv, hu, hv) if _sign_parts(lu, lv, d) > 0 else (-hu, -hv, -lu, -lv)
+
+    def apart(j: int) -> bool:
+        g = abs(a) ** j
+        return _sign_parts(g * nu - fu, g * nv - fv, d) > 0
+
     top = 1  # doubled past D, then bisected: O(log D) exact comparisons
-    while (near * abs(a) ** top).cmp(far) <= 0:
+    while not apart(top):
         top *= 2
-    return bisect.bisect(range(top), False, key=lambda j: (near * abs(a) ** j).cmp(far) > 0)
+    return bisect.bisect(range(top), False, key=apart)
 
 
 def certify_wandering(
@@ -574,13 +457,13 @@ def certify_classified(
     seg: TorusSegment,
     verdict: LineOrbitClass,
     check_iterates: int,
-    rho: Callable[[StateInts], StateInts | None] | TransverseState | None = None,
+    rho: Sequence[StateInts | None] | TransverseState | None = None,
     returns: tuple[int, int, bool] | None = None,
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``.
 
-    With ``rho``, the order-2 involution (on a periodic line, its map on the
-    verdict's integer states, None off their grid; on a wandering line,
+    With ``rho``, the order-2 involution (on a periodic line, its images of
+    the verdict's integer states, None off their grid; on a wandering line,
     rho(0), whose ``Numerators.reflection`` acts on the walked states), the
     certificate is for the quotient (level "sphere"), and ``returns`` gives
     the quotient's return map (period, sign, both_sides), multiplier
@@ -623,7 +506,7 @@ def certify_classified(
     else:
         horizon = max(check_iterates, len(verdict.states) + _separation(u, v, a))
         states = _Folded(verdict.states, verdict.preperiod, horizon)
-        rho_states = [rho(st) for st in states]
+        rho_states = _Folded(tuple(rho), verdict.preperiod, horizon)
     pair = first_overlap(states, partial(IntervalChain, u, v, a), rho_states)
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
@@ -714,24 +597,25 @@ def _rotations(rot: Matrix, nu: int, z0: TorusPoint) -> list[AffineMap]:
     return out
 
 
-def iterate_lifts(tm: AffineTorusMap, seg: TorusSegment, n: int) -> Iterator[LiftSegment]:
-    """Lifts of iterates 0..n of the segment under the covering, each built
-    when asked for and midpoint-normalized into the fundamental cell; works
-    for any multiplier.  They are in the tower only when b brings a second
-    radicand."""
-    if n < 0:
-        raise UsageError(f"iterate count must be >= 0, got {n}")
-    shift = (tm.b.x, tm.b.y)
-    (lift,) = _common_field(shift, seg.lift)
-    yield lift
-    for _ in range(n):
-        lift = lift.affine_image(tm.m, shift).normalize()
-        yield lift
+def lift_orbit(
+    tm: AffineTorusMap, seg: TorusSegment, *shifts: QuadraticNumber
+) -> tuple[_Field, int, Iterator[Lift], list[Vector]]:
+    """The segment's lift and its images under the covering x -> M*x + b,
+    exactly, for any multiplier: integer numerators over one denominator in
+    the field of the segment, b and ``shifts`` (``_segment_numerators``,
+    ``MixedRadicals`` past two radicands), each image stepped from the last
+    and moved back by the exact floor of its midpoint; then ``shifts`` as
+    numerators.  The lifts are built as they are asked for."""
+    ts, b = (seg.t_lo, seg.t_hi), (tm.b.x, tm.b.y)
+    f, den, (x0, y0, x1, y1, bx, by, *rest) = _segment_numerators(seg.line, ts, (*b, *shifts))
 
+    def lifts() -> Iterator[Lift]:
+        lift = ((x0, y0), (x1, y1))
+        while True:
+            yield lift
+            lift = _normalized(f, den, [_affine(tm.m, (bx, by), pt) for pt in lift])
 
-def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
-    """The lifts of ``iterate_lifts``, all built."""
-    return list(iterate_lifts(tm, seg, n))
+    return f, den, lifts(), rest
 
 
 class _LiftSearch:
@@ -745,22 +629,32 @@ class _LiftSearch:
     S_m = M*S_{m-1} + b - t_m following the recorded translates t_m, and its
     rotation k is R_k applied to that, plus s_k minus the rotation's own
     translate: one affine image of lift_0.  lift_0, b and the s_k are
-    numerators over one denominator in their field (``_segment_numerators``);
-    past two radicands, the first survivor converts ``TorusSegment.lift``."""
+    numerators over one denominator in their field (``_segment_numerators``).
+    Past two radicands the filter runs on a float lift_0 built coordinate by
+    coordinate, and the first survivor is refused."""
 
     def __init__(self, tm: AffineTorusMap, seg: TorusSegment, rotations: Sequence[AffineMap]):
-        self.seg, self.field = seg, None
         self.exact_maps = [(tm.m, (tm.b.x, tm.b.y)), *rotations]  # the covering, then the R_k
-        self.shifts = [c for _, shift in self.exact_maps for c in shift]
-        held = _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), self.shifts)
-        if held is None:
-            lift0, fs = seg.lift.float_lift(), [_float_shift(s) for _, s in self.exact_maps]
+        shifts = [c for _, shift in self.exact_maps for c in shift]
+        try:
+            self.field, den, vs = _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), shifts)
+        except MixedRadicals as exc:
+            self.field, self.refusal = None, exc
+            (x0, x1), (y0, y1) = [
+                [_float_of(f, v, den) for v in _centred(f, den, *ends)]
+                for f, den, ends in _coordinates(seg.line, (seg.t_lo, seg.t_hi))
+            ]
+            lift0 = FloatLift(x0[0], y0[0], x1[0], y1[0], max(x0[1], y0[1], x1[1], y1[1]))
+            fs = [_float_shift(s) for _, s in self.exact_maps]
         else:
-            self.field, den, vs = held
-            self._hold(vs, den)
-            xs, es = zip(*[_float_of(self.field, v, den) for v in vs])
-            lift0 = FloatLift(*xs[:4], max(es[:4]))
-            fs = [(*xs[i : i + 2], max(es[i : i + 2])) for i in range(4, len(xs), 2)]
+            self.den, zero = den, (0,) * len(vs[0])  # S_0
+            self.points = ((vs[0], vs[1]), (vs[2], vs[3]))
+            self.maps = [((1, 0, 0, 1), (zero, zero))]  # lift_0 -> iterate m
+            it = iter(vs[4:])
+            self.num_maps = [(mat, (next(it), next(it))) for mat, _ in self.exact_maps]
+            lift0 = _float_lift(self.field, den, self.points)
+            xs, es = zip(*[_float_of(self.field, v, den) for v in vs[4:]])
+            fs = [(*xs[i : i + 2], max(es[i : i + 2])) for i in range(0, len(xs), 2)]
         self.float_maps = [(mat, fb) for (mat, _), fb in zip(self.exact_maps, fs)]
         self.iterates = [(lift0, (0, 0), _box(*lift0[:4]))]  # float lift, translate, box
         self.targets: list[list[tuple]] = []  # [n][k]: float lift, translate, box
@@ -773,15 +667,6 @@ class _LiftSearch:
             [(last, (0, 0), box)] + [_float_image(last, *rot) for rot in self.float_maps[1:]]
         )
         self.iterates.append(_float_image(last, *self.float_maps[0]))
-
-    def _hold(self, xs: list, den: int) -> None:
-        """Compose from ``xs``: lift_0's four coordinates, then the maps'
-        shifts, each a vector of numerators over ``den``."""
-        self.den, zero = den, tuple(c * 0 for c in xs[0])  # S_0, in lift_0's field
-        self.points = ((xs[0], xs[1]), (xs[2], xs[3]))
-        self.maps = [((1, 0, 0, 1), (zero, zero))]  # lift_0 -> iterate m
-        shifts = iter(xs[4:])
-        self.num_maps = [(mat, (next(shifts), next(shifts))) for mat, _ in self.exact_maps]
 
     def exact(self, n: int, k: int = 0) -> Lift:
         """The exact lift that rotation k of iterate n stands for."""
@@ -798,20 +683,9 @@ class _LiftSearch:
     def meet(self, m: int, n: int, k: int, i: int, j: int) -> tuple[float, float] | None:
         """The witness mod 1 where iterate m meets the translate (i, j) of
         rotation k of iterate n, or None.  Past two radicands (no field),
-        this first pair is decided in QuadraticNumber/BiQuadratic instead,
-        raising the ``MixedRadicals`` that meets, else ``_numerators``'."""
+        this first survivor raises ``_numerators``' ``MixedRadicals``."""
         if self.field is None:
-            # each scalar as a vector of one coordinate, over 1
-            xs = [*self.seg.lift.p0, *self.seg.lift.p1, *self.shifts]
-            (lift0,) = _common_field(self.shifts, self.seg.lift)
-            self._hold([(c,) for c in (*lift0.p0, *lift0.p1, *self.shifts)], 1)
-            s1, s2 = (
-                LiftSegment(*((x, y) for (x,), (y,) in self.exact(*nk)))
-                for nk in ((m, 0), (n, k))
-            )
-            cand = s2.translate(i, j)
-            segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
-            _numerators(xs)  # lift_0 spans its line data's radicands, so this raises
+            raise self.refusal
         w = _meet(self.field, self.den, self.exact(m), self.exact(n, k), i, j)
         return None if w is None else reduce_mod1_float(w)
 
@@ -902,14 +776,21 @@ def reverify_collision(
     cert: CollisionCertificate,
     group: tuple[int, TorusPoint] | None = None,
 ) -> bool:
-    """Recompute the claimed intersection from scratch; ``group`` is (nu, z0)."""
-    lat = tm.lattice
-    lifts = lift_chain(tm, seg, cert.m)
-    target = lifts[cert.n]
+    """Recompute the claimed intersection from scratch; ``group`` is (nu, z0).
+
+    Iterates n and m are stepped from lift_0 one image at a time
+    (``lift_orbit``), not composed as the search composes them, and rotation
+    k is solved again; every translate the float bounds leave is decided by
+    ``_meet``."""
+    rotation = []
     if cert.k:
         if group is None:
             raise ValueError("a rotated collision needs its group to re-verify")
-        mat, shift = _rotations(rotation_matrix(lat, group[0]), *group)[cert.k - 1]
-        (target,) = _common_field(shift, target)
-        target = target.affine_image(mat, shift).normalize()
-    return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None
+        rotation = [_rotations(rotation_matrix(tm.lattice, group[0]), *group)[cert.k - 1]]
+    f, den, lifts, shift = lift_orbit(tm, seg, *(c for _, s in rotation for c in s))
+    lifts = list(islice(lifts, cert.m + 1))
+    target, current = lifts[cert.n], lifts[cert.m]
+    if rotation:
+        target = _normalized(f, den, [_affine(rotation[0][0], shift, pt) for pt in target])
+    translates = _surviving_translates(_float_lift(f, den, current), _float_lift(f, den, target))
+    return any(_meet(f, den, current, target, i, j) is not None for i, j in translates)

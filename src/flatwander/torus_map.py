@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeTooLow,
-    IncompatibleField,
     InternalInconsistency,
     MixedRadicals,
     NotACovering,
@@ -128,17 +127,6 @@ def classify_multiplier(tm: AffineTorusMap) -> MultiplierClass:
         return IntegerDerivative(tm.multiplier_int())
     theta = math.atan2(tm.a.im.to_float(), tm.a.re.to_float())
     return NonRealMultiplier(tm.a, theta)
-
-
-def apply_map(tm: AffineTorusMap, pt: TorusPoint) -> TorusPoint:
-    """(x, y) -> M (x, y)^T + b, coordinate-wise mod 1."""
-    p, q, r, s = tm.m
-    try:
-        nx = pt.x * p + pt.y * r + tm.b.x
-        ny = pt.x * q + pt.y * s + tm.b.y
-    except MixedRadicals as exc:
-        raise IncompatibleField(str(exc)) from exc
-    return reduce_to_fundamental((nx, ny))
 
 
 _ROTATION_SCALARS = {

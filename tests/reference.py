@@ -10,14 +10,18 @@ read before its option tables, a point's state from its frame products, a
 line's states and their reflections as ``QuadraticNumber`` pairs, the
 disjointness oracle with each state stepped from the one before and every
 pair compared, a certificate's interval and slack built in
-``QuadraticNumber`` steps, and a radicand split by trial division up to its
-square root.
+``QuadraticNumber`` steps, a separation horizon bisected on
+``QuadraticNumber`` products, a segment lifted and stepped in
+``QuadraticNumber``/``BiQuadratic`` with two lifts met by orientation signs
+and a collision re-checked on those lifts, and a radicand split by trial
+division up to its square root.
 No command and no certificate runs them.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 from dataclasses import dataclass
@@ -25,7 +29,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from flatwander.errors import InternalInconsistency, NearPole, ResidualExceedsTol
+from flatwander.errors import (
+    IncompatibleField,
+    InternalInconsistency,
+    MixedRadicals,
+    NearPole,
+    ResidualExceedsTol,
+    UsageError,
+)
 from flatwander.lattes import LattesModel, WeierstrassContext, weierstrass_context
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import (
@@ -35,17 +46,19 @@ from flatwander.line_orbit import (
     orbit_numerators,
     slope_spec,
 )
-from flatwander.numbers import HALF, ZERO, QuadraticNumber
+from flatwander.lift_arith import FloatLift, _float_of, _numerators, _surviving_translates
+from flatwander.numbers import HALF, ZERO, BiQuadratic, QuadraticNumber
 from flatwander.segments import (
+    CollisionCertificate,
     Interval,
     IntervalChain,
-    LiftSegment,
     TorusSegment,
     _overlap_witness,
     _return_ratio,
-    lift_segments_intersect_torus,
+    _rotations,
+    reduce_mod1_float,
 )
-from flatwander.torus_map import AffineTorusMap, apply_map, kernel
+from flatwander.torus_map import AffineTorusMap, kernel, rotation_matrix
 
 
 def as_fraction(x: QuadraticNumber) -> Fraction:
@@ -58,6 +71,23 @@ def as_fraction(x: QuadraticNumber) -> Fraction:
 # ---------------------------------------------------------------------------
 # points and lines, one step at a time
 # ---------------------------------------------------------------------------
+
+
+def base_point(line: TorusLine) -> tuple[QuadraticNumber, QuadraticNumber]:
+    """The line's base point mod 1: (beta, -alpha) for an irrational slope."""
+    x, y = line.slope.from_state(line.transverse())
+    return (x.mod1(), y.mod1())
+
+
+def apply_map(tm: AffineTorusMap, pt: TorusPoint) -> TorusPoint:
+    """(x, y) -> M (x, y)^T + b, coordinate-wise mod 1."""
+    p, q, r, s = tm.m
+    try:
+        nx = pt.x * p + pt.y * r + tm.b.x
+        ny = pt.x * q + pt.y * s + tm.b.y
+    except MixedRadicals as exc:
+        raise IncompatibleField(str(exc)) from exc
+    return reduce_to_fundamental((nx, ny))
 
 
 def iterate_map(tm: AffineTorusMap, pt: TorusPoint, n: int) -> TorusPoint:
@@ -140,7 +170,7 @@ def line_image(tm: AffineTorusMap, line: TorusLine) -> TorusLine:
         return TorusLine(line.slope, *_state_step(tm, line.slope)(line.transverse()))
     p, q, r, s = tm.m
     m, k = line.slope.m, line.slope.k
-    image = apply_map(tm, TorusPoint(*line.base_point()))
+    image = apply_map(tm, TorusPoint(*base_point(line)))
     return line_from_point(slope_spec((p * m + r * k, q * m + s * k)), image.coords())
 
 
@@ -226,6 +256,18 @@ def certify_interval(
     return (u, v, slack)
 
 
+def separation(lo: QuadraticNumber, hi: QuadraticNumber, a: int) -> int:
+    """The least D with |a|^D * min|t| > max|t| on [lo, hi], 0 when 0 lies in
+    it, by doubling and bisection on ``QuadraticNumber`` products."""
+    if lo.sign() <= 0 <= hi.sign():
+        return 0
+    near, far = sorted((abs(lo), abs(hi)))
+    top = 1
+    while (near * abs(a) ** top).cmp(far) <= 0:
+        top *= 2
+    return bisect.bisect(range(top), False, key=lambda j: (near * abs(a) ** j).cmp(far) > 0)
+
+
 # ---------------------------------------------------------------------------
 # segments, a pair at a time
 # ---------------------------------------------------------------------------
@@ -249,7 +291,194 @@ def segments_intersect(
         if not (same_line(s1.line, s2.line) and _overlap(i1, i2)):
             return None
         return _overlap_witness(s1.line, i1, i2)
-    return lift_segments_intersect_torus(lat, s1.lift, s2.lift)
+    return lift_segments_intersect_torus(lat, segment_lift(s1), segment_lift(s2))
+
+
+# ---------------------------------------------------------------------------
+# lifts in QuadraticNumber/BiQuadratic, one segment pair at a time
+# ---------------------------------------------------------------------------
+
+Point = tuple  # a lift's coordinates, QuadraticNumber or BiQuadratic
+
+
+def numerators(xs):
+    """``lift_arith._numerators`` of scalars that may lie in a BiQuadratic
+    tower: each p + q*sqrt(e) as p's numerators plus q's times sqrt(e)'s,
+    over the square of one denominator."""
+    towers = [x for x in xs if isinstance(x, BiQuadratic) and not x.q.is_zero]
+    parts = [x.p if isinstance(x, BiQuadratic) else x for x in xs]
+    qs = [x.q if isinstance(x, BiQuadratic) else ZERO for x in xs]
+    roots = [QuadraticNumber(0, 1, 1, e) for e in {x.e for x in towers}]
+    f, den, vs = _numerators([*parts, *qs, *roots])
+    root = vs[-1] if roots else vs[0]
+    out = []
+    for p, q in zip(vs[: len(xs)], vs[len(xs) : 2 * len(xs)]):
+        out.append(tuple(a * den + b for a, b in zip(p, f.mul(q, root))))
+    return f, den * den, out
+
+
+def _on_collinear_segment(p0: Point, p1: Point, r: Point) -> bool:
+    """Does each coordinate of r lie between p0's and p1's?"""
+    return all((r[i] - p0[i]).sign() * (r[i] - p1[i]).sign() <= 0 for i in (0, 1))
+
+
+def _cross(u: Point, v: Point):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def segments_meet_exact(p0: Point, p1: Point, q0: Point, q1: Point) -> Point | None:
+    """Exact closed-segment intersection; returns a witness point or None."""
+    dp, dq = _sub(p1, p0), _sub(q1, q0)
+    pq = _sub(p0, q0)
+    c3, c4 = _cross(dq, pq), _cross(dq, _sub(p1, q0))
+    o1 = -_cross(dp, pq).sign()  # orient(p0, p1, q0)
+    o2 = _cross(dp, _sub(q1, p0)).sign()
+    o3, o4 = c3.sign(), c4.sign()
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        # p0 + t*dp lies on q's line where the orientation c3 + t*(c4 - c3)
+        # vanishes
+        t = c3 / (c3 - c4)
+        return (p0[0] + t * dp[0], p0[1] + t * dp[1])
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # collinear: overlap iff the coordinate boxes overlap
+        for cand in (q0, q1):
+            if _on_collinear_segment(p0, p1, cand):
+                return cand
+        for cand in (p0, p1):
+            if _on_collinear_segment(q0, q1, cand):
+                return cand
+        return None
+    if o1 == 0 and _on_collinear_segment(p0, p1, q0):
+        return q0
+    if o2 == 0 and _on_collinear_segment(p0, p1, q1):
+        return q1
+    if o3 == 0 and _on_collinear_segment(q0, q1, p0):
+        return p0
+    if o4 == 0 and _on_collinear_segment(q0, q1, p1):
+        return p1
+    return None
+
+
+@dataclass(frozen=True)
+class LiftSegment:
+    """A segment in the plane, endpoints exact."""
+
+    p0: Point
+    p1: Point
+
+    def midpoint(self) -> Point:
+        return ((self.p0[0] + self.p1[0]) * HALF, (self.p0[1] + self.p1[1]) * HALF)
+
+    def translate(self, n: int, m: int) -> LiftSegment:
+        return LiftSegment(
+            (self.p0[0] + n, self.p0[1] + m), (self.p1[0] + n, self.p1[1] + m)
+        )
+
+    def normalize(self) -> LiftSegment:
+        """Translate so the midpoint lies in the fundamental cell [0,1)^2."""
+        mx, my = self.midpoint()
+        return self.translate(-mx.floor(), -my.floor())
+
+    def affine_image(self, m: tuple[int, int, int, int], shift) -> LiftSegment:
+        (p, q, r, s), (bx, by) = m, shift
+        ends = [(x * p + y * r + bx, x * q + y * s + by) for x, y in (self.p0, self.p1)]
+        return LiftSegment(*ends)
+
+    def float_lift(self) -> FloatLift:
+        """The endpoints as floats, with one bound on every coordinate's
+        conversion error.  Not cached: the bound reads the float jitter."""
+        coords = [_float_of(*_one_numerator(c)) for c in (*self.p0, *self.p1)]
+        return FloatLift(*(x for x, _ in coords), max(e for _, e in coords))
+
+
+def _one_numerator(x):
+    f, den, (v,) = numerators([x])
+    return f, v, den
+
+
+def _needs_tower(*xs) -> bool:
+    """Is one of the scalars in the BiQuadratic tower, or do they span more
+    than one radicand?"""
+    return any(isinstance(x, BiQuadratic) for x in xs) or len({x.d for x in xs} - {0}) > 1
+
+
+def _common_field(shifts, *lifts: LiftSegment) -> list[LiftSegment]:
+    """The lifts in one field that also holds ``shifts``: as they are when
+    all their scalars share at most one radicand, else in the tower."""
+    if not _needs_tower(*shifts, *(c for lift in lifts for c in (*lift.p0, *lift.p1))):
+        return list(lifts)
+    tower = BiQuadratic._coerce
+    return [LiftSegment(tuple(map(tower, s.p0)), tuple(map(tower, s.p1))) for s in lifts]
+
+
+def lift_segments_intersect_torus(
+    lat: Lattice, s1: LiftSegment, s2: LiftSegment
+) -> tuple[float, float] | None:
+    """A witness mod 1 where two lifted segments meet on the torus, or None:
+    every translate the float bounds leave, decided by
+    ``segments_meet_exact`` in one common field."""
+    s1, s2 = _common_field((), s1, s2)
+    for i, j in _surviving_translates(s1.float_lift(), s2.float_lift()):
+        cand = s2.translate(i, j)
+        w = segments_meet_exact(s1.p0, s1.p1, cand.p0, cand.p1)
+        if w is not None:
+            return reduce_mod1_float(w)
+    return None
+
+
+def _point_at(line: TorusLine, t: QuadraticNumber) -> Point:
+    """The point at parameter t on the lift of ``line`` through its base
+    point: base + t * direction, in the tower only if its data span two
+    radicands."""
+    (bx, by), (dx, dy) = base_point(line), line.direction
+    if _needs_tower(bx, by, dx, dy, t):
+        t = BiQuadratic(t)
+    return (t * dx + bx, t * dy + by)
+
+
+@functools.lru_cache(maxsize=4096)
+def segment_lift(seg: TorusSegment) -> LiftSegment:
+    """The segment's lift, midpoint-normalized into the fundamental cell."""
+    return LiftSegment(_point_at(seg.line, seg.t_lo), _point_at(seg.line, seg.t_hi)).normalize()
+
+
+def iterate_lifts(tm: AffineTorusMap, seg: TorusSegment, n: int):
+    """Lifts of iterates 0..n of the segment under the covering, each the
+    normalized affine image of the one before; in the tower only when b
+    brings a second radicand."""
+    if n < 0:
+        raise UsageError(f"iterate count must be >= 0, got {n}")
+    shift = (tm.b.x, tm.b.y)
+    (lift,) = _common_field(shift, segment_lift(seg))
+    yield lift
+    for _ in range(n):
+        lift = lift.affine_image(tm.m, shift).normalize()
+        yield lift
+
+
+def lift_chain(tm: AffineTorusMap, seg: TorusSegment, n: int) -> list[LiftSegment]:
+    return list(iterate_lifts(tm, seg, n))
+
+
+def reverify_collision(
+    tm: AffineTorusMap, seg: TorusSegment, cert: CollisionCertificate, group=None
+) -> bool:
+    """Recompute a claimed intersection on the ``lift_chain`` lifts, the
+    rotation solved again from ``group`` = (nu, z0)."""
+    lat = tm.lattice
+    lifts = lift_chain(tm, seg, cert.m)
+    target = lifts[cert.n]
+    if cert.k:
+        if group is None:
+            raise ValueError("a rotated collision needs its group to re-verify")
+        mat, shift = _rotations(rotation_matrix(lat, group[0]), *group)[cert.k - 1]
+        (target,) = _common_field(shift, target)
+        target = target.affine_image(mat, shift).normalize()
+    return lift_segments_intersect_torus(lat, lifts[cert.m], target) is not None
 
 
 def lift_length(lift: LiftSegment, lat: Lattice) -> float:

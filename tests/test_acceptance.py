@@ -42,7 +42,6 @@ from flatwander.segments import (
     collision_bound,
     default_collision_budget,
     find_collision,
-    lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
     verify_disjoint_iterates,
@@ -52,8 +51,10 @@ from reference import (
     g_invariants,
     half_lattice_q,
     lift_length,
+    lift_segments_intersect_torus,
     line_image,
     passes_through_q,
+    segment_lift,
     segments_intersect,
 )
 
@@ -168,7 +169,7 @@ def test_criterion_2_and_3_reverse_direction_with_bound():
         if elapsed >= 5.0:
             slow += 1
         # criterion 3: every disjoint consecutive pair respects the bound
-        cur = seg.lift.normalize()
+        cur = segment_lift(seg).normalize()
         for _n in range(cert.m if isinstance(cert, CollisionCertificate) else budget):
             nxt = cur.affine_image(tm.m, (tm.b.x, tm.b.y)).normalize()
             if lift_segments_intersect_torus(SQUARE, cur, nxt) is None:

@@ -26,8 +26,8 @@ from flatwander.errors import FieldClash, MixedRadicals
 from flatwander.lattice import Lattice, point
 from flatwander.lift_arith import (
     FloatLift,
-    _converted,
     _float_image,
+    _float_of,
     _float_shift,
     _meet,
     _numerators,
@@ -37,15 +37,20 @@ from flatwander.lift_arith import (
 from flatwander.numbers import BiQuadratic, QuadraticNumber, float_jitter, parse_complex, qn
 from flatwander.segments import (
     CollisionCertificate,
-    LiftSegment,
     _LiftSearch,
     _rotations,
     default_collision_budget,
     find_collision,
     reduce_mod1_float,
-    segments_meet_exact,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
+from reference import (
+    LiftSegment,
+    _common_field,
+    numerators,
+    segment_lift,
+    segments_meet_exact,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = QuadraticNumber
@@ -73,10 +78,12 @@ def test_the_conversion_bound_covers_a_cancelling_coordinate(d, jitter):
         # |x| is below 1/w while its parts are near v*sqrt(d)/w
         assert abs(_mp(x)) < 1 and _mp(x) * w * 10**8 < v * math.sqrt(d)
         with float_jitter(jitter):
-            got, bound = _converted(x)
+            f, den, (v,) = _numerators([x])
+            got, bound = _float_of(f, v, den)
             # the same cancellation one level up, in a tower over sqrt(3)
             y = BiQuadratic(qn(1) - x, Q(1, 0, 3), 3)
-            got_y, bound_y = _converted(y)
+            f, den, (v,) = numerators([y])
+            got_y, bound_y = _float_of(f, v, den)
         assert abs(mpmath.mpf(got) - _mp(x)) <= bound
         assert abs(mpmath.mpf(got_y) - _mp(y)) <= bound_y
         # a bound relative to |x| alone would not hold
@@ -218,7 +225,7 @@ def test_the_integer_predicate_agrees_with_segments_meet_exact(field):
     for n in range(150):
         kind = kinds[n % len(kinds)]
         s1, s2 = _random_pair(rng, kind, _SCALARS[field])
-        f, den, vs = _numerators([*s1.p0, *s1.p1, *s2.p0, *s2.p1])
+        f, den, vs = numerators([*s1.p0, *s1.p1, *s2.p0, *s2.p1])
         assert len(vs[0]) == {"tower": 4, "sqrt2": 2, "rational": 1}[field]
         n1, n2 = ((vs[0], vs[1]), (vs[2], vs[3])), ((vs[4], vs[5]), (vs[6], vs[7]))
         for i, j in _box_translates(s1, s2):
@@ -228,6 +235,28 @@ def test_the_integer_predicate_agrees_with_segments_meet_exact(field):
             assert got == want and type(got[0]) is type(want[0]) if want else got is None, (kind, n)
             hits[kind] += want is not None
     assert all(hits[kind] for kind in kinds[1:4]), hits
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_an_endpoint_contact_is_read_off_the_endpoint(monkeypatch, end):
+    # segment 2's end q lies inside segment 1, which crosses segment 2's line
+    # strictly: the witness is q itself, taken as it is, with no division
+    # (no conjugate is built), as for a proper crossing it must be
+    conjugates = []
+    conjugate = lift_arith._Field.conjugate
+    monkeypatch.setattr(lift_arith._Field, "conjugate",
+                        lambda f, a: conjugates.append(a) or conjugate(f, a))
+    p0, p1 = (qn(0), qn(0)), (Q(0, 1, 1, 2), qn(1))
+    q = (Q(0, 1, 3, 2), qn(Fraction(1, 3)))  # a third of the way along segment 1
+    far = (qn(Fraction(1, 2)), qn(-2))
+    s2 = (q, far) if end == 0 else (far, q)
+    f, den, vs = _numerators([*p0, *p1, *s2[0], *s2[1]])
+    n1, n2 = ((vs[0], vs[1]), (vs[2], vs[3])), ((vs[4], vs[5]), (vs[6], vs[7]))
+    assert _meet(f, den, n1, n2, 0, 0) == q and conjugates == []
+    # a proper crossing divides once
+    f, den, vs = _numerators([*p0, *p1, qn(1), qn(0), qn(0), qn(1)])
+    n1, n2 = ((vs[0], vs[1]), (vs[2], vs[3])), ((vs[4], vs[5]), (vs[6], vs[7]))
+    assert _meet(f, den, n1, n2, 0, 0) is not None and len(conjugates) == 1
 
 
 def test_the_filter_skips_certain_misses():
@@ -469,7 +498,7 @@ def _reference_first_hit(tm, seg, rotations, budget):
     by one, decided by ``segments_meet_exact`` in enumeration order."""
     search = _LiftSearch(tm, seg, rotations)
     shifts = [c for _, shift in search.exact_maps for c in shift]
-    (lift0,) = segments._common_field(shifts, seg.lift)
+    (lift0,) = _common_field(shifts, segment_lift(seg))
     step, b = tm.m, (tm.b.x, tm.b.y)
     lifts = [lift0]
     for m in range(1, budget + 1):

@@ -527,7 +527,7 @@ def test_the_plot_cap_is_checked_before_any_lift_is_built(tmp_path, monkeypatch,
 
     monkeypatch.chdir(tmp_path)
     built = []
-    monkeypatch.setattr(cli, "iterate_lifts", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "lift_orbit", lambda *args: built.append(args))
     code, data = _run(capsys, "plot-orbit", "--a", "1+1i", "--omega", "i",
                       "--seg", "0.1,0.2,h,0.05", "--iterates", "40000")
     assert (code, data["error"], built) == (2, "usage", [])
@@ -536,17 +536,17 @@ def test_the_plot_cap_is_checked_before_any_lift_is_built(tmp_path, monkeypatch,
 def test_a_plot_stops_building_lifts_at_the_first_beyond_double_range(
     tmp_path, monkeypatch, capsys
 ):
-    from flatwander.segments import LiftSegment
+    from flatwander import segments
 
     monkeypatch.chdir(tmp_path)
     images = []
-    image = LiftSegment.affine_image
+    image = segments._normalized
 
-    def counted(lift, *args):
+    def counted(f, den, lift):
         images.append(lift)
-        return image(lift, *args)
+        return image(f, den, lift)
 
-    monkeypatch.setattr(LiftSegment, "affine_image", counted)
+    monkeypatch.setattr(segments, "_normalized", counted)
     code, data = _run(capsys, "plot-orbit", "--a", "1+1i", "--omega", "i",
                       "--seg", "0.1,0.2,h,0.05", "--iterates", "2100")
     # iterate 2058 is the first beyond double range: lift 0 and the images
@@ -894,11 +894,12 @@ _THREE_RADICANDS = ("find-collision", "--a", "1+1i", "--omega", "i",
 
 
 def test_three_radicands_are_refused(capsys):
-    # the anchor's sqrt(2), the slope's sqrt(3) and b's sqrt(5) would need a
-    # third radicand in one lift coordinate, which no scalar here holds
+    # the anchor's sqrt(2), the slope's sqrt(3) and b's sqrt(5): no
+    # two-radicand field holds the search, so its first surviving translate
+    # is refused, naming the three
     code, data = _run(capsys, *_THREE_RADICANDS, "--b", "sqrt(5)/7")
     assert code == 2
-    assert data == {"error": "mixed-radicals", "message": "sqrt(2) and sqrt(5) in one scalar"}
+    assert data == {"error": "mixed-radicals", "message": "sqrt(2), sqrt(3), sqrt(5) in one search"}
 
 
 def test_two_radicands_collide_in_their_tower(capsys):
@@ -975,7 +976,7 @@ def test_a_pair_of_lifts_with_no_common_tower_is_refused(capsys):
                       "--b", "sqrt(3)/7+5*sqrt(3)/11i",
                       "--seg", "9*sqrt(2)/13,7/17,s:sqrt(5),3/100", "--budget", "6")
     assert code == 2
-    assert data == {"error": "mixed-radicals", "message": "sqrt(5) and sqrt(2) in one scalar"}
+    assert data == {"error": "mixed-radicals", "message": "sqrt(2), sqrt(3), sqrt(5) in one search"}
 
 
 def test_a_segment_starting_with_a_minus_sign_parses_as_a_separate_argument(capsys, tmp_path):

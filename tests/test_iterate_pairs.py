@@ -38,14 +38,18 @@ from flatwander.segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
     find_collision,
-    lift_chain,
-    lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
-from reference import line_image, orbit_states, stepped_disjoint_iterates
+from reference import (
+    lift_chain,
+    lift_segments_intersect_torus,
+    line_image,
+    orbit_states,
+    stepped_disjoint_iterates,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 # find-collision on integer multipliers, recorded from the pairwise search
@@ -587,11 +591,11 @@ def _refuse_lifts(monkeypatch):
     def refuse(*args):
         pytest.fail("an integer-multiplier search on a rational direction built a lift")
 
-    monkeypatch.setattr(segments, "lift_segments_intersect_torus", refuse)
-    monkeypatch.setattr(segments, "lift_chain", refuse)
+    monkeypatch.setattr(segments, "_segment_numerators", refuse)
+    monkeypatch.setattr(segments, "lift_orbit", refuse)
     monkeypatch.setattr(segments, "_float_image", refuse)
     monkeypatch.setattr(segments, "_surviving_translates", refuse)
-    monkeypatch.setattr(segments.LiftSegment, "affine_image", refuse)
+    monkeypatch.setattr(segments, "_normalized", refuse)
 
 
 @pytest.mark.parametrize("budget", [12, 40])

@@ -48,11 +48,12 @@ from flatwander.segments import (
     certify_classified,
     segment_new,
 )
-from flatwander.torus_map import apply_map, rotation_matrix, torus_map_new
+from flatwander.torus_map import rotation_matrix, torus_map_new
 from reference import (
     ClosedCurveImage,
     FoldedRay,
     InjectiveGeodesicImage,
+    apply_map,
     g_invariants,
     half_lattice_q,
     passes_through_q,
@@ -307,7 +308,7 @@ def test_a_wrong_sphere_return_map_is_caught_by_the_sweep():
     verdict = classify_line(model.map, seg.line)
     assert rho_pairing(model, verdict) == SelfPaired(1)
 
-    rho = rho_numerators(model, verdict)
+    rho = list(map(rho_numerators(model, verdict), verdict.states))
     # a self-paired line must avoid both sides of the fixed point: ratio 2, not 4
     # (the return map is (period, sign, both_sides), multiplier sign*a^period = -2)
     with pytest.raises(InternalInconsistency, match="certified iterates 0, 1 overlap"):

@@ -1,8 +1,8 @@
 """The collision search on integers from its first lift.
 
 lift_0's numerators, built from the line's state, frame, direction and
-parameters, equal ``TorusSegment.lift`` value for value, and its float form
-lies within its bound, decided exactly; each float lift's box, computed once
+parameters, equal the reference lift (``reference.segment_lift``) value for
+value, and its float form lies within its bound, decided exactly; each float lift's box, computed once
 when the lift is made, gives the filter's own answer; a cached Lattès
 model's group carries its rotations; the certificates of the collide
 benchmark's first cases re-verify; the README's radicand examples keep their
@@ -48,6 +48,7 @@ from flatwander.segments import (
     reverify_collision,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
+from reference import segment_lift
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = QuadraticNumber
@@ -56,7 +57,11 @@ RADS = (2, 3, 5)
 
 
 def _shifts(seg: TorusSegment, shifts: list[QuadraticNumber]):
-    return _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), shifts)
+    """``_segment_numerators``, or None where it refuses."""
+    try:
+        return _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), shifts)
+    except MixedRadicals:
+        return None
 
 
 def _within(exact, x: float, err: float) -> bool:
@@ -69,18 +74,22 @@ def _within(exact, x: float, err: float) -> bool:
 def _check(seg: TorusSegment, shifts: list[QuadraticNumber]) -> bool:
     """lift_0 and the shifts as numerators equal the QuadraticNumber lift and
     the shifts, and every float lies within its bound under each jitter;
-    False when the builder declines, which it may only past two radicands or
-    where ``TorusSegment.lift`` refuses the state."""
+    False when the builder refuses, which it may only past two radicands or
+    where the reference lift refuses the state."""
     held = _shifts(seg, shifts)
     line = seg.line
     xs = (*line.transverse(), *line.direction, seg.t_lo, seg.t_hi, *shifts)
     if held is None:
         if len({x.d for x in xs} - {0}) <= 2:
-            with pytest.raises(MixedRadicals):
-                seg.lift
+            # the builder refuses as the reference lift's arithmetic does
+            with pytest.raises(MixedRadicals) as want:
+                segment_lift(seg)
+            with pytest.raises(MixedRadicals) as got:
+                _segment_numerators(seg.line, (seg.t_lo, seg.t_hi), shifts)
+            assert str(got.value) == str(want.value)
         return False
     f, den, vs = held
-    want = [*seg.lift.p0, *seg.lift.p1, *shifts]
+    want = [*segment_lift(seg).p0, *segment_lift(seg).p1, *shifts]
     assert [f.scalar(v, den) for v in vs] == want
     for jitter in JITTERS:
         with float_jitter(jitter):
@@ -150,7 +159,7 @@ def test_the_drawn_cases_cover_every_kind():
     def collect(case):
         seg, shifts = case
         held = _shifts(seg, shifts)
-        mid = seg.lift.midpoint() if held else ()
+        mid = segment_lift(seg).midpoint() if held else ()
         seen.add((
             seg.line.is_irrational, None if held is None else len(held[2][0]), 0 in mid
         ))
@@ -166,7 +175,7 @@ def test_the_drawn_cases_cover_every_kind():
 def test_a_state_in_two_fields_is_built_unless_a_coordinate_mixes_them(m, k):
     # alpha in Q(sqrt 2), beta in Q(sqrt 3): the frames of (1, 0) and (0, 1)
     # keep them in separate coordinates, and (1, 2)'s adds them, which
-    # TorusSegment.lift refuses
+    # the reference lift refuses
     line = TorusLine(RationalDirection(m, k), Q(0, 1, 3, 2), Q(0, 1, 5, 3))
     seg = TorusSegment(line, qn(Fraction(-1, 7)), qn(Fraction(2, 5)))
     assert _check(seg, [Q(0, 1, 4, 3)]) == (m * k == 0)
@@ -186,7 +195,7 @@ def test_a_midpoint_just_below_an_integer_floors_exactly(shifts):
     seg = TorusSegment(line, qn(y0 - half), qn(y0 + half))
     # the midpoint (y0, y0*sqrt(2)), x on an integer and y just below x0,
     # moves by (y0, x0 - 1)
-    assert seg.lift.midpoint() == (0, Q(0, y0, 1, 2) - (x0 - 1))
+    assert segment_lift(seg).midpoint() == (0, Q(0, y0, 1, 2) - (x0 - 1))
     assert _check(seg, shifts)
 
 

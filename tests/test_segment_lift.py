@@ -2,7 +2,7 @@
 parameter interval, and its lift is derived on demand.  Checks that the
 certifiers on irrational slopes never build a lift, that the image of a
 segment under an integer covering, its line's image with the parameter mapped
-by t -> a*t, agrees with the lift chain for either sign of the multiplier and
+by t -> a*t, agrees with the stepped exact lifts for either sign of the multiplier and
 both slope kinds, that ``plot-orbit`` output matches a recording, and that
 the collision search lifts in its own field: the BiQuadratic tower only when
 its data span two radicands, with the same answers as a tower-only search,
@@ -10,6 +10,7 @@ shifts composed in the tower with the lifts, and the group's rotation solved
 once per search and not again when the process repeats it."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from flatwander import cli, lattes, segments, torus_map
+from flatwander import cli, lattes, lift_arith, segments, torus_map
 from flatwander.cli import _parse_segment, main
 from flatwander.errors import FieldClash, MixedRadicals
 from flatwander.lattice import Lattice, point
@@ -26,15 +27,14 @@ from flatwander.line_orbit import TorusLine, line_from_point, slope_spec
 from flatwander.numbers import BiQuadratic, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
-    LiftSegment,
     TorusSegment,
     find_collision,
-    lift_chain,
+    lift_orbit,
     reverify_collision,
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
-from reference import interval_chain, line_image
+from reference import interval_chain, line_image, segment_lift
 
 ROOT = Path(__file__).resolve().parent.parent
 # plot-orbit SVGs recorded before the lift became derived: a = 2 and -3 on
@@ -44,7 +44,7 @@ PLOT_GOLDEN = json.loads((ROOT / "tests" / "data" / "plot_orbit_golden.json").re
 SQUARE = Lattice(parse_complex("i"))
 
 
-def test_segment_is_line_and_interval():
+def test_segment_is_line_and_interval(monkeypatch):
     assert [f.name for f in dataclasses.fields(TorusSegment)] == ["line", "t_lo", "t_hi"]
     seg = segment_new(
         TorusLine(slope_spec(parse_number("sqrt(2)")), qn(Fraction(1, 5)), qn(0)),
@@ -52,7 +52,23 @@ def test_segment_is_line_and_interval():
         qn(Fraction(1, 10)),
     )
     assert seg == TorusSegment(seg.line, seg.t_lo, seg.t_hi)
-    assert seg.lift is seg.lift  # built once, on first use
+    built = _count_lift_zeros(monkeypatch)
+    tm = torus_map_new(parse_complex("2"), parse_complex("0"), SQUARE)
+    _, _, lifts, _ = lift_orbit(tm, seg)
+    assert len(built) == 1 and len(list(itertools.islice(lifts, 5))) == 5
+    assert len(built) == 1  # lift_0 built once, each lift stepped from the last
+
+
+def _count_lift_zeros(monkeypatch) -> list:
+    """Record, from here on, every lift_0 the search or the stepper builds."""
+    built, orig = [], segments._segment_numerators
+
+    def counted(*args):
+        built.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(segments, "_segment_numerators", counted)
+    return built
 
 
 def _lines():
@@ -78,11 +94,14 @@ def _image(tm, seg):
 @pytest.mark.parametrize("kind", ["irrational", "horizontal", "direction-2,-3"])
 @pytest.mark.parametrize("a", [2, -2, 3, -3])
 def test_iterate_segment_matches_lift_chain(a, kind):
+    # the stepper's exact lifts are the reference lifts of the image segments
     tm = torus_map_new(parse_complex(str(a)), parse_complex("1/7"), SQUARE)
     seg = segment_new(_lines()[kind], qn(Fraction(1, 50)), qn(Fraction(1, 10)))
-    for want in lift_chain(tm, seg, 3)[1:]:
+    f, den, lifts, _ = lift_orbit(tm, seg)
+    for lift in itertools.islice(lifts, 1, 4):
         seg = _image(tm, seg)
-        assert {seg.lift.p0, seg.lift.p1} == {want.p0, want.p1}
+        want = {tuple(f.scalar(v, den) for v in pt) for pt in lift}
+        assert {segment_lift(seg).p0, segment_lift(seg).p1} == want
 
 
 def test_iterate_segment_negative_multiplier_on_rational_direction():
@@ -95,7 +114,7 @@ def test_iterate_segment_negative_multiplier_on_rational_direction():
     def pt(x, y):
         return (BiQuadratic(qn(x)), BiQuadratic(qn(y)))
 
-    assert {image.lift.p0, image.lift.p1} == {
+    assert {segment_lift(image).p0, segment_lift(image).p1} == {
         pt(Fraction(1, 3), Fraction(3, 5)),
         pt(Fraction(2, 15), Fraction(3, 5)),
     }
@@ -118,14 +137,7 @@ _IRRATIONAL_CERTIFIERS = [
 
 @pytest.mark.parametrize("argv", _IRRATIONAL_CERTIFIERS, ids=lambda argv: " ".join(argv[:3]))
 def test_irrational_certifiers_build_no_lift(monkeypatch, capsys, argv):
-    calls = []
-    normalize = LiftSegment.normalize
-
-    def counting(self):
-        calls.append(self)
-        return normalize(self)
-
-    monkeypatch.setattr(LiftSegment, "normalize", counting)
+    calls = _count_lift_zeros(monkeypatch)
     assert main(list(argv)) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "wandering"
@@ -208,6 +220,19 @@ def _search(case):
     return "no-collision"
 
 
+_PADDING = (1000003, 1000033)  # radicands no drawn case holds
+_field_numerators = lift_arith._numerators
+
+
+def _tower_numerators(xs):
+    """``_numerators`` in a tower: past the scalars' own radicands, padded
+    with radicands none of them holds, whose coordinates stay 0."""
+    own = {x.d for x in xs} - {0}
+    pad = [qn(0) + parse_number(f"sqrt({r})") for r in _PADDING][: max(0, 2 - len(own))]
+    f, den, vs = _field_numerators([*xs, *pad])
+    return f, den, vs[: len(xs)]
+
+
 def _radicands(case):
     _, _, nu, slope, anchor, b, z0, _, _ = case
     data = [*anchor, *b, *(z0 if nu else ())]
@@ -224,8 +249,9 @@ def test_the_lift_search_agrees_with_a_tower_only_search():
     def check(case):
         got = _search(case)
         with pytest.MonkeyPatch.context() as mp:
-            # the reference: every lift in the BiQuadratic tower
-            mp.setattr(segments, "_needs_tower", lambda *xs: True)
+            # the reference: every lift, in the search and in the stepper, on
+            # the tower's four-element basis
+            mp.setattr(lift_arith, "_numerators", _tower_numerators)
             want = _search(case)
         assert got == want, case
         if got == "FieldClash":

@@ -17,7 +17,6 @@ from flatwander.line_orbit import (
 from flatwander.numbers import BiQuadratic, QuadraticNumber, parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate,
-    LiftSegment,
     NoCollisionWithinBudget,
     NotWanderable,
     WanderingCertificate,
@@ -25,14 +24,22 @@ from flatwander.segments import (
     collision_bound,
     default_collision_budget,
     find_collision,
-    lift_segments_intersect_torus,
     reverify_collision,
     segment_new,
-    segments_meet_exact,
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
-from reference import as_fraction, lift_length, line_image, segments_intersect
+from reference import (
+    LiftSegment,
+    as_fraction,
+    base_point,
+    lift_length,
+    lift_segments_intersect_torus,
+    line_image,
+    segment_lift,
+    segments_intersect,
+    segments_meet_exact,
+)
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
@@ -68,7 +75,7 @@ def test_midpoint_normalized_into_cell():
     for _ in range(100):
         lo = Fraction(rng.randint(-400, 400), 10)
         seg = segment_new(_line(Fraction(1, 3), 0), qn(lo), qn(lo + Fraction(1, 7)))
-        mx, my = seg.lift.midpoint()
+        mx, my = segment_lift(seg).midpoint()
         assert mx.floor() == 0 and my.floor() == 0
 
 
@@ -159,7 +166,7 @@ def test_return_map_matches_direct_iteration():
     cyc_line = line
     for _ in range(verdict.preperiod):
         cyc_line = line_image(tm, cyc_line)
-    bx, by = cyc_line.base_point()
+    bx, by = base_point(cyc_line)
     s = cyc_line.slope.s
     pqs = tm.m
     for _ in range(100):
@@ -246,7 +253,8 @@ def test_fast_path_agrees_with_geometric_path():
         s1 = segment_new(line, qn(lo1), qn(lo1 + Fraction(rng.randint(1, 10), 20)))
         s2 = segment_new(line, qn(lo2), qn(lo2 + Fraction(rng.randint(1, 10), 20)))
         fast = segments_intersect(SQUARE, s1, s2) is not None
-        geometric = lift_segments_intersect_torus(SQUARE, s1.lift, s2.lift) is not None
+        geometric = lift_segments_intersect_torus(SQUARE, segment_lift(s1), segment_lift(s2))
+        geometric = geometric is not None
         assert fast == geometric, (alpha, lo1, lo2)
         agreements += 1
     assert agreements == 120
@@ -318,7 +326,7 @@ def test_consecutive_disjoint_pairs_respect_length_bound():
     theta = math.pi / 4
     bound = collision_bound(SQUARE, theta=theta)
     seg = _horizontal_segment(Fraction(1, 10), Fraction(1, 5), Fraction(1, 20))
-    cur = seg.lift.normalize()
+    cur = segment_lift(seg).normalize()
     b_shift = (tm.b.x, tm.b.y)
     for _ in range(16):
         nxt = cur.affine_image(tm.m, b_shift).normalize()

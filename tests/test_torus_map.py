@@ -9,13 +9,12 @@ from flatwander.numbers import ComplexPair, QuadraticNumber, parse_complex
 from flatwander.torus_map import (
     IntegerDerivative,
     NonRealMultiplier,
-    apply_map,
     classify_multiplier,
     kernel,
     solve_lattice_multiplier,
     torus_map_new,
 )
-from reference import iterate_map, preimages
+from reference import apply_map, iterate_map, preimages
 
 Q = QuadraticNumber
 SQUARE = Lattice(parse_complex("i"))
