@@ -8,7 +8,6 @@ Identical inputs produce byte-identical JSON and SVG.
 
 from __future__ import annotations
 
-import colorsys
 import json
 import math
 import sys
@@ -28,13 +27,6 @@ from .errors import (
     UsageError,
 )
 from .lattice import Lattice, TorusPoint, reduce_to_fundamental
-from .lattes import (
-    LattesModel,
-    NotFlexible,
-    certify_sphere_wandering,
-    lattes_model_new,
-    verify_semiconjugacy,
-)
 from .lift_arith import Lift, _Field
 from .line_orbit import (
     IrrationalSlope,
@@ -165,11 +157,6 @@ def _verdict_json(v) -> dict:
         }
     if isinstance(v, NotWanderable):
         return {"verdict": "not-wanderable", "reason": v.reason}
-    if isinstance(v, NotFlexible):
-        out = {"verdict": "not-flexible", "reason": v.reason}
-        if v.witness is not None:
-            out["witness"] = _verdict_json(v.witness)
-        return out
     if isinstance(v, CollisionCertificate):
         return {
             "verdict": "collision",
@@ -188,6 +175,12 @@ def _verdict_json(v) -> dict:
             "budget": v.budget,
             "group_order": v.group_order,
         }
+    from .lattes import NotFlexible  # built only by certify-sphere, which imported it
+    if isinstance(v, NotFlexible):
+        out = {"verdict": "not-flexible", "reason": v.reason}
+        if v.witness is not None:
+            out["witness"] = _verdict_json(v.witness)
+        return out
     raise TypeError(f"unrenderable verdict {v!r}")
 
 
@@ -247,7 +240,8 @@ def _covering(a: str, b: str, omega: str) -> AffineTorusMap:
 
 
 @lru_cache(maxsize=_MAPS)
-def _model(a: str, b: str, omega: str, nu: int, z0: str) -> LattesModel:
+def _model(a: str, b: str, omega: str, nu: int, z0: str):  # a lattes.LattesModel
+    from .lattes import lattes_model_new  # only the commands that build a model load lattes
     tm = _covering(a, b, omega)
     return lattes_model_new(tm.lattice, tm, nu, _parse_point(z0))
 
@@ -342,6 +336,7 @@ def _cmd_find_collision(args) -> None:
 
 
 def _cmd_certify_sphere(args) -> None:
+    from .lattes import certify_sphere_wandering
     model = _model(args.a, args.b, args.omega, args.nu, args.z0)
     seg = _segment_from_args(args)
     got = certify_sphere_wandering(model, seg, check_iterates=args.check_iterates)
@@ -351,6 +346,7 @@ def _cmd_certify_sphere(args) -> None:
 def _cmd_verify_semiconjugacy(args) -> None:
     if not 0.0 < args.tol < 1.0:
         raise UsageError("--tol must lie in (0, 1)")
+    from .lattes import verify_semiconjugacy
     model = _model(args.a, args.b, args.omega, 2, args.z0)
     report = verify_semiconjugacy(model, samples=args.samples, tol=args.tol)
     rows = report.pop("rows")
@@ -369,6 +365,7 @@ Span = tuple[float, float, float, float]  # a lift's endpoints (x0, y0, x1, y1)
 
 
 def _color(i: int, total: int) -> str:
+    import colorsys  # plot-orbit alone draws
     h = (i / max(1, total)) * 0.85
     r, g, b = colorsys.hls_to_rgb(h, 0.45, 0.9)
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"

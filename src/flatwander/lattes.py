@@ -4,7 +4,9 @@ verification.
 
 wp and wp' have one evaluator: the csc^2 series at the lattice's reduced basis
 (v1, tau'), over numpy arrays.  numpy is imported by the first evaluation, not
-by importing this module or building a ``WeierstrassContext``.
+by importing this module or building a ``WeierstrassContext``; and the CLI
+imports this module (with ``cmath`` and ``random``) only in the commands that
+use it: ``certify-sphere``, ``verify-semiconjugacy`` and ``find-collision --nu``.
 
 The quotient by the order-2 involution rho(z) = 2*z0 - z identifies a line
 with its point reflection; in canonical line parameters rho acts as t -> -t,
@@ -17,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     ResidualExceedsTol,
     UsageError,
 )
-from .lattice import ORIGIN, Lattice, TorusPoint, embed, reduce_to_fundamental
+from .lattice import ORIGIN, Lattice, Record, TorusPoint, embed, reduce_to_fundamental
 from .line_orbit import EventuallyPeriodic, classify_line
 from .numbers import HALF, ComplexPair, QuadraticNumber
 from .segments import (
@@ -39,6 +40,7 @@ from .segments import (
     WanderingCertificate,
     _rotations,
     certify_classified,
+    check_request,
     find_collision,
     segment_new,
     verify_disjoint_iterates,
@@ -48,16 +50,19 @@ from .torus_map import AffineTorusMap, kernel, rotation_matrix
 _SIGNATURES = {2: (2, 2, 2, 2), 3: (3, 3, 3), 4: (2, 4, 4), 6: (2, 3, 6)}
 
 
-@dataclass(frozen=True)
 class LattesModel:
-    lattice: Lattice
-    map: AffineTorusMap
-    nu: int
-    z0: TorusPoint
-    signature: tuple[int, ...]
-    rotation: tuple[int, int, int, int]
-    # b' = A(z0) - z0 mod Z^2: in w = z - z0 the covering is w -> a*w + b'
-    shift: TorusPoint
+    """A covering descending through the order-``nu`` quotient about z0, with
+    ``shift`` b' = A(z0) - z0 mod Z^2: in w = z - z0 the covering is
+    w -> a*w + b'.  One process caches it, so assigning a field raises."""
+
+    def __init__(self, lattice: Lattice, map: AffineTorusMap, nu: int, z0: TorusPoint,
+                 signature: tuple[int, ...], rotation: tuple[int, int, int, int],
+                 shift: TorusPoint):
+        self.__dict__.update(lattice=lattice, map=map, nu=nu, z0=z0, signature=signature,
+                             rotation=rotation, shift=shift)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a LattesModel is immutable")
 
     @property
     def flexible(self) -> bool:
@@ -127,23 +132,28 @@ def rho_numerators(model: LattesModel, orbit: EventuallyPeriodic):
     return orbit.num.reflection(model.rho_origin)
 
 
-@dataclass(frozen=True)
-class Unpaired:
-    period: int
+class Unpaired(Record):
+    __slots__ = _fields = ("period",)
+
+    def __init__(self, period: int):
+        self.period = period
 
 
-@dataclass(frozen=True)
-class Paired:
-    half_period: int
-    pairing: tuple[tuple[int, int], ...]
+class Paired(Record):
+    __slots__ = _fields = ("half_period", "pairing")
+
+    def __init__(self, half_period: int, pairing: tuple[tuple[int, int], ...]):
+        self.half_period, self.pairing = half_period, pairing
 
 
-@dataclass(frozen=True)
-class SelfPaired:
+class SelfPaired(Record):
     """rho fixes every line of the cycle individually (the cycle runs through
     the grid); images fold but stay pairwise distinct."""
 
-    period: int
+    __slots__ = _fields = ("period",)
+
+    def __init__(self, period: int):
+        self.period = period
 
 
 RhoPairing = Unpaired | Paired | SelfPaired
@@ -186,10 +196,12 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, images=None) -> R
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NotFlexible:
-    reason: str
-    witness: CollisionCertificate | NoCollisionWithinBudget | None = None
+    __slots__ = ("reason", "witness")
+
+    def __init__(self, reason: str,
+                 witness: CollisionCertificate | NoCollisionWithinBudget | None = None):
+        self.reason, self.witness = reason, witness
 
 
 def verify_sphere_disjoint_iterates(
@@ -228,6 +240,10 @@ def certify_sphere_wandering(
     verdict = classify_line(tm, seg.line)
     returns, rho = None, model.rho_origin
     if isinstance(verdict, EventuallyPeriodic):
+        # the ratio is |a|^p, or |a|^(p/2) if rho pairs it under a < 0 with p/2 odd, or
+        # |a|^(2p) if not under a < 0 with p odd: refused before the cycle is walked
+        a, p = tm.multiplier_int(), verdict.period
+        check_request(check_iterates, a, p // 2 if a < 0 and p % 4 == 2 else p, a > 0 or p % 4 == 0)
         rho = list(map(rho_numerators(model, verdict), verdict.states))  # rho of each state, once
         pairing = rho_pairing(model, verdict, rho)
         if isinstance(pairing, Paired):
@@ -241,7 +257,8 @@ def certify_sphere_wandering(
     ok, pair = verify_sphere_disjoint_iterates(model, segment_new(seg.line, *cert.interval), k)
     if not ok:
         raise InternalInconsistency(f"sphere iterates {pair} intersect")
-    return replace(cert, checked_iterates=k)
+    cert.checked_iterates = k
+    return cert
 
 
 # ---------------------------------------------------------------------------

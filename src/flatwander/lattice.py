@@ -7,7 +7,7 @@ membership decision is exact regardless of omega's numeric value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import LowerHalfPlane
 from .numbers import ZERO, ComplexPair, QuadraticNumber, qn
@@ -15,30 +15,49 @@ from .numbers import ZERO, ComplexPair, QuadraticNumber, qn
 CoordPair = tuple[QuadraticNumber, QuadraticNumber]
 
 
-@dataclass(frozen=True)
+class Record:
+    """A value: equal to a record of its own type with equal ``_fields``, its
+    constructor's arguments (also its ``__slots__`` where no cached property
+    needs a ``__dict__``), and hashed by them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(repr(getattr(self, f)) for f in self._fields)})"
+
+
 class Lattice:
     """Lattice spanned by 1 and omega, with Im(omega) > 0."""
 
-    omega: ComplexPair
+    __slots__ = ("omega",)
 
-    def __post_init__(self):
-        if self.omega.im.sign() <= 0:
-            raise LowerHalfPlane(f"Im(omega) must be positive, got {self.omega.to_expr()}")
+    def __init__(self, omega: ComplexPair):
+        if omega.im.sign() <= 0:
+            raise LowerHalfPlane(f"Im(omega) must be positive, got {omega.to_expr()}")
+        self.omega = omega
 
     def omega_complex(self) -> complex:
         return self.omega.to_complex()
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record):
     """A point of the torus in lattice coordinates, both reduced to [0, 1)."""
 
-    x: QuadraticNumber
-    y: QuadraticNumber
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if self.x.floor() or self.y.floor():
+    def __init__(self, x: QuadraticNumber, y: QuadraticNumber):
+        if x.floor() or y.floor():
             raise ValueError("TorusPoint coordinates must lie in [0,1)")
+        self.x, self.y = x, y
 
     def coords(self) -> CoordPair:
         return (self.x, self.y)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle, islice
 from typing import NamedTuple
@@ -35,7 +34,7 @@ from .errors import (
     MixedRadicals,
     SlopeNotInvariant,
 )
-from .lattice import CoordPair
+from .lattice import CoordPair, Record
 from .numbers import ZERO, QuadraticNumber, floor_parts, qn
 from .torus_map import AffineTorusMap
 
@@ -50,6 +49,8 @@ class _Frame:
     of determinant 1 and the radicand of the slope (0 for a rational one).
     A lattice translate of a point keeps its state, and ``from_state``
     inverts ``to_state`` up to one."""
+
+    __slots__ = ()
 
     def to_state(self, p: CoordPair) -> TransverseState:
         x, y = p  # F*p mod 1, on p's numerators over one denominator
@@ -76,20 +77,18 @@ class _Frame:
             raise FieldClash(f"transverse data in Q(sqrt({d})) collides with the slope radicand")
 
 
-@dataclass(frozen=True)
-class RationalDirection(_Frame):
+class RationalDirection(Record, _Frame):
     """Primitive integer direction vector (m, k) in lattice coordinates."""
 
-    m: int
-    k: int
-
+    _fields = ("m", "k")
     radicand = 0
 
-    def __post_init__(self):
-        if self.m == 0 and self.k == 0:
+    def __init__(self, m: int, k: int):
+        if m == 0 and k == 0:
             raise ValueError("zero direction")
-        if math.gcd(abs(self.m), abs(self.k)) != 1:
+        if math.gcd(abs(m), abs(k)) != 1:
             raise ValueError("direction vector must be primitive")
+        self.m, self.k = m, k
 
     @cached_property
     def frame(self) -> tuple[int, int, int, int]:
@@ -115,16 +114,15 @@ def bezout(m: int, k: int) -> tuple[int, int]:
     return u, v
 
 
-@dataclass(frozen=True)
-class IrrationalSlope(_Frame):
-    s: QuadraticNumber
-
+class IrrationalSlope(Record, _Frame):
+    __slots__ = _fields = ("s",)
     # (x, y) -> (alpha, beta) = (-y, x)
     frame = (0, -1, 1, 0)
 
-    def __post_init__(self):
-        if self.s.is_rational:
+    def __init__(self, s: QuadraticNumber):
+        if s.is_rational:
             raise ValueError("slope is rational; use RationalDirection")
+        self.s = s
 
     @property
     def radicand(self) -> int:
@@ -146,8 +144,7 @@ def slope_spec(value: QuadraticNumber | tuple[int, int]) -> SlopeSpec:
     return IrrationalSlope(value)
 
 
-@dataclass(frozen=True)
-class TorusLine:
+class TorusLine(Record):
     """A flat line mod Z^2, stored as its base point's state (alpha, beta) in
     the slope's frame, each reduced mod 1: for an irrational slope the full
     identity of the line, provided neither lies in the slope's field
@@ -155,12 +152,19 @@ class TorusLine:
     k*x - m*y, which identifies the line, and the base point's place on it.
     """
 
-    slope: SlopeSpec
-    alpha: QuadraticNumber
-    beta: QuadraticNumber
+    _fields = ("slope", "alpha", "beta")
 
-    def __post_init__(self):
-        self.slope.check_field(self.transverse())
+    def __init__(self, slope: SlopeSpec, alpha: QuadraticNumber, beta: QuadraticNumber):
+        slope.check_field((alpha, beta))
+        self.slope, self.alpha, self.beta = slope, alpha, beta
+
+    def __eq__(self, other):  # ``Record``'s, spelt out for the hottest record
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.slope, self.alpha, self.beta) == (other.slope, other.alpha, other.beta)
+
+    def __hash__(self):
+        return hash((self.slope._key(self.slope), self.alpha, self.beta))
 
     @property
     def is_irrational(self) -> bool:
@@ -247,22 +251,21 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
     return step, tuple(start), Numerators(den, rads)
 
 
-@dataclass(frozen=True)
-class JordanCurve:
-    direction: RationalDirection
+class JordanCurve(Record):
+    __slots__ = _fields = ("direction",)
+
+    def __init__(self, direction: RationalDirection):
+        self.direction = direction
 
 
-@dataclass(frozen=True)
 class EventuallyPeriodic:
     """An orbit's preperiod and period, in closed form (``_shape``), and its
     ``_state_rule``, whose preperiod + period distinct ``states`` over ``num``
     are walked when first asked for; ``state(n)`` folds any later index back
     into the cycle (``_Folded``)."""
 
-    preperiod: int
-    period: int
-    num: Numerators
-    rule: tuple
+    def __init__(self, preperiod: int, period: int, num: Numerators, rule: tuple):
+        self.preperiod, self.period, self.num, self.rule = preperiod, period, num, rule
 
     @cached_property
     def states(self) -> tuple[StateInts, ...]:
@@ -279,9 +282,11 @@ class EventuallyPeriodic:
         return self.num.value(_Folded(self.states, self.preperiod, n)[n])
 
 
-@dataclass(frozen=True)
-class WanderingLine:
-    witness: str  # "alpha" or "beta"
+class WanderingLine(Record):
+    __slots__ = _fields = ("witness",)
+
+    def __init__(self, witness: str):
+        self.witness = witness  # "alpha" or "beta"
 
 
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine

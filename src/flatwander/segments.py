@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -47,7 +46,7 @@ from .errors import (
     SlopeNotInvariant,
     UsageError,
 )
-from .lattice import Lattice, TorusPoint
+from .lattice import Lattice, Record, TorusPoint
 from .lift_arith import (
     Coord,
     FloatLift,
@@ -108,16 +107,16 @@ def reduce_mod1_float(p: tuple[Coord, Coord]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusSegment:
+class TorusSegment(Record):
     """A segment of a flat line, given by the line and the parameter interval
     [t_lo, t_hi] from its base point; its lift into the plane is built as
     integer numerators where a search or a plot needs it
     (``_segment_numerators``)."""
 
-    line: TorusLine
-    t_lo: QuadraticNumber
-    t_hi: QuadraticNumber
+    __slots__ = _fields = ("line", "t_lo", "t_hi")
+
+    def __init__(self, line: TorusLine, t_lo: QuadraticNumber, t_hi: QuadraticNumber):
+        self.line, self.t_lo, self.t_hi = line, t_lo, t_hi
 
     def euclidean_length(self, lat: Lattice) -> float:
         dx, dy = self.line.direction
@@ -298,22 +297,25 @@ def verify_disjoint_iterates(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WanderingCertificate:
-    mode: str  # "whole-segment" | "subsegment"
-    level: str  # "torus" | "sphere"
-    interval: tuple[QuadraticNumber, QuadraticNumber]
-    preperiod: int
-    period: int
-    multiplier: int  # effective return multiplier; 0 in whole-segment mode
-    checked_iterates: int
-    slack: QuadraticNumber | None
-    line: TorusLine
+    """``multiplier`` is the effective return multiplier, 0 in mode "whole-segment"."""
+
+    __slots__ = ("mode", "level", "interval", "preperiod", "period", "multiplier",
+                 "checked_iterates", "slack", "line")
+
+    def __init__(self, mode: str, level: str, interval: Interval, preperiod: int, period: int,
+                 multiplier: int, checked_iterates: int, slack: QuadraticNumber | None,
+                 line: TorusLine):
+        self.mode, self.level, self.interval, self.preperiod = mode, level, interval, preperiod
+        self.period, self.multiplier, self.checked_iterates = period, multiplier, checked_iterates
+        self.slack, self.line = slack, line
 
 
-@dataclass(frozen=True)
 class NotWanderable:
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def certify_interval(
@@ -452,6 +454,19 @@ def certify_wandering(
     return certify_classified(tm, seg, classify_line(tm, seg.line), check_iterates)
 
 
+def check_request(check_iterates: int, a: int = 1, power: int = 0, exact: bool = True) -> None:
+    """Refuse ``check_iterates`` outside [0, ``MAX_CHECK_ITERATES``], then a return
+    ratio |a|^power (or more, unless ``exact``) past ``MAX_RETURN_DIGITS`` digits."""
+    if check_iterates < 0:
+        raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
+    if check_iterates > MAX_CHECK_ITERATES:  # a period-1 line puts every pair on one state
+        raise UsageError(f"check_iterates must be at most {MAX_CHECK_ITERATES}, "
+                         f"got {check_iterates}")
+    if power * math.log10(abs(a)) > MAX_RETURN_DIGITS:
+        raise BudgetExceeded(f"the return ratio {abs(a)}^{power}{'' if exact else ' or more'} "
+                             f"has more than {MAX_RETURN_DIGITS} digits")
+
+
 def certify_classified(
     tm: AffineTorusMap,
     seg: TorusSegment,
@@ -474,11 +489,7 @@ def certify_classified(
     periodic line is swept against the reflections to the dominance horizon:
     past the preperiod a pair repeats one period later scaled by a^p, and
     pairs ``_separation`` or more steps apart are separated by growth."""
-    if check_iterates < 0:
-        raise UsageError(f"check_iterates must be >= 0, got {check_iterates}")
-    if check_iterates > MAX_CHECK_ITERATES:  # a period-1 line puts every pair on one state
-        raise UsageError(f"check_iterates must be at most {MAX_CHECK_ITERATES}, "
-                         f"got {check_iterates}")
+    check_request(check_iterates)
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
     cert = partial(WanderingCertificate, level="torus" if rho is None else "sphere",
@@ -496,9 +507,7 @@ def certify_classified(
     a = tm.multiplier_int()
     period, sign, both_sides = returns or (verdict.period, 1, False)
     power = period * (2 if sign * a ** (period % 2) < 0 and not both_sides else 1)  # the ratio's
-    if power * math.log10(abs(a)) > MAX_RETURN_DIGITS:
-        raise BudgetExceeded(f"the return ratio {abs(a)}^{power} has more than "
-                             f"{MAX_RETURN_DIGITS} digits")
+    check_request(check_iterates, a, power)
     lam = sign * a**period
     u, v, slack = certify_interval(seg.t_lo, seg.t_hi, lam, both_sides)
     if rho is None:
@@ -536,21 +545,21 @@ def collision_bound(lat: Lattice, theta: float | None = None, nu: int | None = N
     return 2.0 * (1.0 + abs(lat.omega_complex())) / denom
 
 
-@dataclass(frozen=True)
-class CollisionCertificate:
-    n: int
-    m: int
-    k: int
-    witness: tuple[float, float]
-    exact: bool  # always True: floats never decide a collision
-    bound_used: float
-    budget: int
+class CollisionCertificate(Record):
+    __slots__ = _fields = ("n", "m", "k", "witness", "exact", "bound_used", "budget")
+
+    def __init__(self, n: int, m: int, k: int, witness: tuple[float, float], exact: bool,
+                 bound_used: float, budget: int):
+        self.n, self.m, self.k, self.witness = n, m, k, witness
+        # exact is always True: floats never decide a collision
+        self.exact, self.bound_used, self.budget = exact, bound_used, budget
 
 
-@dataclass(frozen=True)
-class NoCollisionWithinBudget:
-    budget: int
-    group_order: int
+class NoCollisionWithinBudget(Record):
+    __slots__ = _fields = ("budget", "group_order")
+
+    def __init__(self, budget: int, group_order: int):
+        self.budget, self.group_order = budget, group_order
 
 
 def _forcing_bound(tm: AffineTorusMap, nu: int | None) -> float:
@@ -582,7 +591,7 @@ def default_collision_budget(
         raise DegenerateSegment("zero-length segment")
     if length >= bound:
         return 2
-    return math.ceil(math.log(bound / length) / math.log(tm.abs_multiplier())) + 2
+    return math.ceil(math.log(bound / length) / math.log(math.sqrt(tm.degree))) + 2
 
 
 AffineMap = tuple[Matrix, tuple[QuadraticNumber, QuadraticNumber]]

@@ -8,7 +8,6 @@ complex multiplier a is kept for reporting and for its angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegreeTooLow,
@@ -17,7 +16,7 @@ from .errors import (
     NotACovering,
     WrongLatticeForGroup,
 )
-from .lattice import CoordPair, Lattice, TorusPoint, reduce_to_fundamental
+from .lattice import CoordPair, Lattice, Record, TorusPoint, reduce_to_fundamental
 from .numbers import ComplexPair, QuadraticNumber
 
 
@@ -67,15 +66,19 @@ def to_lattice_coords(z: ComplexPair, lat: Lattice) -> CoordPair:
     return (x, y)
 
 
-@dataclass(frozen=True)
 class AffineTorusMap:
-    """z -> a*z + b on the torus, with integer matrix m = (p, q, r, s)."""
+    """z -> a*z + b on the torus, with integer matrix m = (p, q, r, s); one
+    process caches it, so assigning a field raises."""
 
-    a: ComplexPair
-    b: TorusPoint
-    m: tuple[int, int, int, int]
-    degree: int
-    lattice: Lattice
+    __slots__ = ("a", "b", "m", "degree", "lattice")
+
+    def __init__(self, a: ComplexPair, b: TorusPoint, m: tuple[int, int, int, int],
+                 degree: int, lattice: Lattice):
+        for name, value in zip(self.__slots__, (a, b, m, degree, lattice)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: an AffineTorusMap is immutable")
 
     @property
     def has_integer_multiplier(self) -> bool:
@@ -85,9 +88,6 @@ class AffineTorusMap:
         if not self.has_integer_multiplier:
             raise ValueError("multiplier is not real")
         return self.m[0]
-
-    def abs_multiplier(self) -> float:
-        return math.sqrt(self.degree)
 
 
 def torus_map_new(a: ComplexPair, b: ComplexPair, lat: Lattice) -> AffineTorusMap:
@@ -106,15 +106,18 @@ def torus_map_new(a: ComplexPair, b: ComplexPair, lat: Lattice) -> AffineTorusMa
     return AffineTorusMap(a, reduce_to_fundamental(b_coords), (p, q, r, s), degree, lat)
 
 
-@dataclass(frozen=True)
-class IntegerDerivative:
-    a: int
+class IntegerDerivative(Record):
+    __slots__ = _fields = ("a",)
+
+    def __init__(self, a: int):
+        self.a = a
 
 
-@dataclass(frozen=True)
 class NonRealMultiplier:
-    a: ComplexPair
-    theta: float
+    __slots__ = ("a", "theta")
+
+    def __init__(self, a: ComplexPair, theta: float):
+        self.a, self.theta = a, theta
 
 
 MultiplierClass = IntegerDerivative | NonRealMultiplier

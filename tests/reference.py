@@ -13,8 +13,9 @@ pair compared, a certificate's interval and slack built in
 ``QuadraticNumber`` steps, a separation horizon bisected on
 ``QuadraticNumber`` products, a segment lifted and stepped in
 ``QuadraticNumber``/``BiQuadratic`` with two lifts met by orientation signs
-and a collision re-checked on those lifts, and a radicand split by trial
-division up to its square root.
+and a collision re-checked on those lifts, a radicand split by trial
+division up to its square root, and a record copied with some fields
+changed, as ``dataclasses.replace`` copied one.
 No command and no certificate runs them.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import inspect
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +61,21 @@ from flatwander.segments import (
     reduce_mod1_float,
 )
 from flatwander.torus_map import AffineTorusMap, kernel, rotation_matrix
+
+
+def fields(cls: type) -> list[str]:
+    """The fields of a record class of the package: its constructor's
+    parameters, in order."""
+    return list(inspect.signature(cls).parameters)
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class from its constructor's arguments,
+    each read back from ``record`` unless ``changes`` names it."""
+    names = fields(type(record))
+    if not set(changes) <= set(names):
+        raise TypeError(f"{type(record).__name__} has no field {sorted(set(changes) - set(names))}")
+    return type(record)(*[changes.get(name, getattr(record, name)) for name in names])
 
 
 def as_fraction(x: QuadraticNumber) -> Fraction:

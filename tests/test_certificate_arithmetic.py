@@ -196,6 +196,29 @@ def test_a_return_ratio_too_long_to_print_is_budget_exceeded(argv, ratio):
     assert ratio is None or f" {ratio} " in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "den,a,ratio",
+    [
+        # a > 0: every pairing gives the ratio 3^p, p = 50,020
+        (50021, "3", "3^50020"),
+        # a < 0 and the odd period 8,421: 3^8421 when rho fixes each line of
+        # the cycle, 3^16842 when the cycle is unpaired
+        (16843, "-3", "3^8421 or more"),
+        # a < 0 and the period 16,786 = 2 mod 4: 3^8393 when rho pairs the cycle
+        (16787, "-3", "3^8393 or more"),
+    ],
+)
+def test_a_sphere_ratio_too_long_to_print_is_refused_before_the_cycle_is_walked(
+    monkeypatch, den, a, ratio
+):
+    walks = []
+    monkeypatch.setattr(line_orbit, "_walk", lambda *args: walks.append(args))
+    code, payload = _run(_segment_argv("certify-sphere", den, a))
+    message = f"the return ratio {ratio} has more than {MAX_RETURN_DIGITS} digits"
+    assert (code, payload) == (3, {"error": "budget-exceeded", "message": message})
+    assert walks == []
+
+
 def test_a_return_ratio_under_the_cap_is_certified():
     # 1/8009: period 8,008, a ratio 3^8008 of 3,821 digits
     code, payload = _run(_segment_argv("certify-segment", 8009))

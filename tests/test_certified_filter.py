@@ -7,7 +7,6 @@ budget, an exact stage on integer numerators that finds the first hit the
 QuadraticNumber/BiQuadratic predicate finds, and a find-collision path free
 of numpy."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -48,6 +47,7 @@ from reference import (
     LiftSegment,
     _common_field,
     numerators,
+    replace,
     segment_lift,
     segments_meet_exact,
 )
@@ -552,7 +552,7 @@ def test_the_integer_stage_finds_the_quadratic_predicates_first_hit(monkeypatch)
         rotations = []
         if nu is None:
             b = [parse_complex(_in(rng, pick())) for _ in range(2)]
-            tm = dataclasses.replace(tm, b=point(b[0].re, b[1].re))
+            tm = replace(tm, b=point(b[0].re, b[1].re))
         else:
             rotations = _rotations(rotation_matrix(tm.lattice, nu), nu, point(qn(0), qn(0)))
         budget = min(default_collision_budget(tm, seg, nu=nu), 8)

@@ -841,22 +841,50 @@ def test_the_option_tables_read_shuffled_abbreviated_argv_as_argparse_did(argv):
     assert repr(_outcome(_table_options, argv)) == repr(_outcome(argparse_options, argv))
 
 
-_NO_ARGPARSE = """
-import sys
-import flatwander.cli
-print("argparse" in sys.modules)
+_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from flatwander.cli import main
+imported = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
 """
+_CLI_MODULES = ["flatwander", "flatwander.cli", "flatwander.errors", "flatwander.lattice",
+                "flatwander.lift_arith", "flatwander.line_orbit", "flatwander.numbers",
+                "flatwander.segments", "flatwander.torus_map"]
+_UNUSED_AT_START = {"argparse", "cmath", "colorsys", "dataclasses", "flatwander.lattes",
+                    "inspect", "numpy", "random"}
 
 
-def test_the_cli_does_not_import_argparse():
+@pytest.mark.parametrize(
+    "argv,lattes",
+    [
+        ("find-collision --a 1+1i --b 0 --omega i --seg 0.1,0.2,h,0.05", False),
+        ("certify-sphere --a 2 --b 0 --omega i --nu 2 --z0 0,0 --seg 0,2-sqrt(3),s:sqrt(2),1/10",
+         True),
+        ("find-collision --a 2 --b 0 --omega i --nu 4 --z0 0,0 --seg 0,1/7,s:sqrt(2),1/18", True),
+    ],
+    ids=["find-collision", "certify-sphere", "find-collision-nu"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, lattes):
+    # a CLI process is mostly start-up: importing the CLI loads the package's
+    # modules that every command runs and no stdlib module that only some
+    # need, and lattes is loaded by the commands that build a Lattes model
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_ARGPARSE],
+        [sys.executable, "-c", _MODULES, json.dumps(argv.split())],
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    code, imported, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert [name for name in imported if name.startswith("flatwander")] == _CLI_MODULES
+    assert _UNUSED_AT_START.isdisjoint(imported)
+    assert ("flatwander.lattes" in loaded) is lattes
 
 
 @pytest.mark.parametrize("z0, code", [("1/3,1/5", 2), ("0,0", 0)])
@@ -1126,6 +1154,19 @@ def test_no_assert_statements_in_the_package():
         for path in sorted((ROOT / "src" / "flatwander").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_dataclasses_in_the_package():
+    # a dataclass generates and compiles its methods when its module is
+    # imported, and a CLI process is mostly start-up
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "flatwander").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
     ]
     assert found == []
 

@@ -11,7 +11,6 @@ witness unchanged; that the separation horizon on integer numerators equals
 its QuadraticNumber bisection; and that the sphere certificate maps each of
 its line's states by rho once."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +51,7 @@ def _mutants(cert: CollisionCertificate, nu: int | None) -> list[CollisionCertif
                     (cert.n, cert.m + 1, cert.k), (cert.n, cert.m - 1, cert.k),
                     (cert.n, cert.m, cert.k + 1), (cert.n, cert.m, cert.k - 1)]:
         if 0 <= n < m and 0 <= k < (nu or 1):
-            out.append(dataclasses.replace(cert, n=n, m=m, k=k))
+            out.append(reference.replace(cert, n=n, m=m, k=k))
     return out
 
 
@@ -148,7 +147,7 @@ def _drawn(case):
     omega, a, nu, slope, anchor, b, z0, length, budget = case
     tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
     if nu is None:
-        tm = dataclasses.replace(tm, b=point(*b))
+        tm = reference.replace(tm, b=point(*b))
     spec = slope_spec(_SLOPES[slope] if slope in _SLOPES else parse_number(slope))
     seg = segment_new(line_from_point(spec, anchor), qn(0), qn(length))
     group = None if nu is None else (nu, point(*z0), torus_map.rotation_matrix(tm.lattice, nu))

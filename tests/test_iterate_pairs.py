@@ -7,7 +7,6 @@ lift search, rational directions decided on their loops with no lifts, and
 the typed cross-checks under ``python -O``."""
 
 import collections
-import dataclasses
 import itertools
 import json
 import math
@@ -48,6 +47,7 @@ from reference import (
     lift_segments_intersect_torus,
     line_image,
     orbit_states,
+    replace,
     stepped_disjoint_iterates,
 )
 
@@ -703,7 +703,7 @@ def test_a_first_hit_at_m_takes_m_lift_steps(monkeypatch, a, group, argv_seg):
     for calls in work.values():
         calls.clear()
     at_m = find_collision(tm, seg, group=grp, budget=got.m)
-    assert got == dataclasses.replace(at_m, budget=30)
+    assert got == replace(at_m, budget=30)
     assert {key: len(calls) for key, calls in work.items()} == at_30
 
 

@@ -11,7 +11,17 @@ from flatwander.lattice import (
     point,
     reduce_to_fundamental,
 )
-from flatwander.numbers import QuadraticNumber, parse_complex, qn
+from flatwander.lattes import Paired, SelfPaired, Unpaired, lattes_model_new
+from flatwander.line_orbit import (
+    IrrationalSlope,
+    JordanCurve,
+    RationalDirection,
+    TorusLine,
+    WanderingLine,
+)
+from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
+from flatwander.segments import CollisionCertificate, NoCollisionWithinBudget, TorusSegment
+from flatwander.torus_map import IntegerDerivative, torus_map_new
 from reference import as_fraction, half_lattice_q
 
 Q = QuadraticNumber
@@ -135,3 +145,64 @@ def test_torus_point_rejects_unreduced():
         TorusPoint(qn(Fraction(3, 2)), qn(0))
     with pytest.raises(ValueError):
         TorusPoint(qn(Fraction(-1, 2)), qn(0))
+
+
+# ---------------------------------------------------------------------------
+# records: the package's value classes
+# ---------------------------------------------------------------------------
+
+
+def _records():
+    """Two equal records, built apart, of each class that is compared."""
+    sqrt2 = parse_number("sqrt(2)")
+    line = TorusLine(IrrationalSlope(sqrt2), qn(Fraction(1, 3)), qn(0))
+    pairs = [
+        lambda: point(Fraction(1, 3), Fraction(1, 5)),
+        lambda: RationalDirection(2, 1),
+        lambda: IrrationalSlope(sqrt2),
+        lambda: TorusLine(IrrationalSlope(sqrt2), qn(Fraction(1, 3)), qn(0)),
+        lambda: TorusSegment(line, qn(0), qn(Fraction(1, 10))),
+        lambda: JordanCurve(RationalDirection(1, 0)),
+        lambda: WanderingLine("alpha"),
+        lambda: IntegerDerivative(2),
+        lambda: CollisionCertificate(0, 2, 1, (0.25, 0.5), True, 3.5, 8),
+        lambda: NoCollisionWithinBudget(8, 4),
+        lambda: Unpaired(4),
+        lambda: SelfPaired(4),
+        lambda: Paired(2, ((0, 2), (1, 3))),
+    ]
+    return [(make(), make()) for make in pairs]
+
+
+def test_equal_records_compare_and_hash_equal():
+    for a, b in _records():
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_records_of_two_classes_with_equal_fields_are_unequal():
+    assert Unpaired(4) != SelfPaired(4) and SelfPaired(4) != Unpaired(4)
+    assert IntegerDerivative(4) != Unpaired(4)
+    assert WanderingLine("alpha") != "alpha"
+    assert point(Fraction(1, 3), 0) != (qn(Fraction(1, 3)), qn(0))
+    records = [a for a, _ in _records()]
+    for i, a in enumerate(records):
+        assert [j for j, b in enumerate(records) if a == b] == [i]
+
+
+def test_records_with_a_field_apart_are_unequal():
+    assert Unpaired(4) != Unpaired(6)
+    assert NoCollisionWithinBudget(8, 4) != NoCollisionWithinBudget(8, 1)
+    assert point(Fraction(1, 3), 0) != point(0, Fraction(1, 3))
+
+
+def test_the_cached_records_cannot_be_assigned():
+    # one process caches each covering and each Lattes model by its option text
+    tm = torus_map_new(parse_complex("2"), parse_complex("0"), SQUARE)
+    model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
+    with pytest.raises(AttributeError):
+        tm.b = point(Fraction(1, 2), 0)
+    with pytest.raises(AttributeError):
+        model.nu = 4
+    assert (tm.b, model.nu) == (point(0, 0), 2)
+    assert model.group[:3] == (2, point(0, 0), (-1, 0, 0, -1))  # a cached property still caches

@@ -6,7 +6,6 @@ against the pairwise reference, and the typed cross-check under
 ``python -O``."""
 
 import collections
-import dataclasses
 import json
 import math
 import subprocess
@@ -63,6 +62,7 @@ from reference import (
     iterate_map,
     line_image,
     orbit_states,
+    replace,
     rho_transverse,
 )
 
@@ -231,7 +231,7 @@ def _quadratic_walk(draw):
         b = point(*slope.from_state(c))
     except MixedRadicals:
         reject()  # this frame's b would mix c's two fields in one coordinate
-    tm = dataclasses.replace(_map(str(a)), b=b)
+    tm = replace(_map(str(a)), b=b)
     if (tm.b.x.d or tm.b.y.d) and not any(x.v for x in (*seed, *c)):
         reject()
     return tm, TorusLine(slope, *seed), draw(st.integers(0, 12))
@@ -737,7 +737,7 @@ def _integer_segment(draw):
         return x + _SQRT[3] * draw(frac.filter(bool)) if irrational else x
 
     b = point(number(draw(st.booleans())), number(draw(st.booleans())))
-    tm = dataclasses.replace(_map(str(a)), b=b if draw(st.booleans()) else point(0, 0))
+    tm = replace(_map(str(a)), b=b if draw(st.booleans()) else point(0, 0))
     state = []
     for c in slope.to_state(tm.b.coords()):
         kind = draw(st.sampled_from(["rational", "drawn", "fixed"]))

@@ -9,7 +9,6 @@ its data span two radicands, with the same answers as a tower-only search,
 shifts composed in the tower with the lifts, and the group's rotation solved
 once per search and not again when the process repeats it."""
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -34,7 +33,7 @@ from flatwander.segments import (
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
-from reference import interval_chain, line_image, segment_lift
+from reference import fields, interval_chain, line_image, replace, segment_lift
 
 ROOT = Path(__file__).resolve().parent.parent
 # plot-orbit SVGs recorded before the lift became derived: a = 2 and -3 on
@@ -45,7 +44,7 @@ SQUARE = Lattice(parse_complex("i"))
 
 
 def test_segment_is_line_and_interval(monkeypatch):
-    assert [f.name for f in dataclasses.fields(TorusSegment)] == ["line", "t_lo", "t_hi"]
+    assert fields(TorusSegment) == ["line", "t_lo", "t_hi"]
     seg = segment_new(
         TorusLine(slope_spec(parse_number("sqrt(2)")), qn(Fraction(1, 5)), qn(0)),
         qn(0),
@@ -206,7 +205,7 @@ def _search(case):
     omega, a, nu, slope, anchor, b, z0, length, budget = case
     tm = torus_map_new(parse_complex(a), parse_complex("0"), Lattice(parse_complex(omega)))
     # b in lattice coordinates, which need not be a complex literal's
-    tm = dataclasses.replace(tm, b=point(*b))
+    tm = replace(tm, b=point(*b))
     spec = slope_spec(_SLOPES[slope] if slope in _SLOPES else parse_number(slope))
     try:
         seg = segment_new(line_from_point(spec, anchor), qn(0), qn(length))
