@@ -38,7 +38,7 @@ from .line_orbit import (
     line_from_point,
     slope_spec,
 )
-from .numbers import parse_complex, parse_number, qn
+from .numbers import ZERO, parse_complex, parse_number
 from .segments import (
     CollisionCertificate,
     NoCollisionWithinBudget,
@@ -195,7 +195,7 @@ def _parse_point(text: str) -> TorusPoint:
         z = parse_complex(text)
         if not z.im.is_zero:
             raise UsageError("torus points are given as 'x,y' in lattice coordinates")
-        return reduce_to_fundamental((z.re, qn(0)))
+        return reduce_to_fundamental((z.re, ZERO))
     if len(parts) != 2:
         raise UsageError(f"expected 'x,y', got {text!r}")
     return reduce_to_fundamental((parse_number(parts[0]), parse_number(parts[1])))
@@ -228,7 +228,7 @@ def _parse_segment(text: str) -> TorusSegment:
         spec = _parse_slope(mode[2:])
     else:
         raise UsageError(f"unknown direction mode {mode!r}")
-    return segment_new(line_from_point(spec, (ax, ay)), qn(0), length)
+    return segment_new(line_from_point(spec, (ax, ay)), ZERO, length)
 
 
 # the covering and its quotient are exact and immutable, so one process
@@ -329,8 +329,7 @@ def _cmd_find_collision(args) -> None:
     group = None
     if args.nu is not None:
         # the group obstruction is about the quotient, so the covering must descend
-        model = _model(args.a, args.b, args.omega, args.nu, args.z0)
-        group = model.group
+        group = _model(args.a, args.b, args.omega, args.nu, args.z0).group
     got = find_collision(tm, seg, group=group, budget=args.budget)
     _emit(_verdict_json(got), args.out)
 
@@ -561,24 +560,31 @@ COMMANDS = {
                    (*_MAP, *_SEGMENT, _Opt("--iterates", int, 8, help="iterates to draw"),
                     _Opt("--mark-witness", help="'x,y' glyph position"))),
 }
-# flatwander's own options, and each command's by name, help first as
-# argparse listed them; then each command's with its value's attribute name
+
+
+def _spellings(names: dict[str, _Opt]) -> dict[str, tuple[str, ...]]:
+    """Each spelling argv may use, a name or a "--" prefix, with its names in order."""
+    table: dict[str, tuple[str, ...]] = {}
+    for name in names:
+        for end in range(3, len(name) if name[:2] == "--" else 0):
+            table[name[:end]] = (*table.get(name[:end], ()), name)
+    return {**table, **{name: (name,) for name in names}}
+
+
+# options by name (help first, as argparse listed them) and by spelling, per
+# command and for flatwander (None); each option's attribute and default
 _TOP = {"-h": _HELP, "--help": _HELP}
 _NAMES = {command: {**_TOP, **{opt.name: opt for opt in options}}
           for command, (_, _, options) in COMMANDS.items()}
-_DESTS = {command: [(opt.name[2:].replace("-", "_"), opt) for opt in options]
-          for command, (_, _, options) in COMMANDS.items()}
-
-
-def _matches(names: dict[str, _Opt], name: str) -> list[str]:
-    """``name`` if it names an option, else the long options it abbreviates."""
-    if name in names:
-        return [name]
-    return [n for n in names if n.startswith(name)] if name[:2] == "--" and name != "--" else []
+_SPELLINGS = {command: _spellings(names) for command, names in {None: _TOP, **_NAMES}.items()}
+_DESTS = {opt.name: opt.name[2:].replace("-", "_")
+          for _, _, options in COMMANDS.values() for opt in options}
+_DEFAULTS = {command: {_DESTS[opt.name]: opt.default for opt in options}
+             for command, (_, _, options) in COMMANDS.items()}
 
 
 def _spec(opt: _Opt) -> str:
-    return opt.name if opt.kind is bool else f"{opt.name} {opt.name[2:].replace('-', '_').upper()}"
+    return opt.name if opt.kind is bool else f"{opt.name} {_DESTS[opt.name].upper()}"
 
 
 def _usage(command: str | None) -> str:
@@ -637,17 +643,18 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
     argv's, less those argv gives.  Errors come in argparse's order: an
     ambiguous option, the first bad or missing value (or --help), missing
     required options, unrecognized arguments."""
-    argv, cfg = _split_config(argv)
+    # no argument starts with --config unless their join holds it: one scan, in C
+    argv, cfg = _split_config(argv) if "--config" in "".join(argv) else (argv, {})
     command = argv[0] if argv else None
     if command not in COMMANDS:
         if command is None:
             _fail(None, "the following arguments are required: command")
-        if _matches(_TOP, command):
+        if command in _SPELLINGS[None]:
             _help(None)
         choices = ", ".join(map(repr, COMMANDS))
         _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
     run, _, options = COMMANDS[command]
-    names, given, extras, event = _NAMES[command], {}, [], None
+    names, spellings, given, extras, event = _NAMES[command], _SPELLINGS[command], {}, [], None
     i = 1
     while i < len(argv) or cfg:
         if i == len(argv):
@@ -655,15 +662,15 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
             # unset; any other value is the option's value
             for key, value in sorted(cfg.items()):
                 flag = f"--{key.replace('_', '-')}"
-                hits = _matches(names, flag)
-                on_argv = len(hits) == 1 and names[hits[0]].name in given
+                hits = spellings.get(flag, ())
+                on_argv = len(hits) == 1 and _DESTS.get(hits[0]) in given
                 if value is not False and value is not None and not on_argv:
                     argv.append(flag if value is True else f"{flag}={value}")
             cfg = {}
             continue
         arg, i, problem = argv[i], i + 1, None
         name, eq, value = arg.partition("=")
-        hits = _matches(names, name) if arg[:1] == "-" else []
+        hits = spellings.get(name, ())
         if len(hits) > 1:
             _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
         opt = names[hits[0]] if hits else None
@@ -674,14 +681,14 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
         elif opt is _HELP:
             event = event or _HELP
         elif opt.kind is bool:
-            given[opt.name] = True
+            given[_DESTS[opt.name]] = True
         elif not eq and (i == len(argv) or argv[i] in names):
             problem = "expected one argument"
         else:
             if not eq:
                 value, i = argv[i], i + 1
             try:
-                given[opt.name] = opt.kind(value)
+                given[_DESTS[opt.name]] = opt.kind(value)
             except ValueError:
                 problem = f"invalid {opt.kind.__name__} value: {value!r}"
         event = event or problem and f"argument {opt.name}: {problem}"
@@ -689,13 +696,12 @@ def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
         _help(command)
     if event:
         _fail(command, event)
-    missing = [opt.name for opt in options if opt.required and opt.name not in given]
+    missing = [opt.name for opt in options if opt.required and _DESTS[opt.name] not in given]
     if missing:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    values = {dest: given.get(opt.name, opt.default) for dest, opt in _DESTS[command]}
-    return run, SimpleNamespace(**values)
+    return run, SimpleNamespace(**{**_DEFAULTS[command], **given})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -704,18 +710,12 @@ def main(argv: list[str] | None = None) -> int:
         run, args = _parse(argv)
         run(args)  # a command that does not raise has a verdict: exit 0
         return 0
-    except _BUDGET_ERRORS as exc:
-        _emit({"error": exc.code, "message": str(exc)})
-        return 3
-    except InternalInconsistency as exc:
-        _emit({"error": exc.code, "message": str(exc)})
-        return 4
-    except FlatwanderError as exc:
-        _emit({"error": exc.code, "message": str(exc)})
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        _emit({"error": "invalid-input", "message": str(exc)})
-        return 2
+    except (FlatwanderError, ValueError, ZeroDivisionError) as exc:
+        error = exc.code if isinstance(exc, FlatwanderError) else "invalid-input"
+        _emit({"error": error, "message": str(exc)})
+        if isinstance(exc, InternalInconsistency):
+            return 4
+        return 3 if isinstance(exc, _BUDGET_ERRORS) else 2
 
 
 if __name__ == "__main__":

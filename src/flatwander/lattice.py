@@ -17,8 +17,8 @@ CoordPair = tuple[QuadraticNumber, QuadraticNumber]
 
 class Record:
     """A value: equal to a record of its own type with equal ``_fields``, its
-    constructor's arguments (also its ``__slots__`` where no cached property
-    needs a ``__dict__``), and hashed by them."""
+    constructor's arguments (its ``__slots__`` too, with any value derived from
+    them, where no cached property needs a ``__dict__``), and hashed by them."""
 
     __slots__ = ()
 

@@ -54,15 +54,16 @@ class _Frame:
 
     def to_state(self, p: CoordPair) -> TransverseState:
         x, y = p  # F*p mod 1, on p's numerators over one denominator
+        f11, f12, f21, f22 = self.frame
         den = math.lcm(x.w, y.w)
-        sx, sy, out = den // x.w, den // y.w, []
-        for fx, fy in (self.frame[:2], self.frame[2:]):
-            vx, vy = x.v * sx * fx, y.v * sy * fy
-            if vx and vy and x.d != y.d:
-                raise MixedRadicals(f"sqrt({x.d}) and sqrt({y.d}) in one scalar")
-            u, v, d = x.u * sx * fx + y.u * sy * fy, vx + vy, x.d if vx else y.d
-            out.append(QuadraticNumber._canon(u - den * floor_parts(u, v, den, d), v, den, d))
-        return tuple(out)
+        sx, sy = den // x.w, den // y.w
+        xu, xv, xd, yu, yv, yd = x.u * sx, x.v * sx, x.d, y.u * sy, y.v * sy, y.d
+        if xv and yv and xd != yd and (f11 and f12 or f21 and f22):  # a row adds two fields
+            raise MixedRadicals(f"sqrt({xd}) and sqrt({yd}) in one scalar")
+        u0, v0, d0 = f11 * xu + f12 * yu, f11 * xv + f12 * yv, xd if f11 and xv else yd
+        u1, v1, d1 = f21 * xu + f22 * yu, f21 * xv + f22 * yv, xd if f21 and xv else yd
+        return (QuadraticNumber._canon(u0 - den * floor_parts(u0, v0, den, d0), v0, den, d0),
+                QuadraticNumber._canon(u1 - den * floor_parts(u1, v1, den, d1), v1, den, d1))
 
     def from_state(self, st: TransverseState) -> CoordPair:
         f11, f12, f21, f22 = self.frame
@@ -78,8 +79,11 @@ class _Frame:
 
 
 class RationalDirection(Record, _Frame):
-    """Primitive integer direction vector (m, k) in lattice coordinates."""
+    """Primitive integer direction vector (m, k) in lattice coordinates, with
+    its ``frame`` (k, -m, u, v), u*m + v*k = 1: a state is the invariant of
+    the closed loop through the point and the place on it, +1 along (m, k)."""
 
+    __slots__ = ("m", "k", "frame")
     _fields = ("m", "k")
     radicand = 0
 
@@ -88,15 +92,8 @@ class RationalDirection(Record, _Frame):
             raise ValueError("zero direction")
         if math.gcd(abs(m), abs(k)) != 1:
             raise ValueError("direction vector must be primitive")
-        self.m, self.k = m, k
-
-    @cached_property
-    def frame(self) -> tuple[int, int, int, int]:
-        """(k, -m, u, v) with u*m + v*k = 1: a state's first coordinate is
-        the invariant of the closed loop through the point, its second the
-        place on that loop, where the direction advances it by 1."""
-        u, v = bezout(self.m, self.k)
-        return (self.k, -self.m, u, v)
+        u, v = bezout(m, k)
+        self.m, self.k, self.frame = m, k, (k, -m, u, v)
 
 
 def bezout(m: int, k: int) -> tuple[int, int]:
@@ -234,21 +231,24 @@ def _state_rule(tm: AffineTorusMap, slope: SlopeSpec, seed: TransverseState) -> 
     of the denominators of the seed and c: the rule, the seed as its state,
     and the ``Numerators``.  A seed and c in two fields are refused at the
     first step."""
-    a, c = _translation_state(tm, slope)
-    xs = (*c, *seed)
-    den = math.lcm(*[x.w for x in xs])
-    cu0, cv0, cu1, cv1, *start = [n * (den // x.w) for x in xs for n in (x.u, x.v)]
-    d0, d1 = rads = (seed[0].d or c[0].d, seed[1].d or c[1].d)
-    clash = [(s.d, t.d) for s, t in zip(seed, c) if s.d and t.d and s.d != t.d]
+    a, (c0, c1) = _translation_state(tm, slope)
+    s0, s1 = seed
+    den = math.lcm(c0.w, c1.w, s0.w, s1.w)
+    j0, j1, k0, k1 = den // c0.w, den // c1.w, den // s0.w, den // s1.w
+    cu0, cv0, cu1, cv1 = c0.u * j0, c0.v * j0, c1.u * j1, c1.v * j1
+    start = (s0.u * k0, s0.v * k0, s1.u * k1, s1.v * k1)
+    d0, d1 = rads = (s0.d or c0.d, s1.d or c1.d)
+    # a coordinate whose c lies in a field apart from its seed's
+    clash = (d0, c0.d) if c0.d not in (0, d0) else (d1, c1.d) if c1.d not in (0, d1) else None
 
     def step(p: StateInts) -> StateInts:
         if clash:
-            raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash[0])
+            raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash)
         u0, v0, u1, v1 = a * p[0] + cu0, a * p[1] + cv0, a * p[2] + cu1, a * p[3] + cv1
         return (u0 - den * floor_parts(u0, v0, den, d0), v0,
                 u1 - den * floor_parts(u1, v1, den, d1), v1)
 
-    return step, tuple(start), Numerators(den, rads)
+    return step, start, Numerators(den, rads)
 
 
 class JordanCurve(Record):

@@ -801,7 +801,9 @@ def parse_number(text: str) -> QuadraticNumber:
             if den:
                 return QuadraticNumber._canon(-num if sign else num, 0, den, 0)
         elif (k := int(k or 1)) and 0 < (r := int(r)) <= MAX_RADICAND and (n := int(n or 1)):
-            return QuadraticNumber(0, -k if sign else k, n, r)
+            f, d = squarefree_split(r)  # k*sqrt(r) = k*f*sqrt(d), rational when d = 1
+            v = -k * f if sign else k * f
+            return QuadraticNumber._canon(*((v, 0) if d == 1 else (0, v)), n, d)
     p = _Parser(text)
     val = p.expr()
     p.done()

@@ -88,7 +88,6 @@ from .line_orbit import (
 from .numbers import QuadraticNumber, _sign_parts, floor_parts
 from .torus_map import (
     AffineTorusMap,
-    NonRealMultiplier,
     classify_multiplier,
     rotation_matrix,
 )
@@ -568,10 +567,9 @@ def _forcing_bound(tm: AffineTorusMap, nu: int | None) -> float:
     integer multiplier (inf)."""
     if nu is not None:
         return collision_bound(tm.lattice, nu=nu)
-    mc = classify_multiplier(tm)
-    if isinstance(mc, NonRealMultiplier):
-        return collision_bound(tm.lattice, theta=mc.theta)
-    return math.inf
+    if tm.has_integer_multiplier:
+        return math.inf
+    return collision_bound(tm.lattice, theta=classify_multiplier(tm).theta)
 
 
 def default_collision_budget(

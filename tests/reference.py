@@ -6,7 +6,8 @@ route: a line stepped one image at a time, parameter intervals and arcs as
 iterated or pulled back, the grid of rho's fixed points built and searched, a
 line's image under the quotient typed by that search, wp evaluated with one
 new array per operation, argv read by argparse, as the command line was
-read before its option tables, a point's state from its frame products, a
+read before its option tables, an option's spelling matched by scanning
+every name, as before its spelling tables, a point's state from its frame products, a
 line's states and their reflections as ``QuadraticNumber`` pairs, the
 disjointness oracle with each state stepped from the one before and every
 pair compared, a certificate's interval and slack built in
@@ -707,6 +708,15 @@ def argparse_options(argv: list[str]) -> dict:
     if extra:
         ap.parse_args([argv[0], *rest])  # reports the unrecognized arguments
     return vars(args)
+
+
+def option_matches(names, name: str) -> list[str]:
+    """``name`` if it names an option, else the long options it abbreviates,
+    in ``names``' order: the rule the CLI applied to each argument, scanning
+    every name, before its per-command spelling tables."""
+    if name in names:
+        return [name]
+    return [n for n in names if n.startswith(name)] if name[:2] == "--" and name != "--" else []
 
 
 # ---------------------------------------------------------------------------

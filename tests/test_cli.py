@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import argparse_options
+from child_env import child_env
+from reference import argparse_options, option_matches
 
-from flatwander import cli
+from flatwander import cli, line_orbit, numbers
 from flatwander.cli import COMMANDS, main
 from flatwander.errors import UsageError
 from flatwander.numbers import parse_number
@@ -286,7 +288,7 @@ def test_console_entry_point_runs():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degree"] == 4
@@ -309,7 +311,7 @@ def _process(*argv):
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
         timeout=10,
     )
     return proc.returncode, json.loads(proc.stdout), time.perf_counter() - start
@@ -693,7 +695,7 @@ def test_semiconjugacy_refuses_thin_lattices_quietly():
             capture_output=True,
             text=True,
             cwd=ROOT,
-            env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env=child_env(),
         )
         assert (proc.returncode, proc.stderr) == (3, ""), omega
         assert json.loads(proc.stdout)["error"] == "residual-exceeds-tol", omega
@@ -717,6 +719,36 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code == 0, (argv, out)
         assert isinstance(json.loads(out), dict)
+
+
+# a README row of the table of caps: name, module, value, exit code, error
+_CAP_ROW = re.compile(r"^\| `(\w+)` \| `flatwander\.(\w+)` \| ([\d,^]+) \| (\d), `([a-z-]+)`", re.M)
+# an argv past each cap; the translate cap's breach needs a long search, so
+# its argv breaches it once the cap is lowered in process
+_BREACHES = {
+    "MAX_RADICAND": "classify-map --a sqrt(1000000000000000001) --omega i",
+    "MAX_ORBIT_STATES": "classify-line --a 3 --omega i --slope sqrt(2) --alpha 1/1000000007",
+    "MAX_CHECK_ITERATES": "certify-segment --a 2 --omega i --slope sqrt(2) --check-iterates 1025",
+    "MAX_RETURN_DIGITS": "certify-sphere --a 3 --omega i --slope sqrt(2) --alpha 1/50021 "
+                         "--t0 1/10 --t1 1/5",
+    "MAX_SAMPLES": "verify-semiconjugacy --a 2 --omega i --samples 100001",
+    "MAX_KERNEL_SAMPLES": "verify-semiconjugacy --a 8 --omega i --samples 100000",
+    "_MAX_PLOT_SEGMENTS": "plot-orbit --a 2 --omega i --seg 0,1/7,h,1/10 --iterates 10000",
+    "_TRANSLATE_CAP": "find-collision --a 1+1i --omega i --seg 0.1,0.2,h,0.05",
+}
+
+
+def test_the_readme_lists_every_cap_with_its_value_and_exit_code(monkeypatch, capsys):
+    rows = _CAP_ROW.findall((ROOT / "README.md").read_text())
+    assert [row[0] for row in rows] == list(_BREACHES)
+    for name, module, value, code, error in rows:
+        mod = importlib.import_module(f"flatwander.{module}")
+        base, _, power = value.replace(",", "").partition("^")
+        assert getattr(mod, name) == int(base) ** int(power or 1), name
+        if name == "_TRANSLATE_CAP":
+            monkeypatch.setattr(mod, name, 0)
+        assert main(shlex.split(_BREACHES[name])) == int(code), name
+        assert json.loads(capsys.readouterr().out)["error"] == error, name
 
 
 # argparse-class errors: exit 2, nothing on stdout, and the last line of
@@ -775,6 +807,55 @@ def test_help_names_every_option(capsys, command, flag):
     out = capsys.readouterr().out
     names = [opt.name for opt in COMMANDS[command][2]] if command else [*COMMANDS, "--config"]
     assert out.startswith("usage: flatwander") and all(name in out for name in names)
+
+
+# every spelling of every option name, of any command or of flatwander, and
+# arguments that spell none
+_SPELLINGS = sorted({"-h", "--help", "--", "--config", "seg", "-", "-x", "---", "", *(
+    name[:end] for name in {*cli._TOP, *cli._DESTS} for end in range(3, len(name) + 1))})
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_the_spelling_table_agrees_with_the_prefix_rule(command):
+    # each table gives every argument the names, in order, that scanning
+    # the command's option names gave it
+    names = cli._NAMES[command] if command else cli._TOP
+    table = cli._SPELLINGS[command]
+    got = {spelling: list(table.get(spelling, ())) for spelling in _SPELLINGS}
+    assert got == {spelling: option_matches(names, spelling) for spelling in _SPELLINGS}
+    assert set(table) <= set(_SPELLINGS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_ambiguous_spelling_fails_as_the_prefix_rule_did(capsys, command):
+    names = cli._NAMES[command]
+    ambiguous = [spelling for spelling in _SPELLINGS if len(option_matches(names, spelling)) > 1]
+    assert ambiguous  # "--o" is --omega or --out in every command
+    for spelling in ambiguous:
+        for arg in (spelling, f"{spelling}=1"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, arg])
+            hits = ", ".join(option_matches(names, spelling))
+            error = f"flatwander {command}: error: ambiguous option: {arg} could match {hits}"
+            assert exc.value.code == 2
+            assert capsys.readouterr() == ("", f"{cli._usage(command)}\n{error}\n")
+
+
+def test_a_collision_case_skips_the_tokenizer_and_runs_bezout_at_most_once(monkeypatch, capsys):
+    # the front end reads the common literals without the parser and builds
+    # the direction's frame with its direction; the first call caches the
+    # covering, whose complex literals the parser reads
+    argv = ["find-collision", "--a=-2", "--omega", "i",
+            "--seg", "sqrt(7)/2,sqrt(7)/6,s:-1/3,1/500", "--budget", "9"]
+    assert main(list(argv)) == 0
+    want = capsys.readouterr().out
+    calls, bezout = [], line_orbit.bezout
+    monkeypatch.setattr(numbers, "_Parser", None)  # called, it would raise TypeError
+    monkeypatch.setattr(line_orbit, "bezout", lambda m, k: calls.append((m, k)) or bezout(m, k))
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["verdict"] == "no-collision-within-budget"
+    assert len(calls) <= 1
 
 
 def test_the_option_tables_read_argv_as_argparse_did(tmp_path, monkeypatch):
@@ -876,8 +957,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv, lattes):
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin",
-             "PYTHONDONTWRITEBYTECODE": "1"},
+        env=child_env(PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stderr
     code, imported, loaded = json.loads(proc.stdout)
@@ -912,7 +992,7 @@ def test_acceptance_passes_under_optimize():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -1147,6 +1227,27 @@ def test_malformed_pairs_name_their_flag(tmp_path, monkeypatch, capsys, argv, me
     assert not (tmp_path / "orbit.svg").exists()
 
 
+def test_every_child_process_takes_the_shared_environment():
+    # an environment of its own would drop PYTHONDONTWRITEBYTECODE, and the
+    # child would write byte code into the checkout
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.keyword) and node.arg == "env"
+        and not (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "child_env")
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("dont_write", [True, False])
+def test_a_child_writes_byte_code_only_when_the_test_run_does(monkeypatch, dont_write):
+    monkeypatch.setattr(sys, "dont_write_bytecode", dont_write)
+    env = child_env(ROOT / "tests")
+    assert env["PYTHONPATH"].split(":") == [str(ROOT / "src"), str(ROOT / "tests")]
+    assert ("PYTHONDONTWRITEBYTECODE" in env) is dont_write
+
+
 def test_no_assert_statements_in_the_package():
     # python -O strips asserts, so a check written as one would vanish
     found = [
@@ -1229,7 +1330,7 @@ def test_golden_cases_replay_under_optimize(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[case["exit"], case["stdout"]] for case in cases.values()]

@@ -42,6 +42,7 @@ from flatwander.segments import (
     verify_disjoint_iterates,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
+from child_env import child_env
 from reference import (
     lift_chain,
     lift_segments_intersect_torus,
@@ -823,7 +824,7 @@ def test_cross_checks_raise_under_optimize():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'tests'}", "PATH": "/usr/bin:/bin"},
+        env=child_env(ROOT / "tests"),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {

@@ -51,6 +51,7 @@ from flatwander.segments import (
     segment_new,
 )
 from flatwander.torus_map import torus_map_new
+from child_env import child_env
 from reference import (
     _arcs_meet,
     _on_arc,
@@ -660,7 +661,7 @@ def test_overlap_raises_under_optimize():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 4, proc.stderr
     assert json.loads(proc.stdout) == {
