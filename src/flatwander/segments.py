@@ -10,14 +10,16 @@ ratio; the sphere certificate adds rho, t -> -t, and the quotient's return
 multiplier.  One exact sweep, ``first_overlap``, decides the certificates and
 the integer-multiplier collision search: it compares only iterates on one
 walked state, as arcs of a closed loop or, once per index difference, as
-parameter intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I).  The lift
+parameter intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I), the pairs of
+a folded orbit taken by classes of differences from its period.  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
 derives each state in closed form from the seed, not by the walk, and
-compares the iterates on one state, pair by pair.  The sweep and the oracle
-read their intervals from one ``IntervalChain``, integer numerators over one
-denominator times a^n; ``QuadraticNumber``s are built only for a hit's witness
-and, once each, a certificate's interval and slack (``certify_interval``).
+compares the iterates on one state, pair by pair.  The sweep reads its
+intervals from an ``IntervalChain``, integer numerators over one denominator
+times a^n, and the oracle builds the same spans itself; ``QuadraticNumber``s
+are built only for a hit's witness and, once each, a certificate's interval
+and slack (``certify_interval``).
 
 The lift search filters in floats and decides on integers, both in
 ``lift_arith``: a translate is skipped only when the float lifts' proven
@@ -153,8 +155,8 @@ class IntervalChain:
     radicand d (each lies in Q or in the slope's field), so an interval is a
     ``Span``, [(lo_u + lo_v*sqrt(d))/den, (hi_u + hi_v*sqrt(d))/den]: iterate
     n's is [u, v]'s numerators times a^n, swapped when a^n < 0, and the
-    reflection t -> -t negates and swaps them.  Spans are stepped when first
-    asked for.
+    reflection t -> -t negates and swaps them.  A span is built when first
+    asked for, from iterate 0's and a^n.
 
     On a closed loop, ``loop`` is the walk's ``Numerators`` and states, and
     iterate n's span is the arc of R/Z at its place plus its interval, over
@@ -174,15 +176,17 @@ class IntervalChain:
             den = math.lcm(num.den, den)
             self.d, self.place_scale = num.rads[1], den // num.den
         su, sv, self.den = den // u.w, den // v.w, den
-        self.spans = [(u.u * su, u.v * su, v.u * sv, v.v * sv)]
+        self.spans = {0: (u.u * su, u.v * su, v.u * sv, v.v * sv)}  # by iterate
 
     def span(self, n: int) -> Span:
         """Iterate n's interval, or on a loop its arc."""
-        spans, a = self.spans, self.a
-        while len(spans) <= n:
-            p, q, r, s = spans[-1]
+        spans = self.spans
+        if n not in spans:
+            p, q, r, s = spans[0]
+            an = self.a**n
             # a negative factor swaps the ends
-            spans.append((r * a, s * a, p * a, q * a) if a < 0 else (p * a, q * a, r * a, s * a))
+            spans[n] = ((r * an, s * an, p * an, q * an) if an < 0
+                        else (p * an, q * an, r * an, s * an))
         if self.loop is None:
             return spans[n]
         lo_u, lo_v, hi_u, hi_v = spans[n]
@@ -256,9 +260,10 @@ def verify_disjoint_iterates(
     tested against the reflection of j.  Independent of ``first_overlap``
     and the integer walk: iterate n's state is a^n*s0 + G_n*c mod 1,
     G_n = (a^n - 1)/(a - 1), in closed form on numerators over one
-    denominator, and a dict of buckets finds the pairs on one state (or on
-    a reflection's).  A rational direction is refused: states do not decide
-    arcs of a closed loop."""
+    denominator, and its span a^n*[u, v] (and its reflection's) is built once
+    on integers; a dict of buckets finds the pairs on one state (or on a
+    reflection's), each tested by two signs.  A rational direction is
+    refused: states do not decide arcs of a closed loop."""
     if not seg.line.is_irrational:
         raise ValueError("the oracle decides irrational-slope segments only")
     a, c = _translation_state(tm, seg.line.slope)
@@ -269,25 +274,38 @@ def verify_disjoint_iterates(
     den = math.lcm(*[x.w for x in xs])
     su0, sv0, su1, sv1, cu0, cv0, cu1, cv1 = [n * (den // x.w) for x in xs for n in (x.u, x.v)]
     d0, d1 = rads = (xs[0].d or c[0].d, xs[1].d or c[1].d)
-    states = []
-    for an in (a**n for n in range(k + 1)):
-        g = (an - 1) // (a - 1)
+    rho = (lambda p: None) if reflect is None else Numerators(den, rads).reflection(reflect)
+    d, w = seg.t_lo.d or seg.t_hi.d, math.lcm(seg.t_lo.w, seg.t_hi.w)
+    lu, lv, hu, hv = [x * (w // t.w) for t in (seg.t_lo, seg.t_hi) for x in (t.u, t.v)]
+    states, spans, own = [], [], []  # own[j]: where iterate j's own span sits in its bucket
+    # a state: the spans on it or reflected onto it, as (iterate, span), by iterate
+    buckets: dict[Hashable, list[tuple[int, int, int, int, int]]] = {}
+    an, g = 1, 0  # a^n and G_n
+    for n in range(k + 1):
         u0, v0 = an * su0 + g * cu0, an * sv0 + g * cv0
         u1, v1 = an * su1 + g * cu1, an * sv1 + g * cv1
-        states.append((u0 - den * floor_parts(u0, v0, den, d0), v0,
-                       u1 - den * floor_parts(u1, v1, den, d1), v1))
-    rho = (lambda p: None) if reflect is None else Numerators(den, rads).reflection(reflect)
-    mirrors = list(map(rho, states))
-    buckets: dict[Hashable, list[int]] = {}  # a state: the iterates on it or reflected onto it
-    for j, (st, mirror) in enumerate(zip(states, mirrors)):
-        for key in {st, mirror} - {None}:
-            buckets.setdefault(key, []).append(j)
-    chain = IntervalChain(seg.t_lo, seg.t_hi, a)
+        st = (u0 - den * floor_parts(u0, v0, den, d0), v0,
+              u1 - den * floor_parts(u1, v1, den, d1), v1)
+        # a^n*[u, v] over w, its ends swapped when a^n < 0
+        p, q, r, s = span = ((an * lu, an * lv, an * hu, an * hv) if an > 0
+                             else (an * hu, an * hv, an * lu, an * lv))
+        states.append(st)
+        spans.append(span)
+        bucket = buckets.setdefault(st, [])
+        own.append(len(bucket))
+        bucket.append((n, *span))
+        mirror = rho(st)
+        if mirror is not None:
+            buckets.setdefault(mirror, []).append((n, -r, -s, -p, -q))
+        an, g = an * a, g * a + 1
     for i, st in enumerate(states):
-        for j in buckets[st]:
-            if j > i and ((states[j] == st and chain.meet(i, j))
-                          or (mirrors[j] == st and chain.meet(i, j, reflect=True))):
-                return False, (i, j)
+        bucket = buckets[st]
+        if len(bucket) > own[i] + 1:
+            lo_u, lo_v, hi_u, hi_v = spans[i]
+            for j, p, q, r, s in islice(bucket, own[i] + 1, None):
+                if (j > i and _sign_parts(hi_u - p, hi_v - q, d) >= 0
+                        and _sign_parts(r - lo_u, s - lo_v, d) >= 0):
+                    return False, (i, j)
     return True, None
 
 
@@ -391,32 +409,72 @@ def first_overlap(
     rho_states: Sequence[Hashable] | None = None,
 ) -> tuple[int, int] | None:
     """The first pair (n, m), n < m, of iterates with these states whose
-    intervals meet, by m and then n, or None.  Only iterates on one state are
-    compared, so ``chain`` is called for their ``IntervalChain`` only when a
-    state first repeats, and two intervals are compared once per difference
-    m - n.  With rho-states (rho is t -> -t) iterate m's reflection is also
-    compared against the iterates on the line it is reflected onto."""
-    by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
+    intervals meet, by m and then n, or None.  With rho-states (rho is
+    t -> -t; a ``_Folded`` orbit's are rho of its states) iterate m's
+    reflection is also compared against the iterates on the line it is
+    reflected onto.  Two intervals are compared once per difference m - n,
+    and ``chain`` is called for their ``IntervalChain`` at the first
+    comparison.  A ``_Folded`` orbit's pairs come as ``_pair_classes``,
+    each scanned once by increasing m; any other states (a loop's keys,
+    whose arcs depend on their place) are bucketed, and iterate m is
+    compared against every earlier iterate on its state."""
     ivs, gaps = None, {}
 
     def meet(n: int, m: int, reflect: bool = False) -> bool:
         # a^n*I meets (-)a^m*I iff I meets (-)a^(m-n)*I; an arc depends on its place
+        nonlocal ivs
+        ivs = ivs or chain()
         if ivs.loop is not None:
             return ivs.meet(n, m, reflect)
         key = (m - n, reflect)
         return gaps[key] if key in gaps else gaps.setdefault(key, ivs.meet(0, m - n, reflect))
 
+    if isinstance(states, _Folded):
+        hits = []  # each class's first, as (m, n)
+        for first, n, reflect, last in _pair_classes(states, rho_states):
+            for m in range(first, last + 1, states.period):
+                if meet(n, m, reflect):
+                    hits.append((m, n))
+                    break
+        return min(hits)[::-1] if hits else None
+    by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
     for m, st in enumerate(states):
         same = by_state.setdefault(st, [])
         mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
         if same or mirrored:
-            ivs = ivs or chain()
-            hits = [n for n in same if meet(n, m)]
-            hits += [n for n in mirrored if meet(n, m, True)]
+            hits = [n for n in same if meet(n, m)] + [n for n in mirrored if meet(n, m, True)]
             if hits:
                 return (min(hits), m)
         same.append(m)
     return None
+
+
+def _pair_classes(
+    states: _Folded, rho_states: Sequence[Hashable] | None
+) -> list[tuple[int, int, bool, int]]:
+    """The pairs ``first_overlap`` compares on a folded orbit of preperiod n0
+    and period p, as classes (m, n, reflect, last): iterate n against
+    iterates m, m + p, ... up to ``last``.  States before n0 are unique, and
+    iterates n < m past it share a state iff p divides m - n, so the plain
+    pairs are (n0, n0 + p), (n0, n0 + 2p), ...  Iterate m's reflection
+    lands on the state rho gives m's residue: on a preperiod state k, it
+    meets only iterate k; on a cycle state k, the pairs of one class of
+    m - n mod p are met first, at each difference, by the least such k."""
+    n0, p, top = states.n0, states.period, states.n
+    firsts = {(0, False): n0}  # (m - n mod p, reflect): the least n
+    out = []
+    if rho_states is not None:
+        index = dict(zip(states.states, range(n0 + p)))
+        # iterate i < n0 + p is on states.states[i], and its reflection on rho_states[i]
+        for i, k in enumerate(map(index.get, islice(rho_states, min(n0 + p, top + 1)))):
+            if k is None:
+                continue
+            if k < n0:
+                if k < i:
+                    out.append((i, k, True, i if i < n0 else top))
+            elif i >= n0 and k < firsts.get(((i - k) % p, True), top + 1):
+                firsts[(i - k) % p, True] = k
+    return out + [(k + (gap or p), k, reflect, top) for (gap, reflect), k in firsts.items()]
 
 
 def _separation(lo: QuadraticNumber, hi: QuadraticNumber, a: int) -> int:

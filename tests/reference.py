@@ -10,7 +10,8 @@ read before its option tables, an option's spelling matched by scanning
 every name, as before its spelling tables, a point's state from its frame products, a
 line's states and their reflections as ``QuadraticNumber`` pairs, the
 disjointness oracle with each state stepped from the one before and every
-pair compared, a certificate's interval and slack built in
+pair compared, and with closed-form states bucketed and each pair compared
+by ``IntervalChain.meet``, a certificate's interval and slack built in
 ``QuadraticNumber`` steps, a separation horizon bisected on
 ``QuadraticNumber`` products, a segment lifted and stepped in
 ``QuadraticNumber``/``BiQuadratic`` with two lifts met by orientation signs
@@ -27,6 +28,7 @@ import bisect
 import functools
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +45,7 @@ from flatwander.errors import (
 from flatwander.lattes import LattesModel, WeierstrassContext, weierstrass_context
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import (
+    Numerators,
     TorusLine,
     _translation_state,
     line_from_point,
@@ -50,7 +53,7 @@ from flatwander.line_orbit import (
     slope_spec,
 )
 from flatwander.lift_arith import FloatLift, _float_of, _numerators, _surviving_translates
-from flatwander.numbers import HALF, ZERO, BiQuadratic, QuadraticNumber
+from flatwander.numbers import HALF, ZERO, BiQuadratic, QuadraticNumber, floor_parts
 from flatwander.segments import (
     CollisionCertificate,
     Interval,
@@ -176,6 +179,43 @@ def stepped_disjoint_iterates(tm: AffineTorusMap, seg: TorusSegment, k: int, ori
             if (states[i] == states[j] and chain.meet(i, j)) or (
                 mirrors and states[i] == mirrors[j] and chain.meet(i, j, reflect=True)
             ):
+                return False, (i, j)
+    return True, None
+
+
+def bucketed_disjoint_iterates(tm: AffineTorusMap, seg: TorusSegment, k: int, reflect=None):
+    """``verify_disjoint_iterates`` as it compared each pair through
+    ``IntervalChain.meet``: iterate n's state a^n*s0 + G_n*c mod 1 in closed
+    form on numerators, a set of each iterate's state and its reflection
+    bucketed, and the pairs on one bucket compared in order."""
+    if not seg.line.is_irrational:
+        raise ValueError("the oracle decides irrational-slope segments only")
+    a, c = _translation_state(tm, seg.line.slope)
+    xs = (*seg.line.transverse(), *c)  # the seed s0, then c
+    clash = [(s.d, t.d) for s, t in zip(xs, c) if s.d and t.d and s.d != t.d]
+    if clash and k > 0:
+        raise MixedRadicals("sqrt(%d) and sqrt(%d) in one scalar" % clash[0])
+    den = math.lcm(*[x.w for x in xs])
+    su0, sv0, su1, sv1, cu0, cv0, cu1, cv1 = [n * (den // x.w) for x in xs for n in (x.u, x.v)]
+    d0, d1 = rads = (xs[0].d or c[0].d, xs[1].d or c[1].d)
+    states = []
+    for an in (a**n for n in range(k + 1)):
+        g = (an - 1) // (a - 1)
+        u0, v0 = an * su0 + g * cu0, an * sv0 + g * cv0
+        u1, v1 = an * su1 + g * cu1, an * sv1 + g * cv1
+        states.append((u0 - den * floor_parts(u0, v0, den, d0), v0,
+                       u1 - den * floor_parts(u1, v1, den, d1), v1))
+    rho = (lambda p: None) if reflect is None else Numerators(den, rads).reflection(reflect)
+    mirrors = list(map(rho, states))
+    buckets = {}  # a state: the iterates on it or reflected onto it
+    for j, (st, mirror) in enumerate(zip(states, mirrors)):
+        for key in {st, mirror} - {None}:
+            buckets.setdefault(key, []).append(j)
+    chain = IntervalChain(seg.t_lo, seg.t_hi, a)
+    for i, st in enumerate(states):
+        for j in buckets[st]:
+            if j > i and ((states[j] == st and chain.meet(i, j))
+                          or (mirrors[j] == st and chain.meet(i, j, reflect=True))):
                 return False, (i, j)
     return True, None
 

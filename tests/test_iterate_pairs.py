@@ -44,6 +44,7 @@ from flatwander.segments import (
 from flatwander.torus_map import rotation_matrix, torus_map_new
 from child_env import child_env
 from reference import (
+    bucketed_disjoint_iterates,
     lift_chain,
     lift_segments_intersect_torus,
     line_image,
@@ -314,6 +315,37 @@ def test_the_closed_form_oracle_matches_the_stepped_oracle():
     for kind in ("wandering", "periodic", "on the grid", "off it", "irrational b",
                  "MixedRadicals", "FieldClash", "plain pair", "reflected pair only", "disjoint"):
         assert seen[kind] >= 5, (kind, seen)
+
+
+def test_the_oracle_matches_its_pairwise_chain_reference():
+    """The oracle's spans, built once and compared inline, against the oracle
+    that compared each pair by ``IntervalChain.meet``: the same verdict, the
+    same first failing pair and the same refusal, with and without rho, on
+    the drawn segment and on one forced to overlap, 3 long from its t0."""
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_oracle_case())
+    def check(case):
+        tm, seg, k, origin, _ = case
+        forced = segment_new(seg.line, seg.t_lo, seg.t_lo + 3)
+        for s in (seg, forced):
+            got = [_outcome(lambda: verify_disjoint_iterates(tm, s, k, o)) for o in (None, origin)]
+            assert got == [_outcome(lambda: bucketed_disjoint_iterates(tm, s, k, o))
+                           for o in (None, origin)]
+            plain, reflected = got
+            if isinstance(plain[0], str):
+                seen[plain[0]] += 1
+            elif not plain[0]:
+                seen["plain pair"] += 1
+                seen["pair past (0, 1)"] += plain[1] != (0, 1)
+            seen["disjoint" if reflected[0] is True else
+                 "reflected pair" if reflected != plain and not reflected[0] else "other"] += 1
+
+    check()
+    for kind in ("disjoint", "plain pair", "reflected pair", "pair past (0, 1)",
+                 "MixedRadicals", "FieldClash"):
+        assert seen[kind] >= 10, (kind, seen)
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,48 @@ def test_the_certify_sweep_builds_no_scalar_per_iterate(monkeypatch, a, alpha, b
     assert counts[0] == counts[1]
 
 
+_PERIOD_1 = ["--a", "3", "--omega", "i", "--slope", "sqrt(2)", "--alpha", "0", "--beta", "0",
+             "--t0", "1/10", "--t1", "1/5"]
+
+
+def test_the_sphere_sweep_of_a_period_1_line_is_linear_in_its_horizon(monkeypatch, capsys):
+    """A work guard, not a clock: every line of Python that ``first_overlap``
+    runs, in its own frames and in those it calls, is counted by
+    ``sys.settrace``.  At 1,024 checked iterates on a period-1 line, every
+    pair of iterates shares the one state, and a scan of each earlier
+    iterate on m's state would visit 1,049,600 pairs (plain and reflected);
+    one comparison per difference m - n and reflection takes 2,048.  The
+    oracle's replay, O(k^2) pairs by design, is stubbed out."""
+    from flatwander.cli import main
+
+    bound, lines = 128 * 1025, [0]
+
+    def tracer(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+            if lines[0] > bound:
+                raise AssertionError(f"first_overlap ran more than {bound} lines")
+        return tracer
+
+    real = segments.first_overlap
+
+    def traced(*args):
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            return real(*args)
+        finally:
+            sys.settrace(before)
+
+    monkeypatch.setattr(segments, "first_overlap", traced)
+    monkeypatch.setattr(lattes, "verify_sphere_disjoint_iterates", lambda *args: (True, None))
+    argv = ["certify-sphere", *_PERIOD_1, "--nu", "2", "--check-iterates", "1024"]
+    assert main(argv) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["period"], cert["checked_iterates"]) == (1, 1024)
+    assert 2048 < lines[0] <= bound
+
+
 # ---------------------------------------------------------------------------
 # one sweep
 # ---------------------------------------------------------------------------
@@ -482,9 +524,10 @@ def _chain_of(intervals, loop=None):
     if loop is not None:
         chain.place_scale *= den // chain.den
     chain.den, chain.d = den, chain.d or max(x.d for iv in intervals for x in iv)
-    chain.spans = [
-        tuple(c for x in iv for c in (x.u * (den // x.w), x.v * (den // x.w))) for iv in intervals
-    ]
+    chain.spans = {
+        n: tuple(c for x in iv for c in (x.u * (den // x.w), x.v * (den // x.w)))
+        for n, iv in enumerate(intervals)
+    }
     return chain
 
 
@@ -588,6 +631,11 @@ def _memo_case(draw):
     rho_states = None
     if draw(st.booleans()):
         rho_states = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+    return (states, rho_states, *_expanding_interval(draw, a), a)
+
+
+def _expanding_interval(draw, a):
+    """[u, v] with v/u near |a| and a^2, in Q or Q(sqrt 2), either side of 0."""
     u = draw(st.fractions(Fraction(1, 64), 1, max_denominator=64))
     ratio = st.fractions(Fraction(65, 64), a * a + 1, max_denominator=64)
     v = u * draw(st.one_of(ratio, st.sampled_from([abs(a), a * a])))
@@ -596,13 +644,11 @@ def _memo_case(draw):
         u, v = u * QuadraticNumber.sqrt_int(2), v * QuadraticNumber.sqrt_int(2)
     if draw(st.booleans()):
         u, v = -v, -u
-    return states, rho_states, u, v, a
+    return u, v
 
 
-@settings(max_examples=500, deadline=None)
-@given(_memo_case())
-def test_the_sweep_decides_each_difference_once_as_the_pairwise_reference(case):
-    states, rho_states, u, v, a = case
+def _counted_sweep(states, rho_states, u, v, a):
+    """``first_overlap`` on [u, v]'s chain, and the comparisons it made."""
     calls = []
 
     class Counted(IntervalChain):
@@ -610,17 +656,112 @@ def test_the_sweep_decides_each_difference_once_as_the_pairwise_reference(case):
             calls.append((n, m, reflect))
             return super().meet(n, m, reflect)
 
-    got = first_overlap(states, partial(Counted, u, v, a), rho_states)
+    return first_overlap(states, partial(Counted, u, v, a), rho_states), calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(_memo_case())
+def test_the_sweep_decides_each_difference_once_as_the_pairwise_reference(case):
+    states, rho_states, u, v, a = case
+    got, calls = _counted_sweep(states, rho_states, u, v, a)
     intervals = interval_chain(u, v, a, len(states) - 1)
     assert got == pairwise_first_overlap(states, intervals, rho_states)
     # each (m - n, reflect) once, as iterate 0 against iterate m - n
     assert all(n == 0 for n, _, _ in calls) and len(set(calls)) == len(calls)
 
 
+@st.composite
+def _folded_case(draw):
+    """A walked orbit as ``_Folded`` labels: preperiod 0 to 6, period 1 to
+    48 (often 1 to 4), and a horizon up to 300 (at most 12 periods past the
+    preperiod), with or without rho-states: an index shift of the cycle (by
+    half the period, by 0, or by any), a cycle reflected off the orbit or
+    onto the preperiod, or images drawn anywhere; preperiod states reflect
+    onto preperiod states, off the orbit or nowhere (None), or, with images
+    drawn anywhere, onto the cycle.  The interval's far end is stretched by
+    up to |a|^8, and one interval in ten holds 0."""
+    n0, p = draw(st.integers(0, 6)), draw(st.one_of(st.integers(1, 4), st.integers(1, 48)))
+    top = draw(st.integers(0, min(300, n0 + 12 * p)))
+    states, rho_states = line_orbit._Folded(tuple(range(n0 + p)), n0, top), None
+    modes = ["none", "paired", "self-paired", "shift", "unpaired", "onto the preperiod", "any"]
+    mode = draw(st.sampled_from(modes))
+    if mode != "none":
+        shift = {"paired": p // 2, "self-paired": 0}.get(mode)
+        shift = draw(st.integers(0, p - 1)) if shift is None else shift
+        off = st.sampled_from([None, n0 + p])  # no state, or one off the orbit
+        pre = off if not n0 else st.one_of(off, st.integers(0, n0 - 1))
+        anywhere = st.one_of(off, st.integers(0, n0 + p - 1))
+        images = [draw(anywhere if mode == "any" else pre) for _ in range(n0)]
+        for r in range(p):
+            image = {"unpaired": off, "onto the preperiod": pre, "any": anywhere}.get(mode)
+            images.append(n0 + (r + shift) % p if image is None else draw(image))
+        rho_states = line_orbit._Folded(tuple(images), n0, top)
+    a = draw(st.sampled_from([2, -2, 3, -3]))
+    u, v = _expanding_interval(draw, a)
+    stretch = abs(a) ** draw(st.integers(0, 8))  # the far end out by |a|^e: hits up to m - n = e
+    u, v = (u, v * stretch) if u.sign() > 0 else (u * stretch, v)
+    if draw(st.integers(0, 9)) == 0:  # 0 inside: every candidate meets
+        u, v = (-u, v) if u.sign() > 0 else (u, -v)
+    return states, rho_states, u, v, a
+
+
+def test_a_cycle_reflected_onto_the_preperiod_meets_it_later():
+    """Iterate m >= 2 of a period-1 cycle after two preperiod states is
+    reflected onto iterate 0's state.  Under a = -2, -a^m*[1, 10] misses
+    [1, 10] at m = 2 and meets it at m = 3, before the plain pair (2, 4)."""
+    states = line_orbit._Folded((0, 1, 2), 2, 6)
+    rho_states = line_orbit._Folded((None, None, 0), 2, 6)
+    u, v = qn(1), qn(10)
+    got, _ = _counted_sweep(states, rho_states, u, v, -2)
+    assert got == (0, 3)
+    assert got == pairwise_first_overlap(list(states), interval_chain(u, v, -2, 6), list(rho_states))
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2, 3])
+def test_a_shifted_cycle_meets_its_reflection_first_from_its_least_state(shift):
+    """rho shifts a period-4 cycle after one preperiod state by ``shift``;
+    with 0 inside [u, v] every candidate meets, so the first pair is the
+    class's first, from the least state rho reflects onto: (1, 3) for a
+    shift of 2, before the plain pair (1, 5)."""
+    states = line_orbit._Folded((0, 1, 2, 3, 4), 1, 12)
+    rho_states = line_orbit._Folded((None, *(1 + (r + shift) % 4 for r in range(4))), 1, 12)
+    u, v = qn(-1), qn(2)
+    got, _ = _counted_sweep(states, rho_states, u, v, 2)
+    assert got == pairwise_first_overlap(list(states), interval_chain(u, v, 2, 12), list(rho_states))
+    assert shift != 2 or got == (1, 3)
+
+
+def test_the_folded_schedule_matches_the_pairwise_reference():
+    """On a folded orbit ``first_overlap`` scans each class of differences
+    once: the same first pair as every pair compared, and still each
+    (m - n, reflect) decided once, as iterate 0 against iterate m - n."""
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_folded_case())
+    def check(case):
+        states, rho_states, u, v, a = case
+        got, calls = _counted_sweep(states, rho_states, u, v, a)
+        intervals = interval_chain(u, v, a, states.n)
+        rho = None if rho_states is None else list(rho_states)
+        assert got == pairwise_first_overlap(list(states), intervals, rho)
+        assert all(n == 0 for n, _, _ in calls) and len(set(calls)) == len(calls)
+        if got is None:
+            seen["miss"] += 1
+        else:
+            plain = got == pairwise_first_overlap(list(states), intervals, None)
+            seen["plain hit" if plain else "reflected hit"] += 1
+            seen["hit on a preperiod state"] += got[0] < states.n0
+            seen["hit at m - n >= 3"] += got[1] - got[0] >= 3
+
+    check()
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+
 def test_the_memo_cases_hit_plain_and_reflected_pairs():
     seen = collections.Counter()
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(_memo_case())
     def draw(case):
         states, rho_states, u, v, a = case
