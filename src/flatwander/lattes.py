@@ -140,10 +140,13 @@ class Unpaired(Record):
 
 
 class Paired(Record):
-    __slots__ = _fields = ("half_period", "pairing")
+    """rho shifts the cycle by half its period: line j is paired with line
+    j + half_period, and the sphere-level period is halved."""
 
-    def __init__(self, half_period: int, pairing: tuple[tuple[int, int], ...]):
-        self.half_period, self.pairing = half_period, pairing
+    __slots__ = _fields = ("half_period",)
+
+    def __init__(self, half_period: int):
+        self.half_period = half_period
 
 
 class SelfPaired(Record):
@@ -159,36 +162,32 @@ class SelfPaired(Record):
 RhoPairing = Unpaired | Paired | SelfPaired
 
 
-def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic, images=None) -> RhoPairing:
-    """Test whether rho maps an orbit's cycle to itself, on its integer states
-    (``images``: rho of each of the orbit's states, when the caller has them;
-    else the cycle is mapped by its ``rho_numerators``).
+def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
+    """Test whether rho maps an orbit's cycle to itself, at one state.
 
-    Since rho commutes with the covering on valid models, the induced action
-    is an index shift c with 2c = 0 mod p: c = p/2 pairs lines two by two and
-    halves the sphere-level period; c = 0 means every line is self-symmetric.
+    rho commutes with the covering: descent puts 2(A(z0) - z0), which is
+    A(rho(z)) - rho(A(z)), in Z^2.  On states, rho(s) = r - s and s -> a*s + c, so
+    this is (a - 1)*r + 2c = 0 mod 1, checked exactly once per orbit.  Then
+    rho(s_n0) = s_(n0+c) gives rho(s_(n0+j)) = s_(n0+c+j) for every j, and
+    rho^2 = id gives 2c = 0 mod p: c = p/2 pairs lines two by two and halves
+    the sphere-level period; c = 0 means every line is self-symmetric; and
+    rho(s_n0) off s_n0 and s_(n0+p/2) leaves the cycle unpaired.
     """
     if model.nu != 2:
         raise ValueError("rho-pairing applies to the order-2 quotient")
-    cycle = orbit.cycle
-    images = images[orbit.preperiod :] if images else list(map(rho_numerators(model, orbit), cycle))
-    p = len(cycle)
-    index = {cycle[j]: j for j in range(p)}
-    if images[0] not in index:
-        if any(img in index for img in images[1:]):
-            raise InternalInconsistency("rho maps part of the cycle into it")
-        return Unpaired(p)
-    c = index[images[0]]
-    if any(images[j] != cycle[(j + c) % p] for j in range(p)):
-        raise InternalInconsistency("rho image of the cycle is not an index shift")
-    if c == 0:
+    a, den = orbit.a, orbit.num.den
+    # rho(0) is rational, u/w per coordinate, and c is over den
+    if any(((a - 1) * r.u * den + 2 * c * r.w) % (r.w * den)
+           for r, c in zip(model.rho_origin, orbit.conj[2])):
+        raise InternalInconsistency("rho does not commute with the covering on the orbit's states")
+    n0, p = orbit.preperiod, orbit.period
+    start = orbit.state_ints(n0)
+    image = rho_numerators(model, orbit)(start)
+    if image == start:
         return SelfPaired(p)
-    if p % 2 == 1 or c != p // 2:
-        raise InternalInconsistency(
-            f"involution shift {c} on a cycle of period {p} contradicts rho^2 = id"
-        )
-    half = p // 2
-    return Paired(half, tuple((j, j + half) for j in range(half)))
+    if p % 2 == 0 and image == orbit.state_ints(n0 + p // 2):
+        return Paired(p // 2)
+    return Unpaired(p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +237,15 @@ def certify_sphere_wandering(
         return NotFlexible(reason, witness)
 
     verdict = classify_line(tm, seg.line)
-    returns, rho = None, model.rho_origin
+    returns = None
     if isinstance(verdict, EventuallyPeriodic):
         # the ratio is |a|^p, or |a|^(p/2) if rho pairs it under a < 0 with p/2 odd, or
-        # |a|^(2p) if not under a < 0 with p odd: refused before the cycle is walked
+        # |a|^(2p) if not under a < 0 with p odd: refused before rho is tested
         a, p = tm.multiplier_int(), verdict.period
         check_request(check_iterates, a, p // 2 if a < 0 and p % 4 == 2 else p, a > 0 or p % 4 == 0)
-        rho = list(map(rho_numerators(model, verdict), verdict.states))  # rho of each state, once
-        pairing = rho_pairing(model, verdict, rho)
-        if isinstance(pairing, Paired):
-            returns = (pairing.half_period, -1, False)
-        else:
-            returns = (verdict.period, 1, isinstance(pairing, SelfPaired))
-    cert = certify_classified(tm, seg, verdict, check_iterates, rho, returns)
+        shift = {Paired: p // 2, SelfPaired: 0}.get(type(rho_pairing(model, verdict)))
+        returns = (p // 2, -1, False, shift) if shift else (p, 1, shift == 0, shift)
+    cert = certify_classified(tm, seg, verdict, check_iterates, model.rho_origin, returns)
     if isinstance(cert, NotWanderable):
         return cert
     k = min(check_iterates, 6) if cert.mode == "whole-segment" else check_iterates

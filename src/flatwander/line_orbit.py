@@ -11,11 +11,13 @@ its frame (x, y) -> (k*x - m*y, u*x + v*y), u*m + v*k = 1, gives the loop's
 invariant and the base point's place on the loop.  An integer covering keeps
 every slope (a rational direction up to sign, which is the same set of
 lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1.
-A transverse orbit is walked in one place, ``_walk``, on integers over one
-denominator N: a pair (u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0
-on rational data, and only as far as a consumer indexes it (a periodic one's
-period is in closed form, ``_shape``); the order-2 involution acts on the
-states as one integer map (``Numerators.reflection``).
+A transverse orbit's states are integers over one denominator N: a pair
+(u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0 on rational data.  A
+periodic orbit is in closed form: its preperiod and period (``_shape``), and
+state n from one modular power (``EventuallyPeriodic.state_ints``); only a
+printed cycle, a wandering line's checked states and the integer-multiplier
+collision search walk them, in one place, ``_walk``.  The order-2 involution
+acts on the states as one integer map (``Numerators.reflection``).
 """
 
 from __future__ import annotations
@@ -259,13 +261,15 @@ class JordanCurve(Record):
 
 
 class EventuallyPeriodic:
-    """An orbit's preperiod and period, in closed form (``_shape``), and its
-    ``_state_rule``, whose preperiod + period distinct ``states`` over ``num``
-    are walked when first asked for; ``state(n)`` folds any later index back
-    into the cycle (``_Folded``)."""
+    """An orbit's preperiod and period, in closed form (``_shape``), its
+    multiplier ``a``, its ``_state_rule`` and the rule's ``_conjugate``:
+    ``state_ints(n)`` is state n over ``num`` from one modular power, and the
+    preperiod + period distinct ``states`` are walked when first asked for;
+    ``state(n)`` folds any later index back into the cycle (``_Folded``)."""
 
-    def __init__(self, preperiod: int, period: int, num: Numerators, rule: tuple):
-        self.preperiod, self.period, self.num, self.rule = preperiod, period, num, rule
+    def __init__(self, preperiod: int, period: int, a: int, rule: tuple, conj: tuple):
+        self.preperiod, self.period, self.a, self.rule, self.conj = preperiod, period, a, rule, conj
+        self.num = rule[2]
 
     @cached_property
     def states(self) -> tuple[StateInts, ...]:
@@ -280,6 +284,14 @@ class EventuallyPeriodic:
 
     def state(self, n: int) -> TransverseState:
         return self.num.value(_Folded(self.states, self.preperiod, n)[n])
+
+    def state_ints(self, n: int) -> StateInts:
+        """State n from the seed, not by the walk: per coordinate
+        y_n = a^n*y_0 mod M, and u_n = (y_n - c)/(a - 1) mod N (``_conjugate``);
+        the states are rational, so v = 0."""
+        m, (y0, y1), (c0, c1) = self.conj
+        e, a1, den = pow(self.a, n, m), self.a - 1, self.num.den
+        return ((e * y0 % m - c0) // a1 % den, 0, (e * y1 % m - c1) // a1 % den, 0)
 
 
 class WanderingLine(Record):
@@ -320,37 +332,65 @@ def _moves(rule: tuple, loop: bool) -> bool:
 
 def _order(a: int, m: int) -> int:
     """The least n >= 1 with a^n = 1 mod m, for a prime to m, or a number past
-    ``MAX_ORBIT_STATES`` when n is, in O(sqrt(cap)) multiply-mods: baby steps
-    keep a^j, j < s, and giant steps a^(-i*s) find n = i*s + j."""
-    s, x, baby = math.isqrt(MAX_ORBIT_STATES) + 1, 1 % m, {}
-    for j in range(s):
-        baby[x], x = j, x * a % m
-        if x == 1 % m:
-            return j + 1
-    giant = y = pow(x, -1, m)  # a^(-s); the a^j, j < s, are distinct
-    for i in range(1, MAX_ORBIT_STATES // s + 2):
-        if y in baby:
-            return i * s + baby[y]
-        y = y * giant % m
-    return MAX_ORBIT_STATES + 1
+    ``MAX_ORBIT_STATES`` when n is, in O(sqrt(n)) multiply-mods: baby and giant
+    steps (Shanks) with a step s that doubles until they find n (after Terr).
+    At step s the baby steps keep a^j, j < s, and try n <= s; the giant steps
+    a^(-i*s), i <= s, find n = i*s + j < s*(s + 1).  Each doubling costs about
+    what all the steps before it did, so n costs at most about 5*sqrt(n)."""
+    one = x = 1 % m
+    baby, j, s = {}, 0, 1
+    while True:
+        while j < s:  # x = a^j
+            baby[x], x, j = j, x * a % m, j + 1
+            if x == one:
+                return j
+        giant = y = pow(x, -1, m)  # a^(-s); the a^j, j < s, are distinct
+        for i in range(1, s + 1):
+            if y in baby:
+                return i * s + baby[y]
+            y = y * giant % m
+        if s * (s + 1) > MAX_ORBIT_STATES:
+            return MAX_ORBIT_STATES + 1
+        s *= 2
 
 
-def _shape(a: int, rule: tuple) -> tuple[int, int]:
-    """The preperiod and period of a ``_state_rule`` on rational states, in
-    closed form (past ``MAX_ORBIT_STATES``, any period past it).  Per
-    coordinate, y = (a-1)*u + c mod N*|a-1| turns u -> a*u + c mod N into
-    y -> a*y, whose orbit is that of a^n mod M = N*|a-1|/gcd(y, N*|a-1|):
-    peeling gcd(M, a) off M takes the preperiod, and the period is the order
-    of a on the rest.  The pair's are the max and the lcm of the two's."""
+def _conjugate(a: int, rule: tuple) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """A ``_state_rule`` on rational states as a power map: per coordinate,
+    y = (a-1)*u + c mod M, M = N*|a-1|, turns u -> a*u + c mod N into
+    y -> a*y.  Returns M, the seed's (y_0, y_1) and c's numerators, c mod N
+    read as one step from the zero state."""
     step, start, num = rule
-    c, pre, period = step((0, 0, 0, 0)), 0, 1  # c mod N, as one step from 0
-    for y in ((a - 1) * start[0] + c[0], (a - 1) * start[2] + c[2]):
-        m, k = num.den * abs(a - 1), 0
-        m //= math.gcd(y, m)
+    c, m = step((0, 0, 0, 0)), num.den * abs(a - 1)
+    return m, (((a - 1) * start[0] + c[0]) % m, ((a - 1) * start[2] + c[2]) % m), (c[0], c[2])
+
+
+def _shape(a: int, conj: tuple) -> tuple[int, int]:
+    """The preperiod and period of a ``_state_rule`` on rational states, in
+    closed form from its ``_conjugate`` (past ``MAX_ORBIT_STATES``, any period
+    past it).  Per coordinate, y's orbit under y -> a*y is that of a^n mod
+    M/gcd(y, M): peeling gcd(M, a) off it takes the preperiod, and the period
+    is the order of a on the rest.  The pair's are the max and the lcm of the
+    two's."""
+    big, ys, _ = conj
+    pre, period = 0, 1
+    for y in ys:
+        m, k = big // math.gcd(y, big), 0
         while (g := math.gcd(m, a)) > 1:
             m, k = m // g, k + 1
         pre, period = max(pre, k), math.lcm(period, _order(a, m))
     return pre, period
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, by trial division up to sqrt(n)."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
 
 
 def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
@@ -359,7 +399,8 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     Rational direction -> Jordan curve.  Irrational slope with rational
     transverse pair -> eventually periodic, in closed form by ``_shape``
     (denominators never grow under x -> a*x + c with integer a, rational c),
-    refused with ``BudgetExceeded`` past ``MAX_ORBIT_STATES`` states.
+    refused with ``BudgetExceeded`` past ``MAX_ORBIT_STATES`` states, and
+    checked on a few states computed directly (``state_ints``).
     Irrational transverse component -> wandering: a periodic state of that
     affine map is rational, and a*irr + rational stays irrational.
     """
@@ -375,11 +416,20 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("alpha")
     if not line.beta.is_rational:
         return WanderingLine("beta")
-    rule = _state_rule(tm, line.slope, line.transverse())
-    pre, period = _shape(tm.multiplier_int(), rule)
+    a, rule = tm.multiplier_int(), _state_rule(tm, line.slope, line.transverse())
+    conj = _conjugate(a, rule)
+    pre, period = _shape(a, conj)
     if pre + period > MAX_ORBIT_STATES:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
-    return EventuallyPeriodic(pre, period, rule[2], rule)
+    orbit = EventuallyPeriodic(pre, period, a, rule, conj)
+    # the shape on states computed directly: state n0 returns after p steps and
+    # after no p/q for a prime q, and state n0 - 1 does not return
+    s = orbit.state_ints
+    head = s(pre)
+    if (s(pre + period) != head or pre and s(pre - 1 + period) == s(pre - 1)
+            or any(s(pre + period // q) == head for q in _prime_factors(period))):
+        raise InternalInconsistency("the closed-form period disagrees with the orbit's states")
+    return orbit
 
 
 class _Folded(Sequence):

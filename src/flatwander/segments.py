@@ -9,9 +9,10 @@ certified subinterval only has to avoid 0 and satisfy an expansion-disjointness
 ratio; the sphere certificate adds rho, t -> -t, and the quotient's return
 multiplier.  One exact sweep, ``first_overlap``, decides the certificates and
 the integer-multiplier collision search: it compares only iterates on one
-walked state, as arcs of a closed loop or, once per index difference, as
-parameter intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I), the pairs of
-a folded orbit taken by classes of differences from its period.  The lift
+state, as arcs of a closed loop or, once per index difference, as parameter
+intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I), the pairs of a periodic
+orbit taken by classes of differences from its preperiod, its period and
+rho's shift of its cycle, with no state walked.  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
 derives each state in closed form from the seed, not by the walk, and
@@ -37,6 +38,7 @@ import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -404,20 +406,21 @@ def certified_slack(
 
 
 def first_overlap(
-    states: Iterable[Hashable],
+    states: Iterable[Hashable] | PairClasses,
     chain: Callable[[], IntervalChain],
     rho_states: Sequence[Hashable] | None = None,
 ) -> tuple[int, int] | None:
     """The first pair (n, m), n < m, of iterates with these states whose
-    intervals meet, by m and then n, or None.  With rho-states (rho is
-    t -> -t; a ``_Folded`` orbit's are rho of its states) iterate m's
-    reflection is also compared against the iterates on the line it is
-    reflected onto.  Two intervals are compared once per difference m - n,
-    and ``chain`` is called for their ``IntervalChain`` at the first
-    comparison.  A ``_Folded`` orbit's pairs come as ``_pair_classes``,
-    each scanned once by increasing m; any other states (a loop's keys,
-    whose arcs depend on their place) are bucketed, and iterate m is
-    compared against every earlier iterate on its state."""
+    intervals meet, by m and then n, or None.  Two intervals are compared
+    once per difference m - n (and reflection, rho being t -> -t), and
+    ``chain`` is called for their ``IntervalChain`` at the first comparison.
+    A folded orbit's pairs come as its ``PairClasses`` (a ``_Folded`` walk's
+    are the plain ones of ``_pair_classes``), each class scanned once by
+    increasing m; any other states (a loop's keys, whose arcs depend on their
+    place, or a walk that never repeats) are bucketed, and iterate m is
+    compared against every earlier iterate on its state and, with
+    rho-states, its reflection against those on the state it is reflected
+    onto."""
     ivs, gaps = None, {}
 
     def meet(n: int, m: int, reflect: bool = False) -> bool:
@@ -430,8 +433,10 @@ def first_overlap(
         return gaps[key] if key in gaps else gaps.setdefault(key, ivs.meet(0, m - n, reflect))
 
     if isinstance(states, _Folded):
+        states = _pair_classes(states.n0, states.period, states.n)
+    if isinstance(states, PairClasses):
         hits = []  # each class's first, as (m, n)
-        for first, n, reflect, last in _pair_classes(states, rho_states):
+        for first, n, reflect, last in states.classes:
             for m in range(first, last + 1, states.period):
                 if meet(n, m, reflect):
                     hits.append((m, n))
@@ -449,32 +454,38 @@ def first_overlap(
     return None
 
 
-def _pair_classes(
-    states: _Folded, rho_states: Sequence[Hashable] | None
-) -> list[tuple[int, int, bool, int]]:
-    """The pairs ``first_overlap`` compares on a folded orbit of preperiod n0
-    and period p, as classes (m, n, reflect, last): iterate n against
-    iterates m, m + p, ... up to ``last``.  States before n0 are unique, and
-    iterates n < m past it share a state iff p divides m - n, so the plain
-    pairs are (n0, n0 + p), (n0, n0 + 2p), ...  Iterate m's reflection
-    lands on the state rho gives m's residue: on a preperiod state k, it
-    meets only iterate k; on a cycle state k, the pairs of one class of
-    m - n mod p are met first, at each difference, by the least such k."""
-    n0, p, top = states.n0, states.period, states.n
-    firsts = {(0, False): n0}  # (m - n mod p, reflect): the least n
-    out = []
-    if rho_states is not None:
-        index = dict(zip(states.states, range(n0 + p)))
-        # iterate i < n0 + p is on states.states[i], and its reflection on rho_states[i]
-        for i, k in enumerate(map(index.get, islice(rho_states, min(n0 + p, top + 1)))):
-            if k is None:
-                continue
-            if k < n0:
-                if k < i:
-                    out.append((i, k, True, i if i < n0 else top))
-            elif i >= n0 and k < firsts.get(((i - k) % p, True), top + 1):
-                firsts[(i - k) % p, True] = k
-    return out + [(k + (gap or p), k, reflect, top) for (gap, reflect), k in firsts.items()]
+class PairClasses(NamedTuple):
+    """The pairs ``first_overlap`` compares on a folded orbit of period p, as
+    classes (m, n, reflect, last): iterate n against iterates m, m + p, ...
+    up to ``last`` (with ``reflect``, against their reflections)."""
+
+    period: int
+    classes: list[tuple[int, int, bool, int]]
+
+
+def _pair_classes(n0: int, p: int, top: int, shift: int | None = None) -> PairClasses:
+    """The ``PairClasses`` of iterates 0..``top`` of an orbit of preperiod n0
+    and period p, from n0, p and rho's ``shift`` c of the cycle, not from its
+    states.  States before n0 are unique, and iterates n < m past it share a
+    state iff p divides m - n, so the plain pairs are (n0, n0 + p),
+    (n0, n0 + 2p), ...  rho commutes with the covering, so rho(s_x) = s_y
+    gives rho(s_(x+t)) = s_(y+t) for every t: on the cycle,
+    rho(s_(n0+j)) = s_(n0+c+j) with 2c = 0 mod p (c = 0 or p/2; None when
+    rho maps no state of the cycle into it), so iterate m >= n0's reflection
+    lands c states on, and the reflected pairs are one class of m - n = -c
+    mod p, met first from the least state reflected onto by an m <= ``top``.
+    A preperiod state s_x is reflected onto no other state of the orbit: if
+    rho(s_x) = s_y, then rho(s_n0) = s_(y+n0-x) = s_(y+n0-x+p), so y >= x,
+    since a preperiod state does not return; y >= n0 would give
+    s_x = rho(s_(y+p)) = s_(x+p); so y < n0, and y = x by symmetry: a line
+    on itself, which makes no pair n < m."""
+    classes = [(n0 + p, n0, False, top)]
+    if shift is not None:
+        # iterate n0 + j reflects onto n0 + (j + c) mod p, which wraps to n0 once j reaches p - c
+        k = n0 if shift == 0 or top - n0 >= p - shift else n0 + shift
+        if k <= top:
+            classes.append((k + (-shift % p or p), k, True, top))
+    return PairClasses(p, classes)
 
 
 def _separation(lo: QuadraticNumber, hi: QuadraticNumber, a: int) -> int:
@@ -529,23 +540,25 @@ def certify_classified(
     seg: TorusSegment,
     verdict: LineOrbitClass,
     check_iterates: int,
-    rho: Sequence[StateInts | None] | TransverseState | None = None,
-    returns: tuple[int, int, bool] | None = None,
+    rho: TransverseState | None = None,
+    returns: tuple[int, int, bool, int | None] | None = None,
 ) -> WanderingCertificate | NotWanderable:
     """``certify_wandering`` for a line already classified as ``verdict``.
 
-    With ``rho``, the order-2 involution (on a periodic line, its images of
-    the verdict's integer states, None off their grid; on a wandering line,
-    rho(0), whose ``Numerators.reflection`` acts on the walked states), the
-    certificate is for the quotient (level "sphere"), and ``returns`` gives
-    the quotient's return map (period, sign, both_sides), multiplier
-    sign*a^period; without it the return map is the line's (p, 1, False) and
-    the sweep walks only the iterates it checks.  A return ratio past
-    ``MAX_RETURN_DIGITS`` digits is refused before it is built.  A wandering
-    line must then also keep its states apart from their reflections, and a
-    periodic line is swept against the reflections to the dominance horizon:
-    past the preperiod a pair repeats one period later scaled by a^p, and
-    pairs ``_separation`` or more steps apart are separated by growth."""
+    With ``rho``, rho(0) of the order-2 involution st -> rho(0) - st, the
+    certificate is for the quotient (level "sphere"), and on a periodic line
+    ``returns`` gives what rho's pairing of the cycle makes of it: the
+    quotient's return map (period, sign, both_sides), multiplier
+    sign*a^period, and rho's shift of the cycle, as ``_pair_classes`` takes
+    it; without rho the return map is the line's (p, 1, False) and no shift.
+    A periodic line's pairs are classed from its preperiod and period, with
+    no state walked.  A
+    return ratio past ``MAX_RETURN_DIGITS`` digits is refused before it is
+    built.  A wandering line must then also keep its states apart from their
+    reflections, and a periodic line is swept against the reflections to the
+    dominance horizon: past the preperiod a pair repeats one period later
+    scaled by a^p, and pairs ``_separation`` or more steps apart are
+    separated by growth."""
     check_request(check_iterates)
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
@@ -562,18 +575,14 @@ def certify_classified(
         return cert(mode="whole-segment", interval=(seg.t_lo, seg.t_hi), preperiod=0,
                     period=0, multiplier=0, slack=None)
     a = tm.multiplier_int()
-    period, sign, both_sides = returns or (verdict.period, 1, False)
+    period, sign, both_sides, shift = returns or (verdict.period, 1, False, None)
     power = period * (2 if sign * a ** (period % 2) < 0 and not both_sides else 1)  # the ratio's
     check_request(check_iterates, a, power)
     lam = sign * a**period
     u, v, slack = certify_interval(seg.t_lo, seg.t_hi, lam, both_sides)
-    if rho is None:
-        states, rho_states = orbit_numerators(tm, seg.line, check_iterates, verdict.rule)[0], None
-    else:
-        horizon = max(check_iterates, len(verdict.states) + _separation(u, v, a))
-        states = _Folded(verdict.states, verdict.preperiod, horizon)
-        rho_states = _Folded(tuple(rho), verdict.preperiod, horizon)
-    pair = first_overlap(states, partial(IntervalChain, u, v, a), rho_states)
+    n0, p = verdict.preperiod, verdict.period
+    top = check_iterates if rho is None else max(check_iterates, n0 + p + _separation(u, v, a))
+    pair = first_overlap(_pair_classes(n0, p, top, shift), partial(IntervalChain, u, v, a))
     if pair is not None:
         raise InternalInconsistency(f"certified iterates {pair[0]}, {pair[1]} overlap")
     return cert(mode="subsegment", interval=(u, v), preperiod=verdict.preperiod,

@@ -16,8 +16,10 @@ by ``IntervalChain.meet``, a certificate's interval and slack built in
 ``QuadraticNumber`` products, a segment lifted and stepped in
 ``QuadraticNumber``/``BiQuadratic`` with two lifts met by orientation signs
 and a collision re-checked on those lifts, a radicand split by trial
-division up to its square root, and a record copied with some fields
-changed, as ``dataclasses.replace`` copied one.
+division up to its square root, a record copied with some fields
+changed, as ``dataclasses.replace`` copied one, and a periodic orbit's
+rho-pairing and sweep classes from its walked cycle, every state mapped by
+rho and looked up.
 No command and no certificate runs them.
 """
 
@@ -42,11 +44,21 @@ from flatwander.errors import (
     ResidualExceedsTol,
     UsageError,
 )
-from flatwander.lattes import LattesModel, WeierstrassContext, weierstrass_context
+from flatwander.lattes import (
+    LattesModel,
+    Paired,
+    SelfPaired,
+    Unpaired,
+    WeierstrassContext,
+    rho_numerators,
+    weierstrass_context,
+)
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import (
+    EventuallyPeriodic,
     Numerators,
     TorusLine,
+    _Folded,
     _translation_state,
     line_from_point,
     orbit_numerators,
@@ -58,6 +70,7 @@ from flatwander.segments import (
     CollisionCertificate,
     Interval,
     IntervalChain,
+    PairClasses,
     TorusSegment,
     _overlap_witness,
     _return_ratio,
@@ -159,6 +172,57 @@ def rho_transverse(model: LattesModel, state):
     """rho(v) = 2*z0 - v on transverse pairs, on values: (alpha, beta) ->
     rho(0) - (alpha, beta) mod 1, with rho(0) = (-2*z0_y, 2*z0_x)."""
     return _reflected(model.rho_origin, state)
+
+
+def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic):
+    """The rho-pairing of an orbit's walked cycle: every state of the cycle
+    mapped by its ``rho_numerators`` and looked up in it, the image of its
+    first state giving the shift c, and every image checked to be the state
+    c further on."""
+    cycle = orbit.cycle
+    images = list(map(rho_numerators(model, orbit), cycle))
+    p = len(cycle)
+    index = {cycle[j]: j for j in range(p)}
+    if images[0] not in index:
+        if any(img in index for img in images[1:]):
+            raise InternalInconsistency("rho maps part of the cycle into it")
+        return Unpaired(p)
+    c = index[images[0]]
+    if any(images[j] != cycle[(j + c) % p] for j in range(p)):
+        raise InternalInconsistency("rho image of the cycle is not an index shift")
+    if c == 0:
+        return SelfPaired(p)
+    if p % 2 == 1 or c != p // 2:
+        raise InternalInconsistency(
+            f"involution shift {c} on a cycle of period {p} contradicts rho^2 = id"
+        )
+    return Paired(p // 2)
+
+
+def pair_classes(states: _Folded, rho_states) -> PairClasses:
+    """``first_overlap``'s classes on a folded orbit from its walked states
+    and the state each one is reflected onto (``rho_states``, None for
+    none), every state looked up: on a preperiod state k, iterate m's
+    reflection meets only iterate k; on a cycle state k, the pairs of one
+    class of m - n mod p are met first, at each difference, by the least
+    such k."""
+    n0, p, top = states.n0, states.period, states.n
+    firsts = {(0, False): n0}  # (m - n mod p, reflect): the least n
+    out = []
+    if rho_states is not None:
+        index = dict(zip(states.states, range(n0 + p)))
+        # iterate i < n0 + p is on states.states[i], and its reflection on rho_states[i]
+        for i in range(min(n0 + p, top + 1)):
+            k = index.get(rho_states[i])
+            if k is None:
+                continue
+            if k < n0:
+                if k < i:
+                    out.append((i, k, True, i if i < n0 else top))
+            elif i >= n0 and k < firsts.get(((i - k) % p, True), top + 1):
+                firsts[(i - k) % p, True] = k
+    return PairClasses(p, out + [(k + (gap or p), k, reflect, top)
+                                 for (gap, reflect), k in firsts.items()])
 
 
 def stepped_disjoint_iterates(tm: AffineTorusMap, seg: TorusSegment, k: int, origin=None):

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -68,7 +69,8 @@ def test_the_closed_form_shape_matches_the_walk_on_every_orbit_golden():
         if not isinstance(verdict, EventuallyPeriodic):
             continue
         rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-        shape = line_orbit._shape(tm.multiplier_int(), rule)
+        a = tm.multiplier_int()
+        shape = line_orbit._shape(a, line_orbit._conjugate(a, rule))
         assert shape == _walked_shape(rule) == (verdict.preperiod, verdict.period), case["name"]
         compared += 1
     assert compared >= 30
@@ -106,7 +108,7 @@ def _periodic_orbit(draw):
 def test_the_closed_form_shape_matches_the_walk(case):
     a, n, tm, line = case
     rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-    assert line_orbit._shape(a, rule) == _walked_shape(rule)
+    assert line_orbit._shape(a, line_orbit._conjugate(a, rule)) == _walked_shape(rule)
 
 
 def test_the_drawn_orbits_share_primes_with_a_and_a_minus_1():
@@ -117,7 +119,7 @@ def test_the_drawn_orbits_share_primes_with_a_and_a_minus_1():
     def draw(case):
         a, n, tm, line = case
         rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-        pre, _ = line_orbit._shape(a, rule)
+        pre, _ = line_orbit._shape(a, line_orbit._conjugate(a, rule))
         seen["gcd(a, N) > 1"] += math.gcd(a, n) > 1
         seen["gcd(a - 1, N) > 1"] += math.gcd(a - 1, n) > 1
         seen["preperiod > 0"] += pre > 0
@@ -146,6 +148,61 @@ def _plain_order(a: int, m: int) -> int | None:
 def test_the_order_matches_a_plain_loop_up_to_the_cap(a, m):
     n = line_orbit._order(a, m)
     assert n == _plain_order(a, m) if n <= MAX_ORBIT_STATES else _plain_order(a, m) is None
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % r for r in range(2, math.isqrt(q) + 1))
+
+
+def _of_order(n: int) -> tuple[int, int]:
+    """(a, q): an element a of order exactly n >= 2 mod the least prime
+    q = 1 mod n, a power g^((q - 1)/n)."""
+    q = n + 1
+    while not _is_prime(q):
+        q += n
+    for g in range(2, q):
+        a = pow(g, (q - 1) // n, q)
+        if all(pow(a, n // r, q) != 1 for r in _prime_factors(n)):
+            return a, q
+    raise AssertionError(f"no element of order {n} mod {q}")
+
+
+# ``_order``'s step s doubles from 1: its baby steps try n <= s, and its giant
+# steps n < s*(s + 1); each side of each boundary, and the cap's
+_STEPS = [2**k for k in range(10)]
+_BOUNDARIES = sorted({n for s in _STEPS for n in (s, s + 1, s * (s + 1) - 1, s * (s + 1))} - {1})
+
+
+@pytest.mark.parametrize("n", [*_BOUNDARIES, MAX_ORBIT_STATES, MAX_ORBIT_STATES + 1])
+def test_the_order_on_each_side_of_a_doubling_matches_a_plain_loop(n):
+    a, q = _of_order(n)
+    got = line_orbit._order(a, q)
+    if n <= MAX_ORBIT_STATES:
+        assert got == n == _plain_order(a, q)
+    else:  # past the cap: the exact order or the cap's, and a refusal either way
+        assert got in (n, MAX_ORBIT_STATES + 1) and _plain_order(a, q) is None
+
+
+def test_an_order_near_8000_costs_order_sqrt_n_lines():
+    """A work guard, not a clock: every line ``_order`` runs is counted by
+    ``sys.settrace``.  3 has order 8,008 mod 8,009; a plain loop runs about
+    24,000 lines, and baby steps up to the cap before any giant step about
+    1,600 (three lines each for 513 of them); the doubling step takes under
+    1,000, about 11*sqrt(n)."""
+    lines = [0]
+
+    def tracer(frame, event, arg):
+        lines[0] += event == "line"
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        n = line_orbit._order(3, 8009)
+    finally:
+        sys.settrace(before)
+    assert n == 8008
+    assert lines[0] <= 1200, lines[0]
 
 
 def test_a_period_past_the_cap_refuses_in_milliseconds_without_a_walk(monkeypatch):

@@ -281,7 +281,7 @@ def test_the_separation_cases_cover_every_kind():
 
 
 # ---------------------------------------------------------------------------
-# rho on the sphere certificate's states, once
+# rho at one state of the sphere certificate's cycle
 # ---------------------------------------------------------------------------
 
 
@@ -304,5 +304,8 @@ def test_the_sphere_certificate_maps_each_state_by_rho_once(monkeypatch, a, alph
     monkeypatch.setattr(lattes, "rho_numerators", counted)
     cert = lattes.certify_sphere_wandering(model, seg, check_iterates=40)
     assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
-    states = lattes.classify_line(tm, line).states
-    assert sorted(mapped) == sorted(states)
+    # rho is tested at the cycle's first state alone, whatever the period (100
+    # on the last case)
+    verdict = lattes.classify_line(tm, line)
+    assert len(mapped) <= verdict.preperiod + 2
+    assert len(set(mapped)) == len(mapped)

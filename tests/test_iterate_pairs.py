@@ -749,8 +749,9 @@ _TYPED = """
 import json
 from flatwander.errors import FlatwanderError
 from flatwander.lattice import Lattice, point
-from flatwander.lattes import lattes_model_new, rho_pairing
-from flatwander.line_orbit import EventuallyPeriodic, IrrationalSlope, Numerators, TorusLine, bezout
+from flatwander import line_orbit
+from flatwander.lattes import LattesModel, lattes_model_new, rho_pairing
+from flatwander.line_orbit import IrrationalSlope, TorusLine, bezout, classify_line
 from flatwander.numbers import parse_complex, parse_number, qn
 from flatwander.segments import (
     CollisionCertificate, certified_slack, reverify_collision, segment_new,
@@ -774,13 +775,6 @@ def patched(module, name, value, call):
         setattr(module, name, old)
 
 
-def cycle(den, *states):
-    # the orbit of a rule that runs through these rational states in turn
-    step = lambda p: states[(states.index(p) + 1) % len(states)]
-    num = Numerators(den, (0, 0))
-    return EventuallyPeriodic(0, len(states), num, (step, states[0], num))
-
-
 class Skewed(ComplexPair):
     # a lattice generator whose square comes out one too large
     __slots__ = ()
@@ -794,11 +788,15 @@ lat = Lattice(parse_complex("i"))
 tm = torus_map_new(parse_complex("2"), parse_complex("0"), lat)
 model = lattes_model_new(lat, tm, 2, point(0, 0))
 seg = segment_new(TorusLine(IrrationalSlope(parse_number("sqrt(2)")), qn(0), qn(0)), qn(0), qn(1))
+# a period-4 line under a = 2, and a centre z0 = 1/3 with 2(A(z0) - z0) = 2/3
+fifth = TorusLine(IrrationalSlope(parse_number("sqrt(2)")), parse_number("1/5"), qn(0))
+off_centre = LattesModel(lat, tm, 2, point(parse_number("1/3"), 0), model.signature,
+                         model.rotation, model.shift)
 checks = {
     # [1, 4] under return multiplier 2 is not a certified interval
     "slack": lambda: certified_slack((1, 0), (4, 0), 2, 0),
-    # rho sends 1/3 off the cycle but fixes 1/2 on it (numerators over 6)
-    "pairing": lambda: rho_pairing(model, cycle(6, (2, 0, 0, 0), (3, 0, 0, 0))),
+    # rho about a centre the covering does not fix, on an orbit's states
+    "pairing": lambda: rho_pairing(off_centre, classify_line(tm, fifth)),
     # a rotated collision without its group
     "reverify": lambda: reverify_collision(
         tm, seg, CollisionCertificate(0, 1, 1, (0.0, 0.0), True, 1.0, 1)
@@ -811,8 +809,10 @@ checks = {
     ),
     # a degree that is not the determinant of the matrix
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
-    # rho's image of the cycle is not an index shift of it
-    "shift": lambda: rho_pairing(model, cycle(6, (2, 0, 0, 0), (4, 0, 0, 0), (3, 0, 0, 0))),
+    # a closed-form period twice the true one, 4
+    "shift": lambda: patched(
+        line_orbit, "_shape", lambda a, conj: (0, 8), lambda: classify_line(tm, fifth)
+    ),
     # omega^2 computed inconsistently with a*omega
     "relation": lambda: solve_lattice_multiplier(
         Lattice(Skewed(*parse_complex("i"))), parse_complex("1+1i")
@@ -861,12 +861,14 @@ def test_cross_checks_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "slack": ["InternalInconsistency", "certified slack 1/2 is not above 1"],
-        "pairing": ["InternalInconsistency", "rho maps part of the cycle into it"],
+        "pairing": ["InternalInconsistency",
+                    "rho does not commute with the covering on the orbit's states"],
         "reverify": ["ValueError", "a rotated collision needs its group to re-verify"],
         "bezout": ["InternalInconsistency", "no Bezout pair for the direction (2, 4)"],
         "commute": ["InternalInconsistency", "the covering does not commute with the rotation"],
         "kernel": ["InternalInconsistency", "the kernel has 9 points, not the degree 3"],
-        "shift": ["InternalInconsistency", "rho image of the cycle is not an index shift"],
+        "shift": ["InternalInconsistency",
+                  "the closed-form period disagrees with the orbit's states"],
         "relation": ["InternalInconsistency", "lattice relation violated"],
         "degree": ["InternalInconsistency", "degree 6 is not |a|^2 = 4"],
         "scalar": ["InternalInconsistency", "a real multiplier has the matrix (2, 1, 0, 2)"],

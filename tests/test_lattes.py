@@ -27,7 +27,6 @@ from flatwander.lattes import (
     lattes_model_new,
     quotient_map,
     quotient_probes,
-    rho_numerators,
     rho_pairing,
     verify_semiconjugacy,
     verify_sphere_disjoint_iterates,
@@ -216,7 +215,7 @@ def test_rho_pairing_period_two():
     model = _model()
     verdict = _cycle(model, Fraction(1, 3), 0)
     got = rho_pairing(model, verdict)
-    assert got == Paired(1, ((0, 1),))
+    assert got == Paired(1)
 
 
 def test_rho_pairing_period_four():
@@ -308,12 +307,13 @@ def test_a_wrong_sphere_return_map_is_caught_by_the_sweep():
     verdict = classify_line(model.map, seg.line)
     assert rho_pairing(model, verdict) == SelfPaired(1)
 
-    rho = list(map(rho_numerators(model, verdict), verdict.states))
+    rho = model.rho_origin
     # a self-paired line must avoid both sides of the fixed point: ratio 2, not 4
-    # (the return map is (period, sign, both_sides), multiplier sign*a^period = -2)
+    # (the return map is (period, sign, both_sides), multiplier sign*a^period = -2,
+    # and rho shifts the cycle by 0)
     with pytest.raises(InternalInconsistency, match="certified iterates 0, 1 overlap"):
-        certify_classified(model.map, seg, verdict, 12, rho, (1, 1, False))
-    got = certify_classified(model.map, seg, verdict, 12, rho, (1, 1, True))
+        certify_classified(model.map, seg, verdict, 12, rho, (1, 1, False, 0))
+    got = certify_classified(model.map, seg, verdict, 12, rho, (1, 1, True, 0))
     assert got.level == "sphere" and got.multiplier == -2
     torus = certify_classified(model.map, seg, verdict, 12)
     assert torus.level == "torus" and torus.multiplier == -2

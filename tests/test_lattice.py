@@ -169,7 +169,7 @@ def _records():
         lambda: NoCollisionWithinBudget(8, 4),
         lambda: Unpaired(4),
         lambda: SelfPaired(4),
-        lambda: Paired(2, ((0, 2), (1, 3))),
+        lambda: Paired(2),
     ]
     return [(make(), make()) for make in pairs]
 
