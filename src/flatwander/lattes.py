@@ -178,7 +178,7 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic) -> RhoPairing:
     a, den = orbit.a, orbit.num.den
     # rho(0) is rational, u/w per coordinate, and c is over den
     if any(((a - 1) * r.u * den + 2 * c * r.w) % (r.w * den)
-           for r, c in zip(model.rho_origin, orbit.conj[2])):
+           for r, c in zip(model.rho_origin, orbit.conj[2][::2])):
         raise InternalInconsistency("rho does not commute with the covering on the orbit's states")
     n0, p = orbit.preperiod, orbit.period
     start = orbit.state_ints(n0)

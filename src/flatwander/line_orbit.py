@@ -14,18 +14,17 @@ lines), so it steps every state by one affine rule, st -> a*st + F*b mod 1.
 A transverse orbit's states are integers over one denominator N: a pair
 (u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0 on rational data.  A
 periodic orbit is in closed form: its preperiod and period (``_shape``), and
-state n from one modular power (``EventuallyPeriodic.state_ints``); only a
-printed cycle, a wandering line's checked states and the integer-multiplier
-collision search walk them, in one place, ``_walk``.  The order-2 involution
-acts on the states as one integer map (``Numerators.reflection``).
+state n from one modular power (``_state_ints``), which also serves a state
+whose irrational parts stay fixed; only a printed cycle and a wandering
+line's checked states walk them, in one place, ``_walk``.  The order-2
+involution acts on the states as one integer map (``Numerators.reflection``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 from functools import cached_property
-from itertools import chain, cycle, islice
 from typing import NamedTuple
 
 from .errors import (
@@ -263,9 +262,9 @@ class JordanCurve(Record):
 class EventuallyPeriodic:
     """An orbit's preperiod and period, in closed form (``_shape``), its
     multiplier ``a``, its ``_state_rule`` and the rule's ``_conjugate``:
-    ``state_ints(n)`` is state n over ``num`` from one modular power, and the
+    ``state_ints(n)`` is state n over ``num`` (``_state_ints``), and the
     preperiod + period distinct ``states`` are walked when first asked for;
-    ``state(n)`` folds any later index back into the cycle (``_Folded``)."""
+    ``state(n)`` folds any later index back into the cycle."""
 
     def __init__(self, preperiod: int, period: int, a: int, rule: tuple, conj: tuple):
         self.preperiod, self.period, self.a, self.rule, self.conj = preperiod, period, a, rule, conj
@@ -283,15 +282,11 @@ class EventuallyPeriodic:
         return self.states[self.preperiod :]
 
     def state(self, n: int) -> TransverseState:
-        return self.num.value(_Folded(self.states, self.preperiod, n)[n])
+        n0 = self.preperiod
+        return self.num.value(self.states[n if n < n0 else n0 + (n - n0) % self.period])
 
     def state_ints(self, n: int) -> StateInts:
-        """State n from the seed, not by the walk: per coordinate
-        y_n = a^n*y_0 mod M, and u_n = (y_n - c)/(a - 1) mod N (``_conjugate``);
-        the states are rational, so v = 0."""
-        m, (y0, y1), (c0, c1) = self.conj
-        e, a1, den = pow(self.a, n, m), self.a - 1, self.num.den
-        return ((e * y0 % m - c0) // a1 % den, 0, (e * y1 % m - c1) // a1 % den, 0)
+        return _state_ints(self.a, self.rule, self.conj, n)
 
 
 class WanderingLine(Record):
@@ -330,9 +325,9 @@ def _moves(rule: tuple, loop: bool) -> bool:
     return p[1] != start[1] or (not loop and p[3] != start[3])
 
 
-def _order(a: int, m: int) -> int:
-    """The least n >= 1 with a^n = 1 mod m, for a prime to m, or a number past
-    ``MAX_ORBIT_STATES`` when n is, in O(sqrt(n)) multiply-mods: baby and giant
+def _order(a: int, m: int, limit: int) -> int:
+    """The least n >= 1 with a^n = 1 mod m, for a prime to m, or limit + 1
+    when n is past ``limit``, in O(sqrt(n)) multiply-mods: baby and giant
     steps (Shanks) with a step s that doubles until they find n (after Terr).
     At step s the baby steps keep a^j, j < s, and try n <= s; the giant steps
     a^(-i*s), i <= s, find n = i*s + j < s*(s + 1).  Each doubling costs about
@@ -349,36 +344,54 @@ def _order(a: int, m: int) -> int:
             if y in baby:
                 return i * s + baby[y]
             y = y * giant % m
-        if s * (s + 1) > MAX_ORBIT_STATES:
-            return MAX_ORBIT_STATES + 1
+        if s * (s + 1) > limit:
+            return limit + 1
         s *= 2
 
 
-def _conjugate(a: int, rule: tuple) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """A ``_state_rule`` on rational states as a power map: per coordinate,
-    y = (a-1)*u + c mod M, M = N*|a-1|, turns u -> a*u + c mod N into
-    y -> a*y.  Returns M, the seed's (y_0, y_1) and c's numerators, c mod N
-    read as one step from the zero state."""
+def _conjugate(a: int, rule: tuple) -> tuple[int, tuple[int, int], StateInts]:
+    """A ``_state_rule``'s u parts as a power map: per coordinate,
+    y = (a-1)*u + c_u mod M, M = N*|a-1|, turns u -> a*u + c_u mod N into
+    y -> a*y.  Returns M, the seed's (y_0, y_1) and c, read as one step from
+    the zero state.  u mod N follows this rule whatever v does, since the
+    floor only takes multiples of N off."""
     step, start, num = rule
     c, m = step((0, 0, 0, 0)), num.den * abs(a - 1)
-    return m, (((a - 1) * start[0] + c[0]) % m, ((a - 1) * start[2] + c[2]) % m), (c[0], c[2])
+    return m, (((a - 1) * start[0] + c[0]) % m, ((a - 1) * start[2] + c[2]) % m), c
 
 
-def _shape(a: int, conj: tuple) -> tuple[int, int]:
-    """The preperiod and period of a ``_state_rule`` on rational states, in
-    closed form from its ``_conjugate`` (past ``MAX_ORBIT_STATES``, any period
-    past it).  Per coordinate, y's orbit under y -> a*y is that of a^n mod
-    M/gcd(y, M): peeling gcd(M, a) off it takes the preperiod, and the period
-    is the order of a on the rest.  The pair's are the max and the lcm of the
-    two's."""
+def _shape(a: int, conj: tuple, limit: int, loop: bool = False) -> tuple[int, int]:
+    """The preperiod and period of a ``_state_rule`` whose v parts stay
+    fixed, in closed form from its ``_conjugate`` (past ``limit``, any period
+    past it); on a ``loop``, of coordinate 0 alone, the invariant.  Per
+    coordinate, y's orbit under y -> a*y is that of a^n mod M/gcd(y, M):
+    peeling gcd(M, a) off it takes the preperiod, and the period is the order
+    of a on the rest.  The pair's are the max and the lcm of the two's."""
     big, ys, _ = conj
     pre, period = 0, 1
-    for y in ys:
+    for y in ys[:1] if loop else ys:
         m, k = big // math.gcd(y, big), 0
         while (g := math.gcd(m, a)) > 1:
             m, k = m // g, k + 1
-        pre, period = max(pre, k), math.lcm(period, _order(a, m))
+        pre, period = max(pre, k), math.lcm(period, _order(a, m, limit))
     return pre, period
+
+
+def _state_ints(a: int, rule: tuple, conj: tuple, n: int) -> StateInts:
+    """State n of a ``_state_rule`` from its seed, not by the walk: per
+    coordinate, u mod N = (y_n - c_u)/(a - 1) from y_n = a^n*y_0 mod M
+    (``_conjugate``), v_n = a^n*v_0 + G_n*c_v, G_n = (a^n - 1)/(a - 1), which
+    is v_0 when v is fixed, and then u reduced by one ``floor_parts``."""
+    _, start, (den, (d0, d1)) = rule
+    m, (y0, y1), c = conj
+    e, a1 = pow(a, n, m), a - 1
+    u0, u1 = (e * y0 % m - c[0]) // a1 % den, (e * y1 % m - c[2]) // a1 % den
+    if not (start[1] or start[3] or c[1] or c[3]):  # rational states
+        return (u0, 0, u1, 0)
+    v0, v1 = [v if a * v + cv == v else a**n * v + (a**n - 1) // a1 * cv
+              for v, cv in ((start[1], c[1]), (start[3], c[3]))]
+    return (u0 - den * floor_parts(u0, v0, den, d0), v0,
+            u1 - den * floor_parts(u1, v1, den, d1), v1)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -418,7 +431,7 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
         return WanderingLine("beta")
     a, rule = tm.multiplier_int(), _state_rule(tm, line.slope, line.transverse())
     conj = _conjugate(a, rule)
-    pre, period = _shape(a, conj)
+    pre, period = _shape(a, conj, MAX_ORBIT_STATES)
     if pre + period > MAX_ORBIT_STATES:
         raise BudgetExceeded(f"the orbit has more than {MAX_ORBIT_STATES} states to walk")
     orbit = EventuallyPeriodic(pre, period, a, rule, conj)
@@ -432,28 +445,9 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
     return orbit
 
 
-class _Folded(Sequence):
-    """States 0..n as ``_walk``'s distinct states, folding into the n0 cycle."""
-
-    def __init__(self, states: tuple, n0: int, n: int):
-        self.states, self.n0, self.n, self.period = states, n0, n, len(states) - n0
-
-    def __len__(self) -> int:
-        return self.n + 1
-
-    def __getitem__(self, i: int) -> StateInts:
-        if not 0 <= i <= self.n:
-            raise IndexError(i)
-        return self.states[i if i < self.n0 else self.n0 + (i - self.n0) % self.period]
-
-    def __iter__(self) -> Iterator[StateInts]:
-        return islice(chain(self.states, cycle(self.states[self.n0 :])), self.n + 1)
-
-
-def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int,
-                     rule: tuple | None = None) -> tuple[Sequence[StateInts], Numerators]:
-    """States 0..n of the orbit of a line as ``_walk``'s integers by ``rule``,
-    its ``_state_rule`` if built, and their ``Numerators``: at most n steps, then
-    folded into the cycle (``_Folded``).  Nothing is classified, so any b will do."""
-    states, n0, num = _walk(rule or _state_rule(tm, line.slope, line.transverse()), n + 1)
-    return states if n0 is None else _Folded(states, n0, n), num
+def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
+    """States 0..n of the orbit of a line as ``_walk``'s integers, fewer when
+    a state repeats (the walk stops there), and their ``Numerators``.  Nothing
+    is classified, so any b will do."""
+    states, _, num = _walk(_state_rule(tm, line.slope, line.transverse()), n + 1)
+    return states, num

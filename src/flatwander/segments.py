@@ -12,7 +12,8 @@ the integer-multiplier collision search: it compares only iterates on one
 state, as arcs of a closed loop or, once per index difference, as parameter
 intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I), the pairs of a periodic
 orbit taken by classes of differences from its preperiod, its period and
-rho's shift of its cycle, with no state walked.  The lift
+rho's shift of its cycle, and the states it reads computed in closed form,
+with no state walked.  The lift
 search serves non-real multipliers, group mode and orbit states with no common
 field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
 derives each state in closed form from the seed, not by the walk, and
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
@@ -82,8 +83,10 @@ from .line_orbit import (
     TorusLine,
     TransverseState,
     WanderingLine,
-    _Folded,
+    _conjugate,
     _moves,
+    _shape,
+    _state_ints,
     _state_rule,
     _translation_state,
     classify_line,
@@ -160,41 +163,48 @@ class IntervalChain:
     reflection t -> -t negates and swaps them.  A span is built when first
     asked for, from iterate 0's and a^n.
 
-    On a closed loop, ``loop`` is the walk's ``Numerators`` and states, and
-    iterate n's span is the arc of R/Z at its place plus its interval, over
-    lcm(N, den); the place's radicand is d, since the parameters of a
-    rational direction are rational."""
+    On a closed loop, ``loop`` is the orbit's ``Numerators`` and its state n
+    as a function of n, and iterate n's span is the arc of R/Z at its place
+    plus its interval, over lcm(N, den): its start mod 1, from a^n mod den
+    (the parameters of a rational direction are rational, so the place's
+    radicand is d), and its length, cut to 1 from iterate ``cover`` on, where
+    an arc covers its loop."""
 
     def __init__(
         self,
         u: QuadraticNumber,
         v: QuadraticNumber,
         a: int,
-        loop: tuple[Numerators, Sequence[StateInts]] | None = None,
+        loop: tuple[Numerators, Callable[[int], StateInts]] | None = None,
     ):
         den, self.a, self.d, self.loop = math.lcm(u.w, v.w), a, u.d or v.d, loop
         if loop is not None:
-            num = loop[0]
+            num, length = loop[0], v - u  # rational on a loop
             den = math.lcm(num.den, den)
-            self.d, self.place_scale = num.rads[1], den // num.den
+            self.d, self.place_scale, self.cover, g = num.rads[1], den // num.den, 0, length.u
+            while g < length.w:  # |a|^cover*(v - u) >= 1
+                self.cover, g = self.cover + 1, g * abs(a)
         su, sv, self.den = den // u.w, den // v.w, den
-        self.spans = {0: (u.u * su, u.v * su, v.u * sv, v.v * sv)}  # by iterate
+        self.ends = (u.u * su, u.v * su, v.u * sv, v.v * sv)
+        self.spans: dict[int, Span] = {}  # by iterate
 
     def span(self, n: int) -> Span:
         """Iterate n's interval, or on a loop its arc."""
         spans = self.spans
         if n not in spans:
-            p, q, r, s = spans[0]
-            an = self.a**n
-            # a negative factor swaps the ends
-            spans[n] = ((r * an, s * an, p * an, q * an) if an < 0
-                        else (p * an, q * an, r * an, s * an))
-        if self.loop is None:
-            return spans[n]
-        lo_u, lo_v, hi_u, hi_v = spans[n]
-        _, _, pu, pv = self.loop[1][n]
-        pu, pv = pu * self.place_scale, pv * self.place_scale
-        return (pu + lo_u, pv + lo_v, pu + hi_u, pv + hi_v)
+            p, q, r, s = self.ends
+            if self.loop is None:
+                an = self.a**n
+                # a negative factor swaps the ends
+                spans[n] = ((r * an, s * an, p * an, q * an) if an < 0
+                            else (p * an, q * an, r * an, s * an))
+            else:
+                _, _, pu, pv = self.loop[1](n)
+                pu, pv, den = pu * self.place_scale, pv * self.place_scale, self.den
+                start = pu + pow(self.a, n, den) * (r if self.a < 0 and n % 2 else p) % den
+                length = den if n >= self.cover else abs(self.a) ** n * (r - p)
+                spans[n] = (start, pv, start + length, pv)
+        return spans[n]
 
     def value(self, n: int) -> Interval:
         """Iterate n's span as ``QuadraticNumber``s, for a certificate or a
@@ -207,6 +217,8 @@ class IntervalChain:
         """Do iterate n's and iterate m's (with ``reflect``, its reflection's)
         closed intervals meet: lo_m <= hi_n and lo_n <= hi_m?  Two closed
         arcs of a loop meet iff one starts on the other."""
+        if self.loop is not None and max(n, m) >= self.cover:
+            return True  # an arc of length 1 covers its loop
         s1, s2 = self.span(n), self.span(m)
         if reflect:
             s2 = (-s2[2], -s2[3], -s2[0], -s2[1])
@@ -406,21 +418,14 @@ def certified_slack(
 
 
 def first_overlap(
-    states: Iterable[Hashable] | PairClasses,
-    chain: Callable[[], IntervalChain],
-    rho_states: Sequence[Hashable] | None = None,
+    pairs: PairClasses, chain: Callable[[], IntervalChain]
 ) -> tuple[int, int] | None:
-    """The first pair (n, m), n < m, of iterates with these states whose
-    intervals meet, by m and then n, or None.  Two intervals are compared
-    once per difference m - n (and reflection, rho being t -> -t), and
+    """The first pair (n, m), n < m, of ``pairs`` whose intervals meet, by m
+    and then n, or None: each class is scanned once by increasing m, and
     ``chain`` is called for their ``IntervalChain`` at the first comparison.
-    A folded orbit's pairs come as its ``PairClasses`` (a ``_Folded`` walk's
-    are the plain ones of ``_pair_classes``), each class scanned once by
-    increasing m; any other states (a loop's keys, whose arcs depend on their
-    place, or a walk that never repeats) are bucketed, and iterate m is
-    compared against every earlier iterate on its state and, with
-    rho-states, its reflection against those on the state it is reflected
-    onto."""
+    On a line two intervals are compared once per difference m - n (and
+    reflection, rho being t -> -t); on a loop, whose arcs depend on their
+    place, once per pair."""
     ivs, gaps = None, {}
 
     def meet(n: int, m: int, reflect: bool = False) -> bool:
@@ -432,30 +437,17 @@ def first_overlap(
         key = (m - n, reflect)
         return gaps[key] if key in gaps else gaps.setdefault(key, ivs.meet(0, m - n, reflect))
 
-    if isinstance(states, _Folded):
-        states = _pair_classes(states.n0, states.period, states.n)
-    if isinstance(states, PairClasses):
-        hits = []  # each class's first, as (m, n)
-        for first, n, reflect, last in states.classes:
-            for m in range(first, last + 1, states.period):
-                if meet(n, m, reflect):
-                    hits.append((m, n))
-                    break
-        return min(hits)[::-1] if hits else None
-    by_state: dict[Hashable, list[int]] = {}  # the iterates before m, by state
-    for m, st in enumerate(states):
-        same = by_state.setdefault(st, [])
-        mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
-        if same or mirrored:
-            hits = [n for n in same if meet(n, m)] + [n for n in mirrored if meet(n, m, True)]
-            if hits:
-                return (min(hits), m)
-        same.append(m)
-    return None
+    hits = []  # each class's first, as (m, n)
+    for first, n, reflect, last in pairs.classes:
+        for m in range(first, last + 1, pairs.period):
+            if meet(n, m, reflect):
+                hits.append((m, n))
+                break
+    return min(hits)[::-1] if hits else None
 
 
 class PairClasses(NamedTuple):
-    """The pairs ``first_overlap`` compares on a folded orbit of period p, as
+    """The pairs ``first_overlap`` compares on an orbit of period p, as
     classes (m, n, reflect, last): iterate n against iterates m, m + p, ...
     up to ``last`` (with ``reflect``, against their reflections)."""
 
@@ -567,7 +559,7 @@ def certify_classified(
     if isinstance(verdict, WanderingLine):
         # transverse states never repeat; exact check over the budget
         states, num = orbit_numerators(tm, seg.line, check_iterates)
-        if len(set(states)) != len(states):
+        if len(states) != check_iterates + 1:
             raise InternalInconsistency("a wandering line repeated a transverse state")
         # a state rho fixes is a line through the grid
         if rho is not None and not set(map(num.reflection(rho), states)).isdisjoint(states):
@@ -775,11 +767,12 @@ def find_collision(
     certificate is returned (ties by n, then k), which keeps m within the
     forcing bound.  Under an integer multiplier iterates are parallel and meet
     iff they share a state (the loop invariant, on a rational direction) and
-    their intervals (arcs) overlap, which ``first_overlap`` decides, after
-    one step when no state repeats (``_moves``); the lift search serves the
-    rest.  A ``group`` is (nu, z0, R), with R =
-    rotation_matrix(tm.lattice, nu) as the caller solved it, and may add R's
-    ``_rotations`` (both as ``LattesModel.group`` keeps them)."""
+    their intervals (arcs) overlap, which ``first_overlap`` decides on the
+    orbit's closed form, with no state walked, after one step when no state
+    repeats (``_moves``); the lift search serves the rest.  A ``group`` is
+    (nu, z0, R), with R = rotation_matrix(tm.lattice, nu) as the caller
+    solved it, and may add R's ``_rotations`` (both as
+    ``LattesModel.group`` keeps them)."""
     nu, rotations = None, []
     if group is not None:
         nu, z0, rot, *maps = group
@@ -796,34 +789,40 @@ def find_collision(
         loop = not seg.line.is_irrational
         try:
             rule = _state_rule(tm, seg.line.slope, seg.line.transverse())
-            if _moves(rule, loop):
-                return NoCollisionWithinBudget(budget=budget, group_order=1)
-            states, num = orbit_numerators(tm, seg.line, budget, rule)
+            moves = _moves(rule, loop)
         except (MixedRadicals, FieldClash):
             pass  # the states share no field or meet the slope's field: lift search
         else:
-            a, ivs, walk = tm.multiplier_int(), None, (num, states) if loop else None
-            if not loop and isinstance(states, _Folded):
+            if moves:
+                return NoCollisionWithinBudget(budget=budget, group_order=1)
+            # the orbit's n0 and p in closed form (a loop's, its invariant's),
+            # an order past the budget a miss, and its states by ``_state_ints``
+            a, num = tm.multiplier_int(), rule[2]
+            conj = _conjugate(a, rule)
+            n0, p = _shape(a, conj, budget, loop)
+            state = partial(_state_ints, a, rule, conj)
+            ivs = IntervalChain(seg.t_lo, seg.t_hi, a, (num, state) if loop else None)
+            if loop:
+                # an arc's place breaks the m - n symmetry: one class per n, up
+                # to iterate max(n0, cover), which meets the one p later
+                last = max(n0, ivs.cover)
+                top = min(budget, last + p)
+                pairs = PairClasses(p, [(n + p, n, False, top)
+                                        for n in range(n0, min(last, top - p) + 1)])
+            else:
                 # a hit (n, m) has m - n < D, so past n0 + p + D one period earlier meets too
-                cut = len(states.states) + _separation(seg.t_lo, seg.t_hi, a)
-                states = _Folded(states.states, states.n0, min(budget, cut))
-            def chain() -> IntervalChain:
-                # built at the first repeated state, and kept for the witness
-                nonlocal ivs
-                ivs = ivs or IntervalChain(seg.t_lo, seg.t_hi, a, walk)
-                return ivs
-            # a loop is its invariant, the first coordinate's (u0, v0)
-            keys = (p[:2] for p in states) if loop else states
-            pair = first_overlap(keys, chain)
+                cut = n0 + p + _separation(seg.t_lo, seg.t_hi, a)
+                pairs = _pair_classes(n0, p, min(budget, cut))
+            pair = first_overlap(pairs, lambda: ivs)
             if pair is None:
                 return NoCollisionWithinBudget(budget=budget, group_order=1)
             n, m = pair
-            state = num.value(states[m])
+            st = num.value(state(m))
             if loop:
-                witness = _arc_witness(seg.line.slope, state[0], chain(), n, m)
+                witness = _arc_witness(seg.line.slope, st[0], ivs, n, m)
             else:
-                line = TorusLine(seg.line.slope, *state)
-                witness = _overlap_witness(line, chain().value(m), chain().value(n))
+                line = TorusLine(seg.line.slope, *st)
+                witness = _overlap_witness(line, ivs.value(m), ivs.value(n))
             return CollisionCertificate(n, m, 0, witness, True, bound, budget)
 
     # iterate m is stepped when the search reaches it, so a first hit at m

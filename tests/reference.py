@@ -17,9 +17,10 @@ by ``IntervalChain.meet``, a certificate's interval and slack built in
 ``QuadraticNumber``/``BiQuadratic`` with two lifts met by orientation signs
 and a collision re-checked on those lifts, a radicand split by trial
 division up to its square root, a record copied with some fields
-changed, as ``dataclasses.replace`` copied one, and a periodic orbit's
+changed, as ``dataclasses.replace`` copied one, a periodic orbit's
 rho-pairing and sweep classes from its walked cycle, every state mapped by
-rho and looked up.
+rho and looked up, and the integer-multiplier collision search with every
+state walked up to the budget and bucketed by state.
 No command and no certificate runs them.
 """
 
@@ -53,15 +54,14 @@ from flatwander.lattes import (
     rho_numerators,
     weierstrass_context,
 )
+from flatwander import line_orbit
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import (
     EventuallyPeriodic,
     Numerators,
     TorusLine,
-    _Folded,
     _translation_state,
     line_from_point,
-    orbit_numerators,
     slope_spec,
 )
 from flatwander.lift_arith import FloatLift, _float_of, _numerators, _surviving_translates
@@ -70,6 +70,7 @@ from flatwander.segments import (
     CollisionCertificate,
     Interval,
     IntervalChain,
+    NoCollisionWithinBudget,
     PairClasses,
     TorusSegment,
     _overlap_witness,
@@ -155,11 +156,29 @@ def _state_step(tm: AffineTorusMap, slope):
     return step
 
 
+def folded(states, n0: int | None, n: int) -> list:
+    """States 0..n of a walk's distinct ``states`` (``_walk``), read past
+    the last one around the cycle that starts at state n0 (None when no
+    state repeats)."""
+    if n0 is None:
+        return list(states[: n + 1])
+    p = len(states) - n0
+    return [states[i if i < n0 else n0 + (i - n0) % p] for i in range(n + 1)]
+
+
+def walked_orbit(tm: AffineTorusMap, line: TorusLine, n: int):
+    """States 0..n of the line's ``_walk``, folded into its cycle, as
+    integers, and their ``Numerators``."""
+    rule = line_orbit._state_rule(tm, line.slope, line.transverse())
+    states, n0, num = line_orbit._walk(rule, n + 1)
+    return folded(states, n0, n), num
+
+
 def orbit_states(tm: AffineTorusMap, line: TorusLine, n: int) -> list:
-    """States 0..n of the walk (``orbit_numerators``) as ``QuadraticNumber``
+    """States 0..n of the walk (``walked_orbit``) as ``QuadraticNumber``
     pairs: the transverse pair of an irrational slope; the loop invariant and
     place of a rational direction."""
-    states, num = orbit_numerators(tm, line, n)
+    states, num = walked_orbit(tm, line, n)
     return [num.value(p) for p in states]
 
 
@@ -199,21 +218,21 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic):
     return Paired(p // 2)
 
 
-def pair_classes(states: _Folded, rho_states) -> PairClasses:
-    """``first_overlap``'s classes on a folded orbit from its walked states
-    and the state each one is reflected onto (``rho_states``, None for
-    none), every state looked up: on a preperiod state k, iterate m's
-    reflection meets only iterate k; on a cycle state k, the pairs of one
-    class of m - n mod p are met first, at each difference, by the least
-    such k."""
-    n0, p, top = states.n0, states.period, states.n
+def pair_classes(states, n0: int, top: int, images=None) -> PairClasses:
+    """``first_overlap``'s classes on iterates 0..``top`` of an orbit from
+    its walked distinct ``states``, whose cycle starts at n0, and the state
+    each one is reflected onto (``images``, None for none), every state
+    looked up: on a preperiod state k, iterate m's reflection meets only
+    iterate k; on a cycle state k, the pairs of one class of m - n mod p are
+    met first, at each difference, by the least such k."""
+    p = len(states) - n0
     firsts = {(0, False): n0}  # (m - n mod p, reflect): the least n
     out = []
-    if rho_states is not None:
-        index = dict(zip(states.states, range(n0 + p)))
-        # iterate i < n0 + p is on states.states[i], and its reflection on rho_states[i]
+    if images is not None:
+        index = dict(zip(states, range(n0 + p)))
+        # iterate i < n0 + p is on states[i], and its reflection on images[i]
         for i in range(min(n0 + p, top + 1)):
-            k = index.get(rho_states[i])
+            k = index.get(images[i])
             if k is None:
                 continue
             if k < n0:
@@ -223,6 +242,82 @@ def pair_classes(states: _Folded, rho_states) -> PairClasses:
                 firsts[(i - k) % p, True] = k
     return PairClasses(p, out + [(k + (gap or p), k, reflect, top)
                                  for (gap, reflect), k in firsts.items()])
+
+
+def bucketed_first_overlap(states, chain, rho_states=None) -> tuple[int, int] | None:
+    """The first pair (n, m), n < m, of iterates with these states whose
+    intervals meet, by m and then n, or None, as ``first_overlap`` found it
+    before it took its pairs as classes: iterate m is compared against every
+    earlier iterate on its state and, with ``rho_states``, its reflection
+    against those on the state it is reflected onto.  Two intervals of a
+    line are compared once per difference m - n (and reflection); arcs of a
+    loop (a chain with a ``loop``), once per pair."""
+    ivs, gaps = None, {}
+
+    def meet(n, m, reflect=False):
+        nonlocal ivs
+        ivs = ivs or chain()
+        if ivs.loop is not None:
+            return ivs.meet(n, m, reflect)
+        key = (m - n, reflect)
+        return gaps[key] if key in gaps else gaps.setdefault(key, ivs.meet(0, m - n, reflect))
+
+    by_state = {}  # the iterates before m, by state
+    for m, st in enumerate(states):
+        same = by_state.setdefault(st, [])
+        mirrored = by_state.get(rho_states[m], ()) if rho_states is not None else ()
+        if same or mirrored:
+            hits = [n for n in same if meet(n, m)] + [n for n in mirrored if meet(n, m, True)]
+            if hits:
+                return (min(hits), m)
+        same.append(m)
+    return None
+
+
+class QuadraticChain:
+    """Iterate n's parameter interval a^n*[u, v] in ``QuadraticNumber``s,
+    or, given the places of a loop's iterates, its arc at its place, neither
+    reduced nor cut; ``meet`` as ``IntervalChain.meet``."""
+
+    def __init__(self, u, v, a, places=None):
+        self.u, self.v, self.a, self.loop = u, v, a, places
+
+    def value(self, n):
+        lo, hi = _interval_at(self.u, self.v, self.a, n)
+        return (lo, hi) if self.loop is None else (self.loop[n] + lo, self.loop[n] + hi)
+
+    def meet(self, n, m, reflect=False):
+        i1, i2 = self.value(n), self.value(m)
+        if reflect:
+            i2 = (-i2[1], -i2[0])
+        return _arcs_meet(i1, i2) if self.loop is not None else _overlap(i1, i2)
+
+
+def walked_collision(tm: AffineTorusMap, seg: TorusSegment, budget: int):
+    """``find_collision``'s integer-multiplier search with nothing cut short:
+    every state walked up to the budget and folded into the cycle once one
+    repeats, every iterate up to the budget swept, the states (a loop's
+    invariants) bucketed by ``bucketed_first_overlap``, and intervals, arcs
+    and the witness in ``QuadraticNumber``s.  A state that moves is walked
+    like any other.  The walk's ``MixedRadicals`` and the rule's
+    ``FieldClash`` propagate: the lift search takes those cases."""
+    loop, a = not seg.line.is_irrational, tm.multiplier_int()
+    rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
+    walked, n0, num = line_orbit._walk(rule, budget + 1)
+    states = [num.value(p) for p in folded(walked, n0, budget)]
+    chain = QuadraticChain(seg.t_lo, seg.t_hi, a, [s[1] for s in states] if loop else None)
+    pair = bucketed_first_overlap([s[0] for s in states] if loop else states, lambda: chain)
+    if pair is None:
+        return NoCollisionWithinBudget(budget=budget, group_order=1)
+    n, m = pair
+    earlier, later = chain.value(n), chain.value(m)
+    if loop:
+        c = later[0] if _on_arc(earlier, later[0]) else earlier[0]
+        x, y = seg.line.slope.from_state((states[m][0], c))
+        witness = (x.mod1().to_float(), y.mod1().to_float())
+    else:
+        witness = _overlap_witness(TorusLine(seg.line.slope, *states[m]), later, earlier)
+    return CollisionCertificate(n, m, 0, witness, True, math.inf, budget)
 
 
 def stepped_disjoint_iterates(tm: AffineTorusMap, seg: TorusSegment, k: int, origin=None):

@@ -70,7 +70,7 @@ def test_the_closed_form_shape_matches_the_walk_on_every_orbit_golden():
             continue
         rule = line_orbit._state_rule(tm, line.slope, line.transverse())
         a = tm.multiplier_int()
-        shape = line_orbit._shape(a, line_orbit._conjugate(a, rule))
+        shape = line_orbit._shape(a, line_orbit._conjugate(a, rule), MAX_ORBIT_STATES)
         assert shape == _walked_shape(rule) == (verdict.preperiod, verdict.period), case["name"]
         compared += 1
     assert compared >= 30
@@ -108,7 +108,8 @@ def _periodic_orbit(draw):
 def test_the_closed_form_shape_matches_the_walk(case):
     a, n, tm, line = case
     rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-    assert line_orbit._shape(a, line_orbit._conjugate(a, rule)) == _walked_shape(rule)
+    conj = line_orbit._conjugate(a, rule)
+    assert line_orbit._shape(a, conj, MAX_ORBIT_STATES) == _walked_shape(rule)
 
 
 def test_the_drawn_orbits_share_primes_with_a_and_a_minus_1():
@@ -119,7 +120,7 @@ def test_the_drawn_orbits_share_primes_with_a_and_a_minus_1():
     def draw(case):
         a, n, tm, line = case
         rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-        pre, _ = line_orbit._shape(a, line_orbit._conjugate(a, rule))
+        pre, _ = line_orbit._shape(a, line_orbit._conjugate(a, rule), MAX_ORBIT_STATES)
         seen["gcd(a, N) > 1"] += math.gcd(a, n) > 1
         seen["gcd(a - 1, N) > 1"] += math.gcd(a - 1, n) > 1
         seen["preperiod > 0"] += pre > 0
@@ -128,10 +129,10 @@ def test_the_drawn_orbits_share_primes_with_a_and_a_minus_1():
     assert min(seen.values()) >= 20, seen
 
 
-def _plain_order(a: int, m: int) -> int | None:
-    """The least n <= the cap with a^n = 1 mod m, one multiply-mod a step."""
+def _plain_order(a: int, m: int, limit: int = MAX_ORBIT_STATES) -> int | None:
+    """The least n <= ``limit`` with a^n = 1 mod m, one multiply-mod a step."""
     x = 1 % m
-    for n in range(1, MAX_ORBIT_STATES + 1):
+    for n in range(1, limit + 1):
         x = x * a % m
         if x == 1 % m:
             return n
@@ -146,7 +147,7 @@ def _plain_order(a: int, m: int) -> int | None:
      (2, 263167), (2, 262139), (3, 1000003), (5, 262147)],
 )
 def test_the_order_matches_a_plain_loop_up_to_the_cap(a, m):
-    n = line_orbit._order(a, m)
+    n = line_orbit._order(a, m, MAX_ORBIT_STATES)
     assert n == _plain_order(a, m) if n <= MAX_ORBIT_STATES else _plain_order(a, m) is None
 
 
@@ -171,16 +172,24 @@ def _of_order(n: int) -> tuple[int, int]:
 # steps n < s*(s + 1); each side of each boundary, and the cap's
 _STEPS = [2**k for k in range(10)]
 _BOUNDARIES = sorted({n for s in _STEPS for n in (s, s + 1, s * (s + 1) - 1, s * (s + 1))} - {1})
+# the collision search's limit is its budget: orders 333,334 (a closed loop
+# of the CI's budget-400,000 run) and 10^6 + 2 under budgets either side
+_BUDGETS = [(333334, 400000), (333334, 333334), (333334, 333333), (333334, 10**8),
+            (10**6 + 2, 10**6 + 2), (10**6 + 2, 10**6 + 1), (10**6 + 2, 10**8)]
 
 
-@pytest.mark.parametrize("n", [*_BOUNDARIES, MAX_ORBIT_STATES, MAX_ORBIT_STATES + 1])
-def test_the_order_on_each_side_of_a_doubling_matches_a_plain_loop(n):
+@pytest.mark.parametrize(
+    "n,limit",
+    [(n, MAX_ORBIT_STATES) for n in (*_BOUNDARIES, MAX_ORBIT_STATES, MAX_ORBIT_STATES + 1)]
+    + _BUDGETS,
+)
+def test_the_order_on_each_side_of_a_doubling_matches_a_plain_loop(n, limit):
     a, q = _of_order(n)
-    got = line_orbit._order(a, q)
-    if n <= MAX_ORBIT_STATES:
-        assert got == n == _plain_order(a, q)
-    else:  # past the cap: the exact order or the cap's, and a refusal either way
-        assert got in (n, MAX_ORBIT_STATES + 1) and _plain_order(a, q) is None
+    got = line_orbit._order(a, q, limit)
+    if n <= limit:
+        assert got == n == _plain_order(a, q, min(limit, n))
+    else:  # past the limit: the exact order or limit + 1, a refusal or a miss either way
+        assert got in (n, limit + 1) and _plain_order(a, q, limit) is None
 
 
 def test_an_order_near_8000_costs_order_sqrt_n_lines():
@@ -198,7 +207,7 @@ def test_an_order_near_8000_costs_order_sqrt_n_lines():
     before = sys.gettrace()
     sys.settrace(tracer)
     try:
-        n = line_orbit._order(3, 8009)
+        n = line_orbit._order(3, 8009, MAX_ORBIT_STATES)
     finally:
         sys.settrace(before)
     assert n == 8008

@@ -50,8 +50,7 @@ def _walked(model, verdict):
 
     def classes(sphere: bool):
         def walked(n0, p, top, shift=None):
-            folded = line_orbit._Folded(verdict.states, n0, top)
-            return reference.pair_classes(folded, line_orbit._Folded(images, n0, top) if sphere else None)
+            return reference.pair_classes(verdict.states, n0, top, images if sphere else None)
 
         return walked
 

@@ -1,10 +1,11 @@
 """One iterate-pair sweep and one brute-force oracle: the integer collision
 search against recorded CLI output, both oracles against a planar reference
 on lifts, the closed-form oracle against the stepped one, the oracle's
-reflection count, a periodic line's cut sweep against the full sweep, walks
-bounded by the budget, transverse pairs in the slope's field against the
-lift search, rational directions decided on their loops with no lifts, and
-the typed cross-checks under ``python -O``."""
+reflection count, the closed-form collision search on lines and loops
+against the search that walked every state, walks bounded by the budget and
+no walk at all in the collision search, transverse pairs in the slope's
+field against the lift search, rational directions decided on their loops
+with no lifts, and the typed cross-checks under ``python -O``."""
 
 import collections
 import itertools
@@ -12,8 +13,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from flatwander.line_orbit import (
     IrrationalSlope,
     TorusLine,
     line_from_point,
-    orbit_numerators,
     slope_spec,
 )
 from flatwander.numbers import ComplexPair, QuadraticNumber, parse_complex, parse_number, qn
@@ -51,6 +51,7 @@ from reference import (
     orbit_states,
     replace,
     stepped_disjoint_iterates,
+    walked_collision,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -349,47 +350,86 @@ def test_the_oracle_matches_its_pairwise_chain_reference():
 
 
 # ---------------------------------------------------------------------------
-# a periodic line's collision sweep, cut at n0 + period + D
+# the collision search on the orbit's closed form, against the walk
 # ---------------------------------------------------------------------------
+
+_LOOPS = [slope_spec(d) for d in ((1, 0), (0, 1), (1, 1), (2, -1), (1, 3))]
+_SQRT3 = QuadraticNumber.sqrt_int(3)
 
 
 @st.composite
-def _periodic_case(draw):
+def _parallel_case(draw):
+    """A segment under an integer covering whose identifying state never
+    moves: an irrational-slope line or a closed loop, whose invariant (each
+    coordinate on a line) lies over N = q*|a|^k, so that its period runs up
+    to 2^12 and its preperiod up to 4, or, under a b with sqrt(3) parts,
+    carries the step's fixed point v* = c_v/(1 - a) as its sqrt(3) part.  A
+    loop's place is rational, fixed the same way or moving (a sqrt(3) part
+    off v*, only on short periods, which the reference walks to the
+    budget).  Segments run from 10^-12 to 2 long, shorter and longer than a
+    loop, and the budget lies below, at or past n0 + p."""
     a = draw(st.sampled_from([2, -2, -2, 3, -3]))  # a^p < 0 can miss at p and meet at 2p
-    q = draw(st.integers(1, 12))
-    seed = [qn(Fraction(draw(st.integers(0, q - 1)), q)) for _ in range(2)]
-    b = [qn(Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 4)))) for _ in range(2)]
+    loop = draw(st.booleans())
+    slope = draw(st.sampled_from(_LOOPS)) if loop else SQRT2
+    moving = loop and draw(st.booleans())
+    small = st.one_of(st.integers(1, 12), st.integers(1, 64))
+    q = draw(small if moving else st.one_of(small, st.sampled_from([1021, 2039, 4093]),
+                                            st.integers(2**9, 2**12)))
+    den = q * abs(a) ** draw(st.integers(0, 4))
+    frac = st.fractions(0, 1, max_denominator=12)
+    b = [qn(draw(frac)) for _ in range(2)]
+    if draw(st.booleans()):
+        b = [x + _SQRT3 * draw(frac) for x in b]
     tm = torus_map_new(parse_complex(str(a)), ComplexPair(*b), SQUARE)
-    if draw(st.booleans()):  # the fixed point -c/(a - 1) of st -> a*st + c, c = (-b_y, b_x)
-        seed = [(tm.b.y / (a - 1)).mod1(), (-tm.b.x / (a - 1)).mod1()]
-    scale = draw(st.sampled_from([10, 40, 1000]))
-    t0 = Fraction(draw(st.integers(-20, 20)), scale)
-    t1 = t0 + Fraction(draw(st.integers(1, 40)), draw(st.sampled_from([10, 40, 1000])))
-    seg = segment_new(TorusLine(SQRT2, *seed), qn(t0), qn(t1))
-    return tm, seg, draw(st.integers(1, 150))
+    state = []
+    for i, c in enumerate(slope.to_state(tm.b.coords())):
+        x = qn(Fraction(draw(st.integers(0, den - 1)), den))
+        x += QuadraticNumber(0, c.v, c.w * (1 - a), 3)  # v*, 0 when c is rational
+        if i and moving:
+            x += _SQRT3 * draw(frac.filter(bool))
+        state.append(x.mod1())
+    t0 = Fraction(draw(st.integers(-20, 20).filter(bool)), draw(st.sampled_from([10, 40, 1000])))
+    length = draw(st.sampled_from([Fraction(1, 10**12), Fraction(1, 10**6), Fraction(1, 1000),
+                                   Fraction(1, 40), Fraction(1, 3), Fraction(1), Fraction(2)]))
+    seg = segment_new(TorusLine(slope, *state), qn(t0), qn(t0 + length))
+    # the budget's draw reads the shape under test; the verdict is the reference's
+    rule = line_orbit._state_rule(tm, slope, seg.line.transverse())
+    n0, p = line_orbit._shape(a, line_orbit._conjugate(a, rule), 10**6, loop)
+    budget = draw(st.one_of(st.integers(1, max(1, n0 + p - 1)), st.just(n0 + p),
+                            st.integers(n0 + p + 1, 3 * (n0 + p) + 40)))
+    return tm, seg, budget, (n0, p, moving)
 
 
 def test_the_cut_periodic_sweep_matches_the_full_sweep():
+    """The closed-form search, a line's classes cut at n0 + p + D and a
+    loop's one class per n up to its covering arc, against the search that
+    walked every state to the budget and bucketed them: the same pair, the
+    same witness and the same budget."""
     seen = collections.Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(_periodic_case())
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_parallel_case())
     def check(case):
-        tm, seg, budget = case
-        a = tm.multiplier_int()
-        states, _ = orbit_numerators(tm, seg.line, budget)
-        chain = partial(segments.IntervalChain, seg.t_lo, seg.t_hi, a)
-        full = segments.first_overlap(states, chain)
-        got = find_collision(tm, seg, budget=budget)
-        assert ((got.n, got.m) if isinstance(got, CollisionCertificate) else None) == full
-        if not isinstance(states, line_orbit._Folded):
-            return  # no repeat within the budget: nothing is cut
-        if len(states.states) + segments._separation(seg.t_lo, seg.t_hi, a) < budget:
-            seen["cut hit" if full else "cut miss"] += 1
-            seen["hit past the cycle"] += bool(full) and full[1] > len(states.states)
+        tm, seg, budget, (n0, p, moving) = case
+        want = walked_collision(tm, seg, budget)
+        assert find_collision(tm, seg, budget=budget) == want
+        loop, hit = not seg.line.is_irrational, isinstance(want, CollisionCertificate)
+        kind = "loop" if loop else "line"
+        seen[f"{kind} {'hit' if hit else 'miss'}"] += 1
+        seen["budget below n0 + p" if budget < n0 + p else "budget from n0 + p"] += 1
+        seen["preperiod > 0"] += n0 > 0
+        seen["period > 512"] += p > 512
+        seen["fixed sqrt(3) part"] += any(x.v for x in seg.line.transverse()[: 1 + (not loop)])
+        seen["moving place"] += moving
+        seen["loop arc over 1 long"] += loop and (seg.t_hi - seg.t_lo).cmp(qn(1)) >= 0
+        seen["hit past the cycle"] += hit and want.m > n0 + p
+        cover = 0  # the first iterate whose arc covers its loop
+        while ((seg.t_hi - seg.t_lo) * abs(tm.multiplier_int()) ** cover).cmp(qn(1)) < 0:
+            cover += 1
+        seen["loop hit at m >= L"] += hit and loop and cover <= want.m
 
     check()
-    assert min(seen["cut hit"], seen["cut miss"], seen["hit past the cycle"]) >= 5, seen
+    assert len(seen) == 13 and min(seen.values()) >= 5, seen
 
 
 def test_a_periodic_miss_answers_at_any_budget(monkeypatch):
@@ -500,6 +540,66 @@ def test_a_miss_on_distinct_states_builds_no_interval(monkeypatch, a, b, seg):
         counts.append(len(built))
     assert intervals == []
     assert counts[0] == counts[1]
+
+
+# a closed loop of period 333,334, a hit at (0, 333334), and a loop whose place
+# moves, a hit at (1, 7): the search once walked every state up to the budget
+_PERIOD_333334 = ["find-collision", "--a", "3", "--omega", "i",
+                  "--seg", "0,1/1000003,h,1/1000000000"]
+_MOVING_PLACE = ["find-collision", "--a", "3", "--omega", "i", "--seg", "sqrt(2)/3,1/7,h,1/1000"]
+
+
+def _hit(budget, n, m, witness):
+    return {"bound_used": None, "budget": budget, "exact": True, "k": 0, "m": m, "n": n,
+            "verdict": "collision", "witness": witness}
+
+
+def test_the_collision_search_walks_no_state(monkeypatch, capsys):
+    """With ``_walk`` made to raise, every find-collision golden prints the
+    same bytes, and the two loops above answer at budgets up to 10^8 as they
+    did when walked (the moving place's walk at budget 1,000 is the
+    reference's)."""
+    tm = torus_map_new(parse_complex("3"), parse_complex("0"), SQUARE)
+    moving = walked_collision(tm, _parse_segment(_MOVING_PLACE[-1]), 1000)
+    assert (moving.n, moving.m) == (1, 7)
+
+    def walk(*args):
+        raise AssertionError("the collision search walked the orbit")
+
+    monkeypatch.setattr(line_orbit, "_walk", walk)
+    cases = [case for name in ("find_collision", "cli", "input_errors")
+             for case in json.loads((ROOT / "tests" / "data" / f"{name}_golden.json").read_text())
+             if case["argv"][:1] == ["find-collision"]]
+    assert len(cases) == 110
+    for case in cases:
+        assert main(list(case["argv"])) == case["exit"], case["name"]
+        assert capsys.readouterr().out == case["stdout"], case["name"]
+    for argv, budgets, want in (
+        (_PERIOD_333334, (400000, 10**8), (0, 333334, [0.0, 9.99997000009e-07])),
+        (_MOVING_PLACE, (1000, 10**6), (1, 7, list(moving.witness))),
+    ):
+        for budget in budgets:
+            assert main([*argv, "--budget", str(budget)]) == 0
+            assert json.loads(capsys.readouterr().out) == _hit(budget, *want)
+
+
+def test_a_period_333334_loop_at_budget_10_8_holds_under_20_mb(monkeypatch, capsys):
+    """In process under ``tracemalloc``, with ``_walk`` made to raise: the
+    loop's states come in closed form, so the search holds no state per
+    index (a walk of its 333,334 states took about 135 MB)."""
+
+    def walk(*args):
+        raise AssertionError("the collision search walked the orbit")
+
+    monkeypatch.setattr(line_orbit, "_walk", walk)
+    tracemalloc.start()
+    try:
+        code = main([*_PERIOD_333334, "--budget", str(10**8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["m"] == 333334
+    assert peak < 20 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +911,7 @@ checks = {
     "kernel": lambda: kernel(AffineTorusMap(tm.a, tm.b, (2, 0, 0, 2), 3, lat)),
     # a closed-form period twice the true one, 4
     "shift": lambda: patched(
-        line_orbit, "_shape", lambda a, conj: (0, 8), lambda: classify_line(tm, fifth)
+        line_orbit, "_shape", lambda *args: (0, 8), lambda: classify_line(tm, fifth)
     ),
     # omega^2 computed inconsistently with a*omega
     "relation": lambda: solve_lattice_multiplier(

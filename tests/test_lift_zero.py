@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatwander import lattes
+from flatwander import lattes, line_orbit, segments
 from flatwander.errors import MixedRadicals
 from flatwander.cli import _covering, _model, _parse_segment, main
 from flatwander.lattice import Lattice, point
@@ -37,7 +37,7 @@ from flatwander.lift_arith import (
     _segment_numerators,
     _surviving_translates,
 )
-from flatwander.line_orbit import IrrationalSlope, RationalDirection, TorusLine, orbit_numerators
+from flatwander.line_orbit import IrrationalSlope, RationalDirection, TorusLine
 from flatwander.numbers import BiQuadratic, QuadraticNumber, float_jitter, parse_complex, qn
 from flatwander.segments import (
     CollisionCertificate,
@@ -48,7 +48,7 @@ from flatwander.segments import (
     reverify_collision,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
-from reference import segment_lift
+from reference import folded, segment_lift, walked_collision
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = QuadraticNumber
@@ -331,7 +331,7 @@ def test_the_readme_radicand_examples():
 # ---------------------------------------------------------------------------
 
 
-def test_an_integer_multiplier_hit_holds_memory_to_the_period():
+def test_an_integer_multiplier_hit_holds_memory_to_the_period(monkeypatch):
     # a rational anchor on a horizontal loop: the walk repeats within 8
     # states, and iterates 0 and 6 meet, whatever the budget
     argv = ["find-collision", "--a=2", "--omega", "i", "--seg", "1/3,1/7,h,1/1000"]
@@ -346,15 +346,23 @@ def test_an_integer_multiplier_hit_holds_memory_to_the_period():
         assert (code, out["n"], out["m"], out["budget"]) == (0, 0, 6, int(budget))
     assert peaks[1] < peaks[0] + 100_000, peaks
     tm = torus_map_new(parse_complex("2"), parse_complex("0"), Lattice(parse_complex("i")))
-    states, _ = orbit_numerators(tm, _parse_segment("1/3,1/7,h,1/1000").line, 10**8)
-    assert len(states) == 10**8 + 1 and len(states.states) < 10
-    assert list(orbit_numerators(tm, _parse_segment("1/3,1/7,h,1/1000").line, 11)[0]) == [
-        states[i] for i in range(12)
-    ]
-    n0, period = states.n0, len(states.states) - states.n0
-    assert states[10**8] == states[10**8 - period] == states[n0 + (10**8 - n0) % period]
-    with pytest.raises(IndexError):
-        states[10**8 + 1]
+    seg = _parse_segment("1/3,1/7,h,1/1000")
+    rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
+    states, n0, _ = line_orbit._walk(rule, 10**8 + 1)
+    assert len(states) < 10
+    # the search reads states in closed form, as the walk folded into its cycle
+    # gives them, at every budget, and none past the budget
+    read, state_ints = [], line_orbit._state_ints
+    monkeypatch.setattr(segments, "_state_ints",
+                        lambda *args: read.append(args[-1]) or state_ints(*args))
+    for budget in range(1, 12):
+        read.clear()
+        assert find_collision(tm, seg, budget=budget) == walked_collision(tm, seg, budget)
+        assert max(read, default=0) <= budget
+    conj, period = line_orbit._conjugate(2, rule), len(states) - n0
+    assert [state_ints(2, rule, conj, n) for n in range(12)] == folded(states, n0, 11)
+    at = [state_ints(2, rule, conj, n) for n in (10**8, 10**8 - period)]
+    assert at == [states[n0 + (10**8 - n0) % period]] * 2
 
 
 def test_semiconjugacy_refuses_degree_times_samples_over_the_cap(monkeypatch):

@@ -1,9 +1,9 @@
 """The transverse orbit is walked once and indexed everywhere else: state
 indexing, the integer orbit and rho on numerators against stepping in
 QuadraticNumbers, quadratic states walked as integers against the same steps
-and refusals, call counts of the walk, the bucketed disjointness sweep
-against the pairwise reference, and the typed cross-check under
-``python -O``."""
+and refusals, call counts of the walk, the sweep's classes and the bucketed
+reference sweep against the pairwise reference, the one-step miss against
+the walked search, and the typed cross-check under ``python -O``."""
 
 import collections
 import json
@@ -36,7 +36,6 @@ from flatwander.line_orbit import (
     TorusLine,
     classify_line,
     line_from_point,
-    orbit_numerators,
     slope_spec,
 )
 from flatwander.numbers import QuadraticNumber, parse_complex, parse_number, qn
@@ -58,6 +57,8 @@ from reference import (
     _overlap,
     _state_step,
     as_fraction,
+    bucketed_first_overlap,
+    folded,
     frame_state,
     interval_chain,
     iterate_map,
@@ -66,6 +67,8 @@ from reference import (
     pair_classes,
     replace,
     rho_transverse,
+    walked_collision,
+    walked_orbit,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -517,12 +520,13 @@ def pairwise_first_overlap(states, intervals, rho_states, meet=_meets):
 
 
 def _chain_of(intervals, loop=None):
-    """An ``IntervalChain`` whose iterates have these parameter intervals,
-    as drawn rather than stepped: its spans set over one denominator."""
+    """An ``IntervalChain`` whose iterates have these parameter intervals (on
+    a loop, these arcs), as drawn rather than stepped: its spans set over one
+    denominator, and on a loop no arc taken to cover it."""
     chain = IntervalChain(qn(0), qn(1), 2, loop)
     den = math.lcm(chain.den, *(x.w for iv in intervals for x in iv))
     if loop is not None:
-        chain.place_scale *= den // chain.den
+        chain.cover = math.inf
     chain.den, chain.d = den, chain.d or max(x.d for iv in intervals for x in iv)
     chain.spans = {
         n: tuple(c for x in iv for c in (x.u * (den // x.w), x.v * (den // x.w)))
@@ -555,7 +559,7 @@ def _sweep_case(draw):
         # of the closed loops, keyed by the invariant
         anchor = (qn(alpha) + _SQRT[3] * draw(_fraction), qn(beta))
         line = line_from_point(slope_spec((1, draw(st.integers(-2, 2)))), anchor)
-        nums, num = orbit_numerators(tm, line, n)
+        nums, num = walked_orbit(tm, line, n)
         states = [p[:2] for p in nums]
     else:
         states = orbit_states(tm, _line(alpha, beta), n)
@@ -582,8 +586,7 @@ def _sweep_case(draw):
         lo, hi = intervals[i]
         intervals[j] = draw(st.sampled_from([(lo, hi), (-hi, -lo), (hi, hi * 2 - lo)]))
         drawn = True
-    walk = (num, nums) if loop else None
-    chain = partial(_chain_of, intervals, walk) if drawn else partial(IntervalChain, u, v, a, walk)
+    walk = (num, nums.__getitem__) if loop else None
     rho_states = None
     if not loop and draw(st.booleans()):
         model = lattes_model_new(SQUARE, tm, 2, point(0, 0))
@@ -591,6 +594,7 @@ def _sweep_case(draw):
     if loop:
         places = [num.value(p)[1] for p in nums]
         intervals = [(c + lo, c + hi) for c, (lo, hi) in zip(places, intervals)]
+    chain = partial(_chain_of, intervals, walk) if drawn else partial(IntervalChain, u, v, a, walk)
     # the sweep reads a line's intervals as a^n*I (it compares each difference
     # m - n once), so drawn ones test it only on loops, whose arcs it takes per pair
     return states, intervals, rho_states, chain, _arcs_meet if loop else _meets, loop or not drawn
@@ -599,16 +603,26 @@ def _sweep_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sweep_case())
 def test_bucketed_sweep_matches_pairwise_reference(case):
+    """The reference sweep that buckets iterates by state, against every
+    pair compared; then ``IntervalChain``'s spans, arcs and comparisons."""
     states, intervals, rho_states, chain, meet, scaled = case
     if scaled:
-        assert first_overlap(states, chain, rho_states) == pairwise_first_overlap(
+        assert bucketed_first_overlap(states, chain, rho_states) == pairwise_first_overlap(
             states, intervals, rho_states, meet
         )
     # every integer interval, arc and reflection against its QuadraticNumber
-    # reference, with arcs placed anywhere in [0, 1), so that they wrap past 1
+    # reference, with arcs placed anywhere in [0, 1), so that they wrap past 1;
+    # a loop's arc is its start mod 1 and its length, cut to 1
     ivs = chain()
     for i in range(len(states)):
-        assert ivs.value(i) == intervals[i]
+        lo, hi = ivs.value(i)
+        if meet is _arcs_meet:
+            length = intervals[i][1] - intervals[i][0]
+            assert i < ivs.cover or length.cmp(qn(1)) >= 0
+            assert (lo - intervals[i][0]).mod1().is_zero
+            assert hi - lo == (length if i < ivs.cover else qn(1))
+        else:
+            assert (lo, hi) == intervals[i]
         for j in range(len(states)):
             assert ivs.meet(i, j) == meet(intervals[i], intervals[j])
             if meet is _arcs_meet:  # the test that picks an arc witness
@@ -648,19 +662,21 @@ def _expanding_interval(draw, a):
 
 
 def _counted_sweep(states, rho_states, u, v, a):
-    """``first_overlap`` on [u, v]'s chain, and the comparisons it made; a
-    folded orbit's reflections come as the classes ``pair_classes`` finds on
-    its states."""
+    """A sweep on [u, v]'s chain, and the comparisons it made: on a walked
+    orbit, (labels, n0, top), ``first_overlap`` on the classes
+    ``pair_classes`` finds on its states and their reflections; on drawn
+    states, the bucketed reference."""
     calls = []
-    if isinstance(states, line_orbit._Folded) and rho_states is not None:
-        states, rho_states = pair_classes(states, rho_states), None
 
     class Counted(IntervalChain):
         def meet(self, n, m, reflect=False):
             calls.append((n, m, reflect))
             return super().meet(n, m, reflect)
 
-    return first_overlap(states, partial(Counted, u, v, a), rho_states), calls
+    chain = partial(Counted, u, v, a)
+    if isinstance(states, tuple):
+        return first_overlap(pair_classes(*states, rho_states), chain), calls
+    return bucketed_first_overlap(states, chain, rho_states), calls
 
 
 @settings(max_examples=500, deadline=None)
@@ -676,7 +692,7 @@ def test_the_sweep_decides_each_difference_once_as_the_pairwise_reference(case):
 
 @st.composite
 def _folded_case(draw):
-    """A walked orbit as ``_Folded`` labels: preperiod 0 to 6, period 1 to
+    """A walked orbit as labels (states, n0, top): preperiod 0 to 6, period 1 to
     48 (often 1 to 4), and a horizon up to 300 (at most 12 periods past the
     preperiod), with or without rho-states: an index shift of the cycle (by
     half the period, by 0, or by any), a cycle reflected off the orbit or
@@ -686,7 +702,7 @@ def _folded_case(draw):
     up to |a|^8, and one interval in ten holds 0."""
     n0, p = draw(st.integers(0, 6)), draw(st.one_of(st.integers(1, 4), st.integers(1, 48)))
     top = draw(st.integers(0, min(300, n0 + 12 * p)))
-    states, rho_states = line_orbit._Folded(tuple(range(n0 + p)), n0, top), None
+    states, rho_states = (tuple(range(n0 + p)), n0, top), None
     modes = ["none", "paired", "self-paired", "shift", "unpaired", "onto the preperiod", "any"]
     mode = draw(st.sampled_from(modes))
     if mode != "none":
@@ -699,7 +715,7 @@ def _folded_case(draw):
         for r in range(p):
             image = {"unpaired": off, "onto the preperiod": pre, "any": anywhere}.get(mode)
             images.append(n0 + (r + shift) % p if image is None else draw(image))
-        rho_states = line_orbit._Folded(tuple(images), n0, top)
+        rho_states = tuple(images)
     a = draw(st.sampled_from([2, -2, 3, -3]))
     u, v = _expanding_interval(draw, a)
     stretch = abs(a) ** draw(st.integers(0, 8))  # the far end out by |a|^e: hits up to m - n = e
@@ -713,12 +729,12 @@ def test_a_cycle_reflected_onto_the_preperiod_meets_it_later():
     """Iterate m >= 2 of a period-1 cycle after two preperiod states is
     reflected onto iterate 0's state.  Under a = -2, -a^m*[1, 10] misses
     [1, 10] at m = 2 and meets it at m = 3, before the plain pair (2, 4)."""
-    states = line_orbit._Folded((0, 1, 2), 2, 6)
-    rho_states = line_orbit._Folded((None, None, 0), 2, 6)
+    states, rho_states = ((0, 1, 2), 2, 6), (None, None, 0)
     u, v = qn(1), qn(10)
     got, _ = _counted_sweep(states, rho_states, u, v, -2)
     assert got == (0, 3)
-    assert got == pairwise_first_overlap(list(states), interval_chain(u, v, -2, 6), list(rho_states))
+    assert got == pairwise_first_overlap(folded(*states), interval_chain(u, v, -2, 6),
+                                         folded(rho_states, 2, 6))
 
 
 @pytest.mark.parametrize("shift", [0, 1, 2, 3])
@@ -727,11 +743,12 @@ def test_a_shifted_cycle_meets_its_reflection_first_from_its_least_state(shift):
     with 0 inside [u, v] every candidate meets, so the first pair is the
     class's first, from the least state rho reflects onto: (1, 3) for a
     shift of 2, before the plain pair (1, 5)."""
-    states = line_orbit._Folded((0, 1, 2, 3, 4), 1, 12)
-    rho_states = line_orbit._Folded((None, *(1 + (r + shift) % 4 for r in range(4))), 1, 12)
+    states = ((0, 1, 2, 3, 4), 1, 12)
+    rho_states = (None, *(1 + (r + shift) % 4 for r in range(4)))
     u, v = qn(-1), qn(2)
     got, _ = _counted_sweep(states, rho_states, u, v, 2)
-    assert got == pairwise_first_overlap(list(states), interval_chain(u, v, 2, 12), list(rho_states))
+    assert got == pairwise_first_overlap(folded(*states), interval_chain(u, v, 2, 12),
+                                         folded(rho_states, 1, 12))
     assert shift != 2 or got == (1, 3)
 
 
@@ -746,16 +763,17 @@ def test_the_folded_schedule_matches_the_pairwise_reference():
     def check(case):
         states, rho_states, u, v, a = case
         got, calls = _counted_sweep(states, rho_states, u, v, a)
-        intervals = interval_chain(u, v, a, states.n)
-        rho = None if rho_states is None else list(rho_states)
-        assert got == pairwise_first_overlap(list(states), intervals, rho)
+        _, n0, top = states
+        intervals = interval_chain(u, v, a, top)
+        rho = None if rho_states is None else folded(rho_states, n0, top)
+        assert got == pairwise_first_overlap(folded(*states), intervals, rho)
         assert all(n == 0 for n, _, _ in calls) and len(set(calls)) == len(calls)
         if got is None:
             seen["miss"] += 1
         else:
-            plain = got == pairwise_first_overlap(list(states), intervals, None)
+            plain = got == pairwise_first_overlap(folded(*states), intervals, None)
             seen["plain hit" if plain else "reflected hit"] += 1
-            seen["hit on a preperiod state"] += got[0] < states.n0
+            seen["hit on a preperiod state"] += got[0] < n0
             seen["hit at m - n >= 3"] += got[1] - got[0] >= 3
 
     check()
@@ -907,17 +925,14 @@ def test_the_one_step_miss_agrees_with_the_whole_walk():
         loop = not seg.line.is_irrational
         step, start, _ = rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
         moves = line_orbit._moves(rule, loop)
-        # find_collision's integer path without the one-step test
-        states, num = orbit_numerators(tm, seg.line, budget)
-        keys = [p[:2] for p in states] if loop else states
-        walk = (num, states) if loop else None
-        chain = IntervalChain(seg.t_lo, seg.t_hi, tm.multiplier_int(), walk)
-        pair = first_overlap(keys, lambda: chain)
-        got = find_collision(tm, seg, budget=budget)
-        assert ((got.n, got.m) if isinstance(got, CollisionCertificate) else None) == pair
+        # the search as it walked every state, without the one-step test: the
+        # same pair, witness and budget
+        want = walked_collision(tm, seg, budget)
+        assert find_collision(tm, seg, budget=budget) == want
+        pair = (want.n, want.m) if isinstance(want, CollisionCertificate) else None
         if moves:
             # no identifying state ever repeats, at a budget past any period
-            states, _ = orbit_numerators(tm, seg.line, 200)
+            states, _ = walked_orbit(tm, seg.line, 200)
             keys = [p[:2] for p in states] if loop else states
             assert len(set(keys)) == len(keys)
         place_moves = loop and step(start)[3] != start[3]
