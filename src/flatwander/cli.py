@@ -290,7 +290,7 @@ def _cmd_classify_line(args) -> None:
     elif isinstance(verdict, WanderingLine):
         payload = {"verdict": "wandering-line", "witness": verdict.witness}
     else:
-        cycle = (verdict.state(i) for i in range(verdict.preperiod, len(verdict.states)))
+        cycle = map(verdict.num.value, islice(verdict.states, verdict.preperiod, None))
         payload = {
             "verdict": "eventually-periodic",
             "preperiod": verdict.preperiod,

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import numbers
 from .errors import BudgetExceeded, MixedRadicals
 from .line_orbit import TorusLine
-from .numbers import BiQuadratic, QuadraticNumber, _sign_parts, floor_parts
+from .numbers import BiQuadratic, QuadraticNumber, _sign_parts, floor_parts, tower_floor, tower_sign
 
 Coord = QuadraticNumber | BiQuadratic
 Matrix = tuple[int, int, int, int]  # (p, q, r, s): x' = p*x + r*y, y' = q*x + s*y
@@ -235,22 +235,16 @@ class _Field(NamedTuple):
         return (c, n) if n > 0 else (tuple(-x for x in c), -n)
 
     def sign(self, a: Vector) -> int:
-        """By ``_sign_parts``; p + q*sqrt(e) with p, q in Q(sqrt d) compares
-        p^2 with q^2*e when their signs differ, as ``BiQuadratic.sign``."""
+        """By ``_sign_parts``, in the tower by ``tower_sign``."""
         d = self.unit[1]
         if len(a) < 4:
             return _sign_parts(a[0], a[1] if len(a) == 2 else 0, d)
-        sp, sq = _sign_parts(a[0], a[1], d), _sign_parts(a[2], a[3], d)
-        if sq == 0 or sp == sq:
-            return sp
-        (p0, p1), (q0, q1) = self.mul(a[:2], a[:2]), self.mul(a[2:], a[2:])
-        # p^2 = q^2*e would put sqrt(e) in Q(sqrt d), so the sign is never 0
-        return sp if _sign_parts(p0 - self.unit[2] * q0, p1 - self.unit[2] * q1, d) > 0 else sq
+        return tower_sign(*a, d, self.unit[2])
 
     def floor(self, a: Sequence[int], den: int) -> int:
-        """floor(a / den) by ``floor_parts``, in the tower by ``BiQuadratic.floor``."""
+        """floor(a / den) by ``floor_parts``, in the tower by ``tower_floor``."""
         if len(a) == 4:
-            return self.scalar(a, den).floor()
+            return tower_floor(*a, den, *self.unit[1:3])
         return floor_parts(a[0], a[1] if len(a) == 2 else 0, den, self.unit[1])
 
     def scalar(self, a: Vector, den: int) -> Coord:

@@ -15,16 +15,17 @@ A transverse orbit's states are integers over one denominator N: a pair
 (u, v) per coordinate for (u + v*sqrt(d))/N, with v = 0 on rational data.  A
 periodic orbit is in closed form: its preperiod and period (``_shape``), and
 state n from one modular power (``_state_ints``), which also serves a state
-whose irrational parts stay fixed; only a printed cycle and a wandering
-line's checked states walk them, in one place, ``_walk``.  The order-2
-involution acts on the states as one integer map (``Numerators.reflection``).
+whose irrational parts stay fixed; a wandering line's states never repeat,
+as one step shows (``_moves``).  The order-2 involution acts on the states
+as one integer map (``Numerators.reflection``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from functools import cached_property
+from collections.abc import Callable, Sequence
+from functools import cached_property, partial
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -197,7 +198,7 @@ def _translation_state(tm: AffineTorusMap, slope: SlopeSpec) -> tuple[int, Trans
 
 
 class Numerators(NamedTuple):
-    """``_walk``'s states are integers (u0, v0, u1, v1) over ``den``, the
+    """An orbit's states are integers (u0, v0, u1, v1) over ``den``, the
     coordinates (u_i + v_i*sqrt(rads[i]))/den; v_i = 0 on a rational one."""
 
     den: int
@@ -262,31 +263,34 @@ class JordanCurve(Record):
 class EventuallyPeriodic:
     """An orbit's preperiod and period, in closed form (``_shape``), its
     multiplier ``a``, its ``_state_rule`` and the rule's ``_conjugate``:
-    ``state_ints(n)`` is state n over ``num`` (``_state_ints``), and the
-    preperiod + period distinct ``states`` are walked when first asked for;
-    ``state(n)`` folds any later index back into the cycle."""
+    ``state_ints(n)`` is state n over ``num`` (``_state_ints``), for any n,
+    and ``states`` the preperiod + period distinct ones, none kept."""
 
     def __init__(self, preperiod: int, period: int, a: int, rule: tuple, conj: tuple):
         self.preperiod, self.period, self.a, self.rule, self.conj = preperiod, period, a, rule, conj
-        self.num = rule[2]
+        self.num, self.states = rule[2], OrbitStates(self)
+        self.state_ints = partial(_state_ints, a, rule, conj)
 
-    @cached_property
-    def states(self) -> tuple[StateInts, ...]:
-        states, n0, _ = _walk(self.rule, self.preperiod + self.period + 1)
-        if (n0, len(states)) != (self.preperiod, self.preperiod + self.period):
-            raise InternalInconsistency("the walk disagrees with the closed-form period")
-        return states
 
-    @property
-    def cycle(self) -> tuple[StateInts, ...]:
-        return self.states[self.preperiod :]
+class OrbitStates(Sequence):
+    """States 0 .. n0 + p - 1 of an ``EventuallyPeriodic`` orbit: ``len`` is
+    n0 + p, item n is ``state_ints(n)``, and they are iterated by stepping
+    a^n mod M, one product a state (``_conjugate``)."""
 
-    def state(self, n: int) -> TransverseState:
-        n0 = self.preperiod
-        return self.num.value(self.states[n if n < n0 else n0 + (n - n0) % self.period])
+    def __init__(self, orbit: EventuallyPeriodic):
+        self.orbit = orbit
 
-    def state_ints(self, n: int) -> StateInts:
-        return _state_ints(self.a, self.rule, self.conj, n)
+    def __len__(self) -> int:
+        return self.orbit.preperiod + self.orbit.period
+
+    def __getitem__(self, n):
+        i = range(len(self))[n]  # IndexError past the orbit; a range for a slice
+        return self.orbit.state_ints(i) if isinstance(i, int) else [*map(self.orbit.state_ints, i)]
+
+    def __iter__(self):
+        o, m = self.orbit, self.orbit.conj[0]
+        powers = accumulate(repeat(o.a, len(self) - 1), lambda e, g: e * g % m, initial=1 % m)
+        return (o.state_ints(n, e) for n, e in enumerate(powers))
 
 
 class WanderingLine(Record):
@@ -297,22 +301,6 @@ class WanderingLine(Record):
 
 
 LineOrbitClass = JordanCurve | EventuallyPeriodic | WanderingLine
-
-
-def _walk(rule: tuple, limit: int) -> tuple[tuple, int | None, Numerators]:
-    """The distinct states of a ``_state_rule`` in orbit order, up to the first
-    repeat or ``limit`` states, the index the repeat returns to (None when the
-    limit came first) and their ``Numerators``.  A state fixes the iterate's
-    line and base point, so a repeated state is a repeated iterate."""
-    step, state, num = rule
-    seen: dict = {}  # insertion order is orbit order
-    for i in range(limit):
-        if i:
-            state = step(state)
-        if state in seen:
-            return tuple(seen), seen[state], num
-        seen[state] = i
-    return tuple(seen), None, num
 
 
 def _moves(rule: tuple, loop: bool) -> bool:
@@ -377,14 +365,14 @@ def _shape(a: int, conj: tuple, limit: int, loop: bool = False) -> tuple[int, in
     return pre, period
 
 
-def _state_ints(a: int, rule: tuple, conj: tuple, n: int) -> StateInts:
-    """State n of a ``_state_rule`` from its seed, not by the walk: per
-    coordinate, u mod N = (y_n - c_u)/(a - 1) from y_n = a^n*y_0 mod M
+def _state_ints(a: int, rule: tuple, conj: tuple, n: int, e: int | None = None) -> StateInts:
+    """State n of a ``_state_rule`` from its seed, in closed form: per
+    coordinate, u mod N = (y_n - c_u)/(a - 1) from y_n = e*y_0 mod M, e = a^n
     (``_conjugate``), v_n = a^n*v_0 + G_n*c_v, G_n = (a^n - 1)/(a - 1), which
     is v_0 when v is fixed, and then u reduced by one ``floor_parts``."""
     _, start, (den, (d0, d1)) = rule
     m, (y0, y1), c = conj
-    e, a1 = pow(a, n, m), a - 1
+    e, a1 = pow(a, n, m) if e is None else e, a - 1
     u0, u1 = (e * y0 % m - c[0]) // a1 % den, (e * y1 % m - c[2]) // a1 % den
     if not (start[1] or start[3] or c[1] or c[3]):  # rational states
         return (u0, 0, u1, 0)
@@ -443,11 +431,3 @@ def classify_line(tm: AffineTorusMap, line: TorusLine) -> LineOrbitClass:
             or any(s(pre + period // q) == head for q in _prime_factors(period))):
         raise InternalInconsistency("the closed-form period disagrees with the orbit's states")
     return orbit
-
-
-def orbit_numerators(tm: AffineTorusMap, line: TorusLine, n: int) -> tuple[tuple, Numerators]:
-    """States 0..n of the orbit of a line as ``_walk``'s integers, fewer when
-    a state repeats (the walk stops there), and their ``Numerators``.  Nothing
-    is classified, so any b will do."""
-    states, _, num = _walk(_state_rule(tm, line.slope, line.transverse()), n + 1)
-    return states, num

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterator, NamedTuple, Union
 
-from .errors import BudgetExceeded, MixedRadicals, ParseError
+from .errors import BudgetExceeded, InternalInconsistency, MixedRadicals, ParseError
 
 _FLOAT_JITTER = 0.0
 MAX_RADICAND = 10**18  # squarefree_split takes about 0.1 s at the cap
@@ -75,6 +75,60 @@ def floor_parts(u: int, v: int, w: int, d: int) -> int:
         return u // w
     r = math.isqrt(v * v * d)
     return (u + r) // w if v > 0 else (u - r - 1) // w
+
+
+def _nearest_double(f: int, k: int) -> float:
+    """The nearest double to an irrational x > 0 from F = floor(x*2^k), which
+    has 55 bits or more, or k >= 1076, where x below 2^-1022 is subnormal.
+    F is cut to 55 bits, or to units of 2^-1076, and its last bit set: x*2^k
+    is never an integer, so this sticky bit keeps F on x's side of every
+    midpoint.  ``float`` rounds to 53 bits and ``ldexp`` scales exactly; a
+    subnormal is rounded by ``ldexp`` to its grid of 4 units, after
+    ``float`` leaves F exact or, with 54 bits, breaks the tie at its last bit
+    to the multiple of 4 nearest x.  Past the largest double ``ldexp``
+    raises ``OverflowError``."""
+    if f.bit_length() < 55 and k < 1076:
+        raise InternalInconsistency(f"floor(x*2^{k}) = {f} has too few bits to round")
+    s = max(f.bit_length() - 55, k - 1076, 0)
+    return math.ldexp(float(f >> s | 1), s - k)
+
+
+def tower_sign(a: int, b: int, c: int, g: int, d: int, e: int) -> int:
+    """sign(p + q*sqrt(e)), p = a + b*sqrt(d) and q = c + g*sqrt(d), for
+    square-free d and e with sqrt(e) outside Q(sqrt d) (d = 0 for Q): p^2
+    and q^2*e are compared when p and q differ in sign, and are never equal
+    for q != 0."""
+    sp, sq = _sign_parts(a, b, d), _sign_parts(c, g, d)
+    if sq == 0 or sp == sq:
+        return sp
+    return sp if _sign_parts(a * a + b * b * d - e * (c * c + g * g * d),
+                             2 * (a * b - e * c * g), d) > 0 else sq
+
+
+def _tower_guess(a: int, b: int, c: int, g: int, w: int, d: int, e: int) -> float:
+    """(p + q*sqrt(e))/w in floats, nan past double range: far off where the
+    parts cancel."""
+    try:
+        return (a / w + b / w * math.sqrt(d)) + (c / w + g / w * math.sqrt(d)) * math.sqrt(e)
+    except OverflowError:
+        return math.nan
+
+
+def tower_floor(a: int, b: int, c: int, g: int, w: int, d: int, e: int) -> int:
+    """floor((p + q*sqrt(e))/w) for w > 0, with ``tower_sign``'s p, q, d and
+    e: a float guess, then exact signs in steps that double until [lo, hi)
+    holds the value, and bisection, so a guess off by n costs O(log n)."""
+    x = _tower_guess(a, b, c, g, w, d, e)
+    lo = math.floor(x) if math.isfinite(x) else 0
+    hi, step = lo + 1, 1
+    while tower_sign(a - lo * w, b, c, g, d, e) < 0:
+        lo, hi, step = lo - step, lo, step * 2
+    while tower_sign(a - hi * w, b, c, g, d, e) >= 0:
+        lo, hi, step = hi, hi + step, step * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tower_sign(a - mid * w, b, c, g, d, e) < 0 else (mid, hi)
+    return lo
 
 
 def _sign_parts(u: int, v: int, d: int) -> int:
@@ -325,11 +379,23 @@ class QuadraticNumber:
         return _exact(u - w * floor_parts(u, v, w, d), v, w, d)
 
     def to_float(self) -> float:
-        # int / int is correctly rounded, as float(Fraction(u, w)) is
-        x = self.u / self.w
-        if self.v:
-            x += self.v / self.w * math.sqrt(self.d)
-        return _jittered(x)
+        """The nearest double: u / w for a rational (int / int is correctly
+        rounded), else by ``_nearest_double`` on ``floor_parts`` of the
+        numerators scaled by 2^k.  k starts from a lower bound on |x|: its
+        larger part, or, when the parts cancel, its norm over its conjugate,
+        whose parts do not."""
+        if not self.v:
+            return _jittered(self.u / self.w)
+        u, v, w, d = self.u, self.v, self.w, self.d
+        s = _sign_parts(u, v, d)
+        u, v, bu, bv, bd = s * u, s * v, abs(u).bit_length(), abs(v).bit_length(), d.bit_length()
+        if u < 0 or v < 0:  # |x| = |u^2 - v^2*d| / (w*(|u| + |v|*sqrt(d)))
+            e = (u * u - v * v * d).bit_length() - max(bu, bv + (bd + 1) // 2) - 2
+        else:
+            e = max(bu, bv + (bd - 1) // 2) - 1
+        k = 54 - e + w.bit_length()  # x*2^k >= 2^54: F has 55 bits or more
+        f = floor_parts(u << k, v << k, w, d) if k >= 0 else floor_parts(u, v, w << -k, d)
+        return _jittered(s * _nearest_double(f, k))
 
     def __float__(self) -> float:
         return self.to_float()
@@ -602,18 +668,8 @@ class BiQuadratic:
         return o * self.inverse()
 
     def sign(self) -> int:
-        sp = self.p.sign()
-        if self.q.is_zero:
-            return sp
-        sq = self.q.sign()
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        t = (self.p * self.p - self.q * self.q * self.e).sign()
-        if t == 0:
-            return 0
-        return sp if t > 0 else sq
+        a, b, c, g, _, d, e = self._numerators()
+        return tower_sign(a, b, c, g, d, e)
 
     @property
     def is_zero(self) -> bool:
@@ -639,21 +695,34 @@ class BiQuadratic:
             return NotImplemented
         return (self - o).sign() < 0
 
+    def _numerators(self) -> tuple[int, int, int, int, int, int, int]:
+        """(a, b, c, g, w, d, e) with x = (a + b*sqrt(d) + (c + g*sqrt(d))*sqrt(e))/w."""
+        p, q = self.p, self.q
+        w = math.lcm(p.w, q.w)
+        i, j = w // p.w, w // q.w
+        return p.u * i, p.v * i, q.u * j, q.v * j, w, p.d or q.d, self.e
+
     def floor(self) -> int:
         if self.q.is_zero:
             return self.p.floor()
-        n = math.floor(self.to_float())
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        return tower_floor(*self._numerators())
 
     def to_float(self) -> float:
-        x = self.p.to_float()
-        if not self.q.is_zero:
-            x += self.q.to_float() * math.sqrt(self.e)
-        return x
+        """The nearest double, by ``_nearest_double`` on ``tower_floor`` of
+        the numerators scaled by 2^k, k from the float guess's exponent."""
+        if self.q.is_zero:
+            return self.p.to_float()
+        a, b, c, g, w, d, e = self._numerators()
+        s = tower_sign(a, b, c, g, d, e)
+        a, b, c, g = s * a, s * b, s * c, s * g
+        x = abs(_tower_guess(a, b, c, g, w, d, e))
+        k = 56 - math.frexp(x)[1] if 0 < x < math.inf else 56
+        while True:  # the guess is far off where the parts cancel: k grows
+            f = (tower_floor(a << k, b << k, c << k, g << k, w, d, e) if k >= 0
+                 else tower_floor(a, b, c, g, w << -k, d, e))
+            if f.bit_length() >= 55 or k >= 1076:
+                return _jittered(s * _nearest_double(f, k))
+            k += 56 - f.bit_length() if f else 64
 
     def __float__(self) -> float:
         return self.to_float()

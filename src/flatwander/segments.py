@@ -12,11 +12,11 @@ the integer-multiplier collision search: it compares only iterates on one
 state, as arcs of a closed loop or, once per index difference, as parameter
 intervals (a^n*I meets a^m*I iff I meets a^(m-n)*I), the pairs of a periodic
 orbit taken by classes of differences from its preperiod, its period and
-rho's shift of its cycle, and the states it reads computed in closed form,
-with no state walked.  The lift
-search serves non-real multipliers, group mode and orbit states with no common
-field or in the slope's field; the oracle, ``verify_disjoint_iterates``,
-derives each state in closed form from the seed, not by the walk, and
+rho's shift of its cycle, and the states it reads computed in closed form;
+a wandering line is certified from one step (``_moves``).  The lift search
+serves non-real multipliers, group mode and orbit states with no common field
+or in the slope's field; the oracle, ``verify_disjoint_iterates``, derives
+each state in closed form from the seed by its own arithmetic, and
 compares the iterates on one state, pair by pair.  The sweep reads its
 intervals from an ``IntervalChain``, integer numerators over one denominator
 times a^n, and the oracle builds the same spans itself; ``QuadraticNumber``s
@@ -90,7 +90,6 @@ from .line_orbit import (
     _state_rule,
     _translation_state,
     classify_line,
-    orbit_numerators,
 )
 from .numbers import QuadraticNumber, _sign_parts, floor_parts
 from .torus_map import (
@@ -272,7 +271,7 @@ def verify_disjoint_iterates(
     their intervals overlap; with ``reflect``, rho(0) of an involution
     st -> rho(0) - st that maps the parameter by t -> -t, iterate i is also
     tested against the reflection of j.  Independent of ``first_overlap``
-    and the integer walk: iterate n's state is a^n*s0 + G_n*c mod 1,
+    and ``_state_ints``: iterate n's state is a^n*s0 + G_n*c mod 1,
     G_n = (a^n - 1)/(a - 1), in closed form on numerators over one
     denominator, and its span a^n*[u, v] (and its reflection's) is built once
     on integers; a dict of buckets finds the pairs on one state (or on a
@@ -543,27 +542,23 @@ def certify_classified(
     quotient's return map (period, sign, both_sides), multiplier
     sign*a^period, and rho's shift of the cycle, as ``_pair_classes`` takes
     it; without rho the return map is the line's (p, 1, False) and no shift.
-    A periodic line's pairs are classed from its preperiod and period, with
-    no state walked.  A
-    return ratio past ``MAX_RETURN_DIGITS`` digits is refused before it is
-    built.  A wandering line must then also keep its states apart from their
-    reflections, and a periodic line is swept against the reflections to the
-    dominance horizon: past the preperiod a pair repeats one period later
-    scaled by a^p, and pairs ``_separation`` or more steps apart are
-    separated by growth."""
+    A wandering line's states, one step shows (``_moves``), never repeat nor
+    meet their reflections.  A periodic line's pairs are classed from its
+    preperiod and period, and a return ratio past ``MAX_RETURN_DIGITS``
+    digits is refused before it is built.  On the quotient it is swept
+    against the reflections to the dominance horizon: past the preperiod a
+    pair repeats one period later scaled by a^p, and pairs ``_separation`` or
+    more steps apart are separated by growth."""
     check_request(check_iterates)
     if isinstance(verdict, JordanCurve):
         return NotWanderable("closed-geodesic")
     cert = partial(WanderingCertificate, level="torus" if rho is None else "sphere",
                    checked_iterates=check_iterates, line=seg.line)
     if isinstance(verdict, WanderingLine):
-        # transverse states never repeat; exact check over the budget
-        states, num = orbit_numerators(tm, seg.line, check_iterates)
-        if len(states) != check_iterates + 1:
-            raise InternalInconsistency("a wandering line repeated a transverse state")
-        # a state rho fixes is a line through the grid
-        if rho is not None and not set(map(num.reflection(rho), states)).isdisjoint(states):
-            raise InternalInconsistency("rho collision on a wandering line")
+        # v, alpha's or beta's irrational part, moves and is never reduced, so no
+        # state repeats; b and rho(0) are rational: rho takes v_n = a^n*v_0 to -v_n
+        if not _moves(_state_rule(tm, seg.line.slope, seg.line.transverse()), False):
+            raise InternalInconsistency("a wandering line's transverse state does not move")
         return cert(mode="whole-segment", interval=(seg.t_lo, seg.t_hi), preperiod=0,
                     period=0, multiplier=0, slack=None)
     a = tm.multiplier_int()

@@ -19,8 +19,10 @@ and a collision re-checked on those lifts, a radicand split by trial
 division up to its square root, a record copied with some fields
 changed, as ``dataclasses.replace`` copied one, a periodic orbit's
 rho-pairing and sweep classes from its walked cycle, every state mapped by
-rho and looked up, and the integer-multiplier collision search with every
-state walked up to the budget and bucketed by state.
+rho and looked up, the integer-multiplier collision search with every
+state walked up to the budget and bucketed by state, an orbit's states
+walked one step at a time until one repeats (``walk``), and the double
+nearest an exact value from its ``Decimal`` at 200 digits.
 No command and no certificate runs them.
 """
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import decimal
 import functools
 import inspect
 import json
@@ -54,7 +57,7 @@ from flatwander.lattes import (
     rho_numerators,
     weierstrass_context,
 )
-from flatwander import line_orbit
+from flatwander import line_orbit, segments
 from flatwander.lattice import ORIGIN, Lattice, TorusPoint, reduce_to_fundamental
 from flatwander.line_orbit import (
     EventuallyPeriodic,
@@ -156,8 +159,48 @@ def _state_step(tm: AffineTorusMap, slope):
     return step
 
 
+def walk(rule: tuple, limit: int) -> tuple[tuple, int | None, Numerators]:
+    """The distinct states of a ``_state_rule`` in orbit order, up to the first
+    repeat or ``limit`` states, the index the repeat returns to (None when the
+    limit came first) and their ``Numerators``.  A state fixes the iterate's
+    line and base point, so a repeated state is a repeated iterate."""
+    step, state, num = rule
+    seen: dict = {}  # insertion order is orbit order
+    for i in range(limit):
+        if i:
+            state = step(state)
+        if state in seen:
+            return tuple(seen), seen[state], num
+        seen[state] = i
+    return tuple(seen), None, num
+
+
+def walked_states(orbit: EventuallyPeriodic) -> tuple:
+    """The preperiod + period distinct states of a periodic orbit, walked from
+    its rule until one repeats, where its preperiod says."""
+    states, n0, _ = walk(orbit.rule, orbit.preperiod + orbit.period + 1)
+    if (n0, len(states)) != (orbit.preperiod, orbit.preperiod + orbit.period):
+        raise InternalInconsistency("the walk disagrees with the closed-form period")
+    return states
+
+
+def counted_steps(monkeypatch) -> list:
+    """Count the steps of every ``_state_rule`` built while the patch holds,
+    through each flatwander namespace that binds it: one entry per state
+    stepped."""
+    calls, orig = [], line_orbit._state_rule
+
+    def counted_rule(tm, slope, seed):
+        step, start, num = orig(tm, slope, seed)
+        return (lambda p: calls.append(p) or step(p)), start, num
+
+    for mod in (line_orbit, segments):
+        monkeypatch.setattr(mod, "_state_rule", counted_rule)
+    return calls
+
+
 def folded(states, n0: int | None, n: int) -> list:
-    """States 0..n of a walk's distinct ``states`` (``_walk``), read past
+    """States 0..n of a walk's distinct ``states`` (``walk``), read past
     the last one around the cycle that starts at state n0 (None when no
     state repeats)."""
     if n0 is None:
@@ -167,10 +210,10 @@ def folded(states, n0: int | None, n: int) -> list:
 
 
 def walked_orbit(tm: AffineTorusMap, line: TorusLine, n: int):
-    """States 0..n of the line's ``_walk``, folded into its cycle, as
+    """States 0..n of the line's ``walk``, folded into its cycle, as
     integers, and their ``Numerators``."""
     rule = line_orbit._state_rule(tm, line.slope, line.transverse())
-    states, n0, num = line_orbit._walk(rule, n + 1)
+    states, n0, num = walk(rule, n + 1)
     return folded(states, n0, n), num
 
 
@@ -198,7 +241,7 @@ def rho_pairing(model: LattesModel, orbit: EventuallyPeriodic):
     mapped by its ``rho_numerators`` and looked up in it, the image of its
     first state giving the shift c, and every image checked to be the state
     c further on."""
-    cycle = orbit.cycle
+    cycle = walked_states(orbit)[orbit.preperiod :]
     images = list(map(rho_numerators(model, orbit), cycle))
     p = len(cycle)
     index = {cycle[j]: j for j in range(p)}
@@ -303,7 +346,7 @@ def walked_collision(tm: AffineTorusMap, seg: TorusSegment, budget: int):
     ``FieldClash`` propagate: the lift search takes those cases."""
     loop, a = not seg.line.is_irrational, tm.multiplier_int()
     rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
-    walked, n0, num = line_orbit._walk(rule, budget + 1)
+    walked, n0, num = walk(rule, budget + 1)
     states = [num.value(p) for p in folded(walked, n0, budget)]
     chain = QuadraticChain(seg.t_lo, seg.t_hi, a, [s[1] for s in states] if loop else None)
     pair = bucketed_first_overlap([s[0] for s in states] if loop else states, lambda: chain)
@@ -1003,3 +1046,34 @@ def frame_state(slope, p) -> tuple[QuadraticNumber, QuadraticNumber]:
     f11, f12, f21, f22 = slope.frame
     x, y = p
     return ((x * f11 + y * f12).mod1(), (x * f21 + y * f22).mod1())
+
+
+def decimal_value(x) -> decimal.Decimal:
+    """A ``QuadraticNumber`` or ``BiQuadratic`` as a ``Decimal`` at the
+    context's precision, computed with no cancellation: where the two parts
+    of u + v*sqrt(d) (or p + q*sqrt(e)) differ in sign, as its norm over its
+    conjugate, whose parts do not."""
+    if isinstance(x, BiQuadratic):
+        if x.q.is_zero:
+            return decimal_value(x.p)
+        p, q = decimal_value(x.p), decimal_value(x.q) * decimal.Decimal(x.e).sqrt()
+        if (p < 0) == (q < 0):
+            return p + q
+        return decimal_value(x.p * x.p - x.q * x.q * x.e) / (p - q)
+    u, v, w = (decimal.Decimal(n) for n in (x.u, x.v, x.w))
+    if (x.u < 0) == (x.v < 0) or not x.u:
+        return (u + v * decimal.Decimal(x.d).sqrt()) / w
+    norm = decimal.Decimal(x.u * x.u - x.v * x.v * x.d)
+    return norm / (w * (u - v * decimal.Decimal(x.d).sqrt()))
+
+
+def nearest_double(x, digits: int = 200) -> float:
+    """The double nearest ``x``, from its ``decimal_value`` at ``digits``
+    digits (``float`` of a ``Decimal`` rounds correctly); ``OverflowError``
+    past the largest double, as ``to_float`` raises."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        out = float(decimal_value(x))
+    if math.isinf(out):
+        raise OverflowError("past the largest double")
+    return out

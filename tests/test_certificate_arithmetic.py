@@ -38,8 +38,8 @@ ORBIT_GOLDEN = json.loads((ROOT / "tests" / "data" / "orbit_golden.json").read_t
 
 
 def _walked_shape(rule) -> tuple[int, int]:
-    """The preperiod and period where ``_walk`` first repeats a state."""
-    states, n0, _ = line_orbit._walk(rule, MAX_ORBIT_STATES + 1)
+    """The preperiod and period where the walk first repeats a state."""
+    states, n0, _ = reference.walk(rule, MAX_ORBIT_STATES + 1)
     return n0, len(states) - n0
 
 
@@ -215,10 +215,7 @@ def test_an_order_near_8000_costs_order_sqrt_n_lines():
 
 
 def test_a_period_past_the_cap_refuses_in_milliseconds_without_a_walk(monkeypatch):
-    def walk(*args):
-        raise AssertionError("the refusal walked the orbit")
-
-    monkeypatch.setattr(line_orbit, "_walk", walk)
+    steps = reference.counted_steps(monkeypatch)
     argv = ["classify-line", "--a", "3", "--omega", "i", "--slope", "sqrt(2)",
             "--alpha", "1/1000000007", "--beta", "0"]
     best = math.inf
@@ -229,6 +226,8 @@ def test_a_period_past_the_cap_refuses_in_milliseconds_without_a_walk(monkeypatc
         assert code == 3
         assert payload == {"error": "budget-exceeded",
                            "message": "the orbit has more than 262144 states to walk"}
+        assert len(steps) <= 2
+        steps.clear()
     assert best < 0.05
 
 
@@ -277,12 +276,11 @@ def test_a_return_ratio_too_long_to_print_is_budget_exceeded(argv, ratio):
 def test_a_sphere_ratio_too_long_to_print_is_refused_before_the_cycle_is_walked(
     monkeypatch, den, a, ratio
 ):
-    walks = []
-    monkeypatch.setattr(line_orbit, "_walk", lambda *args: walks.append(args))
+    steps = reference.counted_steps(monkeypatch)
     code, payload = _run(_segment_argv("certify-sphere", den, a))
     message = f"the return ratio {ratio} has more than {MAX_RETURN_DIGITS} digits"
     assert (code, payload) == (3, {"error": "budget-exceeded", "message": message})
-    assert walks == []
+    assert len(steps) <= 2
 
 
 def test_a_return_ratio_under_the_cap_is_certified():

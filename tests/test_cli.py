@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from child_env import child_env
-from reference import argparse_options, option_matches
+from reference import argparse_options, nearest_double, option_matches
 
 from flatwander import cli, line_orbit, numbers
 from flatwander.cli import COMMANDS, main
@@ -1023,8 +1023,35 @@ def test_two_radicands_collide_in_their_tower(capsys):
         "m": 5,
         "n": 3,
         "verdict": "collision",
-        "witness": [0.15703390635493814, 0.4087923633930519],
+        "witness": [0.15703390635493827, 0.40879236339305197],
     }
+
+
+def test_a_witness_float_is_the_nearest_double_where_its_parts_cancel(capsys):
+    # iterate 28's arc is about 2.3e-7 long, and x's parts cancel: added as
+    # floats, u/w and v*sqrt(d)/w once printed 0.779296875
+    code, data = _run(capsys, "find-collision", "--a", "3", "--omega", "i",
+                      "--seg", "sqrt(2)/3,1/7,h,1/100000000000000000000", "--budget", "1000")
+    assert code == 0 and (data["n"], data["m"]) == (28, 40)
+    assert data["witness"] == [0.7794594972595634, 0.5714285714285714]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cli_golden", "find_collision_golden", "input_errors_golden", "orbit_golden",
+     "plot_orbit_golden", "semiconj_golden"],
+)
+def test_every_golden_float_is_the_nearest_double(monkeypatch, capsys, tmp_path, name):
+    # each exact-to-float conversion replaced by the Decimal reference at 200
+    # digits leaves every byte the goldens print as it is
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(numbers.QuadraticNumber, "to_float", nearest_double)
+    monkeypatch.setattr(numbers.BiQuadratic, "to_float", nearest_double)
+    for case in json.loads((ROOT / "tests" / "data" / f"{name}.json").read_text()):
+        assert main(list(case["argv"])) == case["exit"], case.get("name")
+        assert capsys.readouterr().out == case["stdout"], case.get("name")
+        if "svg" in case:
+            assert (tmp_path / "orbit.svg").read_text() == case["svg"]
 
 
 @pytest.mark.parametrize(

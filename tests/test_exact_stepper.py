@@ -199,7 +199,7 @@ def test_a_three_radicand_lift_answers_on_states_and_is_refused_when_lifted(caps
     out = json.loads(capsys.readouterr().out)
     # each witness coordinate is reduced mod 1 in its own two-radicand field
     assert (out["n"], out["m"], out["k"]) == (2, 4, 0)
-    assert out["witness"] == [0.4779644730092272, 0.4759914852569297]
+    assert out["witness"] == [0.47796447300922723, 0.4759914852569298]
     message = "sqrt(3), sqrt(5), sqrt(7) in one search"
     svg = tmp_path / "orbit.svg"
     assert main(["plot-orbit", *_THREE, "--iterates", "4", "--out", str(svg)]) == 2

@@ -45,6 +45,7 @@ from flatwander.torus_map import rotation_matrix, torus_map_new
 from child_env import child_env
 from reference import (
     bucketed_disjoint_iterates,
+    counted_steps,
     lift_chain,
     lift_segments_intersect_torus,
     line_image,
@@ -478,19 +479,7 @@ def test_orbit_states_walks_no_further_than_asked(monkeypatch):
     tm = _map("2")
     line = _line(Fraction(1, 1021), 0)  # period 340
     expect = _walked(tm, line, 14)
-    calls = []
-    orig = line_orbit._state_rule
-
-    def counted_rule(tm, slope, seed):
-        step, start, num = orig(tm, slope, seed)
-
-        def counted(p):
-            calls.append(p)
-            return step(p)
-
-        return counted, start, num
-
-    monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
+    calls = counted_steps(monkeypatch)
     assert orbit_states(tm, line, 14) == expect
     assert len(calls) == 14
     assert all(isinstance(x, int) for p in calls for x in p)  # numerators over 1021
@@ -555,43 +544,39 @@ def _hit(budget, n, m, witness):
 
 
 def test_the_collision_search_walks_no_state(monkeypatch, capsys):
-    """With ``_walk`` made to raise, every find-collision golden prints the
-    same bytes, and the two loops above answer at budgets up to 10^8 as they
-    did when walked (the moving place's walk at budget 1,000 is the
-    reference's)."""
+    """Stepping each state rule at most twice, every find-collision golden
+    prints the same bytes, and the two loops above answer at budgets up to
+    10^8 as they did when walked (the moving place's walk at budget 1,000 is
+    the reference's)."""
     tm = torus_map_new(parse_complex("3"), parse_complex("0"), SQUARE)
     moving = walked_collision(tm, _parse_segment(_MOVING_PLACE[-1]), 1000)
     assert (moving.n, moving.m) == (1, 7)
-
-    def walk(*args):
-        raise AssertionError("the collision search walked the orbit")
-
-    monkeypatch.setattr(line_orbit, "_walk", walk)
+    steps = counted_steps(monkeypatch)
     cases = [case for name in ("find_collision", "cli", "input_errors")
              for case in json.loads((ROOT / "tests" / "data" / f"{name}_golden.json").read_text())
              if case["argv"][:1] == ["find-collision"]]
     assert len(cases) == 110
     for case in cases:
+        steps.clear()
         assert main(list(case["argv"])) == case["exit"], case["name"]
         assert capsys.readouterr().out == case["stdout"], case["name"]
+        assert len(steps) <= 2, case["name"]
     for argv, budgets, want in (
         (_PERIOD_333334, (400000, 10**8), (0, 333334, [0.0, 9.99997000009e-07])),
         (_MOVING_PLACE, (1000, 10**6), (1, 7, list(moving.witness))),
     ):
         for budget in budgets:
+            steps.clear()
             assert main([*argv, "--budget", str(budget)]) == 0
             assert json.loads(capsys.readouterr().out) == _hit(budget, *want)
+            assert len(steps) <= 2
 
 
 def test_a_period_333334_loop_at_budget_10_8_holds_under_20_mb(monkeypatch, capsys):
-    """In process under ``tracemalloc``, with ``_walk`` made to raise: the
-    loop's states come in closed form, so the search holds no state per
-    index (a walk of its 333,334 states took about 135 MB)."""
-
-    def walk(*args):
-        raise AssertionError("the collision search walked the orbit")
-
-    monkeypatch.setattr(line_orbit, "_walk", walk)
+    """In process under ``tracemalloc``, stepping its state rule at most
+    twice: the loop's states come in closed form, so the search holds no
+    state per index (a walk of its 333,334 states took about 135 MB)."""
+    steps = counted_steps(monkeypatch)
     tracemalloc.start()
     try:
         code = main([*_PERIOD_333334, "--budget", str(10**8)])
@@ -600,6 +585,7 @@ def test_a_period_333334_loop_at_budget_10_8_holds_under_20_mb(monkeypatch, caps
         tracemalloc.stop()
     assert code == 0 and json.loads(capsys.readouterr().out)["m"] == 333334
     assert peak < 20 * 2**20, peak
+    assert len(steps) <= 2
 
 
 # ---------------------------------------------------------------------------

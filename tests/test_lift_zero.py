@@ -48,7 +48,7 @@ from flatwander.segments import (
     reverify_collision,
 )
 from flatwander.torus_map import rotation_matrix, torus_map_new
-from reference import folded, segment_lift, walked_collision
+from reference import folded, segment_lift, walk, walked_collision
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = QuadraticNumber
@@ -348,7 +348,7 @@ def test_an_integer_multiplier_hit_holds_memory_to_the_period(monkeypatch):
     tm = torus_map_new(parse_complex("2"), parse_complex("0"), Lattice(parse_complex("i")))
     seg = _parse_segment("1/3,1/7,h,1/1000")
     rule = line_orbit._state_rule(tm, seg.line.slope, seg.line.transverse())
-    states, n0, _ = line_orbit._walk(rule, 10**8 + 1)
+    states, n0, _ = walk(rule, 10**8 + 1)
     assert len(states) < 10
     # the search reads states in closed form, as the walk folded into its cycle
     # gives them, at every budget, and none past the budget

@@ -87,8 +87,8 @@ def test_classify_eventually_periodic_third():
     got = classify_line(tm, TorusLineFactory((Fraction(1, 3), 0)))
     assert isinstance(got, EventuallyPeriodic)
     assert got.preperiod == 0 and got.period == 2
-    assert got.state(0) == (qn(Fraction(1, 3)), qn(0))
-    assert got.state(1) == (qn(Fraction(2, 3)), qn(0))
+    assert got.num.value(got.state_ints(0)) == (qn(Fraction(1, 3)), qn(0))
+    assert got.num.value(got.state_ints(1)) == (qn(Fraction(2, 3)), qn(0))
 
 
 def test_classify_wandering_sqrt3():
@@ -127,8 +127,9 @@ def test_cycle_minimality_brute_force():
         states = got.states
         # all stored states pairwise distinct, and the next state re-enters at n0
         assert len(set(states)) == len(states)
-        nxt = line_image(tm, TorusLineFactory(got.state(len(states) - 1))).transverse()
-        assert nxt == got.state(got.preperiod)
+        last = got.num.value(got.state_ints(len(states) - 1))
+        nxt = line_image(tm, TorusLineFactory(last)).transverse()
+        assert nxt == got.num.value(got.state_ints(got.preperiod))
 
 
 def test_wandering_soundness_64_states():

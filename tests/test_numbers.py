@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatwander import numbers
-from flatwander.errors import BudgetExceeded, MixedRadicals, ParseError
+from flatwander.errors import BudgetExceeded, InternalInconsistency, MixedRadicals, ParseError
 from flatwander.numbers import (
     MAX_RADICAND,
     BiQuadratic,
@@ -19,7 +20,7 @@ from flatwander.numbers import (
     qn,
     squarefree_split,
 )
-from reference import squarefree_split_trial
+from reference import nearest_double, squarefree_split_trial
 
 Q = QuadraticNumber
 
@@ -244,6 +245,125 @@ def test_float_jitter_alters_floats_only():
         assert x.mod1() == x  # in [0,1): (1+sqrt2)/3 ~ 0.80
 
 
+def test_float_jitter_still_applies_to_every_conversion():
+    values = [Q(1, 0, 3), Q(1, 1, 3, 2), BiQuadratic(Q(-1, 1, 1, 3), Q(1, 0, 2), 2)]
+    base = [x.to_float() for x in values]
+    with float_jitter(1e-13):
+        assert [x.to_float() for x in values] == [x * (1 + 1e-13) for x in base]
+
+
+# ---------------------------------------------------------------------------
+# every float the nearest double
+# ---------------------------------------------------------------------------
+
+
+def _float_outcome(convert, x):
+    try:
+        return convert(x).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+_BIG = st.integers(-(10**1000), 10**1000)
+_WIDE_RADICANDS = st.sampled_from((2, 3, 5, 7, 1000003, 1000000007))
+
+
+def _cancelling(draw, d, scale):
+    """u close to -v*sqrt(d), which leaves u + v*sqrt(d) a few units or less."""
+    v = draw(st.integers(1, scale)) * draw(st.sampled_from((1, -1)))
+    u = -math.isqrt(v * v * d) if v > 0 else math.isqrt(v * v * d)
+    return u + draw(st.integers(-3, 3)), v
+
+
+@st.composite
+def _wide_quadratic(draw):
+    """(u + v*sqrt(d))/w with parts up to 10^1000: any, cancelling to a few
+    units, tiny (down past the subnormals) or near 1e308 (and past it)."""
+    d, kind = draw(_WIDE_RADICANDS), draw(st.sampled_from(("any", "cancel", "tiny", "huge")))
+    if kind == "any":
+        u, v, w = draw(_BIG), draw(_BIG), draw(st.integers(1, 10**1000))
+    elif kind == "cancel":
+        (u, v), w = _cancelling(draw, d, 10 ** draw(st.integers(1, 1000))), draw(_BIG.filter(bool))
+    elif kind == "tiny":
+        u, v = draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6))
+        w = draw(st.integers(1, 10**6)) * 10 ** draw(st.integers(290, 340))
+    else:
+        u, v = (draw(st.integers(-(10**20), 10**20)) * 10**k for k in (288, 287))
+        w = draw(st.integers(1, 9))
+    return Q(u, v, abs(w), d)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_wide_quadratic())
+def test_to_float_is_the_nearest_double(x):
+    assert _float_outcome(Q.to_float, x) == _float_outcome(nearest_double, x)
+
+
+@st.composite
+def _wide_tower(draw):
+    """p + q*sqrt(e), p and q in Q(sqrt d) with parts up to 10^60, p often
+    close to -q*sqrt(e)."""
+    d, e = draw(st.sampled_from(((2, 3), (2, 5), (3, 7), (5, 1000003))))
+    big = st.integers(-(10**60), 10**60)
+    q = Q(draw(big), draw(big), draw(st.integers(1, 10**60)), d)
+    if draw(st.booleans()):
+        # p's parts cancel q*sqrt(e)'s to within 1/10^k each
+        k = draw(st.integers(0, 40))
+        (a, _), (b, _) = (_cancelling(draw, e * 10 ** (2 * k), n)
+                          for n in (abs(q.u) + 1, abs(q.v) + 1))
+        p = Q(a * (1 if q.u > 0 else -1), b * (1 if q.v > 0 else -1), q.w * 10**k, d)
+    else:
+        p = Q(draw(big), draw(big), draw(st.integers(1, 10**60)), d)
+    return BiQuadratic(p, q, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_tower())
+def test_a_tower_float_is_the_nearest_double_and_its_floor_exact(x):
+    assert _float_outcome(BiQuadratic.to_float, x) == _float_outcome(nearest_double, x)
+    n = x.floor()
+    assert (x - n).sign() >= 0 > (x - (n + 1)).sign()
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize(
+    "m,scale",
+    [
+        # normal: a 53-bit m, from the least normal binade to near 2^1023
+        (2**52, -1074), (2**52 + 1, -1074), (2**53 - 1, 0), (2**52 + 1, 0), (2**53 - 2, 970),
+        # subnormal, on the grid of 2^-1074: its top binade, lower ones, and
+        # the half of the least subnormal
+        (2**51, -1074), (2**51 + 1, -1074), (2**52 - 1, -1074), (5, -1074), (1, -1074), (0, -1074),
+    ],
+)
+def test_a_float_beside_a_rounding_midpoint_rounds_to_its_side(m, scale, side):
+    # x = (m + 1/2 + side*sqrt(2)/10^20) * 2^scale lies just above (side 1) or
+    # below (side -1) the midpoint of m*2^scale and (m + 1)*2^scale
+    u, v, w = (2 * m + 1) * 10**20, side, 10**20
+    x = Q(u << max(scale - 1, 0), v << max(scale - 1, 0), w << max(1 - scale, 0), 2)
+    assert x.to_float() == math.ldexp(m + (side > 0), scale) == nearest_double(x)
+    assert (-x).to_float() == -x.to_float()
+
+
+def test_a_floor_with_too_few_bits_is_not_rounded():
+    with pytest.raises(InternalInconsistency):
+        numbers._nearest_double(2**54 - 1, 0)
+    assert numbers._nearest_double(2**54, 0) == 2.0**54
+    assert numbers._nearest_double(1, 1076) == 0.0  # below half the least subnormal
+
+
+def test_a_float_past_the_largest_double_raises_overflow():
+    top = Q(2**1024 - 2**970, 0, 1)  # halfway past the largest double: rounds up
+    assert _float_outcome(Q.to_float, top) == "OverflowError"
+    assert Q(2**1024 - 2**971, 0, 1).to_float() == sys.float_info.max
+    # just below and just above 2^1024 with the irrational part in play
+    near = Q(2**1024, -1, 1, 2)
+    assert _float_outcome(Q.to_float, near) == "OverflowError"
+    assert _float_outcome(nearest_double, near) == "OverflowError"
+    below = Q(2**1023, 2**1000, 1, 2)
+    assert below.to_float() == nearest_double(below) < math.inf
+
+
 # ---------------------------------------------------------------------------
 # the trusted constructors against the validating one
 # ---------------------------------------------------------------------------
@@ -362,8 +482,7 @@ def test_trusted_arithmetic_equals_the_validating_constructor(pair, k):
 def test_floor_hash_and_float_match_their_references(x):
     assert x.floor() == _floor_by_search(x)
     a, b = _parts(x)
-    want = float(a) + (float(b) * math.sqrt(x.d) if x.v else 0.0)
-    assert x.to_float().hex() == want.hex()
+    assert x.to_float().hex() == nearest_double(x).hex()
     if x.is_rational:
         assert hash(x) == hash(a)
 

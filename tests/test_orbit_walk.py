@@ -58,6 +58,7 @@ from reference import (
     _state_step,
     as_fraction,
     bucketed_first_overlap,
+    counted_steps,
     folded,
     frame_state,
     interval_chain,
@@ -69,6 +70,7 @@ from reference import (
     rho_transverse,
     walked_collision,
     walked_orbit,
+    walked_states,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,26 +111,6 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _count_steps(monkeypatch):
-    """Count the steps of the walk's state rule, which steps integer
-    numerators on rational and irrational data alike: one entry per state
-    stepped."""
-    calls = []
-    orig = line_orbit._state_rule
-
-    def counted_rule(tm, slope, seed):
-        step, start, num = orig(tm, slope, seed)
-
-        def counted(st):
-            calls.append(st)
-            return step(st)
-
-        return counted, start, num
-
-    monkeypatch.setattr(line_orbit, "_state_rule", counted_rule)
-    return calls
-
-
 # ---------------------------------------------------------------------------
 # one representation
 # ---------------------------------------------------------------------------
@@ -149,10 +131,12 @@ def test_state_indexes_the_walked_orbit(a, b, alpha, beta):
     verdict = classify_line(tm, line)
     assert isinstance(verdict, EventuallyPeriodic)
     assert len(verdict.states) == verdict.preperiod + verdict.period
-    assert verdict.cycle == verdict.states[verdict.preperiod :]
+    walked = walked_states(verdict)
+    assert list(verdict.states) == list(walked)
+    assert verdict.states[verdict.preperiod :] == list(walked[verdict.preperiod :])
     n = 3 * (verdict.preperiod + verdict.period) + 5
     walked = _walked(tm, line, n)
-    assert [verdict.state(i) for i in range(n + 1)] == walked
+    assert [verdict.num.value(verdict.state_ints(i)) for i in range(n + 1)] == walked
     assert orbit_states(tm, line, n) == walked
 
 
@@ -160,7 +144,7 @@ def test_orbit_states_walks_a_wandering_line(monkeypatch):
     tm = _map("3")
     line = _line(parse_number("sqrt(3)-1"), Fraction(1, 4))
     expect = _walked(tm, line, 9)
-    calls = _count_steps(monkeypatch)
+    calls = counted_steps(monkeypatch)
     assert orbit_states(tm, line, 9) == expect
     assert len(calls) == 9
     assert all(isinstance(x, int) for p in calls for x in p)  # (u, v) per coordinate
@@ -339,8 +323,8 @@ def test_integer_orbit_matches_the_quadratic_walk(case):
     n0, reference = _reference_orbit(tm, line)
     verdict = classify_line(tm, line)
     assert (verdict.preperiod, verdict.period) == (n0, len(reference) - n0)
-    assert [verdict.state(i) for i in range(len(reference))] == reference
-    assert verdict.state(len(reference)) == reference[n0]
+    assert [verdict.num.value(verdict.state_ints(i)) for i in range(len(reference))] == reference
+    assert verdict.num.value(verdict.state_ints(len(reference))) == reference[n0]
     # rho on numerators is rho_transverse on the grid, and None off it
     rho = rho_numerators(model, verdict)
     for i, p in enumerate(verdict.states):
@@ -370,7 +354,7 @@ def test_certify_wandering_walks_a_periodic_orbit_once(
 ):
     tm = _map(a)
     seg = segment_new(_line(alpha, beta), qn(0), qn(Fraction(1, 10)))
-    calls = _count_steps(monkeypatch)
+    calls = counted_steps(monkeypatch)
     cert = certify_wandering(tm, seg, check_iterates)
     assert isinstance(cert, WanderingCertificate) and cert.mode == "subsegment"
     # one step from the zero state reads c for the closed-form period; the
