@@ -117,8 +117,8 @@ def _interval_json(iv) -> dict:
     return {
         "lo": lo.to_expr(),
         "hi": hi.to_expr(),
-        "lo_float": lo.to_float(),
-        "hi_float": hi.to_float(),
+        "lo_float": _float_or_none(lo),
+        "hi_float": _float_or_none(hi),
     }
 
 

@@ -298,6 +298,24 @@ def _eisenstein(tau: complex) -> tuple[complex, complex, complex]:
     return 1 - 24 * s1, 1 + 240 * s3, 1 - 504 * s5
 
 
+def _row_sum(rows):
+    """``rows.sum(0)`` with the bytes of numpy's pairwise ``sum(-1)``: up to 64
+    terms, four running sums, (s0 + s1) + (s2 + s3), then the rest in order;
+    past 64, halves split at 4 * (n // 8).  As numpy's, it starts from 0."""
+    n = len(rows)
+    if n > 64:
+        return _row_sum(rows[: 4 * (n // 8)]) + _row_sum(rows[4 * (n // 8) :])
+    s = 0.0
+    if n >= 4:
+        acc = rows[:4].copy()
+        for i in range(4, n - n % 4, 4):
+            acc += rows[i : i + 4]
+        s += (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for row in rows[n - n % 4 :]:
+        s += row
+    return s
+
+
 class WeierstrassContext:
     """wp and wp' of one lattice from its reduced basis (v1, v2), computed
     once.  The lattice is v1*(Z + tau'*Z), so wp(z) = v1^-2 wp(z/v1; 1, tau')
@@ -330,16 +348,17 @@ class WeierstrassContext:
         array: in a reduced basis that point is among the nine around the
         rounded coordinates of z, so z minus the rounded point is moved by
         the one of ``nine`` (0, v1, v2 and their sums and differences, both
-        signs) that leaves it shortest."""
+        signs) that leaves it shortest, the first of equal ones: squared
+        lengths from float coordinate differences, as on complex candidates."""
         import numpy as np
 
         z = np.asarray(z, dtype=complex)
         u = z / self.v1
         y = u.imag / self.tau.imag
         n, m = np.round(u.real - y * self.tau.real), np.round(y)
-        cands = (z - (n * self.v1 + m * self.v2))[..., None] - self._arrays[0]
-        best = (cands.real**2 + cands.imag**2).argmin(-1)
-        return cands.reshape(-1)[best + np.arange(0, cands.size, 9).reshape(best.shape)]
+        r, nine = z - (n * self.v1 + m * self.v2), self._arrays[0]
+        dx, dy = r.real[..., None] - nine.real, r.imag[..., None] - nine.imag
+        return r - nine[(dx * dx + dy * dy).argmin(-1)]
 
     def wp_pair(self, z):
         """(wp(z), wp'(z)) for a complex number, or two arrays for an array.
@@ -367,21 +386,22 @@ class WeierstrassContext:
             raise NearPole(f"z within 1e-6 r_min of a lattice point: {np.asarray(z)[near][0]}")
         u = zr / self.v1
         s0 = np.where(u.imag < 0, -1, 1)
-        qm = self._arrays[1]
+        qm = self._arrays[1].reshape(-1, *(1,) * u.ndim)
         rows = len(qm)
-        # one row per m along the last axis: 0, then 1 .. M, then -1 .. -M
-        w = np.empty((*u.shape, 2 * rows + 1), dtype=complex)
-        w[..., 0] = np.exp(2j * np.pi * s0 * u)
-        np.multiply(np.exp(2j * np.pi * (u + self.tau))[..., None], qm, out=w[..., 1 : rows + 1])
-        np.multiply(np.exp(-2j * np.pi * (u - self.tau))[..., None], qm, out=w[..., rows + 1 :])
+        # one contiguous row per m on the leading axis: 0, then 1 .. M, then -1 .. -M
+        w = np.empty((2 * rows + 1, *u.shape), dtype=complex)
+        w[0] = np.exp(2j * np.pi * s0 * u)
+        np.multiply(np.exp(2j * np.pi * (u + self.tau)), qm, out=w[1 : rows + 1])
+        np.multiply(np.exp(-2j * np.pi * (u - self.tau)), qm, out=w[rows + 1 :])
         d = 1 - w
         np.divide(1, d, out=d)
-        csc2 = w * d
+        cot = w + 1
+        csc2 = np.multiply(w, d, out=w)
         csc2 *= d
-        cot = csc2 * (w + 1)
+        np.multiply(csc2, cot, out=cot)  # csc2 * (w + 1): this operand order fixes the bytes
         cot *= d
-        cot_sum = s0 * cot[..., 0] + cot[..., 1 : rows + 1].sum(-1) - cot[..., rows + 1 :].sum(-1)
-        x = (np.pi / self.v1) ** 2 * (-4 * csc2.sum(-1) - self.e2 / 3)
+        cot_sum = s0 * cot[0] + _row_sum(cot[1 : rows + 1]) - _row_sum(cot[rows + 1 :])
+        x = (np.pi / self.v1) ** 2 * (-4 * _row_sum(csc2) - self.e2 / 3)
         y = -2 * (np.pi / self.v1) ** 3 * 4j * cot_sum
         ax, ay = np.abs(x), np.abs(y)
         res = np.abs(y * y - (4 * x * x * x - self.g2 * x - self.g3))
@@ -412,7 +432,7 @@ def weierstrass_context(lat: Lattice) -> WeierstrassContext:
 
 
 MAX_SAMPLES = 100_000  # so the sampling stream holds about 4 * MAX_SAMPLES floats
-MAX_KERNEL_SAMPLES = 5_000_000  # R's kernel sums keep 31 to 37 bytes a point a sample
+MAX_KERNEL_SAMPLES = 5_000_000  # R's kernel sums keep about 31 bytes a point a sample
 _STREAM = [random.Random(20240801).random, ()]  # its generator, the prefix drawn
 
 
@@ -426,6 +446,10 @@ def _stream(stop: int):
         more = np.array([draw() for _ in range(stop - len(r))])
         _STREAM[1] = r = np.concatenate([r, 0.02 + (0.98 - 0.02) * more])
     return r[:stop]
+
+
+def _batch(missing: int) -> int:  # 86 to 95% of candidates are kept on the workload maps
+    return missing * 5 // 4 + 16
 
 
 def _sample_points(model: LattesModel, shift: complex, count: int):
@@ -445,7 +469,7 @@ def _sample_points(model: LattesModel, shift: complex, count: int):
 
     chunks, found, attempts = [], 0, 0
     while found < count and attempts < 100 * count:
-        k = min(2 * (count - found), 100 * count - attempts)
+        k = min(_batch(count - found), 100 * count - attempts)
         r = _stream(2 * (attempts + k))[2 * attempts :]
         attempts += k
         z = r[0::2] + r[1::2] * w
@@ -489,7 +513,8 @@ def quotient_map(model: LattesModel, wp_probes):
         return ((x + p) * (2 * x * p - ctx.g2 / 2) - ctx.g3) / (x - p) ** 2
 
     def R(x):
-        r = (x + (pair_sum(x[..., None], p) / 2 - p).sum(-1)) / a2
+        pk = p.reshape(-1, *(1,) * np.ndim(x))  # one kernel term a row, as in wp_pair
+        r = (x + _row_sum(pair_sum(x, pk) / 2 - pk)) / a2
         return pair_sum(r, e[0]) / 2 if len(e) else r
 
     return R

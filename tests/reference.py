@@ -5,9 +5,10 @@ route: a line stepped one image at a time, parameter intervals and arcs as
 ``QuadraticNumber`` pairs, two segments intersected as a pair, a point
 iterated or pulled back, the grid of rho's fixed points built and searched, a
 line's image under the quotient typed by that search, wp evaluated with one
-new array per operation, argv read by argparse, as the command line was
-read before its option tables, an option's spelling matched by scanning
-every name, as before its spelling tables, a point's state from its frame products, a
+new array per operation, its rows and R's kernel terms on the last axis, the
+nearest lattice point picked among complex candidates, argv read by
+argparse, as the command line was read before its option tables, an
+option's spelling matched by scanning every name, as before its spelling tables, a point's state from its frame products, a
 line's states and their reflections as ``QuadraticNumber`` pairs, the
 disjointness oracle with each state stepped from the one before and every
 pair compared, and with closed-form states bucketed and each pair compared
@@ -980,7 +981,8 @@ def g_invariants(lat: Lattice) -> tuple[complex, complex]:
 
 def reduce_nearest(ctx: WeierstrassContext, z):
     """z minus its nearest lattice point, picked among the nine around the
-    rounded coordinates of z with ``take_along_axis``."""
+    rounded coordinates of z as complex candidates, squared by their real
+    and imaginary parts, with ``take_along_axis``."""
     z = np.asarray(z, dtype=complex)
     u = z / ctx.v1
     y = u.imag / ctx.tau.imag
@@ -1026,6 +1028,23 @@ def wp_pair(ctx: WeierstrassContext, z):
     if np.ndim(z) == 0:
         return complex(x), complex(y)
     return x, y
+
+
+def quotient_map(model: LattesModel, wp_probes):
+    """The Lattes map R of ``flatwander.lattes.quotient_map``, with the kernel
+    terms on the last axis, added by ``sum(-1)``."""
+    ctx = weierstrass_context(model.lattice)
+    p, e = np.split(wp_probes, [model.map.degree - 1])
+    a2 = model.map.a.to_complex() ** 2
+
+    def pair_sum(x, p):
+        return ((x + p) * (2 * x * p - ctx.g2 / 2) - ctx.g3) / (x - p) ** 2
+
+    def R(x):
+        r = (x + (pair_sum(x[..., None], p) / 2 - p).sum(-1)) / a2
+        return pair_sum(r, e[0]) / 2 if len(e) else r
+
+    return R
 
 
 def squarefree_split_trial(n: int) -> tuple[int, int]:

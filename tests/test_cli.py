@@ -458,6 +458,18 @@ def test_certify_segment_slack_beyond_double_range(capsys):
     assert (parse_number(data["slack"]) - 2**1024).sign() > 0
 
 
+def test_certify_segment_interval_end_beyond_double_range(capsys):
+    t1 = "1" + "0" * 400
+    code, data = _run(
+        capsys,
+        "certify-segment",
+        "--a", "2", "--omega", "i", "--slope", "sqrt(2)",
+        "--alpha", "sqrt(3)-1", "--beta", "0", "--t0", "0", "--t1", t1,
+    )
+    assert code == 0 and data["verdict"] == "wandering"
+    assert data["interval"] == {"lo": "0", "hi": t1, "lo_float": 0.0, "hi_float": None}
+
+
 @pytest.mark.parametrize("command", ["certify-segment", "certify-sphere"])
 def test_negative_check_iterates_rejected(capsys, command):
     code, data = _run(

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatwander import lattes
 from flatwander.errors import (
@@ -22,6 +24,7 @@ from flatwander.lattes import (
     SelfPaired,
     Unpaired,
     WeierstrassContext,
+    _row_sum,
     _sample_points,
     certify_sphere_wandering,
     lattes_model_new,
@@ -57,6 +60,7 @@ from reference import (
     half_lattice_q,
     passes_through_q,
     q_grid,
+    quotient_map as reference_quotient_map,
     reduce_nearest,
     rho_transverse,
     segments_intersect,
@@ -77,6 +81,7 @@ SEMICONJ_PAIRS = (
     ("2i", "i"), ("2i", "2i"), ("1+1i", "i"), ("3/2+sqrt(3)/2i", "1/2+sqrt(3)/2i"),
 )  # fmt: skip
 ORIGIN = point(0, 0)
+SEMICONJ_LATTICES = ("i", "2i", "1/2+i", "1/2+sqrt(3)/2i")
 
 
 def _wp(z):
@@ -571,6 +576,76 @@ def test_one_probe_sampling_keeps_the_four_probe_points(a, omega, b):
         got = _sample_points(model, shift, count)
         assert len(got) == count
         assert np.array_equal(got, _reference_sample_points(model, shift, count))
+
+
+@pytest.mark.parametrize("a,omega,b", [(a, omega, "0") for a, omega in SEMICONJ_PAIRS[::3]]
+                         + [("2", "i", "1/2"), ("2i", "i", "1/2+1/2i")])
+def test_the_sample_points_do_not_depend_on_the_batch_size(monkeypatch, a, omega, b):
+    lat = Lattice(parse_complex(omega))
+    model = _model(a, b, lat=lat)
+    shift = embed(model.shift, lat)
+    want = {count: _sample_points(model, shift, count) for count in (1, 37, 300)}
+    for batch in (lambda missing: 1, lambda missing: 2 * missing):
+        monkeypatch.setattr(lattes, "_batch", batch)
+        for count, points in want.items():
+            assert np.array_equal(_sample_points(model, shift, count), points)
+
+
+def _bits(x):
+    """x's shape, dtype and bytes: signed zeros and NaN payloads included."""
+    x = np.asarray(x)
+    return x.shape, x.dtype, x.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("n", [*range(1, 26), 64, 65, 80, 131])
+def test_the_row_sum_adds_as_numpys_sum_does(n, shape):
+    # past 64 terms numpy splits the sum in halves; R's kernel sums reach it
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        v = 10.0 ** rng.uniform(-300, 300, (*shape, n, 2)) * rng.choice([-1.0, 1.0], (*shape, n, 2))
+        v[rng.random(v.shape) < 0.15] = 0.0
+        v[rng.random(v.shape) < 0.15] = -0.0
+        if trial == 0:
+            v[:] = -0.0
+        terms = v.view(complex)[..., 0]
+        assert _bits(_row_sum(np.moveaxis(terms, -1, 0).copy())) == _bits(terms.sum(-1))
+
+
+# on the cell boundaries, at lattice points, half-lattice points and the
+# three-way ties of hex, and between them; nan and inf stand for any
+# non-finite point
+_COORDS = st.one_of(
+    st.integers(-24, 24).map(lambda k: k / 6),
+    st.floats(-5, 5),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SEMICONJ_LATTICES), st.booleans(),
+       st.lists(st.tuples(_COORDS, _COORDS), max_size=12))
+def test_the_nearest_point_reduction_matches_complex_candidates(omega, reduced, coords):
+    lat = Lattice(parse_complex(omega))
+    ctx = weierstrass_context(lat)
+    v1, v2 = (ctx.v1, ctx.v2) if reduced else (1, lat.omega_complex())
+    with np.errstate(all="ignore"):
+        z = np.array([x * v1 + y * v2 for x, y in coords], dtype=complex)
+        for points in [z, z.reshape(-1, 2) if len(z) % 2 == 0 else z[:1], *z[:2]]:
+            assert _bits(ctx._reduce(points)) == _bits(reduce_nearest(ctx, points))
+
+
+@pytest.mark.parametrize("a", ["2", "3", "1+1i", "7", "9"])
+def test_the_quotient_map_adds_its_kernel_terms_as_before(a):
+    # a = 9 has 80 kernel terms, past the 64 where numpy's sum splits
+    model = _model(a)
+    ctx = weierstrass_context(SQUARE)
+    x = ctx.wp_pair(_sample_points(model, 0j, 300))[0]
+    probes = ctx.wp_pair(np.array(quotient_probes(model)))[0]
+    with np.errstate(all="ignore"):
+        got, want = quotient_map(model, probes), reference_quotient_map(model, probes)
+        for points in (x, x.reshape(20, 15), x[0]):
+            assert _bits(got(points)) == _bits(want(points))
 
 
 @pytest.mark.parametrize("a,omega", SEMICONJ_PAIRS)
